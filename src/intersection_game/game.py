@@ -305,6 +305,23 @@ def follow_reach(
 
 
 class _StepSolver:
+    """Cyclic best response for one control step.
+
+    Within a step every vehicle's start state is fixed, so work that
+    depends only on one vehicle's own control is shared rather than
+    redone per candidate:
+
+    - `_candidate(i, a, d)` memoizes vehicle i's predicted state, route
+      projection, course error and worst bound slack per (i, a, d);
+    - `_refresh_pred(j)` computes, once per change of j's control, what
+      other vehicles read off j: its committed stop distance and its arc
+      length on each follower's route.
+
+    Each shared value comes from the same call with the same arguments
+    that would otherwise be repeated, so results are bit-for-bit those of
+    recomputing it.  The memos live only as long as this solver, one step.
+    """
+
     def __init__(
         self,
         views: list[PlayerView],
@@ -359,6 +376,12 @@ class _StepSolver:
             cj = self.cost_cp[j]
             if cj is not None and cj.partner != vj.lv:
                 self.dependents[cj.partner].append(j)
+        # players whose leader is vehicle i
+        self.followers: list[list[int]] = [[] for _ in range(self.n)]
+        for j in self.players:
+            if views[j].lv is not None:
+                self.followers[views[j].lv].append(j)
+        self._cand: list[dict[tuple[float, float], tuple]] = [{} for _ in range(self.n)]
         self._reach_lat: list[dict[tuple[float, float], float]] = [{} for _ in range(self.n)]
         self._reach_lon: list[dict[tuple[float, float, float], float]] = [{} for _ in range(self.n)]
         self.controls: list[tuple[float, float]] = []
@@ -366,19 +389,37 @@ class _StepSolver:
             self.controls.append((v.a_prev, v.delta_prev) if v.player else v.coast)
         self.pred: list[VehicleState] = [None] * self.n  # type: ignore[list-item]
         self.pred_s: list[float] = [0.0] * self.n
+        self.hold_dist: list[float] = [0.0] * self.n  # committed stop distance
+        self.lead_s: list[float] = [0.0] * self.n  # leader's arc length on own route
         for i in range(self.n):
             self._refresh_pred(i)
 
     # -- prediction bookkeeping ------------------------------------------
 
-    def _predict(self, i: int, a: float, d: float) -> VehicleState:
-        return integrate(self.views[i].state, ControlInput(a, d), self.dt, self.veh, self.yaw_form)
+    def _candidate(self, i: int, a: float, d: float) -> tuple[VehicleState, float, float, float, float]:
+        """(predicted state, s, dy, course error, worst bound slack) of
+        vehicle i under control (a, d)."""
+        memo = self._cand[i]
+        c = memo.get((a, d))
+        if c is None:
+            view = self.views[i]
+            pred = integrate(view.state, ControlInput(a, d), self.dt, self.veh, self.yaw_form)
+            s_pred, dy = view.route.project(pred.x, pred.y)
+            dphi = wrap_angle(pred.phi + sideslip(d, self.veh) - view.route.tangent_at(s_pred))
+            slack = max(bound_residuals(
+                a, d, view.a_prev, pred.v_x, dy, dphi, self.dt, self.limits, self.steer_lim
+            ))
+            c = memo[(a, d)] = (pred, s_pred, dy, dphi, slack)
+        return c
 
     def _refresh_pred(self, i: int) -> None:
         a, d = self.controls[i]
-        st = self._predict(i, a, d)
+        st, s_pred = self._candidate(i, a, d)[:2]
         self.pred[i] = st
-        self.pred_s[i] = self.views[i].route.project(st.x, st.y)[0]
+        self.pred_s[i] = s_pred
+        self.hold_dist[i] = stop_distance(st.v_x, a, self.limits)
+        for f in self.followers[i]:
+            self.lead_s[f] = self.views[f].route.project(st.x, st.y)[0]
 
     # -- cost pieces ------------------------------------------------------
 
@@ -390,8 +431,7 @@ class _StepSolver:
         omega_lat = self.omega0 if cp is not None else 0.0
         if view.lv is not None:
             lv_state = self.pred[view.lv]
-            s_lv = view.route.project(lv_state.x, lv_state.y)[0]
-            gap = max(s_lv - s_pred, GAP_FLOOR)
+            gap = max(self.lead_s[i] - s_pred, GAP_FLOOR)
             v_log = following_risk(pred.v_x, lv_state.v_x, gap) if omega_log > 0.0 else 0.0
         else:
             gap = max(min(view.route.total_length - s_pred, FREE_GAP), 0.0)
@@ -456,18 +496,16 @@ class _StepSolver:
         return val
 
     def _constraint_residual(
-        self, i: int, a: float, d: float, pred: VehicleState, s_pred: float,
-        dy: float, dphi: float, guard: float,
+        self, i: int, a: float, pred: VehicleState, s_pred: float, bound_slack: float, guard: float,
     ) -> float:
         view = self.views[i]
         L = self.limits
-        res = max(bound_residuals(a, d, view.a_prev, pred.v_x, dy, dphi, self.dt, L, self.steer_lim))
+        res = bound_slack
         ttc_floor = L.ttc_min + guard
         margin = L.stop_margin + guard
         if view.lv is not None:
-            lv_state = self.pred[view.lv]
-            gap = view.route.project(lv_state.x, lv_state.y)[0] - s_pred
-            need = self._reach_to_leader(i, a, pred.v_x, lv_state.v_x, ttc_floor, margin)
+            gap = self.lead_s[i] - s_pred
+            need = self._reach_to_leader(i, a, pred.v_x, self.pred[view.lv].v_x, ttc_floor, margin)
             res = max(res, need - gap)
         for cp in view.cps:
             d_self = cp.s_self - s_pred
@@ -475,7 +513,6 @@ class _StepSolver:
                 continue  # already past; liveness filtering retires it soon
             d_other = cp.s_other - self.pred_s[cp.partner]
             v_other = self.pred[cp.partner].v_x
-            a_other = self.controls[cp.partner][0]
             t_self = d_self / pred.v_x if pred.v_x > 1e-9 else math.inf
             t_other = d_other / v_other if v_other > 1e-9 else math.inf
             # the pair is safe while any one of three escapes stays open:
@@ -491,7 +528,7 @@ class _StepSolver:
                 sep = math.inf  # a parked vehicle never crosses; no time claim
             else:
                 sep = ttc_floor - abs(t_other - t_self)
-            partner_hold = cp.hold_other + stop_distance(v_other, a_other, L) - d_other
+            partner_hold = cp.hold_other + self.hold_dist[cp.partner] - d_other
             self_hold = self._reach_to_point(i, a, pred.v_x, cp.hold_self + guard) - d_self
             res = max(res, min(self_hold, partner_hold, sep))
         return res
@@ -500,13 +537,8 @@ class _StepSolver:
 
     def _rank(self, i: int, a: float, d: float, objective: str):
         self.evals += 1
-        pred = self._predict(i, a, d)
-        view = self.views[i]
-        s_pred, dy = view.route.project(pred.x, pred.y)
-        dphi = wrap_angle(pred.phi + sideslip(d, self.veh) - view.route.tangent_at(s_pred))
-        residual = self._constraint_residual(
-            i, a, d, pred, s_pred, dy, dphi, self.limits.ttc_guard
-        )
+        pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)
+        residual = self._constraint_residual(i, a, pred, s_pred, slack, self.limits.ttc_guard)
         if residual > self.sp.feas_slack:
             return (1.0, residual, abs(a), abs(d), a, d)
         terms = self._own_terms(i, pred, s_pred, dy, dphi)
@@ -543,7 +575,7 @@ class _StepSolver:
                 lo = mid
         return lo
 
-    def _best_response(self, i: int, objective: str = "game") -> tuple[float, float, tuple, dict]:
+    def _best_response(self, i: int, objective: str = "game") -> tuple[float, float, tuple]:
         view = self.views[i]
         a_lo, a_hi = self._accel_box(i)
         d_lim = self.steer_lim
@@ -597,7 +629,7 @@ class _StepSolver:
             else:
                 da *= 0.5
                 dd *= 0.5
-        return ba, bd, bkey, memo
+        return ba, bd, bkey
 
     # -- game rounds ------------------------------------------------------
 
@@ -607,7 +639,7 @@ class _StepSolver:
             self.sweeps += 1
             worst = 0.0
             for i in self.players:
-                a, d, key, _ = self._best_response(i)
+                a, d, key = self._best_response(i)
                 feasible[i] = key[0] == 0.0
                 worst = max(worst, abs(a - self.controls[i][0]), abs(d - self.controls[i][1]))
                 self.controls[i] = (a, d)
@@ -667,10 +699,7 @@ class _StepSolver:
         for i in self.players:
             if self.p[i] == 0.0:
                 continue
-            saved = self.controls[i]
-            a, d, key, _ = self._best_response(i, objective="solo")
-            self.controls[i] = saved
-            self._refresh_pred(i)
+            key = self._best_response(i, objective="solo")[2]
             if key[0] != 0.0:
                 continue  # no feasible lone move; nothing to compare against
             solo_v[i] = key[1]
@@ -680,10 +709,7 @@ class _StepSolver:
         return rational, residual, solo_v
 
     def _final_terms(self, i: int) -> CostTerms:
-        pred = self.pred[i]
-        view = self.views[i]
-        s_pred, dy = view.route.project(pred.x, pred.y)
-        dphi = wrap_angle(pred.phi + sideslip(self.controls[i][1], self.veh) - view.route.tangent_at(s_pred))
+        pred, s_pred, dy, dphi, _ = self._candidate(i, *self.controls[i])
         return self._own_terms(i, pred, s_pred, dy, dphi)
 
     def _bookkeeping(self, feasible, emergency, reset, rational, rat_res, solo) -> StepSolution:
@@ -698,15 +724,10 @@ class _StepSolver:
             terms[i] = t
             v_total[i] = t.total
             h_alloc[i] = self.p[i] * t.total
-            a, d = self.controls[i]
-            pred = self.pred[i]
-            s_pred, dy = self.views[i].route.project(pred.x, pred.y)
-            dphi = wrap_angle(pred.phi + sideslip(d, self.veh) - self.views[i].route.tangent_at(s_pred))
             if not emergency[i]:
-                max_res = max(
-                    max_res,
-                    self._constraint_residual(i, a, d, pred, s_pred, dy, dphi, 0.0),
-                )
+                a, d = self.controls[i]
+                pred, s_pred, _, _, slack = self._candidate(i, a, d)
+                max_res = max(max_res, self._constraint_residual(i, a, pred, s_pred, slack, 0.0))
         v_sg = 0.0
         for i in self.players:
             v_sg += h_alloc[i]
