@@ -238,7 +238,7 @@ def run(
                     j = ia
                 else:
                     continue
-                for k, c in enumerate(cps):
+                for m, c in enumerate(cps):
                     if c.kind == "following":
                         continue
                     s_self, s_other = (c.s_a, c.s_b) if i == ia else (c.s_b, c.s_a)
@@ -251,7 +251,7 @@ def run(
                         )
                     else:
                         gated = True
-                    ha, hb = holds[(ia, ib, k)]
+                    ha, hb = holds[(ia, ib, m)]
                     h_self, h_other = (ha, hb) if i == ia else (hb, ha)
                     live.append(
                         (s_self, j, s_other, CpRef(j, s_self, s_other, gated, h_self, h_other))

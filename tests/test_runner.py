@@ -46,6 +46,12 @@ def test_run_terminates_before_the_time_budget():
     assert all(len(sr) == 3 for sr in res.rows)
 
 
+def test_step_rows_number_the_control_steps():
+    res = run_cached("fuzzy")
+    assert [s.step for s in res.steps] == list(range(len(res.steps)))
+    assert all(s.t == s.step * res.scenario.dt for s in res.steps)
+
+
 def test_roles_only_progress():
     res = run_cached("fuzzy")
     for i in range(3):
