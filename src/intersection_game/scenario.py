@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
-from math import radians
+from math import isfinite, radians
 from pathlib import Path
 
 from .dynamics import VehicleParams
@@ -93,9 +93,12 @@ def _get_float(cp, section: str, key: str, default: float) -> float:
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ScenarioError(f"[{section}] {key}: not a number: {raw!r}") from exc
+    if not isfinite(value):
+        raise ScenarioError(f"[{section}] {key}: not a finite number: {raw!r}")
+    return value
 
 
 def _get_int(cp, section: str, key: str, default: int) -> int:
@@ -106,6 +109,12 @@ def _get_int(cp, section: str, key: str, default: int) -> int:
         return int(raw)
     except ValueError as exc:
         raise ScenarioError(f"[{section}] {key}: not an integer: {raw!r}") from exc
+
+
+def _require_positive(section: str, values: dict[str, float]) -> None:
+    for key, value in values.items():
+        if not value > 0.0:
+            raise ScenarioError(f"[{section}] {key}: must be positive, got {value}")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -132,8 +141,7 @@ def load_scenario(path: str | Path) -> Scenario:
     name = cp.get("scenario", "name", fallback=path.stem)
     t_end = _get_float(cp, "scenario", "t_end", 30.0)
     dt = _get_float(cp, "scenario", "dt", 0.1)
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ScenarioError("[scenario] dt and t_end must be positive")
+    _require_positive("scenario", {"t_end": t_end, "dt": dt})
     mode = cp.get("scenario", "mode", fallback="fuzzy").strip()
     if mode not in MODES:
         raise ScenarioError(f"[scenario] mode: {mode!r} not one of {MODES}")
@@ -185,6 +193,13 @@ def load_scenario(path: str | Path) -> Scenario:
         stop_margin=_get_float(cp, "limits", "stop_margin", ld.stop_margin),
         ttc_guard=_get_float(cp, "limits", "ttc_guard", ld.ttc_guard),
     )
+    _require_positive("limits", {
+        "v_max": limits.v_max,
+        "a_max": limits.a_max,
+        "jerk_max": limits.jerk_max,
+        "mu": limits.mu,
+        "ttc_min": limits.ttc_min,
+    })
 
     if cp.has_section("solver"):
         _reject_unknown("solver", cp.options("solver"), _SOLVER_KEYS)
@@ -195,6 +210,8 @@ def load_scenario(path: str | Path) -> Scenario:
         feas_slack=_get_float(cp, "solver", "feas_slack", sd.feas_slack),
         rationality_tol=_get_float(cp, "solver", "rationality_tol", sd.rationality_tol),
     )
+    if solver.max_sweeps < 1:
+        raise ScenarioError(f"[solver] max_sweeps: must be at least 1, got {solver.max_sweeps}")
 
     if cp.has_section("vehicle_model"):
         _reject_unknown("vehicle_model", cp.options("vehicle_model"), _MODEL_KEYS)
@@ -203,6 +220,9 @@ def load_scenario(path: str | Path) -> Scenario:
         l_f=_get_float(cp, "vehicle_model", "l_f", md.l_f),
         l_r=_get_float(cp, "vehicle_model", "l_r", md.l_r),
         width=_get_float(cp, "vehicle_model", "width", md.width),
+    )
+    _require_positive(
+        "vehicle_model", {"l_f": vehicle_model.l_f, "l_r": vehicle_model.l_r, "width": vehicle_model.width}
     )
     yaw_form = cp.get("vehicle_model", "yaw_form", fallback="tan").strip()
     if yaw_form not in ("tan", "sin"):

@@ -26,6 +26,15 @@ def test_validate_rejects_broken_config(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+def test_run_rejects_parameter_outside_its_domain(tmp_path, capsys):
+    # a zero jerk bound used to pass loading and crash the run
+    cfg = tmp_path / "jerk0.cfg"
+    cfg.write_text(Path(CASE1).read_text() + "\n[limits]\njerk_max = 0\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "jerk_max: must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_scenario_file_is_a_config_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.cfg")]) == 2
     assert "scenario error" in capsys.readouterr().err

@@ -139,6 +139,34 @@ def test_rejects_nonpositive_horizon_times(tmp_path):
     reject(tmp_path, MINIMAL.replace("version = 1", "version = 1\nt_end = 0"), "positive")
 
 
+@pytest.mark.parametrize(
+    "section, key, value, fragment",
+    [
+        ("scenario", "dt", "nan", "dt: not a finite number"),
+        ("scenario", "t_end", "nan", "t_end: not a finite number"),
+        ("scenario", "t_end", "inf", "t_end: not a finite number"),
+        ("scenario", "dt", "-0.1", "dt: must be positive"),
+        ("limits", "a_max", "-1", "a_max: must be positive"),
+        ("limits", "jerk_max", "0", "jerk_max: must be positive"),
+        ("limits", "v_max", "0", "v_max: must be positive"),
+        ("limits", "mu", "-0.5", "mu: must be positive"),
+        ("limits", "ttc_min", "0", "ttc_min: must be positive"),
+        ("limits", "stop_margin", "inf", "stop_margin: not a finite number"),
+        ("field", "omega0", "nan", "omega0: not a finite number"),
+        ("vehicle_model", "l_f", "0", "l_f: must be positive"),
+        ("vehicle_model", "l_r", "-1.4", "l_r: must be positive"),
+        ("vehicle_model", "width", "0", "width: must be positive"),
+        ("solver", "max_sweeps", "0", "max_sweeps: must be at least 1"),
+    ],
+)
+def test_rejects_parameters_outside_their_domain(tmp_path, section, key, value, fragment):
+    if section == "scenario":
+        text = MINIMAL.replace("version = 1", f"version = 1\n{key} = {value}")
+    else:
+        text = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+    reject(tmp_path, text, fragment)
+
+
 def test_rejects_bad_yaw_form(tmp_path):
     reject(tmp_path, MINIMAL + "\n[vehicle_model]\nyaw_form = euler\n", "yaw_form")
 
