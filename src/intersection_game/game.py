@@ -319,7 +319,10 @@ class _StepSolver:
 
     Each shared value comes from the same call with the same arguments
     that would otherwise be repeated, so results are bit-for-bit those of
-    recomputing it.  The memos live only as long as this solver, one step.
+    recomputing it.  (Memo keys compare as floats, so a control of -0.0
+    reuses the entry of 0.0; nothing read from an entry depends on the
+    sign of that zero.)  The memos live only as long as this solver, one
+    step.
     """
 
     def __init__(

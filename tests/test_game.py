@@ -1,10 +1,13 @@
 """Participation, cost pooling, hard bounds, reachability, and the step solver."""
 
+import csv
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from intersection_game import game, runner
 from intersection_game.costs import balance_weights, efficiency, lane_keeping
 from intersection_game.dynamics import (
     DEFAULT_VEHICLE,
@@ -33,6 +36,7 @@ from intersection_game.game import (
 )
 from intersection_game.geometry import wrap_angle
 from intersection_game.network import build_network, route_for
+from intersection_game.scenario import load_scenario
 
 L = Limits()
 NET = build_network()
@@ -312,3 +316,36 @@ def test_solve_step_deterministic():
     assert first.controls == second.controls
     assert first.v_coalition == second.v_coalition
     assert first.evals == second.evals
+
+
+def test_step_solver_predicts_each_candidate_once_per_step(monkeypatch):
+    """Within one step no (state, a, delta) reaches the RK4 integrator
+    twice, and sharing that work leaves the evaluation count unchanged."""
+    root = Path(__file__).resolve().parents[1]
+    seen: set = set()
+    repeats = []
+    calls = [0]
+    real_integrate = game.integrate
+    real_solve = runner.solve_step
+
+    def counting_integrate(state, u, *args, **kwargs):
+        key = (state, u.a_x, u.delta_f)
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        calls[0] += 1
+        return real_integrate(state, u, *args, **kwargs)
+
+    def solve_one_step(*args, **kwargs):
+        seen.clear()
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(game, "integrate", counting_integrate)
+    monkeypatch.setattr(runner, "solve_step", solve_one_step)
+    res = runner.run(load_scenario(root / "scenarios" / "case1_A.cfg"))
+    assert calls[0] > 0
+    assert repeats == []
+    with open(root / "runs" / "case1_A_fuzzy" / "steps.csv", newline="") as fh:
+        committed = sum(int(row["evals"]) for row in csv.DictReader(fh))
+    assert sum(s.evals for s in res.steps) == committed
+    assert calls[0] < committed  # rankings outnumber predictions
