@@ -55,15 +55,16 @@ def crossing_risk(d_host: float, v_host: float, d_other: float, v_other: float) 
 
 def lane_errors(
     route: Route, state: VehicleState, delta_f: float, veh: VehicleParams = DEFAULT_VEHICLE
-) -> tuple[float, float]:
-    """(lateral offset, course error) of the body frame against the route.
+) -> tuple[float, float, float]:
+    """(arc length, lateral offset, course error) of the body frame against
+    the route.
 
     The course error compares the direction of motion, yaw plus sideslip,
     with the local route tangent, so steady cornering carries no error.
     """
     s, dy = route.project(state.x, state.y)
     dphi = wrap_angle(state.phi + sideslip(delta_f, veh) - route.tangent_at(s))
-    return dy, dphi
+    return s, dy, dphi
 
 
 def lane_keeping(dy: float, dphi: float) -> float:

@@ -74,6 +74,28 @@ def rear_axle_and_turn_center(
     return (gx, gy), (cx, cy)
 
 
+def _yaw_gain(beta: float, params: VehicleParams, yaw_form: str) -> float:
+    """Yaw rate per unit of longitudinal speed under sideslip beta."""
+    if yaw_form == "tan":
+        return math.tan(beta) / params.l_r
+    if yaw_form == "sin":
+        return math.sin(beta) / params.l_r
+    raise ValueError(f"unknown yaw_form: {yaw_form!r}")
+
+
+def _rates(
+    v: float, phi: float, a_x: float, beta: float, cos_beta: float, k_yaw: float
+) -> tuple[float, float, float, float]:
+    """(dv, dphi, dx, dy) at speed v and yaw phi; a negative speed counts as zero."""
+    vv = v if v > 0.0 else 0.0
+    return (
+        a_x,
+        vv * k_yaw,
+        vv * math.cos(phi + beta) / cos_beta,
+        vv * math.sin(phi + beta) / cos_beta,
+    )
+
+
 def derivative(
     state: VehicleState,
     u: ControlInput,
@@ -82,16 +104,7 @@ def derivative(
 ) -> tuple[float, float, float, float]:
     """Time derivative (dv, dphi, dx, dy) of the state under control u."""
     beta = sideslip(u.delta_f, params)
-    if yaw_form == "tan":
-        dphi = state.v_x * math.tan(beta) / params.l_r
-    elif yaw_form == "sin":
-        dphi = state.v_x * math.sin(beta) / params.l_r
-    else:
-        raise ValueError(f"unknown yaw_form: {yaw_form!r}")
-    cb = math.cos(beta)
-    dx = state.v_x * math.cos(state.phi + beta) / cb
-    dy = state.v_x * math.sin(state.phi + beta) / cb
-    return (u.a_x, dphi, dx, dy)
+    return _rates(state.v_x, state.phi, u.a_x, beta, math.cos(beta), _yaw_gain(beta, params, yaw_form))
 
 
 def step(
@@ -103,28 +116,15 @@ def step(
 ) -> VehicleState:
     """One RK4 step with the control held constant; velocity floors at zero."""
     beta = sideslip(u.delta_f, params)
-    if yaw_form == "tan":
-        k_yaw = math.tan(beta) / params.l_r
-    elif yaw_form == "sin":
-        k_yaw = math.sin(beta) / params.l_r
-    else:
-        raise ValueError(f"unknown yaw_form: {yaw_form!r}")
+    k_yaw = _yaw_gain(beta, params, yaw_form)
     cb = math.cos(beta)
-
-    def f(v: float, phi: float) -> tuple[float, float, float, float]:
-        vv = v if v > 0.0 else 0.0
-        return (
-            u.a_x,
-            vv * k_yaw,
-            vv * math.cos(phi + beta) / cb,
-            vv * math.sin(phi + beta) / cb,
-        )
+    a = u.a_x
 
     v0, p0 = state.v_x, state.phi
-    k1 = f(v0, p0)
-    k2 = f(v0 + 0.5 * dt * k1[0], p0 + 0.5 * dt * k1[1])
-    k3 = f(v0 + 0.5 * dt * k2[0], p0 + 0.5 * dt * k2[1])
-    k4 = f(v0 + dt * k3[0], p0 + dt * k3[1])
+    k1 = _rates(v0, p0, a, beta, cb, k_yaw)
+    k2 = _rates(v0 + 0.5 * dt * k1[0], p0 + 0.5 * dt * k1[1], a, beta, cb, k_yaw)
+    k3 = _rates(v0 + 0.5 * dt * k2[0], p0 + 0.5 * dt * k2[1], a, beta, cb, k_yaw)
+    k4 = _rates(v0 + dt * k3[0], p0 + dt * k3[1], a, beta, cb, k_yaw)
 
     v1 = v0 + dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
     p1 = p0 + dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0

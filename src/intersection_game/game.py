@@ -21,17 +21,10 @@ from .costs import (
     crossing_risk,
     efficiency,
     following_risk,
+    lane_errors,
     lane_keeping,
 )
-from .dynamics import (
-    DEFAULT_VEHICLE,
-    ControlInput,
-    VehicleParams,
-    VehicleState,
-    sideslip,
-    step as integrate,
-)
-from .geometry import wrap_angle
+from .dynamics import DEFAULT_VEHICLE, ControlInput, VehicleParams, VehicleState, step as integrate
 from .network import Route
 
 GRAVITY = 9.81
@@ -219,22 +212,39 @@ def closing_ttc(
     return dist / closing
 
 
-def _commit_stop_profile(
-    v0: float, a0: float, dt: float, limits: Limits
-) -> list[tuple[float, float, float]]:
-    """Sample the max-effort stop from speed v0 and acceleration a0.
+def _stop_closed_form(v0: float, a0: float, limits: Limits) -> tuple[float, float, float, float, float]:
+    """(tau_r, v_r, x_r, tau_s, x_s) of the max-effort stop from speed v0
+    and acceleration a0.
 
     Acceleration ramps down at the jerk bound until it saturates at
-    -a_max, then holds until standstill.  Returns (tau, v, x) samples at
-    half-step resolution plus the exact standstill point.
+    -a_max after tau_r, reaching speed v_r and distance x_r, then holds
+    until standstill at time tau_s and distance x_s.  When the speed runs
+    out during the ramp, the stop ends on the ramp.
     """
     j, am = limits.jerk_max, limits.a_max
-    if v0 <= 0.0 and a0 <= 0.0:
-        return [(0.0, 0.0, 0.0)]
-    h = 0.5 * dt
     tau_r = max((a0 + am) / j, 0.0)
     v_r = v0 + a0 * tau_r - 0.5 * j * tau_r * tau_r
     x_r = v0 * tau_r + 0.5 * a0 * tau_r * tau_r - j * tau_r**3 / 6.0
+    disc = a0 * a0 + 2.0 * j * v0
+    tau_s = (a0 + math.sqrt(disc)) / j if disc > 0.0 else 0.0
+    if tau_s <= tau_r or v_r <= 0.0:
+        x_s = v0 * tau_s + 0.5 * a0 * tau_s * tau_s - j * tau_s**3 / 6.0
+    else:
+        tau_s = tau_r + v_r / am
+        x_s = x_r + 0.5 * v_r * v_r / am
+    return tau_r, v_r, x_r, tau_s, x_s
+
+
+def _commit_stop_profile(
+    v0: float, a0: float, dt: float, limits: Limits
+) -> list[tuple[float, float, float]]:
+    """Sample the max-effort stop from speed v0 and acceleration a0 as
+    (tau, v, x) at half-step resolution, plus the exact standstill point."""
+    if v0 <= 0.0 and a0 <= 0.0:
+        return [(0.0, 0.0, 0.0)]
+    j, am = limits.jerk_max, limits.a_max
+    h = 0.5 * dt
+    tau_r, v_r, x_r, tau_s, x_s = _stop_closed_form(v0, a0, limits)
     samples: list[tuple[float, float, float]] = []
     tau = 0.0
     while tau < 60.0:
@@ -249,13 +259,6 @@ def _commit_stop_profile(
             break
         samples.append((tau, max(v, 0.0), x))
         tau += h
-    disc = a0 * a0 + 2.0 * j * v0
-    tau_s = (a0 + math.sqrt(disc)) / j if disc > 0.0 else 0.0
-    if tau_s <= tau_r or v_r <= 0.0:
-        x_s = v0 * tau_s + 0.5 * a0 * tau_s * tau_s - j * tau_s**3 / 6.0
-    else:
-        tau_s = tau_r + v_r / am
-        x_s = x_r + 0.5 * v_r * v_r / am
     samples.append((tau_s, 0.0, x_s))
     return samples
 
@@ -264,15 +267,7 @@ def stop_distance(v0: float, a0: float, limits: Limits) -> float:
     """Distance covered by the committed max-effort stop from (v0, a0)."""
     if v0 <= 0.0 and a0 <= 0.0:
         return 0.0
-    j, am = limits.jerk_max, limits.a_max
-    tau_r = max((a0 + am) / j, 0.0)
-    v_r = v0 + a0 * tau_r - 0.5 * j * tau_r * tau_r
-    disc = a0 * a0 + 2.0 * j * v0
-    tau_s = (a0 + math.sqrt(disc)) / j if disc > 0.0 else 0.0
-    if tau_s <= tau_r or v_r <= 0.0:
-        return v0 * tau_s + 0.5 * a0 * tau_s * tau_s - j * tau_s**3 / 6.0
-    x_r = v0 * tau_r + 0.5 * a0 * tau_r * tau_r - j * tau_r**3 / 6.0
-    return x_r + 0.5 * v_r * v_r / am
+    return _stop_closed_form(v0, a0, limits)[4]
 
 
 def brake_reach(v0: float, a0: float, limits: Limits, margin: float) -> float:
@@ -407,8 +402,7 @@ class _StepSolver:
         if c is None:
             view = self.views[i]
             pred = integrate(view.state, ControlInput(a, d), self.dt, self.veh, self.yaw_form)
-            s_pred, dy = view.route.project(pred.x, pred.y)
-            dphi = wrap_angle(pred.phi + sideslip(d, self.veh) - view.route.tangent_at(s_pred))
+            s_pred, dy, dphi = lane_errors(view.route, pred, d, self.veh)
             slack = max(bound_residuals(
                 a, d, view.a_prev, pred.v_x, dy, dphi, self.dt, self.limits, self.steer_lim
             ))
@@ -658,41 +652,32 @@ class _StepSolver:
 
         bad = [i for i in self.players if not feasible[i]]
         if bad:
-            # leave the coalition and try once more before falling back
-            for i in bad:
-                if self.p[i] != 0.0:
-                    self.p[i] = 0.0
-                    reset[i] = True
-            feasible = self._sweep_loop()
-            for i in self.players:
-                if not feasible[i]:
-                    emergency[i] = True
-                    d_em = tracking_delta(
-                        self.views[i].route, self.views[i].s, self.views[i].state.v_x,
-                        self.dt, self.limits, self.veh,
-                    )
-                    self.controls[i] = (-self.limits.a_max, d_em)
-                    self._refresh_pred(i)
+            feasible = self._resweep(bad, reset, emergency)
 
         rational, rat_res, solo = self._rationality()
         if self.allow_reset and not all(rational):
-            for i in self.players:
-                if not rational[i] and self.p[i] != 0.0:
-                    self.p[i] = 0.0
-                    reset[i] = True
-            feasible = self._sweep_loop()
-            for i in self.players:
-                if not feasible[i] and not emergency[i]:
-                    emergency[i] = True
-                    d_em = tracking_delta(
-                        self.views[i].route, self.views[i].s, self.views[i].state.v_x,
-                        self.dt, self.limits, self.veh,
-                    )
-                    self.controls[i] = (-self.limits.a_max, d_em)
-                    self._refresh_pred(i)
+            feasible = self._resweep([i for i in self.players if not rational[i]], reset, emergency)
             rational, rat_res, solo = self._rationality()
 
         return self._bookkeeping(feasible, emergency, reset, rational, rat_res, solo)
+
+    def _resweep(self, leaving: list[int], reset: list[bool], emergency: list[bool]) -> list[bool]:
+        """Take `leaving` out of the coalition and sweep again; a player
+        still infeasible afterwards, and not braking already, falls back to
+        full braking on its tracking steer."""
+        for i in leaving:
+            if self.p[i] != 0.0:
+                self.p[i] = 0.0
+                reset[i] = True
+        feasible = self._sweep_loop()
+        for i in self.players:
+            if not feasible[i] and not emergency[i]:
+                emergency[i] = True
+                view = self.views[i]
+                d_em = tracking_delta(view.route, view.s, view.state.v_x, self.dt, self.limits, self.veh)
+                self.controls[i] = (-self.limits.a_max, d_em)
+                self._refresh_pred(i)
+        return feasible
 
     def _rationality(self) -> tuple[list[bool], list[float], list[float]]:
         """Compare each member's allocated loss against going it alone."""
@@ -726,18 +711,17 @@ class _StepSolver:
             t = self._final_terms(i)
             terms[i] = t
             v_total[i] = t.total
-            h_alloc[i] = self.p[i] * t.total
             if not emergency[i]:
                 a, d = self.controls[i]
                 pred, s_pred, _, _, slack = self._candidate(i, a, d)
                 max_res = max(max_res, self._constraint_residual(i, a, pred, s_pred, slack, 0.0))
-        v_sg = 0.0
-        for i in self.players:
-            v_sg += h_alloc[i]
-        for i in self.players:
-            p_i = self.p[i]
-            j_value[i] = p_i * v_sg + (1.0 - p_i) * v_total[i]
-        group = v_sg - sum(self.p[i] * solo[i] for i in self.players)
+        p = [self.p[i] for i in self.players]
+        values = [v_total[i] for i in self.players]
+        v_sg, kept = coalition_costs(values, p)
+        for i, p_i, share, own in zip(self.players, p, allocate(values, p), kept):
+            h_alloc[i] = share
+            j_value[i] = p_i * v_sg + own
+        group = v_sg - coalition_costs([solo[i] for i in self.players], p)[0]
         return StepSolution(
             controls=list(self.controls),
             terms=terms,

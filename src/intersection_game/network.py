@@ -42,14 +42,6 @@ class ZoneRole(Enum):
     OV = "OV"  # cleared the zone
 
 
-class Relation(Enum):
-    """Interaction type of another vehicle as seen from a host."""
-
-    LV = "LV"  # leader on the host's own path
-    NV = "NV"  # meets the host at a crossing or merge point ahead
-    IV = "IV"  # no interaction
-
-
 @dataclass(frozen=True)
 class Road:
     """One directed road; anchors are where each lane centerline meets the
@@ -384,29 +376,3 @@ def lead_distance_on_route(
         return None
     return s
 
-
-def classify_relation(
-    host_route: Route,
-    host_s: float,
-    other_route: Route,
-    other_s: float,
-    other_x: float,
-    other_y: float,
-    other_heading: float,
-    conflicts: list[Conflict],
-    pass_margin: float = 2.0,
-) -> Relation:
-    """Relation of the other vehicle to the host.
-
-    `conflicts` must be conflict_points(host_route, other_route).  A point
-    conflict stays live until each vehicle is pass_margin beyond it, so a
-    pair is not declared clear while a body is still inside the crossing.
-    """
-    if lead_distance_on_route(host_route, host_s, other_x, other_y, other_heading) is not None:
-        return Relation.LV
-    for c in conflicts:
-        if c.kind == "following":
-            continue
-        if host_s < c.s_a + pass_margin and other_s < c.s_b + pass_margin:
-            return Relation.NV
-    return Relation.IV

@@ -61,15 +61,23 @@ class GaussianField:
             d += 2.0 * math.pi
         return radius * d, abs(math.hypot(x - self.cx, y - self.cy) - radius)
 
+    def amplitude(self, s: float) -> float:
+        """Field strength on the ridge s meters ahead, peaking at the vehicle
+        and falling quadratically to zero where the prediction horizon ends."""
+        return self.peak * (s - self.support) ** 2
+
+    def sigma(self, s: float) -> float:
+        """Cross-ridge spread s meters along the ridge."""
+        return self.sigma0 + self.sigma_slope * s
+
     def value(self, x: float, y: float) -> float:
         if self.support <= 0.0 or self.peak <= 0.0:
             return 0.0
         s, r = self.ridge_arc_length(x, y)
         if s < 0.0 or s > self.support:
             return 0.0
-        sigma = self.sigma0 + self.sigma_slope * s
-        lam = self.peak * (s - self.support) ** 2
-        return lam * math.exp(-r * r / (2.0 * sigma * sigma))
+        sigma = self.sigma(s)
+        return self.amplitude(s) * math.exp(-r * r / (2.0 * sigma * sigma))
 
     def ridge_point(self, s: float) -> tuple[float, float]:
         if self.curvature == 0.0:
@@ -79,34 +87,6 @@ class GaussianField:
         ang0 = math.atan2(self.gy - self.cy, self.gx - self.cx)
         ang = ang0 + sign * s / radius
         return (self.cx + radius * math.cos(ang), self.cy + radius * math.sin(ang))
-
-
-def ridge_amplitude(s: float, v_x: float, kappa: float, horizon: float = 3.0, a0: float = 0.01) -> float:
-    """Field strength on the ridge, peaking at the vehicle and falling
-    quadratically to zero where the prediction horizon ends."""
-    if not -1.0 <= kappa <= 1.0:
-        raise ValueError(f"aggressiveness {kappa} outside [-1, 1]")
-    return a0 * math.exp(kappa) * (s - max(v_x, 0.0) * horizon) ** 2
-
-
-def ridge_sigma(s: float, delta_f: float, spread_b: float = 0.05, spread_c: float = 0.5, width: float = 1.8) -> float:
-    """Cross-ridge spread s meters along the ridge under steering delta_f."""
-    return width / 4.0 + (spread_b + spread_c * abs(delta_f)) * s
-
-
-def gate_weight(levels, threshold: float, omega0: float) -> float:
-    """omega0 when any level strictly exceeds the threshold, else zero."""
-    return omega0 if any(g > threshold for g in levels) else 0.0
-
-
-def turn_center_mirror(state: VehicleState, delta_f: float, params: VehicleParams = DEFAULT_VEHICLE):
-    """Rear-axle point and the raw displaced center from the model equations.
-
-    Kept as the documented primitive; the displacement there points away
-    from the side the yaw rate sweeps toward, so the ridge construction
-    reflects it through the rear axle.
-    """
-    return rear_axle_and_turn_center(state, delta_f, params)
 
 
 def build_field(
@@ -119,13 +99,14 @@ def build_field(
     """Field snapshot for a vehicle at `state` holding steering `delta_f`."""
     if not -1.0 <= kappa <= 1.0:
         raise ValueError(f"aggressiveness {kappa} outside [-1, 1]")
-    (gx, gy), raw_center = turn_center_mirror(state, delta_f, veh)
+    (gx, gy), raw_center = rear_axle_and_turn_center(state, delta_f, veh)
     rho = path_curvature(delta_f, veh)
     if raw_center is None:
         rho = 0.0
         cx, cy = gx, gy
     else:
-        # reflect so the center sits on the side the vehicle actually turns to
+        # the model equations displace the center away from the side the
+        # yaw rate sweeps toward; reflect it through the rear axle
         cx, cy = 2.0 * gx - raw_center[0], 2.0 * gy - raw_center[1]
     return GaussianField(
         gx=gx,

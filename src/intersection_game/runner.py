@@ -16,17 +16,7 @@ from pathlib import Path
 
 from .costs import CostTerms
 from .dynamics import ControlInput, VehicleState, step as integrate, velocity_vector
-from .game import (
-    CpRef,
-    Limits,
-    PlayerView,
-    SolverParams,
-    StepSolution,
-    closing_ttc,
-    participation,
-    solve_step,
-    tracking_delta,
-)
+from .game import CpRef, PlayerView, StepSolution, closing_ttc, participation, solve_step, tracking_delta
 from .network import Conflict, ZoneRole, classify_zone_role, conflict_points, lead_distance_on_route
 from .risk import build_field
 from .scenario import MODES, Scenario
@@ -121,11 +111,121 @@ def _hold_margin(route_a, route_b, s_a: float, s_b: float, clearance: float) -> 
     return m
 
 
+def pair_holds(
+    scenario: Scenario, conflicts: dict[tuple[int, int], list[Conflict]]
+) -> dict[tuple[int, int, int], tuple[float, float]]:
+    """Per-side standstill backoffs of every point conflict, keyed by
+    (route a, route b, index in the pair's conflict list)."""
+    routes = scenario.routes
+    margin = scenario.limits.stop_margin
+    holds: dict[tuple[int, int, int], tuple[float, float]] = {}
+    for (ia, ib), cps in conflicts.items():
+        for k, c in enumerate(cps):
+            if c.kind == "following":
+                continue
+            holds[(ia, ib, k)] = (
+                _hold_margin(routes[ia], routes[ib], c.s_a, c.s_b, margin),
+                _hold_margin(routes[ib], routes[ia], c.s_b, c.s_a, margin),
+            )
+    return holds
+
+
 def _coast_accel(a_prev: float, jerk_max: float, dt: float) -> float:
     slew = jerk_max * dt
     if a_prev > 0.0:
         return max(0.0, a_prev - slew)
     return min(0.0, a_prev + slew)
+
+
+def build_views(
+    scenario: Scenario,
+    states: list[VehicleState],
+    s_now: list[float],
+    a_prev: list[float],
+    d_prev: list[float],
+    roles: list[ZoneRole],
+    p0: list[float],
+    conflicts: dict[tuple[int, int], list[Conflict]],
+    holds: dict[tuple[int, int, int], tuple[float, float]],
+    risk_gating: bool = True,
+) -> list[PlayerView]:
+    """What each vehicle sees at the start of a step: its nearest leader on
+    its own lane and the crossing points it has not yet cleared, each
+    gated on when a risk field strictly exceeds the threshold there.
+
+    `conflicts` and `holds` come from pair_conflicts and pair_holds;
+    `roles`, `p0` and the per-vehicle lists are index-aligned with the
+    scenario's vehicles.  A vehicle that has cleared the zone (OV) is no
+    player and sees nothing.
+    """
+    routes = scenario.routes
+    veh = scenario.vehicle_model
+    limits = scenario.limits
+    fp = scenario.field
+    dt = scenario.dt
+    n = len(scenario.vehicles)
+    fields = [build_field(states[i], d_prev[i], scenario.vehicles[i].kappa, fp, veh) for i in range(n)]
+
+    views: list[PlayerView] = []
+    for i in range(n):
+        coast = (
+            _coast_accel(a_prev[i], limits.jerk_max, dt),
+            tracking_delta(routes[i], s_now[i], states[i].v_x, dt, limits, veh),
+        )
+        common = dict(
+            route=routes[i],
+            state=states[i],
+            s=s_now[i],
+            kappa=scenario.vehicles[i].kappa,
+            a_prev=a_prev[i],
+            delta_prev=d_prev[i],
+            coast=coast,
+        )
+        if roles[i] is ZoneRole.OV:
+            views.append(PlayerView(p=0.0, player=False, **common))
+            continue
+
+        lv = None
+        lv_s = math.inf
+        for j in range(n):
+            if j == i:
+                continue
+            sj = lead_distance_on_route(routes[i], s_now[i], states[j].x, states[j].y, states[j].phi)
+            if sj is not None and sj < lv_s:
+                lv, lv_s = j, sj
+        lv_gated = lv is not None and (
+            not risk_gating or fields[i].value(states[lv].x, states[lv].y) > fp.threshold
+        )
+
+        # crossing/merging points not yet cleared by both vehicles;
+        # constraints see every live point, costs only gated ones
+        live: list[tuple[float, int, float, CpRef]] = []
+        for (ia, ib), cps in conflicts.items():
+            if i == ia:
+                j = ib
+            elif i == ib:
+                j = ia
+            else:
+                continue
+            for m, c in enumerate(cps):
+                if c.kind == "following":
+                    continue
+                s_self, s_other = (c.s_a, c.s_b) if i == ia else (c.s_b, c.s_a)
+                if s_now[i] >= s_self + _PASS_MARGIN or s_now[j] >= s_other + _PASS_MARGIN:
+                    continue
+                gated = (
+                    not risk_gating
+                    or fields[i].value(c.x, c.y) > fp.threshold
+                    or fields[j].value(c.x, c.y) > fp.threshold
+                )
+                ha, hb = holds[(ia, ib, m)]
+                h_self, h_other = (ha, hb) if i == ia else (hb, ha)
+                live.append((s_self, j, s_other, CpRef(j, s_self, s_other, gated, h_self, h_other)))
+        live.sort(key=lambda e: (e[0], e[1], e[2]))
+        views.append(
+            PlayerView(p=p0[i], player=True, lv=lv, lv_gated=lv_gated, cps=tuple(e[3] for e in live), **common)
+        )
+    return views
 
 
 def run(
@@ -151,16 +251,7 @@ def run(
     allow_reset = mode == "fuzzy" and force_participation is None
 
     conflicts = pair_conflicts(scenario)
-    # per-side standstill backoffs, keyed like the conflict lists
-    holds: dict[tuple[int, int, int], tuple[float, float]] = {}
-    for (ia, ib), cps in conflicts.items():
-        for k, c in enumerate(cps):
-            if c.kind == "following":
-                continue
-            holds[(ia, ib, k)] = (
-                _hold_margin(routes[ia], routes[ib], c.s_a, c.s_b, limits.stop_margin),
-                _hold_margin(routes[ib], routes[ia], c.s_b, c.s_a, limits.stop_margin),
-            )
+    holds = pair_holds(scenario, conflicts)
     states: list[VehicleState] = []
     s_now: list[float] = []
     for spec, route in zip(scenario.vehicles, routes):
@@ -190,79 +281,7 @@ def run(
         if all(r is ZoneRole.OV for r in roles):
             break
 
-        fields = [build_field(states[i], d_prev[i], scenario.vehicles[i].kappa, fp, veh) for i in range(n)]
-
-        views: list[PlayerView] = []
-        gate_log = [0.0] * n
-        gate_lat = [0.0] * n
-        for i in range(n):
-            coast = (
-                _coast_accel(a_prev[i], limits.jerk_max, dt),
-                tracking_delta(routes[i], s_now[i], states[i].v_x, dt, limits, veh),
-            )
-            common = dict(
-                route=routes[i],
-                state=states[i],
-                s=s_now[i],
-                kappa=scenario.vehicles[i].kappa,
-                a_prev=a_prev[i],
-                delta_prev=d_prev[i],
-                coast=coast,
-            )
-            if roles[i] is ZoneRole.OV:
-                views.append(PlayerView(p=0.0, player=False, **common))
-                continue
-
-            lv = None
-            lv_s = math.inf
-            for j in range(n):
-                if j == i:
-                    continue
-                sj = lead_distance_on_route(routes[i], s_now[i], states[j].x, states[j].y, states[j].phi)
-                if sj is not None and sj < lv_s:
-                    lv, lv_s = j, sj
-            lv_gated = False
-            if lv is not None:
-                lv_gated = (
-                    fields[i].value(states[lv].x, states[lv].y) > fp.threshold if risk_gating else True
-                )
-                gate_log[i] = fp.omega0 if lv_gated else 0.0
-
-            # crossing/merging points not yet cleared by both vehicles;
-            # constraints see every live point, costs only gated ones
-            live: list[tuple[float, int, float, CpRef]] = []
-            for (ia, ib), cps in conflicts.items():
-                if i == ia:
-                    j = ib
-                elif i == ib:
-                    j = ia
-                else:
-                    continue
-                for m, c in enumerate(cps):
-                    if c.kind == "following":
-                        continue
-                    s_self, s_other = (c.s_a, c.s_b) if i == ia else (c.s_b, c.s_a)
-                    if s_now[i] >= s_self + _PASS_MARGIN or s_now[j] >= s_other + _PASS_MARGIN:
-                        continue
-                    if risk_gating:
-                        gated = (
-                            fields[i].value(c.x, c.y) > fp.threshold
-                            or fields[j].value(c.x, c.y) > fp.threshold
-                        )
-                    else:
-                        gated = True
-                    ha, hb = holds[(ia, ib, m)]
-                    h_self, h_other = (ha, hb) if i == ia else (hb, ha)
-                    live.append(
-                        (s_self, j, s_other, CpRef(j, s_self, s_other, gated, h_self, h_other))
-                    )
-            live.sort(key=lambda e: (e[0], e[1], e[2]))
-            cps = tuple(e[3] for e in live)
-            if any(c.gated for c in cps):
-                gate_lat[i] = fp.omega0
-            views.append(
-                PlayerView(p=p0[i], player=True, lv=lv, lv_gated=lv_gated, cps=cps, **common)
-            )
+        views = build_views(scenario, states, s_now, a_prev, d_prev, roles, p0, conflicts, holds, risk_gating)
 
         t0 = time.perf_counter()
         sol: StepSolution = solve_step(
@@ -280,6 +299,7 @@ def run(
         step_rows: list[VehicleRow] = []
         for i in range(n):
             a, d = sol.controls[i]
+            terms = sol.terms[i]
             step_rows.append(
                 VehicleRow(
                     x=states[i].x,
@@ -292,10 +312,10 @@ def run(
                     role=roles[i].name,
                     s=s_now[i],
                     lv=views[i].lv,
-                    gate_log=gate_log[i],
-                    gate_lat=gate_lat[i],
+                    gate_log=terms.omega_log if terms else 0.0,
+                    gate_lat=terms.omega_lat if terms else 0.0,
                     p=sol.p_used[i],
-                    terms=sol.terms[i],
+                    terms=terms,
                     v_total=sol.v_total[i],
                     j_value=sol.j_value[i],
                     h_alloc=sol.h_alloc[i],

@@ -111,10 +111,18 @@ def _get_int(cp, section: str, key: str, default: int) -> int:
         raise ScenarioError(f"[{section}] {key}: not an integer: {raw!r}") from exc
 
 
-def _require_positive(section: str, values: dict[str, float]) -> None:
+_DOMAINS = {
+    "positive": lambda v: v > 0.0,
+    "nonnegative": lambda v: v >= 0.0,
+    "in (0, 90)": lambda v: 0.0 < v < 90.0,
+}
+
+
+def _require(section: str, domain: str, values: dict[str, float]) -> None:
+    inside = _DOMAINS[domain]
     for key, value in values.items():
-        if not value > 0.0:
-            raise ScenarioError(f"[{section}] {key}: must be positive, got {value}")
+        if not inside(value):
+            raise ScenarioError(f"[{section}] {key}: must be {domain}, got {value}")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -141,7 +149,7 @@ def load_scenario(path: str | Path) -> Scenario:
     name = cp.get("scenario", "name", fallback=path.stem)
     t_end = _get_float(cp, "scenario", "t_end", 30.0)
     dt = _get_float(cp, "scenario", "dt", 0.1)
-    _require_positive("scenario", {"t_end": t_end, "dt": dt})
+    _require("scenario", "positive", {"t_end": t_end, "dt": dt})
     mode = cp.get("scenario", "mode", fallback="fuzzy").strip()
     if mode not in MODES:
         raise ScenarioError(f"[scenario] mode: {mode!r} not one of {MODES}")
@@ -161,6 +169,8 @@ def load_scenario(path: str | Path) -> Scenario:
         for key in _NETWORK_KEYS:
             if cp.has_option("network", key):
                 net_kwargs[key] = _get_float(cp, "network", key, 0.0)
+    if "ov_exit_margin" in net_kwargs:
+        _require("network", "nonnegative", {"ov_exit_margin": net_kwargs["ov_exit_margin"]})
     try:
         network = build_network(**net_kwargs)
     except ValueError as exc:
@@ -177,29 +187,42 @@ def load_scenario(path: str | Path) -> Scenario:
         threshold=_get_float(cp, "field", "threshold", fd.threshold),
         omega0=_get_float(cp, "field", "omega0", fd.omega0),
     )
+    _require("field", "positive", {"a0": field_params.a0, "horizon": field_params.horizon})
+    _require("field", "nonnegative", {
+        "spread_b": field_params.spread_b,
+        "spread_c": field_params.spread_c,
+        "threshold": field_params.threshold,
+        "omega0": field_params.omega0,
+    })
 
     if cp.has_section("limits"):
         _reject_unknown("limits", cp.options("limits"), _LIMIT_KEYS)
     ld = Limits()
+    delta_max_deg = _get_float(cp, "limits", "delta_max_deg", 30.0)
+    course_dev_max_deg = _get_float(cp, "limits", "course_dev_max_deg", 2.0)
     limits = Limits(
         v_max=_get_float(cp, "limits", "v_max", ld.v_max),
         a_max=_get_float(cp, "limits", "a_max", ld.a_max),
         jerk_max=_get_float(cp, "limits", "jerk_max", ld.jerk_max),
-        delta_max=radians(_get_float(cp, "limits", "delta_max_deg", 30.0)),
+        delta_max=radians(delta_max_deg),
         mu=_get_float(cp, "limits", "mu", ld.mu),
         ttc_min=_get_float(cp, "limits", "ttc_min", ld.ttc_min),
         lane_dev_max=_get_float(cp, "limits", "lane_dev_max", ld.lane_dev_max),
-        course_dev_max=radians(_get_float(cp, "limits", "course_dev_max_deg", 2.0)),
+        course_dev_max=radians(course_dev_max_deg),
         stop_margin=_get_float(cp, "limits", "stop_margin", ld.stop_margin),
         ttc_guard=_get_float(cp, "limits", "ttc_guard", ld.ttc_guard),
     )
-    _require_positive("limits", {
+    _require("limits", "positive", {
         "v_max": limits.v_max,
         "a_max": limits.a_max,
         "jerk_max": limits.jerk_max,
         "mu": limits.mu,
         "ttc_min": limits.ttc_min,
+        "lane_dev_max": limits.lane_dev_max,
+        "course_dev_max_deg": course_dev_max_deg,
     })
+    _require("limits", "in (0, 90)", {"delta_max_deg": delta_max_deg})
+    _require("limits", "nonnegative", {"stop_margin": limits.stop_margin, "ttc_guard": limits.ttc_guard})
 
     if cp.has_section("solver"):
         _reject_unknown("solver", cp.options("solver"), _SOLVER_KEYS)
@@ -212,6 +235,11 @@ def load_scenario(path: str | Path) -> Scenario:
     )
     if solver.max_sweeps < 1:
         raise ScenarioError(f"[solver] max_sweeps: must be at least 1, got {solver.max_sweeps}")
+    _require("solver", "positive", {"conv_tol": solver.conv_tol})
+    _require("solver", "nonnegative", {
+        "feas_slack": solver.feas_slack,
+        "rationality_tol": solver.rationality_tol,
+    })
 
     if cp.has_section("vehicle_model"):
         _reject_unknown("vehicle_model", cp.options("vehicle_model"), _MODEL_KEYS)
@@ -221,9 +249,11 @@ def load_scenario(path: str | Path) -> Scenario:
         l_r=_get_float(cp, "vehicle_model", "l_r", md.l_r),
         width=_get_float(cp, "vehicle_model", "width", md.width),
     )
-    _require_positive(
-        "vehicle_model", {"l_f": vehicle_model.l_f, "l_r": vehicle_model.l_r, "width": vehicle_model.width}
-    )
+    _require("vehicle_model", "positive", {
+        "l_f": vehicle_model.l_f,
+        "l_r": vehicle_model.l_r,
+        "width": vehicle_model.width,
+    })
     yaw_form = cp.get("vehicle_model", "yaw_form", fallback="tan").strip()
     if yaw_form not in ("tan", "sin"):
         raise ScenarioError(f"[vehicle_model] yaw_form: {yaw_form!r} not 'tan' or 'sin'")

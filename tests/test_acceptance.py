@@ -39,7 +39,7 @@ from intersection_game.game import (
 )
 from intersection_game.geometry import wrap_angle
 from intersection_game.network import build_network, conflict_points, route_for, standard_routes
-from intersection_game.risk import FieldParams, build_field, ridge_amplitude, ridge_sigma
+from intersection_game.risk import FieldParams, build_field
 from intersection_game.runner import emit, metrics, run, timing
 from intersection_game.scenario import load_scenario
 
@@ -94,13 +94,16 @@ def test_criterion_1_unit_examples(capsys):
         close(center[0], gx)
         close(center[1], gy - 5.0)
 
-        # ridge amplitude and spread
-        close(ridge_amplitude(15.0, 5.0, 0.0), 0.0)
-        close(ridge_amplitude(0.0, 5.0, 0.0, horizon=3.0, a0=1.0), 225.0)
-        close(ridge_amplitude(3.0, 5.0, 1.0, a0=1.0) / ridge_amplitude(3.0, 5.0, 0.0, a0=1.0), math.e)
-        close(ridge_sigma(0.0, 0.25), 0.45)
-        close(ridge_sigma(10.0, 0.0), 0.95)
-        close(ridge_sigma(10.0, 0.2), 1.95)
+        # ridge amplitude and spread of a field 5 m/s over a 3 s horizon
+        ahead = VehicleState(5.0, 0.0, 0.0, 0.0)
+        unit = FieldParams(a0=1.0, horizon=3.0)
+        close(build_field(ahead, 0.0, 0.0).amplitude(15.0), 0.0)
+        plain, bold = (build_field(ahead, 0.0, kappa, unit) for kappa in (0.0, 1.0))
+        close(plain.amplitude(0.0), 225.0)
+        close(bold.amplitude(3.0) / plain.amplitude(3.0), math.e)
+        close(build_field(ahead, 0.25, 0.0).sigma(0.0), 0.45)
+        close(build_field(ahead, 0.0, 0.0).sigma(10.0), 0.95)
+        close(build_field(ahead, 0.2, 0.0).sigma(10.0), 1.95)
 
         # field snapshot values
         f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, 0.0, FieldParams(a0=1.0))

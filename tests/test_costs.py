@@ -118,9 +118,10 @@ def test_efficiency_saturated_branch_still_rewards_speed():
 def test_lane_errors_on_and_off_centerline():
     net = build_network()
     r = route_for(net, "M1", "straight", "outer")
-    dy, dphi = lane_errors(r, VehicleState(5.0, 0.0, 0.0, -6.0), 0.0)
+    s, dy, dphi = lane_errors(r, VehicleState(5.0, 0.0, 0.0, -6.0), 0.0)
     assert (dy, dphi) == pytest.approx((0.0, 0.0), abs=1e-12)
-    dy, dphi = lane_errors(r, VehicleState(5.0, 0.0, 0.0, -5.7), 0.0)
+    assert s == pytest.approx(r.project(0.0, -6.0)[0], abs=1e-12)
+    _, dy, dphi = lane_errors(r, VehicleState(5.0, 0.0, 0.0, -5.7), 0.0)
     assert dy == pytest.approx(0.3, abs=1e-12)
     assert dphi == pytest.approx(0.0, abs=1e-12)
 
@@ -132,7 +133,8 @@ def test_lane_errors_vanish_in_steady_cornering():
     delta = math.atan(r.curvature_at(s) * DEFAULT_VEHICLE.wheelbase)
     x, y = r.point_at(s)
     phi = r.tangent_at(s) - sideslip(delta)
-    dy, dphi = lane_errors(r, VehicleState(5.0, phi, x, y), delta)
+    s_back, dy, dphi = lane_errors(r, VehicleState(5.0, phi, x, y), delta)
+    assert s_back == pytest.approx(s, abs=1e-9)
     assert dy == pytest.approx(0.0, abs=1e-9)
     assert dphi == pytest.approx(0.0, abs=1e-9)
 

@@ -200,3 +200,9 @@ def test_velocity_vector_magnitude():
     vx, vy = velocity_vector(s0, 0.2)
     assert math.hypot(vx, vy) == pytest.approx(6.0 / math.cos(sideslip(0.2)), abs=1e-12)
     assert math.atan2(vy, vx) == pytest.approx(course_angle(s0, 0.2), abs=1e-12)
+
+
+def test_derivative_floors_negative_speed():
+    # the same rates as the integrator's stages: a negative speed does not move the vehicle
+    d = derivative(VehicleState(-1.0, 0.3, 0.0, 0.0), ControlInput(0.5, 0.1))
+    assert d == (0.5, 0.0, 0.0, 0.0)

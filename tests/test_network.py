@@ -7,10 +7,8 @@ import pytest
 
 from intersection_game.geometry import Arc
 from intersection_game.network import (
-    Relation,
     ZoneRole,
     build_network,
-    classify_relation,
     classify_zone_role,
     conflict_points,
     lead_distance_on_route,
@@ -242,36 +240,6 @@ def test_lead_vehicle_detection():
     assert lead_distance_on_route(r, host_s, x + 3.0, y, r.tangent_at(28.0)) is None
     # opposing traffic on the same line
     assert lead_distance_on_route(r, host_s, x, y, r.tangent_at(28.0) + math.pi) is None
-
-
-def test_relation_classification():
-    host = ROUTES["M1-inner-left"]
-    other = ROUTES["M4-inner-straight"]
-    cps = conflict_points(host, other)
-    cross = next(c for c in cps if c.kind == "cross")
-
-    ox, oy = other.point_at(10.0)
-    rel = classify_relation(host, 5.0, other, 10.0, ox, oy, other.tangent_at(10.0), cps)
-    assert rel is Relation.NV
-
-    # both well past the crossing point: no interaction left
-    rel = classify_relation(
-        host, cross.s_a + 5.0, other, cross.s_b + 5.0,
-        *other.point_at(cross.s_b + 5.0), other.tangent_at(cross.s_b + 5.0), cps,
-    )
-    assert rel is Relation.IV
-
-
-def test_leader_takes_precedence_over_crossing():
-    host = ROUTES["M1-inner-left"]
-    other = ROUTES["M2-inner-straight"]
-    cps = conflict_points(host, other)
-    # the other vehicle sits on the shared exit lane just ahead of the merge
-    ox, oy = 2.0, 11.0
-    other_s, _ = other.project(ox, oy)
-    host_s = host.s_cz_exit - 1.0
-    rel = classify_relation(host, host_s, other, other_s, ox, oy, 0.5 * math.pi, cps)
-    assert rel is Relation.LV
 
 
 def test_standard_routes_deterministic():

@@ -6,37 +6,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intersection_game.dynamics import DEFAULT_VEHICLE, VehicleState, path_curvature
-from intersection_game.risk import (
-    FieldParams,
-    build_field,
-    gate_weight,
-    ridge_amplitude,
-    ridge_sigma,
-)
+from intersection_game.risk import FieldParams, build_field
 
 FP1 = FieldParams(a0=1.0)
+AHEAD = VehicleState(5.0, 0.0, 0.0, 0.0)
 
 
 def test_ridge_amplitude_values():
     # zero exactly where the horizon ends
-    assert ridge_amplitude(15.0, 5.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert ridge_amplitude(0.0, 5.0, 0.0, horizon=3.0, a0=1.0) == pytest.approx(225.0, abs=1e-9)
-    ratio = ridge_amplitude(0.0, 5.0, 1.0, a0=1.0) / ridge_amplitude(0.0, 5.0, 0.0, a0=1.0)
-    assert ratio == pytest.approx(math.e, abs=1e-12)
-
-
-def test_ridge_amplitude_rejects_out_of_range_aggressiveness():
-    with pytest.raises(ValueError):
-        ridge_amplitude(0.0, 5.0, 1.5)
-    with pytest.raises(ValueError):
-        ridge_amplitude(0.0, 5.0, -1.2)
+    assert build_field(AHEAD, 0.0, 0.0).amplitude(15.0) == pytest.approx(0.0, abs=1e-12)
+    plain, bold = (build_field(AHEAD, 0.0, kappa, FP1) for kappa in (0.0, 1.0))
+    assert plain.amplitude(0.0) == pytest.approx(225.0, abs=1e-9)
+    assert bold.amplitude(0.0) / plain.amplitude(0.0) == pytest.approx(math.e, abs=1e-12)
 
 
 def test_ridge_sigma_values():
-    assert ridge_sigma(0.0, 0.7) == pytest.approx(0.45, abs=1e-12)
-    assert ridge_sigma(10.0, 0.0, spread_b=0.05) == pytest.approx(0.95, abs=1e-12)
+    assert build_field(AHEAD, 0.7, 0.0).sigma(0.0) == pytest.approx(0.45, abs=1e-12)
+    assert build_field(AHEAD, 0.0, 0.0, FieldParams(spread_b=0.05)).sigma(10.0) == pytest.approx(0.95, abs=1e-12)
     # steering widens the spread
-    assert ridge_sigma(10.0, 0.2) == pytest.approx(1.95, abs=1e-12)
+    assert build_field(AHEAD, 0.2, 0.0).sigma(10.0) == pytest.approx(1.95, abs=1e-12)
 
 
 @given(
@@ -45,7 +33,8 @@ def test_ridge_sigma_values():
     delta=st.floats(min_value=-0.5, max_value=0.5),
 )
 def test_ridge_sigma_strictly_increasing(s, ds, delta):
-    assert ridge_sigma(s + ds, delta) > ridge_sigma(s, delta)
+    f = build_field(AHEAD, delta, 0.0)
+    assert f.sigma(s + ds) > f.sigma(s)
 
 
 def field_anchor(state, veh=DEFAULT_VEHICLE):
@@ -134,13 +123,6 @@ def test_field_grows_with_speed(v1, dv, kappa):
     assert f2.value(f2.gx, f2.gy) > f1.value(f1.gx, f1.gy)
 
 
-def test_gate_weight_switching():
-    assert gate_weight([0.05, 0.2], 0.1, 60.0) == 60.0
-    # comparison is strict, a level exactly at the threshold stays off
-    assert gate_weight([0.05, 0.1], 0.1, 60.0) == 0.0
-    assert gate_weight([], 0.1, 60.0) == 0.0
-
-
 def test_default_calibration_gates_close_traffic_only():
     # a vehicle straight ahead senses 0.25 at 10 m but nothing at 25 m
     f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, 0.0)
@@ -148,11 +130,10 @@ def test_default_calibration_gates_close_traffic_only():
     far = f.value(f.gx + 25.0, f.gy)
     assert near == pytest.approx(0.25, abs=1e-9)
     assert far == 0.0
-    fp = FieldParams()
-    assert gate_weight([near], fp.threshold, fp.omega0) == fp.omega0
-    assert gate_weight([far], fp.threshold, fp.omega0) == 0.0
+    assert near > FieldParams().threshold >= far
 
 
 def test_build_field_rejects_out_of_range_aggressiveness():
-    with pytest.raises(ValueError):
-        build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, 1.01, FP1)
+    for kappa in (1.01, 1.5, -1.2):
+        with pytest.raises(ValueError):
+            build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, kappa, FP1)

@@ -1,17 +1,28 @@
 """Closed-loop simulation: roles, termination, metrics, and emitted files."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import intersection_game
+from intersection_game.dynamics import VehicleState
+from intersection_game.network import build_network, classify_zone_role, route_for
+from intersection_game.risk import build_field
 from intersection_game.runner import (
+    _PASS_MARGIN,
     STEP_COLUMNS,
     TRACE_COLUMNS,
+    build_views,
     emit,
     metrics,
     pair_conflicts,
+    pair_holds,
     run,
     timing,
 )
@@ -88,6 +99,10 @@ def test_metrics_agree_with_raw_rows():
     assert m["duration"] == pytest.approx(len(res.steps) * 0.1)
 
 
+def _mean_evals(res):
+    return sum(s.evals for s in res.steps) / len(res.steps)
+
+
 def test_gating_cuts_lateral_cost_evaluations():
     gated = run_cached("fuzzy")
     ungated = run_cached("ungated", risk_gating=False)
@@ -95,6 +110,10 @@ def test_gating_cuts_lateral_cost_evaluations():
         s.lateral_evals for s in ungated.steps
     )
     assert ungated.risk_gating is False
+    # deterministic work per step, the counterpart of criterion 5's timing
+    assert _mean_evals(gated) < _mean_evals(ungated)
+    sc = load_scenario(SCENARIOS / "case3.cfg")
+    assert _mean_evals(run(sc)) < _mean_evals(run(sc, risk_gating=False))
 
 
 def test_forced_participation_reaches_every_row():
@@ -151,6 +170,25 @@ def test_repeated_runs_emit_identical_bytes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_fresh_interpreters_emit_identical_bytes(tmp_path):
+    src = Path(intersection_game.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    outs = []
+    for seed in ("1", "2024"):
+        out = tmp_path / f"seed{seed}"
+        subprocess.run(
+            [sys.executable, "-m", "intersection_game", "run", str(SCENARIOS / "case1_A.cfg"), "--out", str(out)],
+            env=dict(env, PYTHONHASHSEED=seed), check=True, capture_output=True,
+        )
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "timing.json")
+    assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "timing.json")
+    assert len(names) == 5
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_field_raster_emission(tmp_path):
     res = run_cached("fuzzy")
     files = emit(res, tmp_path, field_raster=True)
@@ -158,3 +196,108 @@ def test_field_raster_emission(tmp_path):
     lines = (tmp_path / "field_raster.csv").read_text().splitlines()
     assert lines[0] == "x,y,value"
     assert len(lines) > 1000
+
+
+# -- views -------------------------------------------------------------------
+
+NET = build_network()
+
+
+def scenario_of(tmp_path, *routes):
+    """A scenario with one vehicle on each (road, maneuver, lane) route."""
+    lines = ["[scenario]", "version = 1"]
+    for k, (road, maneuver, lane) in enumerate(routes):
+        x, y = route_for(NET, road, maneuver, lane).point_at(1.0)
+        lines += [
+            f"[vehicle.V{k + 1}]", f"road = {road}", f"maneuver = {maneuver}", f"lane = {lane}",
+            f"x = {x!r}", f"y = {y!r}", "v = 5", "kappa = 0",
+        ]
+    path = tmp_path / "views.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return load_scenario(path)
+
+
+def place(sc, s):
+    """Vehicles at arc lengths s along their routes, on the tangent, at 5 m/s."""
+    return [VehicleState(5.0, r.tangent_at(si), *r.point_at(si)) for r, si in zip(sc.routes, s)]
+
+
+def views_at(sc, s, risk_gating=True):
+    n = len(s)
+    roles = [classify_zone_role(r, si, sc.network) for r, si in zip(sc.routes, s)]
+    conflicts = pair_conflicts(sc)
+    return build_views(
+        sc, place(sc, s), list(s), [0.0] * n, [0.0] * n, roles, [1.0] * n,
+        conflicts, pair_holds(sc, conflicts), risk_gating,
+    )
+
+
+def with_threshold(sc, threshold):
+    return dataclasses.replace(sc, field=dataclasses.replace(sc.field, threshold=threshold))
+
+
+def test_build_views_picks_the_nearest_leader(tmp_path):
+    sc = scenario_of(tmp_path, *[("M1", "straight", "outer")] * 3)
+    views = views_at(sc, [10.0, 20.0, 30.0])
+    assert [v.lv for v in views] == [1, 2, None]
+    assert all(v.player and v.cps == () for v in views)
+
+
+def test_build_views_leader_on_the_exit_lane_keeps_the_merge_live(tmp_path):
+    sc = scenario_of(tmp_path, ("M1", "left", "inner"), ("M2", "straight", "inner"))
+    host, other = sc.routes
+    # the other vehicle sits on the shared exit lane just past the merge
+    views = views_at(sc, [host.s_cz_exit - 1.0, other.project(2.0, 11.0)[0]])
+    assert views[0].lv == 1
+    assert views[1].lv is None
+    assert any(c.partner == 1 for c in views[0].cps)
+
+
+def test_build_views_keeps_crossing_points_live_until_passed(tmp_path):
+    sc = scenario_of(tmp_path, ("M1", "left", "inner"), ("M4", "straight", "inner"))
+    cross = next(c for c in pair_conflicts(sc)[(0, 1)] if c.kind == "cross")
+
+    def live(s, i=0):
+        s_self = cross.s_a if i == 0 else cross.s_b
+        return [(c.partner, c.s_self, c.s_other) for c in views_at(sc, s)[i].cps if c.s_self == s_self]
+
+    assert live([5.0, 10.0]) == [(1, cross.s_a, cross.s_b)]
+    assert live([5.0, 10.0], i=1) == [(0, cross.s_b, cross.s_a)]
+    # a point stays live until either vehicle is the pass margin beyond it
+    assert live([cross.s_a + 0.99 * _PASS_MARGIN, 10.0]) != []
+    assert live([cross.s_a + _PASS_MARGIN, 10.0]) == []
+    assert live([5.0, cross.s_b + _PASS_MARGIN]) == []
+    # a vehicle that has cleared the zone is no player and sees nothing
+    gone = views_at(sc, [sc.routes[0].s_cz_exit + sc.network.ov_exit_margin + 1.0, 10.0])[0]
+    assert not gone.player and gone.lv is None and gone.cps == ()
+
+
+def test_build_views_gates_strictly_above_the_threshold(tmp_path):
+    sc = scenario_of(tmp_path, *[("M1", "straight", "outer")] * 2)
+    s = [10.0, 20.0]
+    states = place(sc, s)
+    level = build_field(states[0], 0.0, 0.0, sc.field, sc.vehicle_model).value(states[1].x, states[1].y)
+    assert level > 0.0
+    # a level exactly at the threshold stays off
+    assert not views_at(with_threshold(sc, level), s)[0].lv_gated
+    assert views_at(with_threshold(sc, math.nextafter(level, 0.0)), s)[0].lv_gated
+    assert views_at(with_threshold(sc, level), s, risk_gating=False)[0].lv_gated
+
+    # a crossing point is gated by either vehicle's field; put one vehicle
+    # near the point and the other out of reach, then swap
+    sc = scenario_of(tmp_path, ("M1", "left", "inner"), ("M4", "straight", "inner"))
+    cross = next(c for c in pair_conflicts(sc)[(0, 1)] if c.kind == "cross")
+    for near in (0, 1):
+        s = [cross.s_a - 25.0, cross.s_b - 25.0]
+        s[near] += 17.0
+        fields = [build_field(st, 0.0, 0.0, sc.field, sc.vehicle_model) for st in place(sc, s)]
+        level = fields[near].value(cross.x, cross.y)
+        assert level > 0.0 == fields[1 - near].value(cross.x, cross.y)
+
+        def gated(threshold, risk_gating=True):
+            cps = views_at(with_threshold(sc, threshold), s, risk_gating)[0].cps
+            return next(c.gated for c in cps if c.s_self == cross.s_a)
+
+        assert not gated(level)
+        assert gated(math.nextafter(level, 0.0))
+        assert gated(level, risk_gating=False)

@@ -157,6 +157,22 @@ def test_rejects_nonpositive_horizon_times(tmp_path):
         ("vehicle_model", "l_r", "-1.4", "l_r: must be positive"),
         ("vehicle_model", "width", "0", "width: must be positive"),
         ("solver", "max_sweeps", "0", "max_sweeps: must be at least 1"),
+        ("limits", "lane_dev_max", "-1", "lane_dev_max: must be positive"),
+        ("limits", "course_dev_max_deg", "0", "course_dev_max_deg: must be positive"),
+        ("limits", "delta_max_deg", "-30", "delta_max_deg: must be in (0, 90)"),
+        ("limits", "delta_max_deg", "90", "delta_max_deg: must be in (0, 90)"),
+        ("limits", "stop_margin", "-5", "stop_margin: must be nonnegative"),
+        ("limits", "ttc_guard", "-0.01", "ttc_guard: must be nonnegative"),
+        ("field", "a0", "0", "a0: must be positive"),
+        ("field", "horizon", "-1", "horizon: must be positive"),
+        ("field", "spread_b", "-0.5", "spread_b: must be nonnegative"),
+        ("field", "spread_c", "-0.5", "spread_c: must be nonnegative"),
+        ("field", "threshold", "-1", "threshold: must be nonnegative"),
+        ("field", "omega0", "-10", "omega0: must be nonnegative"),
+        ("solver", "conv_tol", "-1", "conv_tol: must be positive"),
+        ("solver", "feas_slack", "-1e-9", "feas_slack: must be nonnegative"),
+        ("solver", "rationality_tol", "-1e-6", "rationality_tol: must be nonnegative"),
+        ("network", "ov_exit_margin", "-50", "ov_exit_margin: must be nonnegative"),
     ],
 )
 def test_rejects_parameters_outside_their_domain(tmp_path, section, key, value, fragment):
