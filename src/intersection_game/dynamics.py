@@ -15,11 +15,14 @@ from .geometry import wrap_angle
 
 @dataclass(frozen=True)
 class VehicleParams:
-    """Geometric parameters; l_f/l_r are CoG-to-axle distances."""
+    """Geometric parameters; l_f/l_r are CoG-to-axle distances.  yaw_form
+    picks the yaw-rate law: v tan(beta) / l_r ("tan") or v sin(beta) / l_r
+    ("sin")."""
 
     l_f: float = 1.4
     l_r: float = 1.4
     width: float = 1.8
+    yaw_form: str = "tan"
 
     @property
     def wheelbase(self) -> float:
@@ -74,13 +77,13 @@ def rear_axle_and_turn_center(
     return (gx, gy), (cx, cy)
 
 
-def _yaw_gain(beta: float, params: VehicleParams, yaw_form: str) -> float:
+def _yaw_gain(beta: float, params: VehicleParams) -> float:
     """Yaw rate per unit of longitudinal speed under sideslip beta."""
-    if yaw_form == "tan":
+    if params.yaw_form == "tan":
         return math.tan(beta) / params.l_r
-    if yaw_form == "sin":
+    if params.yaw_form == "sin":
         return math.sin(beta) / params.l_r
-    raise ValueError(f"unknown yaw_form: {yaw_form!r}")
+    raise ValueError(f"unknown yaw_form: {params.yaw_form!r}")
 
 
 def _rates(
@@ -97,26 +100,19 @@ def _rates(
 
 
 def derivative(
-    state: VehicleState,
-    u: ControlInput,
-    params: VehicleParams = DEFAULT_VEHICLE,
-    yaw_form: str = "tan",
+    state: VehicleState, u: ControlInput, params: VehicleParams = DEFAULT_VEHICLE
 ) -> tuple[float, float, float, float]:
     """Time derivative (dv, dphi, dx, dy) of the state under control u."""
     beta = sideslip(u.delta_f, params)
-    return _rates(state.v_x, state.phi, u.a_x, beta, math.cos(beta), _yaw_gain(beta, params, yaw_form))
+    return _rates(state.v_x, state.phi, u.a_x, beta, math.cos(beta), _yaw_gain(beta, params))
 
 
 def step(
-    state: VehicleState,
-    u: ControlInput,
-    dt: float,
-    params: VehicleParams = DEFAULT_VEHICLE,
-    yaw_form: str = "tan",
+    state: VehicleState, u: ControlInput, dt: float, params: VehicleParams = DEFAULT_VEHICLE
 ) -> VehicleState:
     """One RK4 step with the control held constant; velocity floors at zero."""
     beta = sideslip(u.delta_f, params)
-    k_yaw = _yaw_gain(beta, params, yaw_form)
+    k_yaw = _yaw_gain(beta, params)
     cb = math.cos(beta)
     a = u.a_x
 

@@ -328,7 +328,6 @@ class _StepSolver:
         sp: SolverParams,
         omega0: float,
         veh: VehicleParams,
-        yaw_form: str,
         allow_reset: bool,
     ):
         self.views = views
@@ -337,7 +336,6 @@ class _StepSolver:
         self.sp = sp
         self.omega0 = omega0
         self.veh = veh
-        self.yaw_form = yaw_form
         self.allow_reset = allow_reset
         self.n = len(views)
         self.players = [i for i in range(self.n) if views[i].player]
@@ -401,7 +399,7 @@ class _StepSolver:
         c = memo.get((a, d))
         if c is None:
             view = self.views[i]
-            pred = integrate(view.state, ControlInput(a, d), self.dt, self.veh, self.yaw_form)
+            pred = integrate(view.state, ControlInput(a, d), self.dt, self.veh)
             s_pred, dy, dphi = lane_errors(view.route, pred, d, self.veh)
             slack = max(bound_residuals(
                 a, d, view.a_prev, pred.v_x, dy, dphi, self.dt, self.limits, self.steer_lim
@@ -750,8 +748,7 @@ def solve_step(
     sp: SolverParams = SolverParams(),
     omega0: float = 10.0,
     veh: VehicleParams = DEFAULT_VEHICLE,
-    yaw_form: str = "tan",
     allow_reset: bool = True,
 ) -> StepSolution:
-    solver = _StepSolver(views, dt, limits, sp, omega0, veh, yaw_form, allow_reset)
+    solver = _StepSolver(views, dt, limits, sp, omega0, veh, allow_reset)
     return solver.solve()

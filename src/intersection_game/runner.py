@@ -291,7 +291,6 @@ def run(
             sp=scenario.solver,
             omega0=fp.omega0,
             veh=veh,
-            yaw_form=scenario.yaw_form,
             allow_reset=allow_reset,
         )
         solve_time = time.perf_counter() - t0
@@ -344,7 +343,7 @@ def run(
 
         for i in range(n):
             a, d = sol.controls[i]
-            states[i] = integrate(states[i], ControlInput(a, d), dt, veh, scenario.yaw_form)
+            states[i] = integrate(states[i], ControlInput(a, d), dt, veh)
             s_now[i] = routes[i].project(states[i].x, states[i].y)[0]
             a_prev[i] = a
             d_prev[i] = d

@@ -18,32 +18,78 @@ from .risk import FieldParams
 MODES = ("fuzzy", "noncoop", "grand")
 _CENTERLINE_TOL = 0.5  # m; starting positions must sit on the declared lane
 
-_NETWORK_KEYS = {
-    "cz_half_width",
-    "lane_offset_inner",
-    "lane_offset_outer",
-    "approach_length",
-    "exit_length",
-    "right_turn_radius",
-    "ov_exit_margin",
+# section -> key -> domain.  A number's domain is its type and the checks
+# it must pass besides being finite; a string's is `str` and the allowed
+# values, if any.  A `*_deg` key sets the radians field named without the
+# suffix.  Defaults live in `build_network` and the dataclasses only.
+_PARAMS: dict[str, dict[str, tuple]] = {
+    "scenario": {
+        "version": (str, ("1",)),
+        "name": (str,),
+        "t_end": (float, "positive"),
+        "dt": (float, "positive"),
+        "mode": (str, MODES),
+    },
+    "network": {
+        "cz_half_width": (float,),
+        "lane_offset_inner": (float,),
+        "lane_offset_outer": (float,),
+        "approach_length": (float,),
+        "exit_length": (float,),
+        "right_turn_radius": (float,),
+        "ov_exit_margin": (float, "nonnegative"),
+    },
+    "field": {
+        "a0": (float, "positive"),
+        "spread_b": (float, "nonnegative"),
+        "spread_c": (float, "nonnegative"),
+        "horizon": (float, "positive"),
+        "threshold": (float, "nonnegative"),
+        "omega0": (float, "nonnegative"),
+    },
+    "limits": {
+        "v_max": (float, "positive"),
+        "a_max": (float, "positive"),
+        "jerk_max": (float, "positive"),
+        "delta_max_deg": (float, "in (0, 90)"),
+        "mu": (float, "positive"),
+        "ttc_min": (float, "positive"),
+        "lane_dev_max": (float, "positive"),
+        "course_dev_max_deg": (float, "positive"),
+        "stop_margin": (float, "nonnegative"),
+        "ttc_guard": (float, "nonnegative"),
+    },
+    "solver": {
+        "max_sweeps": (int, "at least 1"),
+        "conv_tol": (float, "positive"),
+        "feas_slack": (float, "nonnegative"),
+        "rationality_tol": (float, "nonnegative"),
+    },
+    "vehicle_model": {
+        "l_f": (float, "positive"),
+        "l_r": (float, "positive"),
+        "width": (float, "positive"),
+        "yaw_form": (str, ("tan", "sin")),
+    },
 }
-_FIELD_KEYS = {"a0", "spread_b", "spread_c", "horizon", "threshold", "omega0"}
-_LIMIT_KEYS = {
-    "v_max",
-    "a_max",
-    "jerk_max",
-    "delta_max_deg",
-    "mu",
-    "ttc_min",
-    "lane_dev_max",
-    "course_dev_max_deg",
-    "stop_margin",
-    "ttc_guard",
+# the same for each [vehicle.<name>] section; every key but `lane` is required
+_VEHICLE: dict[str, tuple] = {
+    "road": (str,),
+    "maneuver": (str, MANEUVERS),
+    "lane": (str,),
+    "x": (float,),
+    "y": (float,),
+    "v": (float,),
+    "kappa": (float, "in [-1, 1]"),
 }
-_SOLVER_KEYS = {"max_sweeps", "conv_tol", "feas_slack", "rationality_tol"}
-_MODEL_KEYS = {"l_f", "l_r", "width", "yaw_form"}
-_SCENARIO_KEYS = {"version", "name", "t_end", "dt", "mode"}
-_VEHICLE_KEYS = {"road", "maneuver", "lane", "x", "y", "v", "kappa"}
+
+_DOMAINS = {
+    "positive": lambda v: v > 0.0,
+    "nonnegative": lambda v: v >= 0.0,
+    "at least 1": lambda v: v >= 1,
+    "in (0, 90)": lambda v: 0.0 < v < 90.0,
+    "in [-1, 1]": lambda v: -1.0 <= v <= 1.0,
+}
 
 
 class ScenarioError(ValueError):
@@ -77,52 +123,49 @@ class Scenario:
     limits: Limits
     solver: SolverParams
     vehicle_model: VehicleParams
-    yaw_form: str
     vehicles: tuple[VehicleSpec, ...]
     routes: tuple[Route, ...]  # index-aligned with vehicles
 
 
-def _reject_unknown(section: str, present, allowed: set[str]) -> None:
-    extra = sorted(set(present) - allowed)
-    if extra:
-        raise ScenarioError(f"[{section}] unknown key(s): {', '.join(extra)}")
-
-
-def _get_float(cp, section: str, key: str, default: float) -> float:
-    raw = cp.get(section, key, fallback=None)
-    if raw is None:
-        return default
+def _number(section: str, key: str, raw: str, kind: type) -> float:
     try:
-        value = float(raw)
+        value = kind(raw)
     except ValueError as exc:
-        raise ScenarioError(f"[{section}] {key}: not a number: {raw!r}") from exc
+        noun = "a number" if kind is float else "an integer"
+        raise ScenarioError(f"[{section}] {key}: not {noun}: {raw!r}") from exc
     if not isfinite(value):
         raise ScenarioError(f"[{section}] {key}: not a finite number: {raw!r}")
     return value
 
 
-def _get_int(cp, section: str, key: str, default: int) -> int:
-    raw = cp.get(section, key, fallback=None)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ScenarioError(f"[{section}] {key}: not an integer: {raw!r}") from exc
+def _require(section: str, key: str, value: float, domain: str) -> None:
+    if not _DOMAINS[domain](value):
+        raise ScenarioError(f"[{section}] {key}: must be {domain}, got {value}")
 
 
-_DOMAINS = {
-    "positive": lambda v: v > 0.0,
-    "nonnegative": lambda v: v >= 0.0,
-    "in (0, 90)": lambda v: 0.0 < v < 90.0,
-}
-
-
-def _require(section: str, domain: str, values: dict[str, float]) -> None:
-    inside = _DOMAINS[domain]
-    for key, value in values.items():
-        if not inside(value):
-            raise ScenarioError(f"[{section}] {key}: must be {domain}, got {value}")
+def _read(cp, section: str, table: dict[str, tuple]) -> dict:
+    """The keys `section` sets, parsed and checked against `table`, as
+    keyword arguments by field name."""
+    extra = sorted(set(cp.options(section)) - set(table))
+    if extra:
+        raise ScenarioError(f"[{section}] unknown key(s): {', '.join(extra)}")
+    kwargs = {}
+    for key in cp.options(section):
+        kind, *rule = table[key]
+        raw = cp.get(section, key)
+        if kind is str:
+            if rule and raw not in rule[0]:
+                raise ScenarioError(f"[{section}] {key}: {raw!r} not one of {rule[0]}")
+            kwargs[key] = raw
+            continue
+        value = _number(section, key, raw, kind)
+        for domain in rule:
+            _require(section, key, value, domain)
+        if key.endswith("_deg"):
+            kwargs[key.removesuffix("_deg")] = radians(value)
+        else:
+            kwargs[key] = value
+    return kwargs
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -140,155 +183,40 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError("[DEFAULT] section is not supported")
     if not cp.has_section("scenario"):
         raise ScenarioError("missing [scenario] section")
-    _reject_unknown("scenario", cp.options("scenario"), _SCENARIO_KEYS)
-    version = cp.get("scenario", "version", fallback=None)
-    if version is None:
-        raise ScenarioError("[scenario] version is required")
-    if version.strip() != "1":
-        raise ScenarioError(f"[scenario] version: unsupported value {version!r}")
-    name = cp.get("scenario", "name", fallback=path.stem)
-    t_end = _get_float(cp, "scenario", "t_end", 30.0)
-    dt = _get_float(cp, "scenario", "dt", 0.1)
-    _require("scenario", "positive", {"t_end": t_end, "dt": dt})
-    mode = cp.get("scenario", "mode", fallback="fuzzy").strip()
-    if mode not in MODES:
-        raise ScenarioError(f"[scenario] mode: {mode!r} not one of {MODES}")
-
     vehicle_sections = []
     for section in cp.sections():
-        if section == "scenario":
-            continue
         if section.startswith("vehicle."):
             vehicle_sections.append(section)
-        elif section not in ("network", "field", "limits", "solver", "vehicle_model"):
+        elif section not in _PARAMS:
             raise ScenarioError(f"unknown section [{section}]")
+    given = {s: _read(cp, s, table) if cp.has_section(s) else {} for s, table in _PARAMS.items()}
+    head = given["scenario"]
+    if "version" not in head:
+        raise ScenarioError("[scenario] version is required")
 
-    net_kwargs = {}
-    if cp.has_section("network"):
-        _reject_unknown("network", cp.options("network"), _NETWORK_KEYS)
-        for key in _NETWORK_KEYS:
-            if cp.has_option("network", key):
-                net_kwargs[key] = _get_float(cp, "network", key, 0.0)
-    if "ov_exit_margin" in net_kwargs:
-        _require("network", "nonnegative", {"ov_exit_margin": net_kwargs["ov_exit_margin"]})
     try:
-        network = build_network(**net_kwargs)
+        network = build_network(**given["network"])
     except ValueError as exc:
         raise ScenarioError(f"[network] {exc}") from exc
-
-    if cp.has_section("field"):
-        _reject_unknown("field", cp.options("field"), _FIELD_KEYS)
-    fd = FieldParams()
-    field_params = FieldParams(
-        a0=_get_float(cp, "field", "a0", fd.a0),
-        spread_b=_get_float(cp, "field", "spread_b", fd.spread_b),
-        spread_c=_get_float(cp, "field", "spread_c", fd.spread_c),
-        horizon=_get_float(cp, "field", "horizon", fd.horizon),
-        threshold=_get_float(cp, "field", "threshold", fd.threshold),
-        omega0=_get_float(cp, "field", "omega0", fd.omega0),
-    )
-    _require("field", "positive", {"a0": field_params.a0, "horizon": field_params.horizon})
-    _require("field", "nonnegative", {
-        "spread_b": field_params.spread_b,
-        "spread_c": field_params.spread_c,
-        "threshold": field_params.threshold,
-        "omega0": field_params.omega0,
-    })
-
-    if cp.has_section("limits"):
-        _reject_unknown("limits", cp.options("limits"), _LIMIT_KEYS)
-    ld = Limits()
-    delta_max_deg = _get_float(cp, "limits", "delta_max_deg", 30.0)
-    course_dev_max_deg = _get_float(cp, "limits", "course_dev_max_deg", 2.0)
-    limits = Limits(
-        v_max=_get_float(cp, "limits", "v_max", ld.v_max),
-        a_max=_get_float(cp, "limits", "a_max", ld.a_max),
-        jerk_max=_get_float(cp, "limits", "jerk_max", ld.jerk_max),
-        delta_max=radians(delta_max_deg),
-        mu=_get_float(cp, "limits", "mu", ld.mu),
-        ttc_min=_get_float(cp, "limits", "ttc_min", ld.ttc_min),
-        lane_dev_max=_get_float(cp, "limits", "lane_dev_max", ld.lane_dev_max),
-        course_dev_max=radians(course_dev_max_deg),
-        stop_margin=_get_float(cp, "limits", "stop_margin", ld.stop_margin),
-        ttc_guard=_get_float(cp, "limits", "ttc_guard", ld.ttc_guard),
-    )
-    _require("limits", "positive", {
-        "v_max": limits.v_max,
-        "a_max": limits.a_max,
-        "jerk_max": limits.jerk_max,
-        "mu": limits.mu,
-        "ttc_min": limits.ttc_min,
-        "lane_dev_max": limits.lane_dev_max,
-        "course_dev_max_deg": course_dev_max_deg,
-    })
-    _require("limits", "in (0, 90)", {"delta_max_deg": delta_max_deg})
-    _require("limits", "nonnegative", {"stop_margin": limits.stop_margin, "ttc_guard": limits.ttc_guard})
-
-    if cp.has_section("solver"):
-        _reject_unknown("solver", cp.options("solver"), _SOLVER_KEYS)
-    sd = SolverParams()
-    solver = SolverParams(
-        max_sweeps=_get_int(cp, "solver", "max_sweeps", sd.max_sweeps),
-        conv_tol=_get_float(cp, "solver", "conv_tol", sd.conv_tol),
-        feas_slack=_get_float(cp, "solver", "feas_slack", sd.feas_slack),
-        rationality_tol=_get_float(cp, "solver", "rationality_tol", sd.rationality_tol),
-    )
-    if solver.max_sweeps < 1:
-        raise ScenarioError(f"[solver] max_sweeps: must be at least 1, got {solver.max_sweeps}")
-    _require("solver", "positive", {"conv_tol": solver.conv_tol})
-    _require("solver", "nonnegative", {
-        "feas_slack": solver.feas_slack,
-        "rationality_tol": solver.rationality_tol,
-    })
-
-    if cp.has_section("vehicle_model"):
-        _reject_unknown("vehicle_model", cp.options("vehicle_model"), _MODEL_KEYS)
-    md = VehicleParams()
-    vehicle_model = VehicleParams(
-        l_f=_get_float(cp, "vehicle_model", "l_f", md.l_f),
-        l_r=_get_float(cp, "vehicle_model", "l_r", md.l_r),
-        width=_get_float(cp, "vehicle_model", "width", md.width),
-    )
-    _require("vehicle_model", "positive", {
-        "l_f": vehicle_model.l_f,
-        "l_r": vehicle_model.l_r,
-        "width": vehicle_model.width,
-    })
-    yaw_form = cp.get("vehicle_model", "yaw_form", fallback="tan").strip()
-    if yaw_form not in ("tan", "sin"):
-        raise ScenarioError(f"[vehicle_model] yaw_form: {yaw_form!r} not 'tan' or 'sin'")
+    limits = Limits(**given["limits"])
 
     if not vehicle_sections:
         raise ScenarioError("no [vehicle.*] sections")
     vehicles = []
     routes = []
-    seen = set()
     for section in vehicle_sections:
         vname = section[len("vehicle."):]
         if not vname:
             raise ScenarioError("empty vehicle name in section header")
-        if vname in seen:
-            raise ScenarioError(f"duplicate vehicle name {vname!r}")
-        seen.add(vname)
-        _reject_unknown(section, cp.options(section), _VEHICLE_KEYS)
-        for key in ("road", "maneuver", "x", "y", "v", "kappa"):
-            if not cp.has_option(section, key):
+        spec = _read(cp, section, _VEHICLE)
+        for key in _VEHICLE:
+            if key != "lane" and key not in spec:
                 raise ScenarioError(f"[{section}] missing required key {key!r}")
-        road = cp.get(section, "road").strip()
-        maneuver = cp.get(section, "maneuver").strip()
-        if maneuver not in MANEUVERS:
-            raise ScenarioError(f"[{section}] maneuver: {maneuver!r} not one of {MANEUVERS}")
-        lane = cp.get(section, "lane", fallback=None)
         try:
-            route = route_for(network, road, maneuver, lane.strip() if lane else None)
+            route = route_for(network, spec["road"], spec["maneuver"], spec.get("lane") or None)
         except (KeyError, ValueError) as exc:
             raise ScenarioError(f"[{section}] {exc}") from exc
-        x = _get_float(cp, section, "x", 0.0)
-        y = _get_float(cp, section, "y", 0.0)
-        v = _get_float(cp, section, "v", 0.0)
-        kappa = _get_float(cp, section, "kappa", 0.0)
-        if not -1.0 <= kappa <= 1.0:
-            raise ScenarioError(f"[{section}] kappa: {kappa} outside [-1, 1]")
+        x, y, v = spec["x"], spec["y"], spec["v"]
         if not 0.0 <= v <= limits.v_max:
             raise ScenarioError(f"[{section}] v: {v} outside [0, {limits.v_max}]")
         _, dist = route.project(x, y)
@@ -296,20 +224,19 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(
                 f"[{section}] position ({x}, {y}) is {dist:.2f} m off the {route.name} centerline"
             )
-        vehicles.append(VehicleSpec(vname, road, maneuver, route.lane, x, y, v, kappa))
+        vehicles.append(VehicleSpec(vname, spec["road"], spec["maneuver"], route.lane, x, y, v, spec["kappa"]))
         routes.append(route)
 
     return Scenario(
-        name=name,
-        t_end=t_end,
-        dt=dt,
-        mode=mode,
+        name=head.get("name", path.stem),
+        t_end=head.get("t_end", 30.0),
+        dt=head.get("dt", 0.1),
+        mode=head.get("mode", "fuzzy"),
         network=network,
-        field=field_params,
+        field=FieldParams(**given["field"]),
         limits=limits,
-        solver=solver,
-        vehicle_model=vehicle_model,
-        yaw_form=yaw_form,
+        solver=SolverParams(**given["solver"]),
+        vehicle_model=VehicleParams(**given["vehicle_model"]),
         vehicles=tuple(vehicles),
         routes=tuple(routes),
     )

@@ -346,7 +346,7 @@ def test_criterion_7_property_suite(capsys):
         # solved controls are local best responses for both players
         solver = _StepSolver(
             _toy_crossing_views(), 0.1, Limits(), SolverParams(), 10.0,
-            DEFAULT_VEHICLE, "tan", True,
+            DEFAULT_VEHICLE, True,
         )
         sol = solver.solve()
         for i in (0, 1):

@@ -99,11 +99,11 @@ def test_derivative_yaw_rate_composition():
 def test_derivative_sin_variant_differs():
     u = ControlInput(0.0, 0.2)
     s0 = VehicleState(5.0, 0.0, 0.0, 0.0)
-    d_tan = derivative(s0, u, yaw_form="tan")
-    d_sin = derivative(s0, u, yaw_form="sin")
+    d_tan = derivative(s0, u, VehicleParams(yaw_form="tan"))
+    d_sin = derivative(s0, u, VehicleParams(yaw_form="sin"))
     assert d_tan[1] > d_sin[1] > 0.0
     with pytest.raises(ValueError):
-        derivative(s0, u, yaw_form="euler")
+        derivative(s0, u, VehicleParams(yaw_form="euler"))
 
 
 def test_step_constant_velocity_exact():

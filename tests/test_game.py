@@ -260,7 +260,7 @@ def test_crossing_pair_solves_cleanly():
 
 def test_solved_controls_are_best_responses():
     solver = _StepSolver(
-        _crossing_views(), 0.1, L, SolverParams(), 10.0, DEFAULT_VEHICLE, "tan", True
+        _crossing_views(), 0.1, L, SolverParams(), 10.0, DEFAULT_VEHICLE, True
     )
     sol = solver.solve()
     for i in (0, 1):

@@ -62,7 +62,7 @@ def test_defaults_from_minimal_file(tmp_path):
     assert sc.t_end == 30.0
     assert sc.dt == 0.1
     assert sc.mode == "fuzzy"
-    assert sc.yaw_form == "tan"
+    assert sc.vehicle_model.yaw_form == "tan"
     assert sc.limits.v_max == 8.0
     assert sc.vehicles[0].lane == "outer"
 
