@@ -661,16 +661,17 @@ class _StepSolver:
 
     def _resweep(self, leaving: list[int], reset: list[bool], emergency: list[bool]) -> list[bool]:
         """Take `leaving` out of the coalition and sweep again; a player
-        still infeasible afterwards, and not braking already, falls back to
-        full braking on its tracking steer."""
+        still infeasible afterwards falls back to full braking on its
+        tracking steer.  The sweep moves every player, so one braked by an
+        earlier fallback and feasible now drives its swept control."""
         for i in leaving:
             if self.p[i] != 0.0:
                 self.p[i] = 0.0
                 reset[i] = True
         feasible = self._sweep_loop()
         for i in self.players:
-            if not feasible[i] and not emergency[i]:
-                emergency[i] = True
+            emergency[i] = not feasible[i]
+            if emergency[i]:
                 view = self.views[i]
                 d_em = tracking_delta(view.route, view.s, view.state.v_x, self.dt, self.limits, self.veh)
                 self.controls[i] = (-self.limits.a_max, d_em)

@@ -349,3 +349,45 @@ def test_step_solver_predicts_each_candidate_once_per_step(monkeypatch):
         committed = sum(int(row["evals"]) for row in csv.DictReader(fh))
     assert sum(s.evals for s in res.steps) == committed
     assert calls[0] < committed  # rankings outnumber predictions
+
+
+# the 8-vehicle layout of `perfbench/dense.py --seed 1`, cut to 16 steps
+_CROWDED = """\
+[scenario]
+version = 1
+t_end = 1.6
+
+[network]
+approach_length = 90
+
+[field]
+horizon = 4
+omega0 = 60
+""" + "".join(
+    f"\n[vehicle.{name}]\nroad = {road}\nmaneuver = {man}\nlane = {lane}\n"
+    f"x = {x}\ny = {y}\nv = {v}\nkappa = {kappa}\n"
+    for name, road, man, lane, x, y, v, kappa in (
+        ("A1Q1", "M1", "right", "outer", -18, -6, 4.3037, 0.1150),
+        ("A1Q2", "M1", "straight", "outer", -42, -6, 4.7293, -0.1239),
+        ("A2Q1", "M2", "straight", "outer", 6, -18, 5.3740, -0.5933),
+        ("A2Q2", "M2", "right", "outer", 6, -42, 5.2049, 0.3282),
+        ("A3Q1", "M3", "straight", "inner", 18, 2, 4.1687, -0.6443),
+        ("A3Q2", "M3", "left", "inner", 42, 2, 3.6908, 0.4384),
+        ("A4Q1", "M4", "left", "inner", -2, 18, 3.8918, 0.7037),
+        ("A4Q2", "M4", "left", "inner", -2, 42, 4.8504, -0.3667),
+    )
+)
+
+
+def test_fallback_rows_brake_at_full_effort(tmp_path):
+    """Every row flagged as a fallback drives full braking.  The reset
+    re-sweep after the rationality check moves players an earlier fallback
+    braked; one still infeasible must be braked again, one feasible again
+    must lose the flag."""
+    path = tmp_path / "crowded.cfg"
+    path.write_text(_CROWDED)
+    res = runner.run(load_scenario(path))
+    a_max = res.scenario.limits.a_max
+    fallback = [(k, r.a) for k, rows in enumerate(res.rows) for r in rows if r.fallback]
+    assert fallback
+    assert all(a == -a_max for _, a in fallback), fallback
