@@ -138,8 +138,3 @@ def velocity_vector(
     beta = sideslip(delta_f, params)
     speed = state.v_x / math.cos(beta)
     return (speed * math.cos(state.phi + beta), speed * math.sin(state.phi + beta))
-
-
-def course_angle(state: VehicleState, delta_f: float, params: VehicleParams = DEFAULT_VEHICLE) -> float:
-    """Direction of motion of the CoG, yaw plus sideslip."""
-    return wrap_angle(state.phi + sideslip(delta_f, params))

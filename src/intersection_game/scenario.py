@@ -11,7 +11,7 @@ from math import isfinite, radians
 from pathlib import Path
 
 from .dynamics import VehicleParams
-from .game import Limits, SolverParams, participation
+from .game import Limits, SolverParams
 from .network import MANEUVERS, Network, Route, build_network, route_for
 from .risk import FieldParams
 
@@ -27,7 +27,7 @@ _PARAMS: dict[str, dict[str, tuple]] = {
         "version": (str, ("1",)),
         "name": (str,),
         "t_end": (float, "positive"),
-        "dt": (float, "positive"),
+        "dt": (float, "positive", "at least 0.001", "at most 1"),
         "mode": (str, MODES),
     },
     "network": {
@@ -43,20 +43,20 @@ _PARAMS: dict[str, dict[str, tuple]] = {
         "a0": (float, "positive"),
         "spread_b": (float, "nonnegative"),
         "spread_c": (float, "nonnegative"),
-        "horizon": (float, "positive"),
+        "horizon": (float, "positive", "at most 60"),
         "threshold": (float, "nonnegative"),
         "omega0": (float, "nonnegative"),
     },
     "limits": {
-        "v_max": (float, "positive"),
-        "a_max": (float, "positive"),
-        "jerk_max": (float, "positive"),
+        "v_max": (float, "positive", "at most 100"),
+        "a_max": (float, "positive", "at most 100"),
+        "jerk_max": (float, "positive", "at least 0.1"),
         "delta_max_deg": (float, "in (0, 90)"),
         "mu": (float, "positive"),
         "ttc_min": (float, "positive"),
         "lane_dev_max": (float, "positive"),
         "course_dev_max_deg": (float, "positive"),
-        "stop_margin": (float, "nonnegative"),
+        "stop_margin": (float, "nonnegative", "at most 100"),
         "ttc_guard": (float, "nonnegative"),
     },
     "solver": {
@@ -83,10 +83,20 @@ _VEHICLE: dict[str, tuple] = {
     "kappa": (float, "in [-1, 1]"),
 }
 
+# The caps keep the model's products finite: the field's ridge length
+# (speed x horizon), the cube of the stop profile's ramp time
+# (a_max / jerk_max), and one step's yaw change (yaw rate x dt).  The
+# floor on dt and the cap on stop_margin keep loops that advance by dt / 2
+# (the stop profile) and by 0.25 m (runner._hold_margin) finite.
 _DOMAINS = {
     "positive": lambda v: v > 0.0,
     "nonnegative": lambda v: v >= 0.0,
     "at least 1": lambda v: v >= 1,
+    "at least 0.1": lambda v: v >= 0.1,
+    "at least 0.001": lambda v: v >= 0.001,
+    "at most 1": lambda v: v <= 1.0,
+    "at most 60": lambda v: v <= 60.0,
+    "at most 100": lambda v: v <= 100.0,
     "in (0, 90)": lambda v: 0.0 < v < 90.0,
     "in [-1, 1]": lambda v: -1.0 <= v <= 1.0,
 }
@@ -106,10 +116,6 @@ class VehicleSpec:
     y: float
     v: float
     kappa: float
-
-    @property
-    def p0(self) -> float:
-        return participation(self.kappa)
 
 
 @dataclass(frozen=True)
@@ -170,11 +176,11 @@ def _read(cp, section: str, table: dict[str, tuple]) -> dict:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ScenarioError(f"cannot parse {path}: {exc}") from exc

@@ -10,7 +10,6 @@ from intersection_game.dynamics import (
     ControlInput,
     VehicleParams,
     VehicleState,
-    course_angle,
     derivative,
     path_curvature,
     rear_axle_and_turn_center,
@@ -199,7 +198,7 @@ def test_velocity_vector_magnitude():
     s0 = VehicleState(6.0, 0.7, 0.0, 0.0)
     vx, vy = velocity_vector(s0, 0.2)
     assert math.hypot(vx, vy) == pytest.approx(6.0 / math.cos(sideslip(0.2)), abs=1e-12)
-    assert math.atan2(vy, vx) == pytest.approx(course_angle(s0, 0.2), abs=1e-12)
+    assert math.atan2(vy, vx) == pytest.approx(s0.phi + sideslip(0.2), abs=1e-12)
 
 
 def test_derivative_floors_negative_speed():

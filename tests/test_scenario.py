@@ -1,12 +1,19 @@
 """Strict INI scenario loading."""
 
+import configparser
+import dataclasses
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from intersection_game.scenario import MODES, ScenarioError, load_scenario
+from intersection_game.runner import run
+from intersection_game.scenario import _PARAMS, _VEHICLE, MODES, ScenarioError, load_scenario
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 MINIMAL = """\
 [scenario]
@@ -49,7 +56,7 @@ def test_loads_published_three_vehicle_scenario():
     v1, v2, v3 = sc.vehicles
     assert (v1.x, v1.y, v1.v, v1.kappa) == (-18.0, -2.0, 5.5, -0.8)
     assert (v2.road, v2.maneuver, v2.lane) == ("M2", "left", "inner")
-    assert v2.p0 == 1.0
+    assert v2.kappa == 0.0
     assert (v3.lane, v3.kappa) == ("outer", 0.0)
     assert [r.name for r in sc.routes] == [
         "M1-inner-left", "M2-inner-left", "M3-outer-straight",
@@ -173,6 +180,13 @@ def test_rejects_nonpositive_horizon_times(tmp_path):
         ("solver", "feas_slack", "-1e-9", "feas_slack: must be nonnegative"),
         ("solver", "rationality_tol", "-1e-6", "rationality_tol: must be nonnegative"),
         ("network", "ov_exit_margin", "-50", "ov_exit_margin: must be nonnegative"),
+        ("scenario", "dt", "1.5", "dt: must be at most 1"),
+        ("scenario", "dt", "1e-16", "dt: must be at least 0.001"),
+        ("limits", "stop_margin", "1e16", "stop_margin: must be at most 100"),
+        ("field", "horizon", "1e300", "horizon: must be at most 60"),
+        ("limits", "v_max", "150", "v_max: must be at most 100"),
+        ("limits", "a_max", "1e300", "a_max: must be at most 100"),
+        ("limits", "jerk_max", "1e-300", "jerk_max: must be at least 0.1"),
     ],
 )
 def test_rejects_parameters_outside_their_domain(tmp_path, section, key, value, fragment):
@@ -194,3 +208,60 @@ def test_rejects_non_numeric_value(tmp_path):
 def test_rejects_missing_file(tmp_path):
     with pytest.raises(ScenarioError):
         load_scenario(tmp_path / "nope.cfg")
+
+
+def test_rejects_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(MINIMAL.replace("version = 1", "version = 1\nname = caf\xe9").encode("latin-1"))
+    with pytest.raises(ScenarioError, match="cannot read"):
+        load_scenario(path)
+
+
+def test_readme_example_loads_and_documents_every_default(tmp_path):
+    """README's example config loads, and its optional sections list every
+    key the loader accepts, each at its default."""
+    block = re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    readme = load_scenario(write(tmp_path, block, name="readme.cfg"))
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    cp.read_string(block)
+    for section in ("network", "field", "limits", "solver", "vehicle_model"):
+        assert set(cp.options(section)) == set(_PARAMS[section]), section
+    minimal = load_scenario(write(tmp_path, MINIMAL))
+    for field in ("network", "field", "limits", "solver", "vehicle_model"):
+        assert getattr(readme, field) == getattr(minimal, field), field
+
+
+# one key of a shipped config set to an arbitrary value: a key of any
+# optional section (present in the file or not) or of its first vehicle
+_SITES = [(s, k) for s, table in _PARAMS.items() for k in table] + [("vehicle.V1", k) for k in _VEHICLE]
+_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["0", "-0", "1e-300", "5e-324", "1e300", "-1e300", "nan", "inf", "tan", "sin", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(p.stem for p in SCENARIOS.glob("*.cfg"))), site=st.sampled_from(_SITES), value=_VALUES)
+@example(name="case1_A", site=("field", "horizon"), value="1e300")
+@example(name="case1_A", site=("limits", "a_max"), value="1e300")
+@example(name="case1_A", site=("limits", "jerk_max"), value="1e-300")
+@example(name="case1_A", site=("scenario", "dt"), value="1e300")
+def test_mutated_shipped_config_is_rejected_or_runs(name, site, value):
+    """Every config is either a ScenarioError or a clean three-step run."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(SCENARIOS / f"{name}.cfg")
+    section, key = site
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp.set(section, key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.cfg"
+        with open(path, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        try:
+            sc = load_scenario(path)
+        except ScenarioError:
+            return
+    run(dataclasses.replace(sc, t_end=3 * sc.dt))
