@@ -222,19 +222,19 @@ def test_readme_example_loads_and_documents_every_default(tmp_path):
     key the loader accepts, each at its default."""
     block = re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
     readme = load_scenario(write(tmp_path, block, name="readme.cfg"))
+    minimal = load_scenario(write(tmp_path, MINIMAL))
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     cp.read_string(block)
     for section in ("network", "field", "limits", "solver", "vehicle_model"):
         assert set(cp.options(section)) == set(_PARAMS[section]), section
-    minimal = load_scenario(write(tmp_path, MINIMAL))
-    for field in ("network", "field", "limits", "solver", "vehicle_model"):
-        assert getattr(readme, field) == getattr(minimal, field), field
+        assert getattr(readme, section) == getattr(minimal, section), section
 
 
 # one key of a shipped config set to an arbitrary value: a key of any
 # optional section (present in the file or not) or of its first vehicle
 _SITES = [(s, k) for s, table in _PARAMS.items() for k in table] + [("vehicle.V1", k) for k in _VEHICLE]
 _VALUES = st.one_of(
+    st.floats(-100.0, 100.0).map(repr),
     st.floats().map(repr),
     st.integers(-(10**30), 10**30).map(str),
     st.sampled_from(["0", "-0", "1e-300", "5e-324", "1e300", "-1e300", "nan", "inf", "tan", "sin", ""]),
@@ -242,16 +242,21 @@ _VALUES = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(name=st.sampled_from(sorted(p.stem for p in SCENARIOS.glob("*.cfg"))), site=st.sampled_from(_SITES), value=_VALUES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(p.stem for p in SCENARIOS.glob("*.cfg"))),
+    site=st.sampled_from(_SITES),
+    value=_VALUES,
+)
 @example(name="case1_A", site=("field", "horizon"), value="1e300")
 @example(name="case1_A", site=("limits", "a_max"), value="1e300")
 @example(name="case1_A", site=("limits", "jerk_max"), value="1e-300")
+@example(name="case1_A", site=("limits", "stop_margin"), value="1e16")
 @example(name="case1_A", site=("scenario", "dt"), value="1e300")
 def test_mutated_shipped_config_is_rejected_or_runs(name, site, value):
     """Every config is either a ScenarioError or a clean three-step run."""
     cp = configparser.ConfigParser(interpolation=None)
-    cp.read(SCENARIOS / f"{name}.cfg")
+    cp.read(SCENARIOS / f"{name}.cfg", encoding="utf-8")
     section, key = site
     if not cp.has_section(section):
         cp.add_section(section)
