@@ -312,6 +312,21 @@ class _StepSolver:
       other vehicles read off j: its committed stop distance and its arc
       length on each follower's route.
 
+    A ranking of vehicle i reads, besides i's own candidate, only what
+    `_refresh_pred` sets from the controls of `reads[i]` (i's leader and
+    every live crossing partner); the "game" objective also reads p[i]
+    and the controls and p of `dependents[i]`.  So two more memos key on
+    exactly those:
+
+    - `_scored[i]` maps the controls of `reads[i]` to a map
+      (a, d) -> (constraint residual, own cost or None if infeasible,
+      lateral_evals increment), shared by both objectives; only the
+      coupling term is computed per "game" ranking;
+    - `_responses` keeps each `_best_response` result with the evals and
+      lateral_evals it added, so asking again against the same partner
+      controls (a converged sweep, a re-sweep, the second rationality
+      check) replays the counts instead of searching.
+
     Each shared value comes from the same call with the same arguments
     that would otherwise be repeated, so results are bit-for-bit those of
     recomputing it.  (Memo keys compare as floats, so a control of -0.0
@@ -380,6 +395,11 @@ class _StepSolver:
         self._cand: list[dict[tuple[float, float], tuple]] = [{} for _ in range(self.n)]
         self._reach_lat: list[dict[tuple[float, float], float]] = [{} for _ in range(self.n)]
         self._reach_lon: list[dict[tuple[float, float, float], float]] = [{} for _ in range(self.n)]
+        self.reads: list[tuple[int, ...]] = [
+            (() if v.lv is None else (v.lv,)) + tuple(c.partner for c in v.cps) for v in views
+        ]
+        self._scored: list[dict[tuple, dict[tuple[float, float], tuple]]] = [{} for _ in range(self.n)]
+        self._responses: dict[tuple, tuple] = {}
         self.controls: list[tuple[float, float]] = []
         for v in views:
             self.controls.append((v.a_prev, v.delta_prev) if v.player else v.coast)
@@ -530,18 +550,37 @@ class _StepSolver:
 
     # -- candidate evaluation --------------------------------------------
 
-    def _rank(self, i: int, a: float, d: float, objective: str):
+    def _scored_for(self, i: int) -> tuple[tuple, dict[tuple[float, float], tuple]]:
+        """The controls of `reads[i]` and vehicle i's scored candidates
+        against them."""
+        reads = tuple(self.controls[j] for j in self.reads[i])
+        return reads, self._scored[i].setdefault(reads, {})
+
+    def _rank(self, i: int, a: float, d: float, objective: str, scored: dict | None = None):
         self.evals += 1
-        pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)
-        residual = self._constraint_residual(i, a, pred, s_pred, slack, self.limits.ttc_guard)
-        if residual > self.sp.feas_slack:
+        if scored is None:
+            scored = self._scored_for(i)[1]
+        entry = scored.get((a, d))
+        if entry is None:
+            pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)
+            residual = self._constraint_residual(i, a, pred, s_pred, slack, self.limits.ttc_guard)
+            if residual > self.sp.feas_slack:
+                entry = (residual, None, 0)
+            else:
+                lateral = self.lateral_evals
+                own = self._own_terms(i, pred, s_pred, dy, dphi).total
+                entry = (residual, own, self.lateral_evals - lateral)
+            scored[(a, d)] = entry
+        else:
+            self.lateral_evals += entry[2]
+        residual, own, _ = entry
+        if own is None:
             return (1.0, residual, abs(a), abs(d), a, d)
-        terms = self._own_terms(i, pred, s_pred, dy, dphi)
-        own = terms.total
         if objective == "solo":
             value = own
         else:
             p_i = self.p[i]
+            pred, s_pred = self._candidate(i, a, d)[:2]
             value = (1.0 - p_i + p_i * p_i) * own + self._coupling(i, pred, s_pred)
         return (0.0, value, abs(a), abs(d), a, d)
 
@@ -571,6 +610,17 @@ class _StepSolver:
         return lo
 
     def _best_response(self, i: int, objective: str = "game") -> tuple[float, float, tuple]:
+        reads, scored = self._scored_for(i)
+        asked = (i, objective, reads)
+        if objective == "game":
+            asked += (self.p[i], tuple((self.controls[j], self.p[j]) for j in self.dependents[i]))
+        seen = self._responses.get(asked)
+        if seen is not None:
+            ba, bd, bkey, evals, lateral = seen
+            self.evals += evals
+            self.lateral_evals += lateral
+            return ba, bd, bkey
+        evals, lateral = self.evals, self.lateral_evals
         view = self.views[i]
         a_lo, a_hi = self._accel_box(i)
         d_lim = self.steer_lim
@@ -579,7 +629,7 @@ class _StepSolver:
         def ev(a: float, d: float):
             key = memo.get((a, d))
             if key is None:
-                key = self._rank(i, a, d, objective)
+                key = self._rank(i, a, d, objective, scored)
                 memo[(a, d)] = key
             return key
 
@@ -624,6 +674,7 @@ class _StepSolver:
             else:
                 da *= 0.5
                 dd *= 0.5
+        self._responses[asked] = (ba, bd, bkey, self.evals - evals, self.lateral_evals - lateral)
         return ba, bd, bkey
 
     # -- game rounds ------------------------------------------------------

@@ -280,6 +280,51 @@ def test_solved_controls_are_best_responses():
                 assert key[1] >= base[1] - SolverParams().conv_tol
 
 
+def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
+    """Asking again against the same partner controls ranks nothing and
+    replays the counts of the first answer; once a partner moves, the
+    search runs again and agrees with a fresh solver at those controls."""
+    solver = _StepSolver(_crossing_views(), 0.1, L, SolverParams(), 10.0, DEFAULT_VEHICLE, True)
+    solver.solve()
+    ranked = [0]
+    real_rank = solver._rank
+
+    def counting_rank(*args):
+        ranked[0] += 1
+        return real_rank(*args)
+
+    monkeypatch.setattr(solver, "_rank", counting_rank)
+
+    def ask(s, i, objective):
+        evals, lateral, n = s.evals, s.lateral_evals, ranked[0]
+        answer = s._best_response(i, objective)
+        return answer, s.evals - evals, s.lateral_evals - lateral, ranked[0] - n
+
+    for i in (0, 1):
+        for objective in ("game", "solo"):
+            first = ask(solver, i, objective)
+            again = ask(solver, i, objective)
+            assert again[3] == 0
+            assert again[:3] == first[:3]
+            assert first[1] > 0
+
+    for i, k in ((0, 1), (1, 0)):
+        a_k, d_k = solver.controls[k]
+        solver.controls[k] = (a_k - 0.1, d_k)
+        solver._refresh_pred(k)
+        fresh = _StepSolver(_crossing_views(), 0.1, L, SolverParams(), 10.0, DEFAULT_VEHICLE, True)
+        fresh.p = list(solver.p)
+        fresh.controls = list(solver.controls)
+        for j in range(fresh.n):
+            fresh._refresh_pred(j)
+        for objective in ("game", "solo"):
+            moved = ask(solver, i, objective)
+            assert moved[3] > 0
+            evals, lateral = fresh.evals, fresh.lateral_evals
+            assert moved[0] == fresh._best_response(i, objective)
+            assert moved[1:3] == (fresh.evals - evals, fresh.lateral_evals - lateral)
+
+
 def test_pooled_loss_identities():
     sol = solve_step(_crossing_views(), 0.1)
     assert sum(sol.h_alloc) == pytest.approx(sol.v_coalition, abs=1e-9)
