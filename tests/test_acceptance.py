@@ -266,12 +266,12 @@ def test_criterion_5_gating_speeds_up_the_solver(capsys):
     try:
         for name in ("case1_A", "case3"):
             sc = load_scenario(SCENARIOS / f"{name}.cfg")
-            gated = min(
-                timing(run(sc, risk_gating=True))["mean_solve_time"] for _ in range(3)
-            )
-            ungated = min(
-                timing(run(sc, risk_gating=False))["mean_solve_time"] for _ in range(3)
-            )
+            # alternate the variants so a slow spell of the machine
+            # weighs on both alike
+            gated = ungated = math.inf
+            for _ in range(3):
+                gated = min(gated, timing(run(sc, risk_gating=True))["mean_solve_time"])
+                ungated = min(ungated, timing(run(sc, risk_gating=False))["mean_solve_time"])
             ratio = gated / ungated
             assert ratio < 1.0, f"{name}: gated/ungated mean solve ratio {ratio:.3f}"
         ok = True
