@@ -31,7 +31,7 @@ _PARAMS: dict[str, dict[str, tuple]] = {
         "mode": (str, MODES),
     },
     "network": {
-        "cz_half_width": (float,),
+        "cz_half_width": (float, "at most 100"),
         "lane_offset_inner": (float,),
         "lane_offset_outer": (float,),
         "approach_length": (float,),
@@ -87,7 +87,8 @@ _VEHICLE: dict[str, tuple] = {
 # (speed x horizon), the cube of the stop profile's ramp time
 # (a_max / jerk_max), and one step's yaw change (yaw rate x dt).  The
 # floor on dt and the cap on stop_margin keep loops that advance by dt / 2
-# (the stop profile) and by 0.25 m (runner._hold_margin) finite.
+# (the stop profile) and by 0.25 m (runner._hold_margin) finite, and the
+# cap on cz_half_width bounds the field raster's square grid.
 _DOMAINS = {
     "positive": lambda v: v > 0.0,
     "nonnegative": lambda v: v >= 0.0,

@@ -187,6 +187,7 @@ def test_rejects_nonpositive_horizon_times(tmp_path):
         ("limits", "v_max", "150", "v_max: must be at most 100"),
         ("limits", "a_max", "1e300", "a_max: must be at most 100"),
         ("limits", "jerk_max", "1e-300", "jerk_max: must be at least 0.1"),
+        ("network", "cz_half_width", "1e6", "cz_half_width: must be at most 100"),
     ],
 )
 def test_rejects_parameters_outside_their_domain(tmp_path, section, key, value, fragment):
