@@ -2,103 +2,9 @@
 unsignalized four-way intersection through a constrained coalitional
 game with style-dependent participation."""
 
-from .costs import CostTerms, balance_weights, crossing_risk, efficiency, following_risk, lane_keeping
-from .dynamics import (
-    DEFAULT_VEHICLE,
-    ControlInput,
-    VehicleParams,
-    VehicleState,
-    path_curvature,
-    sideslip,
-    step,
-    velocity_vector,
-)
-from .game import (
-    Limits,
-    PlayerView,
-    SolverParams,
-    StepSolution,
-    CpRef,
-    allocate,
-    bound_residuals,
-    brake_reach,
-    closing_ttc,
-    coalition_costs,
-    follow_reach,
-    participation,
-    solve_step,
-    stop_distance,
-    tracking_delta,
-)
-from .network import (
-    Conflict,
-    Network,
-    Route,
-    ZoneRole,
-    build_network,
-    classify_zone_role,
-    conflict_points,
-    lead_distance_on_route,
-    route_for,
-    standard_routes,
-)
-from .risk import FieldParams, GaussianField, build_field
-from .runner import SimResult, emit, metrics, pair_conflicts, run, timing
-from .scenario import Scenario, ScenarioError, VehicleSpec, load_scenario
+from .runner import emit, metrics, run
+from .scenario import load_scenario
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CostTerms",
-    "balance_weights",
-    "crossing_risk",
-    "efficiency",
-    "following_risk",
-    "lane_keeping",
-    "DEFAULT_VEHICLE",
-    "ControlInput",
-    "VehicleParams",
-    "VehicleState",
-    "path_curvature",
-    "sideslip",
-    "step",
-    "velocity_vector",
-    "Limits",
-    "PlayerView",
-    "SolverParams",
-    "StepSolution",
-    "allocate",
-    "bound_residuals",
-    "brake_reach",
-    "closing_ttc",
-    "CpRef",
-    "follow_reach",
-    "coalition_costs",
-    "participation",
-    "solve_step",
-    "stop_distance",
-    "tracking_delta",
-    "Conflict",
-    "Network",
-    "Route",
-    "ZoneRole",
-    "build_network",
-    "classify_zone_role",
-    "conflict_points",
-    "lead_distance_on_route",
-    "route_for",
-    "standard_routes",
-    "FieldParams",
-    "GaussianField",
-    "build_field",
-    "SimResult",
-    "emit",
-    "metrics",
-    "pair_conflicts",
-    "run",
-    "timing",
-    "Scenario",
-    "ScenarioError",
-    "VehicleSpec",
-    "load_scenario",
-]
+__all__ = ["load_scenario", "run", "emit", "metrics"]

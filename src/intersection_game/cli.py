@@ -7,7 +7,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .runner import emit, metrics, run, timing
+from .runner import emit, metrics, pair_conflicts, run, timing
 from .scenario import MODES, ScenarioError, load_scenario
 
 MODE_LABELS = {
@@ -78,6 +78,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        print(f"no mode given; choose from {', '.join(MODES)}", file=sys.stderr)
+        return 2
     for m in modes:
         if m not in MODES:
             print(f"unknown mode {m!r}; choose from {', '.join(MODES)}", file=sys.stderr)
@@ -105,16 +108,13 @@ def _cmd_compare(args) -> int:
         row(f"  {name} velocity RMS", [reports[m][0]["vehicles"][name]["v_rms"] for m in modes])
     pair_names = sorted(reports[modes[0]][0]["pairs"])
     if pair_names:
-        row(
-            "min pair distance (m)",
-            [min(reports[m][0]["pairs"][p]["min_distance"] for p in pair_names) for m in modes],
-        )
-        ttc_mins = []
-        for m in modes:
-            finite = [reports[m][0]["pairs"][p]["min_ttc"] for p in pair_names]
-            finite = [x for x in finite if x is not None]
-            ttc_mins.append(min(finite) if finite else None)
-        row("min pair TTC (s)", ttc_mins)
+        for label, key in (("min pair distance (m)", "min_distance"), ("min pair TTC (s)", "min_ttc")):
+            lows = []
+            for m in modes:
+                known = [reports[m][0]["pairs"][p][key] for p in pair_names]
+                known = [x for x in known if x is not None]
+                lows.append(min(known) if known else None)
+            row(label, lows)
     row("max constraint residual", [reports[m][0]["max_constraint_residual"] for m in modes], "{:.2e}")
     row("emergencies", [reports[m][0]["rationality"]["emergencies"] for m in modes], "{:d}")
     row("mean solve time (ms)", [reports[m][1]["mean_solve_time"] * 1e3 for m in modes], "{:.2f}")
@@ -123,8 +123,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
-    from .runner import pair_conflicts
-
     conflicts = pair_conflicts(scenario)
     print(f"{scenario.name}: OK")
     print(f"  dt {scenario.dt} s, t_end {scenario.t_end} s, mode {scenario.mode}")

@@ -99,14 +99,6 @@ def _rates(
     )
 
 
-def derivative(
-    state: VehicleState, u: ControlInput, params: VehicleParams = DEFAULT_VEHICLE
-) -> tuple[float, float, float, float]:
-    """Time derivative (dv, dphi, dx, dy) of the state under control u."""
-    beta = sideslip(u.delta_f, params)
-    return _rates(state.v_x, state.phi, u.a_x, beta, math.cos(beta), _yaw_gain(beta, params))
-
-
 def step(
     state: VehicleState, u: ControlInput, dt: float, params: VehicleParams = DEFAULT_VEHICLE
 ) -> VehicleState:

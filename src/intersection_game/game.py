@@ -556,10 +556,8 @@ class _StepSolver:
         reads = tuple(self.controls[j] for j in self.reads[i])
         return reads, self._scored[i].setdefault(reads, {})
 
-    def _rank(self, i: int, a: float, d: float, objective: str, scored: dict | None = None):
+    def _rank(self, i: int, a: float, d: float, objective: str, scored: dict):
         self.evals += 1
-        if scored is None:
-            scored = self._scored_for(i)[1]
         entry = scored.get((a, d))
         if entry is None:
             pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)

@@ -15,6 +15,8 @@ TWO_PI = 2.0 * math.pi
 # below this, a discriminant is treated as a tangential graze, not a crossing
 _TANGENT_TOL = 1e-6
 _TOL = 1e-9
+# largest offset of a segment's start from another's line that still counts as collinear
+_COLLINEAR_TOL = 1e-7
 
 
 def wrap_angle(a: float) -> float:
@@ -218,13 +220,13 @@ def element_crossings(ea: Element, eb: Element) -> list[tuple[float, float]]:
     return arc_arc_crossings(ea, eb)
 
 
-def collinear_same_direction(a: Segment, b: Segment, tol: float = 1e-7) -> bool:
+def collinear_same_direction(a: Segment, b: Segment) -> bool:
     """True when the two segments lie on one line and point the same way."""
     if abs(wrap_angle(a.heading - b.heading)) > 1e-9:
         return False
     # b's start must sit on a's supporting line
     off = (b.x0 - a.x0) * (-a.uy) + (b.y0 - a.y0) * a.ux
-    return abs(off) < tol
+    return abs(off) < _COLLINEAR_TOL
 
 
 def segment_overlap(a: Segment, b: Segment) -> tuple[float, float] | None:

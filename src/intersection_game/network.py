@@ -33,6 +33,11 @@ _EXIT_SHIFT = {"left": -1, "straight": 2, "right": 1}
 
 _DEDUP_TOL = 1e-6
 
+# a vehicle drives the host's lane when it is this close to the centerline (m)
+# and within this angle of the lane's heading
+_LEAD_LATERAL_TOL = 1.5
+_LEAD_HEADING_TOL = math.pi / 3.0
+
 
 class ZoneRole(Enum):
     """Position of a vehicle relative to the conflict zone."""
@@ -299,21 +304,6 @@ def route_for(net: Network, entry_road: str, maneuver: str, lane: str | None = N
     )
 
 
-def standard_routes(net: Network) -> dict[str, Route]:
-    """The sixteen lane-respecting routes, keyed by name."""
-    out: dict[str, Route] = {}
-    for arm in ARM_NAMES:
-        for lane, maneuver in (
-            ("inner", "left"),
-            ("inner", "straight"),
-            ("outer", "straight"),
-            ("outer", "right"),
-        ):
-            r = route_for(net, arm, maneuver, lane)
-            out[r.name] = r
-    return out
-
-
 def conflict_points(a: Route, b: Route) -> list[Conflict]:
     """All interaction points between two routes, sorted along route a."""
     out: list[Conflict] = []
@@ -358,21 +348,13 @@ def classify_zone_role(route: Route, s: float, net: Network) -> ZoneRole:
     return ZoneRole.OV
 
 
-def lead_distance_on_route(
-    route: Route,
-    host_s: float,
-    x: float,
-    y: float,
-    heading: float,
-    lateral_tol: float = 1.5,
-    heading_tol: float = math.pi / 3.0,
-) -> float | None:
+def lead_distance_on_route(route: Route, host_s: float, x: float, y: float, heading: float) -> float | None:
     """Arc length of a vehicle at (x, y) along `route` when it drives the same
     lane ahead of host_s; None when it is off the lane, behind, or opposing."""
     s, dist = route.project(x, y)
-    if dist > lateral_tol or s <= host_s + 1e-9:
+    if dist > _LEAD_LATERAL_TOL or s <= host_s + 1e-9:
         return None
-    if abs(wrap_angle(heading - route.tangent_at(s))) > heading_tol:
+    if abs(wrap_angle(heading - route.tangent_at(s))) > _LEAD_HEADING_TOL:
         return None
     return s
 

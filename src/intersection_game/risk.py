@@ -79,15 +79,6 @@ class GaussianField:
         sigma = self.sigma(s)
         return self.amplitude(s) * math.exp(-r * r / (2.0 * sigma * sigma))
 
-    def ridge_point(self, s: float) -> tuple[float, float]:
-        if self.curvature == 0.0:
-            return (self.gx + s * math.cos(self.heading), self.gy + s * math.sin(self.heading))
-        radius = 1.0 / abs(self.curvature)
-        sign = 1.0 if self.curvature > 0.0 else -1.0
-        ang0 = math.atan2(self.gy - self.cy, self.gx - self.cx)
-        ang = ang0 + sign * s / radius
-        return (self.cx + radius * math.cos(ang), self.cy + radius * math.sin(ang))
-
 
 def build_field(
     state: VehicleState,

@@ -228,6 +228,17 @@ def build_views(
     return views
 
 
+def initial_states(scenario: Scenario) -> tuple[list[VehicleState], list[float]]:
+    """Each vehicle's start state, heading along its lane, and its arc length on its route."""
+    states: list[VehicleState] = []
+    s0: list[float] = []
+    for spec, route in zip(scenario.vehicles, scenario.routes):
+        s, _ = route.project(spec.x, spec.y)
+        states.append(VehicleState(v_x=spec.v, phi=route.tangent_at(s), x=spec.x, y=spec.y))
+        s0.append(s)
+    return states, s0
+
+
 def run(
     scenario: Scenario,
     mode: str | None = None,
@@ -252,12 +263,7 @@ def run(
 
     conflicts = pair_conflicts(scenario)
     holds = pair_holds(scenario, conflicts)
-    states: list[VehicleState] = []
-    s_now: list[float] = []
-    for spec, route in zip(scenario.vehicles, routes):
-        s0, _ = route.project(spec.x, spec.y)
-        states.append(VehicleState(v_x=spec.v, phi=route.tangent_at(s0), x=spec.x, y=spec.y))
-        s_now.append(s0)
+    states, s_now = initial_states(scenario)
     a_prev = [0.0] * n
     d_prev = [0.0] * n
 
@@ -573,11 +579,10 @@ def emit(result: SimResult, out_dir: str | Path, field_raster: bool = False) -> 
 def _emit_field_raster(result: SimResult, out: Path) -> Path:
     """Sampled sum of all vehicles' initial risk fields on a coarse grid."""
     sc = result.scenario
-    fields = []
-    for i, spec in enumerate(sc.vehicles):
-        r = result.rows[0][i]
-        state = VehicleState(r.v, r.phi, r.x, r.y)
-        fields.append(build_field(state, 0.0, spec.kappa, sc.field, sc.vehicle_model))
+    states, _ = initial_states(sc)
+    fields = [
+        build_field(state, 0.0, spec.kappa, sc.field, sc.vehicle_model) for state, spec in zip(states, sc.vehicles)
+    ]
     half = sc.network.cz_half_width + 15.0
     ticks = [round(-half + 0.5 * k, 1) for k in range(int(4 * half) + 1)]
     lines = ["x,y,value"]

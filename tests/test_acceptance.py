@@ -38,7 +38,7 @@ from intersection_game.game import (
     participation,
 )
 from intersection_game.geometry import wrap_angle
-from intersection_game.network import build_network, conflict_points, route_for, standard_routes
+from intersection_game.network import build_network, conflict_points, route_for
 from intersection_game.risk import FieldParams, build_field
 from intersection_game.runner import emit, metrics, run, timing
 from intersection_game.scenario import load_scenario
@@ -294,12 +294,11 @@ def test_criterion_6_conflict_topology(capsys):
             (1, 4), (2, 4), (4, 6), (5, 6), (5, 7),
         }, pairs
 
-        routes = standard_routes(build_network())
-        red = routes["M1-inner-left"]
-        occupied = (
-            routes["M4-outer-straight"], routes["M4-inner-straight"],
-            routes["M3-inner-straight"], routes["M3-outer-straight"],
-            routes["M2-inner-straight"],
+        net = build_network()
+        red = route_for(net, "M1", "left", "inner")
+        occupied = tuple(
+            route_for(net, arm, "straight", lane)
+            for arm, lane in (("M4", "outer"), ("M4", "inner"), ("M3", "inner"), ("M3", "outer"), ("M2", "inner"))
         )
         found = [c for other in occupied for c in conflict_points(red, other)]
         n_cross = sum(1 for c in found if c.kind == "cross")
@@ -325,7 +324,8 @@ def test_criterion_7_property_suite(capsys):
         # under steering, the field is maximal on the predicted arc
         f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.3, 0.0, fp)
         assert f.curvature != 0.0
-        px, py = f.ridge_point(5.0)
+        rho = f.curvature
+        px, py = f.gx + math.sin(5.0 * rho) / rho, f.gy + (1.0 - math.cos(5.0 * rho)) / rho
         nx, ny = px - f.cx, py - f.cy
         nn = math.hypot(nx, ny)
         on_ridge = f.value(px, py)
@@ -351,7 +351,8 @@ def test_criterion_7_property_suite(capsys):
         sol = solver.solve()
         for i in (0, 1):
             a_star, d_star = sol.controls[i]
-            base = solver._rank(i, a_star, d_star, "game")
+            scored = solver._scored_for(i)[1]
+            base = solver._rank(i, a_star, d_star, "game", scored)
             assert base[0] == 0.0
             lo, hi = solver._accel_box(i)
             for da, dd in ((0.1, 0.0), (-0.1, 0.0), (0.0, 0.02), (0.0, -0.02)):
@@ -359,7 +360,7 @@ def test_criterion_7_property_suite(capsys):
                 d = min(max(d_star + dd, -solver.steer_lim), solver.steer_lim)
                 if (a, d) == (a_star, d_star):
                     continue
-                key = solver._rank(i, a, d, "game")
+                key = solver._rank(i, a, d, "game", scored)
                 if key[0] == 0.0:
                     assert key[1] >= base[1] - SolverParams().conv_tol
 

@@ -64,3 +64,36 @@ def test_compare_prints_table_and_writes_runs(tmp_path, capsys):
     assert "system velocity RMS" in out
     assert "min pair TTC" in out
     assert (tmp_path / "noncoop" / "metrics.json").is_file()
+
+
+def _vehicle(name, road, x, y):
+    return (
+        f"\n[vehicle.{name}]\nroad = {road}\nmaneuver = straight\nlane = outer\n"
+        f"x = {x}\ny = {y}\nv = 5\nkappa = 0\n"
+    )
+
+
+# B starts past the zone on M2, so it is never active with A or C
+NEVER_ACTIVE = "[scenario]\nversion = 1\nname = apart\nt_end = 3\n" + _vehicle("B", "M2", 6, 30)
+
+
+def test_compare_skips_pairs_never_active_together(tmp_path, capsys):
+    cfg = tmp_path / "apart.cfg"
+    cfg.write_text(NEVER_ACTIVE + _vehicle("A", "M1", -18, -6) + _vehicle("C", "M2", 6, -20))
+    assert main(["compare", str(cfg), "--modes", "noncoop"]) == 0
+    assert "min pair distance" in capsys.readouterr().out
+
+
+def test_compare_rejects_empty_mode_list(capsys):
+    assert main(["compare", CASE1, "--modes", ","]) == 2
+    assert "no mode given" in capsys.readouterr().err
+
+
+def test_field_raster_of_a_run_with_no_steps(tmp_path):
+    cfg = tmp_path / "gone.cfg"
+    cfg.write_text(NEVER_ACTIVE)
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--field-raster"]) == 0
+    assert (out / "steps.csv").read_text().count("\n") == 1
+    # a 101 x 101 grid at the default cz_half_width 10, under one header line
+    assert (out / "field_raster.csv").read_text().count("\n") == 101 * 101 + 1

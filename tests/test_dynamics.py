@@ -10,13 +10,20 @@ from intersection_game.dynamics import (
     ControlInput,
     VehicleParams,
     VehicleState,
-    derivative,
+    _rates,
+    _yaw_gain,
     path_curvature,
     rear_axle_and_turn_center,
     sideslip,
     step,
     velocity_vector,
 )
+
+
+def rates(state, u, params=DEFAULT_VEHICLE):
+    """Time derivative (dv, dphi, dx, dy) of the state under control u, from the integrator's stage rates."""
+    beta = sideslip(u.delta_f, params)
+    return _rates(state.v_x, state.phi, u.a_x, beta, math.cos(beta), _yaw_gain(beta, params))
 
 
 def test_sideslip_values():
@@ -82,27 +89,27 @@ def test_turn_center_radius_matches_curvature(delta, phi, x, y):
 
 
 def test_derivative_straight_axes():
-    assert derivative(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(0.0, 0.0)) == pytest.approx(
+    assert rates(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(0.0, 0.0)) == pytest.approx(
         (0.0, 0.0, 5.0, 0.0)
     )
-    d = derivative(VehicleState(5.0, 0.5 * math.pi, 0.0, 0.0), ControlInput(1.0, 0.0))
+    d = rates(VehicleState(5.0, 0.5 * math.pi, 0.0, 0.0), ControlInput(1.0, 0.0))
     assert d == pytest.approx((1.0, 0.0, 0.0, 5.0), abs=1e-12)
 
 
 def test_derivative_yaw_rate_composition():
     beta = sideslip(0.1)
-    d = derivative(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(0.0, 0.1))
+    d = rates(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(0.0, 0.1))
     assert d[1] == pytest.approx(5.0 * math.tan(beta) / 1.4, abs=1e-12)
 
 
 def test_derivative_sin_variant_differs():
     u = ControlInput(0.0, 0.2)
     s0 = VehicleState(5.0, 0.0, 0.0, 0.0)
-    d_tan = derivative(s0, u, VehicleParams(yaw_form="tan"))
-    d_sin = derivative(s0, u, VehicleParams(yaw_form="sin"))
+    d_tan = rates(s0, u, VehicleParams(yaw_form="tan"))
+    d_sin = rates(s0, u, VehicleParams(yaw_form="sin"))
     assert d_tan[1] > d_sin[1] > 0.0
     with pytest.raises(ValueError):
-        derivative(s0, u, VehicleParams(yaw_form="euler"))
+        _yaw_gain(sideslip(u.delta_f), VehicleParams(yaw_form="euler"))
 
 
 def test_step_constant_velocity_exact():
@@ -162,7 +169,7 @@ def test_derivative_matches_step_difference():
     h = 1e-4
     mid = step(s0, u, h)
     far = step(mid, u, h)
-    d = derivative(mid, u)
+    d = rates(mid, u)
     assert (far.v_x - s0.v_x) / (2.0 * h) == pytest.approx(d[0], rel=1e-6)
     assert (far.phi - s0.phi) / (2.0 * h) == pytest.approx(d[1], rel=1e-6)
     assert (far.x - s0.x) / (2.0 * h) == pytest.approx(d[2], rel=1e-6)
@@ -203,5 +210,5 @@ def test_velocity_vector_magnitude():
 
 def test_derivative_floors_negative_speed():
     # the same rates as the integrator's stages: a negative speed does not move the vehicle
-    d = derivative(VehicleState(-1.0, 0.3, 0.0, 0.0), ControlInput(0.5, 0.1))
+    d = rates(VehicleState(-1.0, 0.3, 0.0, 0.0), ControlInput(0.5, 0.1))
     assert d == (0.5, 0.0, 0.0, 0.0)

@@ -265,7 +265,8 @@ def test_solved_controls_are_best_responses():
     sol = solver.solve()
     for i in (0, 1):
         a_star, d_star = sol.controls[i]
-        base = solver._rank(i, a_star, d_star, "game")
+        scored = solver._scored_for(i)[1]
+        base = solver._rank(i, a_star, d_star, "game", scored)
         assert base[0] == 0.0
         lo, hi = solver._accel_box(i)
         for da, dd in (
@@ -275,7 +276,7 @@ def test_solved_controls_are_best_responses():
             d = min(max(d_star + dd, -solver.steer_lim), solver.steer_lim)
             if (a, d) == (a_star, d_star):
                 continue
-            key = solver._rank(i, a, d, "game")
+            key = solver._rank(i, a, d, "game", scored)
             if key[0] == 0.0:
                 assert key[1] >= base[1] - SolverParams().conv_tol
 

@@ -7,20 +7,24 @@ import pytest
 
 from intersection_game.geometry import Arc
 from intersection_game.network import (
+    ARM_NAMES,
     ZoneRole,
     build_network,
     classify_zone_role,
     conflict_points,
     lead_distance_on_route,
     route_for,
-    standard_routes,
 )
 from intersection_game.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 NET = build_network()
-ROUTES = standard_routes(NET)
+# the sixteen lane-respecting routes, keyed by name
+LANE_MANEUVERS = (("inner", "left"), ("inner", "straight"), ("outer", "straight"), ("outer", "right"))
+ROUTES = {
+    r.name: r for r in (route_for(NET, arm, maneuver, lane) for arm in ARM_NAMES for lane, maneuver in LANE_MANEUVERS)
+}
 
 
 def test_build_network_rejects_bad_offsets():
@@ -242,9 +246,11 @@ def test_lead_vehicle_detection():
     assert lead_distance_on_route(r, host_s, x, y, r.tangent_at(28.0) + math.pi) is None
 
 
-def test_standard_routes_deterministic():
-    again = standard_routes(build_network())
-    assert sorted(again) == sorted(ROUTES)
-    for name in ROUTES:
-        assert again[name].total_length == ROUTES[name].total_length
-        assert again[name].s_cz_entry == ROUTES[name].s_cz_entry
+def test_route_for_deterministic():
+    net = build_network()
+    assert len(ROUTES) == 16
+    for arm in ARM_NAMES:
+        for lane, maneuver in LANE_MANEUVERS:
+            again = route_for(net, arm, maneuver, lane)
+            assert again.total_length == ROUTES[again.name].total_length
+            assert again.s_cz_entry == ROUTES[again.name].s_cz_entry

@@ -74,6 +74,12 @@ def test_straight_field_symmetric_across_ridge(s, r, phi):
     assert left == pytest.approx(right, rel=1e-9, abs=1e-12)
 
 
+def ridge_point(f, s):
+    """The point s meters along the ridge of a field at heading 0 that curves left."""
+    rho = f.curvature
+    return f.gx + math.sin(s * rho) / rho, f.gy + (1.0 - math.cos(s * rho)) / rho
+
+
 def test_curved_field_geometry():
     st0 = VehicleState(5.0, 0.0, 0.0, 0.0)
     f = build_field(st0, 0.3, 0.0, FP1)
@@ -83,7 +89,7 @@ def test_curved_field_geometry():
     # center on the left of a left-steering vehicle
     assert (f.cx, f.cy) == pytest.approx((f.gx, f.gy + 1.0 / rho))
     for s in (2.0, 5.0, 10.0):
-        px, py = f.ridge_point(s)
+        px, py = ridge_point(f, s)
         assert py > f.gy
         s_back, r_back = f.ridge_arc_length(px, py)
         assert s_back == pytest.approx(s, abs=1e-9)
@@ -92,7 +98,7 @@ def test_curved_field_geometry():
 
 def test_curved_field_peaks_on_the_ridge():
     f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.3, 0.0, FP1)
-    px, py = f.ridge_point(5.0)
+    px, py = ridge_point(f, 5.0)
     nx, ny = px - f.cx, py - f.cy
     nn = math.hypot(nx, ny)
     nx, ny = nx / nn, ny / nn
