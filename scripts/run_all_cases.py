@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from intersection_game.runner import emit, metrics, run
-from intersection_game.scenario import load_scenario
+from intersection_game.scenario import MODES, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,8 +18,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scenario-dir", type=Path, default=ROOT / "scenarios")
     ap.add_argument("--out", type=Path, default=ROOT / "runs")
-    ap.add_argument("--mode", choices=["noncoop", "fuzzy", "grand"],
-                    help="override the mode set in each file")
+    ap.add_argument("--mode", choices=MODES, help="override the mode set in each file")
     args = ap.parse_args(argv)
 
     files = sorted(args.scenario_dir.glob("*.cfg"))

@@ -212,6 +212,12 @@ def closing_ttc(
     return dist / closing
 
 
+def _ramp(v0: float, a0: float, j: float, tau: float) -> tuple[float, float]:
+    """(speed, distance) tau into a ramp from speed v0 and acceleration a0
+    whose acceleration falls at jerk j."""
+    return v0 + a0 * tau - 0.5 * j * tau * tau, v0 * tau + 0.5 * a0 * tau * tau - j * tau**3 / 6.0
+
+
 def _stop_closed_form(v0: float, a0: float, limits: Limits) -> tuple[float, float, float, float, float]:
     """(tau_r, v_r, x_r, tau_s, x_s) of the max-effort stop from speed v0
     and acceleration a0.
@@ -223,44 +229,15 @@ def _stop_closed_form(v0: float, a0: float, limits: Limits) -> tuple[float, floa
     """
     j, am = limits.jerk_max, limits.a_max
     tau_r = max((a0 + am) / j, 0.0)
-    v_r = v0 + a0 * tau_r - 0.5 * j * tau_r * tau_r
-    x_r = v0 * tau_r + 0.5 * a0 * tau_r * tau_r - j * tau_r**3 / 6.0
+    v_r, x_r = _ramp(v0, a0, j, tau_r)
     disc = a0 * a0 + 2.0 * j * v0
     tau_s = (a0 + math.sqrt(disc)) / j if disc > 0.0 else 0.0
     if tau_s <= tau_r or v_r <= 0.0:
-        x_s = v0 * tau_s + 0.5 * a0 * tau_s * tau_s - j * tau_s**3 / 6.0
+        x_s = _ramp(v0, a0, j, tau_s)[1]
     else:
         tau_s = tau_r + v_r / am
         x_s = x_r + 0.5 * v_r * v_r / am
     return tau_r, v_r, x_r, tau_s, x_s
-
-
-def _commit_stop_profile(
-    v0: float, a0: float, dt: float, limits: Limits
-) -> list[tuple[float, float, float]]:
-    """Sample the max-effort stop from speed v0 and acceleration a0 as
-    (tau, v, x) at half-step resolution, plus the exact standstill point."""
-    if v0 <= 0.0 and a0 <= 0.0:
-        return [(0.0, 0.0, 0.0)]
-    j, am = limits.jerk_max, limits.a_max
-    h = 0.5 * dt
-    tau_r, v_r, x_r, tau_s, x_s = _stop_closed_form(v0, a0, limits)
-    samples: list[tuple[float, float, float]] = []
-    tau = 0.0
-    while tau < 60.0:
-        if tau <= tau_r:
-            v = v0 + a0 * tau - 0.5 * j * tau * tau
-            x = v0 * tau + 0.5 * a0 * tau * tau - j * tau**3 / 6.0
-        else:
-            d = tau - tau_r
-            v = v_r - am * d
-            x = x_r + v_r * d - 0.5 * am * d * d
-        if v <= 0.0 and tau > 0.0:
-            break
-        samples.append((tau, max(v, 0.0), x))
-        tau += h
-    samples.append((tau_s, 0.0, x_s))
-    return samples
 
 
 def stop_distance(v0: float, a0: float, limits: Limits) -> float:
@@ -282,20 +259,37 @@ def brake_reach(v0: float, a0: float, limits: Limits, margin: float) -> float:
 
 
 def follow_reach(
-    v0: float, a0: float, v_lead: float, dt: float, limits: Limits,
-    ttc_floor: float, margin: float,
+    v0: float, a0: float, v_lead: float, limits: Limits, ttc_floor: float, margin: float,
 ) -> float:
     """Headway a constant-speed leader must keep ahead of (v0, a0).
 
-    Same committed-stop construction as brake_reach, evaluated in the
-    leader frame: while still closing, the gap must cover ttc_floor
-    times the closing speed plus the standstill margin.
+    Same committed-stop construction as brake_reach, in the leader frame:
+    the standstill margin plus the maximum over the stop of
+    rel_x + ttc_floor * max(rel_v, 0).  That is a cubic on the ramp and a
+    quadratic after it, so the maximum lies at the start, the ramp end,
+    standstill, or a zero of rel_v + k * accel, k in {0, ttc_floor}.
     """
-    reach = margin
-    for tau, v, x in _commit_stop_profile(v0, a0, dt, limits):
-        rel_x = x - v_lead * tau
-        rel_v = v - v_lead
-        reach = max(reach, rel_x + margin + ttc_floor * max(rel_v, 0.0))
+    j, am = limits.jerk_max, limits.a_max
+    tau_r, v_r, x_r, tau_s, x_s = _stop_closed_form(v0, a0, limits)
+    taus = [0.0, tau_r]
+    for k in (0.0, ttc_floor):
+        # on the ramp the zeros are a quadratic's roots, after it a line's
+        b = a0 - k * j
+        disc = b * b + 2.0 * j * (v0 - v_lead + k * a0)
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            taus += [(b - root) / j, (b + root) / j]
+        taus.append(tau_r + (v_r - v_lead - k * am) / am)
+    reach = x_s - v_lead * tau_s + margin  # standstill, where rel_v = -v_lead
+    for tau in taus:
+        if not 0.0 <= tau < tau_s:
+            continue
+        if tau <= tau_r:
+            v, x = _ramp(v0, a0, j, tau)
+        else:
+            d = tau - tau_r
+            v, x = v_r - am * d, x_r + v_r * d - 0.5 * am * d * d
+        reach = max(reach, x - v_lead * tau + margin + ttc_floor * max(v - v_lead, 0.0))
     return reach
 
 
@@ -506,7 +500,7 @@ class _StepSolver:
         key = (a, v_lead, ttc_floor)
         val = self._reach_lon[i].get(key)
         if val is None:
-            val = follow_reach(v_pred, a, v_lead, self.dt, self.limits, ttc_floor, margin)
+            val = follow_reach(v_pred, a, v_lead, self.limits, ttc_floor, margin)
             self._reach_lon[i][key] = val
         return val
 

@@ -6,6 +6,7 @@ errors so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass
 from math import isfinite, radians
 from pathlib import Path
@@ -17,6 +18,7 @@ from .risk import FieldParams
 
 MODES = ("fuzzy", "noncoop", "grand")
 _CENTERLINE_TOL = 0.5  # m; starting positions must sit on the declared lane
+_NAME = re.compile(r"[A-Za-z0-9_]+")  # scenario and vehicle names become paths and CSV fields
 
 # section -> key -> domain.  A number's domain is its type and the checks
 # it must pass besides being finite; a string's is `str` and the allowed
@@ -84,11 +86,12 @@ _VEHICLE: dict[str, tuple] = {
 }
 
 # The caps keep the model's products finite: the field's ridge length
-# (speed x horizon), the cube of the stop profile's ramp time
+# (speed x horizon), the cube of the committed stop's ramp time
 # (a_max / jerk_max), and one step's yaw change (yaw rate x dt).  The
-# floor on dt and the cap on stop_margin keep loops that advance by dt / 2
-# (the stop profile) and by 0.25 m (runner._hold_margin) finite, and the
-# cap on cz_half_width bounds the field raster's square grid.
+# floor on dt bounds a run at 1000 steps per simulated second and keeps
+# the step count of game._ramp_peak_speed (a / (jerk_max x dt)) finite.
+# The cap on stop_margin keeps runner._hold_margin's 0.25 m loop finite,
+# and the cap on cz_half_width bounds the field raster's square grid.
 _DOMAINS = {
     "positive": lambda v: v > 0.0,
     "nonnegative": lambda v: v >= 0.0,
@@ -200,6 +203,8 @@ def load_scenario(path: str | Path) -> Scenario:
     head = given["scenario"]
     if "version" not in head:
         raise ScenarioError("[scenario] version is required")
+    if "name" in head and not _NAME.fullmatch(head["name"]):
+        raise ScenarioError(f"[scenario] name {head['name']!r}: use only ASCII letters, digits and '_'")
 
     try:
         network = build_network(**given["network"])
@@ -213,8 +218,8 @@ def load_scenario(path: str | Path) -> Scenario:
     routes = []
     for section in vehicle_sections:
         vname = section[len("vehicle."):]
-        if not vname:
-            raise ScenarioError("empty vehicle name in section header")
+        if not _NAME.fullmatch(vname):
+            raise ScenarioError(f"[{section}] vehicle name {vname!r}: use only ASCII letters, digits and '_'")
         spec = _read(cp, section, _VEHICLE)
         for key in _VEHICLE:
             if key != "lane" and key not in spec:

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from intersection_game.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -97,3 +99,19 @@ def test_field_raster_of_a_run_with_no_steps(tmp_path):
     assert (out / "steps.csv").read_text().count("\n") == 1
     # a 101 x 101 grid at the default cz_half_width 10, under one header line
     assert (out / "field_raster.csv").read_text().count("\n") == 101 * 101 + 1
+
+
+@pytest.mark.parametrize(
+    "name, vehicle",
+    [("nul\0byte", "V1"), ("../../escaped", "V1"), ("demo", "V3,x")],
+    ids=["nul_in_scenario_name", "path_in_scenario_name", "comma_in_vehicle_name"],
+)
+def test_run_rejects_names_that_break_output_files(tmp_path, monkeypatch, capsys, name, vehicle):
+    cfg = tmp_path / "names.cfg"
+    cfg.write_text(f"[scenario]\nversion = 1\nname = {name}\nt_end = 0.3\n" + _vehicle(vehicle, "M1", -20, -6))
+    cwd = tmp_path / "a" / "b"
+    cwd.mkdir(parents=True)
+    monkeypatch.chdir(cwd)
+    assert main(["run", str(cfg)]) == 2
+    assert "use only ASCII letters, digits and '_'" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["a", "a/b", "names.cfg"]

@@ -5,7 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intersection_game import game, runner
 from intersection_game.costs import balance_weights, efficiency, lane_keeping
@@ -167,9 +167,55 @@ def test_brake_reach_is_margin_plus_stop():
 
 def test_follow_reach_against_leader_speeds():
     # a parked leader needs at least the full braking room
-    assert follow_reach(5.5, 0.0, 0.0, 0.1, L, 1.5, 3.5) >= brake_reach(5.5, 0.0, L, 3.5)
+    assert follow_reach(5.5, 0.0, 0.0, L, 1.5, 3.5) >= brake_reach(5.5, 0.0, L, 3.5)
     # a faster leader never closes: only the standstill margin remains
-    assert follow_reach(5.0, 0.0, 10.0, 0.1, L, 1.5, 3.5) == pytest.approx(3.5)
+    assert follow_reach(5.0, 0.0, 10.0, L, 1.5, 3.5) == pytest.approx(3.5)
+
+
+def _stop_state(v0, a0, tau):
+    """(speed, distance) tau into the max-effort stop, written out here
+    as the reference for follow_reach."""
+    j, am = L.jerk_max, L.a_max
+    tau_r = max((a0 + am) / j, 0.0)
+    if tau <= tau_r:
+        return v0 + a0 * tau - 0.5 * j * tau**2, v0 * tau + 0.5 * a0 * tau**2 - j * tau**3 / 6.0
+    v_r = v0 + a0 * tau_r - 0.5 * j * tau_r**2
+    x_r = v0 * tau_r + 0.5 * a0 * tau_r**2 - j * tau_r**3 / 6.0
+    d = tau - tau_r
+    return v_r - am * d, x_r + v_r * d - 0.5 * am * d * d
+
+
+def _sampled_need(v0, a0, v_lead, ttc_floor, taus):
+    need = -math.inf
+    for tau in taus:
+        v, x = _stop_state(v0, a0, tau)
+        need = max(need, x - v_lead * tau + 3.5 + ttc_floor * max(max(v, 0.0) - v_lead, 0.0))
+    return need
+
+
+def _half_step_taus(v0, a0, dt):
+    """Every dt/2 into the stop until the speed runs out."""
+    tau = 0.0
+    while tau == 0.0 or _stop_state(v0, a0, tau)[0] > 0.0:
+        yield tau
+        tau += 0.5 * dt
+
+
+@given(
+    v0=st.floats(min_value=0.0, max_value=8.0),
+    a0=st.floats(min_value=-8.0, max_value=8.0),
+    v_lead=st.floats(min_value=0.0, max_value=8.0),
+    ttc_floor=st.sampled_from([0.0, 1.55]),
+)
+@example(v0=7.0, a0=-2.0, v_lead=0.0, ttc_floor=1.55)  # the dt/2 samples' worst shortfall at dt 0.1
+@settings(max_examples=30, deadline=None)
+def test_follow_reach_is_the_exact_maximum_over_the_stop(v0, a0, v_lead, ttc_floor):
+    exact = follow_reach(v0, a0, v_lead, L, ttc_floor, 3.5)
+    for dt in (0.1, 0.01, 0.001):
+        assert exact >= _sampled_need(v0, a0, v_lead, ttc_floor, _half_step_taus(v0, a0, dt)) - 1e-12
+    tau_s = game._stop_closed_form(v0, a0, L)[3]
+    dense = [tau_s * k / 19_999 for k in range(20_000)]
+    assert exact <= _sampled_need(v0, a0, v_lead, ttc_floor, dense) + 1e-6
 
 
 def test_tracking_delta_straight_and_arc():
