@@ -15,14 +15,11 @@ from .geometry import wrap_angle
 
 @dataclass(frozen=True)
 class VehicleParams:
-    """Geometric parameters; l_f/l_r are CoG-to-axle distances.  yaw_form
-    picks the yaw-rate law: v tan(beta) / l_r ("tan") or v sin(beta) / l_r
-    ("sin")."""
+    """Geometric parameters; l_f/l_r are CoG-to-axle distances."""
 
     l_f: float = 1.4
     l_r: float = 1.4
     width: float = 1.8
-    yaw_form: str = "tan"
 
     @property
     def wheelbase(self) -> float:
@@ -77,15 +74,6 @@ def rear_axle_and_turn_center(
     return (gx, gy), (cx, cy)
 
 
-def _yaw_gain(beta: float, params: VehicleParams) -> float:
-    """Yaw rate per unit of longitudinal speed under sideslip beta."""
-    if params.yaw_form == "tan":
-        return math.tan(beta) / params.l_r
-    if params.yaw_form == "sin":
-        return math.sin(beta) / params.l_r
-    raise ValueError(f"unknown yaw_form: {params.yaw_form!r}")
-
-
 def _rates(
     v: float, phi: float, a_x: float, beta: float, cos_beta: float, k_yaw: float
 ) -> tuple[float, float, float, float]:
@@ -104,7 +92,7 @@ def step(
 ) -> VehicleState:
     """One RK4 step with the control held constant; velocity floors at zero."""
     beta = sideslip(u.delta_f, params)
-    k_yaw = _yaw_gain(beta, params)
+    k_yaw = math.tan(beta) / params.l_r  # yaw rate per unit of speed
     cb = math.cos(beta)
     a = u.a_x
 

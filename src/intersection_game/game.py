@@ -116,7 +116,9 @@ class PlayerView:
     a_prev: float
     delta_prev: float
     player: bool
-    coast: tuple[float, float]  # control applied when not a player
+    # control applied when not a player: the decaying acceleration and the
+    # tracking steer, which also seeds a player's steering search
+    coast: tuple[float, float]
     lv: int | None = None
     lv_gated: bool = False
     cps: tuple[CpRef, ...] = ()
@@ -126,13 +128,11 @@ class PlayerView:
 class StepSolution:
     controls: list[tuple[float, float]]
     terms: list[CostTerms | None]
-    v_total: list[float | None]
     j_value: list[float | None]
     h_alloc: list[float]
     v_coalition: float
     p_used: list[float]
     rational: list[bool]
-    rationality_residual: list[float]
     group_residual: float
     sweeps: int
     evals: int
@@ -629,7 +629,7 @@ class _StepSolver:
         cap = self._cap_candidate(i, a_lo, a_hi)
         if cap is not None:
             seeds_a.append(cap)
-        d_ff = tracking_delta(view.route, view.s, view.state.v_x, self.dt, self.limits, self.veh)
+        d_ff = view.coast[1]
         seeds_d = [0.0, view.delta_prev, d_ff]
         for off in (math.radians(1.0), math.radians(3.0), math.radians(8.0)):
             seeds_d.append(d_ff + off)
@@ -695,12 +695,12 @@ class _StepSolver:
         if bad:
             feasible = self._resweep(bad, reset, emergency)
 
-        rational, rat_res, solo = self._rationality()
+        rational, solo = self._rationality()
         if self.allow_reset and not all(rational):
             feasible = self._resweep([i for i in self.players if not rational[i]], reset, emergency)
-            rational, rat_res, solo = self._rationality()
+            rational, solo = self._rationality()
 
-        return self._bookkeeping(feasible, emergency, reset, rational, rat_res, solo)
+        return self._bookkeeping(feasible, emergency, reset, rational, solo)
 
     def _resweep(self, leaving: list[int], reset: list[bool], emergency: list[bool]) -> list[bool]:
         """Take `leaving` out of the coalition and sweep again; a player
@@ -715,16 +715,13 @@ class _StepSolver:
         for i in self.players:
             emergency[i] = not feasible[i]
             if emergency[i]:
-                view = self.views[i]
-                d_em = tracking_delta(view.route, view.s, view.state.v_x, self.dt, self.limits, self.veh)
-                self.controls[i] = (-self.limits.a_max, d_em)
+                self.controls[i] = (-self.limits.a_max, self.views[i].coast[1])
                 self._refresh_pred(i)
         return feasible
 
-    def _rationality(self) -> tuple[list[bool], list[float], list[float]]:
+    def _rationality(self) -> tuple[list[bool], list[float]]:
         """Compare each member's allocated loss against going it alone."""
         rational = [True] * self.n
-        residual = [0.0] * self.n
         solo_v = [0.0] * self.n
         for i in self.players:
             if self.p[i] == 0.0:
@@ -734,31 +731,27 @@ class _StepSolver:
                 continue  # no feasible lone move; nothing to compare against
             solo_v[i] = key[1]
             v_here = self._final_terms(i).total
-            residual[i] = self.p[i] * (v_here - solo_v[i])
-            rational[i] = residual[i] <= self.sp.rationality_tol
-        return rational, residual, solo_v
+            rational[i] = self.p[i] * (v_here - solo_v[i]) <= self.sp.rationality_tol
+        return rational, solo_v
 
     def _final_terms(self, i: int) -> CostTerms:
         pred, s_pred, dy, dphi, _ = self._candidate(i, *self.controls[i])
         return self._own_terms(i, pred, s_pred, dy, dphi)
 
-    def _bookkeeping(self, feasible, emergency, reset, rational, rat_res, solo) -> StepSolution:
+    def _bookkeeping(self, feasible, emergency, reset, rational, solo) -> StepSolution:
         n = self.n
         terms: list[CostTerms | None] = [None] * n
-        v_total: list[float | None] = [None] * n
         j_value: list[float | None] = [None] * n
         h_alloc = [0.0] * n
         max_res = 0.0
         for i in self.players:
-            t = self._final_terms(i)
-            terms[i] = t
-            v_total[i] = t.total
+            terms[i] = self._final_terms(i)
             if not emergency[i]:
                 a, d = self.controls[i]
                 pred, s_pred, _, _, slack = self._candidate(i, a, d)
                 max_res = max(max_res, self._constraint_residual(i, a, pred, s_pred, slack, 0.0))
         p = [self.p[i] for i in self.players]
-        values = [v_total[i] for i in self.players]
+        values = [terms[i].total for i in self.players]
         v_sg, kept = coalition_costs(values, p)
         for i, p_i, share, own in zip(self.players, p, allocate(values, p), kept):
             h_alloc[i] = share
@@ -767,13 +760,11 @@ class _StepSolver:
         return StepSolution(
             controls=list(self.controls),
             terms=terms,
-            v_total=v_total,
             j_value=j_value,
             h_alloc=h_alloc,
             v_coalition=v_sg,
             p_used=list(self.p),
             rational=rational,
-            rationality_residual=rat_res,
             group_residual=group,
             sweeps=self.sweeps,
             evals=self.evals,

@@ -55,9 +55,6 @@ class Segment:
     def curvature_at(self, s: float) -> float:
         return 0.0
 
-    def end(self) -> tuple[float, float]:
-        return self.point_at(self.length)
-
     def project(self, x: float, y: float) -> tuple[float, float]:
         """Return (s, distance) of the closest point, s clamped to [0, length]."""
         t = (x - self.x0) * self.ux + (y - self.y0) * self.uy

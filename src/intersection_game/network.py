@@ -1,11 +1,11 @@
 """Intersection layout: approach roads, lane-level routes, conflict points.
 
-Four orthogonal arms meet at a square conflict zone centered on the origin.
-Inbound roads are named M1..M4 (from west, south, east, north); the matching
-outbound roads are M1_out..M4_out.  Each road carries an inner and an outer
-lane, offset to the right of the travel direction.  A route is an entry lane,
-a maneuver (left / straight / right) and the implied exit lane, flattened to
-a polyline of segments and circular arcs.
+Four orthogonal arms, named M1..M4 (from west, south, east, north), meet at
+a square conflict zone centered on the origin.  Each arm carries an inbound
+and an outbound road, each with an inner and an outer lane, offset to the
+right of the travel direction.  A route is an entry lane, a maneuver (left /
+straight / right) and the implied exit lane, flattened to a polyline of
+segments and circular arcs.
 """
 
 from __future__ import annotations
@@ -48,25 +48,6 @@ class ZoneRole(Enum):
 
 
 @dataclass(frozen=True)
-class Road:
-    """One directed road; anchors are where each lane centerline meets the
-    conflict-zone edge."""
-
-    name: str
-    heading: float
-    inbound: bool
-    inner_anchor: tuple[float, float]
-    outer_anchor: tuple[float, float]
-
-    def anchor(self, lane: str) -> tuple[float, float]:
-        if lane == "inner":
-            return self.inner_anchor
-        if lane == "outer":
-            return self.outer_anchor
-        raise ValueError(f"unknown lane: {lane!r}")
-
-
-@dataclass(frozen=True)
 class Network:
     cz_half_width: float
     lane_offset_inner: float
@@ -75,7 +56,6 @@ class Network:
     exit_length: float
     right_turn_radius: float
     ov_exit_margin: float
-    roads: dict[str, Road]
 
     @property
     def left_turn_radius(self) -> float:
@@ -86,9 +66,6 @@ class Network:
 @dataclass(frozen=True)
 class Route:
     name: str
-    entry_road: str
-    exit_road: str
-    maneuver: str
     lane: str
     elements: tuple[Element, ...]
     cum_s: tuple[float, ...]
@@ -147,6 +124,20 @@ def _arm_heading(index: int) -> float:
     return wrap_angle(0.5 * math.pi * index)
 
 
+def _lane_anchor(net: Network, arm: int, lane: str, inbound: bool) -> tuple[float, tuple[float, float]]:
+    """Heading of an arm's inbound or outbound road, and the point where
+    the lane's centerline meets the conflict-zone edge."""
+    psi = _arm_heading(arm)
+    edge = -net.cz_half_width
+    if not inbound:
+        psi = wrap_angle(psi + math.pi)
+        edge = net.cz_half_width
+    off = net.lane_offset_inner if lane == "inner" else net.lane_offset_outer
+    ux, uy = math.cos(psi), math.sin(psi)
+    nx, ny = math.sin(psi), -math.cos(psi)  # unit normal to the right
+    return psi, (edge * ux + off * nx, edge * uy + off * ny)
+
+
 def build_network(
     cz_half_width: float = 10.0,
     lane_offset_inner: float = 2.0,
@@ -166,30 +157,6 @@ def build_network(
     reach = lane_offset_outer + right_turn_radius - cz_half_width
     if approach_length <= reach or exit_length <= reach:
         raise ValueError("right turn radius too large for the road lengths")
-
-    roads: dict[str, Road] = {}
-    h = cz_half_width
-    for k, name in enumerate(ARM_NAMES):
-        psi = _arm_heading(k)
-        ux, uy = math.cos(psi), math.sin(psi)
-        nx, ny = math.sin(psi), -math.cos(psi)  # unit normal to the right
-        roads[name] = Road(
-            name=name,
-            heading=psi,
-            inbound=True,
-            inner_anchor=(-h * ux + lane_offset_inner * nx, -h * uy + lane_offset_inner * ny),
-            outer_anchor=(-h * ux + lane_offset_outer * nx, -h * uy + lane_offset_outer * ny),
-        )
-        psi_out = wrap_angle(psi + math.pi)
-        oux, ouy = math.cos(psi_out), math.sin(psi_out)
-        onx, ony = math.sin(psi_out), -math.cos(psi_out)
-        roads[name + "_out"] = Road(
-            name=name + "_out",
-            heading=psi_out,
-            inbound=False,
-            inner_anchor=(h * oux + lane_offset_inner * onx, h * ouy + lane_offset_inner * ony),
-            outer_anchor=(h * oux + lane_offset_outer * onx, h * ouy + lane_offset_outer * ony),
-        )
     return Network(
         cz_half_width=cz_half_width,
         lane_offset_inner=lane_offset_inner,
@@ -198,7 +165,6 @@ def build_network(
         exit_length=exit_length,
         right_turn_radius=right_turn_radius,
         ov_exit_margin=ov_exit_margin,
-        roads=roads,
     )
 
 
@@ -242,13 +208,8 @@ def route_for(net: Network, entry_road: str, maneuver: str, lane: str | None = N
         raise ValueError("right turns run from the outer lane")
 
     k = ARM_NAMES.index(entry_road)
-    exit_name = ARM_NAMES[(k + _EXIT_SHIFT[maneuver]) % 4] + "_out"
-    entry = net.roads[entry_road]
-    exit_ = net.roads[exit_name]
-    ax, ay = entry.anchor(lane)
-    ex, ey = exit_.anchor(lane)
-    psi_in = entry.heading
-    psi_out = exit_.heading
+    psi_in, (ax, ay) = _lane_anchor(net, k, lane, inbound=True)
+    psi_out, (ex, ey) = _lane_anchor(net, (k + _EXIT_SHIFT[maneuver]) % 4, lane, inbound=False)
     u_in = (math.cos(psi_in), math.sin(psi_in))
     u_out = (math.cos(psi_out), math.sin(psi_out))
     p0 = (ax - net.approach_length * u_in[0], ay - net.approach_length * u_in[1])
@@ -292,9 +253,6 @@ def route_for(net: Network, entry_road: str, maneuver: str, lane: str | None = N
         raise ValueError(f"route {entry_road} {maneuver} does not traverse the zone")
     return Route(
         name=f"{entry_road}-{lane}-{maneuver}",
-        entry_road=entry_road,
-        exit_road=exit_name,
-        maneuver=maneuver,
         lane=lane,
         elements=elements,
         cum_s=tuple(cum),

@@ -38,11 +38,8 @@ class VehicleRow:
     role: str
     s: float
     lv: int | None
-    gate_log: float
-    gate_lat: float
     p: float
     terms: CostTerms | None
-    v_total: float | None
     j_value: float | None
     h_alloc: float
     feasible: bool
@@ -71,7 +68,6 @@ class SimResult:
     scenario: Scenario
     mode: str
     risk_gating: bool
-    force_participation: float | None
     names: list[str]
     steps: list[StepRow]
     rows: list[list[VehicleRow]]  # [step][vehicle]
@@ -304,7 +300,6 @@ def run(
         step_rows: list[VehicleRow] = []
         for i in range(n):
             a, d = sol.controls[i]
-            terms = sol.terms[i]
             step_rows.append(
                 VehicleRow(
                     x=states[i].x,
@@ -317,11 +312,8 @@ def run(
                     role=roles[i].name,
                     s=s_now[i],
                     lv=views[i].lv,
-                    gate_log=terms.omega_log if terms else 0.0,
-                    gate_lat=terms.omega_lat if terms else 0.0,
                     p=sol.p_used[i],
-                    terms=terms,
-                    v_total=sol.v_total[i],
+                    terms=sol.terms[i],
                     j_value=sol.j_value[i],
                     h_alloc=sol.h_alloc[i],
                     feasible=sol.feasible[i],
@@ -358,7 +350,6 @@ def run(
         scenario=scenario,
         mode=mode,
         risk_gating=risk_gating,
-        force_participation=force_participation,
         names=names,
         steps=steps,
         rows=rows,
@@ -524,10 +515,10 @@ def emit(result: SimResult, out_dir: str | Path, field_raster: bool = False) -> 
                     for v in (
                         step.t, name, r.x, r.y, r.phi, r.v, r.a, r.delta, r.jerk, r.role,
                         r.s, result.names[r.lv] if r.lv is not None else None,
-                        r.gate_log, r.gate_lat, r.p,
+                        t.omega_log if t else 0.0, t.omega_lat if t else 0.0, r.p,
                         t.v_log if t else None, t.v_lat if t else None,
                         t.v_lk if t else None, t.v_e if t else None,
-                        r.v_total, r.j_value, r.h_alloc, r.feasible, r.fallback, r.reset,
+                        t.total if t else None, r.j_value, r.h_alloc, r.feasible, r.fallback, r.reset,
                     )
                 )
             )

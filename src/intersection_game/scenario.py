@@ -28,7 +28,7 @@ _PARAMS: dict[str, dict[str, tuple]] = {
     "scenario": {
         "version": (str, ("1",)),
         "name": (str,),
-        "t_end": (float, "positive"),
+        "t_end": (float, "positive", "at most 3600"),
         "dt": (float, "positive", "at least 0.001", "at most 1"),
         "mode": (str, MODES),
     },
@@ -71,7 +71,6 @@ _PARAMS: dict[str, dict[str, tuple]] = {
         "l_f": (float, "positive"),
         "l_r": (float, "positive"),
         "width": (float, "positive"),
-        "yaw_form": (str, ("tan", "sin")),
     },
 }
 # the same for each [vehicle.<name>] section; every key but `lane` is required
@@ -90,6 +89,8 @@ _VEHICLE: dict[str, tuple] = {
 # (a_max / jerk_max), and one step's yaw change (yaw rate x dt).  The
 # floor on dt bounds a run at 1000 steps per simulated second and keeps
 # the step count of game._ramp_peak_speed (a / (jerk_max x dt)) finite.
+# The cap on t_end keeps the run's step count (t_end / dt) a finite
+# integer, at most 3.6 million steps at the dt floor.
 # The cap on stop_margin keeps runner._hold_margin's 0.25 m loop finite,
 # and the cap on cz_half_width bounds the field raster's square grid.
 _DOMAINS = {
@@ -101,6 +102,7 @@ _DOMAINS = {
     "at most 1": lambda v: v <= 1.0,
     "at most 60": lambda v: v <= 60.0,
     "at most 100": lambda v: v <= 100.0,
+    "at most 3600": lambda v: v <= 3600.0,
     "in (0, 90)": lambda v: 0.0 < v < 90.0,
     "in [-1, 1]": lambda v: -1.0 <= v <= 1.0,
 }

@@ -37,6 +37,18 @@ def test_run_rejects_parameter_outside_its_domain(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_horizon_is_capped_at_one_hour(tmp_path, capsys):
+    # a huge t_end used to pass validate and crash run counting its steps
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(Path(CASE1).read_text().replace("t_end = 20", "t_end = 3600"))
+    assert main(["validate", str(cfg)]) == 0
+    cfg.write_text(Path(CASE1).read_text().replace("t_end = 20", "t_end = 1e308"))
+    assert main(["validate", str(cfg)]) == 2
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "t_end: must be at most 3600" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_scenario_file_is_a_config_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.cfg")]) == 2
     assert "scenario error" in capsys.readouterr().err

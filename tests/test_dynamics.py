@@ -11,7 +11,6 @@ from intersection_game.dynamics import (
     VehicleParams,
     VehicleState,
     _rates,
-    _yaw_gain,
     path_curvature,
     rear_axle_and_turn_center,
     sideslip,
@@ -23,7 +22,7 @@ from intersection_game.dynamics import (
 def rates(state, u, params=DEFAULT_VEHICLE):
     """Time derivative (dv, dphi, dx, dy) of the state under control u, from the integrator's stage rates."""
     beta = sideslip(u.delta_f, params)
-    return _rates(state.v_x, state.phi, u.a_x, beta, math.cos(beta), _yaw_gain(beta, params))
+    return _rates(state.v_x, state.phi, u.a_x, beta, math.cos(beta), math.tan(beta) / params.l_r)
 
 
 def test_sideslip_values():
@@ -100,16 +99,6 @@ def test_derivative_yaw_rate_composition():
     beta = sideslip(0.1)
     d = rates(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(0.0, 0.1))
     assert d[1] == pytest.approx(5.0 * math.tan(beta) / 1.4, abs=1e-12)
-
-
-def test_derivative_sin_variant_differs():
-    u = ControlInput(0.0, 0.2)
-    s0 = VehicleState(5.0, 0.0, 0.0, 0.0)
-    d_tan = rates(s0, u, VehicleParams(yaw_form="tan"))
-    d_sin = rates(s0, u, VehicleParams(yaw_form="sin"))
-    assert d_tan[1] > d_sin[1] > 0.0
-    with pytest.raises(ValueError):
-        _yaw_gain(sideslip(u.delta_f), VehicleParams(yaw_form="euler"))
 
 
 def test_step_constant_velocity_exact():

@@ -274,7 +274,7 @@ def test_single_vehicle_matches_exhaustive_grid():
             gap = max(min(view.route.total_length - s_pred, 50.0), 0.0)
             cost = k_s * lane_keeping(dy, dphi) + k_e * efficiency(gap, pred.v_x)
             best = min(best, cost)
-    assert sol.v_total[0] == pytest.approx(best, abs=1e-9)
+    assert sol.terms[0].total == pytest.approx(best, abs=1e-9)
 
 
 def _crossing_views():
@@ -376,8 +376,9 @@ def test_pooled_loss_identities():
     sol = solve_step(_crossing_views(), 0.1)
     assert sum(sol.h_alloc) == pytest.approx(sol.v_coalition, abs=1e-9)
     for i in (0, 1):
-        assert sol.h_alloc[i] == pytest.approx(sol.p_used[i] * sol.v_total[i], abs=1e-9)
-        want = sol.p_used[i] * sol.v_coalition + (1.0 - sol.p_used[i]) * sol.v_total[i]
+        v_total = sol.terms[i].total
+        assert sol.h_alloc[i] == pytest.approx(sol.p_used[i] * v_total, abs=1e-9)
+        want = sol.p_used[i] * sol.v_coalition + (1.0 - sol.p_used[i]) * v_total
         assert sol.j_value[i] == pytest.approx(want, abs=1e-9)
 
 

@@ -42,7 +42,7 @@ def test_segment_point_and_tangent():
     seg = Segment(1.0, 2.0, math.pi / 2.0, 10.0)
     assert seg.point_at(0.0) == pytest.approx((1.0, 2.0))
     assert seg.point_at(4.0) == pytest.approx((1.0, 6.0))
-    assert seg.end() == pytest.approx((1.0, 12.0))
+    assert seg.point_at(seg.length) == pytest.approx((1.0, 12.0))
     assert seg.tangent_at(3.0) == math.pi / 2.0
     assert seg.curvature_at(3.0) == 0.0
 

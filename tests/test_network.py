@@ -64,18 +64,18 @@ def test_zone_boundary_crossings_on_square_edge():
 
 def test_straight_route_runs_through_aligned_arm():
     r = route_for(NET, "M1", "straight", "outer")
-    assert r.exit_road == "M3_out"
     assert len(r.elements) == 1
     assert r.total_length == pytest.approx(80.0)
     # constant heading, no curvature anywhere
-    for s in (0.0, 40.0, 79.0):
+    for s in (0.0, 40.0, 79.0, r.total_length):
         assert r.curvature_at(s) == 0.0
         assert r.tangent_at(s) == pytest.approx(0.0)
+    # leaves eastward on the outer outbound lane of M3's arm
+    assert r.point_at(r.total_length) == pytest.approx((40.0, -6.0))
 
 
 def test_left_turn_arc_geometry():
     r = route_for(NET, "M1", "left")
-    assert r.exit_road == "M4_out"
     arc = next(el for el in r.elements if isinstance(el, Arc))
     assert abs(arc.sweep) == pytest.approx(0.5 * math.pi)
     # radius forced by tangency to both inner lanes
@@ -83,6 +83,8 @@ def test_left_turn_arc_geometry():
     # heading turns a quarter to the left overall
     assert r.tangent_at(0.0) == pytest.approx(0.0)
     assert r.tangent_at(r.total_length) == pytest.approx(0.5 * math.pi)
+    # and leaves northward on the inner outbound lane of M4's arm
+    assert r.point_at(r.total_length) == pytest.approx((2.0, 40.0))
 
 
 def test_right_turn_uses_configured_radius():
@@ -90,7 +92,9 @@ def test_right_turn_uses_configured_radius():
     arc = next(el for el in r.elements if isinstance(el, Arc))
     assert arc.radius == pytest.approx(NET.right_turn_radius)
     assert abs(arc.sweep) == pytest.approx(0.5 * math.pi)
-    assert r.exit_road == "M3_out"
+    # leaves eastward on the outer outbound lane of M3's arm
+    assert r.tangent_at(r.total_length) == pytest.approx(0.0)
+    assert r.point_at(r.total_length) == pytest.approx((40.0, -6.0))
 
 
 def test_route_for_rejects_bad_input():

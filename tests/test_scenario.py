@@ -69,7 +69,7 @@ def test_defaults_from_minimal_file(tmp_path):
     assert sc.t_end == 30.0
     assert sc.dt == 0.1
     assert sc.mode == "fuzzy"
-    assert sc.vehicle_model.yaw_form == "tan"
+    assert sc.vehicle_model.l_r == 1.4
     assert sc.limits.v_max == 8.0
     assert sc.vehicles[0].lane == "outer"
 
@@ -188,6 +188,7 @@ def test_rejects_nonpositive_horizon_times(tmp_path):
         ("limits", "a_max", "1e300", "a_max: must be at most 100"),
         ("limits", "jerk_max", "1e-300", "jerk_max: must be at least 0.1"),
         ("network", "cz_half_width", "1e6", "cz_half_width: must be at most 100"),
+        ("scenario", "t_end", "1e308", "t_end: must be at most 3600"),
     ],
 )
 def test_rejects_parameters_outside_their_domain(tmp_path, section, key, value, fragment):
