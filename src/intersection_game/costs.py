@@ -89,6 +89,14 @@ def efficiency(gap: float, v: float) -> float:
     return cost
 
 
+def blended_loss(
+    v_log: float, v_lat: float, v_lk: float, v_e: float,
+    omega_log: float, omega_lat: float, k_s: float, k_e: float,
+) -> float:
+    """k_s * (gated safety group) + k_e * efficiency: a vehicle's own loss."""
+    return k_s * (omega_log * v_log + omega_lat * v_lat + v_lk) + k_e * v_e
+
+
 @dataclass(frozen=True)
 class CostTerms:
     v_log: float
@@ -101,9 +109,7 @@ class CostTerms:
     k_e: float
 
     @property
-    def safety(self) -> float:
-        return self.omega_log * self.v_log + self.omega_lat * self.v_lat + self.v_lk
-
-    @property
     def total(self) -> float:
-        return self.k_s * self.safety + self.k_e * self.v_e
+        return blended_loss(
+            self.v_log, self.v_lat, self.v_lk, self.v_e, self.omega_log, self.omega_lat, self.k_s, self.k_e
+        )

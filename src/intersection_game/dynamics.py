@@ -74,41 +74,58 @@ def rear_axle_and_turn_center(
     return (gx, gy), (cx, cy)
 
 
-def _rates(
-    v: float, phi: float, a_x: float, beta: float, cos_beta: float, k_yaw: float
-) -> tuple[float, float, float, float]:
-    """(dv, dphi, dx, dy) at speed v and yaw phi; a negative speed counts as zero."""
-    vv = v if v > 0.0 else 0.0
-    return (
-        a_x,
-        vv * k_yaw,
-        vv * math.cos(phi + beta) / cos_beta,
-        vv * math.sin(phi + beta) / cos_beta,
-    )
-
-
 def step(
     state: VehicleState, u: ControlInput, dt: float, params: VehicleParams = DEFAULT_VEHICLE
 ) -> VehicleState:
-    """One RK4 step with the control held constant; velocity floors at zero."""
+    """One RK4 step with the control held constant; velocity floors at zero.
+
+    Each stage's rates are (dv, dphi, dx, dy) = (a_x, v k_yaw,
+    v cos(phi + beta) / cos(beta), v sin(phi + beta) / cos(beta)), where
+    a negative stage speed v counts as zero.  dv is a_x in every stage,
+    so the stage speeds need no stage rates of their own.
+    """
     beta = sideslip(u.delta_f, params)
     k_yaw = math.tan(beta) / params.l_r  # yaw rate per unit of speed
     cb = math.cos(beta)
     a = u.a_x
+    cos, sin = math.cos, math.sin
 
     v0, p0 = state.v_x, state.phi
-    k1 = _rates(v0, p0, a, beta, cb, k_yaw)
-    k2 = _rates(v0 + 0.5 * dt * k1[0], p0 + 0.5 * dt * k1[1], a, beta, cb, k_yaw)
-    k3 = _rates(v0 + 0.5 * dt * k2[0], p0 + 0.5 * dt * k2[1], a, beta, cb, k_yaw)
-    k4 = _rates(v0 + dt * k3[0], p0 + dt * k3[1], a, beta, cb, k_yaw)
+    v_half = v0 + 0.5 * dt * a
+    v_full = v0 + dt * a
 
-    v1 = v0 + dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
-    p1 = p0 + dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-    x1 = state.x + dt * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
-    y1 = state.y + dt * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) / 6.0
+    vv = v0 if v0 > 0.0 else 0.0
+    w1 = vv * k_yaw
+    x1 = vv * cos(p0 + beta) / cb
+    y1 = vv * sin(p0 + beta) / cb
+
+    vv = v_half if v_half > 0.0 else 0.0
+    p = p0 + 0.5 * dt * w1
+    w2 = vv * k_yaw
+    x2 = vv * cos(p + beta) / cb
+    y2 = vv * sin(p + beta) / cb
+
+    p = p0 + 0.5 * dt * w2
+    w3 = vv * k_yaw
+    x3 = vv * cos(p + beta) / cb
+    y3 = vv * sin(p + beta) / cb
+
+    vv = v_full if v_full > 0.0 else 0.0
+    p = p0 + dt * w3
+    w4 = vv * k_yaw
+    x4 = vv * cos(p + beta) / cb
+    y4 = vv * sin(p + beta) / cb
+
+    v1 = v0 + dt * (a + 2 * a + 2 * a + a) / 6.0
     if v1 < 0.0:
         v1 = 0.0
-    return VehicleState(v1, wrap_angle(p1), x1, y1)
+    p1 = p0 + dt * (w1 + 2 * w2 + 2 * w3 + w4) / 6.0
+    return VehicleState(
+        v1,
+        wrap_angle(p1),
+        state.x + dt * (x1 + 2 * x2 + 2 * x3 + x4) / 6.0,
+        state.y + dt * (y1 + 2 * y2 + 2 * y3 + y4) / 6.0,
+    )
 
 
 def velocity_vector(

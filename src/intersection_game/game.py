@@ -18,6 +18,7 @@ from .costs import (
     FREE_GAP,
     CostTerms,
     balance_weights,
+    blended_loss,
     crossing_risk,
     efficiency,
     following_risk,
@@ -327,6 +328,20 @@ class _StepSolver:
     reuses the entry of 0.0; nothing read from an entry depends on the
     sign of that zero.)  The memos live only as long as this solver, one
     step.
+
+    The hot loop is the pair of candidate loops in `_best_response`: a
+    fresh search ranks about 93 candidates, and each `_rank` that misses
+    `_scored` costs one `_candidate` (RK4 and route projection), one
+    `_constraint_residual` and one own loss.  So `_rank` takes the own
+    loss from `blended_loss` over the `_own_terms` fields without building
+    a CostTerms, skips `_coupling` where it is zero, and the search clamps
+    with comparisons rather than min/max.  Some call sites stay as they
+    are because `perfbench/tracing.py` wraps them by name: the RK4 goes
+    through the module global `integrate(state, ControlInput(a, d), dt,
+    veh)`, projections through `Route.project`, and `crossing_risk`,
+    `efficiency`, `lane_keeping`, `following_risk`, `stop_distance`,
+    `brake_reach` and `follow_reach` are looked up as module globals at
+    each call, never bound to locals or inlined.
     """
 
     def __init__(
@@ -432,7 +447,10 @@ class _StepSolver:
 
     # -- cost pieces ------------------------------------------------------
 
-    def _own_terms(self, i: int, pred: VehicleState, s_pred: float, dy: float, dphi: float) -> CostTerms:
+    def _own_terms(
+        self, i: int, pred: VehicleState, s_pred: float, dy: float, dphi: float
+    ) -> tuple[float, float, float, float, float, float, float, float]:
+        """Vehicle i's CostTerms fields, in order, for a candidate."""
         view = self.views[i]
         k_s, k_e = self.balance[i]
         cp = self.cost_cp[i]
@@ -452,14 +470,14 @@ class _StepSolver:
             if d_self > 0.0 and d_other > 0.0:
                 v_lat = crossing_risk(d_self, pred.v_x, d_other, self.pred[cp.partner].v_x)
                 self.lateral_evals += 1
-        return CostTerms(v_log, v_lat, lane_keeping(dy, dphi), efficiency(gap, pred.v_x), omega_log, omega_lat, k_s, k_e)
+        return v_log, v_lat, lane_keeping(dy, dphi), efficiency(gap, pred.v_x), omega_log, omega_lat, k_s, k_e
 
     def _coupling(self, i: int, pred: VehicleState, s_pred: float) -> float:
         """Terms of other players' losses that move with vehicle i, weighted
-        by p_i * p_j.  Constant terms are dropped; only differences matter."""
+        by p_i * p_j.  Constant terms are dropped; only differences matter.
+        Zero when p_i is zero or i has no dependents; `_rank` skips the
+        call then."""
         p_i = self.p[i]
-        if p_i == 0.0:
-            return 0.0
         total = 0.0
         for j in self.dependents[i]:
             w = p_i * self.p[j]
@@ -560,7 +578,7 @@ class _StepSolver:
                 entry = (residual, None, 0)
             else:
                 lateral = self.lateral_evals
-                own = self._own_terms(i, pred, s_pred, dy, dphi).total
+                own = blended_loss(*self._own_terms(i, pred, s_pred, dy, dphi))
                 entry = (residual, own, self.lateral_evals - lateral)
             scored[(a, d)] = entry
         else:
@@ -568,12 +586,13 @@ class _StepSolver:
         residual, own, _ = entry
         if own is None:
             return (1.0, residual, abs(a), abs(d), a, d)
-        if objective == "solo":
-            value = own
-        else:
+        value = own
+        if objective == "game":
             p_i = self.p[i]
-            pred, s_pred = self._candidate(i, a, d)[:2]
-            value = (1.0 - p_i + p_i * p_i) * own + self._coupling(i, pred, s_pred)
+            value = (1.0 - p_i + p_i * p_i) * own
+            if p_i != 0.0 and self.dependents[i]:
+                pred, s_pred = self._candidate(i, a, d)[:2]
+                value += self._coupling(i, pred, s_pred)
         return (0.0, value, abs(a), abs(d), a, d)
 
     def _accel_box(self, i: int) -> tuple[float, float]:
@@ -616,14 +635,7 @@ class _StepSolver:
         view = self.views[i]
         a_lo, a_hi = self._accel_box(i)
         d_lim = self.steer_lim
-        memo: dict[tuple[float, float], tuple] = {}
-
-        def ev(a: float, d: float):
-            key = memo.get((a, d))
-            if key is None:
-                key = self._rank(i, a, d, objective, scored)
-                memo[(a, d)] = key
-            return key
+        memo: dict[tuple[float, float], tuple] = {}  # (a, d) -> rank key, this search only
 
         seeds_a = [a_lo + k * (a_hi - a_lo) / 4.0 for k in range(5)]
         cap = self._cap_candidate(i, a_lo, a_hi)
@@ -639,7 +651,9 @@ class _StepSolver:
         best = None
         for a in seeds_a:
             for d in seeds_d:
-                key = ev(a, d)
+                key = memo.get((a, d))
+                if key is None:
+                    key = memo[(a, d)] = self._rank(i, a, d, objective, scored)
                 if best is None or key < best[0]:
                     best = (key, a, d)
         assert best is not None
@@ -654,11 +668,21 @@ class _StepSolver:
                 (ba + da, bd), (ba - da, bd), (ba, bd + dd), (ba, bd - dd),
                 (ba + da, bd + dd), (ba + da, bd - dd), (ba - da, bd + dd), (ba - da, bd - dd),
             ):
-                na = min(max(na, a_lo), a_hi)
-                nd = min(max(nd, -d_lim), d_lim)
+                # clamp into the box; on a tie the operand stays, as min/max keep it
+                if na < a_lo:
+                    na = a_lo
+                if na > a_hi:
+                    na = a_hi
+                if nd < -d_lim:
+                    nd = -d_lim
+                if nd > d_lim:
+                    nd = d_lim
                 if na == ba and nd == bd:
                     continue
-                cand.append((ev(na, nd), na, nd))
+                key = memo.get((na, nd))
+                if key is None:
+                    key = memo[(na, nd)] = self._rank(i, na, nd, objective, scored)
+                cand.append((key, na, nd))
             improved = min(cand) if cand else None
             if improved is not None and improved[0] < bkey:
                 bkey, ba, bd = improved
@@ -736,7 +760,7 @@ class _StepSolver:
 
     def _final_terms(self, i: int) -> CostTerms:
         pred, s_pred, dy, dphi, _ = self._candidate(i, *self.controls[i])
-        return self._own_terms(i, pred, s_pred, dy, dphi)
+        return CostTerms(*self._own_terms(i, pred, s_pred, dy, dphi))
 
     def _bookkeeping(self, feasible, emergency, reset, rational, solo) -> StepSolution:
         n = self.n

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,18 +32,22 @@ def wrap_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class Segment:
-    """Directed straight piece starting at (x0, y0) with constant heading."""
+    """Directed straight piece starting at (x0, y0) with constant heading.
+
+    The unit direction (ux, uy) is computed on first use and kept in the
+    instance dict; equality, hashing and repr see only the four fields.
+    """
 
     x0: float
     y0: float
     heading: float
     length: float
 
-    @property
+    @cached_property
     def ux(self) -> float:
         return math.cos(self.heading)
 
-    @property
+    @cached_property
     def uy(self) -> float:
         return math.sin(self.heading)
 
@@ -57,13 +62,13 @@ class Segment:
 
     def project(self, x: float, y: float) -> tuple[float, float]:
         """Return (s, distance) of the closest point, s clamped to [0, length]."""
-        t = (x - self.x0) * self.ux + (y - self.y0) * self.uy
+        ux, uy = self.ux, self.uy
+        t = (x - self.x0) * ux + (y - self.y0) * uy
         if t < 0.0:
             t = 0.0
         elif t > self.length:
             t = self.length
-        px, py = self.point_at(t)
-        return t, math.hypot(x - px, y - py)
+        return t, math.hypot(x - (self.x0 + t * ux), y - (self.y0 + t * uy))
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,7 @@ class Arc:
     def length(self) -> float:
         return self.radius * abs(self.sweep)
 
-    @property
+    @cached_property
     def _sign(self) -> float:
         return 1.0 if self.sweep >= 0.0 else -1.0
 

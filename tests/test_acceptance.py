@@ -178,7 +178,7 @@ def test_criterion_1_unit_examples(capsys):
         close(alloc[0], 1.0)
         close(alloc[1], 2.0)
         close(CostTerms(0.0, 0.0, 2.0, 4.0, 0.0, 0.0, 0.5, 0.5).total, 3.0)
-        close(CostTerms(5.0, 7.0, 1.5, 0.0, 0.0, 0.0, 0.5, 0.5).safety, 1.5)
+        close(CostTerms(5.0, 7.0, 1.5, 0.0, 0.0, 0.0, 0.5, 0.5).total, 0.75)
         close(CostTerms(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5).total, 0.0)
 
         elapsed = time.perf_counter() - t0

@@ -141,12 +141,19 @@ def test_lane_errors_vanish_in_steady_cornering():
 
 def test_cost_terms_blend():
     t = CostTerms(0.0, 0.0, 2.0, 4.0, 0.0, 0.0, 0.5, 0.5)
-    assert t.safety == pytest.approx(2.0)
     assert t.total == pytest.approx(3.0)
-    # switched-off gates leave only lane keeping in the safety group
+    # switched-off gates leave only lane keeping in the safety group: 0.5 * 1.5
     gated_off = CostTerms(5.0, 7.0, 1.5, 0.0, 0.0, 0.0, 0.5, 0.5)
-    assert gated_off.safety == pytest.approx(1.5)
+    assert gated_off.total == pytest.approx(0.75)
+    # all weight on safety: the total is the gated safety group, 10*2 + 60*3 + 1
     weighted = CostTerms(2.0, 3.0, 1.0, 0.0, 10.0, 60.0, 1.0, 0.0)
-    assert weighted.safety == pytest.approx(201.0)
     assert weighted.total == pytest.approx(201.0)
     assert CostTerms(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5).total == 0.0
+
+
+@given(*[st.floats(0.0, 1e3)] * 4, st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.floats(0.0, 1.0))
+def test_cost_terms_total_is_the_safety_efficiency_blend_bit_for_bit(v_log, v_lat, v_lk, v_e, w_log, w_lat, k_s):
+    k_e = 1.0 - k_s
+    t = CostTerms(v_log, v_lat, v_lk, v_e, w_log, w_lat, k_s, k_e)
+    safety = w_log * v_log + w_lat * v_lat + v_lk
+    assert t.total == k_s * safety + k_e * v_e

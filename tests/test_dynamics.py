@@ -10,19 +10,76 @@ from intersection_game.dynamics import (
     ControlInput,
     VehicleParams,
     VehicleState,
-    _rates,
     path_curvature,
     rear_axle_and_turn_center,
     sideslip,
     step,
     velocity_vector,
 )
+from intersection_game.game import Limits
+from intersection_game.geometry import wrap_angle
+
+
+def _stage_rates(v, phi, a_x, beta, cos_beta, k_yaw):
+    """(dv, dphi, dx, dy) at speed v and yaw phi; a negative speed counts as zero."""
+    vv = v if v > 0.0 else 0.0
+    return (
+        a_x,
+        vv * k_yaw,
+        vv * math.cos(phi + beta) / cos_beta,
+        vv * math.sin(phi + beta) / cos_beta,
+    )
 
 
 def rates(state, u, params=DEFAULT_VEHICLE):
-    """Time derivative (dv, dphi, dx, dy) of the state under control u, from the integrator's stage rates."""
+    """Time derivative (dv, dphi, dx, dy) of the state under control u."""
     beta = sideslip(u.delta_f, params)
-    return _rates(state.v_x, state.phi, u.a_x, beta, math.cos(beta), math.tan(beta) / params.l_r)
+    return _stage_rates(state.v_x, state.phi, u.a_x, beta, math.cos(beta), math.tan(beta) / params.l_r)
+
+
+def reference_step(state, u, dt, params=DEFAULT_VEHICLE):
+    """Textbook RK4 over `_stage_rates`, one stage call per stage."""
+    beta = sideslip(u.delta_f, params)
+    k_yaw = math.tan(beta) / params.l_r
+    cb = math.cos(beta)
+    a = u.a_x
+    v0, p0 = state.v_x, state.phi
+    k1 = _stage_rates(v0, p0, a, beta, cb, k_yaw)
+    k2 = _stage_rates(v0 + 0.5 * dt * k1[0], p0 + 0.5 * dt * k1[1], a, beta, cb, k_yaw)
+    k3 = _stage_rates(v0 + 0.5 * dt * k2[0], p0 + 0.5 * dt * k2[1], a, beta, cb, k_yaw)
+    k4 = _stage_rates(v0 + dt * k3[0], p0 + dt * k3[1], a, beta, cb, k_yaw)
+    v1 = v0 + dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
+    p1 = p0 + dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
+    x1 = state.x + dt * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
+    y1 = state.y + dt * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) / 6.0
+    if v1 < 0.0:
+        v1 = 0.0
+    return VehicleState(v1, wrap_angle(p1), x1, y1)
+
+
+def _bits(state):
+    """The state's floats as hex strings, so -0.0 and 0.0 differ."""
+    return tuple(float(x).hex() for x in (state.v_x, state.phi, state.x, state.y))
+
+
+STEER_BOX = Limits().steer_box(DEFAULT_VEHICLE)
+
+
+@given(
+    st.floats(-1.0, 10.0) | st.sampled_from([0.0, -0.0, -1.0]),
+    st.floats(-math.pi, math.pi),
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0),
+    st.floats(-8.0, 8.0),
+    st.floats(-STEER_BOX, STEER_BOX),
+    st.sampled_from([0.001, 0.01, 0.1]),
+)
+def test_step_equals_reference_rk4_bit_for_bit(v0, phi, x, y, a, delta, dt):
+    """The integrator's unrolled stages give exactly the textbook RK4's
+    floats, speed floor and yaw wrap included."""
+    s0 = VehicleState(v0, phi, x, y)
+    u = ControlInput(a, delta)
+    assert _bits(step(s0, u, dt)) == _bits(reference_step(s0, u, dt))
 
 
 def test_sideslip_values():

@@ -1,6 +1,7 @@
 """Participation, cost pooling, hard bounds, reachability, and the step solver."""
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from intersection_game import game, runner
-from intersection_game.costs import balance_weights, efficiency, lane_keeping
+from intersection_game.costs import balance_weights, blended_loss, efficiency, lane_keeping
 from intersection_game.dynamics import (
     DEFAULT_VEHICLE,
     ControlInput,
@@ -484,3 +485,37 @@ def test_fallback_rows_brake_at_full_effort(tmp_path):
     fallback = [(k, r.a) for k, rows in enumerate(res.rows) for r in rows if r.fallback]
     assert fallback
     assert all(a == -a_max for _, a in fallback), fallback
+
+
+def _rank_cases():
+    """(views, player) pairs covering the three shapes of the game key:
+    p = 0 (with a dependent), a player nothing depends on, and players
+    with dependents."""
+    crossing = _crossing_views()
+    p0 = [dataclasses.replace(crossing[0], p=0.0), crossing[1]]
+    shared = [dataclasses.replace(v, p=0.7) for v in crossing]
+    alone = [dataclasses.replace(_single_view(), p=0.6)]
+    return [(p0, 0), (alone, 0), (shared, 0), (shared, 1)]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["p0", "no_dependents", "dependents_0", "dependents_1"])
+def test_game_rank_key_is_the_pooled_objective_bit_for_bit(case):
+    views, i = _rank_cases()[case]
+    solver = _StepSolver(views, 0.1, L, SolverParams(), 10.0, DEFAULT_VEHICLE, True)
+    assert (solver.p[i] == 0.0) == (case == 0)
+    assert bool(solver.dependents[i]) == (case != 1)
+    scored = solver._scored_for(i)[1]
+    lo, hi = solver._accel_box(i)
+    feasible = 0
+    for a in (lo, 0.5 * (lo + hi), hi):
+        for d in (-0.02, 0.0, 0.01):
+            key = solver._rank(i, a, d, "game", scored)
+            if key[0] != 0.0:
+                continue
+            feasible += 1
+            pred, s_pred, dy, dphi, _ = solver._candidate(i, a, d)
+            own = blended_loss(*solver._own_terms(i, pred, s_pred, dy, dphi))
+            p_i = solver.p[i]
+            want = (1.0 - p_i + p_i * p_i) * own + solver._coupling(i, pred, s_pred)
+            assert key == (0.0, want, abs(a), abs(d), a, d)
+    assert feasible > 0

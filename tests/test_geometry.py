@@ -190,3 +190,30 @@ def test_arc_point_round_trip(cx, cy, radius, theta0, sweep, frac):
     s_back, d = arc.project(x, y)
     assert d == pytest.approx(0.0, abs=1e-9)
     assert s_back == pytest.approx(s, abs=1e-6)
+
+
+@given(
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(0.1, 60.0),
+    st.floats(-80.0, 80.0),
+    st.floats(-80.0, 80.0),
+)
+def test_segment_project_equals_point_at_formula_bit_for_bit(x0, y0, heading, length, qx, qy):
+    seg = Segment(x0, y0, heading, length)
+    t = min(max((qx - x0) * seg.ux + (qy - y0) * seg.uy, 0.0), length)
+    px, py = seg.point_at(t)
+    assert seg.project(qx, qy) == (t, math.hypot(qx - px, qy - py))
+
+
+def test_cached_direction_leaves_equality_and_hash_alone():
+    a = Segment(1.0, -2.0, 0.3, 7.0)
+    b = Segment(1.0, -2.0, 0.3, 7.0)
+    a.project(4.0, 1.0)  # fills a's cached ux, uy
+    assert (a.ux, a.uy) == (math.cos(0.3), math.sin(0.3))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    arc_a = Arc(0.0, 0.0, 9.0, 0.5, -1.2)
+    arc_b = Arc(0.0, 0.0, 9.0, 0.5, -1.2)
+    assert arc_a.curvature_at(0.0) == -1.0 / 9.0  # fills arc_a's cached sign
+    assert arc_a == arc_b and hash(arc_a) == hash(arc_b) and repr(arc_a) == repr(arc_b)

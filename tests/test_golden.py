@@ -1,9 +1,12 @@
 """Golden outputs: every shipped scenario, run in its configured mode,
-reproduces the committed runs/ files byte for byte.
+reproduces the committed runs/ files byte for byte, and the 8-vehicle
+dense layout reproduces a recorded digest.
 
 timing.json holds wall times and is the one emitted file left out.
 """
 
+import hashlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -26,3 +29,34 @@ def test_shipped_scenario_reproduces_committed_outputs(cfg, tmp_path):
     assert got == want
     for name in got:
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+# sha256 over (name, bytes) of each emitted file but timing.json, in name
+# order, of `perfbench/dense.py` layout dense_n8 at seed 1
+DENSE_N8_SEED1_SHA256 = "49bd047ce63375f739af4883b286337ad9bd94429370c1b5976aef8c563142f9"
+
+
+def _digest(out: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        if path.name != UNTIMED:
+            h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def test_dense_layout_reproduces_recorded_digest(tmp_path):
+    """The shipped scenarios have no in-lane queues, resets or fallbacks;
+    this layout has all three, so the solver paths they take are pinned
+    byte for byte too."""
+    spec = importlib.util.spec_from_file_location("dense", ROOT / "perfbench" / "dense.py")
+    dense = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dense)
+    cfg = tmp_path / "dense_n8.cfg"
+    cfg.write_text(dense.layout(2, 1), encoding="utf-8")
+    res = run(load_scenario(cfg))
+    rows = [r for step_rows in res.rows for r in step_rows]
+    assert any(r.lv is not None for r in rows)
+    assert any(r.reset for r in rows)
+    assert any(r.fallback for r in rows)
+    emit(res, tmp_path / "out")
+    assert _digest(tmp_path / "out") == DENSE_N8_SEED1_SHA256
