@@ -2,12 +2,13 @@
 
     python3 scripts/bench.py --out BENCH_<n>.json --label change
 
-For each workload, `perfbench/run.py` runs twice in this checkout, once
-with `--trace 0` for the end-to-end medians and once with `--trace 1` for
-the traced work counters.  Then one in-process run of the workload under
-cProfile gives `python_calls`: the total Python function calls over
-`runner.run` of every scenario of the workload, a count of interpreter
-work that does not depend on the machine or on the hash seed.
+For each workload, `perfbench/run.py` runs twice in this checkout, at seed
+1 for the benchmark's `run_seconds`: once with `--trace 0` for the
+end-to-end medians and once with `--trace 1` for the traced work
+counters.  Then one in-process run of the workload under cProfile gives
+`python_calls`: the total Python function calls over `runner.run` of
+every scenario of the workload, a count of interpreter work that does
+not depend on the machine or on the hash seed.
 
 The record goes under `--label` in the JSON file at `--out`, and labels
 already in that file are kept.  So one file can hold a parent and a change,
@@ -28,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("shipped", "noncoop", "dense")
+SEED = 1  # jitters only the dense layouts
 COUNTERS = (
     "game.evals",
     "game.unique_eval_ratio",
@@ -81,26 +83,27 @@ def _git(*args: str) -> str | None:
         return None
 
 
-def measure(seed: int, seconds: float) -> dict:
+def measure() -> dict:
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
     status = _git("status", "--porcelain", "--untracked-files=no")
     record = {
         "commit": _git("rev-parse", "HEAD"),
         "uncommitted_changes": None if status is None else bool(status),
         "python": sys.version,
         "calibrate_s": _perfbench_module("bench_pass").calibrate(),
-        "seed": seed,
+        "seed": SEED,
         "seconds": seconds,
         "workloads": {},
     }
     for workload in WORKLOADS:
-        plain = run_benchmark(workload, seed, seconds, 0)
-        traced = run_benchmark(workload, seed, seconds, 1)
+        plain = run_benchmark(workload, SEED, seconds, 0)
+        traced = run_benchmark(workload, SEED, seconds, 1)
         record["workloads"][workload] = {
             "correct": plain["correct"] and traced["correct"],
             "failed": plain["failed"] + traced["failed"],
             "end_to_end": {name: m["value"] for name, m in plain["metrics"].items()},
             "counters": {name: traced["metrics"][name]["value"] for name in COUNTERS},
-            "python_calls": python_calls(workload, seed),
+            "python_calls": python_calls(workload, SEED),
         }
         print(workload, json.dumps(record["workloads"][workload]), flush=True)
     return record
@@ -110,11 +113,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, required=True, help="BENCH JSON file to add the record to")
     ap.add_argument("--label", required=True, help="key of this checkout's record, such as parent or change")
-    ap.add_argument("--seed", type=int, default=1, help="benchmark seed; it jitters only the dense layouts")
-    ap.add_argument("--seconds", type=float, default=15.0, help="--seconds of each perfbench/run.py run")
     args = ap.parse_args(argv)
 
-    record = measure(args.seed, args.seconds)
+    record = measure()
     data = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     data[args.label] = record
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
