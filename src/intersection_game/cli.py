@@ -127,7 +127,7 @@ def _cmd_validate(args) -> int:
     print(f"{scenario.name}: OK")
     print(f"  dt {scenario.dt} s, t_end {scenario.t_end} s, mode {scenario.mode}")
     for spec, route in zip(scenario.vehicles, scenario.routes):
-        s0, _ = route.project(spec.x, spec.y)
+        s0 = route.project(spec.x, spec.y)[0]
         print(
             f"  {spec.name}: {route.name} from ({spec.x}, {spec.y}) "
             f"s0={s0:.2f} v={spec.v} kappa={spec.kappa}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import DEFAULT_VEHICLE, VehicleParams, VehicleState, sideslip
+from .dynamics import VehicleState
 from .geometry import wrap_angle
 from .network import Route
 
@@ -53,18 +53,15 @@ def crossing_risk(d_host: float, v_host: float, d_other: float, v_other: float) 
     return 1.0 / ((t_host - t_other) ** 2 + XI)
 
 
-def lane_errors(
-    route: Route, state: VehicleState, delta_f: float, veh: VehicleParams = DEFAULT_VEHICLE
-) -> tuple[float, float, float]:
+def lane_errors(route: Route, state: VehicleState, beta: float) -> tuple[float, float, float]:
     """(arc length, lateral offset, course error) of the body frame against
-    the route.
+    the route, for a vehicle moving at sideslip beta.
 
     The course error compares the direction of motion, yaw plus sideslip,
     with the local route tangent, so steady cornering carries no error.
     """
-    s, dy = route.project(state.x, state.y)
-    dphi = wrap_angle(state.phi + sideslip(delta_f, veh) - route.tangent_at(s))
-    return s, dy, dphi
+    s, dy, heading = route.project(state.x, state.y)
+    return s, dy, wrap_angle(state.phi + beta - heading)
 
 
 def lane_keeping(dy: float, dphi: float) -> float:

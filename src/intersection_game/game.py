@@ -25,7 +25,7 @@ from .costs import (
     lane_errors,
     lane_keeping,
 )
-from .dynamics import DEFAULT_VEHICLE, ControlInput, VehicleParams, VehicleState, step as integrate
+from .dynamics import DEFAULT_VEHICLE, ControlInput, VehicleParams, VehicleState, sideslip, step as integrate
 from .network import Route
 
 GRAVITY = 9.81
@@ -53,7 +53,9 @@ def coalition_costs(values: Sequence[float], p: Sequence[float]) -> tuple[float,
 
 
 def allocate(values: Sequence[float], p: Sequence[float]) -> list[float]:
-    """Each member's charged share of the pooled loss; sums back to the pool."""
+    """Each member's charged share of the pooled loss: p_i * v_i, exactly
+    what `coalition_costs` pooled from it.  The shares sum back to the
+    pool, and no loss moves between members."""
     return [pi * vi for vi, pi in zip(values, p, strict=True)]
 
 
@@ -303,9 +305,17 @@ class _StepSolver:
 
     - `_candidate(i, a, d)` memoizes vehicle i's predicted state, route
       projection, course error and worst bound slack per (i, a, d);
+    - the sideslip that course error needs is computed once per distinct
+      steer (`_beta`), since every vehicle shares one model;
     - `_refresh_pred(j)` computes, once per change of j's control, what
       other vehicles read off j: its committed stop distance and its arc
-      length on each follower's route.
+      length on each follower's route;
+    - that arc length, for any candidate (a, d) of j's leader, is
+      projected once per step (`_leader_arc[j]`): `_refresh_pred` and the
+      coupling term of the leader's rankings both read it there;
+    - `_reach_row(i, a, guard)` holds, per crossing point of i, the
+      standoff `brake_reach` asks of i under acceleration a (a alone sets
+      i's predicted speed).
 
     A ranking of vehicle i reads, besides i's own candidate, only what
     `_refresh_pred` sets from the controls of `reads[i]` (i's leader and
@@ -315,7 +325,11 @@ class _StepSolver:
 
     - `_scored[i]` maps the controls of `reads[i]` to a map
       (a, d) -> (constraint residual, own cost or None if infeasible,
-      lateral_evals increment), shared by both objectives; only the
+      lateral_evals increment), shared by both objectives, and to i's
+      crossing table: per live crossing point, (s_self, t_other,
+      partner_hold), the part of each crossing check that only the
+      partner's control moves.  A candidate's residual then computes
+      just its own distance and arrival time to each point; only the
       coupling term is computed per "game" ranking;
     - `_responses` keeps each `_best_response` result with the evals and
       lateral_evals it added, so asking again against the same partner
@@ -324,24 +338,26 @@ class _StepSolver:
 
     Each shared value comes from the same call with the same arguments
     that would otherwise be repeated, so results are bit-for-bit those of
-    recomputing it.  (Memo keys compare as floats, so a control of -0.0
+    recomputing it.  Memo keys compare as floats, so a control of -0.0
     reuses the entry of 0.0; nothing read from an entry depends on the
-    sign of that zero.)  The memos live only as long as this solver, one
-    step.
+    sign of that zero.  In particular a steer of -0.0 may take the
+    sideslip 0.0 stored for a steer of 0.0: the course error then differs
+    at most in the sign of a zero, and it enters only through abs and
+    squares.  The memos live only as long as this solver, one step.
 
     The hot loop is the pair of candidate loops in `_best_response`: a
     fresh search ranks about 93 candidates, and each `_rank` that misses
     `_scored` costs one `_candidate` (RK4 and route projection), one
     `_constraint_residual` and one own loss.  So `_rank` takes the own
     loss from `blended_loss` over the `_own_terms` fields without building
-    a CostTerms, skips `_coupling` where it is zero, and the search clamps
-    with comparisons rather than min/max.  Some call sites stay as they
-    are because `perfbench/tracing.py` wraps them by name: the RK4 goes
-    through the module global `integrate(state, ControlInput(a, d), dt,
-    veh)`, projections through `Route.project`, and `crossing_risk`,
-    `efficiency`, `lane_keeping`, `following_risk`, `stop_distance`,
-    `brake_reach` and `follow_reach` are looked up as module globals at
-    each call, never bound to locals or inlined.
+    a CostTerms, skips `_coupling` where it is zero, and the search and
+    the crossing loop compare rather than call min/max.  Some call sites
+    stay as they are because `perfbench/tracing.py` wraps them by name:
+    the RK4 goes through the module global `integrate(state,
+    ControlInput(a, d), dt, veh)`, projections through `Route.project`,
+    and `crossing_risk`, `efficiency`, `lane_keeping`, `following_risk`,
+    `stop_distance`, `brake_reach` and `follow_reach` are looked up as
+    module globals at each call, never bound to locals or inlined.
     """
 
     def __init__(
@@ -402,12 +418,15 @@ class _StepSolver:
             if views[j].lv is not None:
                 self.followers[views[j].lv].append(j)
         self._cand: list[dict[tuple[float, float], tuple]] = [{} for _ in range(self.n)]
-        self._reach_lat: list[dict[tuple[float, float], float]] = [{} for _ in range(self.n)]
+        self._beta: dict[float, float] = {}  # steer -> sideslip
+        self._reach_rows: list[dict[tuple[float, float], list[float]]] = [{} for _ in range(self.n)]
         self._reach_lon: list[dict[tuple[float, float, float], float]] = [{} for _ in range(self.n)]
+        # follower j -> its leader's candidate (a, d) -> that candidate's arc length on j's route
+        self._leader_arc: list[dict[tuple[float, float], float]] = [{} for _ in range(self.n)]
         self.reads: list[tuple[int, ...]] = [
             (() if v.lv is None else (v.lv,)) + tuple(c.partner for c in v.cps) for v in views
         ]
-        self._scored: list[dict[tuple, dict[tuple[float, float], tuple]]] = [{} for _ in range(self.n)]
+        self._scored: list[dict[tuple, tuple[dict, list]]] = [{} for _ in range(self.n)]
         self._responses: dict[tuple, tuple] = {}
         self.controls: list[tuple[float, float]] = []
         for v in views:
@@ -429,7 +448,10 @@ class _StepSolver:
         if c is None:
             view = self.views[i]
             pred = integrate(view.state, ControlInput(a, d), self.dt, self.veh)
-            s_pred, dy, dphi = lane_errors(view.route, pred, d, self.veh)
+            beta = self._beta.get(d)
+            if beta is None:
+                beta = self._beta[d] = sideslip(d, self.veh)
+            s_pred, dy, dphi = lane_errors(view.route, pred, beta)
             slack = max(bound_residuals(
                 a, d, view.a_prev, pred.v_x, dy, dphi, self.dt, self.limits, self.steer_lim
             ))
@@ -443,7 +465,16 @@ class _StepSolver:
         self.pred_s[i] = s_pred
         self.hold_dist[i] = stop_distance(st.v_x, a, self.limits)
         for f in self.followers[i]:
-            self.lead_s[f] = self.views[f].route.project(st.x, st.y)[0]
+            self.lead_s[f] = self._leader_on(f, a, d, st)
+
+    def _leader_on(self, j: int, a: float, d: float, pred: VehicleState) -> float:
+        """Arc length on follower j's route of its leader's candidate (a, d),
+        whose predicted state is `pred`."""
+        memo = self._leader_arc[j]
+        s = memo.get((a, d))
+        if s is None:
+            s = memo[(a, d)] = self.views[j].route.project(pred.x, pred.y)[0]
+        return s
 
     # -- cost pieces ------------------------------------------------------
 
@@ -472,11 +503,12 @@ class _StepSolver:
                 self.lateral_evals += 1
         return v_log, v_lat, lane_keeping(dy, dphi), efficiency(gap, pred.v_x), omega_log, omega_lat, k_s, k_e
 
-    def _coupling(self, i: int, pred: VehicleState, s_pred: float) -> float:
-        """Terms of other players' losses that move with vehicle i, weighted
-        by p_i * p_j.  Constant terms are dropped; only differences matter.
-        Zero when p_i is zero or i has no dependents; `_rank` skips the
-        call then."""
+    def _coupling(self, i: int, a: float, d: float) -> float:
+        """Terms of other players' losses that move with vehicle i's
+        candidate (a, d), weighted by p_i * p_j.  Constant terms are
+        dropped; only differences matter.  Zero when p_i is zero or i has
+        no dependents; `_rank` skips the call then."""
+        pred, s_pred = self._candidate(i, a, d)[:2]
         p_i = self.p[i]
         total = 0.0
         for j in self.dependents[i]:
@@ -487,8 +519,7 @@ class _StepSolver:
             k_s, k_e = self.balance[j]
             contrib = 0.0
             if vj.lv == i:
-                s_i_on_j = vj.route.project(pred.x, pred.y)[0]
-                gap = max(s_i_on_j - self.pred_s[j], GAP_FLOOR)
+                gap = max(self._leader_on(j, a, d, pred) - self.pred_s[j], GAP_FLOOR)
                 if vj.lv_gated:
                     contrib += k_s * self.omega0 * following_risk(self.pred[j].v_x, pred.v_x, gap)
                 contrib += k_e * efficiency(gap, self.pred[j].v_x)
@@ -504,13 +535,28 @@ class _StepSolver:
 
     # -- constraints ------------------------------------------------------
 
-    def _reach_to_point(self, i: int, a: float, v_pred: float, margin: float) -> float:
-        key = (a, margin)
-        val = self._reach_lat[i].get(key)
-        if val is None:
-            val = brake_reach(v_pred, a, self.limits, margin)
-            self._reach_lat[i][key] = val
-        return val
+    def _crossing_table(self, i: int) -> list[tuple[float, float, float]]:
+        """(s_self, t_other, partner_hold) of each of vehicle i's live
+        crossing points under the partners' current controls: the part of
+        every crossing check that no candidate of i moves."""
+        table = []
+        for cp in self.views[i].cps:
+            d_other = cp.s_other - self.pred_s[cp.partner]
+            v_other = self.pred[cp.partner].v_x
+            t_other = d_other / v_other if v_other > 1e-9 else math.inf
+            table.append((cp.s_self, t_other, cp.hold_other + self.hold_dist[cp.partner] - d_other))
+        return table
+
+    def _reach_row(self, i: int, a: float, v_pred: float, guard: float) -> list[float]:
+        """Standoff each of vehicle i's crossing points must keep ahead of
+        it under acceleration a, which alone sets v_pred."""
+        key = (a, guard)
+        row = self._reach_rows[i].get(key)
+        if row is None:
+            row = self._reach_rows[i][key] = [
+                brake_reach(v_pred, a, self.limits, cp.hold_self + guard) for cp in self.views[i].cps
+            ]
+        return row
 
     def _reach_to_leader(
         self, i: int, a: float, v_pred: float, v_lead: float, ttc_floor: float, margin: float
@@ -524,24 +570,27 @@ class _StepSolver:
 
     def _constraint_residual(
         self, i: int, a: float, pred: VehicleState, s_pred: float, bound_slack: float, guard: float,
+        table: list[tuple[float, float, float]],
     ) -> float:
+        """Worst slack of vehicle i's candidate over its bounds, its leader
+        headway and its crossing points; `table` is `_crossing_table(i)`
+        under the partners' current controls."""
         view = self.views[i]
         L = self.limits
         res = bound_slack
         ttc_floor = L.ttc_min + guard
-        margin = L.stop_margin + guard
+        v = pred.v_x
         if view.lv is not None:
             gap = self.lead_s[i] - s_pred
-            need = self._reach_to_leader(i, a, pred.v_x, self.pred[view.lv].v_x, ttc_floor, margin)
+            need = self._reach_to_leader(i, a, v, self.pred[view.lv].v_x, ttc_floor, L.stop_margin + guard)
             res = max(res, need - gap)
-        for cp in view.cps:
-            d_self = cp.s_self - s_pred
+        if not table:
+            return res
+        moving = v > 1e-9
+        for (s_self, t_other, partner_hold), reach in zip(table, self._reach_row(i, a, v, guard)):
+            d_self = s_self - s_pred
             if d_self <= 0.0:
                 continue  # already past; liveness filtering retires it soon
-            d_other = cp.s_other - self.pred_s[cp.partner]
-            v_other = self.pred[cp.partner].v_x
-            t_self = d_self / pred.v_x if pred.v_x > 1e-9 else math.inf
-            t_other = d_other / v_other if v_other > 1e-9 else math.inf
             # the pair is safe while any one of three escapes stays open:
             # this vehicle can still stop short of the point, the partner
             # can (under its announced control), or both are moving with
@@ -551,29 +600,40 @@ class _StepSolver:
             # and the other is left with braking as its only branch.  The
             # partner term carries no guard: a partner holding at its own
             # guarded backoff must read as clear here.
-            if math.isinf(t_self) or math.isinf(t_other):
-                sep = math.inf  # a parked vehicle never crosses; no time claim
-            else:
-                sep = ttc_floor - abs(t_other - t_self)
-            partner_hold = cp.hold_other + self.hold_dist[cp.partner] - d_other
-            self_hold = self._reach_to_point(i, a, pred.v_x, cp.hold_self + guard) - d_self
-            res = max(res, min(self_hold, partner_hold, sep))
+            #
+            # res = max(res, min(self_hold, partner_hold, sep)), taken with
+            # comparisons; ties keep the earlier operand, as min/max do.  A
+            # parked vehicle never crosses, so it makes no time claim: sep
+            # is infinite then.  Arc lengths are bounded, so t_self is
+            # finite exactly when this vehicle moves.
+            worst = reach - d_self
+            if partner_hold < worst:
+                worst = partner_hold
+            if moving and t_other != math.inf:
+                sep = ttc_floor - abs(t_other - d_self / v)
+                if sep < worst:
+                    worst = sep
+            if worst > res:
+                res = worst
         return res
 
     # -- candidate evaluation --------------------------------------------
 
-    def _scored_for(self, i: int) -> tuple[tuple, dict[tuple[float, float], tuple]]:
-        """The controls of `reads[i]` and vehicle i's scored candidates
-        against them."""
+    def _scored_for(self, i: int) -> tuple[tuple, dict[tuple[float, float], tuple], list]:
+        """The controls of `reads[i]`, vehicle i's scored candidates against
+        them and its crossing table under them."""
         reads = tuple(self.controls[j] for j in self.reads[i])
-        return reads, self._scored[i].setdefault(reads, {})
+        context = self._scored[i].get(reads)
+        if context is None:
+            context = self._scored[i][reads] = ({}, self._crossing_table(i))
+        return reads, *context
 
-    def _rank(self, i: int, a: float, d: float, objective: str, scored: dict):
+    def _rank(self, i: int, a: float, d: float, objective: str, scored: dict, table: list):
         self.evals += 1
         entry = scored.get((a, d))
         if entry is None:
             pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)
-            residual = self._constraint_residual(i, a, pred, s_pred, slack, self.limits.ttc_guard)
+            residual = self._constraint_residual(i, a, pred, s_pred, slack, self.limits.ttc_guard, table)
             if residual > self.sp.feas_slack:
                 entry = (residual, None, 0)
             else:
@@ -591,8 +651,7 @@ class _StepSolver:
             p_i = self.p[i]
             value = (1.0 - p_i + p_i * p_i) * own
             if p_i != 0.0 and self.dependents[i]:
-                pred, s_pred = self._candidate(i, a, d)[:2]
-                value += self._coupling(i, pred, s_pred)
+                value += self._coupling(i, a, d)
         return (0.0, value, abs(a), abs(d), a, d)
 
     def _accel_box(self, i: int) -> tuple[float, float]:
@@ -621,7 +680,7 @@ class _StepSolver:
         return lo
 
     def _best_response(self, i: int, objective: str = "game") -> tuple[float, float, tuple]:
-        reads, scored = self._scored_for(i)
+        reads, scored, table = self._scored_for(i)
         asked = (i, objective, reads)
         if objective == "game":
             asked += (self.p[i], tuple((self.controls[j], self.p[j]) for j in self.dependents[i]))
@@ -653,7 +712,7 @@ class _StepSolver:
             for d in seeds_d:
                 key = memo.get((a, d))
                 if key is None:
-                    key = memo[(a, d)] = self._rank(i, a, d, objective, scored)
+                    key = memo[(a, d)] = self._rank(i, a, d, objective, scored, table)
                 if best is None or key < best[0]:
                     best = (key, a, d)
         assert best is not None
@@ -681,7 +740,7 @@ class _StepSolver:
                     continue
                 key = memo.get((na, nd))
                 if key is None:
-                    key = memo[(na, nd)] = self._rank(i, na, nd, objective, scored)
+                    key = memo[(na, nd)] = self._rank(i, na, nd, objective, scored, table)
                 cand.append((key, na, nd))
             improved = min(cand) if cand else None
             if improved is not None and improved[0] < bkey:
@@ -773,7 +832,9 @@ class _StepSolver:
             if not emergency[i]:
                 a, d = self.controls[i]
                 pred, s_pred, _, _, slack = self._candidate(i, a, d)
-                max_res = max(max_res, self._constraint_residual(i, a, pred, s_pred, slack, 0.0))
+                max_res = max(max_res, self._constraint_residual(
+                    i, a, pred, s_pred, slack, 0.0, self._crossing_table(i)
+                ))
         p = [self.p[i] for i in self.players]
         values = [terms[i].total for i in self.players]
         v_sg, kept = coalition_costs(values, p)

@@ -73,7 +73,11 @@ class Segment:
 
 @dataclass(frozen=True)
 class Arc:
-    """Circular piece; sweep is signed, positive for counter-clockwise travel."""
+    """Circular piece; sweep is signed, positive for counter-clockwise travel.
+
+    The sweep's sign and the end points are computed on first use and kept
+    like Segment's direction.
+    """
 
     cx: float
     cy: float
@@ -89,6 +93,11 @@ class Arc:
     def _sign(self) -> float:
         return 1.0 if self.sweep >= 0.0 else -1.0
 
+    @cached_property
+    def _ends(self) -> tuple[float, float, float, float]:
+        """Start and end points, (sx, sy, ex, ey)."""
+        return (*self.point_at(0.0), *self.point_at(self.length))
+
     def _theta(self, s: float) -> float:
         return self.theta0 + self._sign * s / self.radius
 
@@ -101,9 +110,6 @@ class Arc:
 
     def curvature_at(self, s: float) -> float:
         return self._sign / self.radius
-
-    def end(self) -> tuple[float, float]:
-        return self.point_at(self.length)
 
     def angle_offset(self, x: float, y: float) -> float:
         """Angular distance from theta0 to (x, y) measured in the travel
@@ -121,8 +127,7 @@ class Arc:
         if d <= abs(self.sweep):
             return self.radius * d, abs(r - self.radius)
         # off the angular span: closest endpoint wins
-        sx, sy = self.point_at(0.0)
-        ex, ey = self.end()
+        sx, sy, ex, ey = self._ends
         d0 = math.hypot(x - sx, y - sy)
         d1 = math.hypot(x - ex, y - ey)
         return (0.0, d0) if d0 <= d1 else (self.length, d1)

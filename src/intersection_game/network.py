@@ -84,24 +84,30 @@ class Route:
         i, ds = self._locate(s)
         return self.elements[i].point_at(ds)
 
-    def tangent_at(self, s: float) -> float:
-        i, ds = self._locate(s)
-        return self.elements[i].tangent_at(ds)
-
     def curvature_at(self, s: float) -> float:
         i, ds = self._locate(s)
         return self.elements[i].curvature_at(ds)
 
-    def project(self, x: float, y: float) -> tuple[float, float]:
-        """(s, lateral distance) of the closest point on the route."""
+    def project(self, x: float, y: float) -> tuple[float, float, float]:
+        """(s, lateral distance, heading) of the closest point on the route.
+
+        The heading is the tangent of the element `_locate` picks at s: at
+        a joint between two elements, the later one.
+        """
+        cum_s = self.cum_s
         best: tuple[float, float] | None = None
+        k = 0
         for i, el in enumerate(self.elements):
             s_loc, dist = el.project(x, y)
-            cand = (dist, self.cum_s[i] + s_loc)
+            cand = (dist, cum_s[i] + s_loc)
             if best is None or cand < best:
-                best = cand
+                best, k = cand, i
         assert best is not None
-        return best[1], best[0]
+        dist, s = best
+        last = len(cum_s) - 1
+        while k < last and s >= cum_s[k + 1]:
+            k += 1
+        return s, dist, self.elements[k].tangent_at(s - cum_s[k])
 
 
 @dataclass(frozen=True)
@@ -309,10 +315,10 @@ def classify_zone_role(route: Route, s: float, net: Network) -> ZoneRole:
 def lead_distance_on_route(route: Route, host_s: float, x: float, y: float, heading: float) -> float | None:
     """Arc length of a vehicle at (x, y) along `route` when it drives the same
     lane ahead of host_s; None when it is off the lane, behind, or opposing."""
-    s, dist = route.project(x, y)
+    s, dist, lane_heading = route.project(x, y)
     if dist > _LEAD_LATERAL_TOL or s <= host_s + 1e-9:
         return None
-    if abs(wrap_angle(heading - route.tangent_at(s))) > _LEAD_HEADING_TOL:
+    if abs(wrap_angle(heading - lane_heading)) > _LEAD_HEADING_TOL:
         return None
     return s
 

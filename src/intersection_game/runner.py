@@ -229,8 +229,8 @@ def initial_states(scenario: Scenario) -> tuple[list[VehicleState], list[float]]
     states: list[VehicleState] = []
     s0: list[float] = []
     for spec, route in zip(scenario.vehicles, scenario.routes):
-        s, _ = route.project(spec.x, spec.y)
-        states.append(VehicleState(v_x=spec.v, phi=route.tangent_at(s), x=spec.x, y=spec.y))
+        s, _, heading = route.project(spec.x, spec.y)
+        states.append(VehicleState(v_x=spec.v, phi=heading, x=spec.x, y=spec.y))
         s0.append(s)
     return states, s0
 

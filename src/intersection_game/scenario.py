@@ -233,7 +233,7 @@ def load_scenario(path: str | Path) -> Scenario:
         x, y, v = spec["x"], spec["y"], spec["v"]
         if not 0.0 <= v <= limits.v_max:
             raise ScenarioError(f"[{section}] v: {v} outside [0, {limits.v_max}]")
-        _, dist = route.project(x, y)
+        dist = route.project(x, y)[1]
         if dist > _CENTERLINE_TOL:
             raise ScenarioError(
                 f"[{section}] position ({x}, {y}) is {dist:.2f} m off the {route.name} centerline"

@@ -351,8 +351,8 @@ def test_criterion_7_property_suite(capsys):
         sol = solver.solve()
         for i in (0, 1):
             a_star, d_star = sol.controls[i]
-            scored = solver._scored_for(i)[1]
-            base = solver._rank(i, a_star, d_star, "game", scored)
+            _, scored, table = solver._scored_for(i)
+            base = solver._rank(i, a_star, d_star, "game", scored, table)
             assert base[0] == 0.0
             lo, hi = solver._accel_box(i)
             for da, dd in ((0.1, 0.0), (-0.1, 0.0), (0.0, 0.02), (0.0, -0.02)):
@@ -360,7 +360,7 @@ def test_criterion_7_property_suite(capsys):
                 d = min(max(d_star + dd, -solver.steer_lim), solver.steer_lim)
                 if (a, d) == (a_star, d_star):
                     continue
-                key = solver._rank(i, a, d, "game", scored)
+                key = solver._rank(i, a, d, "game", scored, table)
                 if key[0] == 0.0:
                     assert key[1] >= base[1] - SolverParams().conv_tol
 
@@ -443,8 +443,8 @@ def test_criterion_8_single_vehicle_saturates_the_speed_limit(tmp_path, capsys):
 
         def cost_of(a, d):
             pred = step(state, ControlInput(a, d), sc.dt, sc.vehicle_model)
-            s_pred, dy = route.project(pred.x, pred.y)
-            dphi = wrap_angle(pred.phi + sideslip(d, sc.vehicle_model) - route.tangent_at(s_pred))
+            s_pred, dy, heading = route.project(pred.x, pred.y)
+            dphi = wrap_angle(pred.phi + sideslip(d, sc.vehicle_model) - heading)
             if max(bound_residuals(a, d, prev.a, pred.v_x, dy, dphi, sc.dt, lim, sb)) > 1e-9:
                 return math.inf
             gap = max(min(route.total_length - s_pred, 50.0), 0.0)

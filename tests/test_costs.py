@@ -132,8 +132,8 @@ def test_lane_errors_vanish_in_steady_cornering():
     s = 40.0  # mid arc
     delta = math.atan(r.curvature_at(s) * DEFAULT_VEHICLE.wheelbase)
     x, y = r.point_at(s)
-    phi = r.tangent_at(s) - sideslip(delta)
-    s_back, dy, dphi = lane_errors(r, VehicleState(5.0, phi, x, y), delta)
+    phi = r.project(x, y)[2] - sideslip(delta)
+    s_back, dy, dphi = lane_errors(r, VehicleState(5.0, phi, x, y), sideslip(delta))
     assert s_back == pytest.approx(s, abs=1e-9)
     assert dy == pytest.approx(0.0, abs=1e-9)
     assert dphi == pytest.approx(0.0, abs=1e-9)

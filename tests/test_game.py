@@ -268,8 +268,8 @@ def test_single_vehicle_matches_exhaustive_grid():
         for idg in range(-32, 33):
             d = sb * idg / 32.0
             pred = step(view.state, ControlInput(a, d), 0.1)
-            s_pred, dy = view.route.project(pred.x, pred.y)
-            dphi = wrap_angle(pred.phi + sideslip(d) - view.route.tangent_at(s_pred))
+            s_pred, dy, heading = view.route.project(pred.x, pred.y)
+            dphi = wrap_angle(pred.phi + sideslip(d) - heading)
             if max(bound_residuals(a, d, 0.0, pred.v_x, dy, dphi, 0.1, L, sb)) > 1e-9:
                 continue
             gap = max(min(view.route.total_length - s_pred, 50.0), 0.0)
@@ -312,8 +312,8 @@ def test_solved_controls_are_best_responses():
     sol = solver.solve()
     for i in (0, 1):
         a_star, d_star = sol.controls[i]
-        scored = solver._scored_for(i)[1]
-        base = solver._rank(i, a_star, d_star, "game", scored)
+        _, scored, table = solver._scored_for(i)
+        base = solver._rank(i, a_star, d_star, "game", scored, table)
         assert base[0] == 0.0
         lo, hi = solver._accel_box(i)
         for da, dd in (
@@ -323,7 +323,7 @@ def test_solved_controls_are_best_responses():
             d = min(max(d_star + dd, -solver.steer_lim), solver.steer_lim)
             if (a, d) == (a_star, d_star):
                 continue
-            key = solver._rank(i, a, d, "game", scored)
+            key = solver._rank(i, a, d, "game", scored, table)
             if key[0] == 0.0:
                 assert key[1] >= base[1] - SolverParams().conv_tol
 
@@ -504,18 +504,135 @@ def test_game_rank_key_is_the_pooled_objective_bit_for_bit(case):
     solver = _StepSolver(views, 0.1, L, SolverParams(), 10.0, DEFAULT_VEHICLE, True)
     assert (solver.p[i] == 0.0) == (case == 0)
     assert bool(solver.dependents[i]) == (case != 1)
-    scored = solver._scored_for(i)[1]
+    _, scored, table = solver._scored_for(i)
     lo, hi = solver._accel_box(i)
     feasible = 0
     for a in (lo, 0.5 * (lo + hi), hi):
         for d in (-0.02, 0.0, 0.01):
-            key = solver._rank(i, a, d, "game", scored)
+            key = solver._rank(i, a, d, "game", scored, table)
             if key[0] != 0.0:
                 continue
             feasible += 1
             pred, s_pred, dy, dphi, _ = solver._candidate(i, a, d)
             own = blended_loss(*solver._own_terms(i, pred, s_pred, dy, dphi))
             p_i = solver.p[i]
-            want = (1.0 - p_i + p_i * p_i) * own + solver._coupling(i, pred, s_pred)
+            want = (1.0 - p_i + p_i * p_i) * own + solver._coupling(i, a, d)
             assert key == (0.0, want, abs(a), abs(d), a, d)
     assert feasible > 0
+
+
+def _old_constraint_residual(solver, i, a, pred, s_pred, bound_slack, guard):
+    """The per-point loop the crossing table and reach rows replaced,
+    with the standoffs taken straight from brake_reach."""
+    view = solver.views[i]
+    lim = solver.limits
+    res = bound_slack
+    ttc_floor = lim.ttc_min + guard
+    margin = lim.stop_margin + guard
+    if view.lv is not None:
+        gap = solver.lead_s[i] - s_pred
+        need = follow_reach(pred.v_x, a, solver.pred[view.lv].v_x, lim, ttc_floor, margin)
+        res = max(res, need - gap)
+    for cp in view.cps:
+        d_self = cp.s_self - s_pred
+        if d_self <= 0.0:
+            continue
+        d_other = cp.s_other - solver.pred_s[cp.partner]
+        v_other = solver.pred[cp.partner].v_x
+        t_self = d_self / pred.v_x if pred.v_x > 1e-9 else math.inf
+        t_other = d_other / v_other if v_other > 1e-9 else math.inf
+        if math.isinf(t_self) or math.isinf(t_other):
+            sep = math.inf
+        else:
+            sep = ttc_floor - abs(t_other - t_self)
+        partner_hold = cp.hold_other + solver.hold_dist[cp.partner] - d_other
+        self_hold = brake_reach(pred.v_x, a, lim, cp.hold_self + guard) - d_self
+        res = max(res, min(self_hold, partner_hold, sep))
+    return res
+
+
+_PARTNER_ROUTES = (("M2", "straight", "outer"), ("M4", "left", "inner"), ("M3", "straight", "inner"))
+_speed = st.one_of(st.just(0.0), st.floats(0.0, 8.0))
+_partner = st.tuples(
+    _speed,  # speed
+    st.floats(-8.0, 8.0),  # control acceleration; braking from rest keeps the partner stopped
+    st.floats(5.0, 40.0),  # arc length
+    st.floats(-2.0, 25.0),  # crossing point ahead of it (behind when negative)
+    st.floats(2.0, 6.0),  # hold_other
+)
+_point = st.tuples(
+    st.one_of(st.floats(-3.0, 30.0), st.just("at_pred")),  # host's distance to the point
+    st.floats(2.0, 6.0),  # hold_self
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    v_host=_speed,
+    a_prev=st.floats(-1.0, 1.0),
+    leader=st.one_of(st.none(), st.tuples(_speed, st.floats(6.0, 30.0))),
+    partners=st.lists(_partner, min_size=1, max_size=3),
+    points=st.lists(_point, min_size=3, max_size=3),
+    candidates=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-0.1, 0.1)), min_size=1, max_size=4),
+    guards=st.permutations([L.ttc_guard, 0.0]),
+)
+@example(
+    v_host=0.0, a_prev=-0.2, leader=None, partners=[(0.0, -1.0, 20.0, 8.0, 3.5)],
+    points=[(5.0, 3.5), (-1.0, 3.5), ("at_pred", 3.5)], candidates=[(-0.2, 0.0)], guards=[L.ttc_guard, 0.0],
+)
+def test_table_residual_equals_the_per_point_loop_bit_for_bit(
+    v_host, a_prev, leader, partners, points, candidates, guards
+):
+    """`_constraint_residual` over a crossing table and reach rows equals
+    the old per-point loop exactly (float hex strings, so signed zeros
+    count), for both guards, stopped partners (t_other = inf), stopped
+    hosts and points the candidate reached or passed (d_self <= 0).  All
+    candidates of one example, each under both guards, share one solver,
+    so the reach rows and the table are reused across them."""
+    host_route = route_for(NET, "M1", "straight", "outer")
+    s_host = 20.0
+    host_state = VehicleState(v_host, 0.0, *host_route.point_at(s_host))
+    partner_views = []
+    for k, (v, a_j, s_j, ahead, hold_other) in enumerate(partners):
+        route = route_for(NET, *_PARTNER_ROUTES[k])
+        x, y = route.point_at(s_j)
+        state = VehicleState(v, route.project(x, y)[2], x, y)
+        partner_views.append(PlayerView(
+            route=route, state=state, s=s_j, kappa=0.0, p=1.0, a_prev=a_j, delta_prev=0.0,
+            player=False, coast=(a_j, 0.0),
+        ))
+    lv = None
+    if leader is not None:
+        v_lead, gap = leader
+        x, y = host_route.point_at(s_host + gap)
+        lv = 1 + len(partners)
+        lead_view = PlayerView(
+            route=host_route, state=VehicleState(v_lead, 0.0, x, y), s=s_host + gap, kappa=0.0, p=1.0,
+            a_prev=0.0, delta_prev=0.0, player=False, coast=(0.0, 0.0),
+        )
+    # the host's points cycle over the partners; "at_pred" puts a point
+    # exactly where the first candidate ends up
+    a0, d0 = candidates[0]
+    first = step(host_state, ControlInput(a0, d0), 0.1)
+    s_first = host_route.project(first.x, first.y)[0]
+    cps = []
+    for m, (dist, hold_self) in enumerate(points):
+        k = m % len(partners)
+        s_self = s_first if dist == "at_pred" else s_host + dist
+        cps.append(CpRef(1 + k, s_self, partners[k][2] + partners[k][3], True, hold_self, partners[k][4]))
+    host = PlayerView(
+        route=host_route, state=host_state, s=s_host, kappa=0.0, p=1.0, a_prev=a_prev, delta_prev=0.0,
+        player=True, coast=(0.0, 0.0), lv=lv, lv_gated=lv is not None, cps=tuple(cps),
+    )
+    views = [host, *partner_views] + ([lead_view] if leader is not None else [])
+    solver = _StepSolver(views, 0.1, L, SolverParams(), 10.0, DEFAULT_VEHICLE, True)
+    table = solver._crossing_table(0)
+    assert any(math.isinf(t_other) for _, t_other, _ in table) == any(
+        solver.pred[cp.partner].v_x <= 1e-9 for cp in cps
+    )
+    for a, d in candidates:
+        pred, s_pred, _, _, slack = solver._candidate(0, a, d)
+        for guard in guards:
+            got = solver._constraint_residual(0, a, pred, s_pred, slack, guard, table)
+            want = _old_constraint_residual(solver, 0, a, pred, s_pred, slack, guard)
+            assert got.hex() == want.hex(), (a, d, guard)

@@ -65,13 +65,13 @@ def test_arc_parameterization():
     arc = Arc(0.0, 0.0, 2.0, 0.0, math.pi / 2.0)
     assert arc.length == pytest.approx(math.pi)
     assert arc.point_at(0.0) == pytest.approx((2.0, 0.0))
-    assert arc.end() == pytest.approx((0.0, 2.0))
+    assert arc.point_at(arc.length) == pytest.approx((0.0, 2.0))
     assert arc.tangent_at(0.0) == pytest.approx(math.pi / 2.0)
     assert arc.curvature_at(1.0) == pytest.approx(0.5)
 
     cw = Arc(0.0, 0.0, 2.0, math.pi / 2.0, -math.pi / 2.0)
     assert cw.curvature_at(0.0) == pytest.approx(-0.5)
-    assert cw.end() == pytest.approx((2.0, 0.0), abs=1e-12)
+    assert cw.point_at(cw.length) == pytest.approx((2.0, 0.0), abs=1e-12)
 
 
 def test_arc_project_on_and_off_span():

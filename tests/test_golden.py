@@ -1,6 +1,6 @@
 """Golden outputs: every shipped scenario, run in its configured mode,
-reproduces the committed runs/ files byte for byte, and the 8-vehicle
-dense layout reproduces a recorded digest.
+reproduces the committed runs/ files byte for byte, and the 8- and
+16-vehicle dense layouts of seed 1 reproduce recorded digests.
 
 timing.json holds wall times and is the one emitted file left out.
 """
@@ -32,8 +32,11 @@ def test_shipped_scenario_reproduces_committed_outputs(cfg, tmp_path):
 
 
 # sha256 over (name, bytes) of each emitted file but timing.json, in name
-# order, of `perfbench/dense.py` layout dense_n8 at seed 1
-DENSE_N8_SEED1_SHA256 = "49bd047ce63375f739af4883b286337ad9bd94429370c1b5976aef8c563142f9"
+# order, of `perfbench/dense.py` layouts at seed 1, keyed by vehicles per arm
+DENSE_SEED1_SHA256 = {
+    2: "49bd047ce63375f739af4883b286337ad9bd94429370c1b5976aef8c563142f9",  # dense_n8
+    4: "db252dd3517ca8e308e5206e2b87d302a884406b99c768d9fe7b576444006fc0",  # dense_n16
+}
 
 
 def _digest(out: Path) -> str:
@@ -44,19 +47,21 @@ def _digest(out: Path) -> str:
     return h.hexdigest()
 
 
-def test_dense_layout_reproduces_recorded_digest(tmp_path):
+@pytest.mark.parametrize("per_arm", sorted(DENSE_SEED1_SHA256), ids=["n8", "n16"])
+def test_dense_layout_reproduces_recorded_digest(per_arm, tmp_path):
     """The shipped scenarios have no in-lane queues, resets or fallbacks;
-    this layout has all three, so the solver paths they take are pinned
-    byte for byte too."""
+    these layouts have all three, so the solver paths they take are pinned
+    byte for byte too.  The 16-vehicle one has the most live crossing
+    points per vehicle."""
     spec = importlib.util.spec_from_file_location("dense", ROOT / "perfbench" / "dense.py")
     dense = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(dense)
-    cfg = tmp_path / "dense_n8.cfg"
-    cfg.write_text(dense.layout(2, 1), encoding="utf-8")
+    cfg = tmp_path / f"dense_n{4 * per_arm}.cfg"
+    cfg.write_text(dense.layout(per_arm, 1), encoding="utf-8")
     res = run(load_scenario(cfg))
     rows = [r for step_rows in res.rows for r in step_rows]
     assert any(r.lv is not None for r in rows)
     assert any(r.reset for r in rows)
     assert any(r.fallback for r in rows)
     emit(res, tmp_path / "out")
-    assert _digest(tmp_path / "out") == DENSE_N8_SEED1_SHA256
+    assert _digest(tmp_path / "out") == DENSE_SEED1_SHA256[per_arm]

@@ -27,6 +27,11 @@ ROUTES = {
 }
 
 
+def heading_at(route, s):
+    """Route heading at the point s along it, as `Route.project` reports it."""
+    return route.project(*route.point_at(s))[2]
+
+
 def test_build_network_rejects_bad_offsets():
     with pytest.raises(ValueError):
         build_network(10.0, 6.0, 2.0)
@@ -50,7 +55,7 @@ def test_published_start_positions_lie_on_centerlines():
         ((-15.0, -6.0), ROUTES["M1-outer-straight"]),
         ((6.0, -20.0), ROUTES["M2-outer-right"]),
     ):
-        _, dist = route.project(*pos)
+        dist = route.project(*pos)[1]
         assert dist == pytest.approx(0.0, abs=1e-9)
 
 
@@ -69,7 +74,7 @@ def test_straight_route_runs_through_aligned_arm():
     # constant heading, no curvature anywhere
     for s in (0.0, 40.0, 79.0, r.total_length):
         assert r.curvature_at(s) == 0.0
-        assert r.tangent_at(s) == pytest.approx(0.0)
+        assert heading_at(r, s) == pytest.approx(0.0)
     # leaves eastward on the outer outbound lane of M3's arm
     assert r.point_at(r.total_length) == pytest.approx((40.0, -6.0))
 
@@ -81,8 +86,8 @@ def test_left_turn_arc_geometry():
     # radius forced by tangency to both inner lanes
     assert arc.radius == pytest.approx(NET.cz_half_width + NET.lane_offset_inner)
     # heading turns a quarter to the left overall
-    assert r.tangent_at(0.0) == pytest.approx(0.0)
-    assert r.tangent_at(r.total_length) == pytest.approx(0.5 * math.pi)
+    assert heading_at(r, 0.0) == pytest.approx(0.0)
+    assert heading_at(r, r.total_length) == pytest.approx(0.5 * math.pi)
     # and leaves northward on the inner outbound lane of M4's arm
     assert r.point_at(r.total_length) == pytest.approx((2.0, 40.0))
 
@@ -93,8 +98,55 @@ def test_right_turn_uses_configured_radius():
     assert arc.radius == pytest.approx(NET.right_turn_radius)
     assert abs(arc.sweep) == pytest.approx(0.5 * math.pi)
     # leaves eastward on the outer outbound lane of M3's arm
-    assert r.tangent_at(r.total_length) == pytest.approx(0.0)
+    assert heading_at(r, r.total_length) == pytest.approx(0.0)
     assert r.point_at(r.total_length) == pytest.approx((40.0, -6.0))
+
+
+def _old_tangent_at(route, s):
+    """The heading lookup `Route.project` replaced: `_locate` picks the
+    last element starting at or before s, then its tangent at the offset."""
+    s = min(max(s, 0.0), route.total_length)
+    for i in range(len(route.elements) - 1, -1, -1):
+        if s >= route.cum_s[i]:
+            return route.elements[i].tangent_at(s - route.cum_s[i])
+    return route.elements[0].tangent_at(0.0)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        NET,
+        build_network(cz_half_width=12.0, lane_offset_inner=1.7, right_turn_radius=7.3),
+        build_network(
+            cz_half_width=7.0, lane_offset_inner=0.9, lane_offset_outer=4.1, approach_length=22.0, exit_length=41.0
+        ),
+    ],
+    ids=["default", "wide", "narrow"],
+)
+def test_project_heading_equals_locate_then_tangent_bit_for_bit(net):
+    """The heading `Route.project` returns is the tangent `_locate` would
+    look up at the returned s, compared with ==, on points along, beside,
+    before and past all 16 routes, and exactly at every element joint."""
+    routes = [route_for(net, arm, maneuver, lane) for arm in ARM_NAMES for lane, maneuver in LANE_MANEUVERS]
+    assert len(routes) == 16
+    checked = 0
+    for r in routes:
+        arc_lengths = [k * r.total_length / 97.0 for k in range(98)] + list(r.cum_s)
+        arc_lengths += [c + e for c in r.cum_s[1:] for e in (-1e-12, 1e-12, -1e-7, 1e-7)]
+        points = [r.point_at(s) for s in arc_lengths]
+        # the joints as the elements themselves end and start
+        for el, nxt in zip(r.elements, r.elements[1:]):
+            points += [el.point_at(el.length), nxt.point_at(0.0)]
+        for x, y in list(points):
+            points += [(x + 0.7, y - 0.4), (x - 1.3, y + 0.9)]
+        x0, y0 = r.point_at(0.0)
+        x1, y1 = r.point_at(r.total_length)
+        points += [(x0 - 5.0, y0 - 5.0), (x1 + 5.0, y1 + 5.0)]
+        for x, y in points:
+            s, _, heading = r.project(x, y)
+            assert heading == _old_tangent_at(r, s), (r.name, x, y, s)
+            checked += 1
+    assert checked > 16 * 300
 
 
 def test_route_for_rejects_bad_input():
@@ -217,9 +269,9 @@ def test_case3_pairwise_conflict_topology():
 
 def test_zone_role_examples():
     r = ROUTES["M1-inner-left"]
-    s, _ = r.project(-18.0, -2.0)
+    s = r.project(-18.0, -2.0)[0]
     assert classify_zone_role(r, s, NET) is ZoneRole.RV
-    s_mid, _ = r.project(0.0, 0.0)
+    s_mid = r.project(0.0, 0.0)[0]
     assert classify_zone_role(r, s_mid, NET) is ZoneRole.PV
     assert classify_zone_role(r, r.s_cz_exit + NET.ov_exit_margin + 25.0, NET) is ZoneRole.OV
 
@@ -240,14 +292,14 @@ def test_lead_vehicle_detection():
     r = ROUTES["M2-inner-straight"]
     host_s = 20.0
     x, y = r.point_at(28.0)
-    assert lead_distance_on_route(r, host_s, x, y, r.tangent_at(28.0)) == pytest.approx(28.0)
+    assert lead_distance_on_route(r, host_s, x, y, heading_at(r, 28.0)) == pytest.approx(28.0)
     # behind the host
     bx, by = r.point_at(12.0)
-    assert lead_distance_on_route(r, host_s, bx, by, r.tangent_at(12.0)) is None
+    assert lead_distance_on_route(r, host_s, bx, by, heading_at(r, 12.0)) is None
     # off the lane
-    assert lead_distance_on_route(r, host_s, x + 3.0, y, r.tangent_at(28.0)) is None
+    assert lead_distance_on_route(r, host_s, x + 3.0, y, heading_at(r, 28.0)) is None
     # opposing traffic on the same line
-    assert lead_distance_on_route(r, host_s, x, y, r.tangent_at(28.0) + math.pi) is None
+    assert lead_distance_on_route(r, host_s, x, y, heading_at(r, 28.0) + math.pi) is None
 
 
 def test_route_for_deterministic():

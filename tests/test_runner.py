@@ -218,7 +218,8 @@ def scenario_of(tmp_path, *routes):
 
 def place(sc, s):
     """Vehicles at arc lengths s along their routes, on the tangent, at 5 m/s."""
-    return [VehicleState(5.0, r.tangent_at(si), *r.point_at(si)) for r, si in zip(sc.routes, s)]
+    points = [r.point_at(si) for r, si in zip(sc.routes, s)]
+    return [VehicleState(5.0, r.project(*xy)[2], *xy) for r, xy in zip(sc.routes, points)]
 
 
 def views_at(sc, s, risk_gating=True):
