@@ -549,13 +549,19 @@ class _StepSolver:
 
     def _reach_row(self, i: int, a: float, v_pred: float, guard: float) -> list[float]:
         """Standoff each of vehicle i's crossing points must keep ahead of
-        it under acceleration a, which alone sets v_pred."""
+        it under acceleration a, which alone sets v_pred; points with the
+        same backoff share one `brake_reach`."""
         key = (a, guard)
         row = self._reach_rows[i].get(key)
         if row is None:
-            row = self._reach_rows[i][key] = [
-                brake_reach(v_pred, a, self.limits, cp.hold_self + guard) for cp in self.views[i].cps
-            ]
+            by_margin: dict[float, float] = {}
+            row = self._reach_rows[i][key] = []
+            for cp in self.views[i].cps:
+                margin = cp.hold_self + guard
+                reach = by_margin.get(margin)
+                if reach is None:
+                    reach = by_margin[margin] = brake_reach(v_pred, a, self.limits, margin)
+                row.append(reach)
         return row
 
     def _reach_to_leader(
