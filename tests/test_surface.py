@@ -44,8 +44,8 @@ def test_every_definition_is_used_by_the_package():
 
     Matching is by bare name, so the check is coarse: a method passes when
     any attribute of that name is loaded anywhere in the package, whatever
-    its owner (a method `end` on any class would pass because
-    `Arc.project` loads `.end`)."""
+    its owner (a method `point_at` on any class would pass because
+    `Route.point_at` loads `.point_at`)."""
     defined, loaded = _defined_and_loaded()
     unused = []
     for qualname, definition in defined:
