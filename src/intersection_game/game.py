@@ -39,24 +39,23 @@ def participation(kappa: float) -> float:
     return math.exp(-math.pi * kappa * kappa)
 
 
-def coalition_costs(values: Sequence[float], p: Sequence[float]) -> tuple[float, list[float]]:
-    """Split each member's loss into a pooled share and a kept share.
+def coalition_costs(values: Sequence[float], p: Sequence[float]) -> tuple[float, list[float], list[float]]:
+    """(pool, shares, kept): split each member's loss into a pooled share
+    and a kept share.
 
-    The pool collects p_i of member i's loss; the remainder stays private.
+    The pool collects the share p_i * v_i of member i's loss; the
+    remainder stays private.  Each member is charged back exactly the
+    share it pooled, so no loss moves between members.
     """
     pooled = 0.0
+    shares = []
     kept = []
     for vi, pi in zip(values, p, strict=True):
-        pooled += pi * vi
+        share = pi * vi
+        pooled += share
+        shares.append(share)
         kept.append((1.0 - pi) * vi)
-    return pooled, kept
-
-
-def allocate(values: Sequence[float], p: Sequence[float]) -> list[float]:
-    """Each member's charged share of the pooled loss: p_i * v_i, exactly
-    what `coalition_costs` pooled from it.  The shares sum back to the
-    pool, and no loss moves between members."""
-    return [pi * vi for vi, pi in zip(values, p, strict=True)]
+    return pooled, shares, kept
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,6 @@ class StepSolution:
     sweeps: int
     evals: int
     lateral_evals: int
-    feasible: list[bool]
     emergency: list[bool]
     reset: list[bool]
     max_constraint_residual: float
@@ -313,28 +311,33 @@ class _StepSolver:
     - that arc length, for any candidate (a, d) of j's leader, is
       projected once per step (`_leader_arc[j]`): `_refresh_pred` and the
       coupling term of the leader's rankings both read it there;
-    - `_reach_row(i, a, guard)` holds, per crossing point of i, the
-      standoff `brake_reach` asks of i under acceleration a (a alone sets
-      i's predicted speed).
+    - `_reach_row(i, a, v_pred, guard)` holds, per crossing point of i,
+      the standoff `brake_reach` asks of i under acceleration a (a alone
+      sets i's predicted speed v_pred).  The points, in order, and their
+      backoffs come from `runner.crossing_index`, built once per run.
 
     A ranking of vehicle i reads, besides i's own candidate, only what
     `_refresh_pred` sets from the controls of `reads[i]` (i's leader and
-    every live crossing partner); the "game" objective also reads p[i]
-    and the controls and p of `dependents[i]`.  So two more memos key on
-    exactly those:
+    every live crossing partner), and the share p_i of its loss that i
+    pools.  At p_i = 0 the ranking is i's own loss: the move of a player
+    outside the coalition and the lone move the rationality check compares
+    against are one and the same search.  At p_i != 0 it also reads the
+    controls and p of `dependents[i]`.  So two more memos key on exactly
+    those:
 
     - `_scored[i]` maps the controls of `reads[i]` to a map
       (a, d) -> (constraint residual, own cost or None if infeasible,
-      lateral_evals increment), shared by both objectives, and to i's
-      crossing table: per live crossing point, (s_self, t_other,
-      partner_hold), the part of each crossing check that only the
-      partner's control moves.  A candidate's residual then computes
-      just its own distance and arrival time to each point; only the
-      coupling term is computed per "game" ranking;
+      lateral_evals increment), shared by every p_i, and to i's crossing
+      table: per live crossing point, (s_self, t_other, partner_hold), the
+      part of each crossing check that only the partner's control moves.
+      A candidate's residual then computes just its own distance and
+      arrival time to each point; only the coupling term is computed per
+      ranking, and only at p_i != 0;
     - `_responses` keeps each `_best_response` result with the evals and
       lateral_evals it added, so asking again against the same partner
       controls (a converged sweep, a re-sweep, the second rationality
-      check) replays the counts instead of searching.
+      check, the lone move of a player already at p_i = 0) replays the
+      counts instead of searching.
 
     Each shared value comes from the same call with the same arguments
     that would otherwise be repeated, so results are bit-for-bit those of
@@ -549,19 +552,13 @@ class _StepSolver:
 
     def _reach_row(self, i: int, a: float, v_pred: float, guard: float) -> list[float]:
         """Standoff each of vehicle i's crossing points must keep ahead of
-        it under acceleration a, which alone sets v_pred; points with the
-        same backoff share one `brake_reach`."""
+        it under acceleration a, which alone sets v_pred."""
         key = (a, guard)
         row = self._reach_rows[i].get(key)
         if row is None:
-            by_margin: dict[float, float] = {}
-            row = self._reach_rows[i][key] = []
-            for cp in self.views[i].cps:
-                margin = cp.hold_self + guard
-                reach = by_margin.get(margin)
-                if reach is None:
-                    reach = by_margin[margin] = brake_reach(v_pred, a, self.limits, margin)
-                row.append(reach)
+            row = self._reach_rows[i][key] = [
+                brake_reach(v_pred, a, self.limits, cp.hold_self + guard) for cp in self.views[i].cps
+            ]
         return row
 
     def _reach_to_leader(
@@ -634,7 +631,7 @@ class _StepSolver:
             context = self._scored[i][reads] = ({}, self._crossing_table(i))
         return reads, *context
 
-    def _rank(self, i: int, a: float, d: float, objective: str, scored: dict, table: list):
+    def _rank(self, i: int, a: float, d: float, p_i: float, scored: dict, table: list):
         self.evals += 1
         entry = scored.get((a, d))
         if entry is None:
@@ -652,12 +649,9 @@ class _StepSolver:
         residual, own, _ = entry
         if own is None:
             return (1.0, residual, abs(a), abs(d), a, d)
-        value = own
-        if objective == "game":
-            p_i = self.p[i]
-            value = (1.0 - p_i + p_i * p_i) * own
-            if p_i != 0.0 and self.dependents[i]:
-                value += self._coupling(i, a, d)
+        value = (1.0 - p_i + p_i * p_i) * own
+        if p_i != 0.0 and self.dependents[i]:
+            value += self._coupling(i, a, d)
         return (0.0, value, abs(a), abs(d), a, d)
 
     def _accel_box(self, i: int) -> tuple[float, float]:
@@ -685,11 +679,13 @@ class _StepSolver:
                 lo = mid
         return lo
 
-    def _best_response(self, i: int, objective: str = "game") -> tuple[float, float, tuple]:
+    def _best_response(self, i: int, p_i: float) -> tuple[float, float, tuple]:
+        """Vehicle i's best control against the current partner controls
+        when it pools the share p_i of its loss; p_i = 0 is its lone move."""
         reads, scored, table = self._scored_for(i)
-        asked = (i, objective, reads)
-        if objective == "game":
-            asked += (self.p[i], tuple((self.controls[j], self.p[j]) for j in self.dependents[i]))
+        asked = (i, p_i, reads)
+        if p_i != 0.0:
+            asked += (tuple((self.controls[j], self.p[j]) for j in self.dependents[i]),)
         seen = self._responses.get(asked)
         if seen is not None:
             ba, bd, bkey, evals, lateral = seen
@@ -718,7 +714,7 @@ class _StepSolver:
             for d in seeds_d:
                 key = memo.get((a, d))
                 if key is None:
-                    key = memo[(a, d)] = self._rank(i, a, d, objective, scored, table)
+                    key = memo[(a, d)] = self._rank(i, a, d, p_i, scored, table)
                 if best is None or key < best[0]:
                     best = (key, a, d)
         assert best is not None
@@ -746,7 +742,7 @@ class _StepSolver:
                     continue
                 key = memo.get((na, nd))
                 if key is None:
-                    key = memo[(na, nd)] = self._rank(i, na, nd, objective, scored, table)
+                    key = memo[(na, nd)] = self._rank(i, na, nd, p_i, scored, table)
                 cand.append((key, na, nd))
             improved = min(cand) if cand else None
             if improved is not None and improved[0] < bkey:
@@ -766,7 +762,7 @@ class _StepSolver:
             self.sweeps += 1
             worst = 0.0
             for i in self.players:
-                a, d, key = self._best_response(i)
+                a, d, key = self._best_response(i, self.p[i])
                 feasible[i] = key[0] == 0.0
                 worst = max(worst, abs(a - self.controls[i][0]), abs(d - self.controls[i][1]))
                 self.controls[i] = (a, d)
@@ -782,16 +778,16 @@ class _StepSolver:
 
         bad = [i for i in self.players if not feasible[i]]
         if bad:
-            feasible = self._resweep(bad, reset, emergency)
+            self._resweep(bad, reset, emergency)
 
         rational, solo = self._rationality()
         if self.allow_reset and not all(rational):
-            feasible = self._resweep([i for i in self.players if not rational[i]], reset, emergency)
+            self._resweep([i for i in self.players if not rational[i]], reset, emergency)
             rational, solo = self._rationality()
 
-        return self._bookkeeping(feasible, emergency, reset, rational, solo)
+        return self._bookkeeping(emergency, reset, rational, solo)
 
-    def _resweep(self, leaving: list[int], reset: list[bool], emergency: list[bool]) -> list[bool]:
+    def _resweep(self, leaving: list[int], reset: list[bool], emergency: list[bool]) -> None:
         """Take `leaving` out of the coalition and sweep again; a player
         still infeasible afterwards falls back to full braking on its
         tracking steer.  The sweep moves every player, so one braked by an
@@ -806,16 +802,20 @@ class _StepSolver:
             if emergency[i]:
                 self.controls[i] = (-self.limits.a_max, self.views[i].coast[1])
                 self._refresh_pred(i)
-        return feasible
 
     def _rationality(self) -> tuple[list[bool], list[float]]:
-        """Compare each member's allocated loss against going it alone."""
+        """Member i is rational when p_i * (v_i - v_lone) <= rationality_tol:
+        v_i is its own loss at the step's controls, v_lone that of its lone
+        move, the best response at p_i = 0 against the same partner
+        controls.  A member at p_i = 0 is rational by definition, and one
+        with no feasible lone move has nothing to compare against.  Returns
+        the flags and each player's v_lone, 0.0 where none was compared."""
         rational = [True] * self.n
         solo_v = [0.0] * self.n
         for i in self.players:
             if self.p[i] == 0.0:
                 continue
-            key = self._best_response(i, objective="solo")[2]
+            key = self._best_response(i, 0.0)[2]
             if key[0] != 0.0:
                 continue  # no feasible lone move; nothing to compare against
             solo_v[i] = key[1]
@@ -827,7 +827,7 @@ class _StepSolver:
         pred, s_pred, dy, dphi, _ = self._candidate(i, *self.controls[i])
         return CostTerms(*self._own_terms(i, pred, s_pred, dy, dphi))
 
-    def _bookkeeping(self, feasible, emergency, reset, rational, solo) -> StepSolution:
+    def _bookkeeping(self, emergency, reset, rational, solo) -> StepSolution:
         n = self.n
         terms: list[CostTerms | None] = [None] * n
         j_value: list[float | None] = [None] * n
@@ -838,13 +838,12 @@ class _StepSolver:
             if not emergency[i]:
                 a, d = self.controls[i]
                 pred, s_pred, _, _, slack = self._candidate(i, a, d)
-                max_res = max(max_res, self._constraint_residual(
-                    i, a, pred, s_pred, slack, 0.0, self._crossing_table(i)
-                ))
+                table = self._scored_for(i)[2]
+                max_res = max(max_res, self._constraint_residual(i, a, pred, s_pred, slack, 0.0, table))
         p = [self.p[i] for i in self.players]
         values = [terms[i].total for i in self.players]
-        v_sg, kept = coalition_costs(values, p)
-        for i, p_i, share, own in zip(self.players, p, allocate(values, p), kept):
+        v_sg, shares, kept = coalition_costs(values, p)
+        for i, p_i, share, own in zip(self.players, p, shares, kept):
             h_alloc[i] = share
             j_value[i] = p_i * v_sg + own
         group = v_sg - coalition_costs([solo[i] for i in self.players], p)[0]
@@ -860,7 +859,6 @@ class _StepSolver:
             sweeps=self.sweeps,
             evals=self.evals,
             lateral_evals=self.lateral_evals,
-            feasible=feasible,
             emergency=emergency,
             reset=reset,
             max_constraint_residual=max_res,

@@ -42,7 +42,6 @@ class VehicleRow:
     terms: CostTerms | None
     j_value: float | None
     h_alloc: float
-    feasible: bool
     fallback: bool
     reset: bool
 
@@ -107,23 +106,27 @@ def _hold_margin(route_a, route_b, s_a: float, s_b: float, clearance: float) -> 
     return m
 
 
-def pair_holds(
+def crossing_index(
     scenario: Scenario, conflicts: dict[tuple[int, int], list[Conflict]]
-) -> dict[tuple[int, int, int], tuple[float, float]]:
-    """Per-side standstill backoffs of every point conflict, keyed by
-    (route a, route b, index in the pair's conflict list)."""
+) -> list[list[tuple]]:
+    """Every point conflict of each vehicle, as seen from that vehicle:
+    (s_self, partner, s_other, x, y, hold_self, hold_other), sorted by
+    (s_self, partner, s_other).  The holds are the per-side standstill
+    backoffs of `_hold_margin`."""
     routes = scenario.routes
     margin = scenario.limits.stop_margin
-    holds: dict[tuple[int, int, int], tuple[float, float]] = {}
+    index: list[list[tuple]] = [[] for _ in routes]
     for (ia, ib), cps in conflicts.items():
-        for k, c in enumerate(cps):
+        for c in cps:
             if c.kind == "following":
                 continue
-            holds[(ia, ib, k)] = (
-                _hold_margin(routes[ia], routes[ib], c.s_a, c.s_b, margin),
-                _hold_margin(routes[ib], routes[ia], c.s_b, c.s_a, margin),
-            )
-    return holds
+            ha = _hold_margin(routes[ia], routes[ib], c.s_a, c.s_b, margin)
+            hb = _hold_margin(routes[ib], routes[ia], c.s_b, c.s_a, margin)
+            index[ia].append((c.s_a, ib, c.s_b, c.x, c.y, ha, hb))
+            index[ib].append((c.s_b, ia, c.s_a, c.x, c.y, hb, ha))
+    for points in index:
+        points.sort(key=lambda e: e[:3])
+    return index
 
 
 def _coast_accel(a_prev: float, jerk_max: float, dt: float) -> float:
@@ -141,18 +144,16 @@ def build_views(
     d_prev: list[float],
     roles: list[ZoneRole],
     p0: list[float],
-    conflicts: dict[tuple[int, int], list[Conflict]],
-    holds: dict[tuple[int, int, int], tuple[float, float]],
+    index: list[list[tuple]],
     risk_gating: bool = True,
 ) -> list[PlayerView]:
     """What each vehicle sees at the start of a step: its nearest leader on
     its own lane and the crossing points it has not yet cleared, each
     gated on when a risk field strictly exceeds the threshold there.
 
-    `conflicts` and `holds` come from pair_conflicts and pair_holds;
-    `roles`, `p0` and the per-vehicle lists are index-aligned with the
-    scenario's vehicles.  A vehicle that has cleared the zone (OV) is no
-    player and sees nothing.
+    `index` comes from crossing_index; `roles`, `p0` and the per-vehicle
+    lists are index-aligned with the scenario's vehicles.  A vehicle that
+    has cleared the zone (OV) is no player and sees nothing.
     """
     routes = scenario.routes
     veh = scenario.vehicle_model
@@ -195,31 +196,14 @@ def build_views(
 
         # crossing/merging points not yet cleared by both vehicles;
         # constraints see every live point, costs only gated ones
-        live: list[tuple[float, int, float, CpRef]] = []
-        for (ia, ib), cps in conflicts.items():
-            if i == ia:
-                j = ib
-            elif i == ib:
-                j = ia
-            else:
+        cps = []
+        for s_self, j, s_other, x, y, h_self, h_other in index[i]:
+            if s_now[i] >= s_self + _PASS_MARGIN or s_now[j] >= s_other + _PASS_MARGIN:
                 continue
-            for m, c in enumerate(cps):
-                if c.kind == "following":
-                    continue
-                s_self, s_other = (c.s_a, c.s_b) if i == ia else (c.s_b, c.s_a)
-                if s_now[i] >= s_self + _PASS_MARGIN or s_now[j] >= s_other + _PASS_MARGIN:
-                    continue
-                gated = (
-                    not risk_gating
-                    or fields[i].value(c.x, c.y) > fp.threshold
-                    or fields[j].value(c.x, c.y) > fp.threshold
-                )
-                ha, hb = holds[(ia, ib, m)]
-                h_self, h_other = (ha, hb) if i == ia else (hb, ha)
-                live.append((s_self, j, s_other, CpRef(j, s_self, s_other, gated, h_self, h_other)))
-        live.sort(key=lambda e: (e[0], e[1], e[2]))
+            gated = not risk_gating or fields[i].value(x, y) > fp.threshold or fields[j].value(x, y) > fp.threshold
+            cps.append(CpRef(j, s_self, s_other, gated, h_self, h_other))
         views.append(
-            PlayerView(p=p0[i], player=True, lv=lv, lv_gated=lv_gated, cps=tuple(e[3] for e in live), **common)
+            PlayerView(p=p0[i], player=True, lv=lv, lv_gated=lv_gated, cps=tuple(cps), **common)
         )
     return views
 
@@ -258,7 +242,7 @@ def run(
     allow_reset = mode == "fuzzy" and force_participation is None
 
     conflicts = pair_conflicts(scenario)
-    holds = pair_holds(scenario, conflicts)
+    index = crossing_index(scenario, conflicts)
     states, s_now = initial_states(scenario)
     a_prev = [0.0] * n
     d_prev = [0.0] * n
@@ -283,7 +267,7 @@ def run(
         if all(r is ZoneRole.OV for r in roles):
             break
 
-        views = build_views(scenario, states, s_now, a_prev, d_prev, roles, p0, conflicts, holds, risk_gating)
+        views = build_views(scenario, states, s_now, a_prev, d_prev, roles, p0, index, risk_gating)
 
         t0 = time.perf_counter()
         sol: StepSolution = solve_step(
@@ -316,7 +300,6 @@ def run(
                     terms=sol.terms[i],
                     j_value=sol.j_value[i],
                     h_alloc=sol.h_alloc[i],
-                    feasible=sol.feasible[i],
                     fallback=sol.emergency[i],
                     reset=sol.reset[i],
                 )
@@ -518,7 +501,7 @@ def emit(result: SimResult, out_dir: str | Path, field_raster: bool = False) -> 
                         t.omega_log if t else 0.0, t.omega_lat if t else 0.0, r.p,
                         t.v_log if t else None, t.v_lat if t else None,
                         t.v_lk if t else None, t.v_e if t else None,
-                        t.total if t else None, r.j_value, r.h_alloc, r.feasible, r.fallback, r.reset,
+                        t.total if t else None, r.j_value, r.h_alloc, not r.fallback, r.fallback, r.reset,
                     )
                 )
             )

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .dynamics import VehicleParams
 from .game import Limits, SolverParams
-from .network import MANEUVERS, Network, Route, build_network, route_for
+from .network import LANES, MANEUVERS, Network, Route, build_network, route_for
 from .risk import FieldParams
 
 MODES = ("fuzzy", "noncoop", "grand")
@@ -77,7 +77,7 @@ _PARAMS: dict[str, dict[str, tuple]] = {
 _VEHICLE: dict[str, tuple] = {
     "road": (str,),
     "maneuver": (str, MANEUVERS),
-    "lane": (str,),
+    "lane": (str, LANES),
     "x": (float,),
     "y": (float,),
     "v": (float,),
@@ -227,7 +227,7 @@ def load_scenario(path: str | Path) -> Scenario:
             if key != "lane" and key not in spec:
                 raise ScenarioError(f"[{section}] missing required key {key!r}")
         try:
-            route = route_for(network, spec["road"], spec["maneuver"], spec.get("lane") or None)
+            route = route_for(network, spec["road"], spec["maneuver"], spec.get("lane"))
         except (KeyError, ValueError) as exc:
             raise ScenarioError(f"[{section}] {exc}") from exc
         x, y, v = spec["x"], spec["y"], spec["v"]

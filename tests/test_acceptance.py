@@ -32,7 +32,6 @@ from intersection_game.game import (
     PlayerView,
     SolverParams,
     _StepSolver,
-    allocate,
     bound_residuals,
     coalition_costs,
     participation,
@@ -168,13 +167,13 @@ def test_criterion_1_unit_examples(capsys):
         assert box <= lim.delta_max
 
         # pooled-loss split and the blended objective
-        pooled, kept = coalition_costs((2.0, 4.0), (0.5, 0.25))
+        pooled, _, kept = coalition_costs((2.0, 4.0), (0.5, 0.25))
         close(pooled, 2.0)
         close(kept[0], 1.0)
         close(kept[1], 3.0)
         close(coalition_costs((2.0, 4.0), (0.0, 0.0))[0], 0.0)
         close(coalition_costs((2.0, 4.0), (1.0, 1.0))[0], 6.0)
-        alloc = allocate((2.0, 4.0), (0.5, 0.5))
+        alloc = coalition_costs((2.0, 4.0), (0.5, 0.5))[1]
         close(alloc[0], 1.0)
         close(alloc[1], 2.0)
         close(CostTerms(0.0, 0.0, 2.0, 4.0, 0.0, 0.0, 0.5, 0.5).total, 3.0)
@@ -352,7 +351,7 @@ def test_criterion_7_property_suite(capsys):
         for i in (0, 1):
             a_star, d_star = sol.controls[i]
             _, scored, table = solver._scored_for(i)
-            base = solver._rank(i, a_star, d_star, "game", scored, table)
+            base = solver._rank(i, a_star, d_star, solver.p[i], scored, table)
             assert base[0] == 0.0
             lo, hi = solver._accel_box(i)
             for da, dd in ((0.1, 0.0), (-0.1, 0.0), (0.0, 0.02), (0.0, -0.02)):
@@ -360,7 +359,7 @@ def test_criterion_7_property_suite(capsys):
                 d = min(max(d_star + dd, -solver.steer_lim), solver.steer_lim)
                 if (a, d) == (a_star, d_star):
                     continue
-                key = solver._rank(i, a, d, "game", scored, table)
+                key = solver._rank(i, a, d, solver.p[i], scored, table)
                 if key[0] == 0.0:
                     assert key[1] >= base[1] - SolverParams().conv_tol
 

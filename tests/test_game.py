@@ -24,7 +24,6 @@ from intersection_game.game import (
     PlayerView,
     SolverParams,
     _StepSolver,
-    allocate,
     bound_residuals,
     brake_reach,
     closing_ttc,
@@ -59,14 +58,17 @@ def test_participation_rejects_out_of_range():
 
 
 def test_coalition_costs_splits():
-    pooled, kept = coalition_costs((2.0, 4.0), (0.5, 0.25))
+    pooled, shares, kept = coalition_costs((2.0, 4.0), (0.5, 0.25))
     assert pooled == pytest.approx(2.0)
+    assert shares == pytest.approx([1.0, 1.0])
     assert kept == pytest.approx([1.0, 3.0])
-    pooled, kept = coalition_costs((2.0, 4.0), (0.0, 0.0))
+    pooled, shares, kept = coalition_costs((2.0, 4.0), (0.0, 0.0))
     assert pooled == 0.0
+    assert shares == [0.0, 0.0]
     assert kept == [2.0, 4.0]
-    pooled, kept = coalition_costs((2.0, 4.0), (1.0, 1.0))
+    pooled, shares, kept = coalition_costs((2.0, 4.0), (1.0, 1.0))
     assert pooled == pytest.approx(6.0)
+    assert shares == [2.0, 4.0]
     assert kept == [0.0, 0.0]
 
 
@@ -76,7 +78,8 @@ def test_coalition_costs_rejects_length_mismatch():
 
 
 def test_allocate_example():
-    assert allocate((2.0, 4.0), (0.5, 0.5)) == pytest.approx([1.0, 2.0])
+    """Each member is charged back exactly the share it pooled."""
+    assert coalition_costs((2.0, 4.0), (0.5, 0.5))[1] == pytest.approx([1.0, 2.0])
 
 
 @given(
@@ -90,8 +93,10 @@ def test_allocation_sums_to_pool(values, data):
             min_size=len(values), max_size=len(values),
         )
     )
-    pooled, _ = coalition_costs(values, p)
-    assert sum(allocate(values, p)) == pytest.approx(pooled, abs=1e-9)
+    pooled, shares, kept = coalition_costs(values, p)
+    assert sum(shares) == pytest.approx(pooled, abs=1e-9)
+    for vi, share, own in zip(values, shares, kept):
+        assert share + own == pytest.approx(vi, abs=1e-9)
 
 
 def test_sideslip_bound_and_steer_box():
@@ -252,7 +257,7 @@ def test_single_vehicle_accelerates_straight():
     # jerk slew allows 0.2 at most and the headway cost rewards speed
     assert a == pytest.approx(0.2, abs=1e-9)
     assert d == pytest.approx(0.0, abs=1e-9)
-    assert sol.feasible[0] and not sol.emergency[0] and not sol.reset[0]
+    assert not sol.emergency[0] and not sol.reset[0]
     assert sol.rational[0]
     assert sol.max_constraint_residual <= 1e-6
 
@@ -299,7 +304,6 @@ def _crossing_views():
 
 def test_crossing_pair_solves_cleanly():
     sol = solve_step(_crossing_views(), 0.1)
-    assert sol.feasible == [True, True]
     assert sol.emergency == [False, False]
     assert sol.max_constraint_residual <= 1e-6
     assert sol.sweeps <= SolverParams().max_sweeps
@@ -313,7 +317,7 @@ def test_solved_controls_are_best_responses():
     for i in (0, 1):
         a_star, d_star = sol.controls[i]
         _, scored, table = solver._scored_for(i)
-        base = solver._rank(i, a_star, d_star, "game", scored, table)
+        base = solver._rank(i, a_star, d_star, solver.p[i], scored, table)
         assert base[0] == 0.0
         lo, hi = solver._accel_box(i)
         for da, dd in (
@@ -323,7 +327,7 @@ def test_solved_controls_are_best_responses():
             d = min(max(d_star + dd, -solver.steer_lim), solver.steer_lim)
             if (a, d) == (a_star, d_star):
                 continue
-            key = solver._rank(i, a, d, "game", scored, table)
+            key = solver._rank(i, a, d, solver.p[i], scored, table)
             if key[0] == 0.0:
                 assert key[1] >= base[1] - SolverParams().conv_tol
 
@@ -343,15 +347,15 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
 
     monkeypatch.setattr(solver, "_rank", counting_rank)
 
-    def ask(s, i, objective):
+    def ask(s, i, p_i):
         evals, lateral, n = s.evals, s.lateral_evals, ranked[0]
-        answer = s._best_response(i, objective)
+        answer = s._best_response(i, p_i)
         return answer, s.evals - evals, s.lateral_evals - lateral, ranked[0] - n
 
     for i in (0, 1):
-        for objective in ("game", "solo"):
-            first = ask(solver, i, objective)
-            again = ask(solver, i, objective)
+        for p_i in (solver.p[i], 0.0):
+            first = ask(solver, i, p_i)
+            again = ask(solver, i, p_i)
             assert again[3] == 0
             assert again[:3] == first[:3]
             assert first[1] > 0
@@ -365,11 +369,11 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
         fresh.controls = list(solver.controls)
         for j in range(fresh.n):
             fresh._refresh_pred(j)
-        for objective in ("game", "solo"):
-            moved = ask(solver, i, objective)
+        for p_i in (solver.p[i], 0.0):
+            moved = ask(solver, i, p_i)
             assert moved[3] > 0
             evals, lateral = fresh.evals, fresh.lateral_evals
-            assert moved[0] == fresh._best_response(i, objective)
+            assert moved[0] == fresh._best_response(i, p_i)
             assert moved[1:3] == (fresh.evals - evals, fresh.lateral_evals - lateral)
 
 
@@ -396,7 +400,6 @@ def test_blocked_vehicle_falls_back_to_full_braking():
         coast=(0.0, 0.0),
     )
     sol = solve_step([host, parked], 0.1)
-    assert sol.feasible[0] is False
     assert sol.reset[0] is True
     assert sol.emergency[0] is True
     assert sol.controls[0] == (-L.a_max, 0.0)
@@ -509,7 +512,7 @@ def test_game_rank_key_is_the_pooled_objective_bit_for_bit(case):
     feasible = 0
     for a in (lo, 0.5 * (lo + hi), hi):
         for d in (-0.02, 0.0, 0.01):
-            key = solver._rank(i, a, d, "game", scored, table)
+            key = solver._rank(i, a, d, solver.p[i], scored, table)
             if key[0] != 0.0:
                 continue
             feasible += 1

@@ -1,6 +1,7 @@
 """Golden outputs: every shipped scenario, run in its configured mode,
-reproduces the committed runs/ files byte for byte, and the 8- and
-16-vehicle dense layouts of seed 1 reproduce recorded digests.
+reproduces the committed runs/ files byte for byte; case2 and case3 under
+noncoop and grand, and the 8- and 16-vehicle dense layouts of seed 1,
+reproduce recorded digests.
 
 timing.json holds wall times and is the one emitted file left out.
 """
@@ -65,3 +66,21 @@ def test_dense_layout_reproduces_recorded_digest(per_arm, tmp_path):
     assert any(r.fallback for r in rows)
     emit(res, tmp_path / "out")
     assert _digest(tmp_path / "out") == DENSE_SEED1_SHA256[per_arm]
+
+
+# the same digest of case2 and case3 run in the modes that runs/ does not hold
+MODE_SHA256 = {
+    ("case2", "noncoop"): "88601741d1f6af7003ed5e73dcedc8195e3830e4ea93ce818d71dd0ac27dfd50",
+    ("case2", "grand"): "f398c400494efe9e5082e036463843f767e3d17d3be6f1f7fbabb82f7e8f5738",
+    ("case3", "noncoop"): "78476b4b4df9784778a36ccabad1911a8d5c2f04678c3c88090a553528327c29",
+    ("case3", "grand"): "2edbc5bf4cfd8987c6d4c68f5cf19b0d8b45f1d8a9f5d2d7dedb52dea9a290ea",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(MODE_SHA256), ids=[f"{n}_{m}" for n, m in sorted(MODE_SHA256)])
+def test_shipped_scenario_in_other_modes_reproduces_recorded_digest(name, mode, tmp_path):
+    """noncoop plays every vehicle at p = 0 and grand at p = 1; neither
+    resets a player for irrationality, so both take solver paths that the
+    fuzzy runs do not."""
+    emit(run(load_scenario(ROOT / "scenarios" / f"{name}.cfg"), mode=mode), tmp_path)
+    assert _digest(tmp_path) == MODE_SHA256[(name, mode)]

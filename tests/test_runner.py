@@ -19,10 +19,10 @@ from intersection_game.runner import (
     STEP_COLUMNS,
     TRACE_COLUMNS,
     build_views,
+    crossing_index,
     emit,
     metrics,
     pair_conflicts,
-    pair_holds,
     run,
     timing,
 )
@@ -225,10 +225,9 @@ def place(sc, s):
 def views_at(sc, s, risk_gating=True):
     n = len(s)
     roles = [classify_zone_role(r, si, sc.network) for r, si in zip(sc.routes, s)]
-    conflicts = pair_conflicts(sc)
     return build_views(
         sc, place(sc, s), list(s), [0.0] * n, [0.0] * n, roles, [1.0] * n,
-        conflicts, pair_holds(sc, conflicts), risk_gating,
+        crossing_index(sc, pair_conflicts(sc)), risk_gating,
     )
 
 

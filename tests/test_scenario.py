@@ -138,6 +138,11 @@ def test_rejects_left_turn_from_outer_lane(tmp_path):
     reject(tmp_path, bad, "left turns run from the inner lane")
 
 
+def test_rejects_empty_lane(tmp_path):
+    """An empty lane is a typo, not a request for the maneuver's default lane."""
+    reject(tmp_path, MINIMAL.replace("lane = outer", "lane ="), "[vehicle.V1] lane: '' not one of")
+
+
 def test_rejects_vehicleless_file(tmp_path):
     reject(tmp_path, "[scenario]\nversion = 1\n", "no [vehicle.*] sections")
 

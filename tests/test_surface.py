@@ -1,5 +1,6 @@
 """The package surface: every name the package defines is used by the package,
-and every dataclass field it declares is read."""
+every name a module imports is used by it, and every dataclass field it
+declares is read."""
 
 import ast
 from pathlib import Path
@@ -85,6 +86,27 @@ def test_every_dataclass_field_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     assert [qualname for qualname, name in _dataclass_fields() if name not in read] == []
+
+
+def test_every_import_is_used():
+    """A name a module imports is loaded in that module, or, in __init__.py,
+    exported through __all__; a deletion leaves no import behind."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                imported.extend((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused.extend(f"{path.stem}.{name}" for name in imported if name not in used)
+    assert unused == []
 
 
 def test_package_root_exports_the_entry_points():
