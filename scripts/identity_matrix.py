@@ -2,7 +2,8 @@
 
 The matrix is 32 run directories:
 
-- every shipped scenario in each mode (fuzzy, noncoop, grand);
+- every shipped scenario in each mode (fuzzy, noncoop, grand), the fuzzy
+  runs with `field_raster.csv`, so the risk field's values are checked too;
 - case1_A and case3 with risk gating off;
 - the three `perfbench/dense.py` layouts of seeds 1 and 3, the only inputs
   with in-lane queues, resets and emergency fallbacks.
@@ -42,21 +43,21 @@ def main(argv=None):
     ap.add_argument("--out", type=Path, required=True, help="directory to write the run directories into")
     args = ap.parse_args(argv)
 
-    jobs = []  # (output directory name, scenario path, run keywords)
+    jobs = []  # (output directory name, scenario path, run keywords, write the field raster)
     shipped = sorted((ROOT / "scenarios").glob("*.cfg"))
     for path in shipped:
         for mode in MODES:
-            jobs.append((f"{path.stem}_{mode}", path, {"mode": mode}))
+            jobs.append((f"{path.stem}_{mode}", path, {"mode": mode}, mode == "fuzzy"))
     for name in UNGATED:
-        jobs.append((f"{name}_ungated", ROOT / "scenarios" / f"{name}.cfg", {"risk_gating": False}))
+        jobs.append((f"{name}_ungated", ROOT / "scenarios" / f"{name}.cfg", {"risk_gating": False}, False))
     dense = _dense_module()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in DENSE_SEEDS:
             for path in dense.write_layouts(seed, Path(tmp) / f"seed{seed}"):
-                jobs.append((f"{path.stem}_seed{seed}", path, {}))
-        for name, path, kwargs in jobs:
+                jobs.append((f"{path.stem}_seed{seed}", path, {}, False))
+        for name, path, kwargs, raster in jobs:
             out = args.out / name
-            emit(run(load_scenario(path), **kwargs), out)
+            emit(run(load_scenario(path), **kwargs), out, field_raster=raster)
             print(out)
     return 0
 

@@ -55,25 +55,6 @@ def path_curvature(delta_f: float, params: VehicleParams = DEFAULT_VEHICLE) -> f
     return math.tan(delta_f) / params.wheelbase
 
 
-def rear_axle_and_turn_center(
-    state: VehicleState, delta_f: float, params: VehicleParams = DEFAULT_VEHICLE
-) -> tuple[tuple[float, float], tuple[float, float] | None]:
-    """Rear-axle point and the turn-center point, None center when driving straight.
-
-    The center is the rear-axle point displaced by 1/curvature along
-    (sin(phi), -cos(phi)); callers that need the center on the side the
-    yaw rate actually turns toward must mirror it (see risk.build_field).
-    """
-    gx = state.x - params.l_r * math.cos(state.phi)
-    gy = state.y - params.l_r * math.sin(state.phi)
-    rho = path_curvature(delta_f, params)
-    if abs(rho) < 1e-9:
-        return (gx, gy), None
-    cx = gx + math.sin(state.phi) / rho
-    cy = gy - math.cos(state.phi) / rho
-    return (gx, gy), (cx, cy)
-
-
 def step(
     state: VehicleState, u: ControlInput, dt: float, params: VehicleParams = DEFAULT_VEHICLE
 ) -> VehicleState:

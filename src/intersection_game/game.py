@@ -30,6 +30,12 @@ from .network import Route
 
 GRAVITY = 9.81
 GAP_FLOOR = 0.01  # clamp for degenerate gaps during candidate evaluation
+# numerics of the cyclic best response, not model parameters
+MAX_SWEEPS = 20  # sweeps per solve before the step is taken as is
+CONV_TOL = 1e-3  # a sweep that moves no control by this much ends the solve
+FEAS_SLACK = 1e-9  # largest constraint residual a candidate may keep
+RATIONALITY_TOL = 1e-6  # pooled loss a member may give up against its lone move
+TTC_GUARD = 0.05  # enforcement slack so recorded residuals stay negative
 
 
 def participation(kappa: float) -> float:
@@ -71,7 +77,6 @@ class Limits:
     lane_dev_max: float = 0.2
     course_dev_max: float = math.radians(2.0)
     stop_margin: float = 3.5  # standstill clearance kept from any hazard point
-    ttc_guard: float = 0.05  # enforcement slack so recorded residuals stay negative
 
     def beta_max(self) -> float:
         return math.atan(0.02 * self.mu * GRAVITY)
@@ -81,14 +86,6 @@ class Limits:
         whichever binds first."""
         via_beta = math.atan(math.tan(self.beta_max()) * veh.wheelbase / veh.l_r)
         return min(self.delta_max, via_beta)
-
-
-@dataclass(frozen=True)
-class SolverParams:
-    max_sweeps: int = 20
-    conv_tol: float = 1e-3
-    feas_slack: float = 1e-9
-    rationality_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,8 +99,8 @@ class CpRef:
     # along-route backoffs that keep a stopped vehicle clear of the other
     # path; computed from the crossing geometry, so shallow merges get a
     # longer one than right-angle crossings
-    hold_self: float = 3.5
-    hold_other: float = 3.5
+    hold_self: float
+    hold_other: float
 
 
 @dataclass(frozen=True)
@@ -368,7 +365,6 @@ class _StepSolver:
         views: list[PlayerView],
         dt: float,
         limits: Limits,
-        sp: SolverParams,
         omega0: float,
         veh: VehicleParams,
         allow_reset: bool,
@@ -376,7 +372,6 @@ class _StepSolver:
         self.views = views
         self.dt = dt
         self.limits = limits
-        self.sp = sp
         self.omega0 = omega0
         self.veh = veh
         self.allow_reset = allow_reset
@@ -636,8 +631,8 @@ class _StepSolver:
         entry = scored.get((a, d))
         if entry is None:
             pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)
-            residual = self._constraint_residual(i, a, pred, s_pred, slack, self.limits.ttc_guard, table)
-            if residual > self.sp.feas_slack:
+            residual = self._constraint_residual(i, a, pred, s_pred, slack, TTC_GUARD, table)
+            if residual > FEAS_SLACK:
                 entry = (residual, None, 0)
             else:
                 lateral = self.lateral_evals
@@ -758,7 +753,7 @@ class _StepSolver:
 
     def _sweep_loop(self) -> list[bool]:
         feasible = [True] * self.n
-        for _ in range(self.sp.max_sweeps):
+        for _ in range(MAX_SWEEPS):
             self.sweeps += 1
             worst = 0.0
             for i in self.players:
@@ -767,7 +762,7 @@ class _StepSolver:
                 worst = max(worst, abs(a - self.controls[i][0]), abs(d - self.controls[i][1]))
                 self.controls[i] = (a, d)
                 self._refresh_pred(i)
-            if worst < self.sp.conv_tol:
+            if worst < CONV_TOL:
                 break
         return feasible
 
@@ -804,7 +799,7 @@ class _StepSolver:
                 self._refresh_pred(i)
 
     def _rationality(self) -> tuple[list[bool], list[float]]:
-        """Member i is rational when p_i * (v_i - v_lone) <= rationality_tol:
+        """Member i is rational when p_i * (v_i - v_lone) <= RATIONALITY_TOL:
         v_i is its own loss at the step's controls, v_lone that of its lone
         move, the best response at p_i = 0 against the same partner
         controls.  A member at p_i = 0 is rational by definition, and one
@@ -820,7 +815,7 @@ class _StepSolver:
                 continue  # no feasible lone move; nothing to compare against
             solo_v[i] = key[1]
             v_here = self._final_terms(i).total
-            rational[i] = self.p[i] * (v_here - solo_v[i]) <= self.sp.rationality_tol
+            rational[i] = self.p[i] * (v_here - solo_v[i]) <= RATIONALITY_TOL
         return rational, solo_v
 
     def _final_terms(self, i: int) -> CostTerms:
@@ -869,10 +864,9 @@ def solve_step(
     views: list[PlayerView],
     dt: float,
     limits: Limits = Limits(),
-    sp: SolverParams = SolverParams(),
     omega0: float = 10.0,
     veh: VehicleParams = DEFAULT_VEHICLE,
     allow_reset: bool = True,
 ) -> StepSolution:
-    solver = _StepSolver(views, dt, limits, sp, omega0, veh, allow_reset)
+    solver = _StepSolver(views, dt, limits, omega0, veh, allow_reset)
     return solver.solve()

@@ -237,10 +237,11 @@ def collinear_same_direction(a: Segment, b: Segment) -> bool:
 
 
 def segment_overlap(a: Segment, b: Segment) -> tuple[float, float] | None:
-    """Overlap of two collinear same-direction segments.
+    """Overlap of two segments, if they are collinear and point the same way.
 
-    Returns (s_on_a, s_on_b) of the overlap start, or None.  The overlap
-    start is the later of the two segment starts along the shared line.
+    Returns (s_on_a, s_on_b) of the overlap start, or None when they are
+    not so aligned or do not overlap.  The overlap start is the later of
+    the two segment starts along the shared line.
     """
     if not collinear_same_direction(a, b):
         return None

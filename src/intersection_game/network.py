@@ -18,7 +18,6 @@ from .geometry import (
     Arc,
     Element,
     Segment,
-    collinear_same_direction,
     element_crossings,
     segment_overlap,
     wrap_angle,
@@ -283,7 +282,7 @@ def conflict_points(a: Route, b: Route) -> list[Conflict]:
         if not isinstance(ea, Segment):
             continue
         for j, eb in enumerate(b.elements):
-            if not isinstance(eb, Segment) or not collinear_same_direction(ea, eb):
+            if not isinstance(eb, Segment):
                 continue
             ov = segment_overlap(ea, eb)
             if ov is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import DEFAULT_VEHICLE, VehicleParams, VehicleState, path_curvature, rear_axle_and_turn_center
+from .dynamics import DEFAULT_VEHICLE, VehicleParams, VehicleState, path_curvature
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,17 @@ def build_field(
     """Field snapshot for a vehicle at `state` holding steering `delta_f`."""
     if not -1.0 <= kappa <= 1.0:
         raise ValueError(f"aggressiveness {kappa} outside [-1, 1]")
-    (gx, gy), raw_center = rear_axle_and_turn_center(state, delta_f, veh)
+    gx = state.x - veh.l_r * math.cos(state.phi)
+    gy = state.y - veh.l_r * math.sin(state.phi)
     rho = path_curvature(delta_f, veh)
-    if raw_center is None:
+    if abs(rho) < 1e-9:
         rho = 0.0
         cx, cy = gx, gy
     else:
-        # the model equations displace the center away from the side the
-        # yaw rate sweeps toward; reflect it through the rear axle
-        cx, cy = 2.0 * gx - raw_center[0], 2.0 * gy - raw_center[1]
+        # the center sits 1/rho from the rear axle on the side the yaw
+        # rate turns toward: left of the heading for a left steer
+        cx = gx - math.sin(state.phi) / rho
+        cy = gy + math.cos(state.phi) / rho
     return GaussianField(
         gx=gx,
         gy=gy,

@@ -274,7 +274,6 @@ def run(
             views,
             dt,
             limits=limits,
-            sp=scenario.solver,
             omega0=fp.omega0,
             veh=veh,
             allow_reset=allow_reset,

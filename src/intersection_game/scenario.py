@@ -1,6 +1,6 @@
-"""Scenario files: INI sections for the network, solver knobs, and one
-section per vehicle.  Parsing is strict; unknown sections or keys are
-errors so a typo cannot silently fall back to a default.
+"""Scenario files: INI sections for the network and model parameters,
+and one section per vehicle.  Parsing is strict; unknown sections or keys
+are errors so a typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from math import isfinite, radians
 from pathlib import Path
 
 from .dynamics import VehicleParams
-from .game import Limits, SolverParams
+from .game import Limits
 from .network import LANES, MANEUVERS, Network, Route, build_network, route_for
 from .risk import FieldParams
 
@@ -59,13 +59,6 @@ _PARAMS: dict[str, dict[str, tuple]] = {
         "lane_dev_max": (float, "positive"),
         "course_dev_max_deg": (float, "positive"),
         "stop_margin": (float, "nonnegative", "at most 100"),
-        "ttc_guard": (float, "nonnegative"),
-    },
-    "solver": {
-        "max_sweeps": (int, "at least 1"),
-        "conv_tol": (float, "positive"),
-        "feas_slack": (float, "nonnegative"),
-        "rationality_tol": (float, "nonnegative"),
     },
     "vehicle_model": {
         "l_f": (float, "positive"),
@@ -96,7 +89,6 @@ _VEHICLE: dict[str, tuple] = {
 _DOMAINS = {
     "positive": lambda v: v > 0.0,
     "nonnegative": lambda v: v >= 0.0,
-    "at least 1": lambda v: v >= 1,
     "at least 0.1": lambda v: v >= 0.1,
     "at least 0.001": lambda v: v >= 0.001,
     "at most 1": lambda v: v <= 1.0,
@@ -133,18 +125,16 @@ class Scenario:
     network: Network
     field: FieldParams
     limits: Limits
-    solver: SolverParams
     vehicle_model: VehicleParams
     vehicles: tuple[VehicleSpec, ...]
     routes: tuple[Route, ...]  # index-aligned with vehicles
 
 
-def _number(section: str, key: str, raw: str, kind: type) -> float:
+def _number(section: str, key: str, raw: str) -> float:
     try:
-        value = kind(raw)
+        value = float(raw)
     except ValueError as exc:
-        noun = "a number" if kind is float else "an integer"
-        raise ScenarioError(f"[{section}] {key}: not {noun}: {raw!r}") from exc
+        raise ScenarioError(f"[{section}] {key}: not a number: {raw!r}") from exc
     if not isfinite(value):
         raise ScenarioError(f"[{section}] {key}: not a finite number: {raw!r}")
     return value
@@ -170,7 +160,7 @@ def _read(cp, section: str, table: dict[str, tuple]) -> dict:
                 raise ScenarioError(f"[{section}] {key}: {raw!r} not one of {rule[0]}")
             kwargs[key] = raw
             continue
-        value = _number(section, key, raw, kind)
+        value = _number(section, key, raw)
         for domain in rule:
             _require(section, key, value, domain)
         if key.endswith("_deg"):
@@ -249,7 +239,6 @@ def load_scenario(path: str | Path) -> Scenario:
         network=network,
         field=FieldParams(**given["field"]),
         limits=limits,
-        solver=SolverParams(**given["solver"]),
         vehicle_model=VehicleParams(**given["vehicle_model"]),
         vehicles=tuple(vehicles),
         routes=tuple(routes),

@@ -21,16 +21,15 @@ from intersection_game.dynamics import (
     ControlInput,
     VehicleState,
     path_curvature,
-    rear_axle_and_turn_center,
     sideslip,
     step,
 )
 from intersection_game.game import (
+    CONV_TOL,
     CostTerms,
     CpRef,
     Limits,
     PlayerView,
-    SolverParams,
     _StepSolver,
     bound_residuals,
     coalition_costs,
@@ -83,15 +82,15 @@ def test_criterion_1_unit_examples(capsys):
         close(path_curvature(math.radians(30.0)), 0.20619652471058064)
         close(path_curvature(-0.3), -path_curvature(0.3))
 
-        # rear axle and turn center
-        (gx, gy), center = rear_axle_and_turn_center(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0)
-        close(gx, -1.4)
-        close(gy, 0.0)
-        assert center is None
+        # rear axle and turn center of the risk field's ridge
+        straight = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, 0.0)
+        close(straight.gx, -1.4)
+        close(straight.gy, 0.0)
+        assert straight.curvature == 0.0
         delta = math.atan(0.2 * DEFAULT_VEHICLE.wheelbase)
-        (gx, gy), center = rear_axle_and_turn_center(VehicleState(5.0, 0.0, 0.0, 0.0), delta)
-        close(center[0], gx)
-        close(center[1], gy - 5.0)
+        turning = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), delta, 0.0)
+        close(turning.cx, turning.gx)
+        close(turning.cy, turning.gy + 5.0)
 
         # ridge amplitude and spread of a field 5 m/s over a 3 s horizon
         ahead = VehicleState(5.0, 0.0, 0.0, 0.0)
@@ -344,7 +343,7 @@ def test_criterion_7_property_suite(capsys):
 
         # solved controls are local best responses for both players
         solver = _StepSolver(
-            _toy_crossing_views(), 0.1, Limits(), SolverParams(), 10.0,
+            _toy_crossing_views(), 0.1, Limits(), 10.0,
             DEFAULT_VEHICLE, True,
         )
         sol = solver.solve()
@@ -361,7 +360,7 @@ def test_criterion_7_property_suite(capsys):
                     continue
                 key = solver._rank(i, a, d, solver.p[i], scored, table)
                 if key[0] == 0.0:
-                    assert key[1] >= base[1] - SolverParams().conv_tol
+                    assert key[1] >= base[1] - CONV_TOL
 
         # identical inputs emit identical bytes
         sc = load_scenario(SCENARIOS / "case1_A.cfg")
@@ -388,12 +387,12 @@ def _toy_crossing_views():
     va = PlayerView(
         route=ra, state=VehicleState(5.0, 0.0, *ra.point_at(26.0)), s=26.0,
         kappa=0.0, p=1.0, a_prev=0.0, delta_prev=0.0, player=True, coast=(0.0, 0.0),
-        cps=(CpRef(partner=1, s_self=46.0, s_other=34.0, gated=True),),
+        cps=(CpRef(partner=1, s_self=46.0, s_other=34.0, gated=True, hold_self=3.5, hold_other=3.5),),
     )
     vb = PlayerView(
         route=rb, state=VehicleState(4.0, 0.5 * math.pi, *rb.point_at(20.0)), s=20.0,
         kappa=0.0, p=1.0, a_prev=0.0, delta_prev=0.0, player=True, coast=(0.0, 0.0),
-        cps=(CpRef(partner=0, s_self=34.0, s_other=46.0, gated=True),),
+        cps=(CpRef(partner=0, s_self=34.0, s_other=46.0, gated=True, hold_self=3.5, hold_other=3.5),),
     )
     return [va, vb]
 

@@ -37,6 +37,15 @@ def test_run_rejects_parameter_outside_its_domain(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_rejects_solver_section(tmp_path, capsys):
+    # the solver's tolerances are constants, not configuration
+    cfg = tmp_path / "slack.cfg"
+    cfg.write_text(Path(CASE1).read_text() + "\n[solver]\nfeas_slack = 1e3\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown section [solver]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_horizon_is_capped_at_one_hour(tmp_path, capsys):
     # a huge t_end used to pass validate and crash run counting its steps
     cfg = tmp_path / "long.cfg"

@@ -11,13 +11,13 @@ from intersection_game.dynamics import (
     VehicleParams,
     VehicleState,
     path_curvature,
-    rear_axle_and_turn_center,
     sideslip,
     step,
     velocity_vector,
 )
 from intersection_game.game import Limits
 from intersection_game.geometry import wrap_angle
+from intersection_game.risk import build_field
 
 
 def _stage_rates(v, phi, a_x, beta, cos_beta, k_yaw):
@@ -109,25 +109,28 @@ def test_path_curvature_values():
     assert path_curvature(-0.2) == -path_curvature(0.2)
 
 
+# the rear axle and the turn center are the anchor and the ridge circle
+# center of the risk field (`risk.build_field`)
+
+
 def test_rear_axle_point():
-    st0 = VehicleState(5.0, 0.0, 0.0, 0.0)
-    (gx, gy), _ = rear_axle_and_turn_center(st0, 0.1)
-    assert (gx, gy) == pytest.approx((-1.4, 0.0))
+    f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.1, 0.0)
+    assert (f.gx, f.gy) == pytest.approx((-1.4, 0.0))
 
 
 def test_turn_center_offset():
-    # steering chosen so the rear-axle curvature is exactly 0.2
+    # steering chosen so the rear-axle curvature is exactly 0.2; a left
+    # steer turns about a center on the left of the heading
     delta = math.atan(0.2 * DEFAULT_VEHICLE.wheelbase)
-    st0 = VehicleState(5.0, 0.0, 0.0, 0.0)
-    (gx, gy), center = rear_axle_and_turn_center(st0, delta)
-    assert center is not None
-    assert center == pytest.approx((gx, gy - 5.0), abs=1e-12)
+    f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), delta, 0.0)
+    assert f.curvature == pytest.approx(0.2, abs=1e-12)
+    assert (f.cx, f.cy) == pytest.approx((f.gx, f.gy + 5.0), abs=1e-12)
 
 
 def test_turn_center_straight_signal():
-    st0 = VehicleState(5.0, 0.3, 1.0, 2.0)
-    _, center = rear_axle_and_turn_center(st0, 0.0)
-    assert center is None
+    f = build_field(VehicleState(5.0, 0.3, 1.0, 2.0), 0.0, 0.0)
+    assert f.curvature == 0.0
+    assert (f.cx, f.cy) == (f.gx, f.gy)
 
 
 @given(
@@ -137,11 +140,9 @@ def test_turn_center_straight_signal():
     st.floats(-10.0, 10.0),
 )
 def test_turn_center_radius_matches_curvature(delta, phi, x, y):
-    st0 = VehicleState(4.0, phi, x, y)
-    (gx, gy), center = rear_axle_and_turn_center(st0, delta)
-    rho = path_curvature(delta)
-    assert center is not None
-    assert math.hypot(center[0] - gx, center[1] - gy) * abs(rho) == pytest.approx(1.0, rel=1e-9)
+    f = build_field(VehicleState(4.0, phi, x, y), delta, 0.0)
+    assert f.curvature == path_curvature(delta)
+    assert math.hypot(f.cx - f.gx, f.cy - f.gy) * abs(f.curvature) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_derivative_straight_axes():

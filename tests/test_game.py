@@ -19,10 +19,12 @@ from intersection_game.dynamics import (
 )
 from intersection_game.game import (
     BOUND_NAMES,
+    CONV_TOL,
+    MAX_SWEEPS,
+    TTC_GUARD,
     CpRef,
     Limits,
     PlayerView,
-    SolverParams,
     _StepSolver,
     bound_residuals,
     brake_reach,
@@ -287,8 +289,8 @@ def _crossing_views():
     ra = route_for(NET, "M1", "straight", "outer")
     rb = route_for(NET, "M2", "straight", "outer")
     sa, sb_ = 26.0, 20.0
-    cp_a = CpRef(partner=1, s_self=46.0, s_other=34.0, gated=True)
-    cp_b = CpRef(partner=0, s_self=34.0, s_other=46.0, gated=True)
+    cp_a = CpRef(partner=1, s_self=46.0, s_other=34.0, gated=True, hold_self=3.5, hold_other=3.5)
+    cp_b = CpRef(partner=0, s_self=34.0, s_other=46.0, gated=True, hold_self=3.5, hold_other=3.5)
     va = PlayerView(
         route=ra, state=VehicleState(5.0, 0.0, *ra.point_at(sa)), s=sa,
         kappa=0.0, p=1.0, a_prev=0.0, delta_prev=0.0, player=True,
@@ -306,12 +308,12 @@ def test_crossing_pair_solves_cleanly():
     sol = solve_step(_crossing_views(), 0.1)
     assert sol.emergency == [False, False]
     assert sol.max_constraint_residual <= 1e-6
-    assert sol.sweeps <= SolverParams().max_sweeps
+    assert sol.sweeps <= MAX_SWEEPS
 
 
 def test_solved_controls_are_best_responses():
     solver = _StepSolver(
-        _crossing_views(), 0.1, L, SolverParams(), 10.0, DEFAULT_VEHICLE, True
+        _crossing_views(), 0.1, L, 10.0, DEFAULT_VEHICLE, True
     )
     sol = solver.solve()
     for i in (0, 1):
@@ -329,14 +331,14 @@ def test_solved_controls_are_best_responses():
                 continue
             key = solver._rank(i, a, d, solver.p[i], scored, table)
             if key[0] == 0.0:
-                assert key[1] >= base[1] - SolverParams().conv_tol
+                assert key[1] >= base[1] - CONV_TOL
 
 
 def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
     """Asking again against the same partner controls ranks nothing and
     replays the counts of the first answer; once a partner moves, the
     search runs again and agrees with a fresh solver at those controls."""
-    solver = _StepSolver(_crossing_views(), 0.1, L, SolverParams(), 10.0, DEFAULT_VEHICLE, True)
+    solver = _StepSolver(_crossing_views(), 0.1, L, 10.0, DEFAULT_VEHICLE, True)
     solver.solve()
     ranked = [0]
     real_rank = solver._rank
@@ -364,7 +366,7 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
         a_k, d_k = solver.controls[k]
         solver.controls[k] = (a_k - 0.1, d_k)
         solver._refresh_pred(k)
-        fresh = _StepSolver(_crossing_views(), 0.1, L, SolverParams(), 10.0, DEFAULT_VEHICLE, True)
+        fresh = _StepSolver(_crossing_views(), 0.1, L, 10.0, DEFAULT_VEHICLE, True)
         fresh.p = list(solver.p)
         fresh.controls = list(solver.controls)
         for j in range(fresh.n):
@@ -504,7 +506,7 @@ def _rank_cases():
 @pytest.mark.parametrize("case", range(4), ids=["p0", "no_dependents", "dependents_0", "dependents_1"])
 def test_game_rank_key_is_the_pooled_objective_bit_for_bit(case):
     views, i = _rank_cases()[case]
-    solver = _StepSolver(views, 0.1, L, SolverParams(), 10.0, DEFAULT_VEHICLE, True)
+    solver = _StepSolver(views, 0.1, L, 10.0, DEFAULT_VEHICLE, True)
     assert (solver.p[i] == 0.0) == (case == 0)
     assert bool(solver.dependents[i]) == (case != 1)
     _, scored, table = solver._scored_for(i)
@@ -577,11 +579,11 @@ _point = st.tuples(
     partners=st.lists(_partner, min_size=1, max_size=3),
     points=st.lists(_point, min_size=3, max_size=3),
     candidates=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-0.1, 0.1)), min_size=1, max_size=4),
-    guards=st.permutations([L.ttc_guard, 0.0]),
+    guards=st.permutations([TTC_GUARD, 0.0]),
 )
 @example(
     v_host=0.0, a_prev=-0.2, leader=None, partners=[(0.0, -1.0, 20.0, 8.0, 3.5)],
-    points=[(5.0, 3.5), (-1.0, 3.5), ("at_pred", 3.5)], candidates=[(-0.2, 0.0)], guards=[L.ttc_guard, 0.0],
+    points=[(5.0, 3.5), (-1.0, 3.5), ("at_pred", 3.5)], candidates=[(-0.2, 0.0)], guards=[TTC_GUARD, 0.0],
 )
 def test_table_residual_equals_the_per_point_loop_bit_for_bit(
     v_host, a_prev, leader, partners, points, candidates, guards
@@ -628,7 +630,7 @@ def test_table_residual_equals_the_per_point_loop_bit_for_bit(
         player=True, coast=(0.0, 0.0), lv=lv, lv_gated=lv is not None, cps=tuple(cps),
     )
     views = [host, *partner_views] + ([lead_view] if leader is not None else [])
-    solver = _StepSolver(views, 0.1, L, SolverParams(), 10.0, DEFAULT_VEHICLE, True)
+    solver = _StepSolver(views, 0.1, L, 10.0, DEFAULT_VEHICLE, True)
     table = solver._crossing_table(0)
     assert any(math.isinf(t_other) for _, t_other, _ in table) == any(
         solver.pred[cp.partner].v_x <= 1e-9 for cp in cps

@@ -168,22 +168,17 @@ def test_rejects_nonpositive_horizon_times(tmp_path):
         ("vehicle_model", "l_f", "0", "l_f: must be positive"),
         ("vehicle_model", "l_r", "-1.4", "l_r: must be positive"),
         ("vehicle_model", "width", "0", "width: must be positive"),
-        ("solver", "max_sweeps", "0", "max_sweeps: must be at least 1"),
         ("limits", "lane_dev_max", "-1", "lane_dev_max: must be positive"),
         ("limits", "course_dev_max_deg", "0", "course_dev_max_deg: must be positive"),
         ("limits", "delta_max_deg", "-30", "delta_max_deg: must be in (0, 90)"),
         ("limits", "delta_max_deg", "90", "delta_max_deg: must be in (0, 90)"),
         ("limits", "stop_margin", "-5", "stop_margin: must be nonnegative"),
-        ("limits", "ttc_guard", "-0.01", "ttc_guard: must be nonnegative"),
         ("field", "a0", "0", "a0: must be positive"),
         ("field", "horizon", "-1", "horizon: must be positive"),
         ("field", "spread_b", "-0.5", "spread_b: must be nonnegative"),
         ("field", "spread_c", "-0.5", "spread_c: must be nonnegative"),
         ("field", "threshold", "-1", "threshold: must be nonnegative"),
         ("field", "omega0", "-10", "omega0: must be nonnegative"),
-        ("solver", "conv_tol", "-1", "conv_tol: must be positive"),
-        ("solver", "feas_slack", "-1e-9", "feas_slack: must be nonnegative"),
-        ("solver", "rationality_tol", "-1e-6", "rationality_tol: must be nonnegative"),
         ("network", "ov_exit_margin", "-50", "ov_exit_margin: must be nonnegative"),
         ("scenario", "dt", "1.5", "dt: must be at most 1"),
         ("scenario", "dt", "1e-16", "dt: must be at least 0.001"),
@@ -201,6 +196,24 @@ def test_rejects_parameters_outside_their_domain(tmp_path, section, key, value, 
         text = MINIMAL.replace("version = 1", f"version = 1\n{key} = {value}")
     else:
         text = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+    reject(tmp_path, text, fragment)
+
+
+# The cyclic best response's tolerances are constants in `game.py`, not
+# configuration.  A config that still sets one is rejected, even at the
+# constant's value, so no config can open the feasibility slack.
+@pytest.mark.parametrize(
+    "section, key, value, fragment",
+    [
+        pytest.param("solver", "max_sweeps", "20", "unknown section [solver]", id="solver-max_sweeps"),
+        pytest.param("solver", "conv_tol", "1e-3", "unknown section [solver]", id="solver-conv_tol"),
+        pytest.param("solver", "feas_slack", "1e3", "unknown section [solver]", id="solver-feas_slack"),
+        pytest.param("solver", "rationality_tol", "1e-6", "unknown section [solver]", id="solver-rationality_tol"),
+        pytest.param("limits", "ttc_guard", "0.05", "[limits] unknown key(s): ttc_guard", id="limits-ttc_guard"),
+    ],
+)
+def test_rejects_solver_tolerance(tmp_path, section, key, value, fragment):
+    text = (SCENARIOS / "case3.cfg").read_text() + f"\n[{section}]\n{key} = {value}\n"
     reject(tmp_path, text, fragment)
 
 
@@ -232,7 +245,7 @@ def test_readme_example_loads_and_documents_every_default(tmp_path):
     minimal = load_scenario(write(tmp_path, MINIMAL))
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     cp.read_string(block)
-    for section in ("network", "field", "limits", "solver", "vehicle_model"):
+    for section in (s for s in _PARAMS if s != "scenario"):
         assert set(cp.options(section)) == set(_PARAMS[section]), section
         assert getattr(readme, section) == getattr(minimal, section), section
 
