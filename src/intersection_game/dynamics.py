@@ -55,6 +55,13 @@ def path_curvature(delta_f: float, params: VehicleParams = DEFAULT_VEHICLE) -> f
     return math.tan(delta_f) / params.wheelbase
 
 
+def step_speed(v0: float, a: float, dt: float) -> float:
+    """Speed after one RK4 step at constant acceleration a, floored at
+    zero: the weighted mean of the four stage rates, each of them a."""
+    v1 = v0 + dt * (a + 2 * a + 2 * a + a) / 6.0
+    return 0.0 if v1 < 0.0 else v1
+
+
 def step(
     state: VehicleState, u: ControlInput, dt: float, params: VehicleParams = DEFAULT_VEHICLE
 ) -> VehicleState:
@@ -97,12 +104,9 @@ def step(
     x4 = vv * cos(p + beta) / cb
     y4 = vv * sin(p + beta) / cb
 
-    v1 = v0 + dt * (a + 2 * a + 2 * a + a) / 6.0
-    if v1 < 0.0:
-        v1 = 0.0
     p1 = p0 + dt * (w1 + 2 * w2 + 2 * w3 + w4) / 6.0
     return VehicleState(
-        v1,
+        step_speed(v0, a, dt),
         wrap_angle(p1),
         state.x + dt * (x1 + 2 * x2 + 2 * x3 + x4) / 6.0,
         state.y + dt * (y1 + 2 * y2 + 2 * y3 + y4) / 6.0,

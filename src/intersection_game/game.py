@@ -25,7 +25,15 @@ from .costs import (
     lane_errors,
     lane_keeping,
 )
-from .dynamics import DEFAULT_VEHICLE, ControlInput, VehicleParams, VehicleState, sideslip, step as integrate
+from .dynamics import (
+    DEFAULT_VEHICLE,
+    ControlInput,
+    VehicleParams,
+    VehicleState,
+    sideslip,
+    step as integrate,
+    step_speed,
+)
 from .network import Route
 
 GRAVITY = 9.81
@@ -36,6 +44,8 @@ CONV_TOL = 1e-3  # a sweep that moves no control by this much ends the solve
 FEAS_SLACK = 1e-9  # largest constraint residual a candidate may keep
 RATIONALITY_TOL = 1e-6  # pooled loss a member may give up against its lone move
 TTC_GUARD = 0.05  # enforcement slack so recorded residuals stay negative
+# `_scored` entry of a candidate known infeasible whose residual is not computed
+_UNSCORED = (math.inf, None, 0)
 
 
 def participation(kappa: float) -> float:
@@ -324,9 +334,10 @@ class _StepSolver:
 
     - `_scored[i]` maps the controls of `reads[i]` to a map
       (a, d) -> (constraint residual, own cost or None if infeasible,
-      lateral_evals increment), shared by every p_i, and to i's crossing
-      table: per live crossing point, (s_self, t_other, partner_hold), the
-      part of each crossing check that only the partner's control moves.
+      lateral_evals increment) or `_UNSCORED` (below), shared by every
+      p_i, and to i's crossing table: per live crossing point, (s_self,
+      t_other, partner_hold), the part of each crossing check that only
+      the partner's control moves.
       A candidate's residual then computes just its own distance and
       arrival time to each point; only the coupling term is computed per
       ranking, and only at p_i != 0;
@@ -348,16 +359,27 @@ class _StepSolver:
     The hot loop is the pair of candidate loops in `_best_response`: a
     fresh search ranks about 93 candidates, and each `_rank` that misses
     `_scored` costs one `_candidate` (RK4 and route projection), one
-    `_constraint_residual` and one own loss.  So `_rank` takes the own
-    loss from `blended_loss` over the `_own_terms` fields without building
-    a CostTerms, skips `_coupling` where it is zero, and the search and
-    the crossing loop compare rather than call min/max.  Some call sites
-    stay as they are because `perfbench/tracing.py` wraps them by name:
-    the RK4 goes through the module global `integrate(state,
-    ControlInput(a, d), dt, veh)`, projections through `Route.project`,
-    and `crossing_risk`, `efficiency`, `lane_keeping`, `following_risk`,
-    `stop_distance`, `brake_reach` and `follow_reach` are looked up as
-    module globals at each call, never bound to locals or inlined.
+    `_constraint_residual` and one own loss.  Every feasible key sorts
+    before every infeasible one, so once a search holds a feasible control
+    (`held`) an infeasible candidate cannot win, and `_score` stops at the
+    cheapest evidence: a speed ramp that `a` alone breaks (`step_speed`,
+    RK4's own expression) rules the candidate out before RK4, and a bound
+    slack over FEAS_SLACK before `_constraint_residual`.  Such a candidate
+    is stored as `_UNSCORED`, infeasible with its residual not computed;
+    a search without a feasible control, or a direct `_rank` call, that
+    reads it computes the exact residual in its place.  So searches with
+    no feasible candidate, as on the emergency path, rank by exact
+    residuals, and the counts are those of scoring every candidate.
+    `_rank` takes the own loss from `blended_loss` over the `_own_terms`
+    fields without building a CostTerms, skips `_coupling` where it is
+    zero, and the search and the crossing loop compare rather than call
+    min/max.  Some call sites stay as they are because
+    `perfbench/tracing.py` wraps them by name: the RK4 goes through the
+    module global `integrate(state, ControlInput(a, d), dt, veh)`,
+    projections through `Route.project`, and `crossing_risk`,
+    `efficiency`, `lane_keeping`, `following_risk`, `stop_distance`,
+    `brake_reach` and `follow_reach` are looked up as module globals at
+    each call, never bound to locals or inlined.
     """
 
     def __init__(
@@ -626,19 +648,32 @@ class _StepSolver:
             context = self._scored[i][reads] = ({}, self._crossing_table(i))
         return reads, *context
 
-    def _rank(self, i: int, a: float, d: float, p_i: float, scored: dict, table: list):
+    def _score(self, i: int, a: float, d: float, table: list, held: bool) -> tuple:
+        """`_scored` entry of vehicle i's candidate (a, d): (constraint
+        residual, own cost or None if infeasible, lateral_evals increment).
+        With `held`, a candidate its speed ramp or its bounds already rule
+        out is `_UNSCORED`, before RK4 or before the interaction residual."""
+        if held:
+            v_next = step_speed(self.views[i].state.v_x, a, self.dt)
+            if _ramp_peak_speed(v_next, a, self.dt, self.limits.jerk_max) - self.limits.v_max > FEAS_SLACK:
+                return _UNSCORED
+        pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)
+        if held and slack > FEAS_SLACK:
+            return _UNSCORED
+        residual = self._constraint_residual(i, a, pred, s_pred, slack, TTC_GUARD, table)
+        if residual > FEAS_SLACK:
+            return (residual, None, 0)
+        lateral = self.lateral_evals
+        own = blended_loss(*self._own_terms(i, pred, s_pred, dy, dphi))
+        return (residual, own, self.lateral_evals - lateral)
+
+    def _rank(self, i: int, a: float, d: float, p_i: float, scored: dict, table: list, held: bool = False):
+        """Rank key of vehicle i's candidate (a, d); `held` says the asking
+        search already holds a feasible control."""
         self.evals += 1
         entry = scored.get((a, d))
-        if entry is None:
-            pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)
-            residual = self._constraint_residual(i, a, pred, s_pred, slack, TTC_GUARD, table)
-            if residual > FEAS_SLACK:
-                entry = (residual, None, 0)
-            else:
-                lateral = self.lateral_evals
-                own = blended_loss(*self._own_terms(i, pred, s_pred, dy, dphi))
-                entry = (residual, own, self.lateral_evals - lateral)
-            scored[(a, d)] = entry
+        if entry is None or (entry is _UNSCORED and not held):
+            entry = scored[(a, d)] = self._score(i, a, d, table, held)
         else:
             self.lateral_evals += entry[2]
         residual, own, _ = entry
@@ -709,7 +744,8 @@ class _StepSolver:
             for d in seeds_d:
                 key = memo.get((a, d))
                 if key is None:
-                    key = memo[(a, d)] = self._rank(i, a, d, p_i, scored, table)
+                    held = best is not None and best[0][0] == 0.0
+                    key = memo[(a, d)] = self._rank(i, a, d, p_i, scored, table, held)
                 if best is None or key < best[0]:
                     best = (key, a, d)
         assert best is not None
@@ -719,6 +755,7 @@ class _StepSolver:
         da, dd = 0.05, math.radians(1.0)
         moves = 0
         while (da > 2.5e-4 or dd > 5e-5) and moves < 200:
+            held = bkey[0] == 0.0
             cand = []
             for na, nd in (
                 (ba + da, bd), (ba - da, bd), (ba, bd + dd), (ba, bd - dd),
@@ -737,7 +774,7 @@ class _StepSolver:
                     continue
                 key = memo.get((na, nd))
                 if key is None:
-                    key = memo[(na, nd)] = self._rank(i, na, nd, p_i, scored, table)
+                    key = memo[(na, nd)] = self._rank(i, na, nd, p_i, scored, table, held)
                 cand.append((key, na, nd))
             improved = min(cand) if cand else None
             if improved is not None and improved[0] < bkey:

@@ -16,10 +16,12 @@ from intersection_game.dynamics import (
     VehicleState,
     sideslip,
     step,
+    step_speed,
 )
 from intersection_game.game import (
     BOUND_NAMES,
     CONV_TOL,
+    FEAS_SLACK,
     MAX_SWEEPS,
     TTC_GUARD,
     CpRef,
@@ -389,7 +391,8 @@ def test_pooled_loss_identities():
         assert sol.j_value[i] == pytest.approx(want, abs=1e-9)
 
 
-def test_blocked_vehicle_falls_back_to_full_braking():
+def _blocked_views():
+    """A host at 8 m/s 4 m behind a parked car: no control is feasible."""
     route = route_for(NET, "M1", "straight", "outer")
     host = PlayerView(
         route=route, state=VehicleState(8.0, 0.0, *route.point_at(20.0)), s=20.0,
@@ -401,12 +404,78 @@ def test_blocked_vehicle_falls_back_to_full_braking():
         kappa=0.0, p=0.0, a_prev=0.0, delta_prev=0.0, player=False,
         coast=(0.0, 0.0),
     )
-    sol = solve_step([host, parked], 0.1)
+    return [host, parked]
+
+
+def test_blocked_vehicle_falls_back_to_full_braking():
+    sol = solve_step(_blocked_views(), 0.1)
     assert sol.reset[0] is True
     assert sol.emergency[0] is True
     assert sol.controls[0] == (-L.a_max, 0.0)
     assert sol.controls[1] == (0.0, 0.0)
     assert sol.emergency[1] is False
+
+
+def _breaks_speed(v0, a):
+    """Whether acceleration a from speed v0 breaks the speed ramp bound."""
+    v_next = step_speed(v0, a, 0.1)
+    return bound_residuals(a, 0.0, 0.0, v_next, 0.0, 0.0, 0.1, L, 0.0)[BOUND_NAMES.index("speed")] > FEAS_SLACK
+
+
+def test_feasible_incumbent_skips_rk4_for_speed_breaking_candidates(monkeypatch):
+    """At the speed limit every positive acceleration breaks the speed
+    ramp.  Once the search holds a feasible control, those candidates are
+    ranked as losers from `a` alone and never reach the integrator."""
+    solver = _StepSolver([_single_view(v=L.v_max)], 0.1, L, 10.0, DEFAULT_VEHICLE, True)
+    integrated = []
+    real_integrate = game.integrate
+
+    def counting_integrate(state, u, *args, **kwargs):
+        integrated.append(u.a_x)
+        return real_integrate(state, u, *args, **kwargs)
+
+    monkeypatch.setattr(game, "integrate", counting_integrate)
+    a, d, key = solver._best_response(0, solver.p[0])
+    assert key[0] == 0.0 and not _breaks_speed(L.v_max, a)
+    scored = solver._scored_for(0)[1]
+    skipped = [ad for ad in scored if _breaks_speed(L.v_max, ad[0])]
+    assert skipped
+    assert all(scored[ad] is game._UNSCORED for ad in skipped)
+    assert integrated and not any(_breaks_speed(L.v_max, a) for a in integrated)
+
+
+def test_lazily_stored_candidate_ranks_by_its_exact_residual():
+    """A direct `_rank` of a candidate stored as infeasible without its
+    residual computes that residual, and the key equals the one a fresh
+    solver ranks."""
+    views = [_single_view(v=L.v_max)]
+    solver = _StepSolver(views, 0.1, L, 10.0, DEFAULT_VEHICLE, True)
+    solver._best_response(0, solver.p[0])
+    _, scored, table = solver._scored_for(0)
+    lazy = [ad for ad, entry in scored.items() if entry is game._UNSCORED]
+    assert lazy
+    fresh = _StepSolver(views, 0.1, L, 10.0, DEFAULT_VEHICLE, True)
+    _, fresh_scored, fresh_table = fresh._scored_for(0)
+    for a, d in lazy:
+        key = solver._rank(0, a, d, solver.p[0], scored, table)
+        pred, s_pred, _, _, slack = solver._candidate(0, a, d)
+        residual = solver._constraint_residual(0, a, pred, s_pred, slack, TTC_GUARD, table)
+        assert math.isfinite(residual) and residual > FEAS_SLACK
+        assert key == (1.0, residual, abs(a), abs(d), a, d)
+        assert key == fresh._rank(0, a, d, fresh.p[0], fresh_scored, fresh_table)
+        assert scored[(a, d)] is not game._UNSCORED
+
+
+def test_infeasible_search_ranks_by_exact_residuals():
+    """A search that never holds a feasible control stores no candidate
+    lazily, and its key carries the exact residual of its control."""
+    solver = _StepSolver(_blocked_views(), 0.1, L, 10.0, DEFAULT_VEHICLE, True)
+    a, d, key = solver._best_response(0, solver.p[0])
+    assert key[0] == 1.0
+    _, scored, table = solver._scored_for(0)
+    assert game._UNSCORED not in scored.values()
+    pred, s_pred, _, _, slack = solver._candidate(0, a, d)
+    assert key[1] == solver._constraint_residual(0, a, pred, s_pred, slack, TTC_GUARD, table)
 
 
 def test_solve_step_deterministic():
@@ -448,6 +517,9 @@ def test_step_solver_predicts_each_candidate_once_per_step(monkeypatch):
         committed = sum(int(row["evals"]) for row in csv.DictReader(fh))
     assert sum(s.evals for s in res.steps) == committed
     assert calls[0] < committed  # rankings outnumber predictions
+    # 21,921 before a search with a feasible control skipped the RK4 of
+    # candidates whose speed ramp rules them out; 17,769 since
+    assert calls[0] <= 17_769
 
 
 # the 8-vehicle layout of `perfbench/dense.py --seed 1`, cut to 16 steps

@@ -143,3 +143,45 @@ def test_build_field_rejects_out_of_range_aggressiveness():
     for kappa in (1.01, 1.5, -1.2):
         with pytest.raises(ValueError):
             build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, kappa, FP1)
+
+
+# (delta, (cx, cy), ((x, y), value) ...) for a vehicle at (12.5, -3.25),
+# yaw 0.7, 6 m/s, kappa 0.3, default FieldParams, read from build_field as
+# of the turn-centre rewrite: three points on the ridge, 2, 6 and 12 m
+# ahead, each also 0.4 m outside and 0.9 m inside the circle
+_CURVED_READINGS = (
+    (0.3, (5.597995122715674, 2.7711704581143755), (
+        ((12.805, -2.706), 3.4556971331815127),
+        ((13.123, -2.948), 3.0934146555314053),
+        ((12.088, -2.161), 1.9723711735255602),
+        ((14.455, 0.903), 1.9436375795996956),
+        ((14.846, 0.82), 1.8875228227608938),
+        ((13.574, 1.088), 1.675222457988705),
+        ((13.729, 6.748), 0.4860155477752888),
+        ((14.088, 6.924), 0.48120401961620557),
+        ((12.921, 6.353), 0.4623676710867142),
+    )),
+    (-0.3, (17.26044675288776, -11.074979982379912), (
+        ((13.088, -3.042), 3.45568839121634),
+        ((12.904, -2.687), 3.093076860780342),
+        ((13.503, -3.841), 1.9727128342523756),
+        ((16.924, -2.03), 1.94392366125203),
+        ((16.91, -1.63), 1.8874187704264653),
+        ((16.958, -2.929), 1.6750409772282024),
+        ((22.562, -3.738), 0.4859591505784922),
+        ((22.796, -3.414), 0.4812113098929717),
+        ((22.035, -4.468), 0.46225475002986166),
+    )),
+)
+
+
+@pytest.mark.parametrize("delta, center, readings", _CURVED_READINGS, ids=["left", "right"])
+def test_curved_field_reproduces_recorded_values(delta, center, readings):
+    """Exact turn centre and field values of a curved ridge.  The emitted
+    field raster builds straight fields only, so this is what pins the
+    curved branch of build_field bit for bit."""
+    f = build_field(VehicleState(6.0, 0.7, 12.5, -3.25), delta, 0.3)
+    assert (f.cx, f.cy) == center
+    assert f.curvature == path_curvature(delta)
+    for (x, y), value in readings:
+        assert f.value(x, y) == value, (x, y)
