@@ -1,12 +1,14 @@
 """Write the byte-identity matrix: the runs a refactor must leave unchanged.
 
-The matrix is 32 run directories:
+The matrix is 33 run directories:
 
 - every shipped scenario in each mode (fuzzy, noncoop, grand), the fuzzy
   runs with `field_raster.csv`, so the risk field's values are checked too;
 - case1_A and case3 with risk gating off;
 - the three `perfbench/dense.py` layouts of seeds 1 and 3, the only inputs
-  with in-lane queues, resets and emergency fallbacks.
+  with in-lane queues, resets and emergency fallbacks;
+- the 12-vehicle layout of seed 1 under grand, whose infeasible players
+  are reset out of the coalition.
 
 To compare two checkouts, run this script once against each (the package
 is imported from PYTHONPATH) and diff the trees, `timing.json` aside:
@@ -29,6 +31,7 @@ from intersection_game.scenario import MODES, load_scenario
 ROOT = Path(__file__).resolve().parents[1]
 UNGATED = ("case1_A", "case3")
 DENSE_SEEDS = (1, 3)
+DENSE_GRAND = ("dense_n12", 1)
 
 
 def _dense_module():
@@ -55,6 +58,8 @@ def main(argv=None):
         for seed in DENSE_SEEDS:
             for path in dense.write_layouts(seed, Path(tmp) / f"seed{seed}"):
                 jobs.append((f"{path.stem}_seed{seed}", path, {}, False))
+                if (path.stem, seed) == DENSE_GRAND:
+                    jobs.append((f"{path.stem}_seed{seed}_grand", path, {"mode": "grand"}, False))
         for name, path, kwargs, raster in jobs:
             out = args.out / name
             emit(run(load_scenario(path), **kwargs), out, field_raster=raster)

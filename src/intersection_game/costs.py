@@ -68,19 +68,13 @@ def lane_keeping(dy: float, dphi: float) -> float:
     return dy * dy + HEADING_WEIGHT * dphi * dphi
 
 
-def time_headway(gap: float, v: float) -> float:
-    if v <= 1e-9:
-        return THW_CAP
-    return min(gap / v, THW_CAP)
-
-
 def efficiency(gap: float, v: float) -> float:
-    thw = time_headway(gap, v)
+    raw = gap / v if v > 1e-9 else math.inf
+    thw = min(raw, THW_CAP)
     cost = thw * thw
     # on the saturated branch the squared headway is flat in v, which
     # would make standstill a local optimum under the smallest-|a|
     # tie-break; keep a bounded slope so creeping forward still pays
-    raw = gap / v if v > 1e-9 else math.inf
     if raw > THW_CAP:
         cost += min(CRAWL_SLOPE * (raw - THW_CAP), 1.0)
     return cost

@@ -804,6 +804,8 @@ class _StepSolver:
         return feasible
 
     def solve(self) -> StepSolution:
+        """A player still infeasible after the sweeps is reset in every
+        mode; `allow_reset` gates only the reset of irrational members."""
         reset = [False] * self.n
         emergency = [False] * self.n
         feasible = self._sweep_loop()
@@ -820,10 +822,11 @@ class _StepSolver:
         return self._bookkeeping(emergency, reset, rational, solo)
 
     def _resweep(self, leaving: list[int], reset: list[bool], emergency: list[bool]) -> None:
-        """Take `leaving` out of the coalition and sweep again; a player
-        still infeasible afterwards falls back to full braking on its
-        tracking steer.  The sweep moves every player, so one braked by an
-        earlier fallback and feasible now drives its swept control."""
+        """Take `leaving` out of the coalition (p = 0 and `reset`, in any
+        mode) and sweep again; a player still infeasible afterwards falls
+        back to full braking on its tracking steer.  The sweep moves every
+        player, so one braked by an earlier fallback and feasible now
+        drives its swept control."""
         for i in leaving:
             if self.p[i] != 0.0:
                 self.p[i] = 0.0

@@ -48,13 +48,25 @@ class ZoneRole(Enum):
 
 @dataclass(frozen=True)
 class Network:
-    cz_half_width: float
-    lane_offset_inner: float
-    lane_offset_outer: float
-    approach_length: float
-    exit_length: float
-    right_turn_radius: float
-    ov_exit_margin: float
+    cz_half_width: float = 10.0
+    lane_offset_inner: float = 2.0
+    lane_offset_outer: float = 6.0
+    approach_length: float = 30.0
+    exit_length: float = 30.0
+    right_turn_radius: float = 9.0
+    ov_exit_margin: float = 5.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.lane_offset_inner < self.lane_offset_outer < self.cz_half_width:
+            raise ValueError("need 0 < inner offset < outer offset < zone half width")
+        if self.approach_length <= 0.0 or self.exit_length <= 0.0:
+            raise ValueError("road lengths must be positive")
+        if self.right_turn_radius <= 0.0:
+            raise ValueError("right turn radius must be positive")
+        # the right-turn arc must begin and end on the finite road segments
+        reach = self.lane_offset_outer + self.right_turn_radius - self.cz_half_width
+        if self.approach_length <= reach or self.exit_length <= reach:
+            raise ValueError("right turn radius too large for the road lengths")
 
     @property
     def left_turn_radius(self) -> float:
@@ -74,10 +86,10 @@ class Route:
 
     def _locate(self, s: float) -> tuple[int, float]:
         s = min(max(s, 0.0), self.total_length)
-        for i in range(len(self.elements) - 1, -1, -1):
+        for i in range(len(self.elements) - 1, 0, -1):
             if s >= self.cum_s[i]:
                 return i, s - self.cum_s[i]
-        return 0, 0.0
+        return 0, s
 
     def point_at(self, s: float) -> tuple[float, float]:
         i, ds = self._locate(s)
@@ -141,36 +153,6 @@ def _lane_anchor(net: Network, arm: int, lane: str, inbound: bool) -> tuple[floa
     ux, uy = math.cos(psi), math.sin(psi)
     nx, ny = math.sin(psi), -math.cos(psi)  # unit normal to the right
     return psi, (edge * ux + off * nx, edge * uy + off * ny)
-
-
-def build_network(
-    cz_half_width: float = 10.0,
-    lane_offset_inner: float = 2.0,
-    lane_offset_outer: float = 6.0,
-    approach_length: float = 30.0,
-    exit_length: float = 30.0,
-    right_turn_radius: float = 9.0,
-    ov_exit_margin: float = 5.0,
-) -> Network:
-    if not 0.0 < lane_offset_inner < lane_offset_outer < cz_half_width:
-        raise ValueError("need 0 < inner offset < outer offset < zone half width")
-    if approach_length <= 0.0 or exit_length <= 0.0:
-        raise ValueError("road lengths must be positive")
-    if right_turn_radius <= 0.0:
-        raise ValueError("right turn radius must be positive")
-    # the right-turn arc must begin and end on the finite road segments
-    reach = lane_offset_outer + right_turn_radius - cz_half_width
-    if approach_length <= reach or exit_length <= reach:
-        raise ValueError("right turn radius too large for the road lengths")
-    return Network(
-        cz_half_width=cz_half_width,
-        lane_offset_inner=lane_offset_inner,
-        lane_offset_outer=lane_offset_outer,
-        approach_length=approach_length,
-        exit_length=exit_length,
-        right_turn_radius=right_turn_radius,
-        ov_exit_margin=ov_exit_margin,
-    )
 
 
 def _boundary_segments(h: float) -> tuple[Segment, ...]:

@@ -222,14 +222,11 @@ def initial_states(scenario: Scenario) -> tuple[list[VehicleState], list[float]]
 def run(
     scenario: Scenario,
     mode: str | None = None,
-    force_participation: float | None = None,
     risk_gating: bool = True,
 ) -> SimResult:
     mode = scenario.mode if mode is None else mode
     if mode not in MODES:
         raise ValueError(f"mode {mode!r} not one of {MODES}")
-    if force_participation is not None and not 0.0 <= force_participation <= 1.0:
-        raise ValueError("force_participation must lie in [0, 1]")
 
     net = scenario.network
     routes = scenario.routes
@@ -239,7 +236,7 @@ def run(
     dt = scenario.dt
     n = len(scenario.vehicles)
     names = [v.name for v in scenario.vehicles]
-    allow_reset = mode == "fuzzy" and force_participation is None
+    allow_reset = mode == "fuzzy"
 
     conflicts = pair_conflicts(scenario)
     index = crossing_index(scenario, conflicts)
@@ -247,9 +244,7 @@ def run(
     a_prev = [0.0] * n
     d_prev = [0.0] * n
 
-    if force_participation is not None:
-        p0 = [force_participation] * n
-    elif mode == "noncoop":
+    if mode == "noncoop":
         p0 = [0.0] * n
     elif mode == "grand":
         p0 = [1.0] * n

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .dynamics import VehicleParams
 from .game import Limits
-from .network import LANES, MANEUVERS, Network, Route, build_network, route_for
+from .network import LANES, MANEUVERS, Network, Route, route_for
 from .risk import FieldParams
 
 MODES = ("fuzzy", "noncoop", "grand")
@@ -23,7 +23,7 @@ _NAME = re.compile(r"[A-Za-z0-9_]+")  # scenario and vehicle names become paths 
 # section -> key -> domain.  A number's domain is its type and the checks
 # it must pass besides being finite; a string's is `str` and the allowed
 # values, if any.  A `*_deg` key sets the radians field named without the
-# suffix.  Defaults live in `build_network` and the dataclasses only.
+# suffix.  Defaults live in the dataclasses only.
 _PARAMS: dict[str, dict[str, tuple]] = {
     "scenario": {
         "version": (str, ("1",)),
@@ -199,7 +199,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"[scenario] name {head['name']!r}: use only ASCII letters, digits and '_'")
 
     try:
-        network = build_network(**given["network"])
+        network = Network(**given["network"])
     except ValueError as exc:
         raise ScenarioError(f"[network] {exc}") from exc
     limits = Limits(**given["limits"])

@@ -37,6 +37,15 @@ def test_run_rejects_parameter_outside_its_domain(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_rejects_inconsistent_network(tmp_path, capsys):
+    # each offset is in its own domain; `Network` checks how they relate
+    cfg = tmp_path / "offsets.cfg"
+    cfg.write_text(Path(CASE1).read_text() + "\n[network]\nlane_offset_inner = 7\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "[network] need 0 < inner offset < outer offset < zone half width" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_rejects_solver_section(tmp_path, capsys):
     # the solver's tolerances are constants, not configuration
     cfg = tmp_path / "slack.cfg"

@@ -13,10 +13,9 @@ from intersection_game.costs import (
     following_risk,
     lane_errors,
     lane_keeping,
-    time_headway,
 )
 from intersection_game.dynamics import DEFAULT_VEHICLE, VehicleState, sideslip
-from intersection_game.network import build_network, route_for
+from intersection_game.network import Network, route_for
 
 
 def test_balance_weights_values():
@@ -94,9 +93,10 @@ def test_lane_keeping_values():
 
 
 def test_time_headway_cap():
-    assert time_headway(12.0, 6.0) == pytest.approx(2.0)
-    assert time_headway(100.0, 1.0) == 10.0
-    assert time_headway(5.0, 0.0) == 10.0
+    # squared headway, capped at THW_CAP = 10 s, plus the crawl slope past the cap
+    assert efficiency(12.0, 6.0) == pytest.approx(4.0)
+    assert efficiency(100.0, 1.0) == pytest.approx(100.009, abs=1e-12)
+    assert efficiency(5.0, 0.0) == 101.0
 
 
 def test_efficiency_values():
@@ -116,7 +116,7 @@ def test_efficiency_saturated_branch_still_rewards_speed():
 
 
 def test_lane_errors_on_and_off_centerline():
-    net = build_network()
+    net = Network()
     r = route_for(net, "M1", "straight", "outer")
     s, dy, dphi = lane_errors(r, VehicleState(5.0, 0.0, 0.0, -6.0), 0.0)
     assert (dy, dphi) == pytest.approx((0.0, 0.0), abs=1e-12)
@@ -127,7 +127,7 @@ def test_lane_errors_on_and_off_centerline():
 
 
 def test_lane_errors_vanish_in_steady_cornering():
-    net = build_network()
+    net = Network()
     r = route_for(net, "M1", "left")
     s = 40.0  # mid arc
     delta = math.atan(r.curvature_at(s) * DEFAULT_VEHICLE.wheelbase)

@@ -39,11 +39,11 @@ from intersection_game.game import (
     tracking_delta,
 )
 from intersection_game.geometry import wrap_angle
-from intersection_game.network import build_network, route_for
+from intersection_game.network import Network, route_for
 from intersection_game.scenario import load_scenario
 
 L = Limits()
-NET = build_network()
+NET = Network()
 
 
 def test_participation_values():
@@ -237,7 +237,7 @@ def test_tracking_delta_straight_and_arc():
 
 
 def test_tracking_delta_clipped_by_steer_box():
-    tight = build_network(right_turn_radius=7.0)
+    tight = Network(right_turn_radius=7.0)
     r = route_for(tight, "M2", "right")
     arc_mid = 0.5 * (r.cum_s[1] + r.cum_s[2])
     d = tracking_delta(r, arc_mid, 0.0, 0.1, L, DEFAULT_VEHICLE)

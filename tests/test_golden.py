@@ -1,7 +1,7 @@
 """Golden outputs: every shipped scenario, run in its configured mode,
 reproduces the committed runs/ files byte for byte; case2 and case3 under
-noncoop and grand, and the 8- and 16-vehicle dense layouts of seed 1,
-reproduce recorded digests.
+noncoop and grand, the 8- and 16-vehicle dense layouts of seed 1, and the
+12-vehicle one under grand, reproduce recorded digests.
 
 timing.json holds wall times and is the one emitted file left out.
 """
@@ -33,10 +33,12 @@ def test_shipped_scenario_reproduces_committed_outputs(cfg, tmp_path):
 
 
 # sha256 over (name, bytes) of each emitted file but timing.json, in name
-# order, of `perfbench/dense.py` layouts at seed 1, keyed by vehicles per arm
+# order, of `perfbench/dense.py` layouts at seed 1, keyed by vehicles per
+# arm and mode (None: the layout's own, fuzzy)
 DENSE_SEED1_SHA256 = {
-    2: "49bd047ce63375f739af4883b286337ad9bd94429370c1b5976aef8c563142f9",  # dense_n8
-    4: "db252dd3517ca8e308e5206e2b87d302a884406b99c768d9fe7b576444006fc0",  # dense_n16
+    (2, None): "49bd047ce63375f739af4883b286337ad9bd94429370c1b5976aef8c563142f9",  # dense_n8
+    (4, None): "db252dd3517ca8e308e5206e2b87d302a884406b99c768d9fe7b576444006fc0",  # dense_n16
+    (3, "grand"): "579938bad1b390b87429230e6304591d41aab25377f58f527de0468d8253b03b",  # dense_n12
 }
 
 
@@ -48,24 +50,28 @@ def _digest(out: Path) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("per_arm", sorted(DENSE_SEED1_SHA256), ids=["n8", "n16"])
-def test_dense_layout_reproduces_recorded_digest(per_arm, tmp_path):
+@pytest.mark.parametrize("per_arm, mode", list(DENSE_SEED1_SHA256), ids=["n8", "n16", "n12_grand"])
+def test_dense_layout_reproduces_recorded_digest(per_arm, mode, tmp_path):
     """The shipped scenarios have no in-lane queues, resets or fallbacks;
     these layouts have all three, so the solver paths they take are pinned
     byte for byte too.  The 16-vehicle one has the most live crossing
-    points per vehicle."""
+    points per vehicle.  No shipped grand run resets a player; under
+    grand, a player still infeasible after the sweeps plays that step at
+    p = 0."""
     spec = importlib.util.spec_from_file_location("dense", ROOT / "perfbench" / "dense.py")
     dense = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(dense)
     cfg = tmp_path / f"dense_n{4 * per_arm}.cfg"
     cfg.write_text(dense.layout(per_arm, 1), encoding="utf-8")
-    res = run(load_scenario(cfg))
+    res = run(load_scenario(cfg), mode=mode)
     rows = [r for step_rows in res.rows for r in step_rows]
     assert any(r.lv is not None for r in rows)
     assert any(r.reset for r in rows)
     assert any(r.fallback for r in rows)
+    if mode == "grand":
+        assert all(r.p == (0.0 if r.reset else 1.0) for r in rows if r.role != "OV")
     emit(res, tmp_path / "out")
-    assert _digest(tmp_path / "out") == DENSE_SEED1_SHA256[per_arm]
+    assert _digest(tmp_path / "out") == DENSE_SEED1_SHA256[(per_arm, mode)]
 
 
 # the same digest of case2 and case3 run in the modes that runs/ does not hold

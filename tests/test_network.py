@@ -8,8 +8,8 @@ import pytest
 from intersection_game.geometry import Arc
 from intersection_game.network import (
     ARM_NAMES,
+    Network,
     ZoneRole,
-    build_network,
     classify_zone_role,
     conflict_points,
     lead_distance_on_route,
@@ -19,7 +19,7 @@ from intersection_game.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
-NET = build_network()
+NET = Network()
 # the sixteen lane-respecting routes, keyed by name
 LANE_MANEUVERS = (("inner", "left"), ("inner", "straight"), ("outer", "straight"), ("outer", "right"))
 ROUTES = {
@@ -32,18 +32,32 @@ def heading_at(route, s):
     return route.project(*route.point_at(s))[2]
 
 
-def test_build_network_rejects_bad_offsets():
-    with pytest.raises(ValueError):
-        build_network(10.0, 6.0, 2.0)
-    with pytest.raises(ValueError):
-        build_network(10.0, 0.0, 6.0)
-    with pytest.raises(ValueError):
-        build_network(cz_half_width=5.0, lane_offset_outer=6.0)
+def test_network_rejects_bad_offsets():
+    offsets = "need 0 < inner offset < outer offset < zone half width"
+    with pytest.raises(ValueError, match=offsets):
+        Network(10.0, 6.0, 2.0)
+    with pytest.raises(ValueError, match=offsets):
+        Network(10.0, 0.0, 6.0)
+    with pytest.raises(ValueError, match=offsets):
+        Network(cz_half_width=5.0, lane_offset_outer=6.0)
 
 
-def test_build_network_rejects_oversized_right_turn():
-    with pytest.raises(ValueError):
-        build_network(right_turn_radius=50.0)
+def test_network_rejects_oversized_right_turn():
+    with pytest.raises(ValueError, match="right turn radius too large for the road lengths"):
+        Network(right_turn_radius=50.0)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("approach_length", "road lengths must be positive"),
+        ("exit_length", "road lengths must be positive"),
+        ("right_turn_radius", "right turn radius must be positive"),
+    ],
+)
+def test_network_rejects_nonpositive_lengths(field, message):
+    with pytest.raises(ValueError, match=message):
+        Network(**{field: 0.0})
 
 
 def test_published_start_positions_lie_on_centerlines():
@@ -116,8 +130,8 @@ def _old_tangent_at(route, s):
     "net",
     [
         NET,
-        build_network(cz_half_width=12.0, lane_offset_inner=1.7, right_turn_radius=7.3),
-        build_network(
+        Network(cz_half_width=12.0, lane_offset_inner=1.7, right_turn_radius=7.3),
+        Network(
             cz_half_width=7.0, lane_offset_inner=0.9, lane_offset_outer=4.1, approach_length=22.0, exit_length=41.0
         ),
     ],
@@ -303,7 +317,7 @@ def test_lead_vehicle_detection():
 
 
 def test_route_for_deterministic():
-    net = build_network()
+    net = Network()
     assert len(ROUTES) == 16
     for arm in ARM_NAMES:
         for lane, maneuver in LANE_MANEUVERS:

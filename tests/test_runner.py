@@ -12,7 +12,7 @@ import pytest
 
 import intersection_game
 from intersection_game.dynamics import VehicleState
-from intersection_game.network import build_network, classify_zone_role, route_for
+from intersection_game.network import Network, classify_zone_role, route_for
 from intersection_game.risk import build_field
 from intersection_game.runner import (
     _PASS_MARGIN,
@@ -117,18 +117,17 @@ def test_gating_cuts_lateral_cost_evaluations():
 
 
 def test_forced_participation_reaches_every_row():
-    res = run_cached("forced", force_participation=0.0)
+    res = run_cached("noncoop", mode="noncoop")
     for sr in res.rows:
         for r in sr:
             assert r.p == 0.0
+            assert not r.reset
 
 
 def test_run_rejects_bad_arguments():
     sc = load_scenario(SCENARIOS / "case1_A.cfg")
     with pytest.raises(ValueError):
         run(sc, mode="chaotic")
-    with pytest.raises(ValueError):
-        run(sc, force_participation=1.5)
 
 
 def test_emitted_files_match_their_schemas(tmp_path):
@@ -199,7 +198,7 @@ def test_field_raster_emission(tmp_path):
 
 # -- views -------------------------------------------------------------------
 
-NET = build_network()
+NET = Network()
 
 
 def scenario_of(tmp_path, *routes):
