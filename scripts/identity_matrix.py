@@ -10,17 +10,18 @@ The matrix is 33 run directories:
 - the 12-vehicle layout of seed 1 under grand, whose infeasible players
   are reset out of the coalition.
 
-To compare two checkouts, run this script once against each (the package
-is imported from PYTHONPATH) and diff the trees, `timing.json` aside:
+`tests/test_golden.py` runs the same `jobs()` and checks each directory's
+`digest` against the table it records.  This script prints each digest
+next to its directory; after an intended behaviour change, that output is
+the new table:
 
-    PYTHONPATH=src python3 scripts/identity_matrix.py --out /tmp/new
-    PYTHONPATH=/path/to/other/src python3 scripts/identity_matrix.py --out /tmp/old
-    diff -r -x timing.json /tmp/old /tmp/new
+    PYTHONPATH=src python3 scripts/identity_matrix.py --out /tmp/matrix
 
 The dense layouts are generated by this checkout's `perfbench/dense.py`.
 """
 
 import argparse
+import hashlib
 import importlib.util
 import tempfile
 from pathlib import Path
@@ -29,16 +30,49 @@ from intersection_game.runner import emit, run
 from intersection_game.scenario import MODES, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
+UNTIMED = "timing.json"  # wall times: the one emitted file left out
 UNGATED = ("case1_A", "case3")
 DENSE_SEEDS = (1, 3)
 DENSE_GRAND = ("dense_n12", 1)
 
 
-def _dense_module():
+def dense_module():
+    """`perfbench/dense.py`, which is no package, loaded from its file."""
     spec = importlib.util.spec_from_file_location("dense", ROOT / "perfbench" / "dense.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def jobs():
+    """The matrix: (directory name, scenario text, run keywords, write the
+    field raster) per run directory."""
+    out = []
+    for path in sorted((ROOT / "scenarios").glob("*.cfg")):
+        text = path.read_text(encoding="utf-8")
+        for mode in MODES:
+            out.append((f"{path.stem}_{mode}", text, {"mode": mode}, mode == "fuzzy"))
+    for name in UNGATED:
+        text = (ROOT / "scenarios" / f"{name}.cfg").read_text(encoding="utf-8")
+        out.append((f"{name}_ungated", text, {"risk_gating": False}, False))
+    dense = dense_module()
+    for seed in DENSE_SEEDS:
+        for per_arm in dense.PER_ARM:
+            stem, text = f"dense_n{4 * per_arm}", dense.layout(per_arm, seed)
+            out.append((f"{stem}_seed{seed}", text, {}, False))
+            if (stem, seed) == DENSE_GRAND:
+                out.append((f"{stem}_seed{seed}_grand", text, {"mode": "grand"}, False))
+    return out
+
+
+def digest(out: Path) -> str:
+    """sha256 over (name, bytes) of each emitted file but timing.json, in
+    name order."""
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        if path.name != UNTIMED:
+            h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 def main(argv=None):
@@ -46,24 +80,13 @@ def main(argv=None):
     ap.add_argument("--out", type=Path, required=True, help="directory to write the run directories into")
     args = ap.parse_args(argv)
 
-    jobs = []  # (output directory name, scenario path, run keywords, write the field raster)
-    shipped = sorted((ROOT / "scenarios").glob("*.cfg"))
-    for path in shipped:
-        for mode in MODES:
-            jobs.append((f"{path.stem}_{mode}", path, {"mode": mode}, mode == "fuzzy"))
-    for name in UNGATED:
-        jobs.append((f"{name}_ungated", ROOT / "scenarios" / f"{name}.cfg", {"risk_gating": False}, False))
-    dense = _dense_module()
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in DENSE_SEEDS:
-            for path in dense.write_layouts(seed, Path(tmp) / f"seed{seed}"):
-                jobs.append((f"{path.stem}_seed{seed}", path, {}, False))
-                if (path.stem, seed) == DENSE_GRAND:
-                    jobs.append((f"{path.stem}_seed{seed}_grand", path, {"mode": "grand"}, False))
-        for name, path, kwargs, raster in jobs:
+        cfg = Path(tmp) / "scenario.cfg"
+        for name, text, kwargs, raster in jobs():
+            cfg.write_text(text, encoding="utf-8")
             out = args.out / name
-            emit(run(load_scenario(path), **kwargs), out, field_raster=raster)
-            print(out)
+            emit(run(load_scenario(cfg), **kwargs), out, field_raster=raster)
+            print(f"{digest(out)}  {out}")
     return 0
 
 

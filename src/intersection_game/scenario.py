@@ -23,7 +23,9 @@ _NAME = re.compile(r"[A-Za-z0-9_]+")  # scenario and vehicle names become paths 
 # section -> key -> domain.  A number's domain is its type and the checks
 # it must pass besides being finite; a string's is `str` and the allowed
 # values, if any.  A `*_deg` key sets the radians field named without the
-# suffix.  Defaults live in the dataclasses only.
+# suffix.  Defaults live in the dataclasses, but those of [scenario]
+# (`name` the file's stem, `t_end` 30, `dt` 0.1, `mode` fuzzy) live in
+# `load_scenario`.
 _PARAMS: dict[str, dict[str, tuple]] = {
     "scenario": {
         "version": (str, ("1",)),

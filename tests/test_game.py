@@ -550,14 +550,12 @@ omega0 = 60
 )
 
 
-def test_fallback_rows_brake_at_full_effort(tmp_path):
+def test_fallback_rows_brake_at_full_effort(simulate):
     """Every row flagged as a fallback drives full braking.  The reset
     re-sweep after the rationality check moves players an earlier fallback
     braked; one still infeasible must be braked again, one feasible again
     must lose the flag."""
-    path = tmp_path / "crowded.cfg"
-    path.write_text(_CROWDED)
-    res = runner.run(load_scenario(path))
+    res = simulate(_CROWDED)
     a_max = res.scenario.limits.a_max
     fallback = [(k, r.a) for k, rows in enumerate(res.rows) for r in rows if r.fallback]
     assert fallback

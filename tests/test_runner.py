@@ -31,13 +31,7 @@ from intersection_game.scenario import load_scenario
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 _ROLE_ORDER = {"RV": 0, "PV": 1, "OV": 2}
 
-_cache = {}
-
-
-def run_cached(key, **kw):
-    if key not in _cache:
-        _cache[key] = run(load_scenario(SCENARIOS / "case1_A.cfg"), **kw)
-    return _cache[key]
+CASE1_A = (SCENARIOS / "case1_A.cfg").read_text(encoding="utf-8")
 
 
 def test_pair_conflicts_for_three_vehicle_scenario():
@@ -50,21 +44,21 @@ def test_pair_conflicts_for_three_vehicle_scenario():
         assert any(c.kind == "cross" for c in cps)
 
 
-def test_run_terminates_before_the_time_budget():
-    res = run_cached("fuzzy")
+def test_run_terminates_before_the_time_budget(simulate):
+    res = simulate(CASE1_A)
     assert 0 < len(res.steps) < round(res.scenario.t_end / res.scenario.dt)
     assert len(res.rows) == len(res.steps)
     assert all(len(sr) == 3 for sr in res.rows)
 
 
-def test_step_rows_number_the_control_steps():
-    res = run_cached("fuzzy")
+def test_step_rows_number_the_control_steps(simulate):
+    res = simulate(CASE1_A)
     assert [s.step for s in res.steps] == list(range(len(res.steps)))
     assert all(s.t == s.step * res.scenario.dt for s in res.steps)
 
 
-def test_roles_only_progress():
-    res = run_cached("fuzzy")
+def test_roles_only_progress(simulate):
+    res = simulate(CASE1_A)
     for i in range(3):
         prev = -1
         for sr in res.rows:
@@ -73,8 +67,8 @@ def test_roles_only_progress():
             prev = cur
 
 
-def test_constraints_hold_throughout():
-    res = run_cached("fuzzy")
+def test_constraints_hold_throughout(simulate):
+    res = simulate(CASE1_A)
     m = metrics(res)
     assert m["max_constraint_residual"] <= 1e-6
     assert m["rationality"]["emergencies"] == 0
@@ -83,8 +77,8 @@ def test_constraints_hold_throughout():
         assert pair["min_distance"] is None or pair["min_distance"] > 3.0
 
 
-def test_metrics_agree_with_raw_rows():
-    res = run_cached("fuzzy")
+def test_metrics_agree_with_raw_rows(simulate):
+    res = simulate(CASE1_A)
     m = metrics(res)
     pooled = [r.v for sr in res.rows for r in sr if r.role != "OV"]
     want = math.sqrt(sum(v * v for v in pooled) / len(pooled))
@@ -99,25 +93,8 @@ def test_metrics_agree_with_raw_rows():
     assert m["duration"] == pytest.approx(len(res.steps) * 0.1)
 
 
-def _mean_evals(res):
-    return sum(s.evals for s in res.steps) / len(res.steps)
-
-
-def test_gating_cuts_lateral_cost_evaluations():
-    gated = run_cached("fuzzy")
-    ungated = run_cached("ungated", risk_gating=False)
-    assert sum(s.lateral_evals for s in gated.steps) < sum(
-        s.lateral_evals for s in ungated.steps
-    )
-    assert ungated.risk_gating is False
-    # deterministic work per step, the counterpart of criterion 5's timing
-    assert _mean_evals(gated) < _mean_evals(ungated)
-    sc = load_scenario(SCENARIOS / "case3.cfg")
-    assert _mean_evals(run(sc)) < _mean_evals(run(sc, risk_gating=False))
-
-
-def test_forced_participation_reaches_every_row():
-    res = run_cached("noncoop", mode="noncoop")
+def test_forced_participation_reaches_every_row(simulate):
+    res = simulate(CASE1_A, mode="noncoop")
     for sr in res.rows:
         for r in sr:
             assert r.p == 0.0
@@ -130,8 +107,8 @@ def test_run_rejects_bad_arguments():
         run(sc, mode="chaotic")
 
 
-def test_emitted_files_match_their_schemas(tmp_path):
-    res = run_cached("fuzzy")
+def test_emitted_files_match_their_schemas(simulate, tmp_path):
+    res = simulate(CASE1_A)
     files = emit(res, tmp_path)
     assert [f.name for f in files] == [
         "trace.csv", "steps.csv", "series_path_length.csv",
@@ -156,18 +133,6 @@ def test_emitted_files_match_their_schemas(tmp_path):
     assert timing(res)["n_solves"] == len(res.steps)
 
 
-def test_repeated_runs_emit_identical_bytes(tmp_path):
-    sc = load_scenario(SCENARIOS / "case1_A.cfg")
-    a, b = tmp_path / "a", tmp_path / "b"
-    emit(run(sc), a)
-    emit(run(sc), b)
-    for name in (
-        "trace.csv", "steps.csv", "series_path_length.csv",
-        "series_velocity.csv", "metrics.json",
-    ):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-
 def test_fresh_interpreters_emit_identical_bytes(tmp_path):
     src = Path(intersection_game.__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -187,8 +152,8 @@ def test_fresh_interpreters_emit_identical_bytes(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def test_field_raster_emission(tmp_path):
-    res = run_cached("fuzzy")
+def test_field_raster_emission(simulate, tmp_path):
+    res = simulate(CASE1_A)
     files = emit(res, tmp_path, field_raster=True)
     assert files[-1].name == "field_raster.csv"
     lines = (tmp_path / "field_raster.csv").read_text().splitlines()
