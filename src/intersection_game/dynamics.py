@@ -12,18 +12,10 @@ from dataclasses import dataclass
 
 from .geometry import wrap_angle
 
-
-@dataclass(frozen=True)
-class VehicleParams:
-    """Geometric parameters; l_f/l_r are CoG-to-axle distances."""
-
-    l_f: float = 1.4
-    l_r: float = 1.4
-    width: float = 1.8
-
-    @property
-    def wheelbase(self) -> float:
-        return self.l_f + self.l_r
+L_F = 1.4  # m, CoG to front axle
+L_R = 1.4  # m, CoG to rear axle
+WIDTH = 1.8  # m
+WHEELBASE = L_F + L_R
 
 
 @dataclass(frozen=True)
@@ -40,19 +32,16 @@ class ControlInput:
     delta_f: float
 
 
-DEFAULT_VEHICLE = VehicleParams()
-
-
-def sideslip(delta_f: float, params: VehicleParams = DEFAULT_VEHICLE) -> float:
+def sideslip(delta_f: float) -> float:
     """Sideslip angle beta = arctan(l_r / (l_f + l_r) * tan(delta_f))."""
     if not -0.5 * math.pi < delta_f < 0.5 * math.pi:
         raise ValueError(f"steering angle out of range: {delta_f}")
-    return math.atan(params.l_r / params.wheelbase * math.tan(delta_f))
+    return math.atan(L_R / WHEELBASE * math.tan(delta_f))
 
 
-def path_curvature(delta_f: float, params: VehicleParams = DEFAULT_VEHICLE) -> float:
+def path_curvature(delta_f: float) -> float:
     """Signed curvature of the rear-axle path, tan(delta_f) / wheelbase."""
-    return math.tan(delta_f) / params.wheelbase
+    return math.tan(delta_f) / WHEELBASE
 
 
 def step_speed(v0: float, a: float, dt: float) -> float:
@@ -62,9 +51,7 @@ def step_speed(v0: float, a: float, dt: float) -> float:
     return 0.0 if v1 < 0.0 else v1
 
 
-def step(
-    state: VehicleState, u: ControlInput, dt: float, params: VehicleParams = DEFAULT_VEHICLE
-) -> VehicleState:
+def step(state: VehicleState, u: ControlInput, dt: float) -> VehicleState:
     """One RK4 step with the control held constant; velocity floors at zero.
 
     Each stage's rates are (dv, dphi, dx, dy) = (a_x, v k_yaw,
@@ -72,8 +59,8 @@ def step(
     a negative stage speed v counts as zero.  dv is a_x in every stage,
     so the stage speeds need no stage rates of their own.
     """
-    beta = sideslip(u.delta_f, params)
-    k_yaw = math.tan(beta) / params.l_r  # yaw rate per unit of speed
+    beta = sideslip(u.delta_f)
+    k_yaw = math.tan(beta) / L_R  # yaw rate per unit of speed
     cb = math.cos(beta)
     a = u.a_x
     cos, sin = math.cos, math.sin
@@ -113,10 +100,8 @@ def step(
     )
 
 
-def velocity_vector(
-    state: VehicleState, delta_f: float, params: VehicleParams = DEFAULT_VEHICLE
-) -> tuple[float, float]:
+def velocity_vector(state: VehicleState, delta_f: float) -> tuple[float, float]:
     """CoG velocity (vx, vy); magnitude is v_x / cos(beta)."""
-    beta = sideslip(delta_f, params)
+    beta = sideslip(delta_f)
     speed = state.v_x / math.cos(beta)
     return (speed * math.cos(state.phi + beta), speed * math.sin(state.phi + beta))

@@ -26,9 +26,9 @@ from .costs import (
     lane_keeping,
 )
 from .dynamics import (
-    DEFAULT_VEHICLE,
+    L_R,
+    WHEELBASE,
     ControlInput,
-    VehicleParams,
     VehicleState,
     sideslip,
     step as integrate,
@@ -91,10 +91,10 @@ class Limits:
     def beta_max(self) -> float:
         return math.atan(0.02 * self.mu * GRAVITY)
 
-    def steer_box(self, veh: VehicleParams) -> float:
+    def steer_box(self) -> float:
         """Effective steering bound: the plain box or the sideslip bound,
         whichever binds first."""
-        via_beta = math.atan(math.tan(self.beta_max()) * veh.wheelbase / veh.l_r)
+        via_beta = math.atan(math.tan(self.beta_max()) * WHEELBASE / L_R)
         return min(self.delta_max, via_beta)
 
 
@@ -151,11 +151,11 @@ class StepSolution:
     max_constraint_residual: float
 
 
-def tracking_delta(route: Route, s: float, v: float, dt: float, limits: Limits, veh: VehicleParams) -> float:
+def tracking_delta(route: Route, s: float, v: float, dt: float, limits: Limits) -> float:
     """Feedforward steering for the route curvature just ahead, clipped."""
     rho = route.curvature_at(s + max(v, 0.0) * dt)
-    box = limits.steer_box(veh)
-    return min(max(math.atan(rho * veh.wheelbase), -box), box)
+    box = limits.steer_box()
+    return min(max(math.atan(rho * WHEELBASE), -box), box)
 
 
 def _ramp_peak_speed(v_next: float, a: float, dt: float, jerk_max: float) -> float:
@@ -375,7 +375,7 @@ class _StepSolver:
     zero, and the search and the crossing loop compare rather than call
     min/max.  Some call sites stay as they are because
     `perfbench/tracing.py` wraps them by name: the RK4 goes through the
-    module global `integrate(state, ControlInput(a, d), dt, veh)`,
+    module global `integrate(state, ControlInput(a, d), dt)`,
     projections through `Route.project`, and `crossing_risk`,
     `efficiency`, `lane_keeping`, `following_risk`, `stop_distance`,
     `brake_reach` and `follow_reach` are looked up as module globals at
@@ -388,20 +388,18 @@ class _StepSolver:
         dt: float,
         limits: Limits,
         omega0: float,
-        veh: VehicleParams,
         allow_reset: bool,
     ):
         self.views = views
         self.dt = dt
         self.limits = limits
         self.omega0 = omega0
-        self.veh = veh
         self.allow_reset = allow_reset
         self.n = len(views)
         self.players = [i for i in range(self.n) if views[i].player]
         self.p = [v.p for v in views]
         self.balance = [balance_weights(v.kappa) for v in views]
-        self.steer_lim = limits.steer_box(veh)
+        self.steer_lim = limits.steer_box()
         self.evals = 0
         self.lateral_evals = 0
         self.sweeps = 0
@@ -467,10 +465,10 @@ class _StepSolver:
         c = memo.get((a, d))
         if c is None:
             view = self.views[i]
-            pred = integrate(view.state, ControlInput(a, d), self.dt, self.veh)
+            pred = integrate(view.state, ControlInput(a, d), self.dt)
             beta = self._beta.get(d)
             if beta is None:
-                beta = self._beta[d] = sideslip(d, self.veh)
+                beta = self._beta[d] = sideslip(d)
             s_pred, dy, dphi = lane_errors(view.route, pred, beta)
             slack = max(bound_residuals(
                 a, d, view.a_prev, pred.v_x, dy, dphi, self.dt, self.limits, self.steer_lim
@@ -905,8 +903,7 @@ def solve_step(
     dt: float,
     limits: Limits = Limits(),
     omega0: float = 10.0,
-    veh: VehicleParams = DEFAULT_VEHICLE,
     allow_reset: bool = True,
 ) -> StepSolution:
-    solver = _StepSolver(views, dt, limits, omega0, veh, allow_reset)
+    solver = _StepSolver(views, dt, limits, omega0, allow_reset)
     return solver.solve()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import DEFAULT_VEHICLE, VehicleParams, VehicleState, path_curvature
+from .dynamics import L_R, WIDTH, VehicleState, path_curvature
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,13 @@ def build_field(
     delta_f: float,
     kappa: float,
     fp: FieldParams = FieldParams(),
-    veh: VehicleParams = DEFAULT_VEHICLE,
 ) -> GaussianField:
     """Field snapshot for a vehicle at `state` holding steering `delta_f`."""
     if not -1.0 <= kappa <= 1.0:
         raise ValueError(f"aggressiveness {kappa} outside [-1, 1]")
-    gx = state.x - veh.l_r * math.cos(state.phi)
-    gy = state.y - veh.l_r * math.sin(state.phi)
-    rho = path_curvature(delta_f, veh)
+    gx = state.x - L_R * math.cos(state.phi)
+    gy = state.y - L_R * math.sin(state.phi)
+    rho = path_curvature(delta_f)
     if abs(rho) < 1e-9:
         rho = 0.0
         cx, cy = gx, gy
@@ -110,6 +109,6 @@ def build_field(
         cy=cy,
         peak=fp.a0 * math.exp(kappa),
         support=max(state.v_x, 0.0) * fp.horizon,
-        sigma0=veh.width / 4.0,
+        sigma0=WIDTH / 4.0,
         sigma_slope=fp.spread_b + fp.spread_c * abs(delta_f),
     )

@@ -156,18 +156,17 @@ def build_views(
     has cleared the zone (OV) is no player and sees nothing.
     """
     routes = scenario.routes
-    veh = scenario.vehicle_model
     limits = scenario.limits
     fp = scenario.field
     dt = scenario.dt
     n = len(scenario.vehicles)
-    fields = [build_field(states[i], d_prev[i], scenario.vehicles[i].kappa, fp, veh) for i in range(n)]
+    fields = [build_field(states[i], d_prev[i], scenario.vehicles[i].kappa, fp) for i in range(n)]
 
     views: list[PlayerView] = []
     for i in range(n):
         coast = (
             _coast_accel(a_prev[i], limits.jerk_max, dt),
-            tracking_delta(routes[i], s_now[i], states[i].v_x, dt, limits, veh),
+            tracking_delta(routes[i], s_now[i], states[i].v_x, dt, limits),
         )
         common = dict(
             route=routes[i],
@@ -230,7 +229,6 @@ def run(
 
     net = scenario.network
     routes = scenario.routes
-    veh = scenario.vehicle_model
     limits = scenario.limits
     fp = scenario.field
     dt = scenario.dt
@@ -270,7 +268,6 @@ def run(
             dt,
             limits=limits,
             omega0=fp.omega0,
-            veh=veh,
             allow_reset=allow_reset,
         )
         solve_time = time.perf_counter() - t0
@@ -318,7 +315,7 @@ def run(
 
         for i in range(n):
             a, d = sol.controls[i]
-            states[i] = integrate(states[i], ControlInput(a, d), dt, veh)
+            states[i] = integrate(states[i], ControlInput(a, d), dt)
             s_now[i] = routes[i].project(states[i].x, states[i].y)[0]
             a_prev[i] = a
             d_prev[i] = d
@@ -348,7 +345,6 @@ def metrics(result: SimResult) -> dict:
     """Aggregate report: per-vehicle kinematics over the active lifetime,
     pooled system velocity, and per-conflicting-pair minima."""
     sc = result.scenario
-    veh = sc.vehicle_model
     names = result.names
     n = len(names)
 
@@ -400,8 +396,8 @@ def metrics(result: SimResult) -> dict:
                         min_ttc = min(min_ttc, later_t)
             # closing time only under an actual leader-follower relation
             if ri.lv == j or rj.lv == i:
-                vi = velocity_vector(VehicleState(ri.v, ri.phi, ri.x, ri.y), ri.delta, veh)
-                vj = velocity_vector(VehicleState(rj.v, rj.phi, rj.x, rj.y), rj.delta, veh)
+                vi = velocity_vector(VehicleState(ri.v, ri.phi, ri.x, ri.y), ri.delta)
+                vj = velocity_vector(VehicleState(rj.v, rj.phi, rj.x, rj.y), rj.delta)
                 min_ttc = min(min_ttc, closing_ttc(ri.x, ri.y, vi[0], vi[1], rj.x, rj.y, vj[0], vj[1]))
         pairs[f"{names[i]}-{names[j]}"] = {
             "kinds": sorted({c.kind for c in cps}),
@@ -548,9 +544,7 @@ def _emit_field_raster(result: SimResult, out: Path) -> Path:
     """Sampled sum of all vehicles' initial risk fields on a coarse grid."""
     sc = result.scenario
     states, _ = initial_states(sc)
-    fields = [
-        build_field(state, 0.0, spec.kappa, sc.field, sc.vehicle_model) for state, spec in zip(states, sc.vehicles)
-    ]
+    fields = [build_field(state, 0.0, spec.kappa, sc.field) for state, spec in zip(states, sc.vehicles)]
     half = sc.network.cz_half_width + 15.0
     ticks = [round(-half + 0.5 * k, 1) for k in range(int(4 * half) + 1)]
     lines = ["x,y,value"]

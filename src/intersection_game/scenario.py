@@ -1,6 +1,8 @@
-"""Scenario files: INI sections for the network and model parameters,
-and one section per vehicle.  Parsing is strict; unknown sections or keys
-are errors so a typo cannot silently fall back to a default.
+"""Scenario files: INI sections for the network and risk-field
+parameters, and one section per vehicle.  Parsing is strict; unknown
+sections or keys are errors so a typo cannot silently fall back to a
+default.  The vehicle model (`dynamics.L_F`, `L_R`, `WIDTH`) and the
+constraint limits (`game.Limits`) are fixed, not configuration.
 """
 
 from __future__ import annotations
@@ -8,10 +10,9 @@ from __future__ import annotations
 import configparser
 import re
 from dataclasses import dataclass
-from math import isfinite, radians
+from math import isfinite
 from pathlib import Path
 
-from .dynamics import VehicleParams
 from .game import Limits
 from .network import LANES, MANEUVERS, Network, Route, route_for
 from .risk import FieldParams
@@ -22,8 +23,7 @@ _NAME = re.compile(r"[A-Za-z0-9_]+")  # scenario and vehicle names become paths 
 
 # section -> key -> domain.  A number's domain is its type and the checks
 # it must pass besides being finite; a string's is `str` and the allowed
-# values, if any.  A `*_deg` key sets the radians field named without the
-# suffix.  Defaults live in the dataclasses, but those of [scenario]
+# values, if any.  Defaults live in the dataclasses, but those of [scenario]
 # (`name` the file's stem, `t_end` 30, `dt` 0.1, `mode` fuzzy) live in
 # `load_scenario`.
 _PARAMS: dict[str, dict[str, tuple]] = {
@@ -51,22 +51,6 @@ _PARAMS: dict[str, dict[str, tuple]] = {
         "threshold": (float, "nonnegative"),
         "omega0": (float, "nonnegative"),
     },
-    "limits": {
-        "v_max": (float, "positive", "at most 100"),
-        "a_max": (float, "positive", "at most 100"),
-        "jerk_max": (float, "positive", "at least 0.1"),
-        "delta_max_deg": (float, "in (0, 90)"),
-        "mu": (float, "positive"),
-        "ttc_min": (float, "positive"),
-        "lane_dev_max": (float, "positive"),
-        "course_dev_max_deg": (float, "positive"),
-        "stop_margin": (float, "nonnegative", "at most 100"),
-    },
-    "vehicle_model": {
-        "l_f": (float, "positive"),
-        "l_r": (float, "positive"),
-        "width": (float, "positive"),
-    },
 }
 # the same for each [vehicle.<name>] section; every key but `lane` is required
 _VEHICLE: dict[str, tuple] = {
@@ -80,24 +64,20 @@ _VEHICLE: dict[str, tuple] = {
 }
 
 # The caps keep the model's products finite: the field's ridge length
-# (speed x horizon), the cube of the committed stop's ramp time
-# (a_max / jerk_max), and one step's yaw change (yaw rate x dt).  The
+# (speed x horizon) and one step's yaw change (yaw rate x dt).  The
 # floor on dt bounds a run at 1000 steps per simulated second and keeps
 # the step count of game._ramp_peak_speed (a / (jerk_max x dt)) finite.
 # The cap on t_end keeps the run's step count (t_end / dt) a finite
 # integer, at most 3.6 million steps at the dt floor.
-# The cap on stop_margin keeps runner._hold_margin's 0.25 m loop finite,
-# and the cap on cz_half_width bounds the field raster's square grid.
+# The cap on cz_half_width bounds the field raster's square grid.
 _DOMAINS = {
     "positive": lambda v: v > 0.0,
     "nonnegative": lambda v: v >= 0.0,
-    "at least 0.1": lambda v: v >= 0.1,
     "at least 0.001": lambda v: v >= 0.001,
     "at most 1": lambda v: v <= 1.0,
     "at most 60": lambda v: v <= 60.0,
     "at most 100": lambda v: v <= 100.0,
     "at most 3600": lambda v: v <= 3600.0,
-    "in (0, 90)": lambda v: 0.0 < v < 90.0,
     "in [-1, 1]": lambda v: -1.0 <= v <= 1.0,
 }
 
@@ -127,7 +107,6 @@ class Scenario:
     network: Network
     field: FieldParams
     limits: Limits
-    vehicle_model: VehicleParams
     vehicles: tuple[VehicleSpec, ...]
     routes: tuple[Route, ...]  # index-aligned with vehicles
 
@@ -165,10 +144,7 @@ def _read(cp, section: str, table: dict[str, tuple]) -> dict:
         value = _number(section, key, raw)
         for domain in rule:
             _require(section, key, value, domain)
-        if key.endswith("_deg"):
-            kwargs[key.removesuffix("_deg")] = radians(value)
-        else:
-            kwargs[key] = value
+        kwargs[key] = value
     return kwargs
 
 
@@ -204,7 +180,7 @@ def load_scenario(path: str | Path) -> Scenario:
         network = Network(**given["network"])
     except ValueError as exc:
         raise ScenarioError(f"[network] {exc}") from exc
-    limits = Limits(**given["limits"])
+    limits = Limits()
 
     if not vehicle_sections:
         raise ScenarioError("no [vehicle.*] sections")
@@ -241,7 +217,6 @@ def load_scenario(path: str | Path) -> Scenario:
         network=network,
         field=FieldParams(**given["field"]),
         limits=limits,
-        vehicle_model=VehicleParams(**given["vehicle_model"]),
         vehicles=tuple(vehicles),
         routes=tuple(routes),
     )

@@ -10,6 +10,13 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 CASE1 = str(SCENARIOS / "case1_A.cfg")
 
 
+def _short_case1(tmp_path):
+    """case1_A cut to three steps: the CLI's plumbing, not the full 20 s run."""
+    cfg = tmp_path / "case1_A.cfg"
+    cfg.write_text(Path(CASE1).read_text().replace("t_end = 20", "t_end = 0.3"))
+    return str(cfg)
+
+
 def test_validate_prints_topology(capsys):
     assert main(["validate", CASE1]) == 0
     out = capsys.readouterr().out
@@ -29,11 +36,10 @@ def test_validate_rejects_broken_config(tmp_path, capsys):
 
 
 def test_run_rejects_parameter_outside_its_domain(tmp_path, capsys):
-    # a zero jerk bound used to pass loading and crash the run
-    cfg = tmp_path / "jerk0.cfg"
-    cfg.write_text(Path(CASE1).read_text() + "\n[limits]\njerk_max = 0\n")
+    cfg = tmp_path / "horizon.cfg"
+    cfg.write_text(Path(CASE1).read_text().replace("horizon = 4", "horizon = -1"))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "jerk_max: must be positive" in capsys.readouterr().err
+    assert "horizon: must be positive" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -52,6 +58,18 @@ def test_run_rejects_solver_section(tmp_path, capsys):
     cfg.write_text(Path(CASE1).read_text() + "\n[solver]\nfeas_slack = 1e3\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "unknown section [solver]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [("limits", "jerk_max", "2"), ("vehicle_model", "l_f", "1.4")])
+def test_run_rejects_fixed_model_section(tmp_path, capsys, section, key, value):
+    # the vehicle model and its limits are constants, even at their values
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text(Path(CASE1).read_text() + f"\n[{section}]\n{key} = {value}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown section [{section}]" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -74,7 +92,7 @@ def test_missing_scenario_file_is_a_config_error(tmp_path, capsys):
 
 def test_run_writes_outputs(tmp_path, capsys):
     out = tmp_path / "o"
-    rc = main(["run", CASE1, "--mode", "noncoop", "--out", str(out), "--field-raster"])
+    rc = main(["run", _short_case1(tmp_path), "--mode", "noncoop", "--out", str(out), "--field-raster"])
     assert rc == 0
     for name in ("trace.csv", "steps.csv", "metrics.json", "timing.json", "field_raster.csv"):
         assert (out / name).is_file()
@@ -89,7 +107,7 @@ def test_compare_rejects_unknown_mode(capsys):
 
 
 def test_compare_prints_table_and_writes_runs(tmp_path, capsys):
-    rc = main(["compare", CASE1, "--modes", "noncoop", "--out", str(tmp_path)])
+    rc = main(["compare", _short_case1(tmp_path), "--modes", "noncoop", "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "noncooperative baseline" in out

@@ -14,7 +14,7 @@ from intersection_game.costs import (
     lane_errors,
     lane_keeping,
 )
-from intersection_game.dynamics import DEFAULT_VEHICLE, VehicleState, sideslip
+from intersection_game.dynamics import WHEELBASE, VehicleState, sideslip
 from intersection_game.network import Network, route_for
 
 
@@ -130,7 +130,7 @@ def test_lane_errors_vanish_in_steady_cornering():
     net = Network()
     r = route_for(net, "M1", "left")
     s = 40.0  # mid arc
-    delta = math.atan(r.curvature_at(s) * DEFAULT_VEHICLE.wheelbase)
+    delta = math.atan(r.curvature_at(s) * WHEELBASE)
     x, y = r.point_at(s)
     phi = r.project(x, y)[2] - sideslip(delta)
     s_back, dy, dphi = lane_errors(r, VehicleState(5.0, phi, x, y), sideslip(delta))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intersection_game.dynamics import (
-    DEFAULT_VEHICLE,
+    L_R,
+    WHEELBASE,
     ControlInput,
-    VehicleParams,
     VehicleState,
     path_curvature,
     sideslip,
@@ -31,16 +31,16 @@ def _stage_rates(v, phi, a_x, beta, cos_beta, k_yaw):
     )
 
 
-def rates(state, u, params=DEFAULT_VEHICLE):
+def rates(state, u):
     """Time derivative (dv, dphi, dx, dy) of the state under control u."""
-    beta = sideslip(u.delta_f, params)
-    return _stage_rates(state.v_x, state.phi, u.a_x, beta, math.cos(beta), math.tan(beta) / params.l_r)
+    beta = sideslip(u.delta_f)
+    return _stage_rates(state.v_x, state.phi, u.a_x, beta, math.cos(beta), math.tan(beta) / L_R)
 
 
-def reference_step(state, u, dt, params=DEFAULT_VEHICLE):
+def reference_step(state, u, dt):
     """Textbook RK4 over `_stage_rates`, one stage call per stage."""
-    beta = sideslip(u.delta_f, params)
-    k_yaw = math.tan(beta) / params.l_r
+    beta = sideslip(u.delta_f)
+    k_yaw = math.tan(beta) / L_R
     cb = math.cos(beta)
     a = u.a_x
     v0, p0 = state.v_x, state.phi
@@ -62,7 +62,7 @@ def _bits(state):
     return tuple(float(x).hex() for x in (state.v_x, state.phi, state.x, state.y))
 
 
-STEER_BOX = Limits().steer_box(DEFAULT_VEHICLE)
+STEER_BOX = Limits().steer_box()
 
 
 @given(
@@ -96,11 +96,10 @@ def test_sideslip_rejects_right_angle_steer():
         sideslip(-1.6)
 
 
-@given(st.floats(-1.2, 1.2), st.floats(0.5, 2.5), st.floats(0.5, 2.5))
-def test_sideslip_odd_and_bounded(delta, l_f, l_r):
-    p = VehicleParams(l_f=l_f, l_r=l_r)
-    assert sideslip(-delta, p) == pytest.approx(-sideslip(delta, p), abs=1e-12)
-    assert abs(sideslip(delta, p)) <= abs(delta) + 1e-12
+@given(st.floats(-1.2, 1.2))
+def test_sideslip_odd_and_bounded(delta):
+    assert sideslip(-delta) == pytest.approx(-sideslip(delta), abs=1e-12)
+    assert abs(sideslip(delta)) <= abs(delta) + 1e-12
 
 
 def test_path_curvature_values():
@@ -121,7 +120,7 @@ def test_rear_axle_point():
 def test_turn_center_offset():
     # steering chosen so the rear-axle curvature is exactly 0.2; a left
     # steer turns about a center on the left of the heading
-    delta = math.atan(0.2 * DEFAULT_VEHICLE.wheelbase)
+    delta = math.atan(0.2 * WHEELBASE)
     f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), delta, 0.0)
     assert f.curvature == pytest.approx(0.2, abs=1e-12)
     assert (f.cx, f.cy) == pytest.approx((f.gx, f.gy + 5.0), abs=1e-12)
@@ -177,7 +176,7 @@ def test_step_circle_oracle():
     """100 integrator steps against the closed-form constant-curvature orbit."""
     v, delta, dt = 5.0, 0.2, 0.1
     beta = sideslip(delta)
-    omega = v * math.tan(beta) / DEFAULT_VEHICLE.l_r
+    omega = v * math.tan(beta) / L_R
     speed = v / math.cos(beta)
     radius = speed / omega
     st0 = VehicleState(v, 0.0, 0.0, 0.0)

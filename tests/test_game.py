@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from intersection_game import game, runner
 from intersection_game.costs import balance_weights, blended_loss, efficiency, lane_keeping
 from intersection_game.dynamics import (
-    DEFAULT_VEHICLE,
+    WHEELBASE,
     ControlInput,
     VehicleState,
     sideslip,
@@ -105,20 +105,20 @@ def test_allocation_sums_to_pool(values, data):
 
 def test_sideslip_bound_and_steer_box():
     assert L.beta_max() == pytest.approx(0.1652492162701235, abs=1e-12)
-    box = L.steer_box(DEFAULT_VEHICLE)
+    box = L.steer_box()
     assert box <= L.delta_max
     # the box is exactly the steering that produces the sideslip bound
     assert sideslip(box) == pytest.approx(L.beta_max(), abs=1e-12)
 
 
 def test_bound_residuals_all_slack_when_coasting():
-    res = bound_residuals(0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.1, L, L.steer_box(DEFAULT_VEHICLE))
+    res = bound_residuals(0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.1, L, L.steer_box())
     assert len(res) == len(BOUND_NAMES) == 6
     assert all(r <= 0.0 for r in res)
 
 
 def test_bound_residuals_flag_each_limit():
-    sb = L.steer_box(DEFAULT_VEHICLE)
+    sb = L.steer_box()
     i_acc = BOUND_NAMES.index("accel")
     i_jerk = BOUND_NAMES.index("jerk")
     i_steer = BOUND_NAMES.index("steer")
@@ -142,7 +142,7 @@ def test_bound_residuals_flag_each_limit():
 
 def test_speed_residual_guards_the_whole_ramp_down():
     # 7.9 m/s now, still pushing 1 m/s^2: the jerk-limited backout peaks at 8.1
-    sb = L.steer_box(DEFAULT_VEHICLE)
+    sb = L.steer_box()
     res = bound_residuals(1.0, 0.0, 1.0, 7.9, 0.0, 0.0, 0.1, L, sb)
     assert res[BOUND_NAMES.index("speed")] == pytest.approx(0.1, abs=1e-12)
     assert all(r <= 0.0 for k, r in enumerate(res) if k != BOUND_NAMES.index("speed"))
@@ -230,19 +230,19 @@ def test_follow_reach_is_the_exact_maximum_over_the_stop(v0, a0, v_lead, ttc_flo
 
 def test_tracking_delta_straight_and_arc():
     straight = route_for(NET, "M1", "straight", "outer")
-    assert tracking_delta(straight, 20.0, 5.0, 0.1, L, DEFAULT_VEHICLE) == 0.0
+    assert tracking_delta(straight, 20.0, 5.0, 0.1, L) == 0.0
     left = route_for(NET, "M1", "left")
-    d = tracking_delta(left, 40.0, 0.0, 0.1, L, DEFAULT_VEHICLE)
-    assert d == pytest.approx(math.atan(DEFAULT_VEHICLE.wheelbase / left.elements[1].radius))
+    d = tracking_delta(left, 40.0, 0.0, 0.1, L)
+    assert d == pytest.approx(math.atan(WHEELBASE / left.elements[1].radius))
 
 
 def test_tracking_delta_clipped_by_steer_box():
     tight = Network(right_turn_radius=7.0)
     r = route_for(tight, "M2", "right")
     arc_mid = 0.5 * (r.cum_s[1] + r.cum_s[2])
-    d = tracking_delta(r, arc_mid, 0.0, 0.1, L, DEFAULT_VEHICLE)
-    assert abs(d) == pytest.approx(L.steer_box(DEFAULT_VEHICLE))
-    assert abs(math.atan(r.curvature_at(arc_mid) * DEFAULT_VEHICLE.wheelbase)) > abs(d)
+    d = tracking_delta(r, arc_mid, 0.0, 0.1, L)
+    assert abs(d) == pytest.approx(L.steer_box())
+    assert abs(math.atan(r.curvature_at(arc_mid) * WHEELBASE)) > abs(d)
 
 
 def _single_view(v=5.0, s=20.0):
@@ -269,7 +269,7 @@ def test_single_vehicle_accelerates_straight():
 def test_single_vehicle_matches_exhaustive_grid():
     view = _single_view()
     sol = solve_step([view], 0.1)
-    sb = L.steer_box(DEFAULT_VEHICLE)
+    sb = L.steer_box()
     k_s, k_e = balance_weights(0.0)
     best = math.inf
     for ia in range(-20, 21):
@@ -315,7 +315,7 @@ def test_crossing_pair_solves_cleanly():
 
 def test_solved_controls_are_best_responses():
     solver = _StepSolver(
-        _crossing_views(), 0.1, L, 10.0, DEFAULT_VEHICLE, True
+        _crossing_views(), 0.1, L, 10.0, True
     )
     sol = solver.solve()
     for i in (0, 1):
@@ -340,7 +340,7 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
     """Asking again against the same partner controls ranks nothing and
     replays the counts of the first answer; once a partner moves, the
     search runs again and agrees with a fresh solver at those controls."""
-    solver = _StepSolver(_crossing_views(), 0.1, L, 10.0, DEFAULT_VEHICLE, True)
+    solver = _StepSolver(_crossing_views(), 0.1, L, 10.0, True)
     solver.solve()
     ranked = [0]
     real_rank = solver._rank
@@ -368,7 +368,7 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
         a_k, d_k = solver.controls[k]
         solver.controls[k] = (a_k - 0.1, d_k)
         solver._refresh_pred(k)
-        fresh = _StepSolver(_crossing_views(), 0.1, L, 10.0, DEFAULT_VEHICLE, True)
+        fresh = _StepSolver(_crossing_views(), 0.1, L, 10.0, True)
         fresh.p = list(solver.p)
         fresh.controls = list(solver.controls)
         for j in range(fresh.n):
@@ -426,7 +426,7 @@ def test_feasible_incumbent_skips_rk4_for_speed_breaking_candidates(monkeypatch)
     """At the speed limit every positive acceleration breaks the speed
     ramp.  Once the search holds a feasible control, those candidates are
     ranked as losers from `a` alone and never reach the integrator."""
-    solver = _StepSolver([_single_view(v=L.v_max)], 0.1, L, 10.0, DEFAULT_VEHICLE, True)
+    solver = _StepSolver([_single_view(v=L.v_max)], 0.1, L, 10.0, True)
     integrated = []
     real_integrate = game.integrate
 
@@ -449,12 +449,12 @@ def test_lazily_stored_candidate_ranks_by_its_exact_residual():
     residual computes that residual, and the key equals the one a fresh
     solver ranks."""
     views = [_single_view(v=L.v_max)]
-    solver = _StepSolver(views, 0.1, L, 10.0, DEFAULT_VEHICLE, True)
+    solver = _StepSolver(views, 0.1, L, 10.0, True)
     solver._best_response(0, solver.p[0])
     _, scored, table = solver._scored_for(0)
     lazy = [ad for ad, entry in scored.items() if entry is game._UNSCORED]
     assert lazy
-    fresh = _StepSolver(views, 0.1, L, 10.0, DEFAULT_VEHICLE, True)
+    fresh = _StepSolver(views, 0.1, L, 10.0, True)
     _, fresh_scored, fresh_table = fresh._scored_for(0)
     for a, d in lazy:
         key = solver._rank(0, a, d, solver.p[0], scored, table)
@@ -469,7 +469,7 @@ def test_lazily_stored_candidate_ranks_by_its_exact_residual():
 def test_infeasible_search_ranks_by_exact_residuals():
     """A search that never holds a feasible control stores no candidate
     lazily, and its key carries the exact residual of its control."""
-    solver = _StepSolver(_blocked_views(), 0.1, L, 10.0, DEFAULT_VEHICLE, True)
+    solver = _StepSolver(_blocked_views(), 0.1, L, 10.0, True)
     a, d, key = solver._best_response(0, solver.p[0])
     assert key[0] == 1.0
     _, scored, table = solver._scored_for(0)
@@ -576,7 +576,7 @@ def _rank_cases():
 @pytest.mark.parametrize("case", range(4), ids=["p0", "no_dependents", "dependents_0", "dependents_1"])
 def test_game_rank_key_is_the_pooled_objective_bit_for_bit(case):
     views, i = _rank_cases()[case]
-    solver = _StepSolver(views, 0.1, L, 10.0, DEFAULT_VEHICLE, True)
+    solver = _StepSolver(views, 0.1, L, 10.0, True)
     assert (solver.p[i] == 0.0) == (case == 0)
     assert bool(solver.dependents[i]) == (case != 1)
     _, scored, table = solver._scored_for(i)
@@ -700,7 +700,7 @@ def test_table_residual_equals_the_per_point_loop_bit_for_bit(
         player=True, coast=(0.0, 0.0), lv=lv, lv_gated=lv is not None, cps=tuple(cps),
     )
     views = [host, *partner_views] + ([lead_view] if leader is not None else [])
-    solver = _StepSolver(views, 0.1, L, 10.0, DEFAULT_VEHICLE, True)
+    solver = _StepSolver(views, 0.1, L, 10.0, True)
     table = solver._crossing_table(0)
     assert any(math.isinf(t_other) for _, t_other, _ in table) == any(
         solver.pred[cp.partner].v_x <= 1e-9 for cp in cps

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from intersection_game.dynamics import DEFAULT_VEHICLE, VehicleState, path_curvature
+from intersection_game.dynamics import L_R, VehicleState, path_curvature
 from intersection_game.risk import FieldParams, build_field
 
 FP1 = FieldParams(a0=1.0)
@@ -37,8 +37,8 @@ def test_ridge_sigma_strictly_increasing(s, ds, delta):
     assert f.sigma(s + ds) > f.sigma(s)
 
 
-def field_anchor(state, veh=DEFAULT_VEHICLE):
-    return state.x - veh.l_r * math.cos(state.phi), state.y - veh.l_r * math.sin(state.phi)
+def field_anchor(state):
+    return state.x - L_R * math.cos(state.phi), state.y - L_R * math.sin(state.phi)
 
 
 def test_straight_field_on_ridge_values():

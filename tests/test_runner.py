@@ -256,7 +256,7 @@ def test_build_views_gates_strictly_above_the_threshold(tmp_path):
     sc = scenario_of(tmp_path, *[("M1", "straight", "outer")] * 2)
     s = [10.0, 20.0]
     states = place(sc, s)
-    level = build_field(states[0], 0.0, 0.0, sc.field, sc.vehicle_model).value(states[1].x, states[1].y)
+    level = build_field(states[0], 0.0, 0.0, sc.field).value(states[1].x, states[1].y)
     assert level > 0.0
     # a level exactly at the threshold stays off
     assert not views_at(with_threshold(sc, level), s)[0].lv_gated
@@ -270,7 +270,7 @@ def test_build_views_gates_strictly_above_the_threshold(tmp_path):
     for near in (0, 1):
         s = [cross.s_a - 25.0, cross.s_b - 25.0]
         s[near] += 17.0
-        fields = [build_field(st, 0.0, 0.0, sc.field, sc.vehicle_model) for st in place(sc, s)]
+        fields = [build_field(st, 0.0, 0.0, sc.field) for st in place(sc, s)]
         level = fields[near].value(cross.x, cross.y)
         assert level > 0.0 == fields[1 - near].value(cross.x, cross.y)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from intersection_game.game import Limits
 from intersection_game.runner import run
 from intersection_game.scenario import _PARAMS, _VEHICLE, MODES, ScenarioError, load_scenario
 
@@ -69,8 +70,7 @@ def test_defaults_from_minimal_file(tmp_path):
     assert sc.t_end == 30.0
     assert sc.dt == 0.1
     assert sc.mode == "fuzzy"
-    assert sc.vehicle_model.l_r == 1.4
-    assert sc.limits.v_max == 8.0
+    assert sc.limits == Limits()
     assert sc.vehicles[0].lane == "outer"
 
 
@@ -158,21 +158,7 @@ def test_rejects_nonpositive_horizon_times(tmp_path):
         ("scenario", "t_end", "nan", "t_end: not a finite number"),
         ("scenario", "t_end", "inf", "t_end: not a finite number"),
         ("scenario", "dt", "-0.1", "dt: must be positive"),
-        ("limits", "a_max", "-1", "a_max: must be positive"),
-        ("limits", "jerk_max", "0", "jerk_max: must be positive"),
-        ("limits", "v_max", "0", "v_max: must be positive"),
-        ("limits", "mu", "-0.5", "mu: must be positive"),
-        ("limits", "ttc_min", "0", "ttc_min: must be positive"),
-        ("limits", "stop_margin", "inf", "stop_margin: not a finite number"),
         ("field", "omega0", "nan", "omega0: not a finite number"),
-        ("vehicle_model", "l_f", "0", "l_f: must be positive"),
-        ("vehicle_model", "l_r", "-1.4", "l_r: must be positive"),
-        ("vehicle_model", "width", "0", "width: must be positive"),
-        ("limits", "lane_dev_max", "-1", "lane_dev_max: must be positive"),
-        ("limits", "course_dev_max_deg", "0", "course_dev_max_deg: must be positive"),
-        ("limits", "delta_max_deg", "-30", "delta_max_deg: must be in (0, 90)"),
-        ("limits", "delta_max_deg", "90", "delta_max_deg: must be in (0, 90)"),
-        ("limits", "stop_margin", "-5", "stop_margin: must be nonnegative"),
         ("field", "a0", "0", "a0: must be positive"),
         ("field", "horizon", "-1", "horizon: must be positive"),
         ("field", "spread_b", "-0.5", "spread_b: must be nonnegative"),
@@ -182,11 +168,7 @@ def test_rejects_nonpositive_horizon_times(tmp_path):
         ("network", "ov_exit_margin", "-50", "ov_exit_margin: must be nonnegative"),
         ("scenario", "dt", "1.5", "dt: must be at most 1"),
         ("scenario", "dt", "1e-16", "dt: must be at least 0.001"),
-        ("limits", "stop_margin", "1e16", "stop_margin: must be at most 100"),
         ("field", "horizon", "1e300", "horizon: must be at most 60"),
-        ("limits", "v_max", "150", "v_max: must be at most 100"),
-        ("limits", "a_max", "1e300", "a_max: must be at most 100"),
-        ("limits", "jerk_max", "1e-300", "jerk_max: must be at least 0.1"),
         ("network", "cz_half_width", "1e6", "cz_half_width: must be at most 100"),
         ("scenario", "t_end", "1e308", "t_end: must be at most 3600"),
     ],
@@ -209,7 +191,6 @@ def test_rejects_parameters_outside_their_domain(tmp_path, section, key, value, 
         pytest.param("solver", "conv_tol", "1e-3", "unknown section [solver]", id="solver-conv_tol"),
         pytest.param("solver", "feas_slack", "1e3", "unknown section [solver]", id="solver-feas_slack"),
         pytest.param("solver", "rationality_tol", "1e-6", "unknown section [solver]", id="solver-rationality_tol"),
-        pytest.param("limits", "ttc_guard", "0.05", "[limits] unknown key(s): ttc_guard", id="limits-ttc_guard"),
     ],
 )
 def test_rejects_solver_tolerance(tmp_path, section, key, value, fragment):
@@ -217,8 +198,33 @@ def test_rejects_solver_tolerance(tmp_path, section, key, value, fragment):
     reject(tmp_path, text, fragment)
 
 
+# The vehicle model (`dynamics.L_F`, `L_R`, `WIDTH`) and the constraint
+# limits (`game.Limits`) are fixed too.  A config that still sets one of
+# their former keys is rejected, even at the old default value.
+_FIXED_SECTIONS = {
+    "limits": {
+        "v_max": "8", "a_max": "8", "jerk_max": "2", "delta_max_deg": "30", "mu": "0.85", "ttc_min": "1.5",
+        "lane_dev_max": "0.2", "course_dev_max_deg": "2", "stop_margin": "3.5", "ttc_guard": "0.05",
+    },
+    "vehicle_model": {"l_f": "1.4", "l_r": "1.4", "width": "1.8"},
+}
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        pytest.param(section, key, value, id=f"{section}-{key}")
+        for section, keys in _FIXED_SECTIONS.items()
+        for key, value in keys.items()
+    ],
+)
+def test_rejects_fixed_model_section(tmp_path, section, key, value):
+    text = (SCENARIOS / "case3.cfg").read_text() + f"\n[{section}]\n{key} = {value}\n"
+    reject(tmp_path, text, f"unknown section [{section}]")
+
+
 def test_rejects_bad_yaw_form(tmp_path):
-    reject(tmp_path, MINIMAL + "\n[vehicle_model]\nyaw_form = euler\n", "yaw_form")
+    reject(tmp_path, MINIMAL + "\n[vehicle_model]\nyaw_form = euler\n", "unknown section [vehicle_model]")
 
 
 def test_rejects_non_numeric_value(tmp_path):
@@ -269,9 +275,8 @@ _VALUES = st.one_of(
     value=_VALUES,
 )
 @example(name="case1_A", site=("field", "horizon"), value="1e300")
-@example(name="case1_A", site=("limits", "a_max"), value="1e300")
-@example(name="case1_A", site=("limits", "jerk_max"), value="1e-300")
-@example(name="case1_A", site=("limits", "stop_margin"), value="1e16")
+@example(name="case1_A", site=("network", "cz_half_width"), value="1e6")
+@example(name="case1_A", site=("scenario", "t_end"), value="1e308")
 @example(name="case1_A", site=("scenario", "dt"), value="1e300")
 def test_mutated_shipped_config_is_rejected_or_runs(name, site, value):
     """Every config is either a ScenarioError or a clean three-step run."""
