@@ -200,7 +200,8 @@ def test_rejects_solver_tolerance(tmp_path, section, key, value, fragment):
 
 # The vehicle model (`dynamics.L_F`, `L_R`, `WIDTH`) and the constraint
 # limits (`game.Limits`) are fixed too.  A config that still sets one of
-# their former keys is rejected, even at the old default value.
+# their former keys is rejected, at the old default value and at each value
+# that used to fail the key's domain or cap.
 _FIXED_SECTIONS = {
     "limits": {
         "v_max": "8", "a_max": "8", "jerk_max": "2", "delta_max_deg": "30", "mu": "0.85", "ttc_min": "1.5",
@@ -208,6 +209,16 @@ _FIXED_SECTIONS = {
     },
     "vehicle_model": {"l_f": "1.4", "l_r": "1.4", "width": "1.8"},
 }
+_FORMER_OUT_OF_DOMAIN = [
+    ("limits", "a_max", "-1"), ("limits", "a_max", "1e300"),
+    ("limits", "jerk_max", "0"), ("limits", "jerk_max", "1e-300"),
+    ("limits", "v_max", "0"), ("limits", "v_max", "150"),
+    ("limits", "mu", "-0.5"), ("limits", "ttc_min", "0"),
+    ("limits", "stop_margin", "inf"), ("limits", "stop_margin", "-5"), ("limits", "stop_margin", "1e16"),
+    ("limits", "lane_dev_max", "-1"), ("limits", "course_dev_max_deg", "0"),
+    ("limits", "delta_max_deg", "-30"), ("limits", "delta_max_deg", "90"),
+    ("vehicle_model", "l_f", "0"), ("vehicle_model", "l_r", "-1.4"), ("vehicle_model", "width", "0"),
+]
 
 
 @pytest.mark.parametrize(
@@ -216,7 +227,8 @@ _FIXED_SECTIONS = {
         pytest.param(section, key, value, id=f"{section}-{key}")
         for section, keys in _FIXED_SECTIONS.items()
         for key, value in keys.items()
-    ],
+    ]
+    + [pytest.param(section, key, value, id=f"{section}-{key}-{value}") for section, key, value in _FORMER_OUT_OF_DOMAIN],
 )
 def test_rejects_fixed_model_section(tmp_path, section, key, value):
     text = (SCENARIOS / "case3.cfg").read_text() + f"\n[{section}]\n{key} = {value}\n"
