@@ -81,9 +81,12 @@ def _cmd_compare(args) -> int:
     if not modes:
         print(f"no mode given; choose from {', '.join(MODES)}", file=sys.stderr)
         return 2
-    for m in modes:
+    for k, m in enumerate(modes):
         if m not in MODES:
             print(f"unknown mode {m!r}; choose from {', '.join(MODES)}", file=sys.stderr)
+            return 2
+        if m in modes[:k]:
+            print(f"mode {m!r} given twice", file=sys.stderr)
             return 2
     scenario = load_scenario(args.scenario)
     reports = {}

@@ -76,7 +76,8 @@ def coalition_costs(values: Sequence[float], p: Sequence[float]) -> tuple[float,
 
 @dataclass(frozen=True)
 class Limits:
-    """Hard bounds checked on the one-step-ahead predicted state."""
+    """Hard bounds checked on the one-step-ahead predicted state; every
+    vehicle drives under the one set `LIMITS`."""
 
     v_max: float = 8.0
     a_max: float = 8.0
@@ -88,14 +89,12 @@ class Limits:
     course_dev_max: float = math.radians(2.0)
     stop_margin: float = 3.5  # standstill clearance kept from any hazard point
 
-    def beta_max(self) -> float:
-        return math.atan(0.02 * self.mu * GRAVITY)
 
-    def steer_box(self) -> float:
-        """Effective steering bound: the plain box or the sideslip bound,
-        whichever binds first."""
-        via_beta = math.atan(math.tan(self.beta_max()) * WHEELBASE / L_R)
-        return min(self.delta_max, via_beta)
+LIMITS = Limits()
+BETA_MAX = math.atan(0.02 * LIMITS.mu * GRAVITY)
+# effective steering bound: the plain box or the sideslip bound, whichever
+# binds first
+STEER_BOX = min(LIMITS.delta_max, math.atan(math.tan(BETA_MAX) * WHEELBASE / L_R))
 
 
 @dataclass(frozen=True)
@@ -151,11 +150,10 @@ class StepSolution:
     max_constraint_residual: float
 
 
-def tracking_delta(route: Route, s: float, v: float, dt: float, limits: Limits) -> float:
+def tracking_delta(route: Route, s: float, v: float, dt: float) -> float:
     """Feedforward steering for the route curvature just ahead, clipped."""
     rho = route.curvature_at(s + max(v, 0.0) * dt)
-    box = limits.steer_box()
-    return min(max(math.atan(rho * WHEELBASE), -box), box)
+    return min(max(math.atan(rho * WHEELBASE), -STEER_BOX), STEER_BOX)
 
 
 def _ramp_peak_speed(v_next: float, a: float, dt: float, jerk_max: float) -> float:
@@ -181,8 +179,6 @@ def bound_residuals(
     dy: float,
     dphi: float,
     dt: float,
-    limits: Limits,
-    steer_lim: float,
 ) -> tuple[float, float, float, float, float, float]:
     """Signed slack of each non-interactive limit, ordered as BOUND_NAMES.
 
@@ -191,12 +187,12 @@ def bound_residuals(
     commits to a speed it cannot back out of.
     """
     return (
-        abs(a) - limits.a_max,
-        abs(a - a_prev) / dt - limits.jerk_max,
-        abs(delta) - steer_lim,
-        _ramp_peak_speed(v_next, a, dt, limits.jerk_max) - limits.v_max,
-        dy - limits.lane_dev_max,
-        abs(dphi) - limits.course_dev_max,
+        abs(a) - LIMITS.a_max,
+        abs(a - a_prev) / dt - LIMITS.jerk_max,
+        abs(delta) - STEER_BOX,
+        _ramp_peak_speed(v_next, a, dt, LIMITS.jerk_max) - LIMITS.v_max,
+        dy - LIMITS.lane_dev_max,
+        abs(dphi) - LIMITS.course_dev_max,
     )
 
 
@@ -226,7 +222,7 @@ def _ramp(v0: float, a0: float, j: float, tau: float) -> tuple[float, float]:
     return v0 + a0 * tau - 0.5 * j * tau * tau, v0 * tau + 0.5 * a0 * tau * tau - j * tau**3 / 6.0
 
 
-def _stop_closed_form(v0: float, a0: float, limits: Limits) -> tuple[float, float, float, float, float]:
+def _stop_closed_form(v0: float, a0: float) -> tuple[float, float, float, float, float]:
     """(tau_r, v_r, x_r, tau_s, x_s) of the max-effort stop from speed v0
     and acceleration a0.
 
@@ -235,7 +231,7 @@ def _stop_closed_form(v0: float, a0: float, limits: Limits) -> tuple[float, floa
     until standstill at time tau_s and distance x_s.  When the speed runs
     out during the ramp, the stop ends on the ramp.
     """
-    j, am = limits.jerk_max, limits.a_max
+    j, am = LIMITS.jerk_max, LIMITS.a_max
     tau_r = max((a0 + am) / j, 0.0)
     v_r, x_r = _ramp(v0, a0, j, tau_r)
     disc = a0 * a0 + 2.0 * j * v0
@@ -248,14 +244,14 @@ def _stop_closed_form(v0: float, a0: float, limits: Limits) -> tuple[float, floa
     return tau_r, v_r, x_r, tau_s, x_s
 
 
-def stop_distance(v0: float, a0: float, limits: Limits) -> float:
+def stop_distance(v0: float, a0: float) -> float:
     """Distance covered by the committed max-effort stop from (v0, a0)."""
     if v0 <= 0.0 and a0 <= 0.0:
         return 0.0
-    return _stop_closed_form(v0, a0, limits)[4]
+    return _stop_closed_form(v0, a0)[4]
 
 
-def brake_reach(v0: float, a0: float, limits: Limits, margin: float) -> float:
+def brake_reach(v0: float, a0: float, margin: float) -> float:
     """Standoff a hazard point must keep ahead of state (v0, a0): room for
     the committed max-effort stop plus the standstill margin.
 
@@ -263,12 +259,10 @@ def brake_reach(v0: float, a0: float, limits: Limits, margin: float) -> float:
     keeps distance-over-speed to the point above two seconds throughout,
     so no separate time floor is needed on this branch.
     """
-    return margin + stop_distance(v0, a0, limits)
+    return margin + stop_distance(v0, a0)
 
 
-def follow_reach(
-    v0: float, a0: float, v_lead: float, limits: Limits, ttc_floor: float, margin: float,
-) -> float:
+def follow_reach(v0: float, a0: float, v_lead: float, ttc_floor: float, margin: float) -> float:
     """Headway a constant-speed leader must keep ahead of (v0, a0).
 
     Same committed-stop construction as brake_reach, in the leader frame:
@@ -277,8 +271,8 @@ def follow_reach(
     quadratic after it, so the maximum lies at the start, the ramp end,
     standstill, or a zero of rel_v + k * accel, k in {0, ttc_floor}.
     """
-    j, am = limits.jerk_max, limits.a_max
-    tau_r, v_r, x_r, tau_s, x_s = _stop_closed_form(v0, a0, limits)
+    j, am = LIMITS.jerk_max, LIMITS.a_max
+    tau_r, v_r, x_r, tau_s, x_s = _stop_closed_form(v0, a0)
     taus = [0.0, tau_r]
     for k in (0.0, ttc_floor):
         # on the ramp the zeros are a quadratic's roots, after it a line's
@@ -382,24 +376,15 @@ class _StepSolver:
     each call, never bound to locals or inlined.
     """
 
-    def __init__(
-        self,
-        views: list[PlayerView],
-        dt: float,
-        limits: Limits,
-        omega0: float,
-        allow_reset: bool,
-    ):
+    def __init__(self, views: list[PlayerView], dt: float, omega0: float, allow_reset: bool):
         self.views = views
         self.dt = dt
-        self.limits = limits
         self.omega0 = omega0
         self.allow_reset = allow_reset
         self.n = len(views)
         self.players = [i for i in range(self.n) if views[i].player]
         self.p = [v.p for v in views]
         self.balance = [balance_weights(v.kappa) for v in views]
-        self.steer_lim = limits.steer_box()
         self.evals = 0
         self.lateral_evals = 0
         self.sweeps = 0
@@ -470,9 +455,7 @@ class _StepSolver:
             if beta is None:
                 beta = self._beta[d] = sideslip(d)
             s_pred, dy, dphi = lane_errors(view.route, pred, beta)
-            slack = max(bound_residuals(
-                a, d, view.a_prev, pred.v_x, dy, dphi, self.dt, self.limits, self.steer_lim
-            ))
+            slack = max(bound_residuals(a, d, view.a_prev, pred.v_x, dy, dphi, self.dt))
             c = memo[(a, d)] = (pred, s_pred, dy, dphi, slack)
         return c
 
@@ -481,7 +464,7 @@ class _StepSolver:
         st, s_pred = self._candidate(i, a, d)[:2]
         self.pred[i] = st
         self.pred_s[i] = s_pred
-        self.hold_dist[i] = stop_distance(st.v_x, a, self.limits)
+        self.hold_dist[i] = stop_distance(st.v_x, a)
         for f in self.followers[i]:
             self.lead_s[f] = self._leader_on(f, a, d, st)
 
@@ -572,7 +555,7 @@ class _StepSolver:
         row = self._reach_rows[i].get(key)
         if row is None:
             row = self._reach_rows[i][key] = [
-                brake_reach(v_pred, a, self.limits, cp.hold_self + guard) for cp in self.views[i].cps
+                brake_reach(v_pred, a, cp.hold_self + guard) for cp in self.views[i].cps
             ]
         return row
 
@@ -582,7 +565,7 @@ class _StepSolver:
         key = (a, v_lead, ttc_floor)
         val = self._reach_lon[i].get(key)
         if val is None:
-            val = follow_reach(v_pred, a, v_lead, self.limits, ttc_floor, margin)
+            val = follow_reach(v_pred, a, v_lead, ttc_floor, margin)
             self._reach_lon[i][key] = val
         return val
 
@@ -594,13 +577,12 @@ class _StepSolver:
         headway and its crossing points; `table` is `_crossing_table(i)`
         under the partners' current controls."""
         view = self.views[i]
-        L = self.limits
         res = bound_slack
-        ttc_floor = L.ttc_min + guard
+        ttc_floor = LIMITS.ttc_min + guard
         v = pred.v_x
         if view.lv is not None:
             gap = self.lead_s[i] - s_pred
-            need = self._reach_to_leader(i, a, v, self.pred[view.lv].v_x, ttc_floor, L.stop_margin + guard)
+            need = self._reach_to_leader(i, a, v, self.pred[view.lv].v_x, ttc_floor, LIMITS.stop_margin + guard)
             res = max(res, need - gap)
         if not table:
             return res
@@ -653,7 +635,7 @@ class _StepSolver:
         out is `_UNSCORED`, before RK4 or before the interaction residual."""
         if held:
             v_next = step_speed(self.views[i].state.v_x, a, self.dt)
-            if _ramp_peak_speed(v_next, a, self.dt, self.limits.jerk_max) - self.limits.v_max > FEAS_SLACK:
+            if _ramp_peak_speed(v_next, a, self.dt, LIMITS.jerk_max) - LIMITS.v_max > FEAS_SLACK:
                 return _UNSCORED
         pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)
         if held and slack > FEAS_SLACK:
@@ -683,18 +665,16 @@ class _StepSolver:
         return (0.0, value, abs(a), abs(d), a, d)
 
     def _accel_box(self, i: int) -> tuple[float, float]:
-        L = self.limits
         a_prev = self.views[i].a_prev
-        slew = L.jerk_max * self.dt
-        return max(-L.a_max, a_prev - slew), min(L.a_max, a_prev + slew)
+        slew = LIMITS.jerk_max * self.dt
+        return max(-LIMITS.a_max, a_prev - slew), min(LIMITS.a_max, a_prev + slew)
 
     def _cap_candidate(self, i: int, a_lo: float, a_hi: float) -> float | None:
         """Largest in-box acceleration that keeps the speed ramp legal."""
         v0 = self.views[i].state.v_x
-        L = self.limits
 
         def over(a: float) -> bool:
-            return _ramp_peak_speed(v0 + a * self.dt, a, self.dt, L.jerk_max) > L.v_max
+            return _ramp_peak_speed(v0 + a * self.dt, a, self.dt, LIMITS.jerk_max) > LIMITS.v_max
 
         if not over(a_hi) or over(a_lo):
             return None
@@ -723,7 +703,7 @@ class _StepSolver:
         evals, lateral = self.evals, self.lateral_evals
         view = self.views[i]
         a_lo, a_hi = self._accel_box(i)
-        d_lim = self.steer_lim
+        d_lim = STEER_BOX
         memo: dict[tuple[float, float], tuple] = {}  # (a, d) -> rank key, this search only
 
         seeds_a = [a_lo + k * (a_hi - a_lo) / 4.0 for k in range(5)]
@@ -833,7 +813,7 @@ class _StepSolver:
         for i in self.players:
             emergency[i] = not feasible[i]
             if emergency[i]:
-                self.controls[i] = (-self.limits.a_max, self.views[i].coast[1])
+                self.controls[i] = (-LIMITS.a_max, self.views[i].coast[1])
                 self._refresh_pred(i)
 
     def _rationality(self) -> tuple[list[bool], list[float]]:
@@ -898,12 +878,6 @@ class _StepSolver:
         )
 
 
-def solve_step(
-    views: list[PlayerView],
-    dt: float,
-    limits: Limits = Limits(),
-    omega0: float = 10.0,
-    allow_reset: bool = True,
-) -> StepSolution:
-    solver = _StepSolver(views, dt, limits, omega0, allow_reset)
+def solve_step(views: list[PlayerView], dt: float, omega0: float = 10.0, allow_reset: bool = True) -> StepSolution:
+    solver = _StepSolver(views, dt, omega0, allow_reset)
     return solver.solve()

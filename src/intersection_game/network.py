@@ -30,6 +30,17 @@ LANES = ("inner", "outer")
 # exit arm index shift per maneuver (left of M1 leaves through M4's arm, etc.)
 _EXIT_SHIFT = {"left": -1, "straight": 2, "right": 1}
 
+# the one intersection's layout (m): zone half width, lane centerline
+# offsets to the right of the travel direction, exit road length and
+# turn radii, and how far past the zone's far edge a vehicle stays PV
+CZ_HALF_WIDTH = 10.0
+LANE_OFFSET_INNER = 2.0
+LANE_OFFSET_OUTER = 6.0
+EXIT_LENGTH = 30.0
+RIGHT_TURN_RADIUS = 9.0
+LEFT_TURN_RADIUS = CZ_HALF_WIDTH + LANE_OFFSET_INNER  # tangent to the entry lane exactly at the zone edge
+OV_EXIT_MARGIN = 5.0
+
 _DEDUP_TOL = 1e-6
 
 # a vehicle drives the host's lane when it is this close to the centerline (m)
@@ -48,30 +59,16 @@ class ZoneRole(Enum):
 
 @dataclass(frozen=True)
 class Network:
-    cz_half_width: float = 10.0
-    lane_offset_inner: float = 2.0
-    lane_offset_outer: float = 6.0
+    """The intersection's one setting: the length of each approach road (m)."""
+
     approach_length: float = 30.0
-    exit_length: float = 30.0
-    right_turn_radius: float = 9.0
-    ov_exit_margin: float = 5.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lane_offset_inner < self.lane_offset_outer < self.cz_half_width:
-            raise ValueError("need 0 < inner offset < outer offset < zone half width")
-        if self.approach_length <= 0.0 or self.exit_length <= 0.0:
+        if self.approach_length <= 0.0:
             raise ValueError("road lengths must be positive")
-        if self.right_turn_radius <= 0.0:
-            raise ValueError("right turn radius must be positive")
-        # the right-turn arc must begin and end on the finite road segments
-        reach = self.lane_offset_outer + self.right_turn_radius - self.cz_half_width
-        if self.approach_length <= reach or self.exit_length <= reach:
+        # the right-turn arc must begin on the approach road
+        if self.approach_length <= LANE_OFFSET_OUTER + RIGHT_TURN_RADIUS - CZ_HALF_WIDTH:
             raise ValueError("right turn radius too large for the road lengths")
-
-    @property
-    def left_turn_radius(self) -> float:
-        # tangent to the entry lane exactly at the zone edge
-        return self.cz_half_width + self.lane_offset_inner
 
 
 @dataclass(frozen=True)
@@ -141,15 +138,15 @@ def _arm_heading(index: int) -> float:
     return wrap_angle(0.5 * math.pi * index)
 
 
-def _lane_anchor(net: Network, arm: int, lane: str, inbound: bool) -> tuple[float, tuple[float, float]]:
+def _lane_anchor(arm: int, lane: str, inbound: bool) -> tuple[float, tuple[float, float]]:
     """Heading of an arm's inbound or outbound road, and the point where
     the lane's centerline meets the conflict-zone edge."""
     psi = _arm_heading(arm)
-    edge = -net.cz_half_width
+    edge = -CZ_HALF_WIDTH
     if not inbound:
         psi = wrap_angle(psi + math.pi)
-        edge = net.cz_half_width
-    off = net.lane_offset_inner if lane == "inner" else net.lane_offset_outer
+        edge = CZ_HALF_WIDTH
+    off = LANE_OFFSET_INNER if lane == "inner" else LANE_OFFSET_OUTER
     ux, uy = math.cos(psi), math.sin(psi)
     nx, ny = math.sin(psi), -math.cos(psi)  # unit normal to the right
     return psi, (edge * ux + off * nx, edge * uy + off * ny)
@@ -195,17 +192,17 @@ def route_for(net: Network, entry_road: str, maneuver: str, lane: str | None = N
         raise ValueError("right turns run from the outer lane")
 
     k = ARM_NAMES.index(entry_road)
-    psi_in, (ax, ay) = _lane_anchor(net, k, lane, inbound=True)
-    psi_out, (ex, ey) = _lane_anchor(net, (k + _EXIT_SHIFT[maneuver]) % 4, lane, inbound=False)
+    psi_in, (ax, ay) = _lane_anchor(k, lane, inbound=True)
+    psi_out, (ex, ey) = _lane_anchor((k + _EXIT_SHIFT[maneuver]) % 4, lane, inbound=False)
     u_in = (math.cos(psi_in), math.sin(psi_in))
     u_out = (math.cos(psi_out), math.sin(psi_out))
     p0 = (ax - net.approach_length * u_in[0], ay - net.approach_length * u_in[1])
 
     if maneuver == "straight":
-        length = net.approach_length + 2.0 * net.cz_half_width + net.exit_length
+        length = net.approach_length + 2.0 * CZ_HALF_WIDTH + EXIT_LENGTH
         elements: tuple[Element, ...] = (Segment(p0[0], p0[1], psi_in, length),)
     else:
-        radius = net.left_turn_radius if maneuver == "left" else net.right_turn_radius
+        radius = LEFT_TURN_RADIUS if maneuver == "left" else RIGHT_TURN_RADIUS
         side = 1.0 if maneuver == "left" else -1.0
         m_in = (-u_in[1], u_in[0])
         m_out = (-u_out[1], u_out[0])
@@ -221,7 +218,7 @@ def route_for(net: Network, entry_road: str, maneuver: str, lane: str | None = N
         sweep = wrap_angle(psi_out - psi_in)
         theta0 = math.atan2(t_in[1] - cy, t_in[0] - cx)
         arc = Arc(cx, cy, radius, theta0, sweep)
-        end = (ex + net.exit_length * u_out[0], ey + net.exit_length * u_out[1])
+        end = (ex + EXIT_LENGTH * u_out[0], ey + EXIT_LENGTH * u_out[1])
         exit_len = (end[0] - t_out[0]) * u_out[0] + (end[1] - t_out[1]) * u_out[1]
         if approach_len <= 0.0 or exit_len <= 0.0:
             raise ValueError(f"turn arc does not fit the roads for {entry_road} {maneuver}")
@@ -235,7 +232,7 @@ def route_for(net: Network, entry_road: str, maneuver: str, lane: str | None = N
     for el in elements[:-1]:
         cum.append(cum[-1] + el.length)
     total = cum[-1] + elements[-1].length
-    crossings = _zone_crossings(elements, tuple(cum), net.cz_half_width)
+    crossings = _zone_crossings(elements, tuple(cum), CZ_HALF_WIDTH)
     if len(crossings) < 2:
         raise ValueError(f"route {entry_road} {maneuver} does not traverse the zone")
     return Route(
@@ -285,10 +282,10 @@ def conflict_points(a: Route, b: Route) -> list[Conflict]:
     return out
 
 
-def classify_zone_role(route: Route, s: float, net: Network) -> ZoneRole:
+def classify_zone_role(route: Route, s: float) -> ZoneRole:
     if s < route.s_cz_entry:
         return ZoneRole.RV
-    if s < route.s_cz_exit + net.ov_exit_margin:
+    if s < route.s_cz_exit + OV_EXIT_MARGIN:
         return ZoneRole.PV
     return ZoneRole.OV
 

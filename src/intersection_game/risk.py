@@ -15,13 +15,15 @@ from dataclasses import dataclass
 from .dynamics import L_R, WIDTH, VehicleState, path_curvature
 
 
+A0 = 0.01  # base amplitude per squared meter of remaining horizon
+SPREAD_B = 0.05  # width growth per meter of ridge
+SPREAD_C = 0.5  # extra width growth per radian of steering
+THRESHOLD = 0.1  # field level that switches a risk weight on
+
+
 @dataclass(frozen=True)
 class FieldParams:
-    a0: float = 0.01  # base amplitude per squared meter of remaining horizon
-    spread_b: float = 0.05  # width growth per meter of ridge
-    spread_c: float = 0.5  # extra width growth per radian of steering
     horizon: float = 3.0  # prediction time, seconds
-    threshold: float = 0.1  # field level that switches a risk weight on
     omega0: float = 10.0  # weight given to a switched-on risk term
 
 
@@ -107,8 +109,8 @@ def build_field(
         curvature=rho,
         cx=cx,
         cy=cy,
-        peak=fp.a0 * math.exp(kappa),
+        peak=A0 * math.exp(kappa),
         support=max(state.v_x, 0.0) * fp.horizon,
         sigma0=WIDTH / 4.0,
-        sigma_slope=fp.spread_b + fp.spread_c * abs(delta_f),
+        sigma_slope=SPREAD_B + SPREAD_C * abs(delta_f),
     )

@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .costs import CostTerms
 from .dynamics import ControlInput, VehicleState, step as integrate, velocity_vector
-from .game import CpRef, PlayerView, StepSolution, closing_ttc, participation, solve_step, tracking_delta
-from .network import Conflict, ZoneRole, classify_zone_role, conflict_points, lead_distance_on_route
-from .risk import build_field
+from .game import LIMITS, CpRef, PlayerView, StepSolution, closing_ttc, participation, solve_step, tracking_delta
+from .network import CZ_HALF_WIDTH, Conflict, ZoneRole, classify_zone_role, conflict_points, lead_distance_on_route
+from .risk import THRESHOLD, build_field
 from .scenario import MODES, Scenario
 
 _PASS_MARGIN = 2.0  # m past a crossing point before the conflict is considered cleared
@@ -114,7 +114,7 @@ def crossing_index(
     (s_self, partner, s_other).  The holds are the per-side standstill
     backoffs of `_hold_margin`."""
     routes = scenario.routes
-    margin = scenario.limits.stop_margin
+    margin = LIMITS.stop_margin
     index: list[list[tuple]] = [[] for _ in routes]
     for (ia, ib), cps in conflicts.items():
         for c in cps:
@@ -129,8 +129,8 @@ def crossing_index(
     return index
 
 
-def _coast_accel(a_prev: float, jerk_max: float, dt: float) -> float:
-    slew = jerk_max * dt
+def _coast_accel(a_prev: float, dt: float) -> float:
+    slew = LIMITS.jerk_max * dt
     if a_prev > 0.0:
         return max(0.0, a_prev - slew)
     return min(0.0, a_prev + slew)
@@ -156,17 +156,15 @@ def build_views(
     has cleared the zone (OV) is no player and sees nothing.
     """
     routes = scenario.routes
-    limits = scenario.limits
-    fp = scenario.field
     dt = scenario.dt
     n = len(scenario.vehicles)
-    fields = [build_field(states[i], d_prev[i], scenario.vehicles[i].kappa, fp) for i in range(n)]
+    fields = [build_field(states[i], d_prev[i], scenario.vehicles[i].kappa, scenario.field) for i in range(n)]
 
     views: list[PlayerView] = []
     for i in range(n):
         coast = (
-            _coast_accel(a_prev[i], limits.jerk_max, dt),
-            tracking_delta(routes[i], s_now[i], states[i].v_x, dt, limits),
+            _coast_accel(a_prev[i], dt),
+            tracking_delta(routes[i], s_now[i], states[i].v_x, dt),
         )
         common = dict(
             route=routes[i],
@@ -190,7 +188,7 @@ def build_views(
             if sj is not None and sj < lv_s:
                 lv, lv_s = j, sj
         lv_gated = lv is not None and (
-            not risk_gating or fields[i].value(states[lv].x, states[lv].y) > fp.threshold
+            not risk_gating or fields[i].value(states[lv].x, states[lv].y) > THRESHOLD
         )
 
         # crossing/merging points not yet cleared by both vehicles;
@@ -199,7 +197,7 @@ def build_views(
         for s_self, j, s_other, x, y, h_self, h_other in index[i]:
             if s_now[i] >= s_self + _PASS_MARGIN or s_now[j] >= s_other + _PASS_MARGIN:
                 continue
-            gated = not risk_gating or fields[i].value(x, y) > fp.threshold or fields[j].value(x, y) > fp.threshold
+            gated = not risk_gating or fields[i].value(x, y) > THRESHOLD or fields[j].value(x, y) > THRESHOLD
             cps.append(CpRef(j, s_self, s_other, gated, h_self, h_other))
         views.append(
             PlayerView(p=p0[i], player=True, lv=lv, lv_gated=lv_gated, cps=tuple(cps), **common)
@@ -227,10 +225,7 @@ def run(
     if mode not in MODES:
         raise ValueError(f"mode {mode!r} not one of {MODES}")
 
-    net = scenario.network
     routes = scenario.routes
-    limits = scenario.limits
-    fp = scenario.field
     dt = scenario.dt
     n = len(scenario.vehicles)
     names = [v.name for v in scenario.vehicles]
@@ -256,20 +251,14 @@ def run(
 
     for k in range(n_steps):
         t = k * dt
-        roles = [classify_zone_role(routes[i], s_now[i], net) for i in range(n)]
+        roles = [classify_zone_role(routes[i], s_now[i]) for i in range(n)]
         if all(r is ZoneRole.OV for r in roles):
             break
 
         views = build_views(scenario, states, s_now, a_prev, d_prev, roles, p0, index, risk_gating)
 
         t0 = time.perf_counter()
-        sol: StepSolution = solve_step(
-            views,
-            dt,
-            limits=limits,
-            omega0=fp.omega0,
-            allow_reset=allow_reset,
-        )
+        sol: StepSolution = solve_step(views, dt, omega0=scenario.field.omega0, allow_reset=allow_reset)
         solve_time = time.perf_counter() - t0
 
         step_rows: list[VehicleRow] = []
@@ -545,7 +534,7 @@ def _emit_field_raster(result: SimResult, out: Path) -> Path:
     sc = result.scenario
     states, _ = initial_states(sc)
     fields = [build_field(state, 0.0, spec.kappa, sc.field) for state, spec in zip(states, sc.vehicles)]
-    half = sc.network.cz_half_width + 15.0
+    half = CZ_HALF_WIDTH + 15.0
     ticks = [round(-half + 0.5 * k, 1) for k in range(int(4 * half) + 1)]
     lines = ["x,y,value"]
     for y in ticks:

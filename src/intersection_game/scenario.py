@@ -1,8 +1,11 @@
-"""Scenario files: INI sections for the network and risk-field
-parameters, and one section per vehicle.  Parsing is strict; unknown
-sections or keys are errors so a typo cannot silently fall back to a
-default.  The vehicle model (`dynamics.L_F`, `L_R`, `WIDTH`) and the
-constraint limits (`game.Limits`) are fixed, not configuration.
+"""Scenario files: INI sections for the approach length and the
+risk-field horizon and weight, and one section per vehicle.  Parsing is
+strict; unknown sections or keys are errors so a typo cannot silently
+fall back to a default.  The vehicle model (`dynamics.L_F`, `L_R`,
+`WIDTH`), the constraint limits (`game.LIMITS`), the intersection's
+layout (`network.CZ_HALF_WIDTH` and the other layout constants) and the
+risk field's shape (`risk.A0`, `SPREAD_B`, `SPREAD_C`, `THRESHOLD`) are
+fixed, not configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
 
-from .game import Limits
+from .game import LIMITS, Limits
 from .network import LANES, MANEUVERS, Network, Route, route_for
 from .risk import FieldParams
 
@@ -35,20 +38,10 @@ _PARAMS: dict[str, dict[str, tuple]] = {
         "mode": (str, MODES),
     },
     "network": {
-        "cz_half_width": (float, "at most 100"),
-        "lane_offset_inner": (float,),
-        "lane_offset_outer": (float,),
         "approach_length": (float,),
-        "exit_length": (float,),
-        "right_turn_radius": (float,),
-        "ov_exit_margin": (float, "nonnegative"),
     },
     "field": {
-        "a0": (float, "positive"),
-        "spread_b": (float, "nonnegative"),
-        "spread_c": (float, "nonnegative"),
         "horizon": (float, "positive", "at most 60"),
-        "threshold": (float, "nonnegative"),
         "omega0": (float, "nonnegative"),
     },
 }
@@ -69,14 +62,12 @@ _VEHICLE: dict[str, tuple] = {
 # the step count of game._ramp_peak_speed (a / (jerk_max x dt)) finite.
 # The cap on t_end keeps the run's step count (t_end / dt) a finite
 # integer, at most 3.6 million steps at the dt floor.
-# The cap on cz_half_width bounds the field raster's square grid.
 _DOMAINS = {
     "positive": lambda v: v > 0.0,
     "nonnegative": lambda v: v >= 0.0,
     "at least 0.001": lambda v: v >= 0.001,
     "at most 1": lambda v: v <= 1.0,
     "at most 60": lambda v: v <= 60.0,
-    "at most 100": lambda v: v <= 100.0,
     "at most 3600": lambda v: v <= 3600.0,
     "in [-1, 1]": lambda v: -1.0 <= v <= 1.0,
 }
@@ -104,9 +95,8 @@ class Scenario:
     t_end: float
     dt: float
     mode: str
-    network: Network
     field: FieldParams
-    limits: Limits
+    limits: Limits  # always `game.LIMITS`
     vehicles: tuple[VehicleSpec, ...]
     routes: tuple[Route, ...]  # index-aligned with vehicles
 
@@ -180,7 +170,6 @@ def load_scenario(path: str | Path) -> Scenario:
         network = Network(**given["network"])
     except ValueError as exc:
         raise ScenarioError(f"[network] {exc}") from exc
-    limits = Limits()
 
     if not vehicle_sections:
         raise ScenarioError("no [vehicle.*] sections")
@@ -199,8 +188,8 @@ def load_scenario(path: str | Path) -> Scenario:
         except (KeyError, ValueError) as exc:
             raise ScenarioError(f"[{section}] {exc}") from exc
         x, y, v = spec["x"], spec["y"], spec["v"]
-        if not 0.0 <= v <= limits.v_max:
-            raise ScenarioError(f"[{section}] v: {v} outside [0, {limits.v_max}]")
+        if not 0.0 <= v <= LIMITS.v_max:
+            raise ScenarioError(f"[{section}] v: {v} outside [0, {LIMITS.v_max}]")
         dist = route.project(x, y)[1]
         if dist > _CENTERLINE_TOL:
             raise ScenarioError(
@@ -214,9 +203,8 @@ def load_scenario(path: str | Path) -> Scenario:
         t_end=head.get("t_end", 30.0),
         dt=head.get("dt", 0.1),
         mode=head.get("mode", "fuzzy"),
-        network=network,
         field=FieldParams(**given["field"]),
-        limits=limits,
+        limits=LIMITS,
         vehicles=tuple(vehicles),
         routes=tuple(routes),
     )

@@ -27,10 +27,12 @@ from intersection_game.dynamics import (
     step,
 )
 from intersection_game.game import (
+    BETA_MAX,
     CONV_TOL,
+    LIMITS,
+    STEER_BOX,
     CostTerms,
     CpRef,
-    Limits,
     PlayerView,
     _StepSolver,
     bound_residuals,
@@ -39,7 +41,7 @@ from intersection_game.game import (
 )
 from intersection_game.geometry import wrap_angle
 from intersection_game.network import Network, conflict_points, route_for
-from intersection_game.risk import FieldParams, build_field
+from intersection_game.risk import A0, build_field
 from intersection_game.runner import emit, metrics, run
 from intersection_game.scenario import load_scenario
 
@@ -88,20 +90,19 @@ def test_criterion_1_unit_examples(capsys):
 
         # ridge amplitude and spread of a field 5 m/s over a 3 s horizon
         ahead = VehicleState(5.0, 0.0, 0.0, 0.0)
-        unit = FieldParams(a0=1.0, horizon=3.0)
         close(build_field(ahead, 0.0, 0.0).amplitude(15.0), 0.0)
-        plain, bold = (build_field(ahead, 0.0, kappa, unit) for kappa in (0.0, 1.0))
-        close(plain.amplitude(0.0), 225.0)
+        plain, bold = (build_field(ahead, 0.0, kappa) for kappa in (0.0, 1.0))
+        close(plain.amplitude(0.0), 225.0 * A0, 1e-9 * A0)
         close(bold.amplitude(3.0) / plain.amplitude(3.0), math.e)
         close(build_field(ahead, 0.25, 0.0).sigma(0.0), 0.45)
         close(build_field(ahead, 0.0, 0.0).sigma(10.0), 0.95)
         close(build_field(ahead, 0.2, 0.0).sigma(10.0), 1.95)
 
         # field snapshot values
-        f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, 0.0, FieldParams(a0=1.0))
-        close(f.value(f.gx + 5.0, f.gy), 100.0)
-        close(f.value(f.gx, f.gy), 225.0)
-        close(f.value(f.gx + 5.0, f.gy - 1.4), 100.0 * math.exp(-2.0))
+        f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, 0.0)
+        close(f.value(f.gx + 5.0, f.gy), 100.0 * A0, 1e-9 * A0)
+        close(f.value(f.gx, f.gy), 225.0 * A0, 1e-9 * A0)
+        close(f.value(f.gx + 5.0, f.gy - 1.4), 100.0 * A0 * math.exp(-2.0), 1e-9 * A0)
         close(f.value(f.gx - 1.0, f.gy), 0.0)
 
         # one-step motion: exact coasting, exact speed ramp, circle oracle
@@ -153,11 +154,9 @@ def test_criterion_1_unit_examples(capsys):
         close(efficiency(0.0, 6.0), 0.0)
 
         # sideslip bound and the induced steering box
-        lim = Limits()
-        close(lim.beta_max(), 0.1652492162701235)
-        box = lim.steer_box()
-        close(sideslip(box), lim.beta_max())
-        assert box <= lim.delta_max
+        close(BETA_MAX, 0.1652492162701235)
+        close(sideslip(STEER_BOX), BETA_MAX)
+        assert STEER_BOX <= LIMITS.delta_max
 
         # pooled-loss split and the blended objective
         pooled, _, kept = coalition_costs((2.0, 4.0), (0.5, 0.25))
@@ -307,15 +306,14 @@ def test_criterion_7_property_suite(capsys):
     ok = False
     try:
         # field support and on-vehicle level grow with speed
-        fp = FieldParams(a0=1.0)
         for v1, v2 in ((1.0, 3.0), (3.0, 5.0), (5.0, 7.5)):
-            f1 = build_field(VehicleState(v1, 0.0, 0.0, 0.0), 0.0, 0.0, fp)
-            f2 = build_field(VehicleState(v2, 0.0, 0.0, 0.0), 0.0, 0.0, fp)
+            f1 = build_field(VehicleState(v1, 0.0, 0.0, 0.0), 0.0, 0.0)
+            f2 = build_field(VehicleState(v2, 0.0, 0.0, 0.0), 0.0, 0.0)
             assert f2.support > f1.support
             assert f2.value(f2.gx, f2.gy) > f1.value(f1.gx, f1.gy)
 
         # under steering, the field is maximal on the predicted arc
-        f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.3, 0.0, fp)
+        f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.3, 0.0)
         assert f.curvature != 0.0
         rho = f.curvature
         px, py = f.gx + math.sin(5.0 * rho) / rho, f.gy + (1.0 - math.cos(5.0 * rho)) / rho
@@ -337,7 +335,7 @@ def test_criterion_7_property_suite(capsys):
             assert participation(kappa) < participation(0.0)
 
         # solved controls are local best responses for both players
-        solver = _StepSolver(_toy_crossing_views(), 0.1, Limits(), 10.0, True)
+        solver = _StepSolver(_toy_crossing_views(), 0.1, 10.0, True)
         sol = solver.solve()
         for i in (0, 1):
             a_star, d_star = sol.controls[i]
@@ -347,7 +345,7 @@ def test_criterion_7_property_suite(capsys):
             lo, hi = solver._accel_box(i)
             for da, dd in ((0.1, 0.0), (-0.1, 0.0), (0.0, 0.02), (0.0, -0.02)):
                 a = min(max(a_star + da, lo), hi)
-                d = min(max(d_star + dd, -solver.steer_lim), solver.steer_lim)
+                d = min(max(d_star + dd, -STEER_BOX), STEER_BOX)
                 if (a, d) == (a_star, d_star):
                     continue
                 key = solver._rank(i, a, d, solver.p[i], scored, table)
@@ -425,7 +423,6 @@ def test_criterion_8_single_vehicle_saturates_the_speed_limit(capsys, simulate):
         k = 10
         row, prev = res.rows[k][0], res.rows[k - 1][0]
         route = sc.routes[0]
-        lim, sb = sc.limits, sc.limits.steer_box()
         state = VehicleState(row.v, row.phi, row.x, row.y)
         k_s, k_e = balance_weights(0.0)
 
@@ -433,17 +430,17 @@ def test_criterion_8_single_vehicle_saturates_the_speed_limit(capsys, simulate):
             pred = step(state, ControlInput(a, d), sc.dt)
             s_pred, dy, heading = route.project(pred.x, pred.y)
             dphi = wrap_angle(pred.phi + sideslip(d) - heading)
-            if max(bound_residuals(a, d, prev.a, pred.v_x, dy, dphi, sc.dt, lim, sb)) > 1e-9:
+            if max(bound_residuals(a, d, prev.a, pred.v_x, dy, dphi, sc.dt)) > 1e-9:
                 return math.inf
             gap = max(min(route.total_length - s_pred, 50.0), 0.0)
             return k_s * lane_keeping(dy, dphi) + k_e * efficiency(gap, pred.v_x)
 
-        slew = lim.jerk_max * sc.dt
+        slew = LIMITS.jerk_max * sc.dt
         best_cost, best_a = math.inf, None
         for ia in range(81):
             a = prev.a - slew + ia * (2.0 * slew / 80.0)
             for idg in range(-32, 33):
-                c = cost_of(a, sb * idg / 32.0)
+                c = cost_of(a, STEER_BOX * idg / 32.0)
                 if c < best_cost:
                     best_cost, best_a = c, a
         got = cost_of(row.a, row.delta)

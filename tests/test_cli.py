@@ -44,12 +44,19 @@ def test_run_rejects_parameter_outside_its_domain(tmp_path, capsys):
 
 
 def test_run_rejects_inconsistent_network(tmp_path, capsys):
-    # each offset is in its own domain; `Network` checks how they relate
-    cfg = tmp_path / "offsets.cfg"
-    cfg.write_text(Path(CASE1).read_text() + "\n[network]\nlane_offset_inner = 7\n")
-    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "[network] need 0 < inner offset < outer offset < zone half width" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    # the lane offsets are layout constants; the approach length is settable,
+    # and `Network` checks that the right turn's arc starts on it
+    for line, message in (
+        ("lane_offset_inner = 7", "[network] unknown key(s): lane_offset_inner"),
+        ("approach_length = 5", "[network] right turn radius too large for the road lengths"),
+    ):
+        cfg = tmp_path / "network.cfg"
+        cfg.write_text(Path(CASE1).read_text() + f"\n[network]\n{line}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_run_rejects_solver_section(tmp_path, capsys):
@@ -69,6 +76,32 @@ def test_run_rejects_fixed_model_section(tmp_path, capsys, section, key, value):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"unknown section [{section}]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("network", "cz_half_width", "10"), ("network", "lane_offset_inner", "2"),
+        ("network", "lane_offset_outer", "6"), ("network", "exit_length", "30"),
+        ("network", "right_turn_radius", "9"), ("network", "ov_exit_margin", "5"),
+        ("field", "a0", "0.01"), ("field", "spread_b", "0.05"), ("field", "spread_c", "0.5"),
+        ("field", "threshold", "0.1"),
+    ],
+)
+def test_run_rejects_fixed_model_key(tmp_path, capsys, section, key, value):
+    # the intersection's layout and the field's shape are constants, even at their values
+    text = Path(CASE1).read_text()
+    if f"[{section}]\n" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    else:
+        text += f"\n[{section}]\n{key} = {value}\n"
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"[{section}] unknown key(s): {key}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -104,6 +137,16 @@ def test_run_writes_outputs(tmp_path, capsys):
 def test_compare_rejects_unknown_mode(capsys):
     assert main(["compare", CASE1, "--modes", "fuzzy,psychic"]) == 2
     assert "unknown mode" in capsys.readouterr().err
+
+
+def test_compare_rejects_repeated_mode(tmp_path, capsys):
+    # one column and one output directory per mode
+    out = tmp_path / "o"
+    assert main(["compare", CASE1, "--modes", "fuzzy,fuzzy,noncoop", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "mode 'fuzzy' given twice" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_compare_prints_table_and_writes_runs(tmp_path, capsys):

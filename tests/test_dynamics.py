@@ -15,7 +15,7 @@ from intersection_game.dynamics import (
     step,
     velocity_vector,
 )
-from intersection_game.game import Limits
+from intersection_game.game import STEER_BOX
 from intersection_game.geometry import wrap_angle
 from intersection_game.risk import build_field
 
@@ -60,9 +60,6 @@ def reference_step(state, u, dt):
 def _bits(state):
     """The state's floats as hex strings, so -0.0 and 0.0 differ."""
     return tuple(float(x).hex() for x in (state.v_x, state.phi, state.x, state.y))
-
-
-STEER_BOX = Limits().steer_box()
 
 
 @given(

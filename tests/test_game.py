@@ -23,9 +23,11 @@ from intersection_game.game import (
     CONV_TOL,
     FEAS_SLACK,
     MAX_SWEEPS,
+    BETA_MAX,
+    LIMITS as L,
+    STEER_BOX,
     TTC_GUARD,
     CpRef,
-    Limits,
     PlayerView,
     _StepSolver,
     bound_residuals,
@@ -38,11 +40,10 @@ from intersection_game.game import (
     stop_distance,
     tracking_delta,
 )
-from intersection_game.geometry import wrap_angle
-from intersection_game.network import Network, route_for
+from intersection_game.geometry import Arc, wrap_angle
+from intersection_game.network import Network, Route, route_for
 from intersection_game.scenario import load_scenario
 
-L = Limits()
 NET = Network()
 
 
@@ -104,21 +105,19 @@ def test_allocation_sums_to_pool(values, data):
 
 
 def test_sideslip_bound_and_steer_box():
-    assert L.beta_max() == pytest.approx(0.1652492162701235, abs=1e-12)
-    box = L.steer_box()
-    assert box <= L.delta_max
+    assert BETA_MAX == pytest.approx(0.1652492162701235, abs=1e-12)
+    assert STEER_BOX <= L.delta_max
     # the box is exactly the steering that produces the sideslip bound
-    assert sideslip(box) == pytest.approx(L.beta_max(), abs=1e-12)
+    assert sideslip(STEER_BOX) == pytest.approx(BETA_MAX, abs=1e-12)
 
 
 def test_bound_residuals_all_slack_when_coasting():
-    res = bound_residuals(0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.1, L, L.steer_box())
+    res = bound_residuals(0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.1)
     assert len(res) == len(BOUND_NAMES) == 6
     assert all(r <= 0.0 for r in res)
 
 
 def test_bound_residuals_flag_each_limit():
-    sb = L.steer_box()
     i_acc = BOUND_NAMES.index("accel")
     i_jerk = BOUND_NAMES.index("jerk")
     i_steer = BOUND_NAMES.index("steer")
@@ -126,24 +125,23 @@ def test_bound_residuals_flag_each_limit():
     i_lane = BOUND_NAMES.index("lane")
     i_course = BOUND_NAMES.index("course")
 
-    res = bound_residuals(9.0, 0.0, 9.0, 5.0, 0.0, 0.0, 0.1, L, sb)
+    res = bound_residuals(9.0, 0.0, 9.0, 5.0, 0.0, 0.0, 0.1)
     assert res[i_acc] == pytest.approx(1.0)
-    res = bound_residuals(0.3, 0.0, 0.0, 5.0, 0.0, 0.0, 0.1, L, sb)
+    res = bound_residuals(0.3, 0.0, 0.0, 5.0, 0.0, 0.0, 0.1)
     assert res[i_jerk] == pytest.approx(1.0)
-    res = bound_residuals(0.0, 0.4, 0.0, 5.0, 0.0, 0.0, 0.1, L, sb)
-    assert res[i_steer] == pytest.approx(0.4 - sb)
-    res = bound_residuals(0.0, 0.0, 0.0, 8.5, 0.0, 0.0, 0.1, L, sb)
+    res = bound_residuals(0.0, 0.4, 0.0, 5.0, 0.0, 0.0, 0.1)
+    assert res[i_steer] == pytest.approx(0.4 - STEER_BOX)
+    res = bound_residuals(0.0, 0.0, 0.0, 8.5, 0.0, 0.0, 0.1)
     assert res[i_speed] == pytest.approx(0.5)
-    res = bound_residuals(0.0, 0.0, 0.0, 5.0, 0.3, 0.0, 0.1, L, sb)
+    res = bound_residuals(0.0, 0.0, 0.0, 5.0, 0.3, 0.0, 0.1)
     assert res[i_lane] == pytest.approx(0.1)
-    res = bound_residuals(0.0, 0.0, 0.0, 5.0, 0.0, math.radians(3.0), 0.1, L, sb)
+    res = bound_residuals(0.0, 0.0, 0.0, 5.0, 0.0, math.radians(3.0), 0.1)
     assert res[i_course] == pytest.approx(math.radians(1.0))
 
 
 def test_speed_residual_guards_the_whole_ramp_down():
     # 7.9 m/s now, still pushing 1 m/s^2: the jerk-limited backout peaks at 8.1
-    sb = L.steer_box()
-    res = bound_residuals(1.0, 0.0, 1.0, 7.9, 0.0, 0.0, 0.1, L, sb)
+    res = bound_residuals(1.0, 0.0, 1.0, 7.9, 0.0, 0.0, 0.1)
     assert res[BOUND_NAMES.index("speed")] == pytest.approx(0.1, abs=1e-12)
     assert all(r <= 0.0 for k, r in enumerate(res) if k != BOUND_NAMES.index("speed"))
 
@@ -155,8 +153,8 @@ def test_closing_ttc_cases():
 
 
 def test_stop_distance_values():
-    assert stop_distance(0.0, 0.0, L) == 0.0
-    assert stop_distance(5.5, 0.0, L) == pytest.approx(8.59909555967629, abs=1e-9)
+    assert stop_distance(0.0, 0.0) == 0.0
+    assert stop_distance(5.5, 0.0) == pytest.approx(8.59909555967629, abs=1e-9)
 
 
 @given(
@@ -166,20 +164,20 @@ def test_stop_distance_values():
     da=st.floats(min_value=0.05, max_value=2.0),
 )
 def test_stop_distance_monotone(v0, dv, a0, da):
-    assert stop_distance(v0 + dv, a0, L) > stop_distance(v0, a0, L)
-    assert stop_distance(v0, a0 + da, L) > stop_distance(v0, a0, L)
+    assert stop_distance(v0 + dv, a0) > stop_distance(v0, a0)
+    assert stop_distance(v0, a0 + da) > stop_distance(v0, a0)
 
 
 def test_brake_reach_is_margin_plus_stop():
     for v0, a0 in ((5.5, 0.0), (8.0, 1.0), (0.0, 0.0)):
-        assert brake_reach(v0, a0, L, 3.5) == pytest.approx(3.5 + stop_distance(v0, a0, L))
+        assert brake_reach(v0, a0, 3.5) == pytest.approx(3.5 + stop_distance(v0, a0))
 
 
 def test_follow_reach_against_leader_speeds():
     # a parked leader needs at least the full braking room
-    assert follow_reach(5.5, 0.0, 0.0, L, 1.5, 3.5) >= brake_reach(5.5, 0.0, L, 3.5)
+    assert follow_reach(5.5, 0.0, 0.0, 1.5, 3.5) >= brake_reach(5.5, 0.0, 3.5)
     # a faster leader never closes: only the standstill margin remains
-    assert follow_reach(5.0, 0.0, 10.0, L, 1.5, 3.5) == pytest.approx(3.5)
+    assert follow_reach(5.0, 0.0, 10.0, 1.5, 3.5) == pytest.approx(3.5)
 
 
 def _stop_state(v0, a0, tau):
@@ -220,28 +218,32 @@ def _half_step_taus(v0, a0, dt):
 @example(v0=7.0, a0=-2.0, v_lead=0.0, ttc_floor=1.55)  # the dt/2 samples' worst shortfall at dt 0.1
 @settings(max_examples=30, deadline=None)
 def test_follow_reach_is_the_exact_maximum_over_the_stop(v0, a0, v_lead, ttc_floor):
-    exact = follow_reach(v0, a0, v_lead, L, ttc_floor, 3.5)
+    exact = follow_reach(v0, a0, v_lead, ttc_floor, 3.5)
     for dt in (0.1, 0.01, 0.001):
         assert exact >= _sampled_need(v0, a0, v_lead, ttc_floor, _half_step_taus(v0, a0, dt)) - 1e-12
-    tau_s = game._stop_closed_form(v0, a0, L)[3]
+    tau_s = game._stop_closed_form(v0, a0)[3]
     dense = [tau_s * k / 19_999 for k in range(20_000)]
     assert exact <= _sampled_need(v0, a0, v_lead, ttc_floor, dense) + 1e-6
 
 
 def test_tracking_delta_straight_and_arc():
     straight = route_for(NET, "M1", "straight", "outer")
-    assert tracking_delta(straight, 20.0, 5.0, 0.1, L) == 0.0
+    assert tracking_delta(straight, 20.0, 5.0, 0.1) == 0.0
     left = route_for(NET, "M1", "left")
-    d = tracking_delta(left, 40.0, 0.0, 0.1, L)
+    d = tracking_delta(left, 40.0, 0.0, 0.1)
     assert d == pytest.approx(math.atan(WHEELBASE / left.elements[1].radius))
 
 
 def test_tracking_delta_clipped_by_steer_box():
-    tight = Network(right_turn_radius=7.0)
-    r = route_for(tight, "M2", "right")
-    arc_mid = 0.5 * (r.cum_s[1] + r.cum_s[2])
-    d = tracking_delta(r, arc_mid, 0.0, 0.1, L)
-    assert abs(d) == pytest.approx(L.steer_box())
+    # the fixed network's tightest turn, the 9 m right turn, stays inside
+    # the box, so the clip is checked on a 7 m arc built here
+    right = route_for(NET, "M2", "right")
+    assert abs(math.atan(WHEELBASE / right.elements[1].radius)) < STEER_BOX
+    arc = Arc(0.0, 0.0, 7.0, 0.0, -0.5 * math.pi)
+    r = Route("arc7", "outer", (arc,), (0.0,), arc.length, 0.0, arc.length)
+    arc_mid = 0.5 * arc.length
+    d = tracking_delta(r, arc_mid, 0.0, 0.1)
+    assert abs(d) == pytest.approx(STEER_BOX)
     assert abs(math.atan(r.curvature_at(arc_mid) * WHEELBASE)) > abs(d)
 
 
@@ -269,7 +271,7 @@ def test_single_vehicle_accelerates_straight():
 def test_single_vehicle_matches_exhaustive_grid():
     view = _single_view()
     sol = solve_step([view], 0.1)
-    sb = L.steer_box()
+    sb = STEER_BOX
     k_s, k_e = balance_weights(0.0)
     best = math.inf
     for ia in range(-20, 21):
@@ -279,7 +281,7 @@ def test_single_vehicle_matches_exhaustive_grid():
             pred = step(view.state, ControlInput(a, d), 0.1)
             s_pred, dy, heading = view.route.project(pred.x, pred.y)
             dphi = wrap_angle(pred.phi + sideslip(d) - heading)
-            if max(bound_residuals(a, d, 0.0, pred.v_x, dy, dphi, 0.1, L, sb)) > 1e-9:
+            if max(bound_residuals(a, d, 0.0, pred.v_x, dy, dphi, 0.1)) > 1e-9:
                 continue
             gap = max(min(view.route.total_length - s_pred, 50.0), 0.0)
             cost = k_s * lane_keeping(dy, dphi) + k_e * efficiency(gap, pred.v_x)
@@ -314,9 +316,7 @@ def test_crossing_pair_solves_cleanly():
 
 
 def test_solved_controls_are_best_responses():
-    solver = _StepSolver(
-        _crossing_views(), 0.1, L, 10.0, True
-    )
+    solver = _StepSolver(_crossing_views(), 0.1, 10.0, True)
     sol = solver.solve()
     for i in (0, 1):
         a_star, d_star = sol.controls[i]
@@ -328,7 +328,7 @@ def test_solved_controls_are_best_responses():
             (0.1, 0.0), (-0.1, 0.0), (0.0, math.radians(1.0)), (0.0, -math.radians(1.0)),
         ):
             a = min(max(a_star + da, lo), hi)
-            d = min(max(d_star + dd, -solver.steer_lim), solver.steer_lim)
+            d = min(max(d_star + dd, -STEER_BOX), STEER_BOX)
             if (a, d) == (a_star, d_star):
                 continue
             key = solver._rank(i, a, d, solver.p[i], scored, table)
@@ -340,7 +340,7 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
     """Asking again against the same partner controls ranks nothing and
     replays the counts of the first answer; once a partner moves, the
     search runs again and agrees with a fresh solver at those controls."""
-    solver = _StepSolver(_crossing_views(), 0.1, L, 10.0, True)
+    solver = _StepSolver(_crossing_views(), 0.1, 10.0, True)
     solver.solve()
     ranked = [0]
     real_rank = solver._rank
@@ -368,7 +368,7 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
         a_k, d_k = solver.controls[k]
         solver.controls[k] = (a_k - 0.1, d_k)
         solver._refresh_pred(k)
-        fresh = _StepSolver(_crossing_views(), 0.1, L, 10.0, True)
+        fresh = _StepSolver(_crossing_views(), 0.1, 10.0, True)
         fresh.p = list(solver.p)
         fresh.controls = list(solver.controls)
         for j in range(fresh.n):
@@ -419,14 +419,14 @@ def test_blocked_vehicle_falls_back_to_full_braking():
 def _breaks_speed(v0, a):
     """Whether acceleration a from speed v0 breaks the speed ramp bound."""
     v_next = step_speed(v0, a, 0.1)
-    return bound_residuals(a, 0.0, 0.0, v_next, 0.0, 0.0, 0.1, L, 0.0)[BOUND_NAMES.index("speed")] > FEAS_SLACK
+    return bound_residuals(a, 0.0, 0.0, v_next, 0.0, 0.0, 0.1)[BOUND_NAMES.index("speed")] > FEAS_SLACK
 
 
 def test_feasible_incumbent_skips_rk4_for_speed_breaking_candidates(monkeypatch):
     """At the speed limit every positive acceleration breaks the speed
     ramp.  Once the search holds a feasible control, those candidates are
     ranked as losers from `a` alone and never reach the integrator."""
-    solver = _StepSolver([_single_view(v=L.v_max)], 0.1, L, 10.0, True)
+    solver = _StepSolver([_single_view(v=L.v_max)], 0.1, 10.0, True)
     integrated = []
     real_integrate = game.integrate
 
@@ -449,12 +449,12 @@ def test_lazily_stored_candidate_ranks_by_its_exact_residual():
     residual computes that residual, and the key equals the one a fresh
     solver ranks."""
     views = [_single_view(v=L.v_max)]
-    solver = _StepSolver(views, 0.1, L, 10.0, True)
+    solver = _StepSolver(views, 0.1, 10.0, True)
     solver._best_response(0, solver.p[0])
     _, scored, table = solver._scored_for(0)
     lazy = [ad for ad, entry in scored.items() if entry is game._UNSCORED]
     assert lazy
-    fresh = _StepSolver(views, 0.1, L, 10.0, True)
+    fresh = _StepSolver(views, 0.1, 10.0, True)
     _, fresh_scored, fresh_table = fresh._scored_for(0)
     for a, d in lazy:
         key = solver._rank(0, a, d, solver.p[0], scored, table)
@@ -469,7 +469,7 @@ def test_lazily_stored_candidate_ranks_by_its_exact_residual():
 def test_infeasible_search_ranks_by_exact_residuals():
     """A search that never holds a feasible control stores no candidate
     lazily, and its key carries the exact residual of its control."""
-    solver = _StepSolver(_blocked_views(), 0.1, L, 10.0, True)
+    solver = _StepSolver(_blocked_views(), 0.1, 10.0, True)
     a, d, key = solver._best_response(0, solver.p[0])
     assert key[0] == 1.0
     _, scored, table = solver._scored_for(0)
@@ -556,7 +556,7 @@ def test_fallback_rows_brake_at_full_effort(simulate):
     braked; one still infeasible must be braked again, one feasible again
     must lose the flag."""
     res = simulate(_CROWDED)
-    a_max = res.scenario.limits.a_max
+    a_max = L.a_max
     fallback = [(k, r.a) for k, rows in enumerate(res.rows) for r in rows if r.fallback]
     assert fallback
     assert all(a == -a_max for _, a in fallback), fallback
@@ -576,7 +576,7 @@ def _rank_cases():
 @pytest.mark.parametrize("case", range(4), ids=["p0", "no_dependents", "dependents_0", "dependents_1"])
 def test_game_rank_key_is_the_pooled_objective_bit_for_bit(case):
     views, i = _rank_cases()[case]
-    solver = _StepSolver(views, 0.1, L, 10.0, True)
+    solver = _StepSolver(views, 0.1, 10.0, True)
     assert (solver.p[i] == 0.0) == (case == 0)
     assert bool(solver.dependents[i]) == (case != 1)
     _, scored, table = solver._scored_for(i)
@@ -600,13 +600,12 @@ def _old_constraint_residual(solver, i, a, pred, s_pred, bound_slack, guard):
     """The per-point loop the crossing table and reach rows replaced,
     with the standoffs taken straight from brake_reach."""
     view = solver.views[i]
-    lim = solver.limits
     res = bound_slack
-    ttc_floor = lim.ttc_min + guard
-    margin = lim.stop_margin + guard
+    ttc_floor = L.ttc_min + guard
+    margin = L.stop_margin + guard
     if view.lv is not None:
         gap = solver.lead_s[i] - s_pred
-        need = follow_reach(pred.v_x, a, solver.pred[view.lv].v_x, lim, ttc_floor, margin)
+        need = follow_reach(pred.v_x, a, solver.pred[view.lv].v_x, ttc_floor, margin)
         res = max(res, need - gap)
     for cp in view.cps:
         d_self = cp.s_self - s_pred
@@ -621,7 +620,7 @@ def _old_constraint_residual(solver, i, a, pred, s_pred, bound_slack, guard):
         else:
             sep = ttc_floor - abs(t_other - t_self)
         partner_hold = cp.hold_other + solver.hold_dist[cp.partner] - d_other
-        self_hold = brake_reach(pred.v_x, a, lim, cp.hold_self + guard) - d_self
+        self_hold = brake_reach(pred.v_x, a, cp.hold_self + guard) - d_self
         res = max(res, min(self_hold, partner_hold, sep))
     return res
 
@@ -700,7 +699,7 @@ def test_table_residual_equals_the_per_point_loop_bit_for_bit(
         player=True, coast=(0.0, 0.0), lv=lv, lv_gated=lv is not None, cps=tuple(cps),
     )
     views = [host, *partner_views] + ([lead_view] if leader is not None else [])
-    solver = _StepSolver(views, 0.1, L, 10.0, True)
+    solver = _StepSolver(views, 0.1, 10.0, True)
     table = solver._crossing_table(0)
     assert any(math.isinf(t_other) for _, t_other, _ in table) == any(
         solver.pred[cp.partner].v_x <= 1e-9 for cp in cps

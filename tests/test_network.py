@@ -8,6 +8,11 @@ import pytest
 from intersection_game.geometry import Arc
 from intersection_game.network import (
     ARM_NAMES,
+    CZ_HALF_WIDTH,
+    LANE_OFFSET_INNER,
+    LANE_OFFSET_OUTER,
+    OV_EXIT_MARGIN,
+    RIGHT_TURN_RADIUS,
     Network,
     ZoneRole,
     classify_zone_role,
@@ -32,29 +37,17 @@ def heading_at(route, s):
     return route.project(*route.point_at(s))[2]
 
 
-def test_network_rejects_bad_offsets():
-    offsets = "need 0 < inner offset < outer offset < zone half width"
-    with pytest.raises(ValueError, match=offsets):
-        Network(10.0, 6.0, 2.0)
-    with pytest.raises(ValueError, match=offsets):
-        Network(10.0, 0.0, 6.0)
-    with pytest.raises(ValueError, match=offsets):
-        Network(cz_half_width=5.0, lane_offset_outer=6.0)
-
-
 def test_network_rejects_oversized_right_turn():
+    # the right turn's arc starts 6 + 9 - 10 = 5 m before the zone edge,
+    # which must lie on the approach road
     with pytest.raises(ValueError, match="right turn radius too large for the road lengths"):
-        Network(right_turn_radius=50.0)
+        Network(approach_length=LANE_OFFSET_OUTER + RIGHT_TURN_RADIUS - CZ_HALF_WIDTH)
+    short = Network(approach_length=5.5)
+    for arm in ARM_NAMES:
+        assert route_for(short, arm, "right").elements[0].length == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize(
-    "field, message",
-    [
-        ("approach_length", "road lengths must be positive"),
-        ("exit_length", "road lengths must be positive"),
-        ("right_turn_radius", "right turn radius must be positive"),
-    ],
-)
+@pytest.mark.parametrize("field, message", [("approach_length", "road lengths must be positive")])
 def test_network_rejects_nonpositive_lengths(field, message):
     with pytest.raises(ValueError, match=message):
         Network(**{field: 0.0})
@@ -77,7 +70,7 @@ def test_zone_boundary_crossings_on_square_edge():
     for route in ROUTES.values():
         for s in (route.s_cz_entry, route.s_cz_exit):
             x, y = route.point_at(s)
-            assert max(abs(x), abs(y)) == pytest.approx(NET.cz_half_width, abs=1e-6)
+            assert max(abs(x), abs(y)) == pytest.approx(CZ_HALF_WIDTH, abs=1e-6)
         assert route.s_cz_entry < route.s_cz_exit
 
 
@@ -98,7 +91,7 @@ def test_left_turn_arc_geometry():
     arc = next(el for el in r.elements if isinstance(el, Arc))
     assert abs(arc.sweep) == pytest.approx(0.5 * math.pi)
     # radius forced by tangency to both inner lanes
-    assert arc.radius == pytest.approx(NET.cz_half_width + NET.lane_offset_inner)
+    assert arc.radius == pytest.approx(CZ_HALF_WIDTH + LANE_OFFSET_INNER)
     # heading turns a quarter to the left overall
     assert heading_at(r, 0.0) == pytest.approx(0.0)
     assert heading_at(r, r.total_length) == pytest.approx(0.5 * math.pi)
@@ -109,7 +102,7 @@ def test_left_turn_arc_geometry():
 def test_right_turn_uses_configured_radius():
     r = route_for(NET, "M2", "right")
     arc = next(el for el in r.elements if isinstance(el, Arc))
-    assert arc.radius == pytest.approx(NET.right_turn_radius)
+    assert arc.radius == pytest.approx(RIGHT_TURN_RADIUS)
     assert abs(arc.sweep) == pytest.approx(0.5 * math.pi)
     # leaves eastward on the outer outbound lane of M3's arm
     assert heading_at(r, r.total_length) == pytest.approx(0.0)
@@ -128,14 +121,8 @@ def _old_tangent_at(route, s):
 
 @pytest.mark.parametrize(
     "net",
-    [
-        NET,
-        Network(cz_half_width=12.0, lane_offset_inner=1.7, right_turn_radius=7.3),
-        Network(
-            cz_half_width=7.0, lane_offset_inner=0.9, lane_offset_outer=4.1, approach_length=22.0, exit_length=41.0
-        ),
-    ],
-    ids=["default", "wide", "narrow"],
+    [NET, Network(approach_length=90.0), Network(approach_length=6.0)],
+    ids=["default", "approach_90", "approach_6"],
 )
 def test_project_heading_equals_locate_then_tangent_bit_for_bit(net):
     """The heading `Route.project` returns is the tangent `_locate` would
@@ -204,14 +191,14 @@ def test_conflict_symmetry():
 def test_point_conflicts_stay_inside_merge_reach():
     """Crossings only happen inside the zone; confluences can sit on the exit
     lane up to the right-turn tangent point just past the zone edge."""
-    reach = NET.lane_offset_outer + NET.right_turn_radius - NET.cz_half_width
+    reach = LANE_OFFSET_OUTER + RIGHT_TURN_RADIUS - CZ_HALF_WIDTH
     names = sorted(ROUTES)
     for i, na in enumerate(names):
         for nb in names[i + 1:]:
             for c in conflict_points(ROUTES[na], ROUTES[nb]):
                 if c.kind == "following":
                     continue
-                bound = NET.cz_half_width + (reach if c.kind == "confluence" else 0.0)
+                bound = CZ_HALF_WIDTH + (reach if c.kind == "confluence" else 0.0)
                 assert abs(c.x) <= bound + 1e-6, c
                 assert abs(c.y) <= bound + 1e-6, c
 
@@ -284,10 +271,10 @@ def test_case3_pairwise_conflict_topology():
 def test_zone_role_examples():
     r = ROUTES["M1-inner-left"]
     s = r.project(-18.0, -2.0)[0]
-    assert classify_zone_role(r, s, NET) is ZoneRole.RV
+    assert classify_zone_role(r, s) is ZoneRole.RV
     s_mid = r.project(0.0, 0.0)[0]
-    assert classify_zone_role(r, s_mid, NET) is ZoneRole.PV
-    assert classify_zone_role(r, r.s_cz_exit + NET.ov_exit_margin + 25.0, NET) is ZoneRole.OV
+    assert classify_zone_role(r, s_mid) is ZoneRole.PV
+    assert classify_zone_role(r, r.s_cz_exit + OV_EXIT_MARGIN + 25.0) is ZoneRole.OV
 
 
 def test_zone_role_monotone_along_every_route():
@@ -296,7 +283,7 @@ def test_zone_role_monotone_along_every_route():
         prev = -1
         s = 0.0
         while s <= route.total_length:
-            cur = order[classify_zone_role(route, s, NET)]
+            cur = order[classify_zone_role(route, s)]
             assert cur >= prev
             prev = cur
             s += 0.5

@@ -6,23 +6,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intersection_game.dynamics import L_R, VehicleState, path_curvature
-from intersection_game.risk import FieldParams, build_field
+from intersection_game.risk import A0, THRESHOLD, build_field
 
-FP1 = FieldParams(a0=1.0)
 AHEAD = VehicleState(5.0, 0.0, 0.0, 0.0)
 
 
 def test_ridge_amplitude_values():
     # zero exactly where the horizon ends
     assert build_field(AHEAD, 0.0, 0.0).amplitude(15.0) == pytest.approx(0.0, abs=1e-12)
-    plain, bold = (build_field(AHEAD, 0.0, kappa, FP1) for kappa in (0.0, 1.0))
-    assert plain.amplitude(0.0) == pytest.approx(225.0, abs=1e-9)
+    plain, bold = (build_field(AHEAD, 0.0, kappa) for kappa in (0.0, 1.0))
+    assert plain.amplitude(0.0) == pytest.approx(225.0 * A0, abs=1e-9 * A0)
     assert bold.amplitude(0.0) / plain.amplitude(0.0) == pytest.approx(math.e, abs=1e-12)
 
 
 def test_ridge_sigma_values():
     assert build_field(AHEAD, 0.7, 0.0).sigma(0.0) == pytest.approx(0.45, abs=1e-12)
-    assert build_field(AHEAD, 0.0, 0.0, FieldParams(spread_b=0.05)).sigma(10.0) == pytest.approx(0.95, abs=1e-12)
+    assert build_field(AHEAD, 0.0, 0.0).sigma(10.0) == pytest.approx(0.95, abs=1e-12)
     # steering widens the spread
     assert build_field(AHEAD, 0.2, 0.0).sigma(10.0) == pytest.approx(1.95, abs=1e-12)
 
@@ -43,19 +42,19 @@ def field_anchor(state):
 
 def test_straight_field_on_ridge_values():
     st0 = VehicleState(5.0, 0.0, 3.0, -2.0)
-    f = build_field(st0, 0.0, 0.0, FP1)
+    f = build_field(st0, 0.0, 0.0)
     gx, gy = field_anchor(st0)
     assert (f.gx, f.gy) == pytest.approx((gx, gy))
-    assert f.value(gx + 5.0, gy) == pytest.approx(100.0, abs=1e-9)
-    assert f.value(gx, gy) == pytest.approx(225.0, abs=1e-9)
+    assert f.value(gx + 5.0, gy) == pytest.approx(100.0 * A0, abs=1e-9 * A0)
+    assert f.value(gx, gy) == pytest.approx(225.0 * A0, abs=1e-9 * A0)
     # two sigma off the ridge at s = 5, where sigma = 0.45 + 0.05 * 5
-    assert f.value(gx + 5.0, gy + 1.4) == pytest.approx(100.0 * math.exp(-2.0), abs=1e-9)
+    assert f.value(gx + 5.0, gy + 1.4) == pytest.approx(100.0 * A0 * math.exp(-2.0), abs=1e-9 * A0)
     assert f.value(gx - 1.0, gy) == 0.0
     assert f.value(gx + 15.1, gy) == 0.0
 
 
 def test_stationary_vehicle_projects_nothing():
-    f = build_field(VehicleState(0.0, 0.0, 0.0, 0.0), 0.0, 0.0, FP1)
+    f = build_field(VehicleState(0.0, 0.0, 0.0, 0.0), 0.0, 0.0)
     for x, y in ((0.0, 0.0), (1.0, 0.0), (-3.0, 2.0)):
         assert f.value(x, y) == 0.0
 
@@ -66,12 +65,12 @@ def test_stationary_vehicle_projects_nothing():
     phi=st.floats(min_value=-math.pi, max_value=math.pi),
 )
 def test_straight_field_symmetric_across_ridge(s, r, phi):
-    f = build_field(VehicleState(5.0, phi, 1.0, -1.0), 0.0, 0.0, FP1)
+    f = build_field(VehicleState(5.0, phi, 1.0, -1.0), 0.0, 0.0)
     ct, stn = math.cos(phi), math.sin(phi)
     px, py = f.gx + s * ct, f.gy + s * stn
     left = f.value(px - r * stn, py + r * ct)
     right = f.value(px + r * stn, py - r * ct)
-    assert left == pytest.approx(right, rel=1e-9, abs=1e-12)
+    assert left == pytest.approx(right, rel=1e-9, abs=1e-12 * A0)
 
 
 def ridge_point(f, s):
@@ -82,7 +81,7 @@ def ridge_point(f, s):
 
 def test_curved_field_geometry():
     st0 = VehicleState(5.0, 0.0, 0.0, 0.0)
-    f = build_field(st0, 0.3, 0.0, FP1)
+    f = build_field(st0, 0.3, 0.0)
     rho = path_curvature(0.3)
     assert rho > 0.0
     assert f.curvature == pytest.approx(rho)
@@ -97,7 +96,7 @@ def test_curved_field_geometry():
 
 
 def test_curved_field_peaks_on_the_ridge():
-    f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.3, 0.0, FP1)
+    f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.3, 0.0)
     px, py = ridge_point(f, 5.0)
     nx, ny = px - f.cx, py - f.cy
     nn = math.hypot(nx, ny)
@@ -108,7 +107,7 @@ def test_curved_field_peaks_on_the_ridge():
 
 
 def test_curved_field_has_no_tail_behind():
-    f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.3, 0.0, FP1)
+    f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.3, 0.0)
     radius = 1.0 / f.curvature
     ang0 = math.atan2(f.gy - f.cy, f.gx - f.cx)
     for back in (0.5, 2.0):
@@ -123,8 +122,8 @@ def test_curved_field_has_no_tail_behind():
     kappa=st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_field_grows_with_speed(v1, dv, kappa):
-    f1 = build_field(VehicleState(v1, 0.0, 0.0, 0.0), 0.0, kappa, FP1)
-    f2 = build_field(VehicleState(v1 + dv, 0.0, 0.0, 0.0), 0.0, kappa, FP1)
+    f1 = build_field(VehicleState(v1, 0.0, 0.0, 0.0), 0.0, kappa)
+    f2 = build_field(VehicleState(v1 + dv, 0.0, 0.0, 0.0), 0.0, kappa)
     assert f2.support > f1.support
     assert f2.value(f2.gx, f2.gy) > f1.value(f1.gx, f1.gy)
 
@@ -136,13 +135,13 @@ def test_default_calibration_gates_close_traffic_only():
     far = f.value(f.gx + 25.0, f.gy)
     assert near == pytest.approx(0.25, abs=1e-9)
     assert far == 0.0
-    assert near > FieldParams().threshold >= far
+    assert near > THRESHOLD >= far
 
 
 def test_build_field_rejects_out_of_range_aggressiveness():
     for kappa in (1.01, 1.5, -1.2):
         with pytest.raises(ValueError):
-            build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, kappa, FP1)
+            build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, kappa)
 
 
 # (delta, (cx, cy), ((x, y), value) ...) for a vehicle at (12.5, -3.25),

@@ -1,6 +1,5 @@
 """Closed-loop simulation: roles, termination, metrics, and emitted files."""
 
-import dataclasses
 import json
 import math
 import os
@@ -11,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import intersection_game
+from intersection_game import runner
 from intersection_game.dynamics import VehicleState
-from intersection_game.network import Network, classify_zone_role, route_for
+from intersection_game.network import OV_EXIT_MARGIN, Network, classify_zone_role, route_for
 from intersection_game.risk import build_field
 from intersection_game.runner import (
     _PASS_MARGIN,
@@ -205,15 +205,17 @@ def place(sc, s):
 
 def views_at(sc, s, risk_gating=True):
     n = len(s)
-    roles = [classify_zone_role(r, si, sc.network) for r, si in zip(sc.routes, s)]
+    roles = [classify_zone_role(r, si) for r, si in zip(sc.routes, s)]
     return build_views(
         sc, place(sc, s), list(s), [0.0] * n, [0.0] * n, roles, [1.0] * n,
         crossing_index(sc, pair_conflicts(sc)), risk_gating,
     )
 
 
-def with_threshold(sc, threshold):
-    return dataclasses.replace(sc, field=dataclasses.replace(sc.field, threshold=threshold))
+def views_gated_at(monkeypatch, threshold, sc, s, risk_gating=True):
+    """`views_at` with the field level that gates a risk term on set to `threshold`."""
+    monkeypatch.setattr(runner, "THRESHOLD", threshold)
+    return views_at(sc, s, risk_gating)
 
 
 def test_build_views_picks_the_nearest_leader(tmp_path):
@@ -248,20 +250,20 @@ def test_build_views_keeps_crossing_points_live_until_passed(tmp_path):
     assert live([cross.s_a + _PASS_MARGIN, 10.0]) == []
     assert live([5.0, cross.s_b + _PASS_MARGIN]) == []
     # a vehicle that has cleared the zone is no player and sees nothing
-    gone = views_at(sc, [sc.routes[0].s_cz_exit + sc.network.ov_exit_margin + 1.0, 10.0])[0]
+    gone = views_at(sc, [sc.routes[0].s_cz_exit + OV_EXIT_MARGIN + 1.0, 10.0])[0]
     assert not gone.player and gone.lv is None and gone.cps == ()
 
 
-def test_build_views_gates_strictly_above_the_threshold(tmp_path):
+def test_build_views_gates_strictly_above_the_threshold(tmp_path, monkeypatch):
     sc = scenario_of(tmp_path, *[("M1", "straight", "outer")] * 2)
     s = [10.0, 20.0]
     states = place(sc, s)
     level = build_field(states[0], 0.0, 0.0, sc.field).value(states[1].x, states[1].y)
     assert level > 0.0
     # a level exactly at the threshold stays off
-    assert not views_at(with_threshold(sc, level), s)[0].lv_gated
-    assert views_at(with_threshold(sc, math.nextafter(level, 0.0)), s)[0].lv_gated
-    assert views_at(with_threshold(sc, level), s, risk_gating=False)[0].lv_gated
+    assert not views_gated_at(monkeypatch, level, sc, s)[0].lv_gated
+    assert views_gated_at(monkeypatch, math.nextafter(level, 0.0), sc, s)[0].lv_gated
+    assert views_gated_at(monkeypatch, level, sc, s, risk_gating=False)[0].lv_gated
 
     # a crossing point is gated by either vehicle's field; put one vehicle
     # near the point and the other out of reach, then swap
@@ -275,7 +277,7 @@ def test_build_views_gates_strictly_above_the_threshold(tmp_path):
         assert level > 0.0 == fields[1 - near].value(cross.x, cross.y)
 
         def gated(threshold, risk_gating=True):
-            cps = views_at(with_threshold(sc, threshold), s, risk_gating)[0].cps
+            cps = views_gated_at(monkeypatch, threshold, sc, s, risk_gating)[0].cps
             return next(c.gated for c in cps if c.s_self == cross.s_a)
 
         assert not gated(level)

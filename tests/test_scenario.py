@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import importlib.util
 import re
 import tempfile
 from pathlib import Path
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from intersection_game.game import Limits
+from intersection_game.game import LIMITS
+from intersection_game.network import Network, route_for
+from intersection_game.risk import FieldParams
 from intersection_game.runner import run
 from intersection_game.scenario import _PARAMS, _VEHICLE, MODES, ScenarioError, load_scenario
 
@@ -51,7 +54,6 @@ def test_loads_published_three_vehicle_scenario():
     assert sc.mode == "fuzzy"
     assert sc.field.horizon == 4.0
     assert sc.field.omega0 == 60.0
-    assert sc.field.a0 == 0.01  # untouched keys keep their defaults
     names = [v.name for v in sc.vehicles]
     assert names == ["V1", "V2", "V3"]
     v1, v2, v3 = sc.vehicles
@@ -70,7 +72,10 @@ def test_defaults_from_minimal_file(tmp_path):
     assert sc.t_end == 30.0
     assert sc.dt == 0.1
     assert sc.mode == "fuzzy"
-    assert sc.limits == Limits()
+    assert sc.limits is LIMITS
+    # untouched keys keep their defaults
+    assert sc.field == FieldParams()
+    assert sc.routes[0].total_length == 30.0 + 20.0 + 30.0
     assert sc.vehicles[0].lane == "outer"
 
 
@@ -159,17 +164,11 @@ def test_rejects_nonpositive_horizon_times(tmp_path):
         ("scenario", "t_end", "inf", "t_end: not a finite number"),
         ("scenario", "dt", "-0.1", "dt: must be positive"),
         ("field", "omega0", "nan", "omega0: not a finite number"),
-        ("field", "a0", "0", "a0: must be positive"),
         ("field", "horizon", "-1", "horizon: must be positive"),
-        ("field", "spread_b", "-0.5", "spread_b: must be nonnegative"),
-        ("field", "spread_c", "-0.5", "spread_c: must be nonnegative"),
-        ("field", "threshold", "-1", "threshold: must be nonnegative"),
         ("field", "omega0", "-10", "omega0: must be nonnegative"),
-        ("network", "ov_exit_margin", "-50", "ov_exit_margin: must be nonnegative"),
         ("scenario", "dt", "1.5", "dt: must be at most 1"),
         ("scenario", "dt", "1e-16", "dt: must be at least 0.001"),
         ("field", "horizon", "1e300", "horizon: must be at most 60"),
-        ("network", "cz_half_width", "1e6", "cz_half_width: must be at most 100"),
         ("scenario", "t_end", "1e308", "t_end: must be at most 3600"),
     ],
 )
@@ -235,6 +234,40 @@ def test_rejects_fixed_model_section(tmp_path, section, key, value):
     reject(tmp_path, text, f"unknown section [{section}]")
 
 
+# The intersection's layout (`network.CZ_HALF_WIDTH` and the other layout
+# constants) and the risk field's shape (`risk.A0`, `SPREAD_B`, `SPREAD_C`,
+# `THRESHOLD`) are fixed as well.  A config that still sets one of their
+# former keys is rejected, at the old default value and at each value that
+# used to fail the key's domain or cap.
+_FIXED_KEYS = {
+    "network": {
+        "cz_half_width": "10", "lane_offset_inner": "2", "lane_offset_outer": "6", "exit_length": "30",
+        "right_turn_radius": "9", "ov_exit_margin": "5",
+    },
+    "field": {"a0": "0.01", "spread_b": "0.05", "spread_c": "0.5", "threshold": "0.1"},
+}
+_FORMER_KEY_OUT_OF_DOMAIN = [
+    ("field", "a0", "0"), ("field", "spread_b", "-0.5"), ("field", "spread_c", "-0.5"),
+    ("field", "threshold", "-1"), ("network", "ov_exit_margin", "-50"), ("network", "cz_half_width", "1e6"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        pytest.param(section, key, value, id=f"{section}-{key}")
+        for section, keys in _FIXED_KEYS.items()
+        for key, value in keys.items()
+    ]
+    + [pytest.param(section, key, value, id=f"{section}-{key}-{value}") for section, key, value in _FORMER_KEY_OUT_OF_DOMAIN],
+)
+def test_rejects_fixed_model_key(tmp_path, section, key, value):
+    text = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write(tmp_path, text))
+    assert str(err.value) == f"[{section}] unknown key(s): {key}"
+
+
 def test_rejects_bad_yaw_form(tmp_path):
     reject(tmp_path, MINIMAL + "\n[vehicle_model]\nyaw_form = euler\n", "unknown section [vehicle_model]")
 
@@ -265,7 +298,9 @@ def test_readme_example_loads_and_documents_every_default(tmp_path):
     cp.read_string(block)
     for section in (s for s in _PARAMS if s != "scenario"):
         assert set(cp.options(section)) == set(_PARAMS[section]), section
-        assert getattr(readme, section) == getattr(minimal, section), section
+    assert readme.field == minimal.field
+    # the network is read only to build the routes
+    assert readme.routes == minimal.routes == (route_for(Network(), "M1", "straight", "outer"),)
 
 
 # one key of a shipped config set to an arbitrary value: a key of any
@@ -287,7 +322,7 @@ _VALUES = st.one_of(
     value=_VALUES,
 )
 @example(name="case1_A", site=("field", "horizon"), value="1e300")
-@example(name="case1_A", site=("network", "cz_half_width"), value="1e6")
+@example(name="case1_A", site=("network", "approach_length"), value="1e300")
 @example(name="case1_A", site=("scenario", "t_end"), value="1e308")
 @example(name="case1_A", site=("scenario", "dt"), value="1e300")
 def test_mutated_shipped_config_is_rejected_or_runs(name, site, value):
@@ -307,3 +342,24 @@ def test_mutated_shipped_config_is_rejected_or_runs(name, site, value):
         except ScenarioError:
             return
     run(dataclasses.replace(sc, t_end=3 * sc.dt))
+
+
+def test_every_settable_key_is_set_by_some_input():
+    """Each key the loader accepts is set by at least one input: a shipped
+    scenario or a `perfbench/dense.py` layout of the identity matrix.  A key
+    no input varies belongs in the model as a constant."""
+    spec = importlib.util.spec_from_file_location("identity_matrix", ROOT / "scripts" / "identity_matrix.py")
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    dense = matrix.dense_module()
+    texts = [path.read_text(encoding="utf-8") for path in sorted(SCENARIOS.glob("*.cfg"))]
+    texts += [dense.layout(per_arm, seed) for per_arm in dense.PER_ARM for seed in matrix.DENSE_SEEDS]
+    set_keys = set()
+    for text in texts:
+        cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+        cp.read_string(text)
+        for section in cp.sections():
+            table = "vehicle" if section.startswith("vehicle.") else section
+            set_keys.update((table, key) for key in cp.options(section))
+    settable = {(s, k) for s, table in _PARAMS.items() for k in table} | {("vehicle", k) for k in _VEHICLE}
+    assert sorted(settable - set_keys) == []
