@@ -26,8 +26,8 @@ import importlib.util
 import tempfile
 from pathlib import Path
 
-from intersection_game.runner import emit, run
-from intersection_game.scenario import MODES, load_scenario
+from intersection_game.runner import MODES, emit, run
+from intersection_game.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 UNTIMED = "timing.json"  # wall times: the one emitted file left out

@@ -1,4 +1,4 @@
-"""Run every shipped scenario in its configured mode and emit full traces.
+"""Run every shipped scenario in the fuzzy mode, or in `--mode`, and emit full traces.
 
 Writes one output directory per scenario under runs/ and prints a one-line
 summary per run so regressions in the headline numbers are easy to spot.
@@ -8,8 +8,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from intersection_game.runner import emit, metrics, run
-from intersection_game.scenario import MODES, load_scenario
+from intersection_game.runner import MODES, emit, metrics, run
+from intersection_game.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,7 +18,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scenario-dir", type=Path, default=ROOT / "scenarios")
     ap.add_argument("--out", type=Path, default=ROOT / "runs")
-    ap.add_argument("--mode", choices=MODES, help="override the mode set in each file")
+    ap.add_argument("--mode", choices=MODES, default="fuzzy", help="solver mode (default fuzzy)")
     args = ap.parse_args(argv)
 
     files = sorted(args.scenario_dir.glob("*.cfg"))

@@ -7,8 +7,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .runner import emit, metrics, pair_conflicts, run, timing
-from .scenario import MODES, ScenarioError, load_scenario
+from .runner import MODES, emit, metrics, pair_conflicts, run, timing
+from .scenario import ScenarioError, load_scenario
 
 MODE_LABELS = {
     "noncoop": "noncooperative baseline",
@@ -26,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one scenario and write trace/metrics files")
     p_run.add_argument("scenario", help="scenario config file")
-    p_run.add_argument("--mode", choices=MODES, default=None, help="override the config's solver mode")
+    p_run.add_argument("--mode", choices=MODES, default="fuzzy", help="solver mode (default fuzzy)")
     p_run.add_argument("--out", default=None, help="output directory (default runs/<name>_<mode>)")
     p_run.add_argument(
         "--no-risk-gating",
@@ -128,7 +128,7 @@ def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     conflicts = pair_conflicts(scenario)
     print(f"{scenario.name}: OK")
-    print(f"  dt {scenario.dt} s, t_end {scenario.t_end} s, mode {scenario.mode}")
+    print(f"  t_end {scenario.t_end} s")
     for spec, route in zip(scenario.vehicles, scenario.routes):
         s0 = route.project(spec.x, spec.y)[0]
         print(

@@ -20,6 +20,7 @@ HEADING_WEIGHT = 80.0
 THW_CAP = 10.0  # headway saturates here when crawling
 FREE_GAP = 50.0  # virtual gap when no leader is present
 CRAWL_SLOPE = 1e-4  # residual speed incentive on the saturated branch
+OMEGA0 = 60.0  # weight given to a risk term its field switches on
 
 
 def balance_weights(kappa: float) -> tuple[float, float]:

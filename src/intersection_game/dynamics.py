@@ -2,7 +2,7 @@
 
 State is (v_x, phi, x, y): longitudinal velocity, yaw, and planar position
 of the CoG.  Controls are longitudinal acceleration and front steering
-angle, both held constant over an integration step (RK4, fixed dt).
+angle, both held constant over one control period `DT` (one RK4 step).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ L_F = 1.4  # m, CoG to front axle
 L_R = 1.4  # m, CoG to rear axle
 WIDTH = 1.8  # m
 WHEELBASE = L_F + L_R
+DT = 0.1  # s, the control period: one RK4 step per decision
 
 
 @dataclass(frozen=True)
@@ -44,14 +45,14 @@ def path_curvature(delta_f: float) -> float:
     return math.tan(delta_f) / WHEELBASE
 
 
-def step_speed(v0: float, a: float, dt: float) -> float:
+def step_speed(v0: float, a: float) -> float:
     """Speed after one RK4 step at constant acceleration a, floored at
     zero: the weighted mean of the four stage rates, each of them a."""
-    v1 = v0 + dt * (a + 2 * a + 2 * a + a) / 6.0
+    v1 = v0 + DT * (a + 2 * a + 2 * a + a) / 6.0
     return 0.0 if v1 < 0.0 else v1
 
 
-def step(state: VehicleState, u: ControlInput, dt: float) -> VehicleState:
+def step(state: VehicleState, u: ControlInput) -> VehicleState:
     """One RK4 step with the control held constant; velocity floors at zero.
 
     Each stage's rates are (dv, dphi, dx, dy) = (a_x, v k_yaw,
@@ -66,8 +67,8 @@ def step(state: VehicleState, u: ControlInput, dt: float) -> VehicleState:
     cos, sin = math.cos, math.sin
 
     v0, p0 = state.v_x, state.phi
-    v_half = v0 + 0.5 * dt * a
-    v_full = v0 + dt * a
+    v_half = v0 + 0.5 * DT * a
+    v_full = v0 + DT * a
 
     vv = v0 if v0 > 0.0 else 0.0
     w1 = vv * k_yaw
@@ -75,28 +76,28 @@ def step(state: VehicleState, u: ControlInput, dt: float) -> VehicleState:
     y1 = vv * sin(p0 + beta) / cb
 
     vv = v_half if v_half > 0.0 else 0.0
-    p = p0 + 0.5 * dt * w1
+    p = p0 + 0.5 * DT * w1
     w2 = vv * k_yaw
     x2 = vv * cos(p + beta) / cb
     y2 = vv * sin(p + beta) / cb
 
-    p = p0 + 0.5 * dt * w2
+    p = p0 + 0.5 * DT * w2
     w3 = vv * k_yaw
     x3 = vv * cos(p + beta) / cb
     y3 = vv * sin(p + beta) / cb
 
     vv = v_full if v_full > 0.0 else 0.0
-    p = p0 + dt * w3
+    p = p0 + DT * w3
     w4 = vv * k_yaw
     x4 = vv * cos(p + beta) / cb
     y4 = vv * sin(p + beta) / cb
 
-    p1 = p0 + dt * (w1 + 2 * w2 + 2 * w3 + w4) / 6.0
+    p1 = p0 + DT * (w1 + 2 * w2 + 2 * w3 + w4) / 6.0
     return VehicleState(
-        step_speed(v0, a, dt),
+        step_speed(v0, a),
         wrap_angle(p1),
-        state.x + dt * (x1 + 2 * x2 + 2 * x3 + x4) / 6.0,
-        state.y + dt * (y1 + 2 * y2 + 2 * y3 + y4) / 6.0,
+        state.x + DT * (x1 + 2 * x2 + 2 * x3 + x4) / 6.0,
+        state.y + DT * (y1 + 2 * y2 + 2 * y3 + y4) / 6.0,
     )
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .costs import (
     FREE_GAP,
+    OMEGA0,
     CostTerms,
     balance_weights,
     blended_loss,
@@ -26,6 +27,7 @@ from .costs import (
     lane_keeping,
 )
 from .dynamics import (
+    DT,
     L_R,
     WHEELBASE,
     ControlInput,
@@ -150,22 +152,22 @@ class StepSolution:
     max_constraint_residual: float
 
 
-def tracking_delta(route: Route, s: float, v: float, dt: float) -> float:
+def tracking_delta(route: Route, s: float, v: float) -> float:
     """Feedforward steering for the route curvature just ahead, clipped."""
-    rho = route.curvature_at(s + max(v, 0.0) * dt)
+    rho = route.curvature_at(s + max(v, 0.0) * DT)
     return min(max(math.atan(rho * WHEELBASE), -STEER_BOX), STEER_BOX)
 
 
-def _ramp_peak_speed(v_next: float, a: float, dt: float, jerk_max: float) -> float:
+def _ramp_peak_speed(v_next: float, a: float) -> float:
     """Highest speed reachable if deceleration starts at full jerk now.
 
     One step at `a` is already inside v_next; the tail assumes the
-    acceleration shrinks by jerk_max*dt every following step.
+    acceleration shrinks by jerk_max*DT every following step.
     """
     if a <= 0.0:
         return v_next
-    k = int(a / (jerk_max * dt))
-    return v_next + dt * (k * a - jerk_max * dt * k * (k + 1) / 2.0)
+    k = int(a / (LIMITS.jerk_max * DT))
+    return v_next + DT * (k * a - LIMITS.jerk_max * DT * k * (k + 1) / 2.0)
 
 
 BOUND_NAMES = ("accel", "jerk", "steer", "speed", "lane", "course")
@@ -178,7 +180,6 @@ def bound_residuals(
     v_next: float,
     dy: float,
     dphi: float,
-    dt: float,
 ) -> tuple[float, float, float, float, float, float]:
     """Signed slack of each non-interactive limit, ordered as BOUND_NAMES.
 
@@ -188,9 +189,9 @@ def bound_residuals(
     """
     return (
         abs(a) - LIMITS.a_max,
-        abs(a - a_prev) / dt - LIMITS.jerk_max,
+        abs(a - a_prev) / DT - LIMITS.jerk_max,
         abs(delta) - STEER_BOX,
-        _ramp_peak_speed(v_next, a, dt, LIMITS.jerk_max) - LIMITS.v_max,
+        _ramp_peak_speed(v_next, a) - LIMITS.v_max,
         dy - LIMITS.lane_dev_max,
         abs(dphi) - LIMITS.course_dev_max,
     )
@@ -369,17 +370,15 @@ class _StepSolver:
     zero, and the search and the crossing loop compare rather than call
     min/max.  Some call sites stay as they are because
     `perfbench/tracing.py` wraps them by name: the RK4 goes through the
-    module global `integrate(state, ControlInput(a, d), dt)`,
+    module global `integrate(state, ControlInput(a, d))`,
     projections through `Route.project`, and `crossing_risk`,
     `efficiency`, `lane_keeping`, `following_risk`, `stop_distance`,
     `brake_reach` and `follow_reach` are looked up as module globals at
     each call, never bound to locals or inlined.
     """
 
-    def __init__(self, views: list[PlayerView], dt: float, omega0: float, allow_reset: bool):
+    def __init__(self, views: list[PlayerView], allow_reset: bool):
         self.views = views
-        self.dt = dt
-        self.omega0 = omega0
         self.allow_reset = allow_reset
         self.n = len(views)
         self.players = [i for i in range(self.n) if views[i].player]
@@ -450,12 +449,12 @@ class _StepSolver:
         c = memo.get((a, d))
         if c is None:
             view = self.views[i]
-            pred = integrate(view.state, ControlInput(a, d), self.dt)
+            pred = integrate(view.state, ControlInput(a, d))
             beta = self._beta.get(d)
             if beta is None:
                 beta = self._beta[d] = sideslip(d)
             s_pred, dy, dphi = lane_errors(view.route, pred, beta)
-            slack = max(bound_residuals(a, d, view.a_prev, pred.v_x, dy, dphi, self.dt))
+            slack = max(bound_residuals(a, d, view.a_prev, pred.v_x, dy, dphi))
             c = memo[(a, d)] = (pred, s_pred, dy, dphi, slack)
         return c
 
@@ -486,8 +485,8 @@ class _StepSolver:
         view = self.views[i]
         k_s, k_e = self.balance[i]
         cp = self.cost_cp[i]
-        omega_log = self.omega0 if (view.lv is not None and view.lv_gated) else 0.0
-        omega_lat = self.omega0 if cp is not None else 0.0
+        omega_log = OMEGA0 if (view.lv is not None and view.lv_gated) else 0.0
+        omega_lat = OMEGA0 if cp is not None else 0.0
         if view.lv is not None:
             lv_state = self.pred[view.lv]
             gap = max(self.lead_s[i] - s_pred, GAP_FLOOR)
@@ -522,14 +521,14 @@ class _StepSolver:
             if vj.lv == i:
                 gap = max(self._leader_on(j, a, d, pred) - self.pred_s[j], GAP_FLOOR)
                 if vj.lv_gated:
-                    contrib += k_s * self.omega0 * following_risk(self.pred[j].v_x, pred.v_x, gap)
+                    contrib += k_s * OMEGA0 * following_risk(self.pred[j].v_x, pred.v_x, gap)
                 contrib += k_e * efficiency(gap, self.pred[j].v_x)
             cj = self.cost_cp[j]
             if cj is not None and cj.partner == i:
                 d_j = cj.s_self - self.pred_s[j]
                 d_i = cj.s_other - s_pred
                 if d_j > 0.0 and d_i > 0.0:
-                    contrib += k_s * self.omega0 * crossing_risk(d_j, self.pred[j].v_x, d_i, pred.v_x)
+                    contrib += k_s * OMEGA0 * crossing_risk(d_j, self.pred[j].v_x, d_i, pred.v_x)
                     self.lateral_evals += 1
             total += w * contrib
         return total
@@ -634,8 +633,8 @@ class _StepSolver:
         With `held`, a candidate its speed ramp or its bounds already rule
         out is `_UNSCORED`, before RK4 or before the interaction residual."""
         if held:
-            v_next = step_speed(self.views[i].state.v_x, a, self.dt)
-            if _ramp_peak_speed(v_next, a, self.dt, LIMITS.jerk_max) - LIMITS.v_max > FEAS_SLACK:
+            v_next = step_speed(self.views[i].state.v_x, a)
+            if _ramp_peak_speed(v_next, a) - LIMITS.v_max > FEAS_SLACK:
                 return _UNSCORED
         pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)
         if held and slack > FEAS_SLACK:
@@ -666,7 +665,7 @@ class _StepSolver:
 
     def _accel_box(self, i: int) -> tuple[float, float]:
         a_prev = self.views[i].a_prev
-        slew = LIMITS.jerk_max * self.dt
+        slew = LIMITS.jerk_max * DT
         return max(-LIMITS.a_max, a_prev - slew), min(LIMITS.a_max, a_prev + slew)
 
     def _cap_candidate(self, i: int, a_lo: float, a_hi: float) -> float | None:
@@ -674,7 +673,7 @@ class _StepSolver:
         v0 = self.views[i].state.v_x
 
         def over(a: float) -> bool:
-            return _ramp_peak_speed(v0 + a * self.dt, a, self.dt, LIMITS.jerk_max) > LIMITS.v_max
+            return _ramp_peak_speed(v0 + a * DT, a) > LIMITS.v_max
 
         if not over(a_hi) or over(a_lo):
             return None
@@ -878,6 +877,6 @@ class _StepSolver:
         )
 
 
-def solve_step(views: list[PlayerView], dt: float, omega0: float = 10.0, allow_reset: bool = True) -> StepSolution:
-    solver = _StepSolver(views, dt, omega0, allow_reset)
+def solve_step(views: list[PlayerView], allow_reset: bool = True) -> StepSolution:
+    solver = _StepSolver(views, allow_reset)
     return solver.solve()

@@ -58,20 +58,6 @@ class ZoneRole(Enum):
 
 
 @dataclass(frozen=True)
-class Network:
-    """The intersection's one setting: the length of each approach road (m)."""
-
-    approach_length: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.approach_length <= 0.0:
-            raise ValueError("road lengths must be positive")
-        # the right-turn arc must begin on the approach road
-        if self.approach_length <= LANE_OFFSET_OUTER + RIGHT_TURN_RADIUS - CZ_HALF_WIDTH:
-            raise ValueError("right turn radius too large for the road lengths")
-
-
-@dataclass(frozen=True)
 class Route:
     name: str
     lane: str
@@ -176,8 +162,9 @@ def _zone_crossings(elements: tuple[Element, ...], cum_s: tuple[float, ...], h: 
     return dedup
 
 
-def route_for(net: Network, entry_road: str, maneuver: str, lane: str | None = None) -> Route:
-    """Build the route from an inbound road through the zone to its exit lane."""
+def route_for(approach_length: float, entry_road: str, maneuver: str, lane: str | None = None) -> Route:
+    """Build the route from an inbound road, `approach_length` metres
+    before the zone, through the zone to its exit lane."""
     if entry_road not in ARM_NAMES:
         raise ValueError(f"unknown entry road: {entry_road!r}")
     if maneuver not in MANEUVERS:
@@ -196,10 +183,10 @@ def route_for(net: Network, entry_road: str, maneuver: str, lane: str | None = N
     psi_out, (ex, ey) = _lane_anchor((k + _EXIT_SHIFT[maneuver]) % 4, lane, inbound=False)
     u_in = (math.cos(psi_in), math.sin(psi_in))
     u_out = (math.cos(psi_out), math.sin(psi_out))
-    p0 = (ax - net.approach_length * u_in[0], ay - net.approach_length * u_in[1])
+    p0 = (ax - approach_length * u_in[0], ay - approach_length * u_in[1])
 
     if maneuver == "straight":
-        length = net.approach_length + 2.0 * CZ_HALF_WIDTH + EXIT_LENGTH
+        length = approach_length + 2.0 * CZ_HALF_WIDTH + EXIT_LENGTH
         elements: tuple[Element, ...] = (Segment(p0[0], p0[1], psi_in, length),)
     else:
         radius = LEFT_TURN_RADIUS if maneuver == "left" else RIGHT_TURN_RADIUS

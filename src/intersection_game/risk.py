@@ -19,12 +19,7 @@ A0 = 0.01  # base amplitude per squared meter of remaining horizon
 SPREAD_B = 0.05  # width growth per meter of ridge
 SPREAD_C = 0.5  # extra width growth per radian of steering
 THRESHOLD = 0.1  # field level that switches a risk weight on
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    horizon: float = 3.0  # prediction time, seconds
-    omega0: float = 10.0  # weight given to a switched-on risk term
+HORIZON = 4.0  # s, prediction time the ridge covers
 
 
 @dataclass(frozen=True)
@@ -82,12 +77,7 @@ class GaussianField:
         return self.amplitude(s) * math.exp(-r * r / (2.0 * sigma * sigma))
 
 
-def build_field(
-    state: VehicleState,
-    delta_f: float,
-    kappa: float,
-    fp: FieldParams = FieldParams(),
-) -> GaussianField:
+def build_field(state: VehicleState, delta_f: float, kappa: float) -> GaussianField:
     """Field snapshot for a vehicle at `state` holding steering `delta_f`."""
     if not -1.0 <= kappa <= 1.0:
         raise ValueError(f"aggressiveness {kappa} outside [-1, 1]")
@@ -110,7 +100,7 @@ def build_field(
         cx=cx,
         cy=cy,
         peak=A0 * math.exp(kappa),
-        support=max(state.v_x, 0.0) * fp.horizon,
+        support=max(state.v_x, 0.0) * HORIZON,
         sigma0=WIDTH / 4.0,
         sigma_slope=SPREAD_B + SPREAD_C * abs(delta_f),
     )

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .costs import CostTerms
-from .dynamics import ControlInput, VehicleState, step as integrate, velocity_vector
+from .dynamics import DT, ControlInput, VehicleState, step as integrate, velocity_vector
 from .game import LIMITS, CpRef, PlayerView, StepSolution, closing_ttc, participation, solve_step, tracking_delta
 from .network import CZ_HALF_WIDTH, Conflict, ZoneRole, classify_zone_role, conflict_points, lead_distance_on_route
 from .risk import THRESHOLD, build_field
-from .scenario import MODES, Scenario
+from .scenario import Scenario
+
+MODES = ("fuzzy", "noncoop", "grand")
 
 _PASS_MARGIN = 2.0  # m past a crossing point before the conflict is considered cleared
 
@@ -129,8 +131,8 @@ def crossing_index(
     return index
 
 
-def _coast_accel(a_prev: float, dt: float) -> float:
-    slew = LIMITS.jerk_max * dt
+def _coast_accel(a_prev: float) -> float:
+    slew = LIMITS.jerk_max * DT
     if a_prev > 0.0:
         return max(0.0, a_prev - slew)
     return min(0.0, a_prev + slew)
@@ -156,15 +158,14 @@ def build_views(
     has cleared the zone (OV) is no player and sees nothing.
     """
     routes = scenario.routes
-    dt = scenario.dt
     n = len(scenario.vehicles)
-    fields = [build_field(states[i], d_prev[i], scenario.vehicles[i].kappa, scenario.field) for i in range(n)]
+    fields = [build_field(states[i], d_prev[i], scenario.vehicles[i].kappa) for i in range(n)]
 
     views: list[PlayerView] = []
     for i in range(n):
         coast = (
-            _coast_accel(a_prev[i], dt),
-            tracking_delta(routes[i], s_now[i], states[i].v_x, dt),
+            _coast_accel(a_prev[i]),
+            tracking_delta(routes[i], s_now[i], states[i].v_x),
         )
         common = dict(
             route=routes[i],
@@ -221,12 +222,13 @@ def run(
     mode: str | None = None,
     risk_gating: bool = True,
 ) -> SimResult:
-    mode = scenario.mode if mode is None else mode
+    """Simulate `scenario` in `mode` (fuzzy when None) until every vehicle
+    has cleared the zone or `t_end` is reached."""
+    mode = "fuzzy" if mode is None else mode
     if mode not in MODES:
         raise ValueError(f"mode {mode!r} not one of {MODES}")
 
     routes = scenario.routes
-    dt = scenario.dt
     n = len(scenario.vehicles)
     names = [v.name for v in scenario.vehicles]
     allow_reset = mode == "fuzzy"
@@ -247,10 +249,10 @@ def run(
     steps: list[StepRow] = []
     rows: list[list[VehicleRow]] = []
     wall_start = time.perf_counter()
-    n_steps = round(scenario.t_end / dt)
+    n_steps = round(scenario.t_end / DT)
 
     for k in range(n_steps):
-        t = k * dt
+        t = k * DT
         roles = [classify_zone_role(routes[i], s_now[i]) for i in range(n)]
         if all(r is ZoneRole.OV for r in roles):
             break
@@ -258,7 +260,7 @@ def run(
         views = build_views(scenario, states, s_now, a_prev, d_prev, roles, p0, index, risk_gating)
 
         t0 = time.perf_counter()
-        sol: StepSolution = solve_step(views, dt, omega0=scenario.field.omega0, allow_reset=allow_reset)
+        sol: StepSolution = solve_step(views, allow_reset=allow_reset)
         solve_time = time.perf_counter() - t0
 
         step_rows: list[VehicleRow] = []
@@ -272,7 +274,7 @@ def run(
                     v=states[i].v_x,
                     a=a,
                     delta=d,
-                    jerk=(a - a_prev[i]) / dt,
+                    jerk=(a - a_prev[i]) / DT,
                     role=roles[i].name,
                     s=s_now[i],
                     lv=views[i].lv,
@@ -304,7 +306,7 @@ def run(
 
         for i in range(n):
             a, d = sol.controls[i]
-            states[i] = integrate(states[i], ControlInput(a, d), dt)
+            states[i] = integrate(states[i], ControlInput(a, d))
             s_now[i] = routes[i].project(states[i].x, states[i].y)[0]
             a_prev[i] = a
             d_prev[i] = d
@@ -401,7 +403,7 @@ def metrics(result: SimResult) -> dict:
         "mode": result.mode,
         "risk_gating": result.risk_gating,
         "n_steps": len(result.steps),
-        "duration": len(result.steps) * sc.dt,
+        "duration": len(result.steps) * DT,
         "vehicles": per_vehicle,
         "system_velocity_rms": _rms(pooled_v),
         "pairs": pairs,
@@ -533,7 +535,7 @@ def _emit_field_raster(result: SimResult, out: Path) -> Path:
     """Sampled sum of all vehicles' initial risk fields on a coarse grid."""
     sc = result.scenario
     states, _ = initial_states(sc)
-    fields = [build_field(state, 0.0, spec.kappa, sc.field) for state, spec in zip(states, sc.vehicles)]
+    fields = [build_field(state, 0.0, spec.kappa) for state, spec in zip(states, sc.vehicles)]
     half = CZ_HALF_WIDTH + 15.0
     ticks = [round(-half + 0.5 * k, 1) for k in range(int(4 * half) + 1)]
     lines = ["x,y,value"]

@@ -1,11 +1,13 @@
-"""Scenario files: INI sections for the approach length and the
-risk-field horizon and weight, and one section per vehicle.  Parsing is
-strict; unknown sections or keys are errors so a typo cannot silently
-fall back to a default.  The vehicle model (`dynamics.L_F`, `L_R`,
-`WIDTH`), the constraint limits (`game.LIMITS`), the intersection's
-layout (`network.CZ_HALF_WIDTH` and the other layout constants) and the
-risk field's shape (`risk.A0`, `SPREAD_B`, `SPREAD_C`, `THRESHOLD`) are
-fixed, not configuration.
+"""Scenario files: a [scenario] section with the run's name and length,
+a [network] section for the approach length, and one section per
+vehicle.  Parsing is strict; unknown sections or keys are errors so a
+typo cannot silently fall back to a default.  The vehicle model
+(`dynamics.L_F`, `L_R`, `WIDTH`) and control period (`dynamics.DT`), the
+constraint limits (`game.LIMITS`), the intersection's layout
+(`network.CZ_HALF_WIDTH` and the other layout constants) and the risk
+field (`risk.A0`, `SPREAD_B`, `SPREAD_C`, `THRESHOLD`, `HORIZON`, and
+the weight `costs.OMEGA0`) are fixed, not configuration; the solver mode
+is chosen when the scenario is run.
 """
 
 from __future__ import annotations
@@ -15,34 +17,38 @@ import re
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
+from typing import ClassVar
 
+from .costs import OMEGA0
+from .dynamics import DT
 from .game import LIMITS, Limits
-from .network import LANES, MANEUVERS, Network, Route, route_for
-from .risk import FieldParams
+from .network import LANES, MANEUVERS, Route, route_for
+from .risk import HORIZON
 
-MODES = ("fuzzy", "noncoop", "grand")
 _CENTERLINE_TOL = 0.5  # m; starting positions must sit on the declared lane
 _NAME = re.compile(r"[A-Za-z0-9_]+")  # scenario and vehicle names become paths and CSV fields
 
 # section -> key -> domain.  A number's domain is its type and the checks
 # it must pass besides being finite; a string's is `str` and the allowed
-# values, if any.  Defaults live in the dataclasses, but those of [scenario]
-# (`name` the file's stem, `t_end` 30, `dt` 0.1, `mode` fuzzy) live in
-# `load_scenario`.
+# values, if any.  The defaults (`name` the file's stem, `t_end` 30,
+# `approach_length` 30) live in `load_scenario`.  `dt`, `mode`, `horizon`
+# and `omega0` name model constants and admit only their value, as
+# `version` does; they are read at all because `perfbench/dense.py`
+# writes them.
 _PARAMS: dict[str, dict[str, tuple]] = {
     "scenario": {
         "version": (str, ("1",)),
         "name": (str,),
         "t_end": (float, "positive", "at most 3600"),
-        "dt": (float, "positive", "at least 0.001", "at most 1"),
-        "mode": (str, MODES),
+        "dt": (str, (f"{DT:g}",)),
+        "mode": (str, ("fuzzy",)),
     },
     "network": {
-        "approach_length": (float,),
+        "approach_length": (float, "positive"),
     },
     "field": {
-        "horizon": (float, "positive", "at most 60"),
-        "omega0": (float, "nonnegative"),
+        "horizon": (str, (f"{HORIZON:g}",)),
+        "omega0": (str, (f"{OMEGA0:g}",)),
     },
 }
 # the same for each [vehicle.<name>] section; every key but `lane` is required
@@ -56,18 +62,10 @@ _VEHICLE: dict[str, tuple] = {
     "kappa": (float, "in [-1, 1]"),
 }
 
-# The caps keep the model's products finite: the field's ridge length
-# (speed x horizon) and one step's yaw change (yaw rate x dt).  The
-# floor on dt bounds a run at 1000 steps per simulated second and keeps
-# the step count of game._ramp_peak_speed (a / (jerk_max x dt)) finite.
-# The cap on t_end keeps the run's step count (t_end / dt) a finite
-# integer, at most 3.6 million steps at the dt floor.
+# The cap on t_end keeps the run's step count (t_end / DT) a finite
+# integer, at most 36,000 steps.
 _DOMAINS = {
     "positive": lambda v: v > 0.0,
-    "nonnegative": lambda v: v >= 0.0,
-    "at least 0.001": lambda v: v >= 0.001,
-    "at most 1": lambda v: v <= 1.0,
-    "at most 60": lambda v: v <= 60.0,
     "at most 3600": lambda v: v <= 3600.0,
     "in [-1, 1]": lambda v: -1.0 <= v <= 1.0,
 }
@@ -93,10 +91,9 @@ class VehicleSpec:
 class Scenario:
     name: str
     t_end: float
-    dt: float
-    mode: str
-    field: FieldParams
-    limits: Limits  # always `game.LIMITS`
+    # always `dynamics.DT` and `game.LIMITS`; `perfbench/bench_pass.py` reads them here
+    dt: ClassVar[float] = DT
+    limits: ClassVar[Limits] = LIMITS
     vehicles: tuple[VehicleSpec, ...]
     routes: tuple[Route, ...]  # index-aligned with vehicles
 
@@ -117,8 +114,7 @@ def _require(section: str, key: str, value: float, domain: str) -> None:
 
 
 def _read(cp, section: str, table: dict[str, tuple]) -> dict:
-    """The keys `section` sets, parsed and checked against `table`, as
-    keyword arguments by field name."""
+    """The keys `section` sets, parsed and checked against `table`, by key."""
     extra = sorted(set(cp.options(section)) - set(table))
     if extra:
         raise ScenarioError(f"[{section}] unknown key(s): {', '.join(extra)}")
@@ -166,10 +162,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if "name" in head and not _NAME.fullmatch(head["name"]):
         raise ScenarioError(f"[scenario] name {head['name']!r}: use only ASCII letters, digits and '_'")
 
-    try:
-        network = Network(**given["network"])
-    except ValueError as exc:
-        raise ScenarioError(f"[network] {exc}") from exc
+    approach_length = given["network"].get("approach_length", 30.0)
 
     if not vehicle_sections:
         raise ScenarioError("no [vehicle.*] sections")
@@ -184,7 +177,7 @@ def load_scenario(path: str | Path) -> Scenario:
             if key != "lane" and key not in spec:
                 raise ScenarioError(f"[{section}] missing required key {key!r}")
         try:
-            route = route_for(network, spec["road"], spec["maneuver"], spec.get("lane"))
+            route = route_for(approach_length, spec["road"], spec["maneuver"], spec.get("lane"))
         except (KeyError, ValueError) as exc:
             raise ScenarioError(f"[{section}] {exc}") from exc
         x, y, v = spec["x"], spec["y"], spec["v"]
@@ -201,10 +194,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return Scenario(
         name=head.get("name", path.stem),
         t_end=head.get("t_end", 30.0),
-        dt=head.get("dt", 0.1),
-        mode=head.get("mode", "fuzzy"),
-        field=FieldParams(**given["field"]),
-        limits=LIMITS,
         vehicles=tuple(vehicles),
         routes=tuple(routes),
     )

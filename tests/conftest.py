@@ -18,7 +18,7 @@ from intersection_game.scenario import load_scenario
 def simulate(tmp_path_factory):
     """`simulate(text, mode=None, risk_gating=True)`: the run of scenario
     `text`, cached by (text, mode, gating), a mode of None standing for
-    the scenario's own.  A text without a `name` runs under the name
+    fuzzy, as it does for `run`.  A text without a `name` runs under the name
     `scenario`, as `scripts/identity_matrix.py` runs it.  Treat the result
     as read-only: other tests read it too."""
     cfg = tmp_path_factory.mktemp("simulate") / "scenario.cfg"
@@ -27,7 +27,7 @@ def simulate(tmp_path_factory):
     def simulate(text, mode=None, risk_gating=True):
         cfg.write_text(text, encoding="utf-8")
         sc = load_scenario(cfg)
-        key = (text, sc.mode if mode is None else mode, risk_gating)
+        key = (text, "fuzzy" if mode is None else mode, risk_gating)
         if key not in runs:
             runs[key] = run(sc, mode=mode, risk_gating=risk_gating)
         return runs[key]

@@ -18,6 +18,7 @@ from intersection_game.costs import (
     lane_keeping,
 )
 from intersection_game.dynamics import (
+    DT,
     L_R,
     WHEELBASE,
     ControlInput,
@@ -40,7 +41,7 @@ from intersection_game.game import (
     participation,
 )
 from intersection_game.geometry import wrap_angle
-from intersection_game.network import Network, conflict_points, route_for
+from intersection_game.network import conflict_points, route_for
 from intersection_game.risk import A0, build_field
 from intersection_game.runner import emit, metrics, run
 from intersection_game.scenario import load_scenario
@@ -88,8 +89,8 @@ def test_criterion_1_unit_examples(capsys):
         close(turning.cx, turning.gx)
         close(turning.cy, turning.gy + 5.0)
 
-        # ridge amplitude and spread of a field 5 m/s over a 3 s horizon
-        ahead = VehicleState(5.0, 0.0, 0.0, 0.0)
+        # ridge amplitude and spread of a field 3.75 m/s over the 4 s horizon
+        ahead = VehicleState(3.75, 0.0, 0.0, 0.0)
         close(build_field(ahead, 0.0, 0.0).amplitude(15.0), 0.0)
         plain, bold = (build_field(ahead, 0.0, kappa) for kappa in (0.0, 1.0))
         close(plain.amplitude(0.0), 225.0 * A0, 1e-9 * A0)
@@ -99,27 +100,27 @@ def test_criterion_1_unit_examples(capsys):
         close(build_field(ahead, 0.2, 0.0).sigma(10.0), 1.95)
 
         # field snapshot values
-        f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, 0.0)
+        f = build_field(VehicleState(3.75, 0.0, 0.0, 0.0), 0.0, 0.0)
         close(f.value(f.gx + 5.0, f.gy), 100.0 * A0, 1e-9 * A0)
         close(f.value(f.gx, f.gy), 225.0 * A0, 1e-9 * A0)
         close(f.value(f.gx + 5.0, f.gy - 1.4), 100.0 * A0 * math.exp(-2.0), 1e-9 * A0)
         close(f.value(f.gx - 1.0, f.gy), 0.0)
 
         # one-step motion: exact coasting, exact speed ramp, circle oracle
-        s1 = step(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(0.0, 0.0), 0.1)
+        s1 = step(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(0.0, 0.0))
         close(s1.x, 0.5)
         close(s1.v_x, 5.0)
-        s1 = step(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(2.0, 0.0), 0.1)
+        s1 = step(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(2.0, 0.0))
         close(s1.v_x, 5.2)
-        v, d, dt = 5.0, 0.2, 0.1
+        v, d = 5.0, 0.2
         beta = sideslip(d)
         omega = v * math.tan(beta) / L_R
         radius = (v / math.cos(beta)) / omega
         st = VehicleState(v, 0.0, 0.0, 0.0)
         worst = 0.0
         for k in range(1, 101):
-            st = step(st, ControlInput(0.0, d), dt)
-            t = k * dt
+            st = step(st, ControlInput(0.0, d))
+            t = k * DT
             xe = radius * (math.sin(beta + omega * t) - math.sin(beta))
             ye = radius * (math.cos(beta) - math.cos(beta + omega * t))
             worst = max(worst, math.hypot(st.x - xe, st.y - ye))
@@ -286,10 +287,9 @@ def test_criterion_6_conflict_topology(capsys):
             (1, 4), (2, 4), (4, 6), (5, 6), (5, 7),
         }, pairs
 
-        net = Network()
-        red = route_for(net, "M1", "left", "inner")
+        red = route_for(30.0, "M1", "left", "inner")
         occupied = tuple(
-            route_for(net, arm, "straight", lane)
+            route_for(30.0, arm, "straight", lane)
             for arm, lane in (("M4", "outer"), ("M4", "inner"), ("M3", "inner"), ("M3", "outer"), ("M2", "inner"))
         )
         found = [c for other in occupied for c in conflict_points(red, other)]
@@ -335,7 +335,7 @@ def test_criterion_7_property_suite(capsys):
             assert participation(kappa) < participation(0.0)
 
         # solved controls are local best responses for both players
-        solver = _StepSolver(_toy_crossing_views(), 0.1, 10.0, True)
+        solver = _StepSolver(_toy_crossing_views(), True)
         sol = solver.solve()
         for i in (0, 1):
             a_star, d_star = sol.controls[i]
@@ -371,9 +371,8 @@ def test_criterion_7_property_suite(capsys):
 
 
 def _toy_crossing_views():
-    net = Network()
-    ra = route_for(net, "M1", "straight", "outer")
-    rb = route_for(net, "M2", "straight", "outer")
+    ra = route_for(30.0, "M1", "straight", "outer")
+    rb = route_for(30.0, "M2", "straight", "outer")
     va = PlayerView(
         route=ra, state=VehicleState(5.0, 0.0, *ra.point_at(26.0)), s=26.0,
         kappa=0.0, p=1.0, a_prev=0.0, delta_prev=0.0, player=True, coast=(0.0, 0.0),
@@ -427,15 +426,15 @@ def test_criterion_8_single_vehicle_saturates_the_speed_limit(capsys, simulate):
         k_s, k_e = balance_weights(0.0)
 
         def cost_of(a, d):
-            pred = step(state, ControlInput(a, d), sc.dt)
+            pred = step(state, ControlInput(a, d))
             s_pred, dy, heading = route.project(pred.x, pred.y)
             dphi = wrap_angle(pred.phi + sideslip(d) - heading)
-            if max(bound_residuals(a, d, prev.a, pred.v_x, dy, dphi, sc.dt)) > 1e-9:
+            if max(bound_residuals(a, d, prev.a, pred.v_x, dy, dphi)) > 1e-9:
                 return math.inf
             gap = max(min(route.total_length - s_pred, 50.0), 0.0)
             return k_s * lane_keeping(dy, dphi) + k_e * efficiency(gap, pred.v_x)
 
-        slew = LIMITS.jerk_max * sc.dt
+        slew = LIMITS.jerk_max * DT
         best_cost, best_a = math.inf, None
         for ia in range(81):
             a = prev.a - slew + ia * (2.0 * slew / 80.0)

@@ -36,22 +36,54 @@ def test_validate_rejects_broken_config(tmp_path, capsys):
 
 
 def test_run_rejects_parameter_outside_its_domain(tmp_path, capsys):
-    cfg = tmp_path / "horizon.cfg"
-    cfg.write_text(Path(CASE1).read_text().replace("horizon = 4", "horizon = -1"))
+    cfg = tmp_path / "approach.cfg"
+    cfg.write_text(Path(CASE1).read_text() + "\n[network]\napproach_length = -1\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "horizon: must be positive" in capsys.readouterr().err
+    assert "approach_length: must be positive" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, fixed",
+    [
+        pytest.param(section, key, value, fixed, id=f"{section}-{key}-{value}")
+        for section, key, value, fixed in (
+            ("scenario", "dt", "nan", "0.1"), ("scenario", "dt", "-0.1", "0.1"),
+            ("scenario", "dt", "1.5", "0.1"), ("scenario", "dt", "1e-16", "0.1"),
+            ("scenario", "mode", "psychic", "fuzzy"),
+            ("field", "horizon", "-1", "4"), ("field", "horizon", "1e300", "4"),
+            ("field", "omega0", "nan", "60"), ("field", "omega0", "-10", "60"),
+        )
+    ],
+)
+def test_run_rejects_fixed_key_at_another_value(tmp_path, capsys, section, key, value, fixed):
+    # the control period, the mode of a config, the field's horizon and its
+    # weight are constants; a config may still name each at its one value
+    text = Path(CASE1).read_text()
+    assert f"{key} = {fixed}\n" in text
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text(text.replace(f"{key} = {fixed}\n", f"{key} = {value}\n"))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"[{section}] {key}: {value!r} not one of ({fixed!r},)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+# a right turn from the south arm, whose arc does not fit a 5 m approach
+# (the west arm's fits it to within a rounding error)
+_RIGHT_TURN = "[scenario]\nversion = 1\n\n[vehicle.V1]\nroad = M2\nmaneuver = right\nx = 6\ny = -20\nv = 4\nkappa = 0\n"
 
 
 def test_run_rejects_inconsistent_network(tmp_path, capsys):
     # the lane offsets are layout constants; the approach length is settable,
-    # and `Network` checks that the right turn's arc starts on it
-    for line, message in (
-        ("lane_offset_inner = 7", "[network] unknown key(s): lane_offset_inner"),
-        ("approach_length = 5", "[network] right turn radius too large for the road lengths"),
+    # and a right turn's arc must start on the approach road
+    for text, line, message in (
+        (Path(CASE1).read_text(), "lane_offset_inner = 7", "[network] unknown key(s): lane_offset_inner"),
+        (_RIGHT_TURN, "approach_length = 5", "[vehicle.V1] turn arc does not fit the roads for M2 right"),
     ):
         cfg = tmp_path / "network.cfg"
-        cfg.write_text(Path(CASE1).read_text() + f"\n[network]\n{line}\n")
+        cfg.write_text(text + f"\n[network]\n{line}\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert message in err

@@ -15,7 +15,7 @@ from intersection_game.costs import (
     lane_keeping,
 )
 from intersection_game.dynamics import WHEELBASE, VehicleState, sideslip
-from intersection_game.network import Network, route_for
+from intersection_game.network import route_for
 
 
 def test_balance_weights_values():
@@ -116,8 +116,7 @@ def test_efficiency_saturated_branch_still_rewards_speed():
 
 
 def test_lane_errors_on_and_off_centerline():
-    net = Network()
-    r = route_for(net, "M1", "straight", "outer")
+    r = route_for(30.0, "M1", "straight", "outer")
     s, dy, dphi = lane_errors(r, VehicleState(5.0, 0.0, 0.0, -6.0), 0.0)
     assert (dy, dphi) == pytest.approx((0.0, 0.0), abs=1e-12)
     assert s == pytest.approx(r.project(0.0, -6.0)[0], abs=1e-12)
@@ -127,8 +126,7 @@ def test_lane_errors_on_and_off_centerline():
 
 
 def test_lane_errors_vanish_in_steady_cornering():
-    net = Network()
-    r = route_for(net, "M1", "left")
+    r = route_for(30.0, "M1", "left")
     s = 40.0  # mid arc
     delta = math.atan(r.curvature_at(s) * WHEELBASE)
     x, y = r.point_at(s)

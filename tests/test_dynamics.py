@@ -5,7 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from intersection_game import dynamics
 from intersection_game.dynamics import (
+    DT,
     L_R,
     WHEELBASE,
     ControlInput,
@@ -69,14 +71,13 @@ def _bits(state):
     st.floats(-50.0, 50.0),
     st.floats(-8.0, 8.0),
     st.floats(-STEER_BOX, STEER_BOX),
-    st.sampled_from([0.001, 0.01, 0.1]),
 )
-def test_step_equals_reference_rk4_bit_for_bit(v0, phi, x, y, a, delta, dt):
+def test_step_equals_reference_rk4_bit_for_bit(v0, phi, x, y, a, delta):
     """The integrator's unrolled stages give exactly the textbook RK4's
     floats, speed floor and yaw wrap included."""
     s0 = VehicleState(v0, phi, x, y)
     u = ControlInput(a, delta)
-    assert _bits(step(s0, u, dt)) == _bits(reference_step(s0, u, dt))
+    assert _bits(step(s0, u)) == _bits(reference_step(s0, u, DT))
 
 
 def test_sideslip_values():
@@ -156,7 +157,7 @@ def test_derivative_yaw_rate_composition():
 
 
 def test_step_constant_velocity_exact():
-    s1 = step(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(0.0, 0.0), 0.1)
+    s1 = step(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(0.0, 0.0))
     assert s1.x == pytest.approx(0.5, abs=1e-15)
     assert s1.v_x == 5.0
     assert s1.y == 0.0
@@ -164,14 +165,14 @@ def test_step_constant_velocity_exact():
 
 
 def test_step_constant_acceleration_exact():
-    s1 = step(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(2.0, 0.0), 0.1)
+    s1 = step(VehicleState(5.0, 0.0, 0.0, 0.0), ControlInput(2.0, 0.0))
     assert s1.v_x == pytest.approx(5.2, abs=1e-15)
     assert s1.x == pytest.approx(0.51, abs=1e-15)
 
 
 def test_step_circle_oracle():
     """100 integrator steps against the closed-form constant-curvature orbit."""
-    v, delta, dt = 5.0, 0.2, 0.1
+    v, delta = 5.0, 0.2
     beta = sideslip(delta)
     omega = v * math.tan(beta) / L_R
     speed = v / math.cos(beta)
@@ -181,8 +182,8 @@ def test_step_circle_oracle():
     worst = 0.0
     cur = st0
     for k in range(1, 101):
-        cur = step(cur, u, dt)
-        t = k * dt
+        cur = step(cur, u)
+        t = k * DT
         x = radius * (math.sin(beta + omega * t) - math.sin(beta))
         y = -radius * (math.cos(beta + omega * t) - math.cos(beta))
         worst = max(worst, math.hypot(cur.x - x, cur.y - y))
@@ -190,9 +191,9 @@ def test_step_circle_oracle():
 
 
 def test_step_velocity_floor():
-    s1 = step(VehicleState(0.3, 0.0, 0.0, 0.0), ControlInput(-8.0, 0.0), 0.1)
+    s1 = step(VehicleState(0.3, 0.0, 0.0, 0.0), ControlInput(-8.0, 0.0))
     assert s1.v_x == 0.0
-    s2 = step(s1, ControlInput(-8.0, 0.0), 0.1)
+    s2 = step(s1, ControlInput(-8.0, 0.0))
     assert s2.v_x == 0.0
     assert s2.x == pytest.approx(s1.x, abs=1e-9)
 
@@ -200,18 +201,20 @@ def test_step_velocity_floor():
 def test_step_speed_constant_without_acceleration():
     cur = VehicleState(4.0, 0.2, 0.0, 0.0)
     for _ in range(50):
-        cur = step(cur, ControlInput(0.0, 0.15), 0.1)
+        cur = step(cur, ControlInput(0.0, 0.15))
         assert cur.v_x == 4.0
         assert -math.pi < cur.phi <= math.pi
 
 
-def test_derivative_matches_step_difference():
-    """Central difference of the integrator reproduces the stated rates."""
+def test_derivative_matches_step_difference(monkeypatch):
+    """Central difference of the integrator, at a period shortened to h,
+    reproduces the stated rates."""
     s0 = VehicleState(5.0, 0.4, 1.0, -2.0)
     u = ControlInput(1.0, 0.15)
     h = 1e-4
-    mid = step(s0, u, h)
-    far = step(mid, u, h)
+    monkeypatch.setattr(dynamics, "DT", h)
+    mid = step(s0, u)
+    far = step(mid, u)
     d = rates(mid, u)
     assert (far.v_x - s0.v_x) / (2.0 * h) == pytest.approx(d[0], rel=1e-6)
     assert (far.phi - s0.phi) / (2.0 * h) == pytest.approx(d[1], rel=1e-6)
@@ -236,8 +239,8 @@ def test_step_rotation_equivariance(theta, delta, a, v):
         ct * base.x - stheta * base.y,
         stheta * base.x + ct * base.y,
     )
-    out = step(base, u, 0.1)
-    out_r = step(rotated, u, 0.1)
+    out = step(base, u)
+    out_r = step(rotated, u)
     assert out_r.x == pytest.approx(ct * out.x - stheta * out.y, abs=1e-9)
     assert out_r.y == pytest.approx(stheta * out.x + ct * out.y, abs=1e-9)
     assert math.cos(out_r.phi) == pytest.approx(math.cos(out.phi + theta), abs=1e-9)

@@ -41,10 +41,10 @@ from intersection_game.game import (
     tracking_delta,
 )
 from intersection_game.geometry import Arc, wrap_angle
-from intersection_game.network import Network, Route, route_for
+from intersection_game.network import Route, route_for
 from intersection_game.scenario import load_scenario
 
-NET = Network()
+APPROACH = 30.0  # m, the loader's default approach length
 
 
 def test_participation_values():
@@ -112,7 +112,7 @@ def test_sideslip_bound_and_steer_box():
 
 
 def test_bound_residuals_all_slack_when_coasting():
-    res = bound_residuals(0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.1)
+    res = bound_residuals(0.0, 0.0, 0.0, 4.0, 0.0, 0.0)
     assert len(res) == len(BOUND_NAMES) == 6
     assert all(r <= 0.0 for r in res)
 
@@ -125,23 +125,23 @@ def test_bound_residuals_flag_each_limit():
     i_lane = BOUND_NAMES.index("lane")
     i_course = BOUND_NAMES.index("course")
 
-    res = bound_residuals(9.0, 0.0, 9.0, 5.0, 0.0, 0.0, 0.1)
+    res = bound_residuals(9.0, 0.0, 9.0, 5.0, 0.0, 0.0)
     assert res[i_acc] == pytest.approx(1.0)
-    res = bound_residuals(0.3, 0.0, 0.0, 5.0, 0.0, 0.0, 0.1)
+    res = bound_residuals(0.3, 0.0, 0.0, 5.0, 0.0, 0.0)
     assert res[i_jerk] == pytest.approx(1.0)
-    res = bound_residuals(0.0, 0.4, 0.0, 5.0, 0.0, 0.0, 0.1)
+    res = bound_residuals(0.0, 0.4, 0.0, 5.0, 0.0, 0.0)
     assert res[i_steer] == pytest.approx(0.4 - STEER_BOX)
-    res = bound_residuals(0.0, 0.0, 0.0, 8.5, 0.0, 0.0, 0.1)
+    res = bound_residuals(0.0, 0.0, 0.0, 8.5, 0.0, 0.0)
     assert res[i_speed] == pytest.approx(0.5)
-    res = bound_residuals(0.0, 0.0, 0.0, 5.0, 0.3, 0.0, 0.1)
+    res = bound_residuals(0.0, 0.0, 0.0, 5.0, 0.3, 0.0)
     assert res[i_lane] == pytest.approx(0.1)
-    res = bound_residuals(0.0, 0.0, 0.0, 5.0, 0.0, math.radians(3.0), 0.1)
+    res = bound_residuals(0.0, 0.0, 0.0, 5.0, 0.0, math.radians(3.0))
     assert res[i_course] == pytest.approx(math.radians(1.0))
 
 
 def test_speed_residual_guards_the_whole_ramp_down():
     # 7.9 m/s now, still pushing 1 m/s^2: the jerk-limited backout peaks at 8.1
-    res = bound_residuals(1.0, 0.0, 1.0, 7.9, 0.0, 0.0, 0.1)
+    res = bound_residuals(1.0, 0.0, 1.0, 7.9, 0.0, 0.0)
     assert res[BOUND_NAMES.index("speed")] == pytest.approx(0.1, abs=1e-12)
     assert all(r <= 0.0 for k, r in enumerate(res) if k != BOUND_NAMES.index("speed"))
 
@@ -227,28 +227,28 @@ def test_follow_reach_is_the_exact_maximum_over_the_stop(v0, a0, v_lead, ttc_flo
 
 
 def test_tracking_delta_straight_and_arc():
-    straight = route_for(NET, "M1", "straight", "outer")
-    assert tracking_delta(straight, 20.0, 5.0, 0.1) == 0.0
-    left = route_for(NET, "M1", "left")
-    d = tracking_delta(left, 40.0, 0.0, 0.1)
+    straight = route_for(APPROACH, "M1", "straight", "outer")
+    assert tracking_delta(straight, 20.0, 5.0) == 0.0
+    left = route_for(APPROACH, "M1", "left")
+    d = tracking_delta(left, 40.0, 0.0)
     assert d == pytest.approx(math.atan(WHEELBASE / left.elements[1].radius))
 
 
 def test_tracking_delta_clipped_by_steer_box():
     # the fixed network's tightest turn, the 9 m right turn, stays inside
     # the box, so the clip is checked on a 7 m arc built here
-    right = route_for(NET, "M2", "right")
+    right = route_for(APPROACH, "M2", "right")
     assert abs(math.atan(WHEELBASE / right.elements[1].radius)) < STEER_BOX
     arc = Arc(0.0, 0.0, 7.0, 0.0, -0.5 * math.pi)
     r = Route("arc7", "outer", (arc,), (0.0,), arc.length, 0.0, arc.length)
     arc_mid = 0.5 * arc.length
-    d = tracking_delta(r, arc_mid, 0.0, 0.1)
+    d = tracking_delta(r, arc_mid, 0.0)
     assert abs(d) == pytest.approx(STEER_BOX)
     assert abs(math.atan(r.curvature_at(arc_mid) * WHEELBASE)) > abs(d)
 
 
 def _single_view(v=5.0, s=20.0):
-    route = route_for(NET, "M1", "straight", "outer")
+    route = route_for(APPROACH, "M1", "straight", "outer")
     x, y = route.point_at(s)
     state = VehicleState(v, 0.0, x, y)
     return PlayerView(
@@ -258,7 +258,7 @@ def _single_view(v=5.0, s=20.0):
 
 
 def test_single_vehicle_accelerates_straight():
-    sol = solve_step([_single_view()], 0.1)
+    sol = solve_step([_single_view()])
     a, d = sol.controls[0]
     # jerk slew allows 0.2 at most and the headway cost rewards speed
     assert a == pytest.approx(0.2, abs=1e-9)
@@ -270,7 +270,7 @@ def test_single_vehicle_accelerates_straight():
 
 def test_single_vehicle_matches_exhaustive_grid():
     view = _single_view()
-    sol = solve_step([view], 0.1)
+    sol = solve_step([view])
     sb = STEER_BOX
     k_s, k_e = balance_weights(0.0)
     best = math.inf
@@ -278,10 +278,10 @@ def test_single_vehicle_matches_exhaustive_grid():
         a = 0.01 * ia
         for idg in range(-32, 33):
             d = sb * idg / 32.0
-            pred = step(view.state, ControlInput(a, d), 0.1)
+            pred = step(view.state, ControlInput(a, d))
             s_pred, dy, heading = view.route.project(pred.x, pred.y)
             dphi = wrap_angle(pred.phi + sideslip(d) - heading)
-            if max(bound_residuals(a, d, 0.0, pred.v_x, dy, dphi, 0.1)) > 1e-9:
+            if max(bound_residuals(a, d, 0.0, pred.v_x, dy, dphi)) > 1e-9:
                 continue
             gap = max(min(view.route.total_length - s_pred, 50.0), 0.0)
             cost = k_s * lane_keeping(dy, dphi) + k_e * efficiency(gap, pred.v_x)
@@ -290,8 +290,8 @@ def test_single_vehicle_matches_exhaustive_grid():
 
 
 def _crossing_views():
-    ra = route_for(NET, "M1", "straight", "outer")
-    rb = route_for(NET, "M2", "straight", "outer")
+    ra = route_for(APPROACH, "M1", "straight", "outer")
+    rb = route_for(APPROACH, "M2", "straight", "outer")
     sa, sb_ = 26.0, 20.0
     cp_a = CpRef(partner=1, s_self=46.0, s_other=34.0, gated=True, hold_self=3.5, hold_other=3.5)
     cp_b = CpRef(partner=0, s_self=34.0, s_other=46.0, gated=True, hold_self=3.5, hold_other=3.5)
@@ -309,14 +309,14 @@ def _crossing_views():
 
 
 def test_crossing_pair_solves_cleanly():
-    sol = solve_step(_crossing_views(), 0.1)
+    sol = solve_step(_crossing_views())
     assert sol.emergency == [False, False]
     assert sol.max_constraint_residual <= 1e-6
     assert sol.sweeps <= MAX_SWEEPS
 
 
 def test_solved_controls_are_best_responses():
-    solver = _StepSolver(_crossing_views(), 0.1, 10.0, True)
+    solver = _StepSolver(_crossing_views(), True)
     sol = solver.solve()
     for i in (0, 1):
         a_star, d_star = sol.controls[i]
@@ -340,7 +340,7 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
     """Asking again against the same partner controls ranks nothing and
     replays the counts of the first answer; once a partner moves, the
     search runs again and agrees with a fresh solver at those controls."""
-    solver = _StepSolver(_crossing_views(), 0.1, 10.0, True)
+    solver = _StepSolver(_crossing_views(), True)
     solver.solve()
     ranked = [0]
     real_rank = solver._rank
@@ -368,7 +368,7 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
         a_k, d_k = solver.controls[k]
         solver.controls[k] = (a_k - 0.1, d_k)
         solver._refresh_pred(k)
-        fresh = _StepSolver(_crossing_views(), 0.1, 10.0, True)
+        fresh = _StepSolver(_crossing_views(), True)
         fresh.p = list(solver.p)
         fresh.controls = list(solver.controls)
         for j in range(fresh.n):
@@ -382,7 +382,7 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
 
 
 def test_pooled_loss_identities():
-    sol = solve_step(_crossing_views(), 0.1)
+    sol = solve_step(_crossing_views())
     assert sum(sol.h_alloc) == pytest.approx(sol.v_coalition, abs=1e-9)
     for i in (0, 1):
         v_total = sol.terms[i].total
@@ -393,7 +393,7 @@ def test_pooled_loss_identities():
 
 def _blocked_views():
     """A host at 8 m/s 4 m behind a parked car: no control is feasible."""
-    route = route_for(NET, "M1", "straight", "outer")
+    route = route_for(APPROACH, "M1", "straight", "outer")
     host = PlayerView(
         route=route, state=VehicleState(8.0, 0.0, *route.point_at(20.0)), s=20.0,
         kappa=0.0, p=1.0, a_prev=0.0, delta_prev=0.0, player=True,
@@ -408,7 +408,7 @@ def _blocked_views():
 
 
 def test_blocked_vehicle_falls_back_to_full_braking():
-    sol = solve_step(_blocked_views(), 0.1)
+    sol = solve_step(_blocked_views())
     assert sol.reset[0] is True
     assert sol.emergency[0] is True
     assert sol.controls[0] == (-L.a_max, 0.0)
@@ -418,15 +418,15 @@ def test_blocked_vehicle_falls_back_to_full_braking():
 
 def _breaks_speed(v0, a):
     """Whether acceleration a from speed v0 breaks the speed ramp bound."""
-    v_next = step_speed(v0, a, 0.1)
-    return bound_residuals(a, 0.0, 0.0, v_next, 0.0, 0.0, 0.1)[BOUND_NAMES.index("speed")] > FEAS_SLACK
+    v_next = step_speed(v0, a)
+    return bound_residuals(a, 0.0, 0.0, v_next, 0.0, 0.0)[BOUND_NAMES.index("speed")] > FEAS_SLACK
 
 
 def test_feasible_incumbent_skips_rk4_for_speed_breaking_candidates(monkeypatch):
     """At the speed limit every positive acceleration breaks the speed
     ramp.  Once the search holds a feasible control, those candidates are
     ranked as losers from `a` alone and never reach the integrator."""
-    solver = _StepSolver([_single_view(v=L.v_max)], 0.1, 10.0, True)
+    solver = _StepSolver([_single_view(v=L.v_max)], True)
     integrated = []
     real_integrate = game.integrate
 
@@ -449,12 +449,12 @@ def test_lazily_stored_candidate_ranks_by_its_exact_residual():
     residual computes that residual, and the key equals the one a fresh
     solver ranks."""
     views = [_single_view(v=L.v_max)]
-    solver = _StepSolver(views, 0.1, 10.0, True)
+    solver = _StepSolver(views, True)
     solver._best_response(0, solver.p[0])
     _, scored, table = solver._scored_for(0)
     lazy = [ad for ad, entry in scored.items() if entry is game._UNSCORED]
     assert lazy
-    fresh = _StepSolver(views, 0.1, 10.0, True)
+    fresh = _StepSolver(views, True)
     _, fresh_scored, fresh_table = fresh._scored_for(0)
     for a, d in lazy:
         key = solver._rank(0, a, d, solver.p[0], scored, table)
@@ -469,7 +469,7 @@ def test_lazily_stored_candidate_ranks_by_its_exact_residual():
 def test_infeasible_search_ranks_by_exact_residuals():
     """A search that never holds a feasible control stores no candidate
     lazily, and its key carries the exact residual of its control."""
-    solver = _StepSolver(_blocked_views(), 0.1, 10.0, True)
+    solver = _StepSolver(_blocked_views(), True)
     a, d, key = solver._best_response(0, solver.p[0])
     assert key[0] == 1.0
     _, scored, table = solver._scored_for(0)
@@ -479,8 +479,8 @@ def test_infeasible_search_ranks_by_exact_residuals():
 
 
 def test_solve_step_deterministic():
-    first = solve_step(_crossing_views(), 0.1)
-    second = solve_step(_crossing_views(), 0.1)
+    first = solve_step(_crossing_views())
+    second = solve_step(_crossing_views())
     assert first.controls == second.controls
     assert first.v_coalition == second.v_coalition
     assert first.evals == second.evals
@@ -576,7 +576,7 @@ def _rank_cases():
 @pytest.mark.parametrize("case", range(4), ids=["p0", "no_dependents", "dependents_0", "dependents_1"])
 def test_game_rank_key_is_the_pooled_objective_bit_for_bit(case):
     views, i = _rank_cases()[case]
-    solver = _StepSolver(views, 0.1, 10.0, True)
+    solver = _StepSolver(views, True)
     assert (solver.p[i] == 0.0) == (case == 0)
     assert bool(solver.dependents[i]) == (case != 1)
     _, scored, table = solver._scored_for(i)
@@ -663,12 +663,12 @@ def test_table_residual_equals_the_per_point_loop_bit_for_bit(
     hosts and points the candidate reached or passed (d_self <= 0).  All
     candidates of one example, each under both guards, share one solver,
     so the reach rows and the table are reused across them."""
-    host_route = route_for(NET, "M1", "straight", "outer")
+    host_route = route_for(APPROACH, "M1", "straight", "outer")
     s_host = 20.0
     host_state = VehicleState(v_host, 0.0, *host_route.point_at(s_host))
     partner_views = []
     for k, (v, a_j, s_j, ahead, hold_other) in enumerate(partners):
-        route = route_for(NET, *_PARTNER_ROUTES[k])
+        route = route_for(APPROACH, *_PARTNER_ROUTES[k])
         x, y = route.point_at(s_j)
         state = VehicleState(v, route.project(x, y)[2], x, y)
         partner_views.append(PlayerView(
@@ -687,7 +687,7 @@ def test_table_residual_equals_the_per_point_loop_bit_for_bit(
     # the host's points cycle over the partners; "at_pred" puts a point
     # exactly where the first candidate ends up
     a0, d0 = candidates[0]
-    first = step(host_state, ControlInput(a0, d0), 0.1)
+    first = step(host_state, ControlInput(a0, d0))
     s_first = host_route.project(first.x, first.y)[0]
     cps = []
     for m, (dist, hold_self) in enumerate(points):
@@ -699,7 +699,7 @@ def test_table_residual_equals_the_per_point_loop_bit_for_bit(
         player=True, coast=(0.0, 0.0), lv=lv, lv_gated=lv is not None, cps=tuple(cps),
     )
     views = [host, *partner_views] + ([lead_view] if leader is not None else [])
-    solver = _StepSolver(views, 0.1, 10.0, True)
+    solver = _StepSolver(views, True)
     table = solver._crossing_table(0)
     assert any(math.isinf(t_other) for _, t_other, _ in table) == any(
         solver.pred[cp.partner].v_x <= 1e-9 for cp in cps

@@ -13,7 +13,6 @@ from intersection_game.network import (
     LANE_OFFSET_OUTER,
     OV_EXIT_MARGIN,
     RIGHT_TURN_RADIUS,
-    Network,
     ZoneRole,
     classify_zone_role,
     conflict_points,
@@ -24,11 +23,11 @@ from intersection_game.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
-NET = Network()
+APPROACH = 30.0  # m, the loader's default approach length
 # the sixteen lane-respecting routes, keyed by name
 LANE_MANEUVERS = (("inner", "left"), ("inner", "straight"), ("outer", "straight"), ("outer", "right"))
 ROUTES = {
-    r.name: r for r in (route_for(NET, arm, maneuver, lane) for arm in ARM_NAMES for lane, maneuver in LANE_MANEUVERS)
+    r.name: r for r in (route_for(APPROACH, arm, maneuver, lane) for arm in ARM_NAMES for lane, maneuver in LANE_MANEUVERS)
 }
 
 
@@ -40,17 +39,11 @@ def heading_at(route, s):
 def test_network_rejects_oversized_right_turn():
     # the right turn's arc starts 6 + 9 - 10 = 5 m before the zone edge,
     # which must lie on the approach road
-    with pytest.raises(ValueError, match="right turn radius too large for the road lengths"):
-        Network(approach_length=LANE_OFFSET_OUTER + RIGHT_TURN_RADIUS - CZ_HALF_WIDTH)
-    short = Network(approach_length=5.5)
+    edge = LANE_OFFSET_OUTER + RIGHT_TURN_RADIUS - CZ_HALF_WIDTH
     for arm in ARM_NAMES:
-        assert route_for(short, arm, "right").elements[0].length == pytest.approx(0.5)
-
-
-@pytest.mark.parametrize("field, message", [("approach_length", "road lengths must be positive")])
-def test_network_rejects_nonpositive_lengths(field, message):
-    with pytest.raises(ValueError, match=message):
-        Network(**{field: 0.0})
+        with pytest.raises(ValueError, match=f"turn arc does not fit the roads for {arm} right"):
+            route_for(edge - 0.1, arm, "right")
+        assert route_for(edge + 0.5, arm, "right").elements[0].length == pytest.approx(0.5)
 
 
 def test_published_start_positions_lie_on_centerlines():
@@ -75,7 +68,7 @@ def test_zone_boundary_crossings_on_square_edge():
 
 
 def test_straight_route_runs_through_aligned_arm():
-    r = route_for(NET, "M1", "straight", "outer")
+    r = route_for(APPROACH, "M1", "straight", "outer")
     assert len(r.elements) == 1
     assert r.total_length == pytest.approx(80.0)
     # constant heading, no curvature anywhere
@@ -87,7 +80,7 @@ def test_straight_route_runs_through_aligned_arm():
 
 
 def test_left_turn_arc_geometry():
-    r = route_for(NET, "M1", "left")
+    r = route_for(APPROACH, "M1", "left")
     arc = next(el for el in r.elements if isinstance(el, Arc))
     assert abs(arc.sweep) == pytest.approx(0.5 * math.pi)
     # radius forced by tangency to both inner lanes
@@ -100,7 +93,7 @@ def test_left_turn_arc_geometry():
 
 
 def test_right_turn_uses_configured_radius():
-    r = route_for(NET, "M2", "right")
+    r = route_for(APPROACH, "M2", "right")
     arc = next(el for el in r.elements if isinstance(el, Arc))
     assert arc.radius == pytest.approx(RIGHT_TURN_RADIUS)
     assert abs(arc.sweep) == pytest.approx(0.5 * math.pi)
@@ -120,15 +113,15 @@ def _old_tangent_at(route, s):
 
 
 @pytest.mark.parametrize(
-    "net",
-    [NET, Network(approach_length=90.0), Network(approach_length=6.0)],
+    "approach_length",
+    [APPROACH, 90.0, 6.0],
     ids=["default", "approach_90", "approach_6"],
 )
-def test_project_heading_equals_locate_then_tangent_bit_for_bit(net):
+def test_project_heading_equals_locate_then_tangent_bit_for_bit(approach_length):
     """The heading `Route.project` returns is the tangent `_locate` would
     look up at the returned s, compared with ==, on points along, beside,
     before and past all 16 routes, and exactly at every element joint."""
-    routes = [route_for(net, arm, maneuver, lane) for arm in ARM_NAMES for lane, maneuver in LANE_MANEUVERS]
+    routes = [route_for(approach_length, arm, maneuver, lane) for arm in ARM_NAMES for lane, maneuver in LANE_MANEUVERS]
     assert len(routes) == 16
     checked = 0
     for r in routes:
@@ -152,13 +145,13 @@ def test_project_heading_equals_locate_then_tangent_bit_for_bit(net):
 
 def test_route_for_rejects_bad_input():
     with pytest.raises(ValueError):
-        route_for(NET, "M9", "left")
+        route_for(APPROACH, "M9", "left")
     with pytest.raises(ValueError):
-        route_for(NET, "M1", "u_turn")
+        route_for(APPROACH, "M1", "u_turn")
     with pytest.raises(ValueError):
-        route_for(NET, "M1", "left", "outer")
+        route_for(APPROACH, "M1", "left", "outer")
     with pytest.raises(ValueError):
-        route_for(NET, "M1", "right", "inner")
+        route_for(APPROACH, "M1", "right", "inner")
 
 
 def test_crossing_left_turns_conflict():
@@ -167,8 +160,8 @@ def test_crossing_left_turns_conflict():
 
 
 def test_same_lane_routes_only_follow():
-    a = route_for(NET, "M1", "straight", "inner")
-    b = route_for(NET, "M1", "straight", "inner")
+    a = route_for(APPROACH, "M1", "straight", "inner")
+    b = route_for(APPROACH, "M1", "straight", "inner")
     cps = conflict_points(a, b)
     assert [c.kind for c in cps] == ["following"]
     assert cps[0].s_a == pytest.approx(0.0)
@@ -304,10 +297,9 @@ def test_lead_vehicle_detection():
 
 
 def test_route_for_deterministic():
-    net = Network()
     assert len(ROUTES) == 16
     for arm in ARM_NAMES:
         for lane, maneuver in LANE_MANEUVERS:
-            again = route_for(net, arm, maneuver, lane)
+            again = route_for(APPROACH, arm, maneuver, lane)
             assert again.total_length == ROUTES[again.name].total_length
             assert again.s_cz_entry == ROUTES[again.name].s_cz_entry

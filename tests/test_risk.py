@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from intersection_game.dynamics import L_R, VehicleState, path_curvature
 from intersection_game.risk import A0, THRESHOLD, build_field
 
-AHEAD = VehicleState(5.0, 0.0, 0.0, 0.0)
+AHEAD = VehicleState(3.75, 0.0, 0.0, 0.0)
 
 
 def test_ridge_amplitude_values():
@@ -41,7 +41,7 @@ def field_anchor(state):
 
 
 def test_straight_field_on_ridge_values():
-    st0 = VehicleState(5.0, 0.0, 3.0, -2.0)
+    st0 = VehicleState(3.75, 0.0, 3.0, -2.0)
     f = build_field(st0, 0.0, 0.0)
     gx, gy = field_anchor(st0)
     assert (f.gx, f.gy) == pytest.approx((gx, gy))
@@ -65,7 +65,7 @@ def test_stationary_vehicle_projects_nothing():
     phi=st.floats(min_value=-math.pi, max_value=math.pi),
 )
 def test_straight_field_symmetric_across_ridge(s, r, phi):
-    f = build_field(VehicleState(5.0, phi, 1.0, -1.0), 0.0, 0.0)
+    f = build_field(VehicleState(3.75, phi, 1.0, -1.0), 0.0, 0.0)
     ct, stn = math.cos(phi), math.sin(phi)
     px, py = f.gx + s * ct, f.gy + s * stn
     left = f.value(px - r * stn, py + r * ct)
@@ -80,7 +80,7 @@ def ridge_point(f, s):
 
 
 def test_curved_field_geometry():
-    st0 = VehicleState(5.0, 0.0, 0.0, 0.0)
+    st0 = VehicleState(3.75, 0.0, 0.0, 0.0)
     f = build_field(st0, 0.3, 0.0)
     rho = path_curvature(0.3)
     assert rho > 0.0
@@ -96,7 +96,7 @@ def test_curved_field_geometry():
 
 
 def test_curved_field_peaks_on_the_ridge():
-    f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.3, 0.0)
+    f = build_field(VehicleState(3.75, 0.0, 0.0, 0.0), 0.3, 0.0)
     px, py = ridge_point(f, 5.0)
     nx, ny = px - f.cx, py - f.cy
     nn = math.hypot(nx, ny)
@@ -107,7 +107,7 @@ def test_curved_field_peaks_on_the_ridge():
 
 
 def test_curved_field_has_no_tail_behind():
-    f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.3, 0.0)
+    f = build_field(VehicleState(3.75, 0.0, 0.0, 0.0), 0.3, 0.0)
     radius = 1.0 / f.curvature
     ang0 = math.atan2(f.gy - f.cy, f.gx - f.cx)
     for back in (0.5, 2.0):
@@ -130,7 +130,7 @@ def test_field_grows_with_speed(v1, dv, kappa):
 
 def test_default_calibration_gates_close_traffic_only():
     # a vehicle straight ahead senses 0.25 at 10 m but nothing at 25 m
-    f = build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, 0.0)
+    f = build_field(VehicleState(3.75, 0.0, 0.0, 0.0), 0.0, 0.0)
     near = f.value(f.gx + 10.0, f.gy)
     far = f.value(f.gx + 25.0, f.gy)
     assert near == pytest.approx(0.25, abs=1e-9)
@@ -141,11 +141,11 @@ def test_default_calibration_gates_close_traffic_only():
 def test_build_field_rejects_out_of_range_aggressiveness():
     for kappa in (1.01, 1.5, -1.2):
         with pytest.raises(ValueError):
-            build_field(VehicleState(5.0, 0.0, 0.0, 0.0), 0.0, kappa)
+            build_field(VehicleState(3.75, 0.0, 0.0, 0.0), 0.0, kappa)
 
 
 # (delta, (cx, cy), ((x, y), value) ...) for a vehicle at (12.5, -3.25),
-# yaw 0.7, 6 m/s, kappa 0.3, default FieldParams, read from build_field as
+# yaw 0.7, 4.5 m/s (an 18 m ridge), kappa 0.3, read from build_field as
 # of the turn-centre rewrite: three points on the ridge, 2, 6 and 12 m
 # ahead, each also 0.4 m outside and 0.9 m inside the circle
 _CURVED_READINGS = (
@@ -179,7 +179,7 @@ def test_curved_field_reproduces_recorded_values(delta, center, readings):
     """Exact turn centre and field values of a curved ridge.  The emitted
     field raster builds straight fields only, so this is what pins the
     curved branch of build_field bit for bit."""
-    f = build_field(VehicleState(6.0, 0.7, 12.5, -3.25), delta, 0.3)
+    f = build_field(VehicleState(4.5, 0.7, 12.5, -3.25), delta, 0.3)
     assert (f.cx, f.cy) == center
     assert f.curvature == path_curvature(delta)
     for (x, y), value in readings:

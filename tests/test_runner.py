@@ -11,8 +11,8 @@ import pytest
 
 import intersection_game
 from intersection_game import runner
-from intersection_game.dynamics import VehicleState
-from intersection_game.network import OV_EXIT_MARGIN, Network, classify_zone_role, route_for
+from intersection_game.dynamics import DT, VehicleState
+from intersection_game.network import OV_EXIT_MARGIN, classify_zone_role, route_for
 from intersection_game.risk import build_field
 from intersection_game.runner import (
     _PASS_MARGIN,
@@ -46,7 +46,7 @@ def test_pair_conflicts_for_three_vehicle_scenario():
 
 def test_run_terminates_before_the_time_budget(simulate):
     res = simulate(CASE1_A)
-    assert 0 < len(res.steps) < round(res.scenario.t_end / res.scenario.dt)
+    assert 0 < len(res.steps) < round(res.scenario.t_end / DT)
     assert len(res.rows) == len(res.steps)
     assert all(len(sr) == 3 for sr in res.rows)
 
@@ -54,7 +54,7 @@ def test_run_terminates_before_the_time_budget(simulate):
 def test_step_rows_number_the_control_steps(simulate):
     res = simulate(CASE1_A)
     assert [s.step for s in res.steps] == list(range(len(res.steps)))
-    assert all(s.t == s.step * res.scenario.dt for s in res.steps)
+    assert all(s.t == s.step * DT for s in res.steps)
 
 
 def test_roles_only_progress(simulate):
@@ -180,14 +180,14 @@ def test_field_raster_emission(simulate, tmp_path):
 
 # -- views -------------------------------------------------------------------
 
-NET = Network()
+APPROACH = 30.0  # m, the loader's default approach length
 
 
 def scenario_of(tmp_path, *routes):
     """A scenario with one vehicle on each (road, maneuver, lane) route."""
     lines = ["[scenario]", "version = 1"]
     for k, (road, maneuver, lane) in enumerate(routes):
-        x, y = route_for(NET, road, maneuver, lane).point_at(1.0)
+        x, y = route_for(APPROACH, road, maneuver, lane).point_at(1.0)
         lines += [
             f"[vehicle.V{k + 1}]", f"road = {road}", f"maneuver = {maneuver}", f"lane = {lane}",
             f"x = {x!r}", f"y = {y!r}", "v = 5", "kappa = 0",
@@ -258,7 +258,7 @@ def test_build_views_gates_strictly_above_the_threshold(tmp_path, monkeypatch):
     sc = scenario_of(tmp_path, *[("M1", "straight", "outer")] * 2)
     s = [10.0, 20.0]
     states = place(sc, s)
-    level = build_field(states[0], 0.0, 0.0, sc.field).value(states[1].x, states[1].y)
+    level = build_field(states[0], 0.0, 0.0).value(states[1].x, states[1].y)
     assert level > 0.0
     # a level exactly at the threshold stays off
     assert not views_gated_at(monkeypatch, level, sc, s)[0].lv_gated
@@ -272,7 +272,7 @@ def test_build_views_gates_strictly_above_the_threshold(tmp_path, monkeypatch):
     for near in (0, 1):
         s = [cross.s_a - 25.0, cross.s_b - 25.0]
         s[near] += 17.0
-        fields = [build_field(st, 0.0, 0.0, sc.field) for st in place(sc, s)]
+        fields = [build_field(st, 0.0, 0.0) for st in place(sc, s)]
         level = fields[near].value(cross.x, cross.y)
         assert level > 0.0 == fields[1 - near].value(cross.x, cross.y)
 

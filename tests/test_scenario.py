@@ -5,16 +5,17 @@ import dataclasses
 import importlib.util
 import re
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from intersection_game.dynamics import DT
 from intersection_game.game import LIMITS
-from intersection_game.network import Network, route_for
-from intersection_game.risk import FieldParams
+from intersection_game.network import route_for
 from intersection_game.runner import run
-from intersection_game.scenario import _PARAMS, _VEHICLE, MODES, ScenarioError, load_scenario
+from intersection_game.scenario import _PARAMS, _VEHICLE, ScenarioError, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -50,10 +51,6 @@ def test_loads_published_three_vehicle_scenario():
     sc = load_scenario(SCENARIOS / "case1_A.cfg")
     assert sc.name == "case1_A"
     assert sc.t_end == 20.0
-    assert sc.dt == 0.1
-    assert sc.mode == "fuzzy"
-    assert sc.field.horizon == 4.0
-    assert sc.field.omega0 == 60.0
     names = [v.name for v in sc.vehicles]
     assert names == ["V1", "V2", "V3"]
     v1, v2, v3 = sc.vehicles
@@ -71,10 +68,8 @@ def test_defaults_from_minimal_file(tmp_path):
     assert sc.name == "quick_look"
     assert sc.t_end == 30.0
     assert sc.dt == 0.1
-    assert sc.mode == "fuzzy"
     assert sc.limits is LIMITS
     # untouched keys keep their defaults
-    assert sc.field == FieldParams()
     assert sc.routes[0].total_length == 30.0 + 20.0 + 30.0
     assert sc.vehicles[0].lane == "outer"
 
@@ -85,7 +80,6 @@ def test_every_published_scenario_loads():
     sizes = {}
     for f in files:
         sc = load_scenario(f)
-        assert sc.mode in MODES
         sizes[f.stem] = len(sc.vehicles)
     assert sizes["case2"] == 4
     assert sizes["case3"] == 8
@@ -128,10 +122,6 @@ def test_rejects_missing_vehicle_key(tmp_path):
     reject(tmp_path, MINIMAL.replace("x = -20\n", ""), "missing required key")
 
 
-def test_rejects_bad_mode(tmp_path):
-    reject(tmp_path, MINIMAL.replace("version = 1", "version = 1\nmode = psychic"), "mode")
-
-
 def test_rejects_default_section(tmp_path):
     reject(tmp_path, "[DEFAULT]\nfoo = 1\n" + MINIMAL, "[DEFAULT]")
 
@@ -159,17 +149,10 @@ def test_rejects_nonpositive_horizon_times(tmp_path):
 @pytest.mark.parametrize(
     "section, key, value, fragment",
     [
-        ("scenario", "dt", "nan", "dt: not a finite number"),
         ("scenario", "t_end", "nan", "t_end: not a finite number"),
         ("scenario", "t_end", "inf", "t_end: not a finite number"),
-        ("scenario", "dt", "-0.1", "dt: must be positive"),
-        ("field", "omega0", "nan", "omega0: not a finite number"),
-        ("field", "horizon", "-1", "horizon: must be positive"),
-        ("field", "omega0", "-10", "omega0: must be nonnegative"),
-        ("scenario", "dt", "1.5", "dt: must be at most 1"),
-        ("scenario", "dt", "1e-16", "dt: must be at least 0.001"),
-        ("field", "horizon", "1e300", "horizon: must be at most 60"),
         ("scenario", "t_end", "1e308", "t_end: must be at most 3600"),
+        ("network", "approach_length", "0", "approach_length: must be positive"),
     ],
 )
 def test_rejects_parameters_outside_their_domain(tmp_path, section, key, value, fragment):
@@ -288,19 +271,30 @@ def test_rejects_file_that_is_not_utf8(tmp_path):
         load_scenario(path)
 
 
+def _fixed(domain: tuple) -> bool:
+    """Whether a key's domain admits one value only, as `version = 1`."""
+    return domain[0] is str and len(domain) > 1 and len(domain[1]) == 1
+
+
 def test_readme_example_loads_and_documents_every_default(tmp_path):
-    """README's example config loads, and its optional sections list every
-    key the loader accepts, each at its default."""
-    block = re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    """README's example config loads, its optional sections list every key
+    the loader accepts that admits more than one value, each at its default,
+    and the README names the one value of each fixed key."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
     readme = load_scenario(write(tmp_path, block, name="readme.cfg"))
     minimal = load_scenario(write(tmp_path, MINIMAL))
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     cp.read_string(block)
     for section in (s for s in _PARAMS if s != "scenario"):
-        assert set(cp.options(section)) == set(_PARAMS[section]), section
-    assert readme.field == minimal.field
+        given = set(cp.options(section)) if cp.has_section(section) else set()
+        assert given == {k for k, domain in _PARAMS[section].items() if not _fixed(domain)}, section
+    for keys in _PARAMS.values():
+        for key, domain in keys.items():
+            if _fixed(domain):
+                assert f"{key} = {domain[1][0]}" in text, key
     # the network is read only to build the routes
-    assert readme.routes == minimal.routes == (route_for(Network(), "M1", "straight", "outer"),)
+    assert readme.routes == minimal.routes == (route_for(30.0, "M1", "straight", "outer"),)
 
 
 # one key of a shipped config set to an arbitrary value: a key of any
@@ -341,12 +335,29 @@ def test_mutated_shipped_config_is_rejected_or_runs(name, site, value):
             sc = load_scenario(path)
         except ScenarioError:
             return
-    run(dataclasses.replace(sc, t_end=3 * sc.dt))
+    run(dataclasses.replace(sc, t_end=3 * DT))
+
+
+def test_short_approach_without_right_turn_loads_and_runs(tmp_path):
+    """Only a right turn's corner arc needs more than 5 m of approach road:
+    a 4 m approach carries straight and left-turning traffic."""
+    text = MINIMAL.replace("x = -20", "x = -12") + (
+        "\n[vehicle.V2]\nroad = M2\nmaneuver = left\nx = 2\ny = -13\nv = 4\nkappa = 0\n"
+        "\n[network]\napproach_length = 4\n"
+    )
+    sc = load_scenario(write(tmp_path, text))
+    assert [r.name for r in sc.routes] == ["M1-outer-straight", "M2-inner-left"]
+    res = run(dataclasses.replace(sc, t_end=3 * DT))
+    assert len(res.steps) == 3
+    assert max(s.max_residual for s in res.steps) <= 1e-6
+    assert not any(row.fallback for rows in res.rows for row in rows)
 
 
 def test_every_settable_key_is_set_by_some_input():
     """Each key the loader accepts is set by at least one input: a shipped
-    scenario or a `perfbench/dense.py` layout of the identity matrix.  A key
+    scenario or a `perfbench/dense.py` layout of the identity matrix.  Each
+    key that admits more than one value takes at least two across the
+    inputs, an input that leaves the key unset using its default.  A key
     no input varies belongs in the model as a constant."""
     spec = importlib.util.spec_from_file_location("identity_matrix", ROOT / "scripts" / "identity_matrix.py")
     matrix = importlib.util.module_from_spec(spec)
@@ -354,12 +365,16 @@ def test_every_settable_key_is_set_by_some_input():
     dense = matrix.dense_module()
     texts = [path.read_text(encoding="utf-8") for path in sorted(SCENARIOS.glob("*.cfg"))]
     texts += [dense.layout(per_arm, seed) for per_arm in dense.PER_ARM for seed in matrix.DENSE_SEEDS]
-    set_keys = set()
+    tables = {**_PARAMS, "vehicle": _VEHICLE}
+    in_use = defaultdict(set)  # (table, key) -> values in use; None stands for the default
     for text in texts:
         cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
         cp.read_string(text)
-        for section in cp.sections():
-            table = "vehicle" if section.startswith("vehicle.") else section
-            set_keys.update((table, key) for key in cp.options(section))
-    settable = {(s, k) for s, table in _PARAMS.items() for k in table} | {("vehicle", k) for k in _VEHICLE}
-    assert sorted(settable - set_keys) == []
+        vehicles = [s for s in cp.sections() if s.startswith("vehicle.")]
+        for section, table in [(s, s) for s in _PARAMS] + [(s, "vehicle") for s in vehicles]:
+            for key, domain in tables[table].items():
+                raw = cp.get(section, key, fallback=None)
+                in_use[(table, key)].add(raw if raw is None or domain[0] is str else float(raw))
+    sites = [(table, key, domain) for table, keys in tables.items() for key, domain in keys.items()]
+    assert sorted(key for table, key, _ in sites if in_use[(table, key)] <= {None}) == []
+    assert sorted(key for table, key, domain in sites if not _fixed(domain) and len(in_use[(table, key)]) < 2) == []
