@@ -21,6 +21,7 @@ THW_CAP = 10.0  # headway saturates here when crawling
 FREE_GAP = 50.0  # virtual gap when no leader is present
 CRAWL_SLOPE = 1e-4  # residual speed incentive on the saturated branch
 OMEGA0 = 60.0  # weight given to a risk term its field switches on
+STOPPED = 1e-9  # a vehicle at or below this speed never arrives anywhere
 
 
 def balance_weights(kappa: float) -> tuple[float, float]:
@@ -41,13 +42,18 @@ def following_risk(v_host: float, v_leader: float, gap: float) -> float:
     return (dv / gap) ** 2
 
 
+def arrival_time(d: float, v: float) -> float:
+    """Time to cover distance d at speed v; a stopped vehicle never arrives."""
+    return d / v if v > STOPPED else math.inf
+
+
 def crossing_risk(d_host: float, v_host: float, d_other: float, v_other: float) -> float:
     """Penalty for arriving at a shared point at the same time.
 
-    Arrival times are distance over speed; a stopped vehicle never
-    arrives, which disarms the term.
+    Arrival times are `arrival_time`'s, written out inline on this hot
+    path; a stopped vehicle never arrives, which disarms the term.
     """
-    if v_host <= 1e-9 or v_other <= 1e-9:
+    if v_host <= STOPPED or v_other <= STOPPED:
         return 0.0
     t_host = d_host / v_host
     t_other = d_other / v_other
@@ -70,7 +76,7 @@ def lane_keeping(dy: float, dphi: float) -> float:
 
 
 def efficiency(gap: float, v: float) -> float:
-    raw = gap / v if v > 1e-9 else math.inf
+    raw = gap / v if v > STOPPED else math.inf  # arrival_time, inline
     thw = min(raw, THW_CAP)
     cost = thw * thw
     # on the saturated branch the squared headway is flat in v, which

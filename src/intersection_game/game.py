@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from .costs import (
     FREE_GAP,
     OMEGA0,
+    STOPPED,
     CostTerms,
+    arrival_time,
     balance_weights,
     blended_loss,
     crossing_risk,
@@ -97,6 +99,7 @@ BETA_MAX = math.atan(0.02 * LIMITS.mu * GRAVITY)
 # effective steering bound: the plain box or the sideslip bound, whichever
 # binds first
 STEER_BOX = min(LIMITS.delta_max, math.atan(math.tan(BETA_MAX) * WHEELBASE / L_R))
+SLEW = LIMITS.jerk_max * DT  # largest change of acceleration in one step
 
 
 @dataclass(frozen=True)
@@ -162,12 +165,12 @@ def _ramp_peak_speed(v_next: float, a: float) -> float:
     """Highest speed reachable if deceleration starts at full jerk now.
 
     One step at `a` is already inside v_next; the tail assumes the
-    acceleration shrinks by jerk_max*DT every following step.
+    acceleration shrinks by SLEW every following step.
     """
     if a <= 0.0:
         return v_next
-    k = int(a / (LIMITS.jerk_max * DT))
-    return v_next + DT * (k * a - LIMITS.jerk_max * DT * k * (k + 1) / 2.0)
+    k = int(a / SLEW)
+    return v_next + DT * (k * a - SLEW * k * (k + 1) / 2.0)
 
 
 BOUND_NAMES = ("accel", "jerk", "steer", "speed", "lane", "course")
@@ -217,9 +220,10 @@ def closing_ttc(
     return dist / closing
 
 
-def _ramp(v0: float, a0: float, j: float, tau: float) -> tuple[float, float]:
+def _ramp(v0: float, a0: float, tau: float) -> tuple[float, float]:
     """(speed, distance) tau into a ramp from speed v0 and acceleration a0
-    whose acceleration falls at jerk j."""
+    whose acceleration falls at the jerk bound."""
+    j = LIMITS.jerk_max
     return v0 + a0 * tau - 0.5 * j * tau * tau, v0 * tau + 0.5 * a0 * tau * tau - j * tau**3 / 6.0
 
 
@@ -234,11 +238,11 @@ def _stop_closed_form(v0: float, a0: float) -> tuple[float, float, float, float,
     """
     j, am = LIMITS.jerk_max, LIMITS.a_max
     tau_r = max((a0 + am) / j, 0.0)
-    v_r, x_r = _ramp(v0, a0, j, tau_r)
+    v_r, x_r = _ramp(v0, a0, tau_r)
     disc = a0 * a0 + 2.0 * j * v0
     tau_s = (a0 + math.sqrt(disc)) / j if disc > 0.0 else 0.0
     if tau_s <= tau_r or v_r <= 0.0:
-        x_s = _ramp(v0, a0, j, tau_s)[1]
+        x_s = _ramp(v0, a0, tau_s)[1]
     else:
         tau_s = tau_r + v_r / am
         x_s = x_r + 0.5 * v_r * v_r / am
@@ -288,7 +292,7 @@ def follow_reach(v0: float, a0: float, v_lead: float, ttc_floor: float, margin: 
         if not 0.0 <= tau < tau_s:
             continue
         if tau <= tau_r:
-            v, x = _ramp(v0, a0, j, tau)
+            v, x = _ramp(v0, a0, tau)
         else:
             d = tau - tau_r
             v, x = v_r - am * d, x_r + v_r * d - 0.5 * am * d * d
@@ -400,7 +404,7 @@ class _StepSolver:
                 if not c.gated:
                     continue
                 vo = views[c.partner]
-                t_o = (c.s_other - vo.s) / vo.state.v_x if vo.state.v_x > 1e-9 else math.inf
+                t_o = arrival_time(c.s_other - vo.s, vo.state.v_x)
                 key = (t_o, c.s_self, c.partner)
                 if best is None or key < best:
                     best, pick = key, c
@@ -543,7 +547,7 @@ class _StepSolver:
         for cp in self.views[i].cps:
             d_other = cp.s_other - self.pred_s[cp.partner]
             v_other = self.pred[cp.partner].v_x
-            t_other = d_other / v_other if v_other > 1e-9 else math.inf
+            t_other = d_other / v_other if v_other > STOPPED else math.inf  # arrival_time, inline
             table.append((cp.s_self, t_other, cp.hold_other + self.hold_dist[cp.partner] - d_other))
         return table
 
@@ -585,7 +589,7 @@ class _StepSolver:
             res = max(res, need - gap)
         if not table:
             return res
-        moving = v > 1e-9
+        moving = v > STOPPED
         for (s_self, t_other, partner_hold), reach in zip(table, self._reach_row(i, a, v, guard)):
             d_self = s_self - s_pred
             if d_self <= 0.0:
@@ -665,8 +669,7 @@ class _StepSolver:
 
     def _accel_box(self, i: int) -> tuple[float, float]:
         a_prev = self.views[i].a_prev
-        slew = LIMITS.jerk_max * DT
-        return max(-LIMITS.a_max, a_prev - slew), min(LIMITS.a_max, a_prev + slew)
+        return max(-LIMITS.a_max, a_prev - SLEW), min(LIMITS.a_max, a_prev + SLEW)
 
     def _cap_candidate(self, i: int, a_lo: float, a_hi: float) -> float | None:
         """Largest in-box acceleration that keeps the speed ramp legal."""

@@ -138,7 +138,8 @@ def _lane_anchor(arm: int, lane: str, inbound: bool) -> tuple[float, tuple[float
     return psi, (edge * ux + off * nx, edge * uy + off * ny)
 
 
-def _boundary_segments(h: float) -> tuple[Segment, ...]:
+def _boundary_segments() -> tuple[Segment, ...]:
+    h = CZ_HALF_WIDTH
     corners = [(h, h), (-h, h), (-h, -h), (h, -h)]
     segs = []
     for i in range(4):
@@ -148,10 +149,10 @@ def _boundary_segments(h: float) -> tuple[Segment, ...]:
     return tuple(segs)
 
 
-def _zone_crossings(elements: tuple[Element, ...], cum_s: tuple[float, ...], h: float) -> list[float]:
+def _zone_crossings(elements: tuple[Element, ...], cum_s: tuple[float, ...]) -> list[float]:
     hits: list[float] = []
     for i, el in enumerate(elements):
-        for bseg in _boundary_segments(h):
+        for bseg in _boundary_segments():
             for s_el, _ in element_crossings(el, bseg):
                 hits.append(cum_s[i] + s_el)
     hits.sort()
@@ -219,7 +220,7 @@ def route_for(approach_length: float, entry_road: str, maneuver: str, lane: str 
     for el in elements[:-1]:
         cum.append(cum[-1] + el.length)
     total = cum[-1] + elements[-1].length
-    crossings = _zone_crossings(elements, tuple(cum), CZ_HALF_WIDTH)
+    crossings = _zone_crossings(elements, tuple(cum))
     if len(crossings) < 2:
         raise ValueError(f"route {entry_road} {maneuver} does not traverse the zone")
     return Route(

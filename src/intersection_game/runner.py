@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .costs import CostTerms
+from .costs import CostTerms, arrival_time
 from .dynamics import DT, ControlInput, VehicleState, step as integrate, velocity_vector
-from .game import LIMITS, CpRef, PlayerView, StepSolution, closing_ttc, participation, solve_step, tracking_delta
+from .game import LIMITS, SLEW, CpRef, PlayerView, StepSolution, closing_ttc, participation, solve_step, tracking_delta
 from .network import CZ_HALF_WIDTH, Conflict, ZoneRole, classify_zone_role, conflict_points, lead_distance_on_route
 from .risk import THRESHOLD, build_field
 from .scenario import Scenario
@@ -88,12 +88,13 @@ def pair_conflicts(scenario: Scenario) -> dict[tuple[int, int], list[Conflict]]:
     return out
 
 
-def _hold_margin(route_a, route_b, s_a: float, s_b: float, clearance: float) -> float:
+def _hold_margin(route_a, route_b, s_a: float, s_b: float) -> float:
     """Backoff along route_a from its conflict point so that a vehicle
-    stopped there keeps `clearance` metres of straight-line room from the
-    partner route's stretch around the point.  For near-perpendicular
-    crossings this is barely more than `clearance`; for shallow merges the
+    stopped there keeps `LIMITS.stop_margin` metres of straight-line room
+    from the partner route's stretch around the point.  For near-perpendicular
+    crossings this is barely more than that margin; for shallow merges the
     paths separate only quadratically, so the backoff grows accordingly."""
+    clearance = LIMITS.stop_margin
     step = 0.5
     lo = max(s_b - 12.0, 0.0)
     hi = min(s_b + 12.0, route_b.total_length)
@@ -116,14 +117,13 @@ def crossing_index(
     (s_self, partner, s_other).  The holds are the per-side standstill
     backoffs of `_hold_margin`."""
     routes = scenario.routes
-    margin = LIMITS.stop_margin
     index: list[list[tuple]] = [[] for _ in routes]
     for (ia, ib), cps in conflicts.items():
         for c in cps:
             if c.kind == "following":
                 continue
-            ha = _hold_margin(routes[ia], routes[ib], c.s_a, c.s_b, margin)
-            hb = _hold_margin(routes[ib], routes[ia], c.s_b, c.s_a, margin)
+            ha = _hold_margin(routes[ia], routes[ib], c.s_a, c.s_b)
+            hb = _hold_margin(routes[ib], routes[ia], c.s_b, c.s_a)
             index[ia].append((c.s_a, ib, c.s_b, c.x, c.y, ha, hb))
             index[ib].append((c.s_b, ia, c.s_a, c.x, c.y, hb, ha))
     for points in index:
@@ -132,10 +132,9 @@ def crossing_index(
 
 
 def _coast_accel(a_prev: float) -> float:
-    slew = LIMITS.jerk_max * DT
     if a_prev > 0.0:
-        return max(0.0, a_prev - slew)
-    return min(0.0, a_prev + slew)
+        return max(0.0, a_prev - SLEW)
+    return min(0.0, a_prev + SLEW)
 
 
 def build_views(
@@ -372,17 +371,17 @@ def metrics(result: SimResult) -> dict:
             dist = math.hypot(rj.x - ri.x, rj.y - ri.y)
             min_dist = min(min_dist, dist)
             # crossing/merging points not yet reached by either vehicle:
-            # record the later arriver's time to the point, the quantity
-            # the pair constraint keeps above the floor.  Once one vehicle
-            # has passed, the point is vacated and the countdown of the
-            # other no longer measures anything collision-shaped.
+            # record the later arriver's time to the point.  The pair
+            # constraint keeps the arrival gap |t_a - t_b| above the floor
+            # instead, or relies on a stop (ROADMAP item 1, "Vehicles have
+            # bodies").  Once one vehicle has passed, the point is vacated
+            # and the other's countdown no longer measures anything
+            # collision-shaped.
             for c in cps:
                 if c.kind == "following":
                     continue
                 if ri.s < c.s_a and rj.s < c.s_b:
-                    ta = (c.s_a - ri.s) / ri.v if ri.v > 1e-9 else math.inf
-                    tb = (c.s_b - rj.s) / rj.v if rj.v > 1e-9 else math.inf
-                    later_t = max(ta, tb)
+                    later_t = max(arrival_time(c.s_a - ri.s, ri.v), arrival_time(c.s_b - rj.s, rj.v))
                     if math.isfinite(later_t):
                         min_ttc = min(min_ttc, later_t)
             # closing time only under an actual leader-follower relation
@@ -462,69 +461,58 @@ STEP_COLUMNS = (
 )
 
 
+def _row(values) -> str:
+    return ",".join([_fmt(v) for v in values])
+
+
+def _write(out: Path, name: str, lines: list[str]) -> Path:
+    """Write lines, each ended by a newline, to out/name."""
+    path = out / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def emit(result: SimResult, out_dir: str | Path, field_raster: bool = False) -> list[Path]:
     """Write the run to out_dir; everything except timing.json is
     byte-deterministic for identical inputs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
 
     lines = [TRACE_COLUMNS]
     for step, step_rows in zip(result.steps, result.rows):
         for name, r in zip(result.names, step_rows):
             t = r.terms
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        step.t, name, r.x, r.y, r.phi, r.v, r.a, r.delta, r.jerk, r.role,
-                        r.s, result.names[r.lv] if r.lv is not None else None,
-                        t.omega_log if t else 0.0, t.omega_lat if t else 0.0, r.p,
-                        t.v_log if t else None, t.v_lat if t else None,
-                        t.v_lk if t else None, t.v_e if t else None,
-                        t.total if t else None, r.j_value, r.h_alloc, not r.fallback, r.fallback, r.reset,
-                    )
-                )
-            )
-    path = out / "trace.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
+            lines.append(_row((
+                step.t, name, r.x, r.y, r.phi, r.v, r.a, r.delta, r.jerk, r.role,
+                r.s, result.names[r.lv] if r.lv is not None else None,
+                t.omega_log if t else 0.0, t.omega_lat if t else 0.0, r.p,
+                t.v_log if t else None, t.v_lat if t else None,
+                t.v_lk if t else None, t.v_e if t else None,
+                t.total if t else None, r.j_value, r.h_alloc, not r.fallback, r.fallback, r.reset,
+            )))
+    written = [_write(out, "trace.csv", lines)]
 
     lines = [STEP_COLUMNS]
     for s in result.steps:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    s.step, s.t, s.n_players, s.sweeps, s.evals, s.lateral_evals,
-                    s.v_coalition, s.group_residual, s.max_residual, s.any_reset, s.all_rational,
-                )
-            )
-        )
-    path = out / "steps.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
+        lines.append(_row((
+            s.step, s.t, s.n_players, s.sweeps, s.evals, s.lateral_evals,
+            s.v_coalition, s.group_residual, s.max_residual, s.any_reset, s.all_rational,
+        )))
+    written.append(_write(out, "steps.csv", lines))
 
-    s0 = [result.rows[0][i].s for i in range(len(result.names))] if result.rows else []
+    n = len(result.names)
+    s0 = [result.rows[0][i].s for i in range(n)] if result.rows else []
     for fname, getter in (
         ("series_path_length.csv", lambda r, i: r.s - s0[i]),
         ("series_velocity.csv", lambda r, i: r.v),
     ):
-        lines = ["time," + ",".join(result.names)]
+        lines = [_row(["time", *result.names])]
         for step, step_rows in zip(result.steps, result.rows):
-            vals = [getter(step_rows[i], i) for i in range(len(result.names))]
-            lines.append(",".join([_fmt(step.t)] + [_fmt(v) for v in vals]))
-        path = out / fname
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+            lines.append(_row([step.t] + [getter(step_rows[i], i) for i in range(n)]))
+        written.append(_write(out, fname, lines))
 
-    path = out / "metrics.json"
-    path.write_text(json.dumps(_round_floats(metrics(result)), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    written.append(path)
-
-    path = out / "timing.json"
-    path.write_text(json.dumps(_round_floats(timing(result)), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    written.append(path)
+    for fname, report in (("metrics.json", metrics(result)), ("timing.json", timing(result))):
+        written.append(_write(out, fname, [json.dumps(_round_floats(report), indent=2, sort_keys=True)]))
 
     if field_raster:
         written.append(_emit_field_raster(result, out))
@@ -541,8 +529,5 @@ def _emit_field_raster(result: SimResult, out: Path) -> Path:
     lines = ["x,y,value"]
     for y in ticks:
         for x in ticks:
-            total = sum(f.value(x, y) for f in fields)
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(total)}")
-    path = out / "field_raster.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+            lines.append(_row((x, y, sum(f.value(x, y) for f in fields))))
+    return _write(out, "field_raster.csv", lines)

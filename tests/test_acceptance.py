@@ -31,6 +31,7 @@ from intersection_game.game import (
     BETA_MAX,
     CONV_TOL,
     LIMITS,
+    SLEW,
     STEER_BOX,
     CostTerms,
     CpRef,
@@ -434,17 +435,16 @@ def test_criterion_8_single_vehicle_saturates_the_speed_limit(capsys, simulate):
             gap = max(min(route.total_length - s_pred, 50.0), 0.0)
             return k_s * lane_keeping(dy, dphi) + k_e * efficiency(gap, pred.v_x)
 
-        slew = LIMITS.jerk_max * DT
         best_cost, best_a = math.inf, None
         for ia in range(81):
-            a = prev.a - slew + ia * (2.0 * slew / 80.0)
+            a = prev.a - SLEW + ia * (2.0 * SLEW / 80.0)
             for idg in range(-32, 33):
                 c = cost_of(a, STEER_BOX * idg / 32.0)
                 if c < best_cost:
                     best_cost, best_a = c, a
         got = cost_of(row.a, row.delta)
         assert got <= best_cost + 1e-9, f"solver {got} vs grid {best_cost}"
-        assert abs(row.a - best_a) <= 2.0 * slew / 80.0 + 1e-9
+        assert abs(row.a - best_a) <= 2.0 * SLEW / 80.0 + 1e-9
         ok = True
     finally:
         _report(capsys, 8, "unobstructed vehicle reaches and holds the 8 m/s cap", ok)

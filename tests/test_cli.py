@@ -60,9 +60,10 @@ def test_run_rejects_fixed_key_at_another_value(tmp_path, capsys, section, key, 
     # the control period, the mode of a config, the field's horizon and its
     # weight are constants; a config may still name each at its one value
     text = Path(CASE1).read_text()
-    assert f"{key} = {fixed}\n" in text
+    assert f"{key} = " not in text
+    header, line = f"[{section}]\n", f"{key} = {value}\n"
     cfg = tmp_path / "fixed.cfg"
-    cfg.write_text(text.replace(f"{key} = {fixed}\n", f"{key} = {value}\n"))
+    cfg.write_text(text.replace(header, header + line) if header in text else f"{text}\n{header}{line}")
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"[{section}] {key}: {value!r} not one of ({fixed!r},)" in err

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intersection_game.costs import (
+    STOPPED,
+    THW_CAP,
     CostTerms,
+    arrival_time,
     balance_weights,
     crossing_risk,
     efficiency,
@@ -72,6 +75,23 @@ def test_crossing_risk_values():
     assert crossing_risk(2.0, 1.0, 2.0, 1.0) == pytest.approx(100.0, abs=1e-9)
     assert crossing_risk(2.0, 1.0, 4.0, 1.0) == pytest.approx(0.24937655860349128, abs=1e-12)
     assert crossing_risk(2.0, 1.0, 4.0, 0.0) == 0.0
+
+
+def test_terms_switch_off_at_the_stopped_speed():
+    """`arrival_time`, `crossing_risk` and `efficiency` agree on one
+    threshold: at or below STOPPED a vehicle never arrives, and at the next
+    float above it, it does."""
+    above = math.nextafter(STOPPED, 1.0)
+    for v in (0.0, STOPPED):
+        assert arrival_time(3.0, v) == math.inf
+        assert crossing_risk(STOPPED, v, 1.0, 1.0) == crossing_risk(1.0, 1.0, STOPPED, v) == 0.0
+        # infinite headway: the cap plus the whole crawl term
+        assert efficiency(STOPPED, v) == THW_CAP * THW_CAP + 1.0
+    assert arrival_time(3.0, above) == 3.0 / above
+    # STOPPED metres at just above STOPPED m/s take just under a second
+    t = STOPPED / above
+    assert crossing_risk(STOPPED, above, 1.0, 1.0) == crossing_risk(1.0, 1.0, STOPPED, above) > 99.0
+    assert efficiency(STOPPED, above) == t * t
 
 
 def test_crossing_risk_peaks_at_equal_arrival():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from intersection_game import game, runner
-from intersection_game.costs import balance_weights, blended_loss, efficiency, lane_keeping
+from intersection_game.costs import STOPPED, arrival_time, balance_weights, blended_loss, efficiency, lane_keeping
 from intersection_game.dynamics import (
     WHEELBASE,
     ControlInput,
@@ -612,9 +612,8 @@ def _old_constraint_residual(solver, i, a, pred, s_pred, bound_slack, guard):
         if d_self <= 0.0:
             continue
         d_other = cp.s_other - solver.pred_s[cp.partner]
-        v_other = solver.pred[cp.partner].v_x
-        t_self = d_self / pred.v_x if pred.v_x > 1e-9 else math.inf
-        t_other = d_other / v_other if v_other > 1e-9 else math.inf
+        t_self = arrival_time(d_self, pred.v_x)
+        t_other = arrival_time(d_other, solver.pred[cp.partner].v_x)
         if math.isinf(t_self) or math.isinf(t_other):
             sep = math.inf
         else:
@@ -702,7 +701,7 @@ def test_table_residual_equals_the_per_point_loop_bit_for_bit(
     solver = _StepSolver(views, True)
     table = solver._crossing_table(0)
     assert any(math.isinf(t_other) for _, t_other, _ in table) == any(
-        solver.pred[cp.partner].v_x <= 1e-9 for cp in cps
+        solver.pred[cp.partner].v_x <= STOPPED for cp in cps
     )
     for a, d in candidates:
         pred, s_pred, _, _, slack = solver._candidate(0, a, d)

@@ -378,3 +378,22 @@ def test_every_settable_key_is_set_by_some_input():
     sites = [(table, key, domain) for table, keys in tables.items() for key, domain in keys.items()]
     assert sorted(key for table, key, _ in sites if in_use[(table, key)] <= {None}) == []
     assert sorted(key for table, key, domain in sites if not _fixed(domain) and len(in_use[(table, key)]) < 2) == []
+
+
+def test_shipped_scenarios_set_no_fixed_key():
+    """A shipped scenario sets only keys that can vary: a key whose domain
+    admits one value names a model constant, and only the required
+    `version` is written out."""
+    tables = {**_PARAMS, "vehicle": _VEHICLE}
+    found = []
+    for path in sorted(SCENARIOS.glob("*.cfg")):
+        cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+        cp.read_string(path.read_text(encoding="utf-8"))
+        for section in cp.sections():
+            table = tables["vehicle" if section.startswith("vehicle.") else section]
+            found += [
+                f"{path.name} [{section}] {key}"
+                for key in cp.options(section)
+                if key != "version" and _fixed(table[key])
+            ]
+    assert found == []
