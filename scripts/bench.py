@@ -8,7 +8,10 @@ end-to-end medians and once with `--trace 1` for the traced work
 counters.  Then one in-process run of the workload under cProfile gives
 `python_calls`: the total Python function calls over `runner.run` of
 every scenario of the workload, a count of interpreter work that does
-not depend on the machine or on the hash seed.
+not depend on the machine or on the hash seed.  It sums cProfile's raw
+per-function call counts: `pstats` would merge functions that share a
+file, line and name (every dataclass `__init__` is `<string>:2`), and
+its total then depends on the order the package was imported in.
 
 The record goes under `--label` in the JSON file at `--out`, and labels
 already in that file are kept.  So one file can hold a parent and a change,
@@ -22,7 +25,6 @@ import argparse
 import cProfile
 import importlib.util
 import json
-import pstats
 import subprocess
 import sys
 from pathlib import Path
@@ -63,7 +65,7 @@ def run_benchmark(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 
 def python_calls(workload: str, seed: int) -> int:
-    """cProfile's total call count over `runner.run` of every scenario."""
+    """cProfile's exact total call count over `runner.run` of every scenario."""
     _perfbench_module("dense")
     bench_pass = _perfbench_module("bench_pass")
     work = ROOT / ".bench_build" / "bench" / f"{workload}-seed{seed}"
@@ -73,7 +75,7 @@ def python_calls(workload: str, seed: int) -> int:
     for sc, mode in loaded:
         runner.run(sc, mode=mode)
     prof.disable()
-    return pstats.Stats(prof).total_calls
+    return sum(e.callcount for e in prof.getstats())
 
 
 def _git(*args: str) -> str | None:

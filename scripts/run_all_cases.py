@@ -1,14 +1,14 @@
-"""Run every shipped scenario in the fuzzy mode, or in `--mode`, and emit full traces.
+"""Run every shipped scenario in the fuzzy mode and emit full traces.
 
-Writes one output directory per scenario under runs/ and prints a one-line
-summary per run so regressions in the headline numbers are easy to spot.
+Writes one output directory per scenario under runs/, or under `--out`,
+and prints a one-line summary per run so regressions in the headline
+numbers are easy to spot.
 """
 
 import argparse
-import sys
 from pathlib import Path
 
-from intersection_game.runner import MODES, emit, metrics, run
+from intersection_game.runner import emit, metrics, run
 from intersection_game.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,18 +16,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--scenario-dir", type=Path, default=ROOT / "scenarios")
     ap.add_argument("--out", type=Path, default=ROOT / "runs")
-    ap.add_argument("--mode", choices=MODES, default="fuzzy", help="solver mode (default fuzzy)")
     args = ap.parse_args(argv)
 
-    files = sorted(args.scenario_dir.glob("*.cfg"))
-    if not files:
-        print(f"no scenario files in {args.scenario_dir}", file=sys.stderr)
-        return 1
-    for path in files:
+    for path in sorted((ROOT / "scenarios").glob("*.cfg")):
         sc = load_scenario(path)
-        res = run(sc, mode=args.mode)
+        res = run(sc)
         m = metrics(res)
         out = args.out / f"{sc.name}_{m['mode']}"
         emit(res, out)

@@ -19,7 +19,6 @@ from .costs import (
     OMEGA0,
     STOPPED,
     CostTerms,
-    arrival_time,
     balance_weights,
     blended_loss,
     crossing_risk,
@@ -104,12 +103,13 @@ SLEW = LIMITS.jerk_max * DT  # largest change of acceleration in one step
 
 @dataclass(frozen=True)
 class CpRef:
-    """One live crossing point as seen from a single vehicle."""
+    """One crossing point, at (x, y), as seen from a single vehicle."""
 
-    partner: int
     s_self: float
+    partner: int
     s_other: float
-    gated: bool
+    x: float
+    y: float
     # along-route backoffs that keep a stopped vehicle clear of the other
     # path; computed from the crossing geometry, so shallow merges get a
     # longer one than right-angle crossings
@@ -123,7 +123,6 @@ class PlayerView:
 
     route: Route
     state: VehicleState
-    s: float
     kappa: float
     p: float
     a_prev: float
@@ -134,7 +133,8 @@ class PlayerView:
     coast: tuple[float, float]
     lv: int | None = None
     lv_gated: bool = False
-    cps: tuple[CpRef, ...] = ()
+    cps: tuple[CpRef, ...] = ()  # live crossing points; constraints see all
+    cost_cp: CpRef | None = None  # the one of them the cost prices
 
 
 @dataclass
@@ -391,31 +391,13 @@ class _StepSolver:
         self.evals = 0
         self.lateral_evals = 0
         self.sweeps = 0
-        # cost side uses one gated crossing point: the one whose partner
-        # arrives soonest at the step-start states.  Picking by own
-        # distance instead would anchor the risk term to a conflict
-        # already being won while the one actually being yielded to goes
-        # unpriced.
-        self.cost_cp: list[CpRef | None] = []
-        for v in views:
-            best: tuple[float, float, int] | None = None
-            pick = None
-            for c in v.cps:
-                if not c.gated:
-                    continue
-                vo = views[c.partner]
-                t_o = arrival_time(c.s_other - vo.s, vo.state.v_x)
-                key = (t_o, c.s_self, c.partner)
-                if best is None or key < best:
-                    best, pick = key, c
-            self.cost_cp.append(pick)
         # who else's loss moves when vehicle i moves
         self.dependents: list[list[int]] = [[] for _ in range(self.n)]
         for j in self.players:
             vj = views[j]
             if vj.lv is not None:
                 self.dependents[vj.lv].append(j)
-            cj = self.cost_cp[j]
+            cj = vj.cost_cp
             if cj is not None and cj.partner != vj.lv:
                 self.dependents[cj.partner].append(j)
         # players whose leader is vehicle i
@@ -488,7 +470,7 @@ class _StepSolver:
         """Vehicle i's CostTerms fields, in order, for a candidate."""
         view = self.views[i]
         k_s, k_e = self.balance[i]
-        cp = self.cost_cp[i]
+        cp = view.cost_cp
         omega_log = OMEGA0 if (view.lv is not None and view.lv_gated) else 0.0
         omega_lat = OMEGA0 if cp is not None else 0.0
         if view.lv is not None:
@@ -527,7 +509,7 @@ class _StepSolver:
                 if vj.lv_gated:
                     contrib += k_s * OMEGA0 * following_risk(self.pred[j].v_x, pred.v_x, gap)
                 contrib += k_e * efficiency(gap, self.pred[j].v_x)
-            cj = self.cost_cp[j]
+            cj = vj.cost_cp
             if cj is not None and cj.partner == i:
                 d_j = cj.s_self - self.pred_s[j]
                 d_i = cj.s_other - s_pred

@@ -111,23 +111,23 @@ def _hold_margin(route_a, route_b, s_a: float, s_b: float) -> float:
 
 def crossing_index(
     scenario: Scenario, conflicts: dict[tuple[int, int], list[Conflict]]
-) -> list[list[tuple]]:
-    """Every point conflict of each vehicle, as seen from that vehicle:
-    (s_self, partner, s_other, x, y, hold_self, hold_other), sorted by
-    (s_self, partner, s_other).  The holds are the per-side standstill
-    backoffs of `_hold_margin`."""
+) -> list[list[CpRef]]:
+    """Every point conflict of each vehicle, as seen from that vehicle,
+    sorted by (s_self, partner, s_other).  The holds are the per-side
+    standstill backoffs of `_hold_margin`.  Built once per run; the views
+    of every step hold these same records."""
     routes = scenario.routes
-    index: list[list[tuple]] = [[] for _ in routes]
+    index: list[list[CpRef]] = [[] for _ in routes]
     for (ia, ib), cps in conflicts.items():
         for c in cps:
             if c.kind == "following":
                 continue
             ha = _hold_margin(routes[ia], routes[ib], c.s_a, c.s_b)
             hb = _hold_margin(routes[ib], routes[ia], c.s_b, c.s_a)
-            index[ia].append((c.s_a, ib, c.s_b, c.x, c.y, ha, hb))
-            index[ib].append((c.s_b, ia, c.s_a, c.x, c.y, hb, ha))
+            index[ia].append(CpRef(c.s_a, ib, c.s_b, c.x, c.y, ha, hb))
+            index[ib].append(CpRef(c.s_b, ia, c.s_a, c.x, c.y, hb, ha))
     for points in index:
-        points.sort(key=lambda e: e[:3])
+        points.sort(key=lambda c: (c.s_self, c.partner, c.s_other))
     return index
 
 
@@ -145,12 +145,15 @@ def build_views(
     d_prev: list[float],
     roles: list[ZoneRole],
     p0: list[float],
-    index: list[list[tuple]],
+    index: list[list[CpRef]],
     risk_gating: bool = True,
 ) -> list[PlayerView]:
     """What each vehicle sees at the start of a step: its nearest leader on
-    its own lane and the crossing points it has not yet cleared, each
-    gated on when a risk field strictly exceeds the threshold there.
+    its own lane, the crossing points it has not yet cleared, and the one of
+    those its cost prices.  A leader is gated on when the vehicle's risk
+    field strictly exceeds the threshold there, a point when either
+    vehicle's field does, and everything is without `risk_gating`.  Only a
+    gated point can be priced.
 
     `index` comes from crossing_index; `roles`, `p0` and the per-vehicle
     lists are index-aligned with the scenario's vehicles.  A vehicle that
@@ -169,7 +172,6 @@ def build_views(
         common = dict(
             route=routes[i],
             state=states[i],
-            s=s_now[i],
             kappa=scenario.vehicles[i].kappa,
             a_prev=a_prev[i],
             delta_prev=d_prev[i],
@@ -191,16 +193,24 @@ def build_views(
             not risk_gating or fields[i].value(states[lv].x, states[lv].y) > THRESHOLD
         )
 
-        # crossing/merging points not yet cleared by both vehicles;
-        # constraints see every live point, costs only gated ones
+        # crossing/merging points not yet cleared by both vehicles.  The
+        # cost prices the gated one whose partner arrives soonest at the
+        # step-start states.  Picking by own distance instead would anchor
+        # the risk term to a conflict already being won while the one
+        # actually being yielded to goes unpriced.
         cps = []
-        for s_self, j, s_other, x, y, h_self, h_other in index[i]:
-            if s_now[i] >= s_self + _PASS_MARGIN or s_now[j] >= s_other + _PASS_MARGIN:
+        cost_cp = best = None
+        for c in index[i]:
+            j = c.partner
+            if s_now[i] >= c.s_self + _PASS_MARGIN or s_now[j] >= c.s_other + _PASS_MARGIN:
                 continue
-            gated = not risk_gating or fields[i].value(x, y) > THRESHOLD or fields[j].value(x, y) > THRESHOLD
-            cps.append(CpRef(j, s_self, s_other, gated, h_self, h_other))
+            cps.append(c)
+            if not risk_gating or fields[i].value(c.x, c.y) > THRESHOLD or fields[j].value(c.x, c.y) > THRESHOLD:
+                key = (arrival_time(c.s_other - s_now[j], states[j].v_x), c.s_self, j)
+                if best is None or key < best:
+                    best, cost_cp = key, c
         views.append(
-            PlayerView(p=p0[i], player=True, lv=lv, lv_gated=lv_gated, cps=tuple(cps), **common)
+            PlayerView(p=p0[i], player=True, lv=lv, lv_gated=lv_gated, cps=tuple(cps), cost_cp=cost_cp, **common)
         )
     return views
 

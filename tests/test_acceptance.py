@@ -374,15 +374,17 @@ def test_criterion_7_property_suite(capsys):
 def _toy_crossing_views():
     ra = route_for(30.0, "M1", "straight", "outer")
     rb = route_for(30.0, "M2", "straight", "outer")
+    cp_a = CpRef(s_self=46.0, partner=1, s_other=34.0, x=6.0, y=-6.0, hold_self=3.5, hold_other=3.5)
+    cp_b = CpRef(s_self=34.0, partner=0, s_other=46.0, x=6.0, y=-6.0, hold_self=3.5, hold_other=3.5)
     va = PlayerView(
-        route=ra, state=VehicleState(5.0, 0.0, *ra.point_at(26.0)), s=26.0,
+        route=ra, state=VehicleState(5.0, 0.0, *ra.point_at(26.0)),
         kappa=0.0, p=1.0, a_prev=0.0, delta_prev=0.0, player=True, coast=(0.0, 0.0),
-        cps=(CpRef(partner=1, s_self=46.0, s_other=34.0, gated=True, hold_self=3.5, hold_other=3.5),),
+        cps=(cp_a,), cost_cp=cp_a,
     )
     vb = PlayerView(
-        route=rb, state=VehicleState(4.0, 0.5 * math.pi, *rb.point_at(20.0)), s=20.0,
+        route=rb, state=VehicleState(4.0, 0.5 * math.pi, *rb.point_at(20.0)),
         kappa=0.0, p=1.0, a_prev=0.0, delta_prev=0.0, player=True, coast=(0.0, 0.0),
-        cps=(CpRef(partner=0, s_self=34.0, s_other=46.0, gated=True, hold_self=3.5, hold_other=3.5),),
+        cps=(cp_b,), cost_cp=cp_b,
     )
     return [va, vb]
 

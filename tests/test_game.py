@@ -252,7 +252,7 @@ def _single_view(v=5.0, s=20.0):
     x, y = route.point_at(s)
     state = VehicleState(v, 0.0, x, y)
     return PlayerView(
-        route=route, state=state, s=s, kappa=0.0, p=participation(0.0),
+        route=route, state=state, kappa=0.0, p=participation(0.0),
         a_prev=0.0, delta_prev=0.0, player=True, coast=(0.0, 0.0),
     )
 
@@ -293,17 +293,17 @@ def _crossing_views():
     ra = route_for(APPROACH, "M1", "straight", "outer")
     rb = route_for(APPROACH, "M2", "straight", "outer")
     sa, sb_ = 26.0, 20.0
-    cp_a = CpRef(partner=1, s_self=46.0, s_other=34.0, gated=True, hold_self=3.5, hold_other=3.5)
-    cp_b = CpRef(partner=0, s_self=34.0, s_other=46.0, gated=True, hold_self=3.5, hold_other=3.5)
+    cp_a = CpRef(s_self=46.0, partner=1, s_other=34.0, x=6.0, y=-6.0, hold_self=3.5, hold_other=3.5)
+    cp_b = CpRef(s_self=34.0, partner=0, s_other=46.0, x=6.0, y=-6.0, hold_self=3.5, hold_other=3.5)
     va = PlayerView(
-        route=ra, state=VehicleState(5.0, 0.0, *ra.point_at(sa)), s=sa,
+        route=ra, state=VehicleState(5.0, 0.0, *ra.point_at(sa)),
         kappa=0.0, p=1.0, a_prev=0.0, delta_prev=0.0, player=True,
-        coast=(0.0, 0.0), cps=(cp_a,),
+        coast=(0.0, 0.0), cps=(cp_a,), cost_cp=cp_a,
     )
     vb = PlayerView(
-        route=rb, state=VehicleState(4.0, 0.5 * math.pi, *rb.point_at(sb_)), s=sb_,
+        route=rb, state=VehicleState(4.0, 0.5 * math.pi, *rb.point_at(sb_)),
         kappa=0.0, p=1.0, a_prev=0.0, delta_prev=0.0, player=True,
-        coast=(0.0, 0.0), cps=(cp_b,),
+        coast=(0.0, 0.0), cps=(cp_b,), cost_cp=cp_b,
     )
     return [va, vb]
 
@@ -395,12 +395,12 @@ def _blocked_views():
     """A host at 8 m/s 4 m behind a parked car: no control is feasible."""
     route = route_for(APPROACH, "M1", "straight", "outer")
     host = PlayerView(
-        route=route, state=VehicleState(8.0, 0.0, *route.point_at(20.0)), s=20.0,
+        route=route, state=VehicleState(8.0, 0.0, *route.point_at(20.0)),
         kappa=0.0, p=1.0, a_prev=0.0, delta_prev=0.0, player=True,
         coast=(0.0, 0.0), lv=1, lv_gated=True,
     )
     parked = PlayerView(
-        route=route, state=VehicleState(0.0, 0.0, *route.point_at(24.0)), s=24.0,
+        route=route, state=VehicleState(0.0, 0.0, *route.point_at(24.0)),
         kappa=0.0, p=0.0, a_prev=0.0, delta_prev=0.0, player=False,
         coast=(0.0, 0.0),
     )
@@ -671,7 +671,7 @@ def test_table_residual_equals_the_per_point_loop_bit_for_bit(
         x, y = route.point_at(s_j)
         state = VehicleState(v, route.project(x, y)[2], x, y)
         partner_views.append(PlayerView(
-            route=route, state=state, s=s_j, kappa=0.0, p=1.0, a_prev=a_j, delta_prev=0.0,
+            route=route, state=state, kappa=0.0, p=1.0, a_prev=a_j, delta_prev=0.0,
             player=False, coast=(a_j, 0.0),
         ))
     lv = None
@@ -680,7 +680,7 @@ def test_table_residual_equals_the_per_point_loop_bit_for_bit(
         x, y = host_route.point_at(s_host + gap)
         lv = 1 + len(partners)
         lead_view = PlayerView(
-            route=host_route, state=VehicleState(v_lead, 0.0, x, y), s=s_host + gap, kappa=0.0, p=1.0,
+            route=host_route, state=VehicleState(v_lead, 0.0, x, y), kappa=0.0, p=1.0,
             a_prev=0.0, delta_prev=0.0, player=False, coast=(0.0, 0.0),
         )
     # the host's points cycle over the partners; "at_pred" puts a point
@@ -692,9 +692,10 @@ def test_table_residual_equals_the_per_point_loop_bit_for_bit(
     for m, (dist, hold_self) in enumerate(points):
         k = m % len(partners)
         s_self = s_first if dist == "at_pred" else s_host + dist
-        cps.append(CpRef(1 + k, s_self, partners[k][2] + partners[k][3], True, hold_self, partners[k][4]))
+        s_other = partners[k][2] + partners[k][3]
+        cps.append(CpRef(s_self, 1 + k, s_other, *host_route.point_at(s_self), hold_self, partners[k][4]))
     host = PlayerView(
-        route=host_route, state=host_state, s=s_host, kappa=0.0, p=1.0, a_prev=a_prev, delta_prev=0.0,
+        route=host_route, state=host_state, kappa=0.0, p=1.0, a_prev=a_prev, delta_prev=0.0,
         player=True, coast=(0.0, 0.0), lv=lv, lv_gated=lv is not None, cps=tuple(cps),
     )
     views = [host, *partner_views] + ([lead_view] if leader is not None else [])

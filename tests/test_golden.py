@@ -1,7 +1,7 @@
 """Golden outputs: every run of the identity matrix (`jobs()` of
 `scripts/identity_matrix.py`) reproduces its recorded digest, and every
-shipped scenario, run in its configured mode, reproduces the committed
-runs/ files byte for byte.
+shipped scenario, run in the fuzzy mode, reproduces the committed runs/
+files byte for byte.
 
 timing.json holds wall times and is the one emitted file left out.
 """

@@ -12,6 +12,7 @@ import pytest
 import intersection_game
 from intersection_game import runner
 from intersection_game.dynamics import DT, VehicleState
+from intersection_game.game import CpRef
 from intersection_game.network import OV_EXIT_MARGIN, classify_zone_role, route_for
 from intersection_game.risk import build_field
 from intersection_game.runner import (
@@ -276,10 +277,41 @@ def test_build_views_gates_strictly_above_the_threshold(tmp_path, monkeypatch):
         level = fields[near].value(cross.x, cross.y)
         assert level > 0.0 == fields[1 - near].value(cross.x, cross.y)
 
-        def gated(threshold, risk_gating=True):
-            cps = views_gated_at(monkeypatch, threshold, sc, s, risk_gating)[0].cps
-            return next(c.gated for c in cps if c.s_self == cross.s_a)
+        def priced(threshold, risk_gating=True):
+            cp = views_gated_at(monkeypatch, threshold, sc, s, risk_gating)[0].cost_cp
+            return cp is not None and cp.s_self == cross.s_a
 
-        assert not gated(level)
-        assert gated(math.nextafter(level, 0.0))
-        assert gated(level, risk_gating=False)
+        assert not priced(level)
+        assert priced(math.nextafter(level, 0.0))
+        assert priced(level, risk_gating=False)
+
+
+def test_build_views_prices_the_point_whose_partner_arrives_first(tmp_path, monkeypatch):
+    # the host meets V3 at its nearer point and V2 at its farther one; V3
+    # is far from its point, V2 close to its own, both at 5 m/s
+    sc = scenario_of(
+        tmp_path, ("M1", "straight", "outer"), ("M2", "straight", "outer"), ("M4", "straight", "outer")
+    )
+    near, far = crossing_index(sc, pair_conflicts(sc))[0]
+    assert near.s_self < far.s_self and (near.partner, far.partner) == (2, 1)
+    s = [20.0, far.s_other - 4.0, near.s_other - 36.0]
+    host = views_at(sc, s, risk_gating=False)[0]
+    assert host.cps == (near, far)
+    assert host.cost_cp == far and host.cost_cp is host.cps[1]
+    # with no point gated on, the cost prices none
+    assert views_gated_at(monkeypatch, math.inf, sc, s)[0].cost_cp is None
+
+
+def test_crossing_records_are_built_once_per_run(monkeypatch):
+    sc = load_scenario(SCENARIOS / "case3.cfg")
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return CpRef(*args)
+
+    monkeypatch.setattr(runner, "CpRef", counted)
+    res = run(sc)
+    points = sum(c.kind != "following" for cps in pair_conflicts(sc).values() for c in cps)
+    assert points > 0 and len(res.steps) > 1
+    assert len(built) == 2 * points
