@@ -391,20 +391,18 @@ class _StepSolver:
         self.evals = 0
         self.lateral_evals = 0
         self.sweeps = 0
-        # who else's loss moves when vehicle i moves
+        # who else's loss moves when vehicle i moves, and the players whose
+        # leader is vehicle i
         self.dependents: list[list[int]] = [[] for _ in range(self.n)]
+        self.followers: list[list[int]] = [[] for _ in range(self.n)]
         for j in self.players:
             vj = views[j]
             if vj.lv is not None:
                 self.dependents[vj.lv].append(j)
+                self.followers[vj.lv].append(j)
             cj = vj.cost_cp
             if cj is not None and cj.partner != vj.lv:
                 self.dependents[cj.partner].append(j)
-        # players whose leader is vehicle i
-        self.followers: list[list[int]] = [[] for _ in range(self.n)]
-        for j in self.players:
-            if views[j].lv is not None:
-                self.followers[views[j].lv].append(j)
         self._cand: list[dict[tuple[float, float], tuple]] = [{} for _ in range(self.n)]
         self._beta: dict[float, float] = {}  # steer -> sideslip
         self._reach_rows: list[dict[tuple[float, float], list[float]]] = [{} for _ in range(self.n)]

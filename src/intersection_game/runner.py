@@ -30,10 +30,7 @@ _PASS_MARGIN = 2.0  # m past a crossing point before the conflict is considered 
 class VehicleRow:
     """One vehicle at one step, as recorded before integration."""
 
-    x: float
-    y: float
-    phi: float
-    v: float
+    state: VehicleState
     a: float
     delta: float
     jerk: float
@@ -141,8 +138,7 @@ def build_views(
     scenario: Scenario,
     states: list[VehicleState],
     s_now: list[float],
-    a_prev: list[float],
-    d_prev: list[float],
+    controls: list[tuple[float, float]],
     roles: list[ZoneRole],
     p0: list[float],
     index: list[list[CpRef]],
@@ -155,26 +151,29 @@ def build_views(
     vehicle's field does, and everything is without `risk_gating`.  Only a
     gated point can be priced.
 
-    `index` comes from crossing_index; `roles`, `p0` and the per-vehicle
-    lists are index-aligned with the scenario's vehicles.  A vehicle that
-    has cleared the zone (OV) is no player and sees nothing.
+    `controls` holds each vehicle's previous (acceleration, steer), the
+    one its field is built on and its slew bound starts from; `index`
+    comes from crossing_index; `roles`, `p0` and the per-vehicle lists are
+    index-aligned with the scenario's vehicles.  A vehicle that has
+    cleared the zone (OV) is no player and sees nothing.
     """
     routes = scenario.routes
     n = len(scenario.vehicles)
-    fields = [build_field(states[i], d_prev[i], scenario.vehicles[i].kappa) for i in range(n)]
+    fields = [build_field(states[i], controls[i][1], scenario.vehicles[i].kappa) for i in range(n)]
 
     views: list[PlayerView] = []
     for i in range(n):
+        a_prev, d_prev = controls[i]
         coast = (
-            _coast_accel(a_prev[i]),
+            _coast_accel(a_prev),
             tracking_delta(routes[i], s_now[i], states[i].v_x),
         )
         common = dict(
             route=routes[i],
             state=states[i],
             kappa=scenario.vehicles[i].kappa,
-            a_prev=a_prev[i],
-            delta_prev=d_prev[i],
+            a_prev=a_prev,
+            delta_prev=d_prev,
             coast=coast,
         )
         if roles[i] is ZoneRole.OV:
@@ -197,7 +196,9 @@ def build_views(
         # cost prices the gated one whose partner arrives soonest at the
         # step-start states.  Picking by own distance instead would anchor
         # the risk term to a conflict already being won while the one
-        # actually being yielded to goes unpriced.
+        # actually being yielded to goes unpriced.  A point whose key
+        # cannot beat the best gated one so far could not be priced, so
+        # its gate is not evaluated.
         cps = []
         cost_cp = best = None
         for c in index[i]:
@@ -205,10 +206,11 @@ def build_views(
             if s_now[i] >= c.s_self + _PASS_MARGIN or s_now[j] >= c.s_other + _PASS_MARGIN:
                 continue
             cps.append(c)
-            if not risk_gating or fields[i].value(c.x, c.y) > THRESHOLD or fields[j].value(c.x, c.y) > THRESHOLD:
-                key = (arrival_time(c.s_other - s_now[j], states[j].v_x), c.s_self, j)
-                if best is None or key < best:
-                    best, cost_cp = key, c
+            key = (arrival_time(c.s_other - s_now[j], states[j].v_x), c.s_self, j)
+            if (best is None or key < best) and (
+                not risk_gating or fields[i].value(c.x, c.y) > THRESHOLD or fields[j].value(c.x, c.y) > THRESHOLD
+            ):
+                best, cost_cp = key, c
         views.append(
             PlayerView(p=p0[i], player=True, lv=lv, lv_gated=lv_gated, cps=tuple(cps), cost_cp=cost_cp, **common)
         )
@@ -245,8 +247,7 @@ def run(
     conflicts = pair_conflicts(scenario)
     index = crossing_index(scenario, conflicts)
     states, s_now = initial_states(scenario)
-    a_prev = [0.0] * n
-    d_prev = [0.0] * n
+    controls = [(0.0, 0.0)] * n  # each vehicle's previous (a, delta)
 
     if mode == "noncoop":
         p0 = [0.0] * n
@@ -266,7 +267,7 @@ def run(
         if all(r is ZoneRole.OV for r in roles):
             break
 
-        views = build_views(scenario, states, s_now, a_prev, d_prev, roles, p0, index, risk_gating)
+        views = build_views(scenario, states, s_now, controls, roles, p0, index, risk_gating)
 
         t0 = time.perf_counter()
         sol: StepSolution = solve_step(views, allow_reset=allow_reset)
@@ -277,13 +278,10 @@ def run(
             a, d = sol.controls[i]
             step_rows.append(
                 VehicleRow(
-                    x=states[i].x,
-                    y=states[i].y,
-                    phi=states[i].phi,
-                    v=states[i].v_x,
+                    state=states[i],
                     a=a,
                     delta=d,
-                    jerk=(a - a_prev[i]) / DT,
+                    jerk=(a - controls[i][0]) / DT,
                     role=roles[i].name,
                     s=s_now[i],
                     lv=views[i].lv,
@@ -295,6 +293,8 @@ def run(
                     reset=sol.reset[i],
                 )
             )
+            states[i] = integrate(states[i], ControlInput(a, d))
+            s_now[i] = routes[i].project(states[i].x, states[i].y)[0]
         rows.append(step_rows)
         steps.append(
             StepRow(
@@ -312,13 +312,7 @@ def run(
                 solve_time=solve_time,
             )
         )
-
-        for i in range(n):
-            a, d = sol.controls[i]
-            states[i] = integrate(states[i], ControlInput(a, d))
-            s_now[i] = routes[i].project(states[i].x, states[i].y)[0]
-            a_prev[i] = a
-            d_prev[i] = d
+        controls = sol.controls
 
     return SimResult(
         scenario=scenario,
@@ -356,7 +350,7 @@ def metrics(result: SimResult) -> dict:
             r = step_rows[i]
             if r.role == "OV":
                 continue
-            vs.append(r.v)
+            vs.append(r.state.v_x)
             accs.append(r.a)
             jerks.append(r.jerk)
         pooled_v.extend(vs)
@@ -378,7 +372,8 @@ def metrics(result: SimResult) -> dict:
             ri, rj = step_rows[i], step_rows[j]
             if ri.role == "OV" or rj.role == "OV":
                 continue
-            dist = math.hypot(rj.x - ri.x, rj.y - ri.y)
+            si, sj = ri.state, rj.state
+            dist = math.hypot(sj.x - si.x, sj.y - si.y)
             min_dist = min(min_dist, dist)
             # crossing/merging points not yet reached by either vehicle:
             # record the later arriver's time to the point.  The pair
@@ -391,14 +386,14 @@ def metrics(result: SimResult) -> dict:
                 if c.kind == "following":
                     continue
                 if ri.s < c.s_a and rj.s < c.s_b:
-                    later_t = max(arrival_time(c.s_a - ri.s, ri.v), arrival_time(c.s_b - rj.s, rj.v))
+                    later_t = max(arrival_time(c.s_a - ri.s, si.v_x), arrival_time(c.s_b - rj.s, sj.v_x))
                     if math.isfinite(later_t):
                         min_ttc = min(min_ttc, later_t)
             # closing time only under an actual leader-follower relation
             if ri.lv == j or rj.lv == i:
-                vi = velocity_vector(VehicleState(ri.v, ri.phi, ri.x, ri.y), ri.delta)
-                vj = velocity_vector(VehicleState(rj.v, rj.phi, rj.x, rj.y), rj.delta)
-                min_ttc = min(min_ttc, closing_ttc(ri.x, ri.y, vi[0], vi[1], rj.x, rj.y, vj[0], vj[1]))
+                vi = velocity_vector(si, ri.delta)
+                vj = velocity_vector(sj, rj.delta)
+                min_ttc = min(min_ttc, closing_ttc(si.x, si.y, vi[0], vi[1], sj.x, sj.y, vj[0], vj[1]))
         pairs[f"{names[i]}-{names[j]}"] = {
             "kinds": sorted({c.kind for c in cps}),
             "min_distance": None if math.isinf(min_dist) else min_dist,
@@ -491,9 +486,9 @@ def emit(result: SimResult, out_dir: str | Path, field_raster: bool = False) -> 
     lines = [TRACE_COLUMNS]
     for step, step_rows in zip(result.steps, result.rows):
         for name, r in zip(result.names, step_rows):
-            t = r.terms
+            t, st = r.terms, r.state
             lines.append(_row((
-                step.t, name, r.x, r.y, r.phi, r.v, r.a, r.delta, r.jerk, r.role,
+                step.t, name, st.x, st.y, st.phi, st.v_x, r.a, r.delta, r.jerk, r.role,
                 r.s, result.names[r.lv] if r.lv is not None else None,
                 t.omega_log if t else 0.0, t.omega_lat if t else 0.0, r.p,
                 t.v_log if t else None, t.v_lat if t else None,
@@ -514,7 +509,7 @@ def emit(result: SimResult, out_dir: str | Path, field_raster: bool = False) -> 
     s0 = [result.rows[0][i].s for i in range(n)] if result.rows else []
     for fname, getter in (
         ("series_path_length.csv", lambda r, i: r.s - s0[i]),
-        ("series_velocity.csv", lambda r, i: r.v),
+        ("series_velocity.csv", lambda r, i: r.state.v_x),
     ):
         lines = [_row(["time", *result.names])]
         for step, step_rows in zip(result.steps, result.rows):

@@ -16,18 +16,17 @@ from intersection_game.scenario import load_scenario
 
 @pytest.fixture(scope="session")
 def simulate(tmp_path_factory):
-    """`simulate(text, mode=None, risk_gating=True)`: the run of scenario
-    `text`, cached by (text, mode, gating), a mode of None standing for
-    fuzzy, as it does for `run`.  A text without a `name` runs under the name
-    `scenario`, as `scripts/identity_matrix.py` runs it.  Treat the result
-    as read-only: other tests read it too."""
+    """`simulate(text, mode="fuzzy", risk_gating=True)`: the run of
+    scenario `text`, cached by (text, mode, gating).  A text without a
+    `name` runs under the name `scenario`, as `scripts/identity_matrix.py`
+    runs it.  Treat the result as read-only: other tests read it too."""
     cfg = tmp_path_factory.mktemp("simulate") / "scenario.cfg"
     runs = {}
 
-    def simulate(text, mode=None, risk_gating=True):
+    def simulate(text, mode="fuzzy", risk_gating=True):
         cfg.write_text(text, encoding="utf-8")
         sc = load_scenario(cfg)
-        key = (text, "fuzzy" if mode is None else mode, risk_gating)
+        key = (text, mode, risk_gating)
         if key not in runs:
             runs[key] = run(sc, mode=mode, risk_gating=risk_gating)
         return runs[key]

@@ -416,7 +416,7 @@ def test_criterion_8_single_vehicle_saturates_the_speed_limit(capsys, simulate):
         v_max = m["vehicles"]["V1"]["v_max"]
         assert v_max <= 8.0 + 1e-9, f"speed limit broken: {v_max}"
         assert v_max >= 8.0 - 0.01, f"never saturated: {v_max}"
-        tail = [sr[0].v for sr in res.rows[-10:]]
+        tail = [sr[0].state.v_x for sr in res.rows[-10:]]
         assert all(v >= 8.0 - 0.01 for v in tail), tail
         assert m["max_constraint_residual"] <= 1e-6
         assert m["rationality"]["emergencies"] == 0
@@ -425,11 +425,10 @@ def test_criterion_8_single_vehicle_saturates_the_speed_limit(capsys, simulate):
         k = 10
         row, prev = res.rows[k][0], res.rows[k - 1][0]
         route = sc.routes[0]
-        state = VehicleState(row.v, row.phi, row.x, row.y)
         k_s, k_e = balance_weights(0.0)
 
         def cost_of(a, d):
-            pred = step(state, ControlInput(a, d))
+            pred = step(row.state, ControlInput(a, d))
             s_pred, dy, heading = route.project(pred.x, pred.y)
             dphi = wrap_angle(pred.phi + sideslip(d) - heading)
             if max(bound_residuals(a, d, prev.a, pred.v_x, dy, dphi)) > 1e-9:

@@ -478,6 +478,15 @@ def test_infeasible_search_ranks_by_exact_residuals():
     assert key[1] == solver._constraint_residual(0, a, pred, s_pred, slack, TTC_GUARD, table)
 
 
+def test_rationality_without_a_feasible_lone_move_compares_nothing():
+    """The blocked host pools at p = 1, but its lone search finds no
+    feasible control: it counts as rational, with no lone loss recorded."""
+    solver = _StepSolver(_blocked_views(), True)
+    assert solver.p[0] == 1.0
+    assert solver._best_response(0, 0.0)[2][0] == 1.0
+    assert solver._rationality() == ([True, True], [0.0, 0.0])
+
+
 def test_solve_step_deterministic():
     first = solve_step(_crossing_views())
     second = solve_step(_crossing_views())

@@ -14,7 +14,7 @@ from intersection_game import runner
 from intersection_game.dynamics import DT, VehicleState
 from intersection_game.game import CpRef
 from intersection_game.network import OV_EXIT_MARGIN, classify_zone_role, route_for
-from intersection_game.risk import build_field
+from intersection_game.risk import GaussianField, build_field
 from intersection_game.runner import (
     _PASS_MARGIN,
     STEP_COLUMNS,
@@ -81,11 +81,11 @@ def test_constraints_hold_throughout(simulate):
 def test_metrics_agree_with_raw_rows(simulate):
     res = simulate(CASE1_A)
     m = metrics(res)
-    pooled = [r.v for sr in res.rows for r in sr if r.role != "OV"]
+    pooled = [r.state.v_x for sr in res.rows for r in sr if r.role != "OV"]
     want = math.sqrt(sum(v * v for v in pooled) / len(pooled))
     assert m["system_velocity_rms"] == pytest.approx(want, abs=1e-12)
     d01 = min(
-        math.hypot(sr[1].x - sr[0].x, sr[1].y - sr[0].y)
+        math.hypot(sr[1].state.x - sr[0].state.x, sr[1].state.y - sr[0].state.y)
         for sr in res.rows
         if sr[0].role != "OV" and sr[1].role != "OV"
     )
@@ -208,7 +208,7 @@ def views_at(sc, s, risk_gating=True):
     n = len(s)
     roles = [classify_zone_role(r, si) for r, si in zip(sc.routes, s)]
     return build_views(
-        sc, place(sc, s), list(s), [0.0] * n, [0.0] * n, roles, [1.0] * n,
+        sc, place(sc, s), list(s), [(0.0, 0.0)] * n, roles, [1.0] * n,
         crossing_index(sc, pair_conflicts(sc)), risk_gating,
     )
 
@@ -300,6 +300,35 @@ def test_build_views_prices_the_point_whose_partner_arrives_first(tmp_path, monk
     assert host.cost_cp == far and host.cost_cp is host.cps[1]
     # with no point gated on, the cost prices none
     assert views_gated_at(monkeypatch, math.inf, sc, s)[0].cost_cp is None
+
+
+def test_build_views_evaluates_a_gate_only_where_the_point_could_be_priced(tmp_path, monkeypatch):
+    # as above, but V3 is now 4 m from the host's nearer point and V2 30 m
+    # from its farther one: once the nearer point is gated, the farther
+    # one cannot be priced, and the host's field is never read there
+    sc = scenario_of(
+        tmp_path, ("M1", "straight", "outer"), ("M2", "straight", "outer"), ("M4", "straight", "outer")
+    )
+    near, far = crossing_index(sc, pair_conflicts(sc))[0]
+    s = [20.0, far.s_other - 30.0, near.s_other - 4.0]
+    fields, reads = [], []
+    real_build, real_value = runner.build_field, GaussianField.value
+
+    def build(*args):
+        fields.append(real_build(*args))
+        return fields[-1]
+
+    def value(field, x, y):
+        reads.append((next(k for k, f in enumerate(fields) if f is field), x, y))
+        return real_value(field, x, y)
+
+    monkeypatch.setattr(runner, "build_field", build)
+    monkeypatch.setattr(GaussianField, "value", value)
+    # below every field level, each gate is decided by the viewer's own field
+    host = views_gated_at(monkeypatch, -1.0, sc, s)[0]
+    assert host.lv is None and host.cps == (near, far) and host.cost_cp == near
+    assert [(x, y) for k, x, y in reads if k == 0] == [(near.x, near.y)]
+    assert len(reads) == 3  # one gate read by each vehicle
 
 
 def test_crossing_records_are_built_once_per_run(monkeypatch):
