@@ -6,12 +6,17 @@ For each workload, `perfbench/run.py` runs twice in this checkout, at seed
 1 for the benchmark's `run_seconds`: once with `--trace 0` for the
 end-to-end medians and once with `--trace 1` for the traced work
 counters.  Then one in-process run of the workload under cProfile gives
-`python_calls`: the total Python function calls over `runner.run` of
-every scenario of the workload, a count of interpreter work that does
-not depend on the machine or on the hash seed.  It sums cProfile's raw
-per-function call counts: `pstats` would merge functions that share a
-file, line and name (every dataclass `__init__` is `<string>:2`), and
-its total then depends on the order the package was imported in.
+two counts of interpreter work that depend neither on the machine nor on
+the hash seed, over `runner.run` of every scenario of the workload:
+
+- `python_calls`, the total Python function calls;
+- `element_projections`, the calls of `geometry.Segment.project` and
+  `geometry.Arc.project`: the route elements the projections visit.
+
+Both sum cProfile's raw per-function call counts: `pstats` would merge
+functions that share a file, line and name (every dataclass `__init__`
+is `<string>:2`), and its total then depends on the order the package
+was imported in.
 
 The record goes under `--label` in the JSON file at `--out`, and labels
 already in that file are kept.  So one file can hold a parent and a change,
@@ -64,18 +69,26 @@ def run_benchmark(workload: str, seed: int, seconds: float, trace: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def python_calls(workload: str, seed: int) -> int:
-    """cProfile's exact total call count over `runner.run` of every scenario."""
+def profiled_calls(workload: str, seed: int) -> dict[str, int]:
+    """cProfile's exact `python_calls` and `element_projections` over
+    `runner.run` of every scenario."""
     _perfbench_module("dense")
     bench_pass = _perfbench_module("bench_pass")
     work = ROOT / ".bench_build" / "bench" / f"{workload}-seed{seed}"
     runner, _, loaded = bench_pass.setup(workload, seed, str(work))
+    from intersection_game.geometry import Arc, Segment
+
     prof = cProfile.Profile()
     prof.enable()
     for sc, mode in loaded:
         runner.run(sc, mode=mode)
     prof.disable()
-    return sum(e.callcount for e in prof.getstats())
+    stats = prof.getstats()
+    projections = {Segment.project.__code__, Arc.project.__code__}
+    return {
+        "python_calls": sum(e.callcount for e in stats),
+        "element_projections": sum(e.callcount for e in stats if e.code in projections),
+    }
 
 
 def _git(*args: str) -> str | None:
@@ -105,7 +118,7 @@ def measure() -> dict:
             "failed": plain["failed"] + traced["failed"],
             "end_to_end": {name: m["value"] for name, m in plain["metrics"].items()},
             "counters": {name: traced["metrics"][name]["value"] for name in COUNTERS},
-            "python_calls": python_calls(workload, SEED),
+            **profiled_calls(workload, SEED),
         }
         print(workload, json.dumps(record["workloads"][workload]), flush=True)
     return record

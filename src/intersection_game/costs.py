@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .dynamics import VehicleState
 from .geometry import wrap_angle
-from .network import Route
+from .network import Route, Window
 
 XI = 0.01  # regularizer keeping the crossing term finite at equal arrival times
 HEADING_WEIGHT = 80.0
@@ -60,14 +60,17 @@ def crossing_risk(d_host: float, v_host: float, d_other: float, v_other: float) 
     return 1.0 / ((t_host - t_other) ** 2 + XI)
 
 
-def lane_errors(route: Route, state: VehicleState, beta: float) -> tuple[float, float, float]:
+def lane_errors(
+    route: Route, state: VehicleState, beta: float, near: Window | None = None
+) -> tuple[float, float, float]:
     """(arc length, lateral offset, course error) of the body frame against
     the route, for a vehicle moving at sideslip beta.
 
     The course error compares the direction of motion, yaw plus sideslip,
     with the local route tangent, so steady cornering carries no error.
+    `near` is passed to `Route.project`, which it never changes the result of.
     """
-    s, dy, heading = route.project(state.x, state.y)
+    s, dy, heading = route.project(state.x, state.y, near)
     return s, dy, wrap_angle(state.phi + beta - heading)
 
 

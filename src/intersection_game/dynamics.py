@@ -8,7 +8,7 @@ angle, both held constant over one control period `DT` (one RK4 step).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import wrap_angle
 
@@ -19,16 +19,16 @@ WHEELBASE = L_F + L_R
 DT = 0.1  # s, the control period: one RK4 step per decision
 
 
-@dataclass(frozen=True)
-class VehicleState:
+# immutable records without a per-instance dict: the solver builds one
+# state and one control per candidate it predicts
+class VehicleState(NamedTuple):
     v_x: float
     phi: float
     x: float
     y: float
 
 
-@dataclass(frozen=True)
-class ControlInput:
+class ControlInput(NamedTuple):
     a_x: float
     delta_f: float
 

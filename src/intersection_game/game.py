@@ -37,7 +37,7 @@ from .dynamics import (
     step as integrate,
     step_speed,
 )
-from .network import Route
+from .network import Route, Window
 
 GRAVITY = 9.81
 GAP_FLOOR = 0.01  # clamp for degenerate gaps during candidate evaluation
@@ -159,6 +159,16 @@ def tracking_delta(route: Route, s: float, v: float) -> float:
     """Feedforward steering for the route curvature just ahead, clipped."""
     rho = route.curvature_at(s + max(v, 0.0) * DT)
     return min(max(math.atan(rho * WHEELBASE), -STEER_BOX), STEER_BOX)
+
+
+def _step_reach(v0: float) -> float:
+    """Farthest one RK4 step from speed v0 can move a vehicle under any
+    control within |a| <= a_max and the steering box: every stage speed is
+    at most max(v0, 0) + DT * a_max and moves the CoG at that over
+    cos(beta), with |beta| <= BETA_MAX.  The width of a solver window: a
+    prediction that lands farther away costs a full projection, nothing
+    more."""
+    return DT * (max(v0, 0.0) + DT * LIMITS.a_max) / math.cos(BETA_MAX)
 
 
 def _ramp_peak_speed(v_next: float, a: float) -> float:
@@ -317,6 +327,13 @@ class _StepSolver:
     - that arc length, for any candidate (a, d) of j's leader, is
       projected once per step (`_leader_arc[j]`): `_refresh_pred` and the
       coupling term of the leader's rankings both read it there;
+    - each player's route elements that its candidates can project onto
+      are found once per step (`_near[i]`, a `Route.near` window around
+      its start point, `_step_reach` wide), and so are those of each
+      follower's route that its leader's candidates can (`_lead_near[j]`,
+      around the leader's start point).  `Route.project` then visits only
+      those, or every element for a prediction that lands outside the
+      window's reach, and returns what the full search would;
     - `_reach_row(i, a, v_pred, guard)` holds, per crossing point of i,
       the standoff `brake_reach` asks of i under acceleration a (a alone
       sets i's predicted speed v_pred).  The points, in order, and their
@@ -395,11 +412,19 @@ class _StepSolver:
         # leader is vehicle i
         self.dependents: list[list[int]] = [[] for _ in range(self.n)]
         self.followers: list[list[int]] = [[] for _ in range(self.n)]
+        # the route elements a player's candidates, and a follower's
+        # leader's candidates, can project onto this step
+        self._near: list[Window | None] = [None] * self.n
+        self._lead_near: list[Window | None] = [None] * self.n
         for j in self.players:
             vj = views[j]
+            st = vj.state
+            self._near[j] = vj.route.near(st.x, st.y, _step_reach(st.v_x))
             if vj.lv is not None:
                 self.dependents[vj.lv].append(j)
                 self.followers[vj.lv].append(j)
+                st = views[vj.lv].state
+                self._lead_near[j] = vj.route.near(st.x, st.y, _step_reach(st.v_x))
             cj = vj.cost_cp
             if cj is not None and cj.partner != vj.lv:
                 self.dependents[cj.partner].append(j)
@@ -437,7 +462,7 @@ class _StepSolver:
             beta = self._beta.get(d)
             if beta is None:
                 beta = self._beta[d] = sideslip(d)
-            s_pred, dy, dphi = lane_errors(view.route, pred, beta)
+            s_pred, dy, dphi = lane_errors(view.route, pred, beta, self._near[i])
             slack = max(bound_residuals(a, d, view.a_prev, pred.v_x, dy, dphi))
             c = memo[(a, d)] = (pred, s_pred, dy, dphi, slack)
         return c
@@ -457,7 +482,7 @@ class _StepSolver:
         memo = self._leader_arc[j]
         s = memo.get((a, d))
         if s is None:
-            s = memo[(a, d)] = self.views[j].route.project(pred.x, pred.y)[0]
+            s = memo[(a, d)] = self.views[j].route.project(pred.x, pred.y, self._lead_near[j])[0]
         return s
 
     # -- cost pieces ------------------------------------------------------

@@ -11,8 +11,10 @@ segments and circular arcs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .geometry import (
     Arc,
@@ -42,11 +44,24 @@ LEFT_TURN_RADIUS = CZ_HALF_WIDTH + LANE_OFFSET_INNER  # tangent to the entry lan
 OV_EXIT_MARGIN = 5.0
 
 _DEDUP_TOL = 1e-6
+# margin a `Route.near` window adds past 2 * reach, relative to the size
+# of the coordinates and distances involved: ~1e7 units in the last place
+_WINDOW_SLACK = 1e-9
 
 # a vehicle drives the host's lane when it is this close to the centerline (m)
 # and within this angle of the lane's heading
 _LEAD_LATERAL_TOL = 1.5
 _LEAD_HEADING_TOL = math.pi / 3.0
+
+
+class Window(NamedTuple):
+    """Elements of a route that `Route.near` keeps for points within
+    `reach` of (x, y); `reach_sq` is that reach squared."""
+
+    x: float
+    y: float
+    reach_sq: float
+    elements: tuple[int, ...]
 
 
 class ZoneRole(Enum):
@@ -82,17 +97,49 @@ class Route:
         i, ds = self._locate(s)
         return self.elements[i].curvature_at(ds)
 
-    def project(self, x: float, y: float) -> tuple[float, float, float]:
+    def near(self, x: float, y: float, reach: float) -> Window:
+        """The elements that can hold the closest route point of any point
+        within `reach` of (x, y), for `project`'s `near`.
+
+        The distance to an element is 1-Lipschitz in the query point.  An
+        element e whose distance from P = (x, y) exceeds the least one by
+        more than 2 * reach is farther, from every point Q within reach of
+        P, than the element nearest P: Q is more than reach from e and at
+        most that from the other.  So e is neither the nearest element
+        from Q nor tied with it, and dropping it changes no projection from
+        such a Q.  The margin is widened past the rounding of the computed
+        distances by `_WINDOW_SLACK` times a bound on the magnitudes they
+        are computed from.  The kept elements stay in route order.
+        """
+        if not reach >= 0.0:
+            raise ValueError(f"reach must be a nonnegative number: {reach}")
+        dists = [el.project(x, y)[1] for el in self.elements]
+        scale = abs(x) + abs(y) + reach + max(dists) + self.total_length
+        cut = min(dists) + 2.0 * reach + _WINDOW_SLACK * scale
+        return Window(x, y, reach * reach, tuple(i for i, d in enumerate(dists) if d <= cut))
+
+    def project(self, x: float, y: float, near: Window | None = None) -> tuple[float, float, float]:
         """(s, lateral distance, heading) of the closest point on the route.
 
-        The heading is the tangent of the element `_locate` picks at s: at
-        a joint between two elements, the later one.
+        The closest point is the least (distance, s) over the elements;
+        `near`, a window from `near`, limits the search to its elements
+        when (x, y) lies within its reach and changes nothing otherwise:
+        a farther point falls back to every element.  Either way the
+        result is bit for bit that of the full search.  The heading is the
+        tangent of the element `_locate` picks at s: at a joint between
+        two elements, the later one.
         """
+        elements = self.elements
         cum_s = self.cum_s
+        search: Sequence[int] | None = None
+        if near is not None:
+            dx, dy = x - near.x, y - near.y
+            if dx * dx + dy * dy <= near.reach_sq:
+                search = near.elements
         best: tuple[float, float] | None = None
         k = 0
-        for i, el in enumerate(self.elements):
-            s_loc, dist = el.project(x, y)
+        for i in range(len(elements)) if search is None else search:
+            s_loc, dist = elements[i].project(x, y)
             cand = (dist, cum_s[i] + s_loc)
             if best is None or cand < best:
                 best, k = cand, i
@@ -101,7 +148,7 @@ class Route:
         last = len(cum_s) - 1
         while k < last and s >= cum_s[k + 1]:
             k += 1
-        return s, dist, self.elements[k].tangent_at(s - cum_s[k])
+        return s, dist, elements[k].tangent_at(s - cum_s[k])
 
 
 @dataclass(frozen=True)

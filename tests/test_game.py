@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from intersection_game import game, runner
+from intersection_game import game, geometry, runner
 from intersection_game.costs import STOPPED, arrival_time, balance_weights, blended_loss, efficiency, lane_keeping
 from intersection_game.dynamics import (
     WHEELBASE,
@@ -529,6 +529,55 @@ def test_step_solver_predicts_each_candidate_once_per_step(monkeypatch):
     # 21,921 before a search with a feasible control skipped the RK4 of
     # candidates whose speed ramp rules them out; 17,769 since
     assert calls[0] <= 17_769
+
+
+def test_step_solver_windows_change_no_projection_and_mostly_visit_one_element(monkeypatch):
+    """On case3, every projection the solver makes through an element
+    window equals the one over every element, bit for bit, and at least
+    half of the candidate projections on a multi-element route visit a
+    single element: a window that silently widens fails here."""
+    root = Path(__file__).resolve().parents[1]
+    visits = [0]
+    for cls in (geometry.Segment, geometry.Arc):
+        real_el = cls.project
+
+        def counted(self, x, y, _real=real_el):
+            visits[0] += 1
+            return _real(self, x, y)
+
+        monkeypatch.setattr(cls, "project", counted)
+    real_project = Route.project
+    windowed = [0]
+    last_visits = [0]  # elements the latest projection visited, the check's own excluded
+
+    def checked_project(self, x, y, near=None):
+        before = visits[0]
+        got = real_project(self, x, y, near)
+        last_visits[0] = visits[0] - before
+        if near is not None:
+            windowed[0] += 1
+            full = real_project(self, x, y)
+            assert [v.hex() for v in got] == [v.hex() for v in full], (self.name, x, y, near)
+        return got
+
+    real_lane = game.lane_errors
+    candidate = {1: 0, "many": 0}  # candidate projections on multi-element routes, by elements visited
+
+    def counted_lane(route, state, beta, near=None):
+        got = real_lane(route, state, beta, near)
+        if len(route.elements) > 1:
+            candidate[1 if last_visits[0] == 1 else "many"] += 1
+        return got
+
+    monkeypatch.setattr(Route, "project", checked_project)
+    monkeypatch.setattr(game, "lane_errors", counted_lane)
+    runner.run(load_scenario(root / "scenarios" / "case3.cfg"), mode="fuzzy")
+    assert windowed[0] > 0
+    assert candidate[1] + candidate["many"] > 1000
+    assert candidate[1] >= candidate["many"], candidate
+    # 21,618 of 25,814 at 2 * reach: a window widened even by 1 cm keeps
+    # the arc 83 times more
+    assert candidate[1] >= 21_618, candidate
 
 
 # the 8-vehicle layout of `perfbench/dense.py --seed 1`, cut to 16 steps

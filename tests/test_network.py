@@ -4,7 +4,10 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from intersection_game import geometry
+from intersection_game.game import LIMITS, _step_reach
 from intersection_game.geometry import Arc
 from intersection_game.network import (
     ARM_NAMES,
@@ -141,6 +144,113 @@ def test_project_heading_equals_locate_then_tangent_bit_for_bit(approach_length)
             assert heading == _old_tangent_at(r, s), (r.name, x, y, s)
             checked += 1
     assert checked > 16 * 300
+
+
+def _bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+# the 16 routes at a short, the default and a long approach
+WINDOW_ROUTES = [
+    route_for(approach_length, arm, maneuver, lane)
+    for approach_length in (6.0, APPROACH, 90.0)
+    for arm in ARM_NAMES
+    for lane, maneuver in LANE_MANEUVERS
+]
+
+
+def _anchor(route, at):
+    """A point on `route`: a fraction of its length (beyond [0, 1] is
+    clamped to its ends), or, for an int, an element's start or end point
+    as that element computes it, so the joints appear as both neighbours
+    place them."""
+    if isinstance(at, float):
+        return route.point_at(at * route.total_length)
+    el = route.elements[at // 2 % len(route.elements)]
+    return el.point_at(0.0 if at % 2 == 0 else el.length)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    k=st.integers(0, len(WINDOW_ROUTES) - 1),
+    at=st.one_of(st.floats(-0.05, 1.05), st.integers(0, 5)),
+    lateral=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    reach=st.one_of(st.sampled_from([0.0, _step_reach(0.0), _step_reach(LIMITS.v_max)]), st.floats(0.0, 4.0)),
+    rho=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    theta=st.floats(-math.pi, math.pi),
+    query_at_anchor=st.booleans(),
+)
+@example(k=16, at=2, lateral=0.0, reach=0.5, rho=0.0, theta=0.0, query_at_anchor=True)
+@example(k=16, at=3, lateral=0.0, reach=0.5, rho=1.0, theta=math.pi, query_at_anchor=True)
+@example(k=19, at=2, lateral=0.0, reach=_step_reach(LIMITS.v_max), rho=1.0, theta=0.0, query_at_anchor=False)
+def test_windowed_projection_equals_the_full_one_bit_for_bit(k, at, lateral, reach, rho, theta, query_at_anchor):
+    """A point Q within `reach` of P projects through `route.near(P, reach)`
+    onto the same (s, distance, heading) as through every element: P and
+    Q around all 16 routes at three approach lengths, on the centreline,
+    beside it, past its ends, and exactly at element ends and joints."""
+    r = WINDOW_ROUTES[k]
+    x, y = _anchor(r, at)
+    heading = r.project(x, y)[2]
+    ax, ay = x - lateral * math.sin(heading), y + lateral * math.cos(heading)
+    bx, by = ax + rho * reach * math.cos(theta), ay + rho * reach * math.sin(theta)
+    (px, py), (qx, qy) = ((bx, by), (ax, ay)) if query_at_anchor else ((ax, ay), (bx, by))
+    window = r.near(px, py, reach)
+    assert window.elements == tuple(sorted(set(window.elements)))
+    assert _bits(r.project(qx, qy, window)) == _bits(r.project(qx, qy))
+
+
+def _counting_projections(monkeypatch):
+    """Patch the element projections to count their calls."""
+    calls = [0]
+    for cls in (geometry.Segment, geometry.Arc):
+        real = cls.project
+
+        def counted(self, x, y, _real=real):
+            calls[0] += 1
+            return _real(self, x, y)
+
+        monkeypatch.setattr(cls, "project", counted)
+    return calls
+
+
+def test_near_keeps_only_the_approach_20m_before_a_turn(monkeypatch):
+    """On the approach, 20 m before the turn's arc, the window of a car at
+    the speed limit is the approach segment alone, and a projection
+    through it visits that one element."""
+    reach = _step_reach(LIMITS.v_max)
+    turns = [r for r in ROUTES.values() if len(r.elements) == 3]
+    assert len(turns) == 8
+    calls = _counting_projections(monkeypatch)
+    for r in turns:
+        x, y = r.point_at(r.cum_s[1] - 20.0)
+        window = r.near(x, y, reach)
+        assert window.elements == (0,)
+        qx, qy = x + 0.6 * reach, y - 0.6 * reach
+        calls[0] = 0
+        got = r.project(qx, qy, window)
+        assert calls[0] == 1
+        assert _bits(got) == _bits(r.project(qx, qy))
+
+
+def test_projection_beyond_reach_falls_back_to_every_element(monkeypatch):
+    """A point outside the window's reach is projected onto every element,
+    so it still finds the arc the window dropped."""
+    r = ROUTES["M1-inner-left"]
+    x, y = r.point_at(r.cum_s[1] - 20.0)
+    window = r.near(x, y, 0.5)
+    assert window.elements == (0,)
+    qx, qy = r.point_at(r.cum_s[1] + 5.0)  # on the arc, 25 m away
+    calls = _counting_projections(monkeypatch)
+    s, dist, _ = got = r.project(qx, qy, window)
+    assert calls[0] == len(r.elements)
+    assert _bits(got) == _bits(r.project(qx, qy))
+    assert s == pytest.approx(r.cum_s[1] + 5.0) and dist == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("reach", [-0.1, math.nan])
+def test_near_rejects_a_reach_that_is_not_a_nonnegative_number(reach):
+    with pytest.raises(ValueError, match="reach"):
+        ROUTES["M1-inner-left"].near(0.0, 0.0, reach)
 
 
 def test_route_for_rejects_bad_input():
