@@ -24,6 +24,10 @@ each measured by running this script in its own checkout:
 
     (cd ../parent && python3 scripts/bench.py --out $PWD/BENCH_<n>.json --label parent)
     python3 scripts/bench.py --out BENCH_<n>.json --label change
+
+A parent older than this script gets it copied in, so the record's
+`uncommitted_changes` flag leaves this script out: it is true only when
+some other tracked file differs from the recorded commit.
 """
 
 import argparse
@@ -100,7 +104,7 @@ def _git(*args: str) -> str | None:
 
 def measure() -> dict:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
-    status = _git("status", "--porcelain", "--untracked-files=no")
+    status = _git("status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)scripts/bench.py")
     record = {
         "commit": _git("rev-parse", "HEAD"),
         "uncommitted_changes": None if status is None else bool(status),

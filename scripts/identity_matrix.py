@@ -11,9 +11,10 @@ The matrix is 33 run directories:
   are reset out of the coalition.
 
 `tests/test_golden.py` runs the same `jobs()` and checks each directory's
-`digest` against the table it records.  This script prints each digest
-next to its directory; after an intended behaviour change, that output is
-the new table:
+`digest` against its `SHA256` table.  This script writes the directories
+under `--out` and prints each digest as its line of that table, in job
+order; after an intended behaviour change, its output pasted between the
+table's braces is the new table:
 
     PYTHONPATH=src python3 scripts/identity_matrix.py --out /tmp/matrix
 
@@ -86,7 +87,7 @@ def main(argv=None):
             cfg.write_text(text, encoding="utf-8")
             out = args.out / name
             emit(run(load_scenario(cfg), **kwargs), out, field_raster=raster)
-            print(f"{digest(out)}  {out}")
+            print(f'    "{name}": "{digest(out)}",')
     return 0
 
 

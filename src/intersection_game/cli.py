@@ -64,13 +64,17 @@ def _cmd_run(args) -> int:
     files = emit(result, out, field_raster=args.field_raster)
     rep = metrics(result)
     tim = timing(result)
-    print(f"{scenario.name} [{MODE_LABELS[result.mode]}] "
+    # a t_end under half a control period runs no step
+    evals = sum(s.evals for s in result.steps) / len(result.steps) if result.steps else 0.0
+    gate = "" if gating else ", risk gate off"
+    print(f"{scenario.name} [{MODE_LABELS[result.mode]}{gate}] "
           f"{rep['n_steps']} steps, {rep['duration']:.1f} s simulated")
     print(f"  system velocity RMS {rep['system_velocity_rms']:.3f} m/s, "
           f"max constraint residual {rep['max_constraint_residual']:.2e}")
     print(f"  resets {rep['rationality']['resets']}, "
           f"emergencies {rep['rationality']['emergencies']}, "
-          f"mean solve {tim['mean_solve_time'] * 1e3:.1f} ms")
+          f"mean solve {tim['mean_solve_time'] * 1e3:.1f} ms, "
+          f"{evals:.1f} evals per step")
     for f in files:
         print(f"  wrote {f}")
     return 0

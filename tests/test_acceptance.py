@@ -258,7 +258,9 @@ def test_criterion_5_gating_speeds_up_the_solver(capsys, simulate):
     per step, and fewer lateral risk terms priced.  The two variants drive
     different trajectories, and on case1_A the saving per step is a few
     percent, less than the run-to-run swing of wall time; so the check
-    counts work, and `scripts/gating_timing.py` reports the time ratio."""
+    counts work.  `intersection-game run` prints both the mean solve time
+    and the mean evaluations per step (case1_A 789.9 gated, 815.5 ungated;
+    case3 1518.6 and 1976.0), with and without `--no-risk-gating`."""
     ok = False
     try:
         for name in ("case1_A", "case3"):

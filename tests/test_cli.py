@@ -1,10 +1,12 @@
 """Command line plumbing: exit codes, printed reports, written files."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from intersection_game.cli import main
+from intersection_game.runner import STEP_COLUMNS, TRACE_COLUMNS
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 CASE1 = str(SCENARIOS / "case1_A.cfg")
@@ -165,6 +167,36 @@ def test_run_writes_outputs(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "case1_A [noncooperative baseline]" in text
     assert "wrote" in text
+
+
+def test_run_of_no_step_writes_headers_and_zero_summary(tmp_path, capsys):
+    # a t_end under half a control period loads and runs no step
+    cfg = tmp_path / "case1_A.cfg"
+    cfg.write_text(Path(CASE1).read_text().replace("t_end = 20", "t_end = 0.04"))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "case1_A [fuzzy coalition] 0 steps" in captured.out
+    assert "mean solve 0.0 ms, 0.0 evals per step" in captured.out
+    assert (out / "trace.csv").read_text() == TRACE_COLUMNS + "\n"
+    assert (out / "steps.csv").read_text() == STEP_COLUMNS + "\n"
+    for series in ("series_path_length.csv", "series_velocity.csv"):
+        assert (out / series).read_text() == "time,V1,V2,V3\n"
+    m = json.loads((out / "metrics.json").read_text())
+    assert m["n_steps"] == 0
+    assert m["system_velocity_rms"] == 0.0
+    for stats in m["vehicles"].values():
+        assert set(stats.values()) == {0}
+
+
+def test_run_without_risk_gate_says_so(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", _short_case1(tmp_path), "--no-risk-gating", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "case1_A [fuzzy coalition, risk gate off] 3 steps" in text
+    assert " evals per step" in text
+    assert json.loads((out / "metrics.json").read_text())["risk_gating"] is False
 
 
 def test_compare_rejects_unknown_mode(capsys):

@@ -21,8 +21,8 @@ matrix = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(matrix)
 JOBS = matrix.jobs()
 
-# `digest` of each identity-matrix directory, as scripts/identity_matrix.py
-# prints it; re-record from its output after an intended behaviour change
+# `digest` of each identity-matrix directory; after an intended behaviour
+# change, paste the lines scripts/identity_matrix.py prints in place of these
 SHA256 = {
     "case1_A_fuzzy": "c1c237b63fc67448363d7e8a1096eaf73a0a40aa34e5f7a6661a1e3d72b5ad26",
     "case1_A_noncoop": "436af3288985c0ee9feed32af39b7f0f1ec8cdd699164c9595f818fa3b99e5de",

@@ -94,23 +94,6 @@ def test_metrics_agree_with_raw_rows(simulate):
     assert m["duration"] == pytest.approx(len(res.steps) * 0.1)
 
 
-def _mean_evals(res):
-    return sum(s.evals for s in res.steps) / len(res.steps)
-
-
-def test_gating_cuts_lateral_cost_evaluations(simulate):
-    gated = simulate(CASE1_A)
-    ungated = simulate(CASE1_A, risk_gating=False)
-    assert sum(s.lateral_evals for s in gated.steps) < sum(
-        s.lateral_evals for s in ungated.steps
-    )
-    assert ungated.risk_gating is False
-    # deterministic work per step, the counterpart of criterion 5's count
-    assert _mean_evals(gated) < _mean_evals(ungated)
-    case3 = (SCENARIOS / "case3.cfg").read_text(encoding="utf-8")
-    assert _mean_evals(simulate(case3)) < _mean_evals(simulate(case3, risk_gating=False))
-
-
 def test_forced_participation_reaches_every_row(simulate):
     res = simulate(CASE1_A, mode="noncoop")
     for sr in res.rows:
