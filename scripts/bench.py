@@ -2,21 +2,26 @@
 
     python3 scripts/bench.py --out BENCH_<n>.json --label change
 
-For each workload, `perfbench/run.py` runs twice in this checkout, at seed
-1 for the benchmark's `run_seconds`: once with `--trace 0` for the
-end-to-end medians and once with `--trace 1` for the traced work
-counters.  Then one in-process run of the workload under cProfile gives
-two counts of interpreter work that depend neither on the machine nor on
-the hash seed, over `runner.run` of every scenario of the workload:
+For each workload, `perfbench/run.py` runs once in this checkout with
+`--trace 0`, at seed 1 for the benchmark's `run_seconds`, for the
+end-to-end medians.  One in-process pass of the workload under cProfile
+then gives its counts of work, which depend neither on the machine nor
+on the hash seed:
 
-- `python_calls`, the total Python function calls;
-- `element_projections`, the calls of `geometry.Segment.project` and
-  `geometry.Arc.project`: the route elements the projections visit.
+- `counters`: the solver's `game.evals`, `game.lateral_evals`,
+  `game.sweeps` and `game.resets`, summed from the runs' rows; its RK4
+  steps (`dynamics.step.solver.calls`: `dynamics.step` called from
+  `_StepSolver._candidate`); and the `network.Route.project.calls` of
+  loading the workload and of its runs;
+- `python_calls`, the Python function calls of `runner.run` over every
+  scenario, and `element_projections`, the calls of
+  `geometry.Segment.project` and `geometry.Arc.project` among them: the
+  route elements the projections visit.
 
-Both sum cProfile's raw per-function call counts: `pstats` would merge
-functions that share a file, line and name (every dataclass `__init__`
-is `<string>:2`), and its total then depends on the order the package
-was imported in.
+Call counts sum cProfile's raw per-function entries: `pstats` would
+merge functions that share a file, line and name (every dataclass
+`__init__` is `<string>:2`), and its total then depends on the order the
+package was imported in.
 
 The record goes under `--label` in the JSON file at `--out`, and labels
 already in that file are kept.  So one file can hold a parent and a change,
@@ -41,15 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("shipped", "noncoop", "dense")
 SEED = 1  # jitters only the dense layouts
-COUNTERS = (
-    "game.evals",
-    "game.unique_eval_ratio",
-    "dynamics.step.solver.calls",
-    "network.Route.project.calls",
-    "game.lateral_evals",
-    "game.sweeps",
-    "game.resets",
-)
+ROW_COUNTERS = ("evals", "lateral_evals", "sweeps", "resets")  # of `bench_pass.outcome_counters`
 
 
 def _perfbench_module(name: str):
@@ -63,33 +60,49 @@ def _perfbench_module(name: str):
     return sys.modules[name]
 
 
-def run_benchmark(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The JSON object on the last line of one `perfbench/run.py` run."""
+def run_benchmark(workload: str, seed: int, seconds: float) -> dict:
+    """The JSON object on the last line of one untraced `perfbench/run.py` run."""
     cmd = [
         sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
+        "--seconds", str(seconds), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def profiled_calls(workload: str, seed: int) -> dict[str, int]:
-    """cProfile's exact `python_calls` and `element_projections` over
+def profiled_counts(workload: str, seed: int) -> dict:
+    """The record's `counters`, `python_calls` and `element_projections`,
+    from cProfile's exact call counts over loading the workload and over
     `runner.run` of every scenario."""
     _perfbench_module("dense")
     bench_pass = _perfbench_module("bench_pass")
     work = ROOT / ".bench_build" / "bench" / f"{workload}-seed{seed}"
+    load, prof = cProfile.Profile(), cProfile.Profile()
+    load.enable()
     runner, _, loaded = bench_pass.setup(workload, seed, str(work))
+    load.disable()
+    from intersection_game import dynamics, game
     from intersection_game.geometry import Arc, Segment
+    from intersection_game.network import Route
 
-    prof = cProfile.Profile()
+    results = []
     prof.enable()
     for sc, mode in loaded:
-        runner.run(sc, mode=mode)
+        results += [runner.run(sc, mode=mode)]  # unlike a comprehension or append, no call of its own
     prof.disable()
     stats = prof.getstats()
+    rows = [bench_pass.outcome_counters(result) for result in results]
+    counters = {f"game.{key}": sum(r[key] for r in rows) for key in ROW_COUNTERS}
+    candidate, rk4 = game._StepSolver._candidate.__code__, dynamics.step.__code__
+    counters["dynamics.step.solver.calls"] = sum(
+        sub.callcount for e in stats if e.code is candidate for sub in e.calls if sub.code is rk4
+    )
+    counters["network.Route.project.calls"] = sum(
+        e.callcount for e in (*load.getstats(), *stats) if e.code is Route.project.__code__
+    )
     projections = {Segment.project.__code__, Arc.project.__code__}
     return {
+        "counters": counters,
         "python_calls": sum(e.callcount for e in stats),
         "element_projections": sum(e.callcount for e in stats if e.code in projections),
     }
@@ -115,14 +128,12 @@ def measure() -> dict:
         "workloads": {},
     }
     for workload in WORKLOADS:
-        plain = run_benchmark(workload, SEED, seconds, 0)
-        traced = run_benchmark(workload, SEED, seconds, 1)
+        plain = run_benchmark(workload, SEED, seconds)
         record["workloads"][workload] = {
-            "correct": plain["correct"] and traced["correct"],
-            "failed": plain["failed"] + traced["failed"],
+            "correct": plain["correct"],
+            "failed": plain["failed"],
             "end_to_end": {name: m["value"] for name, m in plain["metrics"].items()},
-            "counters": {name: traced["metrics"][name]["value"] for name in COUNTERS},
-            **profiled_calls(workload, SEED),
+            **profiled_counts(workload, SEED),
         }
         print(workload, json.dumps(record["workloads"][workload]), flush=True)
     return record

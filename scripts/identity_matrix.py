@@ -18,6 +18,11 @@ table's braces is the new table:
 
     PYTHONPATH=src python3 scripts/identity_matrix.py --out /tmp/matrix
 
+`--out` must be a new or empty directory: `digest` hashes every file of
+a run directory but timing.json, so a file left there by an earlier run
+would change the printed digests.  Any other `--out` is refused with
+exit code 2 before any run.
+
 The dense layouts are generated by this checkout's `perfbench/dense.py`.
 """
 
@@ -80,6 +85,9 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, required=True, help="directory to write the run directories into")
     args = ap.parse_args(argv)
+    if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
+        # a file an earlier run left behind would enter a digest
+        ap.error(f"--out {args.out} is not a new or empty directory")
 
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "scenario.cfg"

@@ -11,6 +11,7 @@ segments and circular arcs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -83,11 +84,11 @@ class Route:
     s_cz_exit: float
 
     def _locate(self, s: float) -> tuple[int, float]:
+        """The element holding arc length s, clamped to the route, and the
+        offset into it: at a joint between two elements, the later one."""
         s = min(max(s, 0.0), self.total_length)
-        for i in range(len(self.elements) - 1, 0, -1):
-            if s >= self.cum_s[i]:
-                return i, s - self.cum_s[i]
-        return 0, s
+        i = bisect_right(self.cum_s, s) - 1
+        return i, s - self.cum_s[i]
 
     def point_at(self, s: float) -> tuple[float, float]:
         i, ds = self._locate(s)
@@ -137,17 +138,14 @@ class Route:
             if dx * dx + dy * dy <= near.reach_sq:
                 search = near.elements
         best: tuple[float, float] | None = None
-        k = 0
         for i in range(len(elements)) if search is None else search:
             s_loc, dist = elements[i].project(x, y)
             cand = (dist, cum_s[i] + s_loc)
             if best is None or cand < best:
-                best, k = cand, i
+                best = cand
         assert best is not None
         dist, s = best
-        last = len(cum_s) - 1
-        while k < last and s >= cum_s[k + 1]:
-            k += 1
+        k = bisect_right(cum_s, s) - 1
         return s, dist, elements[k].tangent_at(s - cum_s[k])
 
 
@@ -185,21 +183,19 @@ def _lane_anchor(arm: int, lane: str, inbound: bool) -> tuple[float, tuple[float
     return psi, (edge * ux + off * nx, edge * uy + off * ny)
 
 
-def _boundary_segments() -> tuple[Segment, ...]:
-    h = CZ_HALF_WIDTH
-    corners = [(h, h), (-h, h), (-h, -h), (h, -h)]
-    segs = []
-    for i in range(4):
-        x0, y0 = corners[i]
-        x1, y1 = corners[(i + 1) % 4]
-        segs.append(Segment(x0, y0, math.atan2(y1 - y0, x1 - x0), math.hypot(x1 - x0, y1 - y0)))
-    return tuple(segs)
+# the conflict zone's four edges, corner to corner counter-clockwise
+_ZONE_CORNERS = ((CZ_HALF_WIDTH, CZ_HALF_WIDTH), (-CZ_HALF_WIDTH, CZ_HALF_WIDTH),
+                 (-CZ_HALF_WIDTH, -CZ_HALF_WIDTH), (CZ_HALF_WIDTH, -CZ_HALF_WIDTH))
+_ZONE_EDGES = tuple(
+    Segment(x0, y0, math.atan2(y1 - y0, x1 - x0), math.hypot(x1 - x0, y1 - y0))
+    for (x0, y0), (x1, y1) in zip(_ZONE_CORNERS, _ZONE_CORNERS[1:] + _ZONE_CORNERS[:1])
+)
 
 
 def _zone_crossings(elements: tuple[Element, ...], cum_s: tuple[float, ...]) -> list[float]:
     hits: list[float] = []
     for i, el in enumerate(elements):
-        for bseg in _boundary_segments():
+        for bseg in _ZONE_EDGES:
             for s_el, _ in element_crossings(el, bseg):
                 hits.append(cum_s[i] + s_el)
     hits.sort()

@@ -134,6 +134,11 @@ def test_arc_arc_crossings():
     assert arc_arc_crossings(a, Arc(0.0, 0.0, 3.0, 0.0, math.pi)) == []
     # far apart
     assert arc_arc_crossings(a, Arc(100.0, 0.0, 5.0, 0.0, math.pi)) == []
+    # one circle strictly inside the other, off its centre
+    assert arc_arc_crossings(a, Arc(1.0, 0.5, 2.0, 0.0, 2.0 * math.pi)) == []
+    assert arc_arc_crossings(Arc(1.0, 0.5, 2.0, 0.0, 2.0 * math.pi), a) == []
+    # inside and within 1e-6 m of touching: a graze, not two crossings
+    assert arc_arc_crossings(a, Arc(3.0 + 5e-7, 0.0, 2.0, -math.pi / 2.0, math.pi)) == []
 
 
 def test_element_crossings_swaps_parameters():

@@ -64,6 +64,22 @@ def test_every_identity_run_has_a_recorded_digest():
     assert [name for name, *_ in JOBS] == list(SHA256)
 
 
+def test_matrix_refuses_an_out_that_is_not_a_new_or_empty_directory(tmp_path, capsys):
+    """A file an earlier run left in `--out` would enter that directory's
+    digest, so the script exits 2 before any run and writes nothing; so
+    it does for an `--out` that is a file."""
+    stale = tmp_path / "case1_A_fuzzy" / "extra.csv"
+    stale.parent.mkdir()
+    stale.write_text("left over\n", encoding="utf-8")
+    for out in (tmp_path, stale):
+        with pytest.raises(SystemExit) as exit_info:
+            matrix.main(["--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "is not a new or empty directory" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == [stale.parent, stale]
+    assert stale.read_text(encoding="utf-8") == "left over\n"
+
+
 @pytest.mark.parametrize("name, text, kwargs, raster", JOBS, ids=[job[0] for job in JOBS])
 def test_identity_run_reproduces_recorded_digest(name, text, kwargs, raster, simulate, tmp_path):
     emit(simulate(text, **kwargs), tmp_path, field_raster=raster)

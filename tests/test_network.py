@@ -159,6 +159,15 @@ WINDOW_ROUTES = [
 ]
 
 
+def test_locate_takes_the_later_element_at_a_joint():
+    """`_locate` returns element k at exactly `cum_s[k]` and element k - 1
+    one ulp below it, on all 16 routes at three approach lengths."""
+    for r in WINDOW_ROUTES:
+        for k in range(1, len(r.elements)):
+            assert r._locate(r.cum_s[k]) == (k, 0.0), (r.name, k)
+            assert r._locate(math.nextafter(r.cum_s[k], -math.inf))[0] == k - 1, (r.name, k)
+
+
 def _anchor(route, at):
     """A point on `route`: a fraction of its length (beyond [0, 1] is
     clamped to its ends), or, for an int, an element's start or end point

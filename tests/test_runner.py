@@ -134,6 +134,14 @@ def test_emitted_files_match_their_schemas(simulate, tmp_path):
     assert timing(res)["n_solves"] == len(res.steps)
 
 
+def test_non_finite_floats_become_null_at_any_depth():
+    """`metrics.json` stays valid JSON: inf, -inf and nan map to None inside
+    nested dicts and lists, and finite floats keep nine significant digits."""
+    report = {"a": math.inf, "b": [1.0 / 3.0, -math.inf, {"c": math.nan, "d": (math.nan, 2)}], "e": "x"}
+    assert runner._round_floats(report) == {"a": None, "b": [0.333333333, None, {"c": None, "d": [None, 2]}], "e": "x"}
+    json.dumps(runner._round_floats(report), allow_nan=False)
+
+
 def test_fresh_interpreters_emit_identical_bytes(tmp_path):
     src = Path(intersection_game.__file__).resolve().parents[1]
     env = dict(os.environ)
