@@ -11,7 +11,9 @@ on the hash seed:
 - `counters`: the solver's `game.evals`, `game.lateral_evals`,
   `game.sweeps` and `game.resets`, summed from the runs' rows; its RK4
   steps (`dynamics.step.solver.calls`: `dynamics.step` called from
-  `_StepSolver._candidate`); and the `network.Route.project.calls` of
+  `_StepSolver._candidate`; the script exits non-zero if that reads 0
+  while the solver evaluated candidates, since the count would then miss
+  RK4 calls made elsewhere); and the `network.Route.project.calls` of
   loading the workload and of its runs;
 - `python_calls`, the Python function calls of `runner.run` over every
   scenario, and `element_projections`, the calls of
@@ -97,6 +99,11 @@ def profiled_counts(workload: str, seed: int) -> dict:
     counters["dynamics.step.solver.calls"] = sum(
         sub.callcount for e in stats if e.code is candidate for sub in e.calls if sub.code is rk4
     )
+    if counters["game.evals"] and not counters["dynamics.step.solver.calls"]:
+        raise SystemExit(
+            f"{workload}: dynamics.step.solver.calls reads 0 while game.evals is {counters['game.evals']}: "
+            "the solver's RK4 no longer runs from _StepSolver._candidate"
+        )
     counters["network.Route.project.calls"] = sum(
         e.callcount for e in (*load.getstats(), *stats) if e.code is Route.project.__code__
     )

@@ -52,15 +52,16 @@ def step_speed(v0: float, a: float) -> float:
     return 0.0 if v1 < 0.0 else v1
 
 
-def step(state: VehicleState, u: ControlInput) -> VehicleState:
+def step(state: VehicleState, u: ControlInput, beta: float | None = None) -> VehicleState:
     """One RK4 step with the control held constant; velocity floors at zero.
 
     Each stage's rates are (dv, dphi, dx, dy) = (a_x, v k_yaw,
     v cos(phi + beta) / cos(beta), v sin(phi + beta) / cos(beta)), where
     a negative stage speed v counts as zero.  dv is a_x in every stage,
-    so the stage speeds need no stage rates of their own.
+    so the stage speeds need no stage rates of their own.  A caller may
+    pass `beta`, which must be `sideslip(u.delta_f)`.
     """
-    beta = sideslip(u.delta_f)
+    beta = sideslip(u.delta_f) if beta is None else beta
     k_yaw = math.tan(beta) / L_R  # yaw rate per unit of speed
     cb = math.cos(beta)
     a = u.a_x

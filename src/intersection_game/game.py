@@ -183,18 +183,12 @@ def _ramp_peak_speed(v_next: float, a: float) -> float:
     return v_next + DT * (k * a - SLEW * k * (k + 1) / 2.0)
 
 
-BOUND_NAMES = ("accel", "jerk", "steer", "speed", "lane", "course")
+BOUND_NAMES = ("accel", "jerk", "speed", "steer", "lane", "course")  # accel_residuals + pose_residuals
 
 
-def bound_residuals(
-    a: float,
-    delta: float,
-    a_prev: float,
-    v_next: float,
-    dy: float,
-    dphi: float,
-) -> tuple[float, float, float, float, float, float]:
-    """Signed slack of each non-interactive limit, ordered as BOUND_NAMES.
+def accel_residuals(a: float, a_prev: float, v_next: float) -> tuple[float, float, float]:
+    """Signed slack of the limits that acceleration a alone sets, ordered as
+    the first three BOUND_NAMES; v_next is `step_speed` under a.
 
     Nonpositive means satisfied.  The speed entry guards the whole
     jerk-limited ramp-down, not just the next sample, so a vehicle never
@@ -203,11 +197,14 @@ def bound_residuals(
     return (
         abs(a) - LIMITS.a_max,
         abs(a - a_prev) / DT - LIMITS.jerk_max,
-        abs(delta) - STEER_BOX,
         _ramp_peak_speed(v_next, a) - LIMITS.v_max,
-        dy - LIMITS.lane_dev_max,
-        abs(dphi) - LIMITS.course_dev_max,
     )
+
+
+def pose_residuals(delta: float, dy: float, dphi: float) -> tuple[float, float, float]:
+    """Signed slack of the steering box and of the predicted lane offset and
+    course error, ordered as the last three BOUND_NAMES."""
+    return abs(delta) - STEER_BOX, dy - LIMITS.lane_dev_max, abs(dphi) - LIMITS.course_dev_max
 
 
 def closing_ttc(
@@ -310,6 +307,17 @@ def follow_reach(v0: float, a0: float, v_lead: float, ttc_floor: float, margin: 
     return reach
 
 
+class _AccelSlack(dict):
+    """a -> worst `accel_residuals` of one vehicle this step, on first read."""
+
+    def __init__(self, view: PlayerView):
+        self.a_prev, self.v0 = view.a_prev, view.state.v_x
+
+    def __missing__(self, a: float) -> float:
+        slack = self[a] = max(accel_residuals(a, self.a_prev, step_speed(self.v0, a)))
+        return slack
+
+
 class _StepSolver:
     """Cyclic best response for one control step.
 
@@ -319,8 +327,11 @@ class _StepSolver:
 
     - `_candidate(i, a, d)` memoizes vehicle i's predicted state, route
       projection, course error and worst bound slack per (i, a, d);
-    - the sideslip that course error needs is computed once per distinct
-      steer (`_beta`), since every vehicle shares one model;
+    - the sideslip, which the steer alone sets in the one shared model, is
+      computed once per distinct steer (`_beta`) for RK4 and course error;
+    - the worst slack of the limits that the acceleration alone sets
+      (`accel_residuals`) is computed once per (i, a) (`_accel_slack[i]`);
+      a candidate's bound slack is the larger of it and `pose_residuals`;
     - `_refresh_pred(j)` computes, once per change of j's control, what
       other vehicles read off j: its committed stop distance and its arc
       length on each follower's route;
@@ -334,10 +345,11 @@ class _StepSolver:
       around the leader's start point).  `Route.project` then visits only
       those, or every element for a prediction that lands outside the
       window's reach, and returns what the full search would;
-    - `_reach_row(i, a, v_pred, guard)` holds, per crossing point of i,
-      the standoff `brake_reach` asks of i under acceleration a (a alone
-      sets i's predicted speed v_pred).  The points, in order, and their
-      backoffs come from `runner.crossing_index`, built once per run.
+    - `_reach_rows[i]` holds the standoff `brake_reach` asks of i per
+      (a, guard) and crossing point, and `_reach_lon[i]` the headway
+      `follow_reach` asks per (a, leader speed, time floor); a alone sets
+      i's predicted speed.  The points, in order, and their backoffs come
+      from `runner.crossing_index`, built once per run.
 
     A ranking of vehicle i reads, besides i's own candidate, only what
     `_refresh_pred` sets from the controls of `reads[i]` (i's leader and
@@ -367,10 +379,10 @@ class _StepSolver:
     that would otherwise be repeated, so results are bit-for-bit those of
     recomputing it.  Memo keys compare as floats, so a control of -0.0
     reuses the entry of 0.0; nothing read from an entry depends on the
-    sign of that zero.  In particular a steer of -0.0 may take the
-    sideslip 0.0 stored for a steer of 0.0: the course error then differs
-    at most in the sign of a zero, and it enters only through abs and
-    squares.  The memos live only as long as this solver, one step.
+    sign of that zero.  So a steer of -0.0 may take the sideslip 0.0 of a
+    steer of 0.0: predicted yaw, y and course error then differ at most in
+    the sign of a zero, which enters only through sums, abs and squares.
+    The memos live only as long as this solver, one step.
 
     The hot loop is the pair of candidate loops in `_best_response`: a
     fresh search ranks about 93 candidates, and each `_rank` that misses
@@ -378,9 +390,9 @@ class _StepSolver:
     `_constraint_residual` and one own loss.  Every feasible key sorts
     before every infeasible one, so once a search holds a feasible control
     (`held`) an infeasible candidate cannot win, and `_score` stops at the
-    cheapest evidence: a speed ramp that `a` alone breaks (`step_speed`,
-    RK4's own expression) rules the candidate out before RK4, and a bound
-    slack over FEAS_SLACK before `_constraint_residual`.  Such a candidate
+    cheapest evidence: an acceleration that alone breaks a bound
+    (`_accel_slack`) rules the candidate out before RK4, and a bound slack
+    over FEAS_SLACK before `_constraint_residual`.  Such a candidate
     is stored as `_UNSCORED`, infeasible with its residual not computed;
     a search without a feasible control, or a direct `_rank` call, that
     reads it computes the exact residual in its place.  So searches with
@@ -388,14 +400,14 @@ class _StepSolver:
     residuals, and the counts are those of scoring every candidate.
     `_rank` takes the own loss from `blended_loss` over the `_own_terms`
     fields without building a CostTerms, skips `_coupling` where it is
-    zero, and the search and the crossing loop compare rather than call
-    min/max.  Some call sites stay as they are because
-    `perfbench/tracing.py` wraps them by name: the RK4 goes through the
-    module global `integrate(state, ControlInput(a, d))`,
-    projections through `Route.project`, and `crossing_risk`,
-    `efficiency`, `lane_keeping`, `following_risk`, `stop_distance`,
-    `brake_reach` and `follow_reach` are looked up as module globals at
-    each call, never bound to locals or inlined.
+    zero, and the search, its pattern step and the constraint loops keep
+    the best in a running comparison rather than call min/max.  Some call
+    sites stay as they are because `perfbench/tracing.py` wraps them by
+    name: the RK4 goes through the module global `integrate(state,
+    ControlInput(a, d), beta)`, projections through `Route.project`, and
+    `crossing_risk`, `efficiency`, `lane_keeping`, `following_risk`,
+    `stop_distance`, `brake_reach` and `follow_reach` are looked up as
+    module globals at each call, never bound to locals or inlined.
     """
 
     def __init__(self, views: list[PlayerView], allow_reset: bool):
@@ -430,6 +442,7 @@ class _StepSolver:
                 self.dependents[cj.partner].append(j)
         self._cand: list[dict[tuple[float, float], tuple]] = [{} for _ in range(self.n)]
         self._beta: dict[float, float] = {}  # steer -> sideslip
+        self._accel_slack = [_AccelSlack(v) for v in views]
         self._reach_rows: list[dict[tuple[float, float], list[float]]] = [{} for _ in range(self.n)]
         self._reach_lon: list[dict[tuple[float, float, float], float]] = [{} for _ in range(self.n)]
         # follower j -> its leader's candidate (a, d) -> that candidate's arc length on j's route
@@ -458,12 +471,15 @@ class _StepSolver:
         c = memo.get((a, d))
         if c is None:
             view = self.views[i]
-            pred = integrate(view.state, ControlInput(a, d))
             beta = self._beta.get(d)
             if beta is None:
                 beta = self._beta[d] = sideslip(d)
+            pred = integrate(view.state, ControlInput(a, d), beta)
             s_pred, dy, dphi = lane_errors(view.route, pred, beta, self._near[i])
-            slack = max(bound_residuals(a, d, view.a_prev, pred.v_x, dy, dphi))
+            slack = max(pose_residuals(d, dy, dphi))
+            a_slack = self._accel_slack[i][a]
+            if a_slack > slack:
+                slack = a_slack
             c = memo[(a, d)] = (pred, s_pred, dy, dphi, slack)
         return c
 
@@ -556,27 +572,6 @@ class _StepSolver:
             table.append((cp.s_self, t_other, cp.hold_other + self.hold_dist[cp.partner] - d_other))
         return table
 
-    def _reach_row(self, i: int, a: float, v_pred: float, guard: float) -> list[float]:
-        """Standoff each of vehicle i's crossing points must keep ahead of
-        it under acceleration a, which alone sets v_pred."""
-        key = (a, guard)
-        row = self._reach_rows[i].get(key)
-        if row is None:
-            row = self._reach_rows[i][key] = [
-                brake_reach(v_pred, a, cp.hold_self + guard) for cp in self.views[i].cps
-            ]
-        return row
-
-    def _reach_to_leader(
-        self, i: int, a: float, v_pred: float, v_lead: float, ttc_floor: float, margin: float
-    ) -> float:
-        key = (a, v_lead, ttc_floor)
-        val = self._reach_lon[i].get(key)
-        if val is None:
-            val = follow_reach(v_pred, a, v_lead, ttc_floor, margin)
-            self._reach_lon[i][key] = val
-        return val
-
     def _constraint_residual(
         self, i: int, a: float, pred: VehicleState, s_pred: float, bound_slack: float, guard: float,
         table: list[tuple[float, float, float]],
@@ -589,13 +584,21 @@ class _StepSolver:
         ttc_floor = LIMITS.ttc_min + guard
         v = pred.v_x
         if view.lv is not None:
-            gap = self.lead_s[i] - s_pred
-            need = self._reach_to_leader(i, a, v, self.pred[view.lv].v_x, ttc_floor, LIMITS.stop_margin + guard)
-            res = max(res, need - gap)
+            v_lead = self.pred[view.lv].v_x
+            key = (a, v_lead, ttc_floor)
+            need = self._reach_lon[i].get(key)
+            if need is None:
+                need = self._reach_lon[i][key] = follow_reach(v, a, v_lead, ttc_floor, LIMITS.stop_margin + guard)
+            lead_slack = need - (self.lead_s[i] - s_pred)
+            if lead_slack > res:
+                res = lead_slack
         if not table:
             return res
+        row = self._reach_rows[i].get((a, guard))
+        if row is None:
+            row = self._reach_rows[i][(a, guard)] = [brake_reach(v, a, cp.hold_self + guard) for cp in view.cps]
         moving = v > STOPPED
-        for (s_self, t_other, partner_hold), reach in zip(table, self._reach_row(i, a, v, guard)):
+        for (s_self, t_other, partner_hold), reach in zip(table, row):
             d_self = s_self - s_pred
             if d_self <= 0.0:
                 continue  # already past; liveness filtering retires it soon
@@ -639,12 +642,10 @@ class _StepSolver:
     def _score(self, i: int, a: float, d: float, table: list, held: bool) -> tuple:
         """`_scored` entry of vehicle i's candidate (a, d): (constraint
         residual, own cost or None if infeasible, lateral_evals increment).
-        With `held`, a candidate its speed ramp or its bounds already rule
+        With `held`, a candidate its acceleration or its bounds already rule
         out is `_UNSCORED`, before RK4 or before the interaction residual."""
-        if held:
-            v_next = step_speed(self.views[i].state.v_x, a)
-            if _ramp_peak_speed(v_next, a) - LIMITS.v_max > FEAS_SLACK:
-                return _UNSCORED
+        if held and self._accel_slack[i][a] > FEAS_SLACK:
+            return _UNSCORED
         pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)
         if held and slack > FEAS_SLACK:
             return _UNSCORED
@@ -724,24 +725,21 @@ class _StepSolver:
             seeds_d.append(d_ff - off)
         seeds_d = sorted({min(max(d, -d_lim), d_lim) for d in seeds_d})
 
-        best = None
+        bkey, held = None, False
         for a in seeds_a:
             for d in seeds_d:
                 key = memo.get((a, d))
                 if key is None:
-                    held = best is not None and best[0][0] == 0.0
                     key = memo[(a, d)] = self._rank(i, a, d, p_i, scored, table, held)
-                if best is None or key < best[0]:
-                    best = (key, a, d)
-        assert best is not None
-        _, ba, bd = best
-        bkey = best[0]
+                if bkey is None or key < bkey:
+                    bkey, ba, bd = key, a, d
+                    held = key[0] == 0.0
 
         da, dd = 0.05, math.radians(1.0)
         moves = 0
         while (da > 2.5e-4 or dd > 5e-5) and moves < 200:
             held = bkey[0] == 0.0
-            cand = []
+            nkey = None
             for na, nd in (
                 (ba + da, bd), (ba - da, bd), (ba, bd + dd), (ba, bd - dd),
                 (ba + da, bd + dd), (ba + da, bd - dd), (ba - da, bd + dd), (ba - da, bd - dd),
@@ -760,10 +758,11 @@ class _StepSolver:
                 key = memo.get((na, nd))
                 if key is None:
                     key = memo[(na, nd)] = self._rank(i, na, nd, p_i, scored, table, held)
-                cand.append((key, na, nd))
-            improved = min(cand) if cand else None
-            if improved is not None and improved[0] < bkey:
-                bkey, ba, bd = improved
+                # the first least key wins, as under min; keys end in (a, d)
+                if nkey is None or key < nkey:
+                    nkey, na_best, nd_best = key, na, nd
+            if nkey is not None and nkey < bkey:
+                bkey, ba, bd = nkey, na_best, nd_best
                 moves += 1
             else:
                 da *= 0.5

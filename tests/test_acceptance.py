@@ -37,9 +37,10 @@ from intersection_game.game import (
     CpRef,
     PlayerView,
     _StepSolver,
-    bound_residuals,
+    accel_residuals,
     coalition_costs,
     participation,
+    pose_residuals,
 )
 from intersection_game.geometry import wrap_angle
 from intersection_game.network import conflict_points, route_for
@@ -433,7 +434,7 @@ def test_criterion_8_single_vehicle_saturates_the_speed_limit(capsys, simulate):
             pred = step(row.state, ControlInput(a, d))
             s_pred, dy, heading = route.project(pred.x, pred.y)
             dphi = wrap_angle(pred.phi + sideslip(d) - heading)
-            if max(bound_residuals(a, d, prev.a, pred.v_x, dy, dphi)) > 1e-9:
+            if max(accel_residuals(a, prev.a, pred.v_x) + pose_residuals(d, dy, dphi)) > 1e-9:
                 return math.inf
             gap = max(min(route.total_length - s_pred, 50.0), 0.0)
             return k_s * lane_keeping(dy, dphi) + k_e * efficiency(gap, pred.v_x)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from intersection_game import dynamics
 from intersection_game.dynamics import (
@@ -17,7 +17,7 @@ from intersection_game.dynamics import (
     step,
     velocity_vector,
 )
-from intersection_game.game import STEER_BOX
+from intersection_game.game import LIMITS, STEER_BOX
 from intersection_game.geometry import wrap_angle
 from intersection_game.risk import build_field
 
@@ -78,6 +78,47 @@ def test_step_equals_reference_rk4_bit_for_bit(v0, phi, x, y, a, delta):
     s0 = VehicleState(v0, phi, x, y)
     u = ControlInput(a, delta)
     assert _bits(step(s0, u)) == _bits(reference_step(s0, u, DT))
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    st.floats(-1.0, 10.0) | st.sampled_from([0.0, -0.0]),
+    st.floats(-math.pi, math.pi) | st.sampled_from([0.0, -0.0]),
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0),
+    st.floats(-LIMITS.a_max, LIMITS.a_max),
+    st.floats(-STEER_BOX, STEER_BOX) | st.sampled_from([0.0, -0.0, STEER_BOX, -STEER_BOX]),
+)
+def test_step_with_the_callers_sideslip_is_bit_identical(v0, phi, x, y, a, delta):
+    """Over the whole control box, handing `step` the steer's own sideslip
+    changes no bit of the result."""
+    s0 = VehicleState(v0, phi, x, y)
+    u = ControlInput(a, delta)
+    assert _bits(step(s0, u, sideslip(delta))) == _bits(step(s0, u))
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    st.floats(-1.0, 10.0) | st.sampled_from([0.0, -0.0]),
+    st.floats(-math.pi, math.pi) | st.sampled_from([0.0, -0.0]),
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0]),
+    st.floats(-LIMITS.a_max, LIMITS.a_max),
+)
+def test_negative_zero_steer_with_the_memoized_positive_zero_sideslip(v0, phi, x, y, a):
+    """A steer of -0.0 may be handed the sideslip +0.0 memoized for a steer
+    of 0.0.  Speed and x come out bit-identical and yaw compares equal.  y
+    is bit-identical too, except that when y and yaw both start at -0.0
+    it may end at +0.0: the zero's sign is all that differs."""
+    s0 = VehicleState(v0, phi, x, y)
+    u = ControlInput(a, -0.0)
+    got, want = step(s0, u, 0.0), step(s0, u)
+    assert got.v_x.hex() == want.v_x.hex() and got.x.hex() == want.x.hex()
+    assert got.phi == want.phi
+    if y == phi == 0.0 and math.copysign(1.0, y) == math.copysign(1.0, phi) == -1.0:
+        assert got.y == want.y
+    else:
+        assert got.y.hex() == want.y.hex()
 
 
 def test_sideslip_values():

@@ -6,7 +6,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from intersection_game import game, geometry, runner
 from intersection_game.costs import STOPPED, arrival_time, balance_weights, blended_loss, efficiency, lane_keeping
@@ -30,12 +30,13 @@ from intersection_game.game import (
     CpRef,
     PlayerView,
     _StepSolver,
-    bound_residuals,
+    accel_residuals,
     brake_reach,
     closing_ttc,
     coalition_costs,
     follow_reach,
     participation,
+    pose_residuals,
     solve_step,
     stop_distance,
     tracking_delta,
@@ -111,8 +112,13 @@ def test_sideslip_bound_and_steer_box():
     assert sideslip(STEER_BOX) == pytest.approx(BETA_MAX, abs=1e-12)
 
 
+def _bounds(a, delta, a_prev, v_next, dy, dphi):
+    """Every bound's slack, ordered as BOUND_NAMES."""
+    return accel_residuals(a, a_prev, v_next) + pose_residuals(delta, dy, dphi)
+
+
 def test_bound_residuals_all_slack_when_coasting():
-    res = bound_residuals(0.0, 0.0, 0.0, 4.0, 0.0, 0.0)
+    res = _bounds(0.0, 0.0, 0.0, 4.0, 0.0, 0.0)
     assert len(res) == len(BOUND_NAMES) == 6
     assert all(r <= 0.0 for r in res)
 
@@ -125,23 +131,23 @@ def test_bound_residuals_flag_each_limit():
     i_lane = BOUND_NAMES.index("lane")
     i_course = BOUND_NAMES.index("course")
 
-    res = bound_residuals(9.0, 0.0, 9.0, 5.0, 0.0, 0.0)
+    res = _bounds(9.0, 0.0, 9.0, 5.0, 0.0, 0.0)
     assert res[i_acc] == pytest.approx(1.0)
-    res = bound_residuals(0.3, 0.0, 0.0, 5.0, 0.0, 0.0)
+    res = _bounds(0.3, 0.0, 0.0, 5.0, 0.0, 0.0)
     assert res[i_jerk] == pytest.approx(1.0)
-    res = bound_residuals(0.0, 0.4, 0.0, 5.0, 0.0, 0.0)
+    res = _bounds(0.0, 0.4, 0.0, 5.0, 0.0, 0.0)
     assert res[i_steer] == pytest.approx(0.4 - STEER_BOX)
-    res = bound_residuals(0.0, 0.0, 0.0, 8.5, 0.0, 0.0)
+    res = _bounds(0.0, 0.0, 0.0, 8.5, 0.0, 0.0)
     assert res[i_speed] == pytest.approx(0.5)
-    res = bound_residuals(0.0, 0.0, 0.0, 5.0, 0.3, 0.0)
+    res = _bounds(0.0, 0.0, 0.0, 5.0, 0.3, 0.0)
     assert res[i_lane] == pytest.approx(0.1)
-    res = bound_residuals(0.0, 0.0, 0.0, 5.0, 0.0, math.radians(3.0))
+    res = _bounds(0.0, 0.0, 0.0, 5.0, 0.0, math.radians(3.0))
     assert res[i_course] == pytest.approx(math.radians(1.0))
 
 
 def test_speed_residual_guards_the_whole_ramp_down():
     # 7.9 m/s now, still pushing 1 m/s^2: the jerk-limited backout peaks at 8.1
-    res = bound_residuals(1.0, 0.0, 1.0, 7.9, 0.0, 0.0)
+    res = _bounds(1.0, 0.0, 1.0, 7.9, 0.0, 0.0)
     assert res[BOUND_NAMES.index("speed")] == pytest.approx(0.1, abs=1e-12)
     assert all(r <= 0.0 for k, r in enumerate(res) if k != BOUND_NAMES.index("speed"))
 
@@ -281,7 +287,7 @@ def test_single_vehicle_matches_exhaustive_grid():
             pred = step(view.state, ControlInput(a, d))
             s_pred, dy, heading = view.route.project(pred.x, pred.y)
             dphi = wrap_angle(pred.phi + sideslip(d) - heading)
-            if max(bound_residuals(a, d, 0.0, pred.v_x, dy, dphi)) > 1e-9:
+            if max(_bounds(a, d, 0.0, pred.v_x, dy, dphi)) > 1e-9:
                 continue
             gap = max(min(view.route.total_length - s_pred, 50.0), 0.0)
             cost = k_s * lane_keeping(dy, dphi) + k_e * efficiency(gap, pred.v_x)
@@ -419,7 +425,7 @@ def test_blocked_vehicle_falls_back_to_full_braking():
 def _breaks_speed(v0, a):
     """Whether acceleration a from speed v0 breaks the speed ramp bound."""
     v_next = step_speed(v0, a)
-    return bound_residuals(a, 0.0, 0.0, v_next, 0.0, 0.0)[BOUND_NAMES.index("speed")] > FEAS_SLACK
+    return accel_residuals(a, 0.0, v_next)[BOUND_NAMES.index("speed")] > FEAS_SLACK
 
 
 def test_feasible_incumbent_skips_rk4_for_speed_breaking_candidates(monkeypatch):
@@ -442,6 +448,25 @@ def test_feasible_incumbent_skips_rk4_for_speed_breaking_candidates(monkeypatch)
     assert skipped
     assert all(scored[ad] is game._UNSCORED for ad in skipped)
     assert integrated and not any(_breaks_speed(L.v_max, a) for a in integrated)
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    st.floats(0.0, L.v_max),
+    st.floats(-L.a_max, L.a_max),
+    st.floats(-0.3, 0.3) | st.floats(-2.0 * L.a_max, 2.0 * L.a_max),  # a - a_prev
+    st.floats(-STEER_BOX, STEER_BOX),
+)
+def test_score_skips_rk4_exactly_when_the_acceleration_alone_breaks_a_bound(v0, a_prev, step_a, d):
+    """With a feasible control held, `_score` rules a candidate out before
+    RK4 (it stores no prediction for it) exactly when its acceleration
+    alone breaks a bound: accel, jerk or the speed ramp."""
+    a = a_prev + step_a
+    solver = _StepSolver([dataclasses.replace(_single_view(v=v0), a_prev=a_prev)], True)
+    assume((a, d) not in solver._cand[0])
+    entry = solver._score(0, a, d, solver._scored_for(0)[2], True)
+    skipped = entry is game._UNSCORED and (a, d) not in solver._cand[0]
+    assert skipped == (max(accel_residuals(a, a_prev, step_speed(v0, a))) > FEAS_SLACK)
 
 
 def test_lazily_stored_candidate_ranks_by_its_exact_residual():

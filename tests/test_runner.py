@@ -335,3 +335,35 @@ def test_crossing_records_are_built_once_per_run(monkeypatch):
     points = sum(c.kind != "following" for cps in pair_conflicts(sc).values() for c in cps)
     assert points > 0 and len(res.steps) > 1
     assert len(built) == 2 * points
+
+
+def test_reversing_the_vehicle_sections_changes_no_vehicle_outcome(simulate):
+    """The game has no privileged vehicle.  Listing case3's vehicles in
+    reverse, which reverses every index and the sweep order, leaves each
+    vehicle's rows bit-identical by name.  Pooled values are summed in
+    index order, so they agree to 1e-12 relative; the group residual, a
+    difference of two pools, to 1e-12 of the pool."""
+    text = (SCENARIOS / "case3.cfg").read_text(encoding="utf-8")
+    head, *vehicles = text.split("\n[vehicle.")
+    flipped = simulate(head + "".join(f"\n[vehicle.{v}" for v in reversed(vehicles)))
+    res = simulate(text)
+    assert flipped.names == res.names[::-1]
+    assert len(flipped.steps) == len(res.steps)
+
+    def outcome(result, row):
+        lv = None if row.lv is None else result.names[row.lv]
+        fields = (row.state, row.a, row.delta, row.jerk, row.role, row.s, row.p, row.terms, row.h_alloc)
+        return repr((*fields, row.fallback, row.reset, lv))
+
+    for step, flip_step, rows, flip_rows in zip(res.steps, flipped.steps, res.rows, flipped.rows):
+        assert (flip_step.n_players, flip_step.max_residual, flip_step.any_reset, flip_step.all_rational) == (
+            step.n_players, step.max_residual, step.any_reset, step.all_rational
+        )
+        assert flip_step.v_coalition == pytest.approx(step.v_coalition, rel=1e-12, abs=0.0)
+        assert abs(flip_step.group_residual - step.group_residual) <= 1e-12 * abs(step.v_coalition)
+        for row, flip_row in zip(rows, reversed(flip_rows)):
+            assert outcome(flipped, flip_row) == outcome(res, row)
+            if row.j_value is None:
+                assert flip_row.j_value is None
+            else:
+                assert flip_row.j_value == pytest.approx(row.j_value, rel=1e-12, abs=0.0)
