@@ -13,8 +13,11 @@ on the hash seed:
   steps (`dynamics.step.solver.calls`: `dynamics.step` called from
   `_StepSolver._candidate`; the script exits non-zero if that reads 0
   while the solver evaluated candidates, since the count would then miss
-  RK4 calls made elsewhere); and the `network.Route.project.calls` of
-  loading the workload and of its runs;
+  RK4 calls made elsewhere); its rankings (`game.rankings`, calls of
+  `_StepSolver._rank`: the evals that `_responses` does not replay) and
+  its scored candidates (`game.scored`, calls of `_StepSolver._score`:
+  the rankings that the `_scored` memo does not answer); and the
+  `network.Route.project.calls` of loading the workload and of its runs;
 - `python_calls`, the Python function calls of `runner.run` over every
   scenario, and `element_projections`, the calls of
   `geometry.Segment.project` and `geometry.Arc.project` among them: the
@@ -104,6 +107,8 @@ def profiled_counts(workload: str, seed: int) -> dict:
             f"{workload}: dynamics.step.solver.calls reads 0 while game.evals is {counters['game.evals']}: "
             "the solver's RK4 no longer runs from _StepSolver._candidate"
         )
+    for name, code in (("rankings", game._StepSolver._rank.__code__), ("scored", game._StepSolver._score.__code__)):
+        counters[f"game.{name}"] = sum(e.callcount for e in stats if e.code is code)
     counters["network.Route.project.calls"] = sum(
         e.callcount for e in (*load.getstats(), *stats) if e.code is Route.project.__code__
     )

@@ -49,6 +49,7 @@ RATIONALITY_TOL = 1e-6  # pooled loss a member may give up against its lone move
 TTC_GUARD = 0.05  # enforcement slack so recorded residuals stay negative
 # `_scored` entry of a candidate known infeasible whose residual is not computed
 _UNSCORED = (math.inf, None, 0)
+_UNSET = object()  # `_cap` entry not computed yet; None is a computed "no cap"
 
 
 def participation(kappa: float) -> float:
@@ -373,7 +374,16 @@ class _StepSolver:
       lateral_evals it added, so asking again against the same partner
       controls (a converged sweep, a re-sweep, the second rationality
       check, the lone move of a player already at p_i = 0) replays the
-      counts instead of searching.
+      counts instead of searching.  A fresh search at p_i != 0 also stores
+      the lone move of an uncoupled member, one whose `dependents` all
+      have p = 0, so that `_coupling` adds nothing and every feasible key
+      holds c * own with c = 1 - p_i + p_i^2.  Its guard: if c maps the
+      distinct own losses of the candidates the search ranked to distinct
+      values, every key comparison of the lone search comes out as in this
+      one, so that search would rank the same candidates to the same
+      control with the same counts; its key holds own in place of c * own.
+      Where c merges two losses, nothing is stored and the lone move is
+      searched.
 
     Each shared value comes from the same call with the same arguments
     that would otherwise be repeated, so results are bit-for-bit those of
@@ -452,6 +462,7 @@ class _StepSolver:
         ]
         self._scored: list[dict[tuple, tuple[dict, list]]] = [{} for _ in range(self.n)]
         self._responses: dict[tuple, tuple] = {}
+        self._cap: list = [_UNSET] * self.n  # `_cap_candidate` of each vehicle
         self.controls: list[tuple[float, float]] = []
         for v in views:
             self.controls.append((v.a_prev, v.delta_prev) if v.player else v.coast)
@@ -678,7 +689,8 @@ class _StepSolver:
         return max(-LIMITS.a_max, a_prev - SLEW), min(LIMITS.a_max, a_prev + SLEW)
 
     def _cap_candidate(self, i: int, a_lo: float, a_hi: float) -> float | None:
-        """Largest in-box acceleration that keeps the speed ramp legal."""
+        """Largest in-box acceleration that keeps the speed ramp legal;
+        `_best_response` keeps it per vehicle for the step (`_cap`)."""
         v0 = self.views[i].state.v_x
 
         def over(a: float) -> bool:
@@ -715,7 +727,9 @@ class _StepSolver:
         memo: dict[tuple[float, float], tuple] = {}  # (a, d) -> rank key, this search only
 
         seeds_a = [a_lo + k * (a_hi - a_lo) / 4.0 for k in range(5)]
-        cap = self._cap_candidate(i, a_lo, a_hi)
+        cap = self._cap[i]
+        if cap is _UNSET:
+            cap = self._cap[i] = self._cap_candidate(i, a_lo, a_hi)
         if cap is not None:
             seeds_a.append(cap)
         d_ff = view.coast[1]
@@ -767,7 +781,16 @@ class _StepSolver:
             else:
                 da *= 0.5
                 dd *= 0.5
-        self._responses[asked] = (ba, bd, bkey, self.evals - evals, self.lateral_evals - lateral)
+        counts = (self.evals - evals, self.lateral_evals - lateral)
+        self._responses[asked] = (ba, bd, bkey, *counts)
+        if p_i != 0.0 and all(self.p[j] == 0.0 for j in self.dependents[i]):
+            # uncoupled: every feasible key held c * own; while c keeps the
+            # owns distinct, the lone search makes the same comparisons
+            c = 1.0 - p_i + p_i * p_i
+            owns = {scored[ad][1] for ad in memo} - {None}
+            if len(owns) == len({c * x for x in owns}):
+                lone = (0.0, scored[(ba, bd)][1]) + bkey[2:] if bkey[0] == 0.0 else bkey
+                self._responses[(i, 0.0, reads)] = (ba, bd, lone, *counts)
         return ba, bd, bkey
 
     # -- game rounds ------------------------------------------------------

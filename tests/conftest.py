@@ -1,4 +1,4 @@
-"""One run cache for the whole session.
+"""One run cache for the whole session, and the `dense` layout generator.
 
 A simulation is deterministic in its scenario text, mode and gating, so
 each distinct run is made once and every test that asks for it reads the
@@ -7,6 +7,9 @@ shipped runs this way.  Tests that must see a run of their own (a
 monkeypatched solver, a determinism check that runs twice, a fresh
 interpreter) call `run` or the CLI directly.
 """
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +35,13 @@ def simulate(tmp_path_factory):
         return runs[key]
 
     return simulate
+
+
+@pytest.fixture(scope="session")
+def dense():
+    """`perfbench/dense.py`, which is no package, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "dense.py"
+    spec = importlib.util.spec_from_file_location("dense", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

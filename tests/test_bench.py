@@ -1,4 +1,4 @@
-"""`scripts/bench.py`'s count of the solver's RK4 steps, on one small scenario."""
+"""`scripts/bench.py`'s counts of the solver's work, on one small scenario."""
 
 import importlib.util
 from pathlib import Path
@@ -26,6 +26,13 @@ def test_counts_the_rk4_steps_the_solver_takes(case1_a_only):
     counters = bench.profiled_counts("shipped", 1)["counters"]
     assert counters["game.evals"] > 0
     assert counters["dynamics.step.solver.calls"] > 0
+
+
+def test_counts_rankings_and_scored_candidates(case1_a_only):
+    """Each scored candidate was ranked, and each ranking is an eval; the
+    evals that `_responses` replays rank nothing."""
+    counters = bench.profiled_counts("shipped", 1)["counters"]
+    assert 0 < counters["game.scored"] <= counters["game.rankings"] <= counters["game.evals"]
 
 
 def test_refuses_a_solver_rk4_count_of_zero(case1_a_only, monkeypatch):

@@ -387,6 +387,152 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
             assert moved[1:3] == (fresh.evals - evals, fresh.lateral_evals - lateral)
 
 
+def _count_ranks(monkeypatch, solver):
+    """A one-element list counting `solver._rank` calls from now on."""
+    ranked = [0]
+    real_rank = solver._rank
+
+    def counting_rank(*args):
+        ranked[0] += 1
+        return real_rank(*args)
+
+    monkeypatch.setattr(solver, "_rank", counting_rank)
+    return ranked
+
+
+def _uncoupled_views(case):
+    """A member at p = 0.6 that no pooling vehicle depends on: alone, or
+    with its crossing partner at p = 0."""
+    if case == "no_dependents":
+        return [dataclasses.replace(_single_view(), p=0.6)]
+    host, partner = _crossing_views()
+    return [dataclasses.replace(host, p=0.6), dataclasses.replace(partner, p=0.0)]
+
+
+@pytest.mark.parametrize("case", ["no_dependents", "dependent_at_p0"])
+def test_uncoupled_member_reads_its_lone_move_off_the_coalition_search(case, monkeypatch):
+    """Its pooled ranking is (1 - p + p^2) times its own loss, so the lone
+    search would compare as the coalition search did: asked after it, the
+    lone move ranks nothing and replays what a fresh solver's lone search
+    returns and counts."""
+    views = _uncoupled_views(case)
+    solver = _StepSolver(views, True)
+    assert solver.p[0] == 0.6 and len(solver.dependents[0]) == (case == "dependent_at_p0")
+    solver._best_response(0, solver.p[0])
+    ranked = _count_ranks(monkeypatch, solver)
+    evals, lateral = solver.evals, solver.lateral_evals
+    lone = solver._best_response(0, 0.0)
+    assert ranked[0] == 0
+    fresh = _StepSolver(views, True)
+    want = fresh._best_response(0, 0.0)
+    assert want[2][0] == 0.0 and fresh.evals > 0
+    assert lone == want
+    assert (solver.evals - evals, solver.lateral_evals - lateral) == (fresh.evals, fresh.lateral_evals)
+    if case == "dependent_at_p0":
+        assert fresh.lateral_evals > 0
+
+
+def test_member_with_a_pooling_dependent_searches_its_lone_move(monkeypatch):
+    """Its pooled ranking carries the coupling term, which the lone move
+    leaves out, so the lone move is a search of its own."""
+    views = [dataclasses.replace(v, p=0.6) for v in _crossing_views()]
+    solver = _StepSolver(views, True)
+    assert solver.dependents[0] == [1]
+    solver._best_response(0, solver.p[0])
+    ranked = _count_ranks(monkeypatch, solver)
+    lone = solver._best_response(0, 0.0)
+    assert ranked[0] > 0
+    assert lone == _StepSolver(views, True)._best_response(0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "losses, searched",
+    [((1.9000000000000015,), False), ((1.9000000000000015, 1.9000000000000017), True)],
+    ids=["one_loss", "merged_pair"],
+)
+def test_lone_move_is_searched_when_the_pooled_scale_merges_two_losses(losses, searched, monkeypatch):
+    """At kappa = 0.2 the factor 1 - p + p^2 maps the own losses
+    1.9000000000000015 and 1.9000000000000017 to one value, so the pooled
+    ranking falls back on |a| where the lone one would not: with those two
+    losses among the candidates the lone move is searched.  With one loss
+    only, every key compares alike and the lone move is read off."""
+    p = participation(0.2)
+    c = 1.0 - p + p * p
+    assert c * 1.9000000000000015 == c * 1.9000000000000017 == 1.7021269716598657
+    calls = [0]
+
+    def alternating_loss(*terms):
+        calls[0] += 1
+        return losses[calls[0] % len(losses)]
+
+    monkeypatch.setattr(game, "blended_loss", alternating_loss)
+    solver = _StepSolver([dataclasses.replace(_single_view(), kappa=0.2, p=p)], True)
+    assert solver._best_response(0, p)[2][0] == 0.0
+    assert set(losses) <= {entry[1] for entry in solver._scored_for(0)[1].values()}
+    ranked = _count_ranks(monkeypatch, solver)
+    solver._best_response(0, 0.0)
+    assert (ranked[0] > 0) == searched
+
+
+def test_speed_cap_is_bisected_once_per_vehicle_per_step(monkeypatch):
+    """The cap seed depends on the vehicle's start speed and acceleration
+    box alone, so every later search of the step reuses it, a cap of
+    None included."""
+    capped = []
+    real_cap = _StepSolver._cap_candidate
+
+    def counting_cap(self, i, a_lo, a_hi):
+        capped.append(i)
+        return real_cap(self, i, a_lo, a_hi)
+
+    monkeypatch.setattr(_StepSolver, "_cap_candidate", counting_cap)
+    solver = _StepSolver(_crossing_views(), True)
+    solver.solve()
+    assert sorted(capped) == [0, 1]
+    assert solver.sweeps > 1 and solver._cap == [None, None]
+
+
+# dense layouts (per arm, seed), the step an unguarded variant first
+# changes and that step's evals.  Reading every uncoupled lone move off
+# the coalition search without the guard changes the first two; ranking
+# such a member by its own loss alone changes all three.
+_GUARDED = [((3, 2), 20, 6375), ((3, 8), 21, 6244), ((4, 9), 16, 8221)]
+
+
+@pytest.mark.parametrize("layout, step_k, evals", _GUARDED, ids=["n12_seed2", "n12_seed8", "n16_seed9"])
+def test_derived_lone_moves_change_no_row_and_no_count(layout, step_k, evals, dense, tmp_path, monkeypatch):
+    """Reading lone moves off the coalition search gives the rows and the
+    per-step work counts of searching every lone move, on the inputs where
+    a scale that merges two losses would tell them apart.  Each run ends
+    one step past that step."""
+    horizon = f"t_end = {dense.HORIZON_S:g}\n"
+    text = dense.layout(*layout)
+    assert horizon in text
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(text.replace(horizon, f"t_end = {0.1 * (step_k + 2):g}\n"), encoding="utf-8")
+
+    def outcome():
+        res = runner.run(load_scenario(cfg))
+        return repr(res.rows), [dataclasses.replace(s, solve_time=0.0) for s in res.steps]
+
+    derived = outcome()
+    real_best_response = _StepSolver._best_response
+
+    def searched_lone(self, i, p_i):
+        lone = (i, 0.0, tuple(self.controls[j] for j in self.reads[i]))
+        stored = lone in self._responses
+        answer = real_best_response(self, i, p_i)
+        if p_i != 0.0 and not stored:
+            self._responses.pop(lone, None)  # drop a lone move read off this search
+        return answer
+
+    monkeypatch.setattr(_StepSolver, "_best_response", searched_lone)
+    searched = outcome()
+    assert len(derived[1]) == step_k + 2
+    assert derived == searched
+    assert derived[1][step_k].evals == evals
+
+
 def test_pooled_loss_identities():
     sol = solve_step(_crossing_views())
     assert sum(sol.h_alloc) == pytest.approx(sol.v_coalition, abs=1e-9)

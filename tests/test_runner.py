@@ -337,13 +337,12 @@ def test_crossing_records_are_built_once_per_run(monkeypatch):
     assert len(built) == 2 * points
 
 
-def test_reversing_the_vehicle_sections_changes_no_vehicle_outcome(simulate):
-    """The game has no privileged vehicle.  Listing case3's vehicles in
-    reverse, which reverses every index and the sweep order, leaves each
-    vehicle's rows bit-identical by name.  Pooled values are summed in
-    index order, so they agree to 1e-12 relative; the group residual, a
-    difference of two pools, to 1e-12 of the pool."""
-    text = (SCENARIOS / "case3.cfg").read_text(encoding="utf-8")
+def _assert_order_free(simulate, text):
+    """Listing the vehicles of `text` in reverse, which reverses every
+    index and the sweep order, leaves each vehicle's rows bit-identical by
+    name.  Pooled values are summed in index order, so they agree to 1e-12
+    relative; the group residual, a difference of two pools, to 1e-12 of
+    the pool."""
     head, *vehicles = text.split("\n[vehicle.")
     flipped = simulate(head + "".join(f"\n[vehicle.{v}" for v in reversed(vehicles)))
     res = simulate(text)
@@ -367,3 +366,20 @@ def test_reversing_the_vehicle_sections_changes_no_vehicle_outcome(simulate):
                 assert flip_row.j_value is None
             else:
                 assert flip_row.j_value == pytest.approx(row.j_value, rel=1e-12, abs=0.0)
+    return res
+
+
+def test_reversing_the_vehicle_sections_changes_no_vehicle_outcome(simulate):
+    """The game has no privileged vehicle: case3 in reverse order."""
+    _assert_order_free(simulate, (SCENARIOS / "case3.cfg").read_text(encoding="utf-8"))
+
+
+def test_reversing_a_dense_layout_changes_no_vehicle_outcome(simulate, dense):
+    """The 16-vehicle `perfbench/dense.py` layout of seed 1, at its 3.5 s
+    horizon, in reverse order.  It has in-lane queues, resets and
+    fallbacks, and its solver replays `_responses` entries keyed by the
+    controls of other vehicles, whose indices the reversal changes."""
+    res = _assert_order_free(simulate, dense.layout(4, 1))
+    rows = [r for step_rows in res.rows for r in step_rows]
+    assert len(res.names) == 16 and len(res.steps) == 35
+    assert any(r.lv is not None for r in rows) and any(r.reset for r in rows) and any(r.fallback for r in rows)
