@@ -14,9 +14,12 @@ on the hash seed:
   `_StepSolver._candidate`; the script exits non-zero if that reads 0
   while the solver evaluated candidates, since the count would then miss
   RK4 calls made elsewhere); its rankings (`game.rankings`, calls of
-  `_StepSolver._rank`: the evals that `_responses` does not replay) and
-  its scored candidates (`game.scored`, calls of `_StepSolver._score`:
-  the rankings that the `_scored` memo does not answer); and the
+  `_StepSolver._rank`: the evals that `_responses` does not replay), its
+  scored candidates (`game.scored`, calls of `_StepSolver._score`: the
+  rankings that the `_scored` memo does not answer), its constraint
+  checks (`game.constraint_evals`, calls of
+  `_StepSolver._constraint_residual`) and its crossing standoffs
+  (`game.standoffs`, calls of `brake_reach`); and the
   `network.Route.project.calls` of loading the workload and of its runs;
 - `python_calls`, the Python function calls of `runner.run` over every
   scenario, and `element_projections`, the calls of
@@ -107,7 +110,12 @@ def profiled_counts(workload: str, seed: int) -> dict:
             f"{workload}: dynamics.step.solver.calls reads 0 while game.evals is {counters['game.evals']}: "
             "the solver's RK4 no longer runs from _StepSolver._candidate"
         )
-    for name, code in (("rankings", game._StepSolver._rank.__code__), ("scored", game._StepSolver._score.__code__)):
+    for name, code in (
+        ("rankings", game._StepSolver._rank.__code__),
+        ("scored", game._StepSolver._score.__code__),
+        ("constraint_evals", game._StepSolver._constraint_residual.__code__),
+        ("standoffs", game.brake_reach.__code__),
+    ):
         counters[f"game.{name}"] = sum(e.callcount for e in stats if e.code is code)
     counters["network.Route.project.calls"] = sum(
         e.callcount for e in (*load.getstats(), *stats) if e.code is Route.project.__code__

@@ -100,6 +100,8 @@ BETA_MAX = math.atan(0.02 * LIMITS.mu * GRAVITY)
 # binds first
 STEER_BOX = min(LIMITS.delta_max, math.atan(math.tan(BETA_MAX) * WHEELBASE / L_R))
 SLEW = LIMITS.jerk_max * DT  # largest change of acceleration in one step
+# least bound slack of any candidate: its course entry never reads lower
+_SLACK_FLOOR = -LIMITS.course_dev_max
 
 
 @dataclass(frozen=True)
@@ -347,32 +349,33 @@ class _StepSolver:
       those, or every element for a prediction that lands outside the
       window's reach, and returns what the full search would;
     - `_reach_rows[i]` holds the standoff `brake_reach` asks of i per
-      (a, guard) and crossing point, and `_reach_lon[i]` the headway
-      `follow_reach` asks per (a, leader speed, time floor); a alone sets
-      i's predicted speed.  The points, in order, and their backoffs come
-      from `runner.crossing_index`, built once per run.
+      (a, guard) and crossing point, computed on first read, and
+      `_reach_lon[i]` the headway `follow_reach` asks per (a, leader
+      speed, time floor); a alone sets i's predicted speed.  The points,
+      in order, and their backoffs come from `runner.crossing_index`,
+      built once per run.
 
     A ranking of vehicle i reads, besides i's own candidate, only what
-    `_refresh_pred` sets from the controls of `reads[i]` (i's leader and
-    every live crossing partner), and the share p_i of its loss that i
-    pools.  At p_i = 0 the ranking is i's own loss: the move of a player
+    `_refresh_pred` sets from the controls of i's leader, of the partner
+    its cost prices and of each crossing partner whose row
+    `_crossing_table` keeps, and the share p_i of its loss that i pools.  At p_i = 0 the ranking is i's own loss: the move of a player
     outside the coalition and the lone move the rationality check compares
     against are one and the same search.  At p_i != 0 it also reads the
     controls and p of `dependents[i]`.  So two more memos key on exactly
     those:
 
-    - `_scored[i]` maps the controls of `reads[i]` to a map
-      (a, d) -> (constraint residual, own cost or None if infeasible,
-      lateral_evals increment) or `_UNSCORED` (below), shared by every
-      p_i, and to i's crossing table: per live crossing point, (s_self,
-      t_other, partner_hold), the part of each crossing check that only
-      the partner's control moves.
+    - `_scored[i]` maps (leader's control, priced partner's control,
+      `_crossing_table`'s tokens) to a map (a, d) -> (constraint
+      residual, own cost or None if infeasible, lateral_evals increment)
+      or `_UNSCORED` (below), shared by every p_i, and to i's crossing
+      rows, the part of each kept check that only the partner's control
+      moves.
       A candidate's residual then computes just its own distance and
       arrival time to each point; only the coupling term is computed per
       ranking, and only at p_i != 0;
     - `_responses` keeps each `_best_response` result with the evals and
-      lateral_evals it added, so asking again against the same partner
-      controls (a converged sweep, a re-sweep, the second rationality
+      lateral_evals it added, so asking again under the same `_scored`
+      key (a converged sweep, a re-sweep, the second rationality
       check, the lone move of a player already at p_i = 0) replays the
       counts instead of searching.  A fresh search at p_i != 0 also stores
       the lone move of an uncoupled member, one whose `dependents` all
@@ -453,13 +456,10 @@ class _StepSolver:
         self._cand: list[dict[tuple[float, float], tuple]] = [{} for _ in range(self.n)]
         self._beta: dict[float, float] = {}  # steer -> sideslip
         self._accel_slack = [_AccelSlack(v) for v in views]
-        self._reach_rows: list[dict[tuple[float, float], list[float]]] = [{} for _ in range(self.n)]
+        self._reach_rows: list[dict[tuple[float, float], list[float | None]]] = [{} for _ in range(self.n)]
         self._reach_lon: list[dict[tuple[float, float, float], float]] = [{} for _ in range(self.n)]
         # follower j -> its leader's candidate (a, d) -> that candidate's arc length on j's route
         self._leader_arc: list[dict[tuple[float, float], float]] = [{} for _ in range(self.n)]
-        self.reads: list[tuple[int, ...]] = [
-            (() if v.lv is None else (v.lv,)) + tuple(c.partner for c in v.cps) for v in views
-        ]
         self._scored: list[dict[tuple, tuple[dict, list]]] = [{} for _ in range(self.n)]
         self._responses: dict[tuple, tuple] = {}
         self._cap: list = [_UNSET] * self.n  # `_cap_candidate` of each vehicle
@@ -571,25 +571,36 @@ class _StepSolver:
 
     # -- constraints ------------------------------------------------------
 
-    def _crossing_table(self, i: int) -> list[tuple[float, float, float]]:
-        """(s_self, t_other, partner_hold) of each of vehicle i's live
-        crossing points under the partners' current controls: the part of
-        every crossing check that no candidate of i moves."""
-        table = []
-        for cp in self.views[i].cps:
-            d_other = cp.s_other - self.pred_s[cp.partner]
-            v_other = self.pred[cp.partner].v_x
+    def _crossing_table(self, i: int) -> tuple[list[tuple[int, float, float, float]], tuple]:
+        """(rows, tokens) of vehicle i's live crossing points under the
+        partners' current controls.  A row (k, s_self, t_other,
+        partner_hold) holds the part of point k's check that no candidate
+        of i moves.  A point's check is min(self_hold, partner_hold, sep),
+        and a residual starts at the bound slack, never below
+        `_SLACK_FLOOR`; so a point whose partner_hold is at most that
+        floor never sets a residual and has no row.  Its token is None,
+        that of a point with a row its partner's control."""
+        rows, tokens = [], []
+        for k, cp in enumerate(self.views[i].cps):
+            j = cp.partner
+            d_other = cp.s_other - self.pred_s[j]
+            partner_hold = cp.hold_other + self.hold_dist[j] - d_other
+            if partner_hold <= _SLACK_FLOOR:
+                tokens.append(None)
+                continue
+            v_other = self.pred[j].v_x
             t_other = d_other / v_other if v_other > STOPPED else math.inf  # arrival_time, inline
-            table.append((cp.s_self, t_other, cp.hold_other + self.hold_dist[cp.partner] - d_other))
-        return table
+            rows.append((k, cp.s_self, t_other, partner_hold))
+            tokens.append(self.controls[j])
+        return rows, tuple(tokens)
 
     def _constraint_residual(
         self, i: int, a: float, pred: VehicleState, s_pred: float, bound_slack: float, guard: float,
-        table: list[tuple[float, float, float]],
+        table: list[tuple[int, float, float, float]],
     ) -> float:
         """Worst slack of vehicle i's candidate over its bounds, its leader
-        headway and its crossing points; `table` is `_crossing_table(i)`
-        under the partners' current controls."""
+        headway and its crossing points; `table` holds the rows of
+        `_crossing_table(i)` under the partners' current controls."""
         view = self.views[i]
         res = bound_slack
         ttc_floor = LIMITS.ttc_min + guard
@@ -607,12 +618,15 @@ class _StepSolver:
             return res
         row = self._reach_rows[i].get((a, guard))
         if row is None:
-            row = self._reach_rows[i][(a, guard)] = [brake_reach(v, a, cp.hold_self + guard) for cp in view.cps]
+            row = self._reach_rows[i][(a, guard)] = [None] * len(view.cps)
         moving = v > STOPPED
-        for (s_self, t_other, partner_hold), reach in zip(table, row):
+        for k, s_self, t_other, partner_hold in table:
             d_self = s_self - s_pred
             if d_self <= 0.0:
                 continue  # already past; liveness filtering retires it soon
+            reach = row[k]
+            if reach is None:
+                reach = row[k] = brake_reach(v, a, view.cps[k].hold_self + guard)
             # the pair is safe while any one of three escapes stays open:
             # this vehicle can still stop short of the point, the partner
             # can (under its announced control), or both are moving with
@@ -642,13 +656,19 @@ class _StepSolver:
     # -- candidate evaluation --------------------------------------------
 
     def _scored_for(self, i: int) -> tuple[tuple, dict[tuple[float, float], tuple], list]:
-        """The controls of `reads[i]`, vehicle i's scored candidates against
-        them and its crossing table under them."""
-        reads = tuple(self.controls[j] for j in self.reads[i])
-        context = self._scored[i].get(reads)
+        """The `_scored` key of vehicle i under the current controls, its
+        scored candidates and its crossing rows under that key."""
+        view = self.views[i]
+        rows, tokens = self._crossing_table(i)
+        key = (
+            None if view.lv is None else self.controls[view.lv],
+            None if view.cost_cp is None else self.controls[view.cost_cp.partner],
+            tokens,
+        )
+        context = self._scored[i].get(key)
         if context is None:
-            context = self._scored[i][reads] = ({}, self._crossing_table(i))
-        return reads, *context
+            context = self._scored[i][key] = ({}, rows)
+        return key, *context
 
     def _score(self, i: int, a: float, d: float, table: list, held: bool) -> tuple:
         """`_scored` entry of vehicle i's candidate (a, d): (constraint
@@ -710,8 +730,8 @@ class _StepSolver:
     def _best_response(self, i: int, p_i: float) -> tuple[float, float, tuple]:
         """Vehicle i's best control against the current partner controls
         when it pools the share p_i of its loss; p_i = 0 is its lone move."""
-        reads, scored, table = self._scored_for(i)
-        asked = (i, p_i, reads)
+        context, scored, table = self._scored_for(i)
+        asked = (i, p_i, context)
         if p_i != 0.0:
             asked += (tuple((self.controls[j], self.p[j]) for j in self.dependents[i]),)
         seen = self._responses.get(asked)
@@ -790,7 +810,7 @@ class _StepSolver:
             owns = {scored[ad][1] for ad in memo} - {None}
             if len(owns) == len({c * x for x in owns}):
                 lone = (0.0, scored[(ba, bd)][1]) + bkey[2:] if bkey[0] == 0.0 else bkey
-                self._responses[(i, 0.0, reads)] = (ba, bd, lone, *counts)
+                self._responses[(i, 0.0, context)] = (ba, bd, lone, *counts)
         return ba, bd, bkey
 
     # -- game rounds ------------------------------------------------------

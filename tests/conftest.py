@@ -1,4 +1,5 @@
-"""One run cache for the whole session, and the `dense` layout generator.
+"""One run cache for the whole session, the `dense` layout generator, and
+a derandomized hypothesis profile.
 
 A simulation is deterministic in its scenario text, mode and gating, so
 each distinct run is made once and every test that asks for it reads the
@@ -6,15 +7,23 @@ same result; the golden digests and the acceptance criteria share the
 shipped runs this way.  Tests that must see a run of their own (a
 monkeypatched solver, a determinism check that runs twice, a fresh
 interpreter) call `run` or the CLI directly.
+
+Every `@given` test draws the same examples on every run: the profile
+seeds hypothesis from each test's own source, so a pass or a failure is
+reproducible.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from intersection_game.runner import run
 from intersection_game.scenario import load_scenario
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -14,25 +14,40 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 
-@pytest.fixture
-def case1_a_only(monkeypatch):
+def _case1_a_only(monkeypatch):
     """Make the benchmark's workload loader return case1_A alone."""
     bench_pass = bench._perfbench_module("bench_pass")
     loaded = [(load_scenario(ROOT / "scenarios" / "case1_A.cfg"), None)]
     monkeypatch.setattr(bench_pass, "setup", lambda workload, seed, work: (runner, [], loaded))
 
 
-def test_counts_the_rk4_steps_the_solver_takes(case1_a_only):
-    counters = bench.profiled_counts("shipped", 1)["counters"]
+@pytest.fixture
+def case1_a_only(monkeypatch):
+    _case1_a_only(monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def counters():
+    """The counters of one profiled pass over case1_A."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _case1_a_only(monkeypatch)
+        return bench.profiled_counts("shipped", 1)["counters"]
+
+
+def test_counts_the_rk4_steps_the_solver_takes(counters):
     assert counters["game.evals"] > 0
     assert counters["dynamics.step.solver.calls"] > 0
 
 
-def test_counts_rankings_and_scored_candidates(case1_a_only):
+def test_counts_rankings_and_scored_candidates(counters):
     """Each scored candidate was ranked, and each ranking is an eval; the
     evals that `_responses` replays rank nothing."""
-    counters = bench.profiled_counts("shipped", 1)["counters"]
     assert 0 < counters["game.scored"] <= counters["game.rankings"] <= counters["game.evals"]
+
+
+def test_counts_constraint_checks_and_crossing_standoffs(counters):
+    assert counters["game.constraint_evals"] > 0
+    assert counters["game.standoffs"] > 0
 
 
 def test_refuses_a_solver_rk4_count_of_zero(case1_a_only, monkeypatch):

@@ -27,6 +27,7 @@ from intersection_game.game import (
     LIMITS as L,
     STEER_BOX,
     TTC_GUARD,
+    _SLACK_FLOOR,
     CpRef,
     PlayerView,
     _StepSolver,
@@ -387,6 +388,54 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
             assert moved[1:3] == (fresh.evals - evals, fresh.lateral_evals - lateral)
 
 
+def _near_and_far_views():
+    """A host crossing the paths of two coasting non-players: one 3 m
+    short of its point, whose row is kept, and one 25 m short at 6 m/s,
+    which can stop well short of it, so its row is dropped."""
+    host_route = route_for(APPROACH, "M1", "straight", "outer")
+    views, cps = [], []
+    for k, (road, s, v, ahead) in enumerate((("M2", 31.0, 4.0, 3.0), ("M3", 5.0, 6.0, 25.0)), start=1):
+        route = route_for(APPROACH, road, "straight", "inner")
+        x, y = route.point_at(s)
+        views.append(PlayerView(
+            route=route, state=VehicleState(v, route.project(x, y)[2], x, y), kappa=0.0, p=1.0,
+            a_prev=0.0, delta_prev=0.0, player=False, coast=(0.0, 0.0),
+        ))
+        cps.append(CpRef(40.0 + k, k, s + ahead, *host_route.point_at(40.0 + k), 3.5, 2.0))
+    host = PlayerView(
+        route=host_route, state=VehicleState(5.0, 0.0, *host_route.point_at(26.0)), kappa=0.0, p=1.0,
+        a_prev=0.0, delta_prev=0.0, player=True, coast=(0.0, 0.0), cps=tuple(cps),
+    )
+    return [host, *views]
+
+
+def test_a_far_partner_moving_replays_and_a_near_one_opens_a_context(monkeypatch):
+    """The far partner's row is dropped, so its control is not in the
+    host's `_scored` key: after it moves, the host's search reuses that
+    context and replays its `_responses` entry with no new ranking.  The
+    near partner's control is in the key, so its move opens a context."""
+    solver = _StepSolver(_near_and_far_views(), True)
+    evals = solver.evals
+    first = solver._best_response(0, solver.p[0])
+    counted = solver.evals - evals
+    key, scored, _ = solver._scored_for(0)
+    assert key == (None, None, (solver.controls[1], None))
+    ranked = _count_ranks(monkeypatch, solver)
+
+    def move(k):
+        a, d = solver.controls[k]
+        solver.controls[k] = (a - 0.5, d)
+        solver._refresh_pred(k)
+        return solver._best_response(0, solver.p[0])
+
+    evals = solver.evals
+    assert move(2) == first
+    assert ranked[0] == 0 and solver.evals - evals == counted
+    assert solver._scored_for(0)[1] is scored and len(solver._scored[0]) == 1
+    move(1)
+    assert ranked[0] > 0 and len(solver._scored[0]) == 2
+
+
 def _count_ranks(monkeypatch, solver):
     """A one-element list counting `solver._rank` calls from now on."""
     ranked = [0]
@@ -519,7 +568,7 @@ def test_derived_lone_moves_change_no_row_and_no_count(layout, step_k, evals, de
     real_best_response = _StepSolver._best_response
 
     def searched_lone(self, i, p_i):
-        lone = (i, 0.0, tuple(self.controls[j] for j in self.reads[i]))
+        lone = (i, 0.0, self._scored_for(i)[0])
         stored = lone in self._responses
         answer = real_best_response(self, i, p_i)
         if p_i != 0.0 and not stored:
@@ -853,6 +902,31 @@ def _old_constraint_residual(solver, i, a, pred, s_pred, bound_slack, guard):
     return res
 
 
+@settings(deadline=None)
+@given(
+    v0=st.floats(0.0, L.v_max),
+    a_prev=st.floats(-L.a_max, L.a_max),
+    s=st.floats(0.0, 80.0),
+    road=st.sampled_from(["M1", "M2", "M3", "M4"]),
+    maneuver=st.sampled_from(["left", "straight", "right"]),
+    a_at=st.floats(0.0, 1.0),
+    d=st.floats(-STEER_BOX, STEER_BOX),
+)
+def test_no_candidate_bound_slack_is_below_the_slack_floor(v0, a_prev, s, road, maneuver, a_at, d):
+    """A crossing row at or under `_SLACK_FLOOR` never sets a residual,
+    because every in-box candidate's bound slack is at least that floor."""
+    route = route_for(APPROACH, road, maneuver)
+    s = min(s, route.total_length)
+    x, y = route.point_at(s)
+    view = PlayerView(
+        route=route, state=VehicleState(v0, route.project(x, y)[2], x, y), kappa=0.0, p=1.0,
+        a_prev=a_prev, delta_prev=0.0, player=True, coast=(0.0, 0.0),
+    )
+    solver = _StepSolver([view], True)
+    lo, hi = solver._accel_box(0)
+    assert solver._candidate(0, lo + a_at * (hi - lo), d)[4] >= _SLACK_FLOOR
+
+
 _PARTNER_ROUTES = (("M2", "straight", "outer"), ("M4", "left", "inner"), ("M3", "straight", "inner"))
 _speed = st.one_of(st.just(0.0), st.floats(0.0, 8.0))
 _partner = st.tuples(
@@ -882,15 +956,24 @@ _point = st.tuples(
     v_host=0.0, a_prev=-0.2, leader=None, partners=[(0.0, -1.0, 20.0, 8.0, 3.5)],
     points=[(5.0, 3.5), (-1.0, 3.5), ("at_pred", 3.5)], candidates=[(-0.2, 0.0)], guards=[TTC_GUARD, 0.0],
 )
+@example(  # the first partner can stop well short of its points: their rows are dropped
+    v_host=5.0, a_prev=0.0, leader=None, partners=[(6.0, 0.0, 5.0, 25.0, 2.0), (4.0, 0.0, 20.0, 3.0, 3.0)],
+    points=[(6.0, 3.5), (8.0, 3.5), (4.0, 3.5)], candidates=[(0.2, 0.0), (-0.2, 0.01)], guards=[TTC_GUARD, 0.0],
+)
+@example(  # a stopped partner 0.01 m inside its backoff sets the residual just above the floor
+    v_host=5.0, a_prev=0.0, leader=None, partners=[(0.0, -1.0, 20.0, 3.51, 3.5)],
+    points=[(6.0, 3.5), (8.0, 3.5), (10.0, 3.5)], candidates=[(0.0, 0.0)], guards=[TTC_GUARD, 0.0],
+)
 def test_table_residual_equals_the_per_point_loop_bit_for_bit(
     v_host, a_prev, leader, partners, points, candidates, guards
 ):
-    """`_constraint_residual` over a crossing table and reach rows equals
-    the old per-point loop exactly (float hex strings, so signed zeros
-    count), for both guards, stopped partners (t_other = inf), stopped
-    hosts and points the candidate reached or passed (d_self <= 0).  All
-    candidates of one example, each under both guards, share one solver,
-    so the reach rows and the table are reused across them."""
+    """`_constraint_residual` over the kept rows of a crossing table and
+    reach rows equals the old per-point loop over every point exactly
+    (float hex strings, so signed zeros count), for both guards, stopped
+    partners (t_other = inf), stopped hosts and points the candidate
+    reached or passed (d_self <= 0).  All candidates of one example, each
+    under both guards, share one solver, so the reach rows and the table
+    are reused across them."""
     host_route = route_for(APPROACH, "M1", "straight", "outer")
     s_host = 20.0
     host_state = VehicleState(v_host, 0.0, *host_route.point_at(s_host))
@@ -929,9 +1012,18 @@ def test_table_residual_equals_the_per_point_loop_bit_for_bit(
     )
     views = [host, *partner_views] + ([lead_view] if leader is not None else [])
     solver = _StepSolver(views, True)
-    table = solver._crossing_table(0)
-    assert any(math.isinf(t_other) for _, t_other, _ in table) == any(
-        solver.pred[cp.partner].v_x <= STOPPED for cp in cps
+    table, tokens = solver._crossing_table(0)
+    kept = []
+    for k, cp in enumerate(cps):
+        d_other = cp.s_other - solver.pred_s[cp.partner]
+        if cp.hold_other + solver.hold_dist[cp.partner] - d_other > _SLACK_FLOOR:
+            kept.append(k)
+            assert tokens[k] == solver.controls[cp.partner]
+        else:
+            assert tokens[k] is None
+    assert [row[0] for row in table] == kept
+    assert any(math.isinf(t_other) for _, _, t_other, _ in table) == any(
+        solver.pred[cps[k].partner].v_x <= STOPPED for k in kept
     )
     for a, d in candidates:
         pred, s_pred, _, _, slack = solver._candidate(0, a, d)

@@ -383,3 +383,42 @@ def test_reversing_a_dense_layout_changes_no_vehicle_outcome(simulate, dense):
     rows = [r for step_rows in res.rows for r in step_rows]
     assert len(res.names) == 16 and len(res.steps) == 35
     assert any(r.lv is not None for r in rows) and any(r.reset for r in rows) and any(r.fallback for r in rows)
+
+
+def _rotated(text):
+    """`text` turned by 90 degrees counterclockwise: each start point
+    (x, y) goes to (-y, x) and each road M1 -> M2 -> M3 -> M4 -> M1."""
+    lines = []
+    for line in text.splitlines():
+        key, eq, value = line.partition(" = ")
+        if key == "road":
+            value = f"M{int(value[1:]) % 4 + 1}"
+        elif key == "x":
+            key = "y"
+        elif key == "y":
+            key, value = "x", repr(-float(value))
+        lines.append(key + eq + value)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["case1_A", "case3"])
+def test_turning_a_scenario_by_90_degrees_changes_no_vehicle_outcome(simulate, name):
+    """The intersection is four-fold symmetric, so turning a scenario
+    keeps each vehicle's role, leader and flags per step, and its arc
+    length and speed to 1e-9.  The solver's memo keys follow each
+    vehicle's crossing points in order, which the turn must not reorder."""
+    text = (SCENARIOS / f"{name}.cfg").read_text(encoding="utf-8")
+    turned = simulate(_rotated(text))
+    res = simulate(text)
+    assert turned.names == res.names
+    assert len(turned.steps) == len(res.steps) > 1
+    for step, turned_step, rows, turned_rows in zip(res.steps, turned.steps, res.rows, turned.rows):
+        assert (turned_step.n_players, turned_step.any_reset, turned_step.all_rational) == (
+            step.n_players, step.any_reset, step.all_rational
+        )
+        for row, turned_row in zip(rows, turned_rows, strict=True):
+            assert (turned_row.role, turned_row.lv, turned_row.fallback, turned_row.reset) == (
+                row.role, row.lv, row.fallback, row.reset
+            )
+            assert turned_row.s == pytest.approx(row.s, rel=0.0, abs=1e-9)
+            assert turned_row.state.v_x == pytest.approx(row.state.v_x, rel=0.0, abs=1e-9)
