@@ -8,15 +8,15 @@ end-to-end medians.  One in-process pass of the workload under cProfile
 then gives its counts of work, which depend neither on the machine nor
 on the hash seed:
 
-- `counters`: the solver's `game.evals`, `game.lateral_evals`,
-  `game.sweeps` and `game.resets`, summed from the runs' rows; its RK4
-  steps (`dynamics.step.solver.calls`: `dynamics.step` called from
-  `_StepSolver._candidate`; the script exits non-zero if that reads 0
-  while the solver evaluated candidates, since the count would then miss
-  RK4 calls made elsewhere); its rankings (`game.rankings`, calls of
-  `_StepSolver._rank`: the evals that `_responses` does not replay), its
-  scored candidates (`game.scored`, calls of `_StepSolver._score`: the
-  rankings that the `_scored` memo does not answer), its constraint
+- `counters`: the solver's `game.evals` (its rankings, calls of
+  `_StepSolver._rank`), `game.lateral_evals` (its crossing-risk terms,
+  calls of `crossing_risk`), `game.sweeps` and `game.resets`, summed
+  from the runs' rows; its RK4 steps (`dynamics.step.solver.calls`:
+  `dynamics.step` called from `_StepSolver._candidate`; the script exits
+  non-zero if that reads 0 while the solver evaluated candidates, since
+  the count would then miss RK4 calls made elsewhere); its scored
+  candidates (`game.scored`, calls of `_StepSolver._score`: the rankings
+  that the `_scored` memo does not answer), its constraint
   checks (`game.constraint_evals`, calls of
   `_StepSolver._constraint_residual`) and its crossing standoffs
   (`game.standoffs`, calls of `brake_reach`); and the
@@ -111,7 +111,6 @@ def profiled_counts(workload: str, seed: int) -> dict:
             "the solver's RK4 no longer runs from _StepSolver._candidate"
         )
     for name, code in (
-        ("rankings", game._StepSolver._rank.__code__),
         ("scored", game._StepSolver._score.__code__),
         ("constraint_evals", game._StepSolver._constraint_residual.__code__),
         ("standoffs", game.brake_reach.__code__),

@@ -48,7 +48,7 @@ FEAS_SLACK = 1e-9  # largest constraint residual a candidate may keep
 RATIONALITY_TOL = 1e-6  # pooled loss a member may give up against its lone move
 TTC_GUARD = 0.05  # enforcement slack so recorded residuals stay negative
 # `_scored` entry of a candidate known infeasible whose residual is not computed
-_UNSCORED = (math.inf, None, 0)
+_UNSCORED = (math.inf, None)
 _UNSET = object()  # `_cap` entry not computed yet; None is a computed "no cap"
 
 
@@ -366,27 +366,25 @@ class _StepSolver:
 
     - `_scored[i]` maps (leader's control, priced partner's control,
       `_crossing_table`'s tokens) to a map (a, d) -> (constraint
-      residual, own cost or None if infeasible, lateral_evals increment)
-      or `_UNSCORED` (below), shared by every p_i, and to i's crossing
-      rows, the part of each kept check that only the partner's control
-      moves.
+      residual, own cost or None if infeasible) or `_UNSCORED` (below),
+      shared by every p_i, and to i's crossing rows, the part of each
+      kept check that only the partner's control moves.
       A candidate's residual then computes just its own distance and
       arrival time to each point; only the coupling term is computed per
       ranking, and only at p_i != 0;
-    - `_responses` keeps each `_best_response` result with the evals and
-      lateral_evals it added, so asking again under the same `_scored`
-      key (a converged sweep, a re-sweep, the second rationality
-      check, the lone move of a player already at p_i = 0) replays the
-      counts instead of searching.  A fresh search at p_i != 0 also stores
-      the lone move of an uncoupled member, one whose `dependents` all
-      have p = 0, so that `_coupling` adds nothing and every feasible key
-      holds c * own with c = 1 - p_i + p_i^2.  Its guard: if c maps the
-      distinct own losses of the candidates the search ranked to distinct
-      values, every key comparison of the lone search comes out as in this
-      one, so that search would rank the same candidates to the same
-      control with the same counts; its key holds own in place of c * own.
-      Where c merges two losses, nothing is stored and the lone move is
-      searched.
+    - `_responses` keeps each `_best_response` result, so asking again
+      under the same `_scored` key (a converged sweep, a re-sweep, the
+      second rationality check, the lone move of a player already at
+      p_i = 0) returns it without searching.  A fresh search at p_i != 0
+      also stores the lone move of an uncoupled member, one whose
+      `dependents` all have p = 0, so that `_coupling` adds nothing and
+      every feasible key holds c * own with c = 1 - p_i + p_i^2.  Its
+      guard: if c maps the distinct own losses of the candidates the
+      search ranked to distinct values, every key comparison of the lone
+      search comes out as in this one, so that search would rank the same
+      candidates to the same control; its key holds own in place of
+      c * own.  Where c merges two losses, nothing is stored and the lone
+      move is searched.
 
     Each shared value comes from the same call with the same arguments
     that would otherwise be repeated, so results are bit-for-bit those of
@@ -395,7 +393,10 @@ class _StepSolver:
     sign of that zero.  So a steer of -0.0 may take the sideslip 0.0 of a
     steer of 0.0: predicted yaw, y and course error then differ at most in
     the sign of a zero, which enters only through sums, abs and squares.
-    The memos live only as long as this solver, one step.
+    The memos live only as long as this solver, one step.  The step's
+    counters count work done: `evals` the calls of `_rank` and
+    `lateral_evals` those of `crossing_risk`, so an answer a memo gives
+    adds to neither.
 
     The hot loop is the pair of candidate loops in `_best_response`: a
     fresh search ranks about 93 candidates, and each `_rank` that misses
@@ -410,7 +411,7 @@ class _StepSolver:
     a search without a feasible control, or a direct `_rank` call, that
     reads it computes the exact residual in its place.  So searches with
     no feasible candidate, as on the emergency path, rank by exact
-    residuals, and the counts are those of scoring every candidate.
+    residuals.
     `_rank` takes the own loss from `blended_loss` over the `_own_terms`
     fields without building a CostTerms, skips `_coupling` where it is
     zero, and the search, its pattern step and the constraint loops keep
@@ -672,7 +673,7 @@ class _StepSolver:
 
     def _score(self, i: int, a: float, d: float, table: list, held: bool) -> tuple:
         """`_scored` entry of vehicle i's candidate (a, d): (constraint
-        residual, own cost or None if infeasible, lateral_evals increment).
+        residual, own cost or None if infeasible).
         With `held`, a candidate its acceleration or its bounds already rule
         out is `_UNSCORED`, before RK4 or before the interaction residual."""
         if held and self._accel_slack[i][a] > FEAS_SLACK:
@@ -682,10 +683,8 @@ class _StepSolver:
             return _UNSCORED
         residual = self._constraint_residual(i, a, pred, s_pred, slack, TTC_GUARD, table)
         if residual > FEAS_SLACK:
-            return (residual, None, 0)
-        lateral = self.lateral_evals
-        own = blended_loss(*self._own_terms(i, pred, s_pred, dy, dphi))
-        return (residual, own, self.lateral_evals - lateral)
+            return (residual, None)
+        return (residual, blended_loss(*self._own_terms(i, pred, s_pred, dy, dphi)))
 
     def _rank(self, i: int, a: float, d: float, p_i: float, scored: dict, table: list, held: bool = False):
         """Rank key of vehicle i's candidate (a, d); `held` says the asking
@@ -694,9 +693,7 @@ class _StepSolver:
         entry = scored.get((a, d))
         if entry is None or (entry is _UNSCORED and not held):
             entry = scored[(a, d)] = self._score(i, a, d, table, held)
-        else:
-            self.lateral_evals += entry[2]
-        residual, own, _ = entry
+        residual, own = entry
         if own is None:
             return (1.0, residual, abs(a), abs(d), a, d)
         value = (1.0 - p_i + p_i * p_i) * own
@@ -736,11 +733,7 @@ class _StepSolver:
             asked += (tuple((self.controls[j], self.p[j]) for j in self.dependents[i]),)
         seen = self._responses.get(asked)
         if seen is not None:
-            ba, bd, bkey, evals, lateral = seen
-            self.evals += evals
-            self.lateral_evals += lateral
-            return ba, bd, bkey
-        evals, lateral = self.evals, self.lateral_evals
+            return seen
         view = self.views[i]
         a_lo, a_hi = self._accel_box(i)
         d_lim = STEER_BOX
@@ -801,8 +794,7 @@ class _StepSolver:
             else:
                 da *= 0.5
                 dd *= 0.5
-        counts = (self.evals - evals, self.lateral_evals - lateral)
-        self._responses[asked] = (ba, bd, bkey, *counts)
+        self._responses[asked] = (ba, bd, bkey)
         if p_i != 0.0 and all(self.p[j] == 0.0 for j in self.dependents[i]):
             # uncoupled: every feasible key held c * own; while c keeps the
             # owns distinct, the lone search makes the same comparisons
@@ -810,7 +802,7 @@ class _StepSolver:
             owns = {scored[ad][1] for ad in memo} - {None}
             if len(owns) == len({c * x for x in owns}):
                 lone = (0.0, scored[(ba, bd)][1]) + bkey[2:] if bkey[0] == 0.0 else bkey
-                self._responses[(i, 0.0, context)] = (ba, bd, lone, *counts)
+                self._responses[(i, 0.0, context)] = (ba, bd, lone)
         return ba, bd, bkey
 
     # -- game rounds ------------------------------------------------------

@@ -257,11 +257,13 @@ def _mean_evals(res):
 def test_criterion_5_gating_speeds_up_the_solver(capsys, simulate):
     """Gating buys less decision-making work: fewer candidate evaluations
     per step, and fewer lateral risk terms priced.  The two variants drive
-    different trajectories, and on case1_A the saving per step is a few
-    percent, less than the run-to-run swing of wall time; so the check
-    counts work.  `intersection-game run` prints both the mean solve time
-    and the mean evaluations per step (case1_A 789.9 gated, 815.5 ungated;
-    case3 1518.6 and 1976.0), with and without `--no-risk-gating`."""
+    different trajectories, so their solve times compare different runs,
+    and wall time swings from run to run; so the check counts work.
+    `intersection-game run` prints both the mean solve time and the mean
+    evaluations per step (case1_A 395.8 gated, 451.5 ungated; case3 742.2
+    and 1036.2), with and without `--no-risk-gating`; the crossing-risk
+    terms priced are 12,417 against 40,338 on case1_A and 42,638 against
+    140,139 on case3."""
     ok = False
     try:
         for name in ("case1_A", "case3"):

@@ -345,18 +345,11 @@ def test_solved_controls_are_best_responses():
 
 def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
     """Asking again against the same partner controls ranks nothing and
-    replays the counts of the first answer; once a partner moves, the
-    search runs again and agrees with a fresh solver at those controls."""
+    adds no eval; once a partner moves, the search runs again, counts one
+    eval per ranking and agrees with a fresh solver at those controls."""
     solver = _StepSolver(_crossing_views(), True)
     solver.solve()
-    ranked = [0]
-    real_rank = solver._rank
-
-    def counting_rank(*args):
-        ranked[0] += 1
-        return real_rank(*args)
-
-    monkeypatch.setattr(solver, "_rank", counting_rank)
+    ranked = _count_ranks(monkeypatch, solver)
 
     def ask(s, i, p_i):
         evals, lateral, n = s.evals, s.lateral_evals, ranked[0]
@@ -366,10 +359,8 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
     for i in (0, 1):
         for p_i in (solver.p[i], 0.0):
             first = ask(solver, i, p_i)
-            again = ask(solver, i, p_i)
-            assert again[3] == 0
-            assert again[:3] == first[:3]
-            assert first[1] > 0
+            assert first[1] == first[3]
+            assert ask(solver, i, p_i) == (first[0], 0, 0, 0)
 
     for i, k in ((0, 1), (1, 0)):
         a_k, d_k = solver.controls[k]
@@ -382,7 +373,7 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
             fresh._refresh_pred(j)
         for p_i in (solver.p[i], 0.0):
             moved = ask(solver, i, p_i)
-            assert moved[3] > 0
+            assert moved[3] > 0 and moved[1] == moved[3]
             evals, lateral = fresh.evals, fresh.lateral_evals
             assert moved[0] == fresh._best_response(i, p_i)
             assert moved[1:3] == (fresh.evals - evals, fresh.lateral_evals - lateral)
@@ -412,12 +403,11 @@ def _near_and_far_views():
 def test_a_far_partner_moving_replays_and_a_near_one_opens_a_context(monkeypatch):
     """The far partner's row is dropped, so its control is not in the
     host's `_scored` key: after it moves, the host's search reuses that
-    context and replays its `_responses` entry with no new ranking.  The
-    near partner's control is in the key, so its move opens a context."""
+    context and returns its `_responses` entry with no new ranking and no
+    eval.  The near partner's control is in the key, so its move opens a
+    context."""
     solver = _StepSolver(_near_and_far_views(), True)
-    evals = solver.evals
     first = solver._best_response(0, solver.p[0])
-    counted = solver.evals - evals
     key, scored, _ = solver._scored_for(0)
     assert key == (None, None, (solver.controls[1], None))
     ranked = _count_ranks(monkeypatch, solver)
@@ -430,7 +420,7 @@ def test_a_far_partner_moving_replays_and_a_near_one_opens_a_context(monkeypatch
 
     evals = solver.evals
     assert move(2) == first
-    assert ranked[0] == 0 and solver.evals - evals == counted
+    assert ranked[0] == 0 and solver.evals == evals
     assert solver._scored_for(0)[1] is scored and len(solver._scored[0]) == 1
     move(1)
     assert ranked[0] > 0 and len(solver._scored[0]) == 2
@@ -462,8 +452,8 @@ def _uncoupled_views(case):
 def test_uncoupled_member_reads_its_lone_move_off_the_coalition_search(case, monkeypatch):
     """Its pooled ranking is (1 - p + p^2) times its own loss, so the lone
     search would compare as the coalition search did: asked after it, the
-    lone move ranks nothing and replays what a fresh solver's lone search
-    returns and counts."""
+    lone move ranks nothing, adds no eval and returns what a fresh
+    solver's lone search returns."""
     views = _uncoupled_views(case)
     solver = _StepSolver(views, True)
     assert solver.p[0] == 0.6 and len(solver.dependents[0]) == (case == "dependent_at_p0")
@@ -471,12 +461,11 @@ def test_uncoupled_member_reads_its_lone_move_off_the_coalition_search(case, mon
     ranked = _count_ranks(monkeypatch, solver)
     evals, lateral = solver.evals, solver.lateral_evals
     lone = solver._best_response(0, 0.0)
-    assert ranked[0] == 0
+    assert ranked[0] == 0 and (solver.evals, solver.lateral_evals) == (evals, lateral)
     fresh = _StepSolver(views, True)
     want = fresh._best_response(0, 0.0)
     assert want[2][0] == 0.0 and fresh.evals > 0
     assert lone == want
-    assert (solver.evals - evals, solver.lateral_evals - lateral) == (fresh.evals, fresh.lateral_evals)
     if case == "dependent_at_p0":
         assert fresh.lateral_evals > 0
 
@@ -541,19 +530,20 @@ def test_speed_cap_is_bisected_once_per_vehicle_per_step(monkeypatch):
     assert solver.sweeps > 1 and solver._cap == [None, None]
 
 
-# dense layouts (per arm, seed), the step an unguarded variant first
-# changes and that step's evals.  Reading every uncoupled lone move off
-# the coalition search without the guard changes the first two; ranking
-# such a member by its own loss alone changes all three.
-_GUARDED = [((3, 2), 20, 6375), ((3, 8), 21, 6244), ((4, 9), 16, 8221)]
+# dense layouts (per arm, seed), a step at which the guard makes a member
+# search its lone move, and that step's evals.  Reading every uncoupled
+# lone move off the coalition search without the guard, or ranking such a
+# member by its own loss alone, changes all three.
+_GUARDED = [((3, 2), 20, 2938), ((3, 8), 21, 2550), ((4, 9), 16, 4807)]
 
 
 @pytest.mark.parametrize("layout, step_k, evals", _GUARDED, ids=["n12_seed2", "n12_seed8", "n16_seed9"])
 def test_derived_lone_moves_change_no_row_and_no_count(layout, step_k, evals, dense, tmp_path, monkeypatch):
     """Reading lone moves off the coalition search gives the rows and the
-    per-step work counts of searching every lone move, on the inputs where
-    a scale that merges two losses would tell them apart.  Each run ends
-    one step past that step."""
+    step records of searching every lone move, on the inputs where a scale
+    that merges two losses would tell them apart; only `evals` differs,
+    since a lone move read off ranks nothing.  It is no higher in any step
+    and lower in the pinned one.  Each run ends one step past that step."""
     horizon = f"t_end = {dense.HORIZON_S:g}\n"
     text = dense.layout(*layout)
     assert horizon in text
@@ -562,7 +552,8 @@ def test_derived_lone_moves_change_no_row_and_no_count(layout, step_k, evals, de
 
     def outcome():
         res = runner.run(load_scenario(cfg))
-        return repr(res.rows), [dataclasses.replace(s, solve_time=0.0) for s in res.steps]
+        steps = [dataclasses.replace(s, solve_time=0.0, evals=0) for s in res.steps]
+        return repr(res.rows), steps, [s.evals for s in res.steps]
 
     derived = outcome()
     real_best_response = _StepSolver._best_response
@@ -578,8 +569,10 @@ def test_derived_lone_moves_change_no_row_and_no_count(layout, step_k, evals, de
     monkeypatch.setattr(_StepSolver, "_best_response", searched_lone)
     searched = outcome()
     assert len(derived[1]) == step_k + 2
-    assert derived == searched
-    assert derived[1][step_k].evals == evals
+    assert derived[:2] == searched[:2]
+    assert all(d <= s for d, s in zip(derived[2], searched[2]))
+    assert derived[2][step_k] < searched[2][step_k]
+    assert derived[2][step_k] == evals
 
 
 def test_pooled_loss_identities():
@@ -717,7 +710,8 @@ def test_solve_step_deterministic():
 
 def test_step_solver_predicts_each_candidate_once_per_step(monkeypatch):
     """Within one step no (state, a, delta) reaches the RK4 integrator
-    twice, and sharing that work leaves the evaluation count unchanged."""
+    twice, the run counts the evals committed under runs/, and it ranks
+    more candidates than it predicts."""
     root = Path(__file__).resolve().parents[1]
     seen: set = set()
     repeats = []
@@ -749,6 +743,38 @@ def test_step_solver_predicts_each_candidate_once_per_step(monkeypatch):
     # 21,921 before a search with a feasible control skipped the RK4 of
     # candidates whose speed ramp rules them out; 17,769 since
     assert calls[0] <= 17_769
+
+
+@pytest.mark.parametrize("name", ["case1_A", "case3"])
+def test_step_counters_count_rankings_and_crossing_risk_terms(name, monkeypatch):
+    """Each step's `evals` is the number of `_rank` calls its solver makes
+    and its `lateral_evals` the number of `crossing_risk` calls: an answer
+    read from `_scored` or `_responses` adds to neither."""
+    root = Path(__file__).resolve().parents[1]
+    calls = {"rank": 0, "risk": 0}
+    per_step = []
+    real_rank, real_risk, real_solve = _StepSolver._rank, game.crossing_risk, runner.solve_step
+
+    def counting_rank(self, *args, **kwargs):
+        calls["rank"] += 1
+        return real_rank(self, *args, **kwargs)
+
+    def counting_risk(*args):
+        calls["risk"] += 1
+        return real_risk(*args)
+
+    def solve_one_step(*args, **kwargs):
+        calls.update(rank=0, risk=0)
+        sol = real_solve(*args, **kwargs)
+        per_step.append((calls["rank"], calls["risk"]))
+        return sol
+
+    monkeypatch.setattr(_StepSolver, "_rank", counting_rank)
+    monkeypatch.setattr(game, "crossing_risk", counting_risk)
+    monkeypatch.setattr(runner, "solve_step", solve_one_step)
+    res = runner.run(load_scenario(root / "scenarios" / f"{name}.cfg"))
+    assert sum(risk for _, risk in per_step) > 0
+    assert [(s.evals, s.lateral_evals) for s in res.steps] == per_step
 
 
 def test_step_solver_windows_change_no_projection_and_mostly_visit_one_element(monkeypatch):

@@ -24,39 +24,39 @@ JOBS = matrix.jobs()
 # `digest` of each identity-matrix directory; after an intended behaviour
 # change, paste the lines scripts/identity_matrix.py prints in place of these
 SHA256 = {
-    "case1_A_fuzzy": "c1c237b63fc67448363d7e8a1096eaf73a0a40aa34e5f7a6661a1e3d72b5ad26",
-    "case1_A_noncoop": "436af3288985c0ee9feed32af39b7f0f1ec8cdd699164c9595f818fa3b99e5de",
-    "case1_A_grand": "c62cc4c2a356ea5b252d9952e08e0ba61582b44e641bc4b68cf014dd4552d07d",
-    "case1_B_fuzzy": "3f983bb32416242a1c75e96b376601fcc69086b184ab7d7e23ee52fa534a1d77",
-    "case1_B_noncoop": "52f30d1f2cd3c0f1f9cd1b72cc407b21a44e6ab52ab3b5dd53162657b245bc1e",
-    "case1_B_grand": "139e3e5ea48981ad48cd3af882a732d3e7b69f738eef92d290778bb76092bbb1",
-    "case1_C_fuzzy": "27b891d819961102202a38d4db97c848eded12f6036b06b810dde067f02d7c86",
-    "case1_C_noncoop": "e0f18035137ef40328008d026a22a24ad903e49af2b0f371b0273ab247147e1a",
-    "case1_C_grand": "be261962877043d2ec67a8a942a6449c85eac4162d016bd97b45f043d6d66975",
-    "case1_D_fuzzy": "0802b1d4fed8b8c0b9ab94dd8910f7c729ebcf00326d64749141b4deadc40d7f",
-    "case1_D_noncoop": "a4880cee5d9eb97e8a4c70f46846222552d6cbaf25eb11a5ef500961eea42b30",
-    "case1_D_grand": "b0f22287308f8f7e251088cc73e4f28768183aaa554b4edf19e8191ec0881baa",
-    "case1_E_fuzzy": "38fad8171278029854b02583dd14023c3dab0789704bdcf5a03a49bab7a4dc74",
-    "case1_E_noncoop": "544203308e0c0c63d00b739f7d5c8d78cd1463e85603e15f54fb62e881f11dfc",
-    "case1_E_grand": "a1c1ced2220aaffb353219d24de2a7ed6726453099cf5e4634ad82a7d1e54fef",
-    "case1_F_fuzzy": "72db1eeac0df2321c34b4de4df4c90e0a73b9ec5dac818eca1d77b0ce20ce375",
-    "case1_F_noncoop": "fc0322361288ca7d2ab189242ac975e30bd41af2c87c6dd11519f4dac4aacdc4",
-    "case1_F_grand": "7ede480e43753fc0de35a23e4f499c8bd4ec7b1c3ea9e5b973c8edf091abb316",
-    "case2_fuzzy": "8fe38d11e89f1c2bb80b39bdf92c0bfd38ad928e6f7c3661833236c0d5ef92e0",
-    "case2_noncoop": "88601741d1f6af7003ed5e73dcedc8195e3830e4ea93ce818d71dd0ac27dfd50",
-    "case2_grand": "f398c400494efe9e5082e036463843f767e3d17d3be6f1f7fbabb82f7e8f5738",
-    "case3_fuzzy": "37d30abd05c6a07fedfc17d013f0dfb93b6317ef01b2ddcaaf6ff604e9a6ae7e",
-    "case3_noncoop": "78476b4b4df9784778a36ccabad1911a8d5c2f04678c3c88090a553528327c29",
-    "case3_grand": "2edbc5bf4cfd8987c6d4c68f5cf19b0d8b45f1d8a9f5d2d7dedb52dea9a290ea",
-    "case1_A_ungated": "7a320b43239c51be1d18e3aa5967f6e402c6ff0083a97d483c191184c78649ca",
-    "case3_ungated": "1e6613894828881fb7edf2ee185cf311ad22d6cd27d2442fa3755991de1b2056",
-    "dense_n8_seed1": "49bd047ce63375f739af4883b286337ad9bd94429370c1b5976aef8c563142f9",
-    "dense_n12_seed1": "3d93c95c94a0e923074a201564f13d6e2830f6bb6c4a656d9e6d01fb73517dcf",
-    "dense_n12_seed1_grand": "579938bad1b390b87429230e6304591d41aab25377f58f527de0468d8253b03b",
-    "dense_n16_seed1": "db252dd3517ca8e308e5206e2b87d302a884406b99c768d9fe7b576444006fc0",
-    "dense_n8_seed3": "2874cb46ad6cd35a49dce6653df42565b32315538c1ea7b5a122f00e20a6da22",
-    "dense_n12_seed3": "3683b713b6972bc48fbc121535038288c455fee70f6180201b48e97568afbb21",
-    "dense_n16_seed3": "a6ae10c1d17731fbab72bc98a815763e0debf9d28bb31a9f6101382ea76727d0",
+    "case1_A_fuzzy": "fd51ad3f2de23cb3f9163f6ef984e0e6c6b7e16e4e4445b6477e7c54039f2868",
+    "case1_A_noncoop": "66716751b596d4bc6df05c37680184de110bfcf57b5cb6529ee8377e24b6f0ee",
+    "case1_A_grand": "1e53b70fae4066ae82fe95b38a890b9b6ebf9997c66de52074612c5c395b81e2",
+    "case1_B_fuzzy": "865fd03b6a51b4f8511a5a618ba66b035cfab7c0c2c1bd743b1f1660361fbba8",
+    "case1_B_noncoop": "2c907460b34baff931d28a49dd2bbd7bee9bb507b01abb9ddaae964204236ffe",
+    "case1_B_grand": "08981c297d75c79bbca2d82ea37b8d60203a6028e93504a1b13e6e628c8c3eb4",
+    "case1_C_fuzzy": "727619b2e8e82c6d8f8b88a2e9af5873b832984aa3cfe1cfacef25dc89274d71",
+    "case1_C_noncoop": "6cea629b6e3fed9e65b8b45456dc334d8d9377dbea43155e5965718b97dc3831",
+    "case1_C_grand": "a6c83c0f0f3430bd1313fb673baf2632024bdb5b45f7687a1c3bbbba3446b7e1",
+    "case1_D_fuzzy": "145c0becf0d4cd96a8841d8143765007dc5d524a0bfbdfe30dd997ef5340626b",
+    "case1_D_noncoop": "2ef069a19a512cf95f9cade1fb1838e0d215dc885c8b02a438bc5af8e572e5a9",
+    "case1_D_grand": "b8d442f4d1f21301ea0721177a090b3be4945ba4fd5385969bee5b782a0fc08f",
+    "case1_E_fuzzy": "59d545d7ea645ccad5e2488f9049187c0a5dcb617eb5de8532f1bf66a24c3de9",
+    "case1_E_noncoop": "8f99007631401d0db436b09c29aee39e9abb8618941969449e7ce6ff6110c74c",
+    "case1_E_grand": "c4468ddb02c0a727bbe2517905925c464b0c7813d6e17ef29adbcb6f99e3982f",
+    "case1_F_fuzzy": "029ed2fb40584b740c90c7166610f6aa0968d79c1fca5704757779e4e84aed09",
+    "case1_F_noncoop": "ed7941981049855c7cf2e8334151a3ccdf9840e0e3605786855715598cb49587",
+    "case1_F_grand": "b6e5cfab1932f44b61f3be238656cb206cd7d607c3f420a9a040a4a87b53e464",
+    "case2_fuzzy": "9a04b3d5494e9b051c8ee4a149e9afbbaa722312b528e1a5169dc4bab3179de9",
+    "case2_noncoop": "004bbd6a9f146a24cf8f2d67ce39f2284775ae1a9c8a73d3ca605537c2fda3e5",
+    "case2_grand": "13d77518433f9717def58993d7f474d2da7408e4135f932f3bb2b1a910787c11",
+    "case3_fuzzy": "eb90e93eafc3b353fbe12b5f53a6bced4929c06d37023e1709815a5bf386d51b",
+    "case3_noncoop": "a06fb793a25db22627d737ea37354243ed615aebfcfc599cd7d8703138d7075d",
+    "case3_grand": "b7438975c633c859298f9cd04d111b7abb8053a0732f3269e5f239efea80f2d2",
+    "case1_A_ungated": "000b129548e944075fc4e0e9f4f6685a6dcbc067414b92b1363c52158f2d875f",
+    "case3_ungated": "3b72fe4fdfbc5595e8bb1bc8acb64370fa837a8d3ea5e816713bd5974ab06902",
+    "dense_n8_seed1": "8ed8fdb0dbd1be2b91a7df71526ff3cd9688b28cf6584ecc9533042f19fb7146",
+    "dense_n12_seed1": "e77f60eb4cc892bcb4fab6ff7972981caec41ac45a3f63075ff8a3c0665ee124",
+    "dense_n12_seed1_grand": "d5b7492633bb685f3cc1c31cb61b090a4e96c972a186cd22c05879e5a0d5c644",
+    "dense_n16_seed1": "dd90a7dbfbdb2f51a245728b979ad1ef03237e10495f33869cfc643dca70c717",
+    "dense_n8_seed3": "5ba175587a5c955712ea1237fd2fa7e4c29630440fd398f0dcbb3e39bf0c746b",
+    "dense_n12_seed3": "32c0187cc3ae6ad1ac4cff13274a8f362a88274194525a3ea19d1ccba5fd7782",
+    "dense_n16_seed3": "ea55d166d6d2ea9baf50a474e79226629393eedf61faa4dc755b38b9a31652ce",
 }
 
 
