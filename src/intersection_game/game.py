@@ -49,7 +49,6 @@ RATIONALITY_TOL = 1e-6  # pooled loss a member may give up against its lone move
 TTC_GUARD = 0.05  # enforcement slack so recorded residuals stay negative
 # `_scored` entry of a candidate known infeasible whose residual is not computed
 _UNSCORED = (math.inf, None)
-_UNSET = object()  # `_cap` entry not computed yet; None is a computed "no cap"
 
 
 def participation(kappa: float) -> float:
@@ -184,6 +183,26 @@ def _ramp_peak_speed(v_next: float, a: float) -> float:
         return v_next
     k = int(a / SLEW)
     return v_next + DT * (k * a - SLEW * k * (k + 1) / 2.0)
+
+
+def _speed_cap(v0: float, a_lo: float, a_hi: float) -> float | None:
+    """Largest acceleration in [a_lo, a_hi] from speed v0 that keeps the
+    speed ramp legal, to 48 halvings of the box; None when a_hi keeps it
+    legal or a_lo does not."""
+
+    def over(a: float) -> bool:
+        return _ramp_peak_speed(v0 + a * DT, a) > LIMITS.v_max
+
+    if not over(a_hi) or over(a_lo):
+        return None
+    lo, hi = a_lo, a_hi
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        if over(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 BOUND_NAMES = ("accel", "jerk", "speed", "steer", "lane", "course")  # accel_residuals + pose_residuals
@@ -348,6 +367,9 @@ class _StepSolver:
       around the leader's start point).  `Route.project` then visits only
       those, or every element for a prediction that lands outside the
       window's reach, and returns what the full search would;
+    - so is each player's search grid (`_grid[i]`), in the same loop: its
+      jerk-limited acceleration box and the seed (a, d) pairs a fresh
+      `_best_response` ranks first, the `_speed_cap` seed bisected once;
     - `_reach_rows[i]` holds the standoff `brake_reach` asks of i per
       (a, guard) and crossing point, computed on first read, and
       `_reach_lon[i]` the headway `follow_reach` asks per (a, leader
@@ -442,10 +464,22 @@ class _StepSolver:
         # leader's candidates, can project onto this step
         self._near: list[Window | None] = [None] * self.n
         self._lead_near: list[Window | None] = [None] * self.n
+        self._grid: list[tuple[float, float, list[tuple[float, float]]] | None] = [None] * self.n  # (a_lo, a_hi, seeds)
         for j in self.players:
             vj = views[j]
             st = vj.state
             self._near[j] = vj.route.near(st.x, st.y, _step_reach(st.v_x))
+            a_lo, a_hi = max(-LIMITS.a_max, vj.a_prev - SLEW), min(LIMITS.a_max, vj.a_prev + SLEW)
+            seeds_a = [a_lo + k * (a_hi - a_lo) / 4.0 for k in range(5)]
+            cap = _speed_cap(st.v_x, a_lo, a_hi)
+            if cap is not None:
+                seeds_a.append(cap)
+            d_ff = vj.coast[1]
+            seeds_d = [0.0, vj.delta_prev, d_ff]
+            for off in (math.radians(1.0), math.radians(3.0), math.radians(8.0)):
+                seeds_d += (d_ff + off, d_ff - off)
+            seeds_d = sorted({min(max(d, -STEER_BOX), STEER_BOX) for d in seeds_d})
+            self._grid[j] = (a_lo, a_hi, [(a, d) for a in seeds_a for d in seeds_d])
             if vj.lv is not None:
                 self.dependents[vj.lv].append(j)
                 self.followers[vj.lv].append(j)
@@ -463,7 +497,6 @@ class _StepSolver:
         self._leader_arc: list[dict[tuple[float, float], float]] = [{} for _ in range(self.n)]
         self._scored: list[dict[tuple, tuple[dict, list]]] = [{} for _ in range(self.n)]
         self._responses: dict[tuple, tuple] = {}
-        self._cap: list = [_UNSET] * self.n  # `_cap_candidate` of each vehicle
         self.controls: list[tuple[float, float]] = []
         for v in views:
             self.controls.append((v.a_prev, v.delta_prev) if v.player else v.coast)
@@ -544,8 +577,9 @@ class _StepSolver:
         """Terms of other players' losses that move with vehicle i's
         candidate (a, d), weighted by p_i * p_j.  Constant terms are
         dropped; only differences matter.  Zero when p_i is zero or i has
-        no dependents; `_rank` skips the call then."""
-        pred, s_pred = self._candidate(i, a, d)[:2]
+        no dependents; `_rank` skips the call then.  It reads the prediction
+        `_score` memoized, as `_rank` calls it only on a feasible entry."""
+        pred, s_pred = self._cand[i][(a, d)][:2]
         p_i = self.p[i]
         total = 0.0
         for j in self.dependents[i]:
@@ -701,29 +735,6 @@ class _StepSolver:
             value += self._coupling(i, a, d)
         return (0.0, value, abs(a), abs(d), a, d)
 
-    def _accel_box(self, i: int) -> tuple[float, float]:
-        a_prev = self.views[i].a_prev
-        return max(-LIMITS.a_max, a_prev - SLEW), min(LIMITS.a_max, a_prev + SLEW)
-
-    def _cap_candidate(self, i: int, a_lo: float, a_hi: float) -> float | None:
-        """Largest in-box acceleration that keeps the speed ramp legal;
-        `_best_response` keeps it per vehicle for the step (`_cap`)."""
-        v0 = self.views[i].state.v_x
-
-        def over(a: float) -> bool:
-            return _ramp_peak_speed(v0 + a * DT, a) > LIMITS.v_max
-
-        if not over(a_hi) or over(a_lo):
-            return None
-        lo, hi = a_lo, a_hi
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            if over(mid):
-                hi = mid
-            else:
-                lo = mid
-        return lo
-
     def _best_response(self, i: int, p_i: float) -> tuple[float, float, tuple]:
         """Vehicle i's best control against the current partner controls
         when it pools the share p_i of its loss; p_i = 0 is its lone move."""
@@ -734,33 +745,18 @@ class _StepSolver:
         seen = self._responses.get(asked)
         if seen is not None:
             return seen
-        view = self.views[i]
-        a_lo, a_hi = self._accel_box(i)
+        a_lo, a_hi, seeds = self._grid[i]
         d_lim = STEER_BOX
         memo: dict[tuple[float, float], tuple] = {}  # (a, d) -> rank key, this search only
 
-        seeds_a = [a_lo + k * (a_hi - a_lo) / 4.0 for k in range(5)]
-        cap = self._cap[i]
-        if cap is _UNSET:
-            cap = self._cap[i] = self._cap_candidate(i, a_lo, a_hi)
-        if cap is not None:
-            seeds_a.append(cap)
-        d_ff = view.coast[1]
-        seeds_d = [0.0, view.delta_prev, d_ff]
-        for off in (math.radians(1.0), math.radians(3.0), math.radians(8.0)):
-            seeds_d.append(d_ff + off)
-            seeds_d.append(d_ff - off)
-        seeds_d = sorted({min(max(d, -d_lim), d_lim) for d in seeds_d})
-
         bkey, held = None, False
-        for a in seeds_a:
-            for d in seeds_d:
-                key = memo.get((a, d))
-                if key is None:
-                    key = memo[(a, d)] = self._rank(i, a, d, p_i, scored, table, held)
-                if bkey is None or key < bkey:
-                    bkey, ba, bd = key, a, d
-                    held = key[0] == 0.0
+        for a, d in seeds:
+            key = memo.get((a, d))
+            if key is None:
+                key = memo[(a, d)] = self._rank(i, a, d, p_i, scored, table, held)
+            if bkey is None or key < bkey:
+                bkey, ba, bd = key, a, d
+                held = key[0] == 0.0
 
         da, dd = 0.05, math.radians(1.0)
         moves = 0
@@ -892,7 +888,7 @@ class _StepSolver:
             if not emergency[i]:
                 a, d = self.controls[i]
                 pred, s_pred, _, _, slack = self._candidate(i, a, d)
-                table = self._scored_for(i)[2]
+                table = self._crossing_table(i)[0]
                 max_res = max(max_res, self._constraint_residual(i, a, pred, s_pred, slack, 0.0, table))
         p = [self.p[i] for i in self.players]
         values = [terms[i].total for i in self.players]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -194,11 +195,13 @@ def build_views(
 
         # crossing/merging points not yet cleared by both vehicles.  The
         # cost prices the gated one whose partner arrives soonest at the
-        # step-start states.  Picking by own distance instead would anchor
-        # the risk term to a conflict already being won while the one
-        # actually being yielded to goes unpriced.  A point whose key
-        # cannot beat the best gated one so far could not be priced, so
-        # its gate is not evaluated.
+        # step-start states; a tie goes to the point nearer along the own
+        # route, then along the partner's, then to the partner's name, so
+        # the pick does not depend on the order the vehicles are listed in.
+        # Picking by own distance instead would anchor the risk term to a
+        # conflict already being won while the one actually being yielded
+        # to goes unpriced.  A point whose key cannot beat the best gated
+        # one so far could not be priced, so its gate is not evaluated.
         cps = []
         cost_cp = best = None
         for c in index[i]:
@@ -206,7 +209,8 @@ def build_views(
             if s_now[i] >= c.s_self + _PASS_MARGIN or s_now[j] >= c.s_other + _PASS_MARGIN:
                 continue
             cps.append(c)
-            key = (arrival_time(c.s_other - s_now[j], states[j].v_x), c.s_self, j)
+            d_other = c.s_other - s_now[j]
+            key = (arrival_time(d_other, states[j].v_x), c.s_self, d_other, scenario.vehicles[j].name)
             if (best is None or key < best) and (
                 not risk_gating or fields[i].value(c.x, c.y) > THRESHOLD or fields[j].value(c.x, c.y) > THRESHOLD
             ):
@@ -329,10 +333,19 @@ def run(
 # -- metrics ---------------------------------------------------------------
 
 
+def _sum_in_order(xs: Iterable[float]) -> float:
+    """Left-to-right float sum.  From Python 3.12 on, `sum()` compensates
+    rounding, so its last bits would depend on the Python version."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _rms(xs: list[float]) -> float:
     if not xs:
         return 0.0
-    return math.sqrt(sum(x * x for x in xs) / len(xs))
+    return math.sqrt(_sum_in_order(x * x for x in xs) / len(xs))
 
 
 def metrics(result: SimResult) -> dict:
@@ -534,5 +547,5 @@ def _emit_field_raster(result: SimResult, out: Path) -> Path:
     lines = ["x,y,value"]
     for y in ticks:
         for x in ticks:
-            lines.append(_row((x, y, sum(f.value(x, y) for f in fields))))
+            lines.append(_row((x, y, _sum_in_order(f.value(x, y) for f in fields))))
     return _write(out, "field_raster.csv", lines)

@@ -348,7 +348,7 @@ def test_criterion_7_property_suite(capsys):
             _, scored, table = solver._scored_for(i)
             base = solver._rank(i, a_star, d_star, solver.p[i], scored, table)
             assert base[0] == 0.0
-            lo, hi = solver._accel_box(i)
+            lo, hi = solver._grid[i][:2]
             for da, dd in ((0.1, 0.0), (-0.1, 0.0), (0.0, 0.02), (0.0, -0.02)):
                 a = min(max(a_star + da, lo), hi)
                 d = min(max(d_star + dd, -STEER_BOX), STEER_BOX)

@@ -330,7 +330,7 @@ def test_solved_controls_are_best_responses():
         _, scored, table = solver._scored_for(i)
         base = solver._rank(i, a_star, d_star, solver.p[i], scored, table)
         assert base[0] == 0.0
-        lo, hi = solver._accel_box(i)
+        lo, hi = solver._grid[i][:2]
         for da, dd in (
             (0.1, 0.0), (-0.1, 0.0), (0.0, math.radians(1.0)), (0.0, -math.radians(1.0)),
         ):
@@ -514,20 +514,40 @@ def test_lone_move_is_searched_when_the_pooled_scale_merges_two_losses(losses, s
 
 def test_speed_cap_is_bisected_once_per_vehicle_per_step(monkeypatch):
     """The cap seed depends on the vehicle's start speed and acceleration
-    box alone, so every later search of the step reuses it, a cap of
-    None included."""
+    box alone, so it is bisected while the solver builds the player's
+    search grid, and no search of the step bisects it again."""
     capped = []
-    real_cap = _StepSolver._cap_candidate
+    real_cap = game._speed_cap
 
-    def counting_cap(self, i, a_lo, a_hi):
-        capped.append(i)
-        return real_cap(self, i, a_lo, a_hi)
+    def counting_cap(v0, a_lo, a_hi):
+        capped.append(v0)
+        return real_cap(v0, a_lo, a_hi)
 
-    monkeypatch.setattr(_StepSolver, "_cap_candidate", counting_cap)
-    solver = _StepSolver(_crossing_views(), True)
+    monkeypatch.setattr(game, "_speed_cap", counting_cap)
+    views = _crossing_views()
+    solver = _StepSolver(views, True)
+    assert capped == [v.state.v_x for v in views]
     solver.solve()
-    assert sorted(capped) == [0, 1]
-    assert solver.sweeps > 1 and solver._cap == [None, None]
+    assert solver.sweeps > 1 and len(capped) == 2
+
+
+@settings(deadline=None)
+@given(v0=st.floats(0.0, L.v_max), a_prev=st.floats(-L.a_max, L.a_max))
+@example(v0=7.99, a_prev=0.1)
+def test_speed_cap_is_the_largest_in_box_acceleration_the_ramp_allows(v0, a_prev):
+    """None exactly when the box's top keeps the speed ramp legal or its
+    bottom does not; otherwise an in-box acceleration that keeps the ramp
+    legal while one 2**-47 of the box above it breaks the ramp."""
+    a_lo, a_hi = _StepSolver([dataclasses.replace(_single_view(v=v0), a_prev=a_prev)], True)._grid[0][:2]
+
+    def over(a):
+        return game._ramp_peak_speed(v0 + a * game.DT, a) > L.v_max
+
+    cap = game._speed_cap(v0, a_lo, a_hi)
+    assert (cap is None) == (not over(a_hi) or over(a_lo))
+    if cap is not None:
+        assert a_lo <= cap <= a_hi
+        assert not over(cap) and over(cap + (a_hi - a_lo) * 2.0**-47)
 
 
 # dense layouts (per arm, seed), a step at which the guard makes a member
@@ -884,7 +904,7 @@ def test_game_rank_key_is_the_pooled_objective_bit_for_bit(case):
     assert (solver.p[i] == 0.0) == (case == 0)
     assert bool(solver.dependents[i]) == (case != 1)
     _, scored, table = solver._scored_for(i)
-    lo, hi = solver._accel_box(i)
+    lo, hi = solver._grid[i][:2]
     feasible = 0
     for a in (lo, 0.5 * (lo + hi), hi):
         for d in (-0.02, 0.0, 0.01):
@@ -949,7 +969,7 @@ def test_no_candidate_bound_slack_is_below_the_slack_floor(v0, a_prev, s, road, 
         a_prev=a_prev, delta_prev=0.0, player=True, coast=(0.0, 0.0),
     )
     solver = _StepSolver([view], True)
-    lo, hi = solver._accel_box(0)
+    lo, hi = solver._grid[0][:2]
     assert solver._candidate(0, lo + a_at * (hi - lo), d)[4] >= _SLACK_FLOOR
 
 

@@ -94,6 +94,13 @@ def test_metrics_agree_with_raw_rows(simulate):
     assert m["duration"] == pytest.approx(len(res.steps) * 0.1)
 
 
+def test_rms_adds_its_squares_left_to_right():
+    """Each 2**-54 square is lost against 1.0 when added in order, on any
+    Python; the compensated `sum()` of Python 3.12 on keeps them and reads
+    0.447213595499958."""
+    assert runner._rms([1.0] + [2.0**-27] * 4) == math.sqrt(0.2)
+
+
 def test_forced_participation_reaches_every_row(simulate):
     res = simulate(CASE1_A, mode="noncoop")
     for sr in res.rows:
@@ -375,14 +382,20 @@ def test_reversing_the_vehicle_sections_changes_no_vehicle_outcome(simulate):
 
 
 def test_reversing_a_dense_layout_changes_no_vehicle_outcome(simulate, dense):
-    """The 16-vehicle `perfbench/dense.py` layout of seed 1, at its 3.5 s
-    horizon, in reverse order.  It has in-lane queues, resets and
-    fallbacks, and its solver replays `_responses` entries keyed by the
-    controls of other vehicles, whose indices the reversal changes."""
-    res = _assert_order_free(simulate, dense.layout(4, 1))
-    rows = [r for step_rows in res.rows for r in step_rows]
-    assert len(res.names) == 16 and len(res.steps) == 35
-    assert any(r.lv is not None for r in rows) and any(r.reset for r in rows) and any(r.fallback for r in rows)
+    """The 16-vehicle `perfbench/dense.py` layouts of seed 1, at its 3.5 s
+    horizon, and of seed 2, at 4.1 s, in reverse order.  They have in-lane
+    queues, resets and fallbacks, and their solvers replay `_responses`
+    entries keyed by the controls of other vehicles, whose indices the
+    reversal changes.  In seed 2, two stopped partners queued in one lane
+    cross a vehicle's route at the same point, so their points tie on
+    partner arrival and own arc length, and the priced one must not be
+    picked by the partner's index."""
+    for seed, t_end, steps in ((1, 3.5, 35), (2, 4.1, 41)):
+        text = dense.layout(4, seed).replace(f"t_end = {dense.HORIZON_S:g}", f"t_end = {t_end:g}")
+        res = _assert_order_free(simulate, text)
+        rows = [r for step_rows in res.rows for r in step_rows]
+        assert len(res.names) == 16 and len(res.steps) == steps
+        assert any(r.lv is not None for r in rows) and any(r.reset for r in rows) and any(r.fallback for r in rows)
 
 
 def _rotated(text):
