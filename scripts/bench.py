@@ -11,10 +11,11 @@ on the hash seed:
 - `counters`: the solver's `game.evals` (its rankings, calls of
   `_StepSolver._rank`), `game.lateral_evals` (its crossing-risk terms,
   calls of `crossing_risk`), `game.sweeps` and `game.resets`, summed
-  from the runs' rows; its RK4 steps (`dynamics.step.solver.calls`:
-  `dynamics.step` called from `_StepSolver._candidate`; the script exits
-  non-zero if that reads 0 while the solver evaluated candidates, since
-  the count would then miss RK4 calls made elsewhere); its scored
+  from the runs' rows; its state predictions
+  (`dynamics.step.solver.calls`: `dynamics.step` called from
+  `_StepSolver._candidate`; the script exits non-zero if that reads 0
+  while the solver evaluated candidates, since the count would then miss
+  predictions made elsewhere); its scored
   candidates (`game.scored`, calls of `_StepSolver._score`: the rankings
   that the `_scored` memo does not answer), its constraint
   checks (`game.constraint_evals`, calls of
@@ -101,14 +102,14 @@ def profiled_counts(workload: str, seed: int) -> dict:
     stats = prof.getstats()
     rows = [bench_pass.outcome_counters(result) for result in results]
     counters = {f"game.{key}": sum(r[key] for r in rows) for key in ROW_COUNTERS}
-    candidate, rk4 = game._StepSolver._candidate.__code__, dynamics.step.__code__
+    candidate, predict = game._StepSolver._candidate.__code__, dynamics.step.__code__
     counters["dynamics.step.solver.calls"] = sum(
-        sub.callcount for e in stats if e.code is candidate for sub in e.calls if sub.code is rk4
+        sub.callcount for e in stats if e.code is candidate for sub in e.calls if sub.code is predict
     )
     if counters["game.evals"] and not counters["dynamics.step.solver.calls"]:
         raise SystemExit(
             f"{workload}: dynamics.step.solver.calls reads 0 while game.evals is {counters['game.evals']}: "
-            "the solver's RK4 no longer runs from _StepSolver._candidate"
+            "the solver's predictions no longer run from _StepSolver._candidate"
         )
     for name, code in (
         ("scored", game._StepSolver._score.__code__),

@@ -2,7 +2,8 @@
 
 State is (v_x, phi, x, y): longitudinal velocity, yaw, and planar position
 of the CoG.  Controls are longitudinal acceleration and front steering
-angle, both held constant over one control period `DT` (one RK4 step).
+angle, both held constant over one control period `DT`; `step` advances
+the state by the exact solution over that period.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ L_F = 1.4  # m, CoG to front axle
 L_R = 1.4  # m, CoG to rear axle
 WIDTH = 1.8  # m
 WHEELBASE = L_F + L_R
-DT = 0.1  # s, the control period: one RK4 step per decision
+DT = 0.1  # s, the control period: one decision, one closed-form step
 
 
 # immutable records without a per-instance dict: the solver builds one
@@ -46,59 +47,50 @@ def path_curvature(delta_f: float) -> float:
 
 
 def step_speed(v0: float, a: float) -> float:
-    """Speed after one RK4 step at constant acceleration a, floored at
-    zero: the weighted mean of the four stage rates, each of them a."""
-    v1 = v0 + DT * (a + 2 * a + 2 * a + a) / 6.0
+    """Speed after one control period at constant acceleration a, floored
+    at zero: the next speed of `step` and of the solver's speed limits."""
+    v1 = v0 + a * DT
     return 0.0 if v1 < 0.0 else v1
 
 
 def step(state: VehicleState, u: ControlInput, beta: float | None = None) -> VehicleState:
-    """One RK4 step with the control held constant; velocity floors at zero.
+    """The exact state after one control period with the control held.
 
-    Each stage's rates are (dv, dphi, dx, dy) = (a_x, v k_yaw,
-    v cos(phi + beta) / cos(beta), v sin(phi + beta) / cos(beta)), where
-    a negative stage speed v counts as zero.  dv is a_x in every stage,
-    so the stage speeds need no stage rates of their own.  A caller may
-    pass `beta`, which must be `sideslip(u.delta_f)`.
+    The rates are (dv, dphi, dx, dy) = (a_x, v k, v cos(phi + beta) /
+    cos(beta), v sin(phi + beta) / cos(beta)) with k = tan(beta) / l_r,
+    and a speed that reaches zero stays there.  Under a held steer beta
+    is constant, so the CoG moves on a circular arc of curvature
+    sin(beta) / l_r (Kong et al., IEEE IV 2015; Rajamani, Vehicle Dynamics
+    and Control, 2nd ed., sec. 2.2):
+
+    - the distance D = integral of v is (v0 + a DT / 2) DT, or v0^2 / (-2a)
+      when the vehicle stops within the period;
+    - the yaw turns by D k;
+    - the CoG moves along the arc's chord: length (D / cos(beta)) times
+      sinc of half the turn, direction phi0 + beta + half the turn.
+
+    The start speed must be nonnegative, as scenarios and the speed floor
+    keep it.  A caller may pass `beta`, which must be
+    `sideslip(u.delta_f)`.
     """
     beta = sideslip(u.delta_f) if beta is None else beta
-    k_yaw = math.tan(beta) / L_R  # yaw rate per unit of speed
-    cb = math.cos(beta)
-    a = u.a_x
-    cos, sin = math.cos, math.sin
-
-    v0, p0 = state.v_x, state.phi
-    v_half = v0 + 0.5 * DT * a
-    v_full = v0 + DT * a
-
-    vv = v0 if v0 > 0.0 else 0.0
-    w1 = vv * k_yaw
-    x1 = vv * cos(p0 + beta) / cb
-    y1 = vv * sin(p0 + beta) / cb
-
-    vv = v_half if v_half > 0.0 else 0.0
-    p = p0 + 0.5 * DT * w1
-    w2 = vv * k_yaw
-    x2 = vv * cos(p + beta) / cb
-    y2 = vv * sin(p + beta) / cb
-
-    p = p0 + 0.5 * DT * w2
-    w3 = vv * k_yaw
-    x3 = vv * cos(p + beta) / cb
-    y3 = vv * sin(p + beta) / cb
-
-    vv = v_full if v_full > 0.0 else 0.0
-    p = p0 + DT * w3
-    w4 = vv * k_yaw
-    x4 = vv * cos(p + beta) / cb
-    y4 = vv * sin(p + beta) / cb
-
-    p1 = p0 + DT * (w1 + 2 * w2 + 2 * w3 + w4) / 6.0
+    v0, a = state.v_x, u.a_x
+    v1 = step_speed(v0, a)
+    if v1 == 0.0 and a < 0.0:
+        dist = v0 * v0 / (-2.0 * a)  # stops within the period
+    else:
+        dist = (v0 + 0.5 * a * DT) * DT
+    turn = math.tan(beta) * dist / L_R
+    half = 0.5 * turn
+    # sin(half) / half, by its series where the quotient loses digits
+    sinc = 1.0 - half * half / 6.0 if -1e-4 < half < 1e-4 else math.sin(half) / half
+    chord = dist / math.cos(beta) * sinc
+    heading = state.phi + beta + half
     return VehicleState(
-        step_speed(v0, a),
-        wrap_angle(p1),
-        state.x + DT * (x1 + 2 * x2 + 2 * x3 + x4) / 6.0,
-        state.y + DT * (y1 + 2 * y2 + 2 * y3 + y4) / 6.0,
+        v1,
+        wrap_angle(state.phi + turn),
+        state.x + chord * math.cos(heading),
+        state.y + chord * math.sin(heading),
     )
 
 

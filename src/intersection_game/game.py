@@ -164,12 +164,13 @@ def tracking_delta(route: Route, s: float, v: float) -> float:
 
 
 def _step_reach(v0: float) -> float:
-    """Farthest one RK4 step from speed v0 can move a vehicle under any
-    control within |a| <= a_max and the steering box: every stage speed is
-    at most max(v0, 0) + DT * a_max and moves the CoG at that over
-    cos(beta), with |beta| <= BETA_MAX.  The width of a solver window: a
-    prediction that lands farther away costs a full projection, nothing
-    more."""
+    """Farthest one `step` from speed v0 can move a vehicle under any
+    control within |a| <= a_max and the steering box: the CoG moves along
+    a chord no longer than its arc D / cos(beta), with |beta| <= BETA_MAX
+    and the distance D at most DT * (v0 + DT * a_max / 2), inside the
+    DT * (max(v0, 0) + DT * a_max) taken here.  The width of a solver
+    window: a prediction that lands farther away costs a full projection,
+    nothing more."""
     return DT * (max(v0, 0.0) + DT * LIMITS.a_max) / math.cos(BETA_MAX)
 
 
@@ -191,7 +192,7 @@ def _speed_cap(v0: float, a_lo: float, a_hi: float) -> float | None:
     legal or a_lo does not."""
 
     def over(a: float) -> bool:
-        return _ramp_peak_speed(v0 + a * DT, a) > LIMITS.v_max
+        return _ramp_peak_speed(step_speed(v0, a), a) > LIMITS.v_max
 
     if not over(a_hi) or over(a_lo):
         return None
@@ -350,7 +351,7 @@ class _StepSolver:
     - `_candidate(i, a, d)` memoizes vehicle i's predicted state, route
       projection, course error and worst bound slack per (i, a, d);
     - the sideslip, which the steer alone sets in the one shared model, is
-      computed once per distinct steer (`_beta`) for RK4 and course error;
+      computed once per distinct steer (`_beta`) for the step and course error;
     - the worst slack of the limits that the acceleration alone sets
       (`accel_residuals`) is computed once per (i, a) (`_accel_slack[i]`);
       a candidate's bound slack is the larger of it and `pose_residuals`;
@@ -422,13 +423,14 @@ class _StepSolver:
 
     The hot loop is the pair of candidate loops in `_best_response`: a
     fresh search ranks about 93 candidates, and each `_rank` that misses
-    `_scored` costs one `_candidate` (RK4 and route projection), one
-    `_constraint_residual` and one own loss.  Every feasible key sorts
-    before every infeasible one, so once a search holds a feasible control
-    (`held`) an infeasible candidate cannot win, and `_score` stops at the
-    cheapest evidence: an acceleration that alone breaks a bound
-    (`_accel_slack`) rules the candidate out before RK4, and a bound slack
-    over FEAS_SLACK before `_constraint_residual`.  Such a candidate
+    `_scored` costs one `_candidate` (a `step` prediction and a route
+    projection), one `_constraint_residual` and one own loss.  Every
+    feasible key sorts before every infeasible one, so once a search
+    holds a feasible control (`held`) an infeasible candidate cannot win,
+    and `_score` stops at the cheapest evidence: an acceleration that
+    alone breaks a bound (`_accel_slack`) rules the candidate out before
+    its prediction, and a bound slack over FEAS_SLACK before
+    `_constraint_residual`.  Such a candidate
     is stored as `_UNSCORED`, infeasible with its residual not computed;
     a search without a feasible control, or a direct `_rank` call, that
     reads it computes the exact residual in its place.  So searches with
@@ -439,7 +441,7 @@ class _StepSolver:
     zero, and the search, its pattern step and the constraint loops keep
     the best in a running comparison rather than call min/max.  Some call
     sites stay as they are because `perfbench/tracing.py` wraps them by
-    name: the RK4 goes through the module global `integrate(state,
+    name: the prediction goes through the module global `integrate(state,
     ControlInput(a, d), beta)`, projections through `Route.project`, and
     `crossing_risk`, `efficiency`, `lane_keeping`, `following_risk`,
     `stop_distance`, `brake_reach` and `follow_reach` are looked up as
@@ -709,7 +711,8 @@ class _StepSolver:
         """`_scored` entry of vehicle i's candidate (a, d): (constraint
         residual, own cost or None if infeasible).
         With `held`, a candidate its acceleration or its bounds already rule
-        out is `_UNSCORED`, before RK4 or before the interaction residual."""
+        out is `_UNSCORED`, before its prediction or before the interaction
+        residual."""
         if held and self._accel_slack[i][a] > FEAS_SLACK:
             return _UNSCORED
         pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)

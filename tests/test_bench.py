@@ -50,7 +50,7 @@ def test_counts_constraint_checks_and_crossing_standoffs(counters):
 
 
 def test_refuses_a_solver_rk4_count_of_zero(case1_a_only, monkeypatch):
-    """An RK4 call moved out of `_StepSolver._candidate` would read as 0
+    """A prediction moved out of `_StepSolver._candidate` would read as 0
     solver steps; the script exits naming the counter instead."""
     monkeypatch.setattr(game, "integrate", lambda *args: dynamics.step(*args))
     with pytest.raises(SystemExit) as exit_info:

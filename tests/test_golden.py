@@ -24,39 +24,39 @@ JOBS = matrix.jobs()
 # `digest` of each identity-matrix directory; after an intended behaviour
 # change, paste the lines scripts/identity_matrix.py prints in place of these
 SHA256 = {
-    "case1_A_fuzzy": "fd51ad3f2de23cb3f9163f6ef984e0e6c6b7e16e4e4445b6477e7c54039f2868",
-    "case1_A_noncoop": "66716751b596d4bc6df05c37680184de110bfcf57b5cb6529ee8377e24b6f0ee",
-    "case1_A_grand": "1e53b70fae4066ae82fe95b38a890b9b6ebf9997c66de52074612c5c395b81e2",
-    "case1_B_fuzzy": "865fd03b6a51b4f8511a5a618ba66b035cfab7c0c2c1bd743b1f1660361fbba8",
-    "case1_B_noncoop": "2c907460b34baff931d28a49dd2bbd7bee9bb507b01abb9ddaae964204236ffe",
-    "case1_B_grand": "08981c297d75c79bbca2d82ea37b8d60203a6028e93504a1b13e6e628c8c3eb4",
-    "case1_C_fuzzy": "727619b2e8e82c6d8f8b88a2e9af5873b832984aa3cfe1cfacef25dc89274d71",
-    "case1_C_noncoop": "6cea629b6e3fed9e65b8b45456dc334d8d9377dbea43155e5965718b97dc3831",
-    "case1_C_grand": "a6c83c0f0f3430bd1313fb673baf2632024bdb5b45f7687a1c3bbbba3446b7e1",
-    "case1_D_fuzzy": "145c0becf0d4cd96a8841d8143765007dc5d524a0bfbdfe30dd997ef5340626b",
-    "case1_D_noncoop": "2ef069a19a512cf95f9cade1fb1838e0d215dc885c8b02a438bc5af8e572e5a9",
-    "case1_D_grand": "b8d442f4d1f21301ea0721177a090b3be4945ba4fd5385969bee5b782a0fc08f",
-    "case1_E_fuzzy": "59d545d7ea645ccad5e2488f9049187c0a5dcb617eb5de8532f1bf66a24c3de9",
-    "case1_E_noncoop": "8f99007631401d0db436b09c29aee39e9abb8618941969449e7ce6ff6110c74c",
-    "case1_E_grand": "c4468ddb02c0a727bbe2517905925c464b0c7813d6e17ef29adbcb6f99e3982f",
-    "case1_F_fuzzy": "029ed2fb40584b740c90c7166610f6aa0968d79c1fca5704757779e4e84aed09",
-    "case1_F_noncoop": "ed7941981049855c7cf2e8334151a3ccdf9840e0e3605786855715598cb49587",
-    "case1_F_grand": "b6e5cfab1932f44b61f3be238656cb206cd7d607c3f420a9a040a4a87b53e464",
-    "case2_fuzzy": "9a04b3d5494e9b051c8ee4a149e9afbbaa722312b528e1a5169dc4bab3179de9",
-    "case2_noncoop": "004bbd6a9f146a24cf8f2d67ce39f2284775ae1a9c8a73d3ca605537c2fda3e5",
-    "case2_grand": "13d77518433f9717def58993d7f474d2da7408e4135f932f3bb2b1a910787c11",
-    "case3_fuzzy": "eb90e93eafc3b353fbe12b5f53a6bced4929c06d37023e1709815a5bf386d51b",
-    "case3_noncoop": "a06fb793a25db22627d737ea37354243ed615aebfcfc599cd7d8703138d7075d",
-    "case3_grand": "b7438975c633c859298f9cd04d111b7abb8053a0732f3269e5f239efea80f2d2",
-    "case1_A_ungated": "000b129548e944075fc4e0e9f4f6685a6dcbc067414b92b1363c52158f2d875f",
-    "case3_ungated": "3b72fe4fdfbc5595e8bb1bc8acb64370fa837a8d3ea5e816713bd5974ab06902",
-    "dense_n8_seed1": "8ed8fdb0dbd1be2b91a7df71526ff3cd9688b28cf6584ecc9533042f19fb7146",
-    "dense_n12_seed1": "e77f60eb4cc892bcb4fab6ff7972981caec41ac45a3f63075ff8a3c0665ee124",
-    "dense_n12_seed1_grand": "d5b7492633bb685f3cc1c31cb61b090a4e96c972a186cd22c05879e5a0d5c644",
-    "dense_n16_seed1": "dd90a7dbfbdb2f51a245728b979ad1ef03237e10495f33869cfc643dca70c717",
-    "dense_n8_seed3": "5ba175587a5c955712ea1237fd2fa7e4c29630440fd398f0dcbb3e39bf0c746b",
-    "dense_n12_seed3": "32c0187cc3ae6ad1ac4cff13274a8f362a88274194525a3ea19d1ccba5fd7782",
-    "dense_n16_seed3": "ea55d166d6d2ea9baf50a474e79226629393eedf61faa4dc755b38b9a31652ce",
+    "case1_A_fuzzy": "0034ac20d16847c63ce31ad61cfa9fe00cfe8a4da87f1cd850f6559f21caa636",
+    "case1_A_noncoop": "f6af34eae812d282343cc99e18a25f7e2c414a7a70be86165e2eed3b9c3304a7",
+    "case1_A_grand": "eccff7dbf6a43b8479a8434487bfa9c9545722c5e1f0e97660cdea4afc5f9202",
+    "case1_B_fuzzy": "4dbb1ff15150583e37fcbdff7624bf00bc4da791665381b5a2a57e42e4c92b4b",
+    "case1_B_noncoop": "0a336469a75a416b85616728e8b4d23bcc7ed964e9b996e90490ea2d100d3d2c",
+    "case1_B_grand": "2d7ea54849300df9f79f7125225e06a2a5ab06534bbd4e08c71ae74b70f1adf2",
+    "case1_C_fuzzy": "a780c166cdebfdae3c5c29c46791d9fb336f620b148036f3d330138dcbdde45d",
+    "case1_C_noncoop": "6493f16bf41a99c395fb0feac93e9635b531a8fe146b8783ecce3177d182058f",
+    "case1_C_grand": "f72c1f34fcc63839594d49020cab7f8542ed0121f616b70ee203961d336b6284",
+    "case1_D_fuzzy": "59fc39751d4b7b33d8858d57ae1e243606d4bf6c363a965450957f3ec6936b60",
+    "case1_D_noncoop": "5bf3cd1b5c08dbbfbed2649e72d70376521f5768463568cb844e499c53a67a20",
+    "case1_D_grand": "2da5495e7725bd58cc8794c6a944e908d315caceadbb23879d56be000ce29c04",
+    "case1_E_fuzzy": "ba754e8b47bd892c0fa578e18fad0e301ab034a06ccee99a48ec2340b4accc08",
+    "case1_E_noncoop": "a6e8659cb3b95a426def29bb9999394794894ac8950a131352e6507a86762b30",
+    "case1_E_grand": "031768c222e21ca203a7a5b7bdf2e9597c497bf0e65e542ae1a72d2bb0da4e1c",
+    "case1_F_fuzzy": "8e02e5841c77b7aecc48a1c95b8570076852ef56224b486e7317079c55bd7d87",
+    "case1_F_noncoop": "cc56716fa13057b3d9105370df84b6f9b3429f81b10c9a44e193f77ebf5c6a5f",
+    "case1_F_grand": "f01722891dbac1bc0d114872bd4b0c2640194bfae994619ea5181b580fba9b02",
+    "case2_fuzzy": "6b27fb09f946f7c1142b91fcbec202967f2d5362e955dae588898f4d7ce0ea4b",
+    "case2_noncoop": "22caf9cd14dc28f715b83fd43ac879a9aeecdd55028a19f47ae27e593fff3776",
+    "case2_grand": "96f564673981c1392a186a26ba9afcae9241b0e64f63abf9b635708833d18415",
+    "case3_fuzzy": "7e7517ae0b01fedba749ba46139cced7f728679ae594ed4cb26df569c156ed96",
+    "case3_noncoop": "c2ec1c55afa5c6f9f65ca3b59cdc187cfa94cb777b5c70e11f46cba98e8b687f",
+    "case3_grand": "f7bc1b15d0cd72e3c8d18d1e4e62d5309303bc9ac3cb9764e46dc1b370143828",
+    "case1_A_ungated": "78f4847dc3e1f5ae2567348f2a973e2c32f24e7e8e791d39a65f2f360d61b303",
+    "case3_ungated": "ac830774b026035a8fe507457e56689424dcbd8a69bd1746b490102784d54a67",
+    "dense_n8_seed1": "0886bb965a0edd505b3c70f82511878df155d07c1af63f507ba403eabb4f373d",
+    "dense_n12_seed1": "16cf4c94558917ec3530e303c1f48ed0c22f74f7abf2cbb1146a778d90d0e462",
+    "dense_n12_seed1_grand": "10bb78c3c07c3e693cceff7a02922f064d866ce890bb35bed20e4e3134eac89c",
+    "dense_n16_seed1": "4fc80e2391f8ef2323c9694d65f226806cb66cc805c9a4c97313532db145cbc9",
+    "dense_n8_seed3": "ee5ff2d62a923ab384f3101c34b55d70d9be0e5be38d52947e0a78dd07cbcdbb",
+    "dense_n12_seed3": "75a2d132223013a0a118c02c15d392e55566e46be64ca2a76148d44bb2838287",
+    "dense_n16_seed3": "110f98f4b373c9baccc50cd61954ab2fdd4a83059e8a328e202907417f9484f5",
 }
 
 
