@@ -82,7 +82,8 @@ def step(state: VehicleState, u: ControlInput, beta: float | None = None) -> Veh
         dist = (v0 + 0.5 * a * DT) * DT
     turn = math.tan(beta) * dist / L_R
     half = 0.5 * turn
-    # sin(half) / half, by its series where the quotient loses digits
+    # sin(half) / half; below 1e-4 its series is exact to rounding and
+    # also covers a zero turn
     sinc = 1.0 - half * half / 6.0 if -1e-4 < half < 1e-4 else math.sin(half) / half
     chord = dist / math.cos(beta) * sinc
     heading = state.phi + beta + half
