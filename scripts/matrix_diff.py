@@ -20,12 +20,15 @@ file but timing.json.
 
 import argparse
 import csv
+import importlib.util
 import json
 from pathlib import Path
 
 from intersection_game.dynamics import DT
 
-UNTIMED = "timing.json"  # wall times: the one emitted file left out
+_spec = importlib.util.spec_from_file_location("identity_matrix", Path(__file__).with_name("identity_matrix.py"))
+matrix = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(matrix)
 
 
 def _least(values) -> float | None:
@@ -76,17 +79,6 @@ def _fmt(value) -> str:
     return "-" if value is None else f"{value:.9g}" if isinstance(value, float) else str(value)
 
 
-def _differs(old: Path, new: Path) -> bool:
-    """Whether the two run directories differ in any file but timing.json."""
-    names = {p.name for p in old.iterdir()} | {p.name for p in new.iterdir()}
-    for name in sorted(names - {UNTIMED}):
-        if not (old / name).is_file() or not (new / name).is_file():
-            return True
-        if (old / name).read_bytes() != (new / name).read_bytes():
-            return True
-    return False
-
-
 def compare(old_tree: Path, new_tree: Path) -> list[str]:
     """The report's lines: one per run directory of either tree, in name
     order, then the count of runs that differ."""
@@ -99,7 +91,7 @@ def compare(old_tree: Path, new_tree: Path) -> list[str]:
             lines.append(f"{name}: only in {'OLD' if name in old_runs else 'NEW'}")
             continue
         old, new = _summary(old_tree / name), _summary(new_tree / name)
-        differ += _differs(old_tree / name, new_tree / name)
+        differ += matrix.digest(old_tree / name) != matrix.digest(new_tree / name)
         fields = [
             f"{key} {_fmt(old[key])} -> {_fmt(new[key])}"
             for key in ("steps", "v_rms", "min_distance", "min_ttc", "residual", "emergencies", "fallback", "resets", "evals")
