@@ -11,11 +11,13 @@ line shows, old -> new:
 - the largest constraint residual and the emergency count;
 - the fallback rows, the reset rows and the summed `evals`;
 
-and then, over the `trace.csv` rows matched by step and vehicle name, the
-largest |dx| + |dy| and |dv| and the first row that differs (a row in
-only one tree differs).  A run directory in only one tree gets a line
-saying so.  The last line counts the runs that differ in any emitted
-file but timing.json.
+then the emitted files but timing.json that differ in bytes (a file in
+only one tree differs); and then, over the `trace.csv` rows matched by
+step and vehicle name, the largest |dx| + |dy| and |dv| and the first row
+that differs, with its differing columns in brackets (a row in only one
+tree differs).  A run directory in only one tree gets a line saying so.
+The last line counts the runs that differ in any emitted file but
+timing.json.
 """
 
 import argparse
@@ -59,9 +61,21 @@ def _summary(run: Path) -> dict:
     }
 
 
+def _files_diff(old: Path, new: Path) -> list[str]:
+    """The names, in order, of the files but timing.json that differ in
+    bytes between two run directories or are in only one of them."""
+    names = {p.name for p in old.iterdir()} | {p.name for p in new.iterdir()}
+    return [
+        name for name in sorted(names - {matrix.UNTIMED})
+        if not ((old / name).is_file() and (new / name).is_file())
+        or (old / name).read_bytes() != (new / name).read_bytes()
+    ]
+
+
 def _rows_diff(old: dict, new: dict) -> tuple[float, float, str]:
     """(largest |dx| + |dy|, largest |dv|, first differing row) over the
-    trace rows of two runs, matched by (step, vehicle)."""
+    trace rows of two runs, matched by (step, vehicle); a row in both
+    trees is named with its differing columns."""
     dxy = dv = 0.0
     first = None
     for key in sorted(old.keys() | new.keys()):
@@ -70,7 +84,11 @@ def _rows_diff(old: dict, new: dict) -> tuple[float, float, str]:
             dxy = max(dxy, abs(float(a["x"]) - float(b["x"])) + abs(float(a["y"]) - float(b["y"])))
             dv = max(dv, abs(float(a["v"]) - float(b["v"])))
         if first is None and a != b:
-            side = "" if a is not None and b is not None else " (old only)" if b is None else " (new only)"
+            if a is None or b is None:
+                side = " (old only)" if b is None else " (new only)"
+            else:
+                cols = [*a, *(col for col in b if col not in a)]
+                side = " [" + " ".join(col for col in cols if a.get(col) != b.get(col)) + "]"
             first = f"step {key[0]} {key[1]}{side}"
     return dxy, dv, first or "none"
 
@@ -91,13 +109,14 @@ def compare(old_tree: Path, new_tree: Path) -> list[str]:
             lines.append(f"{name}: only in {'OLD' if name in old_runs else 'NEW'}")
             continue
         old, new = _summary(old_tree / name), _summary(new_tree / name)
-        differ += matrix.digest(old_tree / name) != matrix.digest(new_tree / name)
+        files = _files_diff(old_tree / name, new_tree / name)
+        differ += bool(files)
         fields = [
             f"{key} {_fmt(old[key])} -> {_fmt(new[key])}"
             for key in ("steps", "v_rms", "min_distance", "min_ttc", "residual", "emergencies", "fallback", "resets", "evals")
         ]
         dxy, dv, first = _rows_diff(old["rows"], new["rows"])
-        fields += [f"max|dxy| {dxy:.3g}", f"max|dv| {dv:.3g}", f"first diff: {first}"]
+        fields += [f"files: {', '.join(files) or 'none'}", f"max|dxy| {dxy:.3g}", f"max|dv| {dv:.3g}", f"first diff: {first}"]
         lines.append(f"{name}: " + "; ".join(fields))
     lines.append(f"{differ} of {len(old_runs | new_runs)} runs differ")
     return lines

@@ -381,11 +381,15 @@ class _StepSolver:
     A ranking of vehicle i reads, besides i's own candidate, only what
     `_refresh_pred` sets from the controls of i's leader, of the partner
     its cost prices and of each crossing partner whose row
-    `_crossing_table` keeps, and the share p_i of its loss that i pools.  At p_i = 0 the ranking is i's own loss: the move of a player
-    outside the coalition and the lone move the rationality check compares
-    against are one and the same search.  At p_i != 0 it also reads the
-    controls and p of `dependents[i]`.  So two more memos key on exactly
-    those:
+    `_crossing_table` keeps, and the share p_i of its loss that i pools.
+    At p_i = 0 the ranking is i's own loss: the move of a player outside
+    the coalition and the lone move the rationality check compares
+    against are one and the same search.  So are those of a member none
+    of whose `dependents` pools: its pooled objective is
+    (1 - p_i + p_i^2) * own plus constants, whose argmin is the lone
+    move's, and `_best_response` ranks it at p_i = 0.  Otherwise the
+    ranking also reads the controls and p of `dependents[i]`.  So two more
+    memos key on exactly those:
 
     - `_scored[i]` maps (leader's control, priced partner's control,
       `_crossing_table`'s tokens) to a map (a, d) -> (constraint
@@ -397,17 +401,8 @@ class _StepSolver:
       ranking, and only at p_i != 0;
     - `_responses` keeps each `_best_response` result, so asking again
       under the same `_scored` key (a converged sweep, a re-sweep, the
-      second rationality check, the lone move of a player already at
-      p_i = 0) returns it without searching.  A fresh search at p_i != 0
-      also stores the lone move of an uncoupled member, one whose
-      `dependents` all have p = 0, so that `_coupling` adds nothing and
-      every feasible key holds c * own with c = 1 - p_i + p_i^2.  Its
-      guard: if c maps the distinct own losses of the candidates the
-      search ranked to distinct values, every key comparison of the lone
-      search comes out as in this one, so that search would rank the same
-      candidates to the same control; its key holds own in place of
-      c * own.  Where c merges two losses, nothing is stored and the lone
-      move is searched.
+      second rationality check, the lone move of a player ranked at
+      p_i = 0) returns it without searching.
 
     Each shared value comes from the same call with the same arguments
     that would otherwise be repeated, so results are bit-for-bit those of
@@ -578,8 +573,9 @@ class _StepSolver:
     def _coupling(self, i: int, a: float, d: float) -> float:
         """Terms of other players' losses that move with vehicle i's
         candidate (a, d), weighted by p_i * p_j.  Constant terms are
-        dropped; only differences matter.  Zero when p_i is zero or i has
-        no dependents; `_rank` skips the call then.  It reads the prediction
+        dropped; only differences matter.  Zero when p_i is zero or no
+        dependent pools; `_best_response` ranks such a member at p_i = 0,
+        and `_rank` skips the call at p_i = 0.  It reads the prediction
         `_score` memoized, as `_rank` calls it only on a feasible entry."""
         pred, s_pred = self._cand[i][(a, d)][:2]
         p_i = self.p[i]
@@ -734,13 +730,16 @@ class _StepSolver:
         if own is None:
             return (1.0, residual, abs(a), abs(d), a, d)
         value = (1.0 - p_i + p_i * p_i) * own
-        if p_i != 0.0 and self.dependents[i]:
+        if p_i != 0.0:
             value += self._coupling(i, a, d)
         return (0.0, value, abs(a), abs(d), a, d)
 
     def _best_response(self, i: int, p_i: float) -> tuple[float, float, tuple]:
         """Vehicle i's best control against the current partner controls
-        when it pools the share p_i of its loss; p_i = 0 is its lone move."""
+        when it pools the share p_i of its loss; p_i = 0 is its lone move.
+        A member none of whose dependents pools is ranked at p_i = 0."""
+        if p_i != 0.0 and all(self.p[j] == 0.0 for j in self.dependents[i]):
+            p_i = 0.0
         context, scored, table = self._scored_for(i)
         asked = (i, p_i, context)
         if p_i != 0.0:
@@ -794,14 +793,6 @@ class _StepSolver:
                 da *= 0.5
                 dd *= 0.5
         self._responses[asked] = (ba, bd, bkey)
-        if p_i != 0.0 and all(self.p[j] == 0.0 for j in self.dependents[i]):
-            # uncoupled: every feasible key held c * own; while c keeps the
-            # owns distinct, the lone search makes the same comparisons
-            c = 1.0 - p_i + p_i * p_i
-            owns = {scored[ad][1] for ad in memo} - {None}
-            if len(owns) == len({c * x for x in owns}):
-                lone = (0.0, scored[(ba, bd)][1]) + bkey[2:] if bkey[0] == 0.0 else bkey
-                self._responses[(i, 0.0, context)] = (ba, bd, lone)
         return ba, bd, bkey
 
     # -- game rounds ------------------------------------------------------

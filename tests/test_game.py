@@ -450,10 +450,10 @@ def _uncoupled_views(case):
 
 @pytest.mark.parametrize("case", ["no_dependents", "dependent_at_p0"])
 def test_uncoupled_member_reads_its_lone_move_off_the_coalition_search(case, monkeypatch):
-    """Its pooled ranking is (1 - p + p^2) times its own loss, so the lone
-    search would compare as the coalition search did: asked after it, the
-    lone move ranks nothing, adds no eval and returns what a fresh
-    solver's lone search returns."""
+    """Its pooled objective is (1 - p + p^2) times its own loss plus
+    constants, so it is ranked at p = 0 and its coalition search is its
+    lone search: asked after it, the lone move ranks nothing, adds no eval
+    and returns what a fresh solver's lone search returns."""
     views = _uncoupled_views(case)
     solver = _StepSolver(views, True)
     assert solver.p[0] == 0.6 and len(solver.dependents[0]) == (case == "dependent_at_p0")
@@ -483,20 +483,14 @@ def test_member_with_a_pooling_dependent_searches_its_lone_move(monkeypatch):
     assert lone == _StepSolver(views, True)._best_response(0, 0.0)
 
 
-@pytest.mark.parametrize(
-    "losses, searched",
-    [((1.9000000000000015,), False), ((1.9000000000000015, 1.9000000000000017), True)],
-    ids=["one_loss", "merged_pair"],
-)
-def test_lone_move_is_searched_when_the_pooled_scale_merges_two_losses(losses, searched, monkeypatch):
-    """At kappa = 0.2 the factor 1 - p + p^2 maps the own losses
-    1.9000000000000015 and 1.9000000000000017 to one value, so the pooled
-    ranking falls back on |a| where the lone one would not: with those two
-    losses among the candidates the lone move is searched.  With one loss
-    only, every key compares alike and the lone move is read off."""
+@pytest.mark.parametrize("losses", [(1.9000000000000015,)], ids=["one_loss"])
+def test_lone_move_is_searched_when_the_pooled_scale_merges_two_losses(losses, monkeypatch):
+    """At kappa = 0.2 the member pools p = participation(0.2) and has no
+    dependents.  With one own loss among its candidates, asking for its
+    lone move after its pooled search ranks nothing: both are one search.
+    `test_uncoupled_member_makes_one_search` takes two losses that
+    1 - p + p^2 merges."""
     p = participation(0.2)
-    c = 1.0 - p + p * p
-    assert c * 1.9000000000000015 == c * 1.9000000000000017 == 1.7021269716598657
     calls = [0]
 
     def alternating_loss(*terms):
@@ -509,7 +503,37 @@ def test_lone_move_is_searched_when_the_pooled_scale_merges_two_losses(losses, s
     assert set(losses) <= {entry[1] for entry in solver._scored_for(0)[1].values()}
     ranked = _count_ranks(monkeypatch, solver)
     solver._best_response(0, 0.0)
-    assert (ranked[0] > 0) == searched
+    assert ranked[0] == 0
+
+
+def test_uncoupled_member_makes_one_search(monkeypatch):
+    """A member none of whose dependents pools is ranked at p = 0: its
+    sweep move and the lone move of the rationality check are one
+    `_responses` entry, and the check ranks nothing for it.  At
+    kappa = 0.2, 1 - p + p^2 maps the own losses 1.9000000000000015 and
+    1.9000000000000017 to one value.  With the first candidate scored at
+    the lower one and every other at the higher, a search ranking
+    c * own would tie them all and keep the least |a|; the member's
+    control is the p = 0 search's, bit for bit."""
+    p = participation(0.2)
+    c = 1.0 - p + p * p
+    assert c * 1.9000000000000015 == c * 1.9000000000000017 == 1.7021269716598657
+    calls = [0]
+
+    def first_loss_lower(*terms):
+        calls[0] += 1
+        return 1.9000000000000015 if calls[0] == 1 else 1.9000000000000017
+
+    monkeypatch.setattr(game, "blended_loss", first_loss_lower)
+    views = [dataclasses.replace(_single_view(), kappa=0.2, p=p)]
+    solver = _StepSolver(views, True)
+    solver._sweep_loop()
+    assert list(solver._responses) == [(0, 0.0, solver._scored_for(0)[0])]
+    ranked = _count_ranks(monkeypatch, solver)
+    solver._rationality()
+    assert ranked[0] == 0
+    calls[0] = 0
+    assert solver.controls[0] == _StepSolver(views, True)._best_response(0, 0.0)[:2]
 
 
 def test_speed_cap_is_bisected_once_per_vehicle_per_step(monkeypatch):
@@ -548,53 +572,6 @@ def test_speed_cap_is_the_largest_in_box_acceleration_the_ramp_allows(v0, a_prev
     if cap is not None:
         assert a_lo <= cap <= a_hi
         assert not over(cap) and over(cap + (a_hi - a_lo) * 2.0**-47)
-
-
-# dense layouts (per arm, seed), a step at which the guard makes a member
-# search its lone move, and that step's evals.  Reading every uncoupled
-# lone move off the coalition search without the guard, or ranking such a
-# member by its own loss alone, changes all three.  Each is the first such
-# step of its layout; a scan of the 12- and 16-vehicle layouts of seeds
-# 1-12 finds them in only these and n16 seeds 5 and 12.
-_GUARDED = [((3, 1), 14, 3963), ((3, 9), 23, 2941), ((4, 2), 20, 5934)]
-
-
-@pytest.mark.parametrize("layout, step_k, evals", _GUARDED, ids=["n12_seed1", "n12_seed9", "n16_seed2"])
-def test_derived_lone_moves_change_no_row_and_no_count(layout, step_k, evals, dense, tmp_path, monkeypatch):
-    """Reading lone moves off the coalition search gives the rows and the
-    step records of searching every lone move, on the inputs where a scale
-    that merges two losses would tell them apart; only `evals` differs,
-    since a lone move read off ranks nothing.  It is no higher in any step
-    and lower in the pinned one.  Each run ends one step past that step."""
-    horizon = f"t_end = {dense.HORIZON_S:g}\n"
-    text = dense.layout(*layout)
-    assert horizon in text
-    cfg = tmp_path / "dense.cfg"
-    cfg.write_text(text.replace(horizon, f"t_end = {0.1 * (step_k + 2):g}\n"), encoding="utf-8")
-
-    def outcome():
-        res = runner.run(load_scenario(cfg))
-        steps = [dataclasses.replace(s, solve_time=0.0, evals=0) for s in res.steps]
-        return repr(res.rows), steps, [s.evals for s in res.steps]
-
-    derived = outcome()
-    real_best_response = _StepSolver._best_response
-
-    def searched_lone(self, i, p_i):
-        lone = (i, 0.0, self._scored_for(i)[0])
-        stored = lone in self._responses
-        answer = real_best_response(self, i, p_i)
-        if p_i != 0.0 and not stored:
-            self._responses.pop(lone, None)  # drop a lone move read off this search
-        return answer
-
-    monkeypatch.setattr(_StepSolver, "_best_response", searched_lone)
-    searched = outcome()
-    assert len(derived[1]) == step_k + 2
-    assert derived[:2] == searched[:2]
-    assert all(d <= s for d, s in zip(derived[2], searched[2]))
-    assert derived[2][step_k] < searched[2][step_k]
-    assert derived[2][step_k] == evals
 
 
 def test_pooled_loss_identities():
@@ -891,34 +868,50 @@ def test_fallback_rows_brake_at_full_effort(simulate):
 
 
 def _rank_cases():
-    """(views, player) pairs covering the three shapes of the game key:
-    p = 0 (with a dependent), a player nothing depends on, and players
-    with dependents."""
+    """(views, player) per shape of the game key: p = 0 (with a
+    dependent), the two uncoupled members of `_uncoupled_views`, which the
+    search ranks at p = 0 too, and players with pooling dependents."""
     crossing = _crossing_views()
-    p0 = [dataclasses.replace(crossing[0], p=0.0), crossing[1]]
     shared = [dataclasses.replace(v, p=0.7) for v in crossing]
-    alone = [dataclasses.replace(_single_view(), p=0.6)]
-    return [(p0, 0), (alone, 0), (shared, 0), (shared, 1)]
+    return {
+        "p0": ([dataclasses.replace(crossing[0], p=0.0), crossing[1]], 0),
+        "no_dependents": (_uncoupled_views("no_dependents"), 0),
+        "dependent_at_p0": (_uncoupled_views("dependent_at_p0"), 0),
+        "dependents_0": (shared, 0),
+        "dependents_1": (shared, 1),
+    }
 
 
-@pytest.mark.parametrize("case", range(4), ids=["p0", "no_dependents", "dependents_0", "dependents_1"])
-def test_game_rank_key_is_the_pooled_objective_bit_for_bit(case):
+@pytest.mark.parametrize("case", ["p0", "no_dependents", "dependent_at_p0", "dependents_0", "dependents_1"])
+def test_game_rank_key_is_the_pooled_objective_bit_for_bit(case, monkeypatch):
+    """Each key the search ranks, at the p it ranks with, is that p's
+    pooled objective: (1 - p + p^2) times the own loss plus the coupling
+    term."""
     views, i = _rank_cases()[case]
     solver = _StepSolver(views, True)
-    assert (solver.p[i] == 0.0) == (case == 0)
-    assert bool(solver.dependents[i]) == (case != 1)
+    assert (solver.p[i] == 0.0) == (case == "p0")
+    assert bool(solver.dependents[i]) == (case != "no_dependents")
+    rank, ranked_at = solver._rank, set()
+
+    def recording_rank(i, a, d, p_i, *rest):
+        ranked_at.add(p_i)
+        return rank(i, a, d, p_i, *rest)
+
+    monkeypatch.setattr(solver, "_rank", recording_rank)
+    solver._best_response(i, solver.p[i])
+    (p_i,) = ranked_at
+    assert p_i == (solver.p[i] if case.startswith("dependents") else 0.0)
     _, scored, table = solver._scored_for(i)
     lo, hi = solver._grid[i][:2]
     feasible = 0
     for a in (lo, 0.5 * (lo + hi), hi):
         for d in (-0.02, 0.0, 0.01):
-            key = solver._rank(i, a, d, solver.p[i], scored, table)
+            key = rank(i, a, d, p_i, scored, table)
             if key[0] != 0.0:
                 continue
             feasible += 1
             pred, s_pred, dy, dphi, _ = solver._candidate(i, a, d)
             own = blended_loss(*solver._own_terms(i, pred, s_pred, dy, dphi))
-            p_i = solver.p[i]
             want = (1.0 - p_i + p_i * p_i) * own + solver._coupling(i, a, d)
             assert key == (0.0, want, abs(a), abs(d), a, d)
     assert feasible > 0

@@ -36,7 +36,7 @@ SHA256 = {
     "case1_D_fuzzy": "59fc39751d4b7b33d8858d57ae1e243606d4bf6c363a965450957f3ec6936b60",
     "case1_D_noncoop": "5bf3cd1b5c08dbbfbed2649e72d70376521f5768463568cb844e499c53a67a20",
     "case1_D_grand": "2da5495e7725bd58cc8794c6a944e908d315caceadbb23879d56be000ce29c04",
-    "case1_E_fuzzy": "ba754e8b47bd892c0fa578e18fad0e301ab034a06ccee99a48ec2340b4accc08",
+    "case1_E_fuzzy": "af8259d8056573b7ddfe8a4993bd91bd5c3ab1ee2ee1379393a4d999469b67dc",
     "case1_E_noncoop": "a6e8659cb3b95a426def29bb9999394794894ac8950a131352e6507a86762b30",
     "case1_E_grand": "031768c222e21ca203a7a5b7bdf2e9597c497bf0e65e542ae1a72d2bb0da4e1c",
     "case1_F_fuzzy": "8e02e5841c77b7aecc48a1c95b8570076852ef56224b486e7317079c55bd7d87",
@@ -45,18 +45,18 @@ SHA256 = {
     "case2_fuzzy": "6b27fb09f946f7c1142b91fcbec202967f2d5362e955dae588898f4d7ce0ea4b",
     "case2_noncoop": "22caf9cd14dc28f715b83fd43ac879a9aeecdd55028a19f47ae27e593fff3776",
     "case2_grand": "96f564673981c1392a186a26ba9afcae9241b0e64f63abf9b635708833d18415",
-    "case3_fuzzy": "7e7517ae0b01fedba749ba46139cced7f728679ae594ed4cb26df569c156ed96",
+    "case3_fuzzy": "9502316296754891633a7e7d6029ae233b646c53314c4e38070b03117df0f70f",
     "case3_noncoop": "c2ec1c55afa5c6f9f65ca3b59cdc187cfa94cb777b5c70e11f46cba98e8b687f",
     "case3_grand": "f7bc1b15d0cd72e3c8d18d1e4e62d5309303bc9ac3cb9764e46dc1b370143828",
     "case1_A_ungated": "78f4847dc3e1f5ae2567348f2a973e2c32f24e7e8e791d39a65f2f360d61b303",
-    "case3_ungated": "ac830774b026035a8fe507457e56689424dcbd8a69bd1746b490102784d54a67",
-    "dense_n8_seed1": "0886bb965a0edd505b3c70f82511878df155d07c1af63f507ba403eabb4f373d",
-    "dense_n12_seed1": "16cf4c94558917ec3530e303c1f48ed0c22f74f7abf2cbb1146a778d90d0e462",
+    "case3_ungated": "bd135c505de0b92faadf29d41689ef3a0a92d0025928e26c9ae99a332d0cafef",
+    "dense_n8_seed1": "3d45fe649aecbf620b32ec867c34592bf50753fc538f056561c81d26a0262804",
+    "dense_n12_seed1": "4cad331c4e393819ed7915763c9033d41d1fdb4c8eb7dd162554adf7e685898a",
     "dense_n12_seed1_grand": "10bb78c3c07c3e693cceff7a02922f064d866ce890bb35bed20e4e3134eac89c",
-    "dense_n16_seed1": "4fc80e2391f8ef2323c9694d65f226806cb66cc805c9a4c97313532db145cbc9",
-    "dense_n8_seed3": "ee5ff2d62a923ab384f3101c34b55d70d9be0e5be38d52947e0a78dd07cbcdbb",
-    "dense_n12_seed3": "75a2d132223013a0a118c02c15d392e55566e46be64ca2a76148d44bb2838287",
-    "dense_n16_seed3": "110f98f4b373c9baccc50cd61954ab2fdd4a83059e8a328e202907417f9484f5",
+    "dense_n16_seed1": "cac2841bc835044525ecc5c9f68f72b958117ae80a7305a0344ef4fb6bb4698c",
+    "dense_n8_seed3": "e534426bc803a8ec913c6c2dd6c79124f91a1289cb124fe61bc0c01f7e3c12b8",
+    "dense_n12_seed3": "d2cbf427283fc900289e8e29b8ab7cfc519742675fca1b51da362fcbb9e87add",
+    "dense_n16_seed3": "e5e33cf610cf25f36debd363c36e00c5ea048ad2180dc634bd8d2ceb2e83a00d",
 }
 
 

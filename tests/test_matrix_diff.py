@@ -33,8 +33,9 @@ def test_identical_trees_print_zero_differences(trees):
 
 
 def test_a_changed_trace_row_is_named_as_the_first_difference(trees):
-    """Nudging V2's x at step 5 by 1 mm is the run's first difference and
-    its largest position change; its speed is untouched."""
+    """Nudging V2's x at step 5 by 1 mm is the run's first difference, in
+    column x alone, and its largest position change; its speed is
+    untouched, and trace.csv is the one file that differs."""
     trace = trees[1] / "case1_A_fuzzy" / "trace.csv"
     lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
     header = lines[0].rstrip("\n").split(",")
@@ -46,9 +47,28 @@ def test_a_changed_trace_row_is_named_as_the_first_difference(trees):
 
     report = matrix_diff.compare(*trees)
     assert report[-1] == "1 of 1 runs differ"
-    assert report[0].endswith("; max|dv| 0; first diff: step 5 V2")
+    assert "; files: trace.csv; " in report[0]
+    assert report[0].endswith("; max|dv| 0; first diff: step 5 V2 [x]")
     dxy = float(report[0].split("max|dxy| ")[1].split(";")[0])
     assert dxy == pytest.approx(1e-3, rel=1e-3)
+
+
+def test_a_change_to_steps_csv_alone_names_that_file(trees):
+    """A changed `evals` count moves the summed evals and makes steps.csv
+    the one differing file; no trace row differs."""
+    steps = trees[1] / "case1_A_fuzzy" / "steps.csv"
+    lines = steps.read_text(encoding="utf-8").splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+    row = lines[1].split(",")
+    row[header.index("evals")] = str(int(row[header.index("evals")]) - 1)
+    lines[1] = ",".join(row)
+    steps.write_text("".join(lines), encoding="utf-8")
+
+    report = matrix_diff.compare(*trees)
+    assert report[-1] == "1 of 1 runs differ"
+    old, new = report[0].split("; evals ")[1].split(";")[0].split(" -> ")
+    assert int(old) - int(new) == 1
+    assert report[0].endswith("; files: steps.csv; max|dxy| 0; max|dv| 0; first diff: none")
 
 
 def test_a_run_in_only_one_tree_is_reported(trees):
