@@ -64,7 +64,6 @@ def _cmd_run(args) -> int:
     files = emit(result, out, field_raster=args.field_raster)
     rep = metrics(result)
     tim = timing(result)
-    # round(t_end / DT) rounds half to even, so a t_end of 0.05 s runs no step
     evals = sum(s.evals for s in result.steps) / len(result.steps) if result.steps else 0.0
     gate = "" if gating else ", risk gate off"
     print(f"{scenario.name} [{MODE_LABELS[result.mode]}{gate}] "

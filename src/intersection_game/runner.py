@@ -263,6 +263,7 @@ def run(
     steps: list[StepRow] = []
     rows: list[list[VehicleRow]] = []
     wall_start = time.perf_counter()
+    # round(t_end / DT) rounds half to even, so a t_end of 0.05 s runs no step
     n_steps = round(scenario.t_end / DT)
 
     for k in range(n_steps):

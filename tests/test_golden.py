@@ -24,39 +24,39 @@ JOBS = matrix.jobs()
 # `digest` of each identity-matrix directory; after an intended behaviour
 # change, paste the lines scripts/identity_matrix.py prints in place of these
 SHA256 = {
-    "case1_A_fuzzy": "0034ac20d16847c63ce31ad61cfa9fe00cfe8a4da87f1cd850f6559f21caa636",
-    "case1_A_noncoop": "f6af34eae812d282343cc99e18a25f7e2c414a7a70be86165e2eed3b9c3304a7",
-    "case1_A_grand": "eccff7dbf6a43b8479a8434487bfa9c9545722c5e1f0e97660cdea4afc5f9202",
-    "case1_B_fuzzy": "4dbb1ff15150583e37fcbdff7624bf00bc4da791665381b5a2a57e42e4c92b4b",
-    "case1_B_noncoop": "0a336469a75a416b85616728e8b4d23bcc7ed964e9b996e90490ea2d100d3d2c",
-    "case1_B_grand": "2d7ea54849300df9f79f7125225e06a2a5ab06534bbd4e08c71ae74b70f1adf2",
-    "case1_C_fuzzy": "a780c166cdebfdae3c5c29c46791d9fb336f620b148036f3d330138dcbdde45d",
-    "case1_C_noncoop": "6493f16bf41a99c395fb0feac93e9635b531a8fe146b8783ecce3177d182058f",
-    "case1_C_grand": "f72c1f34fcc63839594d49020cab7f8542ed0121f616b70ee203961d336b6284",
-    "case1_D_fuzzy": "59fc39751d4b7b33d8858d57ae1e243606d4bf6c363a965450957f3ec6936b60",
-    "case1_D_noncoop": "5bf3cd1b5c08dbbfbed2649e72d70376521f5768463568cb844e499c53a67a20",
-    "case1_D_grand": "2da5495e7725bd58cc8794c6a944e908d315caceadbb23879d56be000ce29c04",
-    "case1_E_fuzzy": "af8259d8056573b7ddfe8a4993bd91bd5c3ab1ee2ee1379393a4d999469b67dc",
-    "case1_E_noncoop": "a6e8659cb3b95a426def29bb9999394794894ac8950a131352e6507a86762b30",
-    "case1_E_grand": "031768c222e21ca203a7a5b7bdf2e9597c497bf0e65e542ae1a72d2bb0da4e1c",
-    "case1_F_fuzzy": "8e02e5841c77b7aecc48a1c95b8570076852ef56224b486e7317079c55bd7d87",
-    "case1_F_noncoop": "cc56716fa13057b3d9105370df84b6f9b3429f81b10c9a44e193f77ebf5c6a5f",
-    "case1_F_grand": "f01722891dbac1bc0d114872bd4b0c2640194bfae994619ea5181b580fba9b02",
-    "case2_fuzzy": "6b27fb09f946f7c1142b91fcbec202967f2d5362e955dae588898f4d7ce0ea4b",
-    "case2_noncoop": "22caf9cd14dc28f715b83fd43ac879a9aeecdd55028a19f47ae27e593fff3776",
-    "case2_grand": "96f564673981c1392a186a26ba9afcae9241b0e64f63abf9b635708833d18415",
-    "case3_fuzzy": "9502316296754891633a7e7d6029ae233b646c53314c4e38070b03117df0f70f",
-    "case3_noncoop": "c2ec1c55afa5c6f9f65ca3b59cdc187cfa94cb777b5c70e11f46cba98e8b687f",
-    "case3_grand": "f7bc1b15d0cd72e3c8d18d1e4e62d5309303bc9ac3cb9764e46dc1b370143828",
-    "case1_A_ungated": "78f4847dc3e1f5ae2567348f2a973e2c32f24e7e8e791d39a65f2f360d61b303",
-    "case3_ungated": "bd135c505de0b92faadf29d41689ef3a0a92d0025928e26c9ae99a332d0cafef",
-    "dense_n8_seed1": "3d45fe649aecbf620b32ec867c34592bf50753fc538f056561c81d26a0262804",
-    "dense_n12_seed1": "4cad331c4e393819ed7915763c9033d41d1fdb4c8eb7dd162554adf7e685898a",
-    "dense_n12_seed1_grand": "10bb78c3c07c3e693cceff7a02922f064d866ce890bb35bed20e4e3134eac89c",
-    "dense_n16_seed1": "cac2841bc835044525ecc5c9f68f72b958117ae80a7305a0344ef4fb6bb4698c",
-    "dense_n8_seed3": "e534426bc803a8ec913c6c2dd6c79124f91a1289cb124fe61bc0c01f7e3c12b8",
-    "dense_n12_seed3": "d2cbf427283fc900289e8e29b8ab7cfc519742675fca1b51da362fcbb9e87add",
-    "dense_n16_seed3": "e5e33cf610cf25f36debd363c36e00c5ea048ad2180dc634bd8d2ceb2e83a00d",
+    "case1_A_fuzzy": "f14208c1309b158a23ee56515f29ebf696dc28b8b130f28dc40716bc4160678f",
+    "case1_A_noncoop": "71c595d373c34512a07a32f5ca083000c48ceba7b4e707eca4a22811361614ff",
+    "case1_A_grand": "ae20345fac2839c4a2e20800dd2447d15a1d314a80b972e1155865a46d78c34d",
+    "case1_B_fuzzy": "c4e91eafe419f75a8ae9ceb5e506ae753891e94309ae031766b4298f897b309e",
+    "case1_B_noncoop": "ba8134f0c67d7fcf3ea6f9fbb13d0c66a192480ee42457507b04b83cde6ccb05",
+    "case1_B_grand": "67612ec565f2cf9a3ddae91e6da43080790d26e68ae6bdf82654ce2f1ad83c28",
+    "case1_C_fuzzy": "474b51661889c0cbeb67e551d7190f4fc57b96361d202e22ed47309048e34f63",
+    "case1_C_noncoop": "73b3d59cd6ebc6db62c461218f0658d1ea529047184438cad48af5455bfeffe6",
+    "case1_C_grand": "785906bfb2279e2617e9cf3b4eccb2de023549672a84038078bacff154826072",
+    "case1_D_fuzzy": "e7e73523253bd6302660ddd26b46f0d0cb60ce1f49d525f9c1b01980a08c2818",
+    "case1_D_noncoop": "bc0abba567425b56f2c9a8380e733a20c27130f2eaecfb4725e8436932ae3a40",
+    "case1_D_grand": "46f09ee23a4fc32b59eb83224d63e763d80278f3bb8f9c4956542193245e42ab",
+    "case1_E_fuzzy": "af965e41ca033cd1d078b4f3bd7c258a6a4deadd98ef6a01ae69e4bb2129d610",
+    "case1_E_noncoop": "d27b1298f3b846f28ce7c766475729ecfc49f9fe139c05ef77b968673b37ae8b",
+    "case1_E_grand": "34d86f19459ce7561653a10988368ede839370f5480be760107722a8ded16648",
+    "case1_F_fuzzy": "ea83223c181044fb0de18407e1f35d9387be0cf662d459fcba3cf39e635316df",
+    "case1_F_noncoop": "13429385ea795e3be7a3c235b2d6ba8f37a004b78c457c00c92f4255c6bd11cb",
+    "case1_F_grand": "8fb1625963220dac56d49d01071e0fd40ec1e931006787ae3b0ef1be67d853d8",
+    "case2_fuzzy": "0461039c84d1f2241ea59859a591eb61a4423bf893492c07b10e2e1c242a46e4",
+    "case2_noncoop": "6820be2059b7e62e65dd57ea912365a8b009239e04d4de9b62c7f2cb44500516",
+    "case2_grand": "e4e0315b815d1d1d63770b8da8218c079862c029e3a526cdb5ed3aa05ddefad9",
+    "case3_fuzzy": "1d7d01525f96cbd8e639dcf30277c7f4f7a5f8c49fa930cdc27e3291dc228288",
+    "case3_noncoop": "912013be171806bf441b17aeca285c1d960d45e8f238cab31d3b285053a2d45f",
+    "case3_grand": "889e391f0e19c81f4df10f2499185af77bd6622b222239cad7f5a7e5113ce527",
+    "case1_A_ungated": "1e1a701f43a75b62959064a6415e72625e2bc12cd236f6ed5148836c36ec9747",
+    "case3_ungated": "bac99751c84f60a4b186a99822435795cf5fad6237b2284a6a426040ae6b2756",
+    "dense_n8_seed1": "3441c7e8f3228e88516b88d03403fc1c796bc3f8fffed37054035852f0b14e16",
+    "dense_n12_seed1": "7dc0f57f91ac9ada02dc62196f305db73f7884721f58caa54c5f1a6e18219b8c",
+    "dense_n12_seed1_grand": "7536518a65b62f683215e7e617dbffc35e34599462b8f397378a884177d36789",
+    "dense_n16_seed1": "d17ddf9aa65fb3f606b40f1fa6fbcbf8e1e4af9334cd79851b22dd0ce80a6e43",
+    "dense_n8_seed3": "9d64f978f9fcc3e08a242481ebcfc7fa458d1617ae00a8a018040a85e745bb06",
+    "dense_n12_seed3": "68332f195c97d12c9eaf583e3891bc4b7bae75b81ecb6abc082a3be5f8b9cdbb",
+    "dense_n16_seed3": "4a927351a935098707306ffed584c809e3540e39a55c5c04d43e790234bfe55b",
 }
 
 
