@@ -50,19 +50,11 @@ FINE_A, FINE_D = 1e-5, 2e-6  # the reference pattern's last step sizes
 _POLLS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def ranked_p(solver: _StepSolver, i: int) -> float:
-    """The p that `_best_response` ranks player i at."""
-    p_i = solver.p[i]
-    if p_i != 0.0 and all(solver.p[j] == 0.0 for j in solver.dependents[i]):
-        return 0.0
-    return p_i
-
-
 def player_gap(solver: _StepSolver, i: int) -> tuple[float | None, bool]:
     """(gap, rescued) of player i against the solver's current controls:
     the gap is None where i's control is infeasible, and rescued says the
     reference then found a feasible one."""
-    p_i = ranked_p(solver, i)
+    p_i = solver._ranked_p(i, solver.p[i])
     _, scored, table = solver._scored_for(i)
     a_lo, a_hi, seeds = solver._grid[i]
     memo: dict[tuple[float, float], tuple] = {}

@@ -736,12 +736,18 @@ class _StepSolver:
             value += self._coupling(i, a, d)
         return (0.0, value, abs(a), abs(d), a, d)
 
+    def _ranked_p(self, i: int, p_i: float) -> float:
+        """The share `_best_response` ranks vehicle i at when it pools p_i:
+        0 for a member none of whose dependents pools."""
+        if p_i != 0.0 and all(self.p[j] == 0.0 for j in self.dependents[i]):
+            return 0.0
+        return p_i
+
     def _best_response(self, i: int, p_i: float) -> tuple[float, float, tuple]:
         """Vehicle i's best control against the current partner controls
         when it pools the share p_i of its loss; p_i = 0 is its lone move.
-        A member none of whose dependents pools is ranked at p_i = 0."""
-        if p_i != 0.0 and all(self.p[j] == 0.0 for j in self.dependents[i]):
-            p_i = 0.0
+        It ranks at `_ranked_p`."""
+        p_i = self._ranked_p(i, p_i)
         context, scored, table = self._scored_for(i)
         asked = (i, p_i, context)
         if p_i != 0.0:

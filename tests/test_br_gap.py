@@ -16,8 +16,8 @@ _spec = importlib.util.spec_from_file_location("br_gap", ROOT / "scripts" / "br_
 br_gap = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(br_gap)
 
-# largest relative gap a player-step may keep; 8-direction polls from a
-# 5 x 9 seed grid read at most 1.4e-5 on both runs below
+# largest relative gap a player-step may keep, fixed before the search was
+# made coarser; the largest reading on the two runs below is 1.4e-5
 GAP_TOL = 3e-5
 
 
