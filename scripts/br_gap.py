@@ -94,9 +94,7 @@ def player_gap(solver: _StepSolver, i: int) -> tuple[float | None, bool]:
         for ka in range(GRID_A)
         for kd in range(GRID_D)
     ]
-    start = min([*seeds, *grid], key=rank)
-    if final_key < rank(start):
-        start = final
+    start = min([*seeds, *grid, final], key=rank)
     ref_key = min(pattern(*start), pattern(*final))
     if final_key[0] != 0.0:
         return None, ref_key[0] == 0.0
