@@ -1,12 +1,12 @@
 """Measure how far each step's controls are from a best response.
 
-    PYTHONPATH=src python3 scripts/br_gap.py                    # the shipped scenarios, fuzzy
-    PYTHONPATH=src python3 scripts/br_gap.py --dense-seed 1     # the dense layouts of seed 1
-    PYTHONPATH=src python3 scripts/br_gap.py scenarios/case3.cfg --mode grand
+    PYTHONPATH=src python3 scripts/br_gap.py
 
-Each step's controls are the cyclic best response's answer.  The probe
-asks, for every player not braking on the fallback path, how much lower
-a finer search could push the objective that `_StepSolver._best_response`
+The probe runs the shipped scenarios (scenarios/*.cfg) and the 3.5 s
+layouts of perfbench/dense.py at seed 1, all in fuzzy mode.  Each step's
+controls are the cyclic best response's answer.  The probe asks, for
+every player not braking on the fallback path, how much lower a finer
+search could push the objective that `_StepSolver._best_response`
 ranks (its loss pooled at p_i, or at 0 for a member none of whose
 dependents pools) while every other vehicle keeps its final control.
 
@@ -25,15 +25,14 @@ J being the ranked objective, so 0 means no control the reference found
 beats the final one.  A final control that breaks a constraint has no
 gap; the probe counts those for which the reference finds a feasible
 control (`rescued`).  Each run prints the player-steps probed, the largest
-and the 99th-percentile gap and that count, and a last line `all` pools
-the runs.
+and the 99th-percentile gap and that count; a line `shipped` then pools
+the shipped runs and a line `dense` the dense ones.
 
 The probe ranks through the solver's own `_rank`, after the solution is
 built, and restores the step's `evals` and `lateral_evals`: a probed run
 emits the same bytes as an unprobed one.
 """
 
-import argparse
 import contextlib
 import importlib.util
 import math
@@ -41,12 +40,13 @@ import tempfile
 from pathlib import Path
 
 from intersection_game.game import STEER_BOX, _StepSolver
-from intersection_game.runner import MODES, run
+from intersection_game.runner import run
 from intersection_game.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 GRID_A, GRID_D = 17, 33  # reference grid over the acceleration box x the steering box
 FINE_A, FINE_D = 1e-5, 2e-6  # the reference pattern's last step sizes
+DENSE_SEED = 1  # the seed of the dense layouts probed
 _POLLS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
@@ -134,36 +134,30 @@ def summary(records: list[tuple[float | None, bool]]) -> dict:
     }
 
 
-def _dense_layouts(seed: int) -> list[tuple[str, str]]:
-    spec = importlib.util.spec_from_file_location("dense", ROOT / "perfbench" / "dense.py")
-    dense = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(dense)
-    return [(f"dense_n{4 * k}_seed{seed}", dense.layout(k, seed)) for k in dense.PER_ARM]
+def _jobs() -> list[tuple[str, list[tuple[str, str]]]]:
+    """(set name, [(run name, scenario text)]) for the shipped scenarios and
+    the dense layouts of DENSE_SEED."""
+    spec = importlib.util.spec_from_file_location("identity_matrix", Path(__file__).with_name("identity_matrix.py"))
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    dense = matrix.dense_module()
+    shipped = [(path.stem, path.read_text(encoding="utf-8")) for path in sorted((ROOT / "scenarios").glob("*.cfg"))]
+    layouts = [(f"dense_n{4 * k}_seed{DENSE_SEED}", dense.layout(k, DENSE_SEED)) for k in dense.PER_ARM]
+    return [("shipped", shipped), ("dense", layouts)]
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("configs", nargs="*", type=Path, help="scenario files (default: scenarios/*.cfg)")
-    ap.add_argument("--mode", choices=MODES, default="fuzzy")
-    ap.add_argument("--dense-seed", type=int, action="append", default=[],
-                    help="probe perfbench/dense.py's 3.5 s layouts of this seed too (repeatable)")
-    args = ap.parse_args(argv)
-
-    configs = args.configs or ([] if args.dense_seed else sorted((ROOT / "scenarios").glob("*.cfg")))
-    jobs = [(path.stem, path.read_text(encoding="utf-8")) for path in configs]
-    for seed in args.dense_seed:
-        jobs += _dense_layouts(seed)
-    pooled = []
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "scenario.cfg"
-        for name, text in jobs:
-            cfg.write_text(text, encoding="utf-8")
-            with probed() as records:
-                run(load_scenario(cfg), mode=args.mode)
-            _report(f"{name}_{args.mode}", records)
-            pooled += records
-    if len(jobs) > 1:
-        _report("all", pooled)
+        for set_name, jobs in _jobs():
+            pooled = []
+            for name, text in jobs:
+                cfg.write_text(text, encoding="utf-8")
+                with probed() as records:
+                    run(load_scenario(cfg))
+                _report(f"{name}_fuzzy", records)
+                pooled += records
+            _report(set_name, pooled)
     return 0
 
 
