@@ -26,7 +26,9 @@ beats the final one.  A final control that breaks a constraint has no
 gap; the probe counts those for which the reference finds a feasible
 control (`rescued`).  Each run prints the player-steps probed, the largest
 and the 99th-percentile gap and that count; a line `shipped` then pools
-the shipped runs and a line `dense` the dense ones.
+the shipped runs and a line `dense` the dense ones.  The exit code is 1
+when a set's largest gap exceeds GAP_TOL or a player-step is rescued,
+else 0.
 
 The probe ranks through the solver's own `_rank`, after the solution is
 built, and restores the step's `evals` and `lateral_evals`: a probed run
@@ -47,6 +49,9 @@ ROOT = Path(__file__).resolve().parents[1]
 GRID_A, GRID_D = 17, 33  # reference grid over the acceleration box x the steering box
 FINE_A, FINE_D = 1e-5, 2e-6  # the reference pattern's last step sizes
 DENSE_SEED = 1  # the seed of the dense layouts probed
+# largest relative gap a player-step may keep, fixed before the search was
+# first made coarser
+GAP_TOL = 3e-5
 _POLLS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
@@ -147,6 +152,7 @@ def _jobs() -> list[tuple[str, list[tuple[str, str]]]]:
 
 
 def main() -> int:
+    failed = False
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "scenario.cfg"
         for set_name, jobs in _jobs():
@@ -157,17 +163,19 @@ def main() -> int:
                     run(load_scenario(cfg))
                 _report(f"{name}_fuzzy", records)
                 pooled += records
-            _report(set_name, pooled)
-    return 0
+            s = _report(set_name, pooled)
+            failed = failed or s["max"] > GAP_TOL or s["rescued"] > 0
+    return 1 if failed else 0
 
 
-def _report(name: str, records: list[tuple[float | None, bool]]) -> None:
+def _report(name: str, records: list[tuple[float | None, bool]]) -> dict:
     s = summary(records)
     print(
         f"{name}: player-steps {s['player_steps']}; max gap {s['max']:.3g}; p99 {s['p99']:.3g}; "
         f"rescued {s['rescued']}",
         flush=True,
     )
+    return s
 
 
 if __name__ == "__main__":

@@ -47,7 +47,6 @@ CONV_TOL = 1e-3  # a sweep that moves no control by this much ends the solve
 FEAS_SLACK = 1e-9  # largest constraint residual a candidate may keep
 RATIONALITY_TOL = 1e-6  # pooled loss a member may give up against its lone move
 TTC_GUARD = 0.05  # enforcement slack so recorded residuals stay negative
-_SEED_STEER = math.radians(3.0)  # offset of the steering seeds either side of the tracking steer
 # `_scored` entry of a candidate known infeasible whose residual is not computed
 _UNSCORED = (math.inf, None)
 
@@ -418,10 +417,11 @@ class _StepSolver:
     adds to neither.
 
     The hot loop is the pair of candidate loops in `_best_response`: a
-    fresh search ranks its seeds, at most 4 accelerations x 5 steers, then
-    polls the incumbent's four axis neighbours, halving both steps when
-    none improves; it ranks about 46 candidates on the shipped scenarios
-    (counted in fuzzy mode), and each `_rank` that misses
+    fresh search ranks its seeds, at most 4 accelerations x 3 steers (0,
+    the previous steer and the tracking steer), then polls the incumbent's
+    four axis neighbours, quartering both steps when none improves; it
+    ranks about 28 candidates on the shipped scenarios (counted in fuzzy
+    mode), and each `_rank` that misses
     `_scored` costs one `_candidate` (a `step` prediction and a route
     projection), one `_constraint_residual` and one own loss.  Every
     feasible key sorts before every infeasible one, so once a search
@@ -475,9 +475,7 @@ class _StepSolver:
             cap = _speed_cap(st.v_x, a_lo, a_hi)
             if cap is not None:
                 seeds_a.append(cap)
-            d_ff = vj.coast[1]
-            seeds_d = [0.0, vj.delta_prev, d_ff, d_ff + _SEED_STEER, d_ff - _SEED_STEER]
-            seeds_d = sorted({min(max(d, -STEER_BOX), STEER_BOX) for d in seeds_d})
+            seeds_d = sorted({min(max(d, -STEER_BOX), STEER_BOX) for d in (0.0, vj.delta_prev, vj.coast[1])})
             self._grid[j] = (a_lo, a_hi, [(a, d) for a in seeds_a for d in seeds_d])
             if vj.lv is not None:
                 self.dependents[vj.lv].append(j)
@@ -795,8 +793,8 @@ class _StepSolver:
                 bkey, ba, bd = nkey, na_best, nd_best
                 moves += 1
             else:
-                da *= 0.5
-                dd *= 0.5
+                da *= 0.25
+                dd *= 0.25
         self._responses[asked] = (ba, bd, bkey)
         return ba, bd, bkey
 

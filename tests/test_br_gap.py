@@ -16,10 +16,6 @@ _spec = importlib.util.spec_from_file_location("br_gap", ROOT / "scripts" / "br_
 br_gap = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(br_gap)
 
-# largest relative gap a player-step may keep, fixed before the search was
-# made coarser; the largest reading on the two runs below is 1.4e-5
-GAP_TOL = 3e-5
-
 
 def _texts(dense):
     return {
@@ -41,7 +37,7 @@ def test_every_player_step_is_a_best_response_and_the_probe_changes_no_row(name,
         res = run(load_scenario(cfg))
     gaps = [gap for gap, _ in records if gap is not None]
     assert len(gaps) > 400
-    assert max(gaps) <= GAP_TOL
+    assert max(gaps) <= br_gap.GAP_TOL  # the largest reading here is 1.4e-5
     assert not any(rescued for _, rescued in records)
     plain = simulate(text)
     assert res.rows == plain.rows

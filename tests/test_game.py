@@ -298,28 +298,46 @@ def test_single_vehicle_matches_exhaustive_grid():
 
 
 def test_search_ranks_a_small_seed_grid_then_polls_axis_neighbours(monkeypatch):
-    """A fresh search ranks its seeds, at most 4 accelerations x 5 steers,
-    and then only the incumbent's neighbours along one axis: each control
-    its pattern step ranks differs from the incumbent in exactly one of
-    a and delta."""
-    solver = _StepSolver([_single_view()], True)
+    """A fresh search ranks its seeds, at most 4 accelerations x 3 steers
+    (0, the previous steer and the tracking steer), and then only the
+    incumbent's neighbours along one axis: each control its pattern step
+    ranks differs from the incumbent in exactly one of a and delta, by
+    that axis's step unless the box clamps it.  After a poll round that
+    finds no better control, the next round's steps are a quarter of the
+    last."""
+    view = dataclasses.replace(_single_view(), delta_prev=0.01, coast=(0.0, -0.02))
+    solver = _StepSolver([view], True)
     seeded, polled = [], []
     real_rank = solver._rank
 
     def recording_rank(i, a, d, *args):
         search = sys._getframe(1).f_locals  # `_best_response`'s frame
         if "da" in search:  # the pattern step has begun
-            polled.append(((a, d), (search["ba"], search["bd"])))
+            polled.append(((a, d), (search["ba"], search["bd"]), (search["da"], search["dd"])))
         else:
             seeded.append((a, d))
         return real_rank(i, a, d, *args)
 
     monkeypatch.setattr(solver, "_rank", recording_rank)
     solver._best_response(0, solver.p[0])
-    assert seeded == solver._grid[0][2]
-    assert len(set(seeded)) == len(seeded) <= 20
+    a_lo, a_hi, seeds = solver._grid[0]
+    assert seeded == seeds
+    assert len(set(seeded)) == len(seeded) <= 12
+    assert {d for _, d in seeded} == {0.0, 0.01, -0.02}
     assert polled
-    assert all((a != ba) + (d != bd) == 1 for (a, d), (ba, bd) in polled)
+    for (a, d), (ba, bd), (da, dd) in polled:
+        assert (a != ba) + (d != bd) == 1
+        if a != ba:
+            assert a in (a_lo, a_hi) or abs(a - ba) == pytest.approx(da, rel=1e-9)
+        else:
+            assert abs(d - bd) == pytest.approx(dd, rel=1e-9)
+    shrunk = 0
+    for (_, best, step), (_, next_best, next_step) in zip(polled, polled[1:]):
+        if next_step != step:
+            assert next_best == best
+            assert next_step == (0.25 * step[0], 0.25 * step[1])
+            shrunk += 1
+    assert shrunk >= 3
 
 
 def _crossing_views():
@@ -744,9 +762,10 @@ def test_step_solver_predicts_each_candidate_once_per_step(monkeypatch):
     assert calls[0] < committed  # rankings outnumber predictions
     # 21,921 before a search with a feasible control skipped the prediction
     # of candidates whose speed ramp rules them out; 17,769 since, 17,824
-    # since the step is taken in closed form, and 9,449 since the search
-    # seeds from a 3 x 5 grid and polls its four axis neighbours
-    assert calls[0] <= 9_449
+    # since the step is taken in closed form, 9,449 since the search seeds
+    # from a 3 x 5 grid and polls its four axis neighbours, and 5,653 since
+    # it seeds from a 4 x 3 grid and quarters its steps
+    assert calls[0] <= 5_653
 
 
 @pytest.mark.parametrize("name", ["case1_A", "case3"])
@@ -825,10 +844,11 @@ def test_step_solver_windows_change_no_projection_and_mostly_visit_one_element(m
     assert windowed[0] > 0
     assert candidate[1] + candidate["many"] > 1000
     assert candidate[1] >= candidate["many"], candidate
-    # 11,546 of 14,180 since the search seeds from a 3 x 5 grid and polls
-    # its four axis neighbours (21,210 of 25,379 before): a window widened
-    # even by 1 cm keeps the arc 41 times more, 11,505
-    assert candidate[1] >= 11_546, candidate
+    # 7,307 of 9,341 since the search seeds from a 4 x 3 grid and quarters
+    # its steps (11,546 of 14,180 with a 3 x 5 grid and four axis polls,
+    # 21,210 of 25,379 before that): a window widened even by 1 cm keeps
+    # the arc 34 times more, 7,273
+    assert candidate[1] >= 7_307, candidate
 
 
 # the 8-vehicle layout of `perfbench/dense.py --seed 1`, cut to 16 steps

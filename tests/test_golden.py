@@ -24,39 +24,39 @@ JOBS = matrix.jobs()
 # `digest` of each identity-matrix directory; after an intended behaviour
 # change, paste the lines scripts/identity_matrix.py prints in place of these
 SHA256 = {
-    "case1_A_fuzzy": "f14208c1309b158a23ee56515f29ebf696dc28b8b130f28dc40716bc4160678f",
-    "case1_A_noncoop": "71c595d373c34512a07a32f5ca083000c48ceba7b4e707eca4a22811361614ff",
-    "case1_A_grand": "ae20345fac2839c4a2e20800dd2447d15a1d314a80b972e1155865a46d78c34d",
-    "case1_B_fuzzy": "c4e91eafe419f75a8ae9ceb5e506ae753891e94309ae031766b4298f897b309e",
-    "case1_B_noncoop": "ba8134f0c67d7fcf3ea6f9fbb13d0c66a192480ee42457507b04b83cde6ccb05",
-    "case1_B_grand": "67612ec565f2cf9a3ddae91e6da43080790d26e68ae6bdf82654ce2f1ad83c28",
-    "case1_C_fuzzy": "474b51661889c0cbeb67e551d7190f4fc57b96361d202e22ed47309048e34f63",
-    "case1_C_noncoop": "73b3d59cd6ebc6db62c461218f0658d1ea529047184438cad48af5455bfeffe6",
-    "case1_C_grand": "785906bfb2279e2617e9cf3b4eccb2de023549672a84038078bacff154826072",
-    "case1_D_fuzzy": "e7e73523253bd6302660ddd26b46f0d0cb60ce1f49d525f9c1b01980a08c2818",
-    "case1_D_noncoop": "bc0abba567425b56f2c9a8380e733a20c27130f2eaecfb4725e8436932ae3a40",
-    "case1_D_grand": "46f09ee23a4fc32b59eb83224d63e763d80278f3bb8f9c4956542193245e42ab",
-    "case1_E_fuzzy": "af965e41ca033cd1d078b4f3bd7c258a6a4deadd98ef6a01ae69e4bb2129d610",
-    "case1_E_noncoop": "d27b1298f3b846f28ce7c766475729ecfc49f9fe139c05ef77b968673b37ae8b",
-    "case1_E_grand": "34d86f19459ce7561653a10988368ede839370f5480be760107722a8ded16648",
-    "case1_F_fuzzy": "ea83223c181044fb0de18407e1f35d9387be0cf662d459fcba3cf39e635316df",
-    "case1_F_noncoop": "13429385ea795e3be7a3c235b2d6ba8f37a004b78c457c00c92f4255c6bd11cb",
-    "case1_F_grand": "8fb1625963220dac56d49d01071e0fd40ec1e931006787ae3b0ef1be67d853d8",
-    "case2_fuzzy": "0461039c84d1f2241ea59859a591eb61a4423bf893492c07b10e2e1c242a46e4",
-    "case2_noncoop": "6820be2059b7e62e65dd57ea912365a8b009239e04d4de9b62c7f2cb44500516",
-    "case2_grand": "e4e0315b815d1d1d63770b8da8218c079862c029e3a526cdb5ed3aa05ddefad9",
-    "case3_fuzzy": "1d7d01525f96cbd8e639dcf30277c7f4f7a5f8c49fa930cdc27e3291dc228288",
-    "case3_noncoop": "912013be171806bf441b17aeca285c1d960d45e8f238cab31d3b285053a2d45f",
-    "case3_grand": "889e391f0e19c81f4df10f2499185af77bd6622b222239cad7f5a7e5113ce527",
-    "case1_A_ungated": "1e1a701f43a75b62959064a6415e72625e2bc12cd236f6ed5148836c36ec9747",
-    "case3_ungated": "bac99751c84f60a4b186a99822435795cf5fad6237b2284a6a426040ae6b2756",
-    "dense_n8_seed1": "3441c7e8f3228e88516b88d03403fc1c796bc3f8fffed37054035852f0b14e16",
-    "dense_n12_seed1": "7dc0f57f91ac9ada02dc62196f305db73f7884721f58caa54c5f1a6e18219b8c",
-    "dense_n12_seed1_grand": "7536518a65b62f683215e7e617dbffc35e34599462b8f397378a884177d36789",
-    "dense_n16_seed1": "d17ddf9aa65fb3f606b40f1fa6fbcbf8e1e4af9334cd79851b22dd0ce80a6e43",
-    "dense_n8_seed3": "9d64f978f9fcc3e08a242481ebcfc7fa458d1617ae00a8a018040a85e745bb06",
-    "dense_n12_seed3": "68332f195c97d12c9eaf583e3891bc4b7bae75b81ecb6abc082a3be5f8b9cdbb",
-    "dense_n16_seed3": "4a927351a935098707306ffed584c809e3540e39a55c5c04d43e790234bfe55b",
+    "case1_A_fuzzy": "f1c57f6c72db300e9be6971464aa4b3791f9f1c903d2ef5427b698044d806210",
+    "case1_A_noncoop": "3c442410c076cb841a237f720df9ea16b19cc9d36dfee966642d07041d845683",
+    "case1_A_grand": "93d472f014dc2bb2b90ebb62e5dea69d3f78b9fe250d802d9ebe9d2c07dc86a0",
+    "case1_B_fuzzy": "dc63f061df754187d619bf931a0de19a0319a358feef240913e7efae3836615a",
+    "case1_B_noncoop": "7b40c8c8bfd6b07edbc0e46304cf13f5dad5031f8ab503a9bab9fd77bda2eb0d",
+    "case1_B_grand": "47cd70d5545730b426c3c02307bf68f645064c8ec4d5c604da475a2cbe166024",
+    "case1_C_fuzzy": "cd140c60ae84fa33d9f2023fc6a2dd85614bbcc1ea184061b93260a2f080fdcd",
+    "case1_C_noncoop": "7aa1ea683773e0b50997fb3e2d08b85d6a9423022777a7aa1c195aec5ea145a0",
+    "case1_C_grand": "f09bb500de134f66fd888d9cca50ee9233836fe9ba84429fa426cdb280508dd1",
+    "case1_D_fuzzy": "cef4203cbf1f5ff3bbb91ff159f0141f4d3ff25b9913672a411b11248c360156",
+    "case1_D_noncoop": "104a6f1e851ae52837e76aa7a5ab7c54075cc916c65cee4a792d0cb1ddb605ca",
+    "case1_D_grand": "579f8b2a42bab27961e44c8b872948c69030a83e03b1db0779dbc0704c249ec9",
+    "case1_E_fuzzy": "818672d9646b9763526ca165694deeb77790774a2dc0e7a700ee2263b9108889",
+    "case1_E_noncoop": "446691d03b846bb9f94f436f96d4bc4accf083f3c7b59d16ef051cd7c94cb19a",
+    "case1_E_grand": "37a43c040c8625eb0f5f46666a8186193b7225447507627caaa18af19f0ebeb6",
+    "case1_F_fuzzy": "5e1678aec222c483fef0e40c1cc57814f0b7a51d72cbc2082cdca92b6aebab85",
+    "case1_F_noncoop": "0b04398352a545c70c8ff2478d508faff50b4a8af964da0a709ed072a37be581",
+    "case1_F_grand": "f2610f06fd890278565daca28334474cdf9baef39578c1531a04ec7c87410f6c",
+    "case2_fuzzy": "a0d3ebc20e642fb308ef0bf4a30ba4adfd01af4e0014d71618d3c414e737b549",
+    "case2_noncoop": "24c0c70f0c268bd9a994ddc7812d64be288be9a49c62a6e851884dcf913ad126",
+    "case2_grand": "9515d8a87b7dd3edeb9c59a1e28a1e80a1c3d9e9ceb1a3d167a014f5dab2b812",
+    "case3_fuzzy": "97f333722db651bbb13bf43f0ae8fdbd0c48ad74c746e9698873fb92add78031",
+    "case3_noncoop": "4bf4ec801df0e3cb445d1e83185e64bce0ecbdc460bfdde71d554d5ce75e7a4c",
+    "case3_grand": "647dc6eec46423154d9c5d5488ca7b9710754a5fd666f3876fb1a07ee07831bf",
+    "case1_A_ungated": "457bdbce3414b1a5506f72647766ea3a4e63cbbf722b629c0fbf0546c0b22dde",
+    "case3_ungated": "f655bd275139b5d9092c547683fe8c4ef7c2c0b5248f69214af13f1fdc42369e",
+    "dense_n8_seed1": "a2a3d9d7770386869b9a32f786bcdc039722a540f4671dd92014bd3c21e365d4",
+    "dense_n12_seed1": "e908cab8e0c302d0dbb6e6ec1cc85cde76a9fd021d73f9a5aabddca0182d8dba",
+    "dense_n12_seed1_grand": "ac1f75d97d0697caa0b00410e6aeadc87cf6bfad758c441c295735bc74e80459",
+    "dense_n16_seed1": "ba2fcf8c1da1464c50a27a41a14f5e9eef94593237c65323956b51c5b7e68398",
+    "dense_n8_seed3": "0f09bac293e64db95b462575caab1c384c607a9ce1e11b69fb7f7c55e0015d38",
+    "dense_n12_seed3": "4fa6c04d7e9816399f540f3d5e2d874779bf40b5716a6266365e393a7436bd35",
+    "dense_n16_seed3": "5796e1c022a49873f67438a0b547a7a3a2f7ebfa6f481214c3765981d051342b",
 }
 
 
