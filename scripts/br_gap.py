@@ -25,10 +25,12 @@ J being the ranked objective, so 0 means no control the reference found
 beats the final one.  A final control that breaks a constraint has no
 gap; the probe counts those for which the reference finds a feasible
 control (`rescued`).  Each run prints the player-steps probed, the largest
-and the 99th-percentile gap and that count; a line `shipped` then pools
-the shipped runs and a line `dense` the dense ones.  The exit code is 1
-when a set's largest gap exceeds GAP_TOL or a player-step is rescued,
-else 0.
+and the 99th-percentile gap and that count, then the work that bought
+them: the fresh best-response searches (the steps' `_responses` entries)
+and the rankings per search (the steps' `evals` over those searches).  A
+line `shipped` then pools the shipped runs and a line `dense` the dense
+ones.  The exit code is 1 when a set's largest gap exceeds GAP_TOL or a
+player-step is rescued, else 0.
 
 The probe ranks through the solver's own `_rank`, after the solution is
 built, and restores the step's `evals` and `lateral_evals`: a probed run
@@ -39,6 +41,7 @@ import contextlib
 import importlib.util
 import math
 import tempfile
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from intersection_game.game import STEER_BOX, _StepSolver
@@ -106,23 +109,35 @@ def player_gap(solver: _StepSolver, i: int) -> tuple[float | None, bool]:
     return (final_key[1] - ref_key[1]) / max(abs(final_key[1]), 1e-9), False
 
 
+@dataclass
+class Probe:
+    """What the solved steps of a probed block add up to."""
+
+    records: list[tuple[float | None, bool]] = field(default_factory=list)  # (gap, rescued) per player-step
+    searches: int = 0  # fresh best-response searches, the steps' `_responses` entries
+    rankings: int = 0  # the steps' `evals`
+
+
 @contextlib.contextmanager
 def probed():
     """Within the block, every solved step appends (gap, rescued) of each
-    player off the fallback path to the yielded list."""
-    records: list[tuple[float | None, bool]] = []
+    player off the fallback path to the yielded probe's `records` and adds
+    its searches and rankings to the probe's totals."""
+    probe = Probe()
     real_solve = _StepSolver.solve
 
     def solve(self):
         sol = real_solve(self)
         evals, lateral = self.evals, self.lateral_evals
-        records.extend(player_gap(self, i) for i in self.players if not sol.emergency[i])
+        probe.searches += len(self._responses)
+        probe.rankings += evals
+        probe.records.extend(player_gap(self, i) for i in self.players if not sol.emergency[i])
         self.evals, self.lateral_evals = evals, lateral
         return sol
 
     _StepSolver.solve = solve
     try:
-        yield records
+        yield probe
     finally:
         _StepSolver.solve = real_solve
 
@@ -156,23 +171,26 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "scenario.cfg"
         for set_name, jobs in _jobs():
-            pooled = []
+            pooled = Probe()
             for name, text in jobs:
                 cfg.write_text(text, encoding="utf-8")
-                with probed() as records:
+                with probed() as probe:
                     run(load_scenario(cfg))
-                _report(f"{name}_fuzzy", records)
-                pooled += records
+                _report(f"{name}_fuzzy", probe)
+                pooled.records += probe.records
+                pooled.searches += probe.searches
+                pooled.rankings += probe.rankings
             s = _report(set_name, pooled)
             failed = failed or s["max"] > GAP_TOL or s["rescued"] > 0
     return 1 if failed else 0
 
 
-def _report(name: str, records: list[tuple[float | None, bool]]) -> dict:
-    s = summary(records)
+def _report(name: str, probe: Probe) -> dict:
+    s = summary(probe.records)
     print(
         f"{name}: player-steps {s['player_steps']}; max gap {s['max']:.3g}; p99 {s['p99']:.3g}; "
-        f"rescued {s['rescued']}",
+        f"rescued {s['rescued']}; searches {probe.searches}; "
+        f"rankings/search {probe.rankings / max(probe.searches, 1):.1f}",
         flush=True,
     )
     return s

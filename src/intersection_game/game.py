@@ -47,6 +47,11 @@ CONV_TOL = 1e-3  # a sweep that moves no control by this much ends the solve
 FEAS_SLACK = 1e-9  # largest constraint residual a candidate may keep
 RATIONALITY_TOL = 1e-6  # pooled loss a member may give up against its lone move
 TTC_GUARD = 0.05  # enforcement slack so recorded residuals stay negative
+# pattern steps of the best response: it polls first at the finest, grows
+# the moved axis by 4 after a move up to the coarsest, quarters both after
+# a round without one and ends on such a round at the finest
+_COARSE_A, _COARSE_D = 0.05, math.radians(1.0)
+_FINE_A, _FINE_D = _COARSE_A * 0.25**4, _COARSE_D * 0.25**4
 # `_scored` entry of a candidate known infeasible whose residual is not computed
 _UNSCORED = (math.inf, None)
 
@@ -419,11 +424,13 @@ class _StepSolver:
     The hot loop is the pair of candidate loops in `_best_response`: a
     fresh search ranks its seeds, at most 4 accelerations x 3 steers (0,
     the previous steer and the tracking steer), then polls the incumbent's
-    four axis neighbours, quartering both steps when none improves; it
-    ranks about 28 candidates on the shipped scenarios (counted in fuzzy
-    mode), and each `_rank` that misses
-    `_scored` costs one `_candidate` (a `step` prediction and a route
-    projection), one `_constraint_residual` and one own loss.  Every
+    four axis neighbours, from the finest steps up: a move grows the moved
+    axis's step by 4, a round without one quarters both, and such a round
+    at the finest steps ends the search.  It ranks about 24 candidates on
+    the shipped scenarios (counted in fuzzy mode), 7 when it ends on its
+    best seed.  Each `_rank` that misses `_scored` costs one `_candidate`
+    (a `step` prediction and a route projection), one
+    `_constraint_residual` and one own loss.  Every
     feasible key sorts before every infeasible one, so once a search
     holds a feasible control (`held`) an infeasible candidate cannot win,
     and `_score` stops at the cheapest evidence: an acceleration that
@@ -766,9 +773,9 @@ class _StepSolver:
                 bkey, ba, bd = key, a, d
                 held = key[0] == 0.0
 
-        da, dd = 0.05, math.radians(1.0)
+        da, dd = _FINE_A, _FINE_D
         moves = 0
-        while (da > 2.5e-4 or dd > 5e-5) and moves < 200:
+        while moves < 200:
             held = bkey[0] == 0.0
             nkey = None
             for na, nd in ((ba + da, bd), (ba - da, bd), (ba, bd + dd), (ba, bd - dd)):
@@ -790,11 +797,18 @@ class _StepSolver:
                 if nkey is None or key < nkey:
                     nkey, na_best, nd_best = key, na, nd
             if nkey is not None and nkey < bkey:
+                # a move pays: the moved axis polls 4 times farther next round
+                if na_best != ba:
+                    da = min(4.0 * da, _COARSE_A)
+                else:
+                    dd = min(4.0 * dd, _COARSE_D)
                 bkey, ba, bd = nkey, na_best, nd_best
                 moves += 1
+            elif da == _FINE_A and dd == _FINE_D:
+                break
             else:
-                da *= 0.25
-                dd *= 0.25
+                da = max(0.25 * da, _FINE_A)
+                dd = max(0.25 * dd, _FINE_D)
         self._responses[asked] = (ba, bd, bkey)
         return ba, bd, bkey
 

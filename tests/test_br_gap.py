@@ -1,6 +1,7 @@
 """`scripts/br_gap.py`: every step's controls are a best response to within
-a tolerance stated before the search was made coarser, and probing a run
-changes none of its rows."""
+a tolerance stated before the search was made coarser, the probe's
+rankings are the run's `evals`, and probing a run changes none of its
+rows."""
 
 import dataclasses
 import importlib.util
@@ -33,12 +34,14 @@ def test_every_player_step_is_a_best_response_and_the_probe_changes_no_row(name,
     text = _texts(dense)[name]
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(text, encoding="utf-8")
-    with br_gap.probed() as records:
+    with br_gap.probed() as probe:
         res = run(load_scenario(cfg))
-    gaps = [gap for gap, _ in records if gap is not None]
+    gaps = [gap for gap, _ in probe.records if gap is not None]
     assert len(gaps) > 400
     assert max(gaps) <= br_gap.GAP_TOL  # the largest reading here is 1.4e-5
-    assert not any(rescued for _, rescued in records)
+    assert not any(rescued for _, rescued in probe.records)
+    assert probe.rankings == sum(s.evals for s in res.steps)
+    assert 0 < probe.searches < probe.rankings
     plain = simulate(text)
     assert res.rows == plain.rows
     assert _untimed(res.steps) == _untimed(plain.steps)

@@ -302,42 +302,71 @@ def test_search_ranks_a_small_seed_grid_then_polls_axis_neighbours(monkeypatch):
     (0, the previous steer and the tracking steer), and then only the
     incumbent's neighbours along one axis: each control its pattern step
     ranks differs from the incumbent in exactly one of a and delta, by
-    that axis's step unless the box clamps it.  After a poll round that
-    finds no better control, the next round's steps are a quarter of the
-    last."""
-    view = dataclasses.replace(_single_view(), delta_prev=0.01, coast=(0.0, -0.02))
-    solver = _StepSolver([view], True)
+    that axis's step unless the box clamps it.  The first poll round uses
+    the finest steps, 0.05 m/s^2 and 1 deg over 4^4.  After an accepted
+    move the moved axis's step is 4 times the last, at most 0.05 m/s^2 or
+    1 deg, and the other's is unchanged; after a round with no better
+    control both are a quarter of the last, at least the finest, and the
+    search ends on such a round at the finest steps.
+
+    The follower, 10.95 m behind a slower leader with a heading error,
+    moves along both axes and grows each step to its cap."""
+    route = route_for(APPROACH, "M1", "straight", "outer")
+    x, y = route.point_at(20.0)
+    follower = PlayerView(
+        route=route, state=VehicleState(5.0, 0.03, x, y), kappa=0.0, p=participation(0.0),
+        a_prev=-1.0, delta_prev=0.01, player=True, coast=(0.0, -0.02), lv=1, lv_gated=True,
+    )
+    x, y = route.point_at(30.95)
+    leader = PlayerView(
+        route=route, state=VehicleState(3.0, 0.0, x, y), kappa=0.0, p=participation(0.0),
+        a_prev=0.0, delta_prev=0.0, player=False, coast=(0.0, 0.0),
+    )
+    solver = _StepSolver([follower, leader], True)
     seeded, polled = [], []
     real_rank = solver._rank
 
     def recording_rank(i, a, d, *args):
         search = sys._getframe(1).f_locals  # `_best_response`'s frame
         if "da" in search:  # the pattern step has begun
-            polled.append(((a, d), (search["ba"], search["bd"]), (search["da"], search["dd"])))
+            polled.append(((a, d), (search["ba"], search["bd"], search["da"], search["dd"], search["moves"])))
         else:
             seeded.append((a, d))
         return real_rank(i, a, d, *args)
 
     monkeypatch.setattr(solver, "_rank", recording_rank)
-    solver._best_response(0, solver.p[0])
+    found = solver._best_response(0, solver.p[0])[:2]
     a_lo, a_hi, seeds = solver._grid[0]
     assert seeded == seeds
     assert len(set(seeded)) == len(seeded) <= 12
     assert {d for _, d in seeded} == {0.0, 0.01, -0.02}
-    assert polled
-    for (a, d), (ba, bd), (da, dd) in polled:
+    for (a, d), (ba, bd, da, dd, _) in polled:
         assert (a != ba) + (d != bd) == 1
         if a != ba:
             assert a in (a_lo, a_hi) or abs(a - ba) == pytest.approx(da, rel=1e-9)
         else:
-            assert abs(d - bd) == pytest.approx(dd, rel=1e-9)
-    shrunk = 0
-    for (_, best, step), (_, next_best, next_step) in zip(polled, polled[1:]):
-        if next_step != step:
-            assert next_best == best
-            assert next_step == (0.25 * step[0], 0.25 * step[1])
+            assert d in (-STEER_BOX, STEER_BOX) or abs(d - bd) == pytest.approx(dd, rel=1e-9)
+    # one entry per poll round: (incumbent a, incumbent delta, da, dd, moves so far)
+    rounds = list(dict.fromkeys(state for _, state in polled))
+    fine = (0.05 * 0.25**4, math.radians(1.0) * 0.25**4)
+    coarse = (0.05, math.radians(1.0))
+    assert rounds[0][2:4] == fine
+    grown, capped, shrunk = [0, 0], 0, 0
+    for (ba, bd, da, dd, moves), (na, nd, nda, ndd, next_moves) in zip(rounds, rounds[1:]):
+        if (na, nd) == (ba, bd):
+            assert next_moves == moves
+            assert (nda, ndd) == (max(0.25 * da, fine[0]), max(0.25 * dd, fine[1]))
             shrunk += 1
-    assert shrunk >= 3
+            continue
+        assert next_moves == moves + 1
+        axis = 0 if na != ba else 1
+        last, step = (da, dd)[axis], (nda, ndd)[axis]
+        assert step == min(4.0 * last, coarse[axis])
+        assert (nda, ndd)[1 - axis] == (da, dd)[1 - axis]
+        grown[axis] += 1
+        capped += step == last
+    assert min(grown) >= 3 and capped >= 1 and shrunk >= 3
+    assert rounds[-1][2:4] == fine and rounds[-1][:2] == found and rounds[-1][4] < 200
 
 
 def _crossing_views():
@@ -763,9 +792,35 @@ def test_step_solver_predicts_each_candidate_once_per_step(monkeypatch):
     # 21,921 before a search with a feasible control skipped the prediction
     # of candidates whose speed ramp rules them out; 17,769 since, 17,824
     # since the step is taken in closed form, 9,449 since the search seeds
-    # from a 3 x 5 grid and polls its four axis neighbours, and 5,653 since
-    # it seeds from a 4 x 3 grid and quarters its steps
-    assert calls[0] <= 5_653
+    # from a 3 x 5 grid and polls its four axis neighbours, 5,653 since it
+    # seeds from a 4 x 3 grid and quarters its steps, and 4,586 since its
+    # pattern starts at the finest step and grows it after a move
+    assert calls[0] <= 4_586
+
+
+@pytest.mark.parametrize("name", ["case1_C", "case1_D", "case1_F"])
+def test_no_search_crawls_to_its_move_cap(name, monkeypatch):
+    """No fresh search (one that adds a `_responses` entry) ranks more
+    than 200 candidates.  In these runs, while the pattern step only
+    shrank, searches braking at 0.2 m/s walked a nearly flat slope one
+    small step per round to the 200-move cap, 617 rankings each; with the
+    step growing after a move the longest search over the shipped fuzzy
+    runs ranks 153."""
+    root = Path(__file__).resolve().parents[1]
+    rankings = []
+    real_search = _StepSolver._best_response
+
+    def counting_search(self, *args):
+        searches, evals = len(self._responses), self.evals
+        found = real_search(self, *args)
+        if len(self._responses) > searches:
+            rankings.append(self.evals - evals)
+        return found
+
+    monkeypatch.setattr(_StepSolver, "_best_response", counting_search)
+    runner.run(load_scenario(root / "scenarios" / f"{name}.cfg"), mode="fuzzy")
+    assert len(rankings) > 100
+    assert max(rankings) <= 200
 
 
 @pytest.mark.parametrize("name", ["case1_A", "case3"])
@@ -844,11 +899,12 @@ def test_step_solver_windows_change_no_projection_and_mostly_visit_one_element(m
     assert windowed[0] > 0
     assert candidate[1] + candidate["many"] > 1000
     assert candidate[1] >= candidate["many"], candidate
-    # 7,307 of 9,341 since the search seeds from a 4 x 3 grid and quarters
-    # its steps (11,546 of 14,180 with a 3 x 5 grid and four axis polls,
-    # 21,210 of 25,379 before that): a window widened even by 1 cm keeps
-    # the arc 34 times more, 7,273
-    assert candidate[1] >= 7_307, candidate
+    # 6,632 of 9,523 since the pattern starts at the finest step and grows
+    # it after a move (7,307 of 9,341 with a 4 x 3 seed grid and quartered
+    # steps, 11,546 of 14,180 with a 3 x 5 grid and four axis polls, 21,210
+    # of 25,379 before that): a window widened even by 1 cm keeps the arc
+    # 46 times more, 6,586
+    assert candidate[1] >= 6_632, candidate
 
 
 # the 8-vehicle layout of `perfbench/dense.py --seed 1`, cut to 16 steps

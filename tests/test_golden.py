@@ -24,39 +24,39 @@ JOBS = matrix.jobs()
 # `digest` of each identity-matrix directory; after an intended behaviour
 # change, paste the lines scripts/identity_matrix.py prints in place of these
 SHA256 = {
-    "case1_A_fuzzy": "f1c57f6c72db300e9be6971464aa4b3791f9f1c903d2ef5427b698044d806210",
-    "case1_A_noncoop": "3c442410c076cb841a237f720df9ea16b19cc9d36dfee966642d07041d845683",
-    "case1_A_grand": "93d472f014dc2bb2b90ebb62e5dea69d3f78b9fe250d802d9ebe9d2c07dc86a0",
-    "case1_B_fuzzy": "dc63f061df754187d619bf931a0de19a0319a358feef240913e7efae3836615a",
-    "case1_B_noncoop": "7b40c8c8bfd6b07edbc0e46304cf13f5dad5031f8ab503a9bab9fd77bda2eb0d",
-    "case1_B_grand": "47cd70d5545730b426c3c02307bf68f645064c8ec4d5c604da475a2cbe166024",
-    "case1_C_fuzzy": "cd140c60ae84fa33d9f2023fc6a2dd85614bbcc1ea184061b93260a2f080fdcd",
-    "case1_C_noncoop": "7aa1ea683773e0b50997fb3e2d08b85d6a9423022777a7aa1c195aec5ea145a0",
-    "case1_C_grand": "f09bb500de134f66fd888d9cca50ee9233836fe9ba84429fa426cdb280508dd1",
-    "case1_D_fuzzy": "cef4203cbf1f5ff3bbb91ff159f0141f4d3ff25b9913672a411b11248c360156",
-    "case1_D_noncoop": "104a6f1e851ae52837e76aa7a5ab7c54075cc916c65cee4a792d0cb1ddb605ca",
-    "case1_D_grand": "579f8b2a42bab27961e44c8b872948c69030a83e03b1db0779dbc0704c249ec9",
-    "case1_E_fuzzy": "818672d9646b9763526ca165694deeb77790774a2dc0e7a700ee2263b9108889",
-    "case1_E_noncoop": "446691d03b846bb9f94f436f96d4bc4accf083f3c7b59d16ef051cd7c94cb19a",
-    "case1_E_grand": "37a43c040c8625eb0f5f46666a8186193b7225447507627caaa18af19f0ebeb6",
-    "case1_F_fuzzy": "5e1678aec222c483fef0e40c1cc57814f0b7a51d72cbc2082cdca92b6aebab85",
-    "case1_F_noncoop": "0b04398352a545c70c8ff2478d508faff50b4a8af964da0a709ed072a37be581",
-    "case1_F_grand": "f2610f06fd890278565daca28334474cdf9baef39578c1531a04ec7c87410f6c",
-    "case2_fuzzy": "a0d3ebc20e642fb308ef0bf4a30ba4adfd01af4e0014d71618d3c414e737b549",
-    "case2_noncoop": "24c0c70f0c268bd9a994ddc7812d64be288be9a49c62a6e851884dcf913ad126",
-    "case2_grand": "9515d8a87b7dd3edeb9c59a1e28a1e80a1c3d9e9ceb1a3d167a014f5dab2b812",
-    "case3_fuzzy": "97f333722db651bbb13bf43f0ae8fdbd0c48ad74c746e9698873fb92add78031",
-    "case3_noncoop": "4bf4ec801df0e3cb445d1e83185e64bce0ecbdc460bfdde71d554d5ce75e7a4c",
-    "case3_grand": "647dc6eec46423154d9c5d5488ca7b9710754a5fd666f3876fb1a07ee07831bf",
-    "case1_A_ungated": "457bdbce3414b1a5506f72647766ea3a4e63cbbf722b629c0fbf0546c0b22dde",
-    "case3_ungated": "f655bd275139b5d9092c547683fe8c4ef7c2c0b5248f69214af13f1fdc42369e",
-    "dense_n8_seed1": "a2a3d9d7770386869b9a32f786bcdc039722a540f4671dd92014bd3c21e365d4",
-    "dense_n12_seed1": "e908cab8e0c302d0dbb6e6ec1cc85cde76a9fd021d73f9a5aabddca0182d8dba",
-    "dense_n12_seed1_grand": "ac1f75d97d0697caa0b00410e6aeadc87cf6bfad758c441c295735bc74e80459",
-    "dense_n16_seed1": "ba2fcf8c1da1464c50a27a41a14f5e9eef94593237c65323956b51c5b7e68398",
-    "dense_n8_seed3": "0f09bac293e64db95b462575caab1c384c607a9ce1e11b69fb7f7c55e0015d38",
-    "dense_n12_seed3": "4fa6c04d7e9816399f540f3d5e2d874779bf40b5716a6266365e393a7436bd35",
-    "dense_n16_seed3": "5796e1c022a49873f67438a0b547a7a3a2f7ebfa6f481214c3765981d051342b",
+    "case1_A_fuzzy": "dda6541a956d70da6f5f746a9eec9baa3e8e2abcf52e7fa064a1bbe67b6b2181",
+    "case1_A_noncoop": "add0c1b5a6031583e935ca7077641ce4ac2b7f0c7cb03b7d06e1ad9d754fedb7",
+    "case1_A_grand": "4c4ebf2e26789ba711ce3dd479f99552d3662f611ebfd2a89aa56f164639bba6",
+    "case1_B_fuzzy": "5892542d09d4e6e252d6e6e0a2e5955fe18dab335eaf5d19e66c75cf911be5af",
+    "case1_B_noncoop": "fca576a6f9ecc8ca959e3c35d713cafa5a28ff3d3b6176cc205e688c65080578",
+    "case1_B_grand": "d6426f1382ed65df77f4ef01e921eb6262bf2cb6f54fc9ee7a51537a6053d154",
+    "case1_C_fuzzy": "3f4738374e4e2907b3a17be68c293fd687e6e2869595b45ddb98a4ddf9d2ab39",
+    "case1_C_noncoop": "e8a4bc04049175ff7217fd099e049680532ffbb0675adb72f217fa1449fbb18f",
+    "case1_C_grand": "bd093e9c6f4bfaf06a03bb4d7c3d2044f7fce9ee9f02fc1f364131bc1d2991a2",
+    "case1_D_fuzzy": "91c9d0f84f71bbee08df3897ab82c8adf0be1887ea2332184efafcaa76cf7c3d",
+    "case1_D_noncoop": "1d427399ddd7dbf94fc0ba66f9bc5066de43c483430d38020d8a0bccfd8d1a26",
+    "case1_D_grand": "8c7c457e659fceb0b0319d9446aa3e1e2b19a5442503511b1625038be2cee935",
+    "case1_E_fuzzy": "805c02d341e016f4fba683dc92da08aed8db9c44137a0be3f1fa56541c372dc3",
+    "case1_E_noncoop": "ac14c34511b16fe625862c6aeb8237b33ee3465389093bb517f8425067ccf573",
+    "case1_E_grand": "6bd349377b39c2377ef4c2b36f0c53b52b1cb7ac23d200eaf06159020bfbc85d",
+    "case1_F_fuzzy": "54613b7916ae67d21432e7f1d1cc7f3319dc4abf6193c79be30955fbb73295fa",
+    "case1_F_noncoop": "44b51fe77ea5016fc3b7e10c2f27b547916051690c5ffc985c981736bea0b2ae",
+    "case1_F_grand": "c8ff1f1c664e6f20789967b6a396458ed1522e76db7c5a9e2a101f388bf88e90",
+    "case2_fuzzy": "26ea5e88e0b744f08c9708fefa96b6e497cf5685657cb2384eac41ded6e307bc",
+    "case2_noncoop": "b3a8615b2f5bde651b2a79f7b03cfde31846d6763a50ae0b631ec274ca1aed93",
+    "case2_grand": "c2c4c5e79aac24d55d02ffe80148961e822683dcf64fd68f478c674414701e42",
+    "case3_fuzzy": "356bfb7837db3f1a4b172efaa822c81b91b5bf526505dc2341adff079edd784c",
+    "case3_noncoop": "7ea7212484a8c280d913870dfc7961bf73abdebed22e469d58b57e9fed7a6ff3",
+    "case3_grand": "d32c6f1cced5b1540df82fa7a9d79bafde4e29e18e99bd8f1183292082ac1f3a",
+    "case1_A_ungated": "49ab850574912bbf37f2f79de759522acdb73c53d1c08a13010a4c7c306d1f87",
+    "case3_ungated": "8332e24915aa5e22c06c42f1d14275c83adbc403d9f541d48320ef83b4fecc4e",
+    "dense_n8_seed1": "7643541c87c1b960f62391550b88ac56d47184ed1a430fef79df5b84e2916359",
+    "dense_n12_seed1": "80c95e809da48a3a101b55f11321eb377c7b599fdb6b535cc03a1eaaf9f2cbf5",
+    "dense_n12_seed1_grand": "4e80d097efdd0650b58df2c8c625224e691fd00cf9cf27acc4007a16f4e5bb14",
+    "dense_n16_seed1": "a8071153f2e7a7a2729d12f3e4874327fa94b64412c281bfa978c118caf70e2b",
+    "dense_n8_seed3": "450d425a207227e5a2d11fd94b819eb610404e683bd214a15992c12c04410235",
+    "dense_n12_seed3": "36d4f81261cf3e7a040f7e8f3c07c8388353a1f88e29850c66bbfd44e09cc86d",
+    "dense_n16_seed3": "cfd2c98c356ce69fc21e9dd0955090f9a3559ff6dba171bedf791cb83f5adcc6",
 }
 
 

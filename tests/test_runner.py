@@ -398,13 +398,15 @@ def test_reversing_a_dense_layout_changes_no_vehicle_outcome(simulate, dense):
         assert any(r.lv is not None for r in rows) and any(r.reset for r in rows) and any(r.fallback for r in rows)
 
 
-def test_the_congested_dense_layout_of_seed_2_clears_within_30_s(simulate, dense):
-    """The 16-vehicle `perfbench/dense.py` layout of seed 2, run to 30 s in
-    fuzzy mode, ends before its last step, so every vehicle has cleared,
-    and no step breaks a constraint.  It gridlocked with 5 vehicles
-    uncleared before the step was taken in closed form, and again when a
-    trial search ended its refinement at a coarser step (ROADMAP item 4)."""
-    text = dense.layout(4, 2).replace(f"t_end = {dense.HORIZON_S:g}", "t_end = 30")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_congested_dense_layouts_clear_within_30_s(simulate, dense, seed):
+    """The 16-vehicle `perfbench/dense.py` layout of each seed, run to 30 s
+    in fuzzy mode, ends before its last step, so every vehicle has
+    cleared, and no step breaks a constraint.  Seed 2 gridlocked with 5
+    vehicles uncleared before the step was taken in closed form, and
+    again when a trial search ended its refinement at a coarser step
+    (ROADMAP item 4)."""
+    text = dense.layout(4, seed).replace(f"t_end = {dense.HORIZON_S:g}", "t_end = 30")
     res = simulate(text)
     assert len(res.steps) < round(30 / DT)
     assert max(s.max_residual for s in res.steps) <= 1e-6
