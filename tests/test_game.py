@@ -346,7 +346,9 @@ def test_search_ranks_a_small_seed_grid_then_polls_axis_neighbours(monkeypatch):
             assert a in (a_lo, a_hi) or abs(a - ba) == pytest.approx(da, rel=1e-9)
         else:
             assert d in (-STEER_BOX, STEER_BOX) or abs(d - bd) == pytest.approx(dd, rel=1e-9)
-    # one entry per poll round: (incumbent a, incumbent delta, da, dd, moves so far)
+    # one entry per poll round: (incumbent a, incumbent delta, da, dd, moves
+    # so far); a round whose polls the memo all answered would be missing
+    # and break the chain of steps checked below
     rounds = list(dict.fromkeys(state for _, state in polled))
     fine = (0.05 * 0.25**4, math.radians(1.0) * 0.25**4)
     coarse = (0.05, math.radians(1.0))
