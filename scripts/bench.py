@@ -19,8 +19,9 @@ on the hash seed:
   candidates (`game.scored`, calls of `_StepSolver._score`: the rankings
   that the `_scored` memo does not answer), its constraint
   checks (`game.constraint_evals`, calls of
-  `_StepSolver._constraint_residual`) and its crossing standoffs
-  (`game.standoffs`, calls of `brake_reach`); and the
+  `_StepSolver._constraint_residual`), its crossing standoffs
+  (`game.standoffs`, calls of `brake_reach`) and its leader headways
+  (`game.headways`, calls of `follow_reach`); and the
   `network.Route.project.calls` of loading the workload and of its runs;
 - `python_calls`, the Python function calls of `runner.run` over every
   scenario, and `element_projections`, the calls of
@@ -115,6 +116,7 @@ def profiled_counts(workload: str, seed: int) -> dict:
         ("scored", game._StepSolver._score.__code__),
         ("constraint_evals", game._StepSolver._constraint_residual.__code__),
         ("standoffs", game.brake_reach.__code__),
+        ("headways", game.follow_reach.__code__),
     ):
         counters[f"game.{name}"] = sum(e.callcount for e in stats if e.code is code)
     counters["network.Route.project.calls"] = sum(

@@ -350,38 +350,32 @@ class _StepSolver:
     """Cyclic best response for one control step.
 
     Within a step every vehicle's start state is fixed, so work that
-    depends only on one vehicle's own control is shared rather than
-    redone per candidate:
+    depends only on one vehicle's own control is memoized for the step.
+    Each memo keys on what sets its value and saves one call per hit;
+    ROADMAP item 20 keeps only those whose removal measurably costs:
 
-    - `_candidate(i, a, d)` memoizes vehicle i's predicted state, route
-      projection, course error and worst bound slack per (i, a, d);
-    - the sideslip, which the steer alone sets in the one shared model, is
-      computed once per distinct steer (`_beta`) for the step and course error;
-    - the worst slack of the limits that the acceleration alone sets
-      (`accel_residuals`) is computed once per (i, a) (`_accel_slack[i]`);
-      a candidate's bound slack is the larger of it and `pose_residuals`;
-    - `_refresh_pred(j)` computes, once per change of j's control, what
-      other vehicles read off j: its committed stop distance and its arc
-      length on each follower's route;
-    - that arc length, for any candidate (a, d) of j's leader, is
-      projected once per step (`_leader_arc[j]`): `_refresh_pred` and the
-      coupling term of the leader's rankings both read it there;
-    - each player's route elements that its candidates can project onto
-      are found once per step (`_near[i]`, a `Route.near` window around
-      its start point, `_step_reach` wide), and so are those of each
-      follower's route that its leader's candidates can (`_lead_near[j]`,
-      around the leader's start point).  `Route.project` then visits only
-      those, or every element for a prediction that lands outside the
-      window's reach, and returns what the full search would;
-    - so is each player's search grid (`_grid[i]`), in the same loop: its
-      jerk-limited acceleration box and the seed (a, d) pairs a fresh
-      `_best_response` ranks first, the `_speed_cap` seed bisected once;
-    - `_reach_rows[i]` holds the standoff `brake_reach` asks of i per
-      (a, guard) and crossing point, computed on first read, and
-      `_reach_lon[i]` the headway `follow_reach` asks per (a, leader
-      speed, time floor); a alone sets i's predicted speed.  The points,
-      in order, and their backoffs come from `runner.crossing_index`,
-      built once per run.
+    - `_cand[i]`, per (a, d): a `step` prediction and a route projection;
+    - `_accel_slack[i]`, per a: an `accel_residuals`, which a alone sets;
+    - `_leader_arc[j]`, per leader candidate (a, d): a projection on j's route;
+    - `_reach_rows[i]`, per (a, guard) and crossing point: a `brake_reach`;
+    - `_reach_lon[i]`, per (a, leader speed, time floor): a `follow_reach`;
+    - `_near[i]`, `_lead_near[j]`, per step: visits of far route elements;
+    - `_scored[i]`, per context (below) and (a, d): a `_score`;
+    - `_responses`, per (i, ranked p_i, context, dependents): a search.
+
+    `_refresh_pred(j)` computes, once per change of j's control, what
+    other vehicles read off j: its committed stop distance and its arc
+    length on each follower's route, read from `_leader_arc`, where the
+    coupling term of the leader's rankings reads it too.  A window is a
+    `Route.near` around the player's start point (`_near[i]`) or, on a
+    follower's route, around its leader's (`_lead_near[j]`), `_step_reach`
+    wide: `Route.project` visits only its elements, or every element for a
+    prediction that lands outside its reach, and returns what the full
+    search would.  The same loop builds each player's search grid
+    (`_grid[i]`): its jerk-limited acceleration box and the seed (a, d)
+    pairs a fresh `_best_response` ranks first, the `_speed_cap` seed
+    bisected once.  The crossing points, in order, and their backoffs come
+    from `runner.crossing_index`, built once per run.
 
     A ranking of vehicle i reads, besides i's own candidate, only what
     `_refresh_pred` sets from the controls of i's leader, of the partner
@@ -393,27 +387,24 @@ class _StepSolver:
     of whose `dependents` pools: its pooled objective is
     (1 - p_i + p_i^2) * own plus constants, whose argmin is the lone
     move's, and `_best_response` ranks it at p_i = 0.  Otherwise the
-    ranking also reads the controls and p of `dependents[i]`.  So two more
-    memos key on exactly those:
-
-    - `_scored[i]` maps (leader's control, priced partner's control,
-      `_crossing_table`'s tokens) to a map (a, d) -> (constraint
-      residual, own cost or None if infeasible) or `_UNSCORED` (below),
-      shared by every p_i, and to i's crossing rows, the part of each
-      kept check that only the partner's control moves.
-      A candidate's residual then computes just its own distance and
-      arrival time to each point; only the coupling term is computed per
-      ranking, and only at p_i != 0;
-    - `_responses` keeps each `_best_response` result, so asking again
-      under the same `_scored` key (a converged sweep, a re-sweep, the
-      second rationality check, the lone move of a player ranked at
-      p_i = 0) returns it without searching.
+    ranking also reads the controls and p of `dependents[i]`.  So the
+    context of `_scored[i]` is (leader's control, priced partner's
+    control, `_crossing_table`'s tokens).  It holds i's crossing rows, the
+    part of each kept check that only the partner's control moves, and
+    maps (a, d) to (constraint residual, own cost or None if infeasible)
+    or `_UNSCORED` (below), shared by every p_i.  A candidate's residual
+    then computes just its own distance and arrival time to each point;
+    only the coupling term is computed per ranking, and only at p_i != 0.
+    `_responses` adds p_i and, at p_i != 0, the dependents' controls and
+    p to that context, so asking again (a converged sweep, a re-sweep, the
+    second rationality check, the lone move of a player ranked at p_i = 0)
+    returns the search's result without searching.
 
     Each shared value comes from the same call with the same arguments
     that would otherwise be repeated, so results are bit-for-bit those of
     recomputing it.  Memo keys compare as floats, so a control of -0.0
     reuses the entry of 0.0; nothing read from an entry depends on the
-    sign of that zero.  So a steer of -0.0 may take the sideslip 0.0 of a
+    sign of that zero.  So a steer of -0.0 may take the prediction of a
     steer of 0.0: predicted yaw, y and course error then differ at most in
     the sign of a zero, which enters only through sums, abs and squares.
     The memos live only as long as this solver, one step.  The step's
@@ -428,20 +419,18 @@ class _StepSolver:
     axis's step by 4, a round without one quarters both, and such a round
     at the finest steps ends the search.  It ranks about 24 candidates on
     the shipped scenarios (counted in fuzzy mode), 7 when it ends on its
-    best seed.  Each `_rank` that misses `_scored` costs one `_candidate`
-    (a `step` prediction and a route projection), one
-    `_constraint_residual` and one own loss.  Every
-    feasible key sorts before every infeasible one, so once a search
-    holds a feasible control (`held`) an infeasible candidate cannot win,
-    and `_score` stops at the cheapest evidence: an acceleration that
-    alone breaks a bound (`_accel_slack`) rules the candidate out before
-    its prediction, and a bound slack over FEAS_SLACK before
-    `_constraint_residual`.  Such a candidate
-    is stored as `_UNSCORED`, infeasible with its residual not computed;
-    a search without a feasible control, or a direct `_rank` call, that
-    reads it computes the exact residual in its place.  So searches with
-    no feasible candidate, as on the emergency path, rank by exact
-    residuals.
+    best seed.  Each `_rank` that misses `_scored` costs one `_candidate`,
+    one `_constraint_residual` and one own loss.  Every feasible key sorts
+    before every infeasible one, so once a search holds a feasible control
+    (`held`) an infeasible candidate cannot win, and `_score` stops at the
+    cheapest evidence: an acceleration that alone breaks a bound
+    (`_accel_slack`) rules the candidate out before its prediction, and a
+    bound slack over FEAS_SLACK before `_constraint_residual`.  Such a
+    candidate is stored as `_UNSCORED`, infeasible with its residual not
+    computed; a search without a feasible control, or a direct `_rank`
+    call, that reads it computes the exact residual in its place.  So
+    searches with no feasible candidate, as on the emergency path, rank by
+    exact residuals.
     `_rank` takes the own loss from `blended_loss` over the `_own_terms`
     fields without building a CostTerms, skips `_coupling` where it is
     zero, and the search, its pattern step and the constraint loops keep
@@ -493,7 +482,6 @@ class _StepSolver:
             if cj is not None and cj.partner != vj.lv:
                 self.dependents[cj.partner].append(j)
         self._cand: list[dict[tuple[float, float], tuple]] = [{} for _ in range(self.n)]
-        self._beta: dict[float, float] = {}  # steer -> sideslip
         self._accel_slack = [_AccelSlack(v) for v in views]
         self._reach_rows: list[dict[tuple[float, float], list[float | None]]] = [{} for _ in range(self.n)]
         self._reach_lon: list[dict[tuple[float, float, float], float]] = [{} for _ in range(self.n)]
@@ -520,9 +508,7 @@ class _StepSolver:
         c = memo.get((a, d))
         if c is None:
             view = self.views[i]
-            beta = self._beta.get(d)
-            if beta is None:
-                beta = self._beta[d] = sideslip(d)
+            beta = sideslip(d)
             pred = integrate(view.state, ControlInput(a, d), beta)
             s_pred, dy, dphi = lane_errors(view.route, pred, beta, self._near[i])
             slack = max(pose_residuals(d, dy, dphi))
@@ -619,7 +605,10 @@ class _StepSolver:
         and a residual starts at the bound slack, never below
         `_SLACK_FLOOR`; so a point whose partner_hold is at most that
         floor never sets a residual and has no row.  Its token is None,
-        that of a point with a row its partner's control."""
+        that of a point with a row its partner's control.  So the drop
+        also narrows the `_scored` key: that partner can move without
+        opening a new context, which saves rankings and crossing-risk
+        terms that `steps.csv` records, so it is no pure memo."""
         rows, tokens = [], []
         for k, cp in enumerate(self.views[i].cps):
             j = cp.partner

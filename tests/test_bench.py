@@ -14,27 +14,33 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 
-def _case1_a_only(monkeypatch):
-    """Make the benchmark's workload loader return case1_A alone."""
+def _only(monkeypatch, name="case1_A"):
+    """Make the benchmark's workload loader return scenario `name` alone."""
     bench_pass = bench._perfbench_module("bench_pass")
-    loaded = [(load_scenario(ROOT / "scenarios" / "case1_A.cfg"), None)]
+    loaded = [(load_scenario(ROOT / "scenarios" / f"{name}.cfg"), None)]
     monkeypatch.setattr(bench_pass, "setup", lambda workload, seed, work: (runner, [], loaded))
 
 
 @pytest.fixture
 def case1_a_only(monkeypatch):
-    _case1_a_only(monkeypatch)
+    _only(monkeypatch)
+
+
+def _counters(name):
+    """The counters of one profiled pass over scenario `name`."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _only(monkeypatch, name)
+        return bench.profiled_counts("shipped", 1)["counters"]
 
 
 @pytest.fixture(scope="module")
 def counters():
-    """The counters of one profiled pass over case1_A."""
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _case1_a_only(monkeypatch)
-        return bench.profiled_counts("shipped", 1)["counters"]
+    return _counters("case1_A")
 
 
-def test_counts_the_rk4_steps_the_solver_takes(counters):
+def test_counts_the_predictions_the_solver_makes(counters):
+    """The solver's state predictions, `dynamics.step` called from
+    `_StepSolver._candidate`, are counted."""
     assert counters["game.evals"] > 0
     assert counters["dynamics.step.solver.calls"] > 0
 
@@ -49,9 +55,15 @@ def test_counts_constraint_checks_and_crossing_standoffs(counters):
     assert counters["game.standoffs"] > 0
 
 
-def test_refuses_a_solver_rk4_count_of_zero(case1_a_only, monkeypatch):
+def test_counts_leader_headways_where_a_vehicle_follows(counters):
+    """case3 has leaders, so its constraint checks ask `follow_reach` for
+    headways; case1_A has none and asks for none."""
+    assert counters["game.headways"] == 0 < _counters("case3")["game.headways"]
+
+
+def test_refuses_a_solver_prediction_count_of_zero(case1_a_only, monkeypatch):
     """A prediction moved out of `_StepSolver._candidate` would read as 0
-    solver steps; the script exits naming the counter instead."""
+    solver predictions; the script exits naming the counter instead."""
     monkeypatch.setattr(game, "integrate", lambda *args: dynamics.step(*args))
     with pytest.raises(SystemExit) as exit_info:
         bench.profiled_counts("shipped", 1)

@@ -667,10 +667,10 @@ def _breaks_speed(v0, a):
     return accel_residuals(a, 0.0, v_next)[BOUND_NAMES.index("speed")] > FEAS_SLACK
 
 
-def test_feasible_incumbent_skips_rk4_for_speed_breaking_candidates(monkeypatch):
+def test_feasible_incumbent_skips_the_prediction_of_speed_breaking_candidates(monkeypatch):
     """At the speed limit every positive acceleration breaks the speed
     ramp.  Once the search holds a feasible control, those candidates are
-    ranked as losers from `a` alone and never reach `step`."""
+    ranked as losers from `a` alone and never reach the step prediction."""
     solver = _StepSolver([_single_view(v=L.v_max)], True)
     integrated = []
     real_integrate = game.integrate
@@ -696,7 +696,7 @@ def test_feasible_incumbent_skips_rk4_for_speed_breaking_candidates(monkeypatch)
     st.floats(-0.3, 0.3) | st.floats(-2.0 * L.a_max, 2.0 * L.a_max),  # a - a_prev
     st.floats(-STEER_BOX, STEER_BOX),
 )
-def test_score_skips_rk4_exactly_when_the_acceleration_alone_breaks_a_bound(v0, a_prev, step_a, d):
+def test_score_skips_the_prediction_exactly_when_the_acceleration_alone_breaks_a_bound(v0, a_prev, step_a, d):
     """With a feasible control held, `_score` rules a candidate out before
     its step prediction (it stores none for it) exactly when its acceleration
     alone breaks a bound: accel, jerk or the speed ramp."""
@@ -791,12 +791,10 @@ def test_step_solver_predicts_each_candidate_once_per_step(monkeypatch):
         committed = sum(int(row["evals"]) for row in csv.DictReader(fh))
     assert sum(s.evals for s in res.steps) == committed
     assert calls[0] < committed  # rankings outnumber predictions
-    # 21,921 before a search with a feasible control skipped the prediction
-    # of candidates whose speed ramp rules them out; 17,769 since, 17,824
-    # since the step is taken in closed form, 9,449 since the search seeds
-    # from a 3 x 5 grid and polls its four axis neighbours, 5,653 since it
-    # seeds from a 4 x 3 grid and quarters its steps, and 4,586 since its
-    # pattern starts at the finest step and grows it after a move
+    # the count the run makes: a search that predicts more candidates, or
+    # a shortcut that stops sparing predictions, fails here (without the
+    # `_UNSCORED` skip of a candidate that cannot beat a held feasible
+    # control, the run makes 5,000); a change that makes fewer lowers it
     assert calls[0] <= 4_586
 
 

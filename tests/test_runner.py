@@ -11,9 +11,10 @@ import pytest
 
 import intersection_game
 from intersection_game import runner
-from intersection_game.dynamics import DT, VehicleState
+from intersection_game.dynamics import DT, WHEELBASE, WIDTH, ControlInput, VehicleState
+from intersection_game.dynamics import step as integrate
 from intersection_game.game import CpRef
-from intersection_game.network import OV_EXIT_MARGIN, classify_zone_role, route_for
+from intersection_game.network import OV_EXIT_MARGIN, ZoneRole, classify_zone_role, route_for
 from intersection_game.risk import GaussianField, build_field
 from intersection_game.runner import (
     _PASS_MARGIN,
@@ -398,6 +399,12 @@ def test_reversing_a_dense_layout_changes_no_vehicle_outcome(simulate, dense):
         assert any(r.lv is not None for r in rows) and any(r.reset for r in rows) and any(r.fallback for r in rows)
 
 
+def _congested(dense, per_arm, seed):
+    """The `perfbench/dense.py` layout of `per_arm` vehicles per arm and
+    `seed`, run to 30 s."""
+    return dense.layout(per_arm, seed).replace(f"t_end = {dense.HORIZON_S:g}", "t_end = 30")
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_the_congested_dense_layouts_clear_within_30_s(simulate, dense, seed):
     """The 16-vehicle `perfbench/dense.py` layout of each seed, run to 30 s
@@ -406,10 +413,97 @@ def test_the_congested_dense_layouts_clear_within_30_s(simulate, dense, seed):
     vehicles uncleared before the step was taken in closed form, and
     again when a trial search ended its refinement at a coarser step
     (ROADMAP item 4)."""
-    text = dense.layout(4, seed).replace(f"t_end = {dense.HORIZON_S:g}", "t_end = 30")
-    res = simulate(text)
+    res = simulate(_congested(dense, 4, seed))
     assert len(res.steps) < round(30 / DT)
     assert max(s.max_residual for s in res.steps) <= 1e-6
+
+
+def _bodies_overlap(a, b):
+    """Whether the WHEELBASE x WIDTH rectangles centred on two states' CoGs
+    and turned to their yaws overlap, by separating axes."""
+    dx, dy = b.x - a.x, b.y - a.y
+    if dx * dx + dy * dy >= WHEELBASE**2 + WIDTH**2:  # circumscribed circles apart
+        return False
+    headings = [(math.cos(s.phi), math.sin(s.phi)) for s in (a, b)]
+    for ux, uy in headings + [(-hy, hx) for hx, hy in headings]:
+        reach = sum(
+            0.5 * WHEELBASE * abs(hx * ux + hy * uy) + 0.5 * WIDTH * abs(hx * uy - hy * ux) for hx, hy in headings
+        )
+        if abs(dx * ux + dy * uy) >= reach:
+            return False
+    return True
+
+
+def _congested_counts(res):
+    """(uncleared, fallback rows, breach steps, overlap rows) of a run:
+    - vehicles the runner's next step would not see as cleared;
+    - vehicle rows on the fallback brake;
+    - steps whose `max_residual` exceeds 1e-6;
+    - (step, pair) rows whose bodies overlap, neither on the fallback brake."""
+    after = [integrate(r.state, ControlInput(r.a, r.delta)) for r in res.rows[-1]]
+    uncleared = sum(
+        classify_zone_role(route, route.project(st.x, st.y)[0]) is not ZoneRole.OV
+        for route, st in zip(res.scenario.routes, after, strict=True)
+    )
+    fallback = sum(r.fallback for rows in res.rows for r in rows)
+    breaches = sum(s.max_residual > 1e-6 for s in res.steps)
+    overlaps = sum(
+        _bodies_overlap(a.state, b.state)
+        for rows in res.rows
+        for k, a in enumerate(rows) if not a.fallback
+        for b in rows[k + 1:] if not b.fallback
+    )
+    return uncleared, fallback, breaches, overlaps
+
+
+# (vehicles, seed, mode) -> upper bounds on `_congested_counts`: uncleared,
+# fallback rows, breach steps, overlap rows
+_CONGESTED_PINS = {
+    (8, 1, "noncoop"): (0, 6, 0, 0),
+    (8, 1, "fuzzy"): (0, 3, 0, 0),
+    (8, 1, "grand"): (0, 5, 0, 0),
+    (8, 2, "noncoop"): (0, 6, 0, 0),
+    (8, 2, "fuzzy"): (0, 3, 0, 0),
+    (8, 2, "grand"): (0, 5, 0, 0),
+    (8, 3, "noncoop"): (0, 6, 0, 0),
+    (8, 3, "fuzzy"): (0, 3, 0, 0),
+    (8, 3, "grand"): (0, 5, 0, 0),
+    (12, 1, "noncoop"): (0, 2, 0, 0),
+    (12, 1, "fuzzy"): (1, 68, 0, 0),
+    (12, 1, "grand"): (6, 779, 0, 3),
+    (12, 2, "noncoop"): (0, 2, 0, 0),
+    (12, 2, "fuzzy"): (0, 2, 0, 0),
+    (12, 2, "grand"): (0, 3, 0, 0),
+    (12, 3, "noncoop"): (0, 2, 0, 0),
+    (12, 3, "fuzzy"): (0, 6, 0, 0),
+    (12, 3, "grand"): (0, 3, 0, 0),
+    (16, 1, "noncoop"): (9, 1245, 1, 28),
+    (16, 1, "fuzzy"): (0, 16, 0, 6),
+    (16, 1, "grand"): (0, 4, 0, 0),
+    (16, 2, "noncoop"): (9, 1247, 1, 28),
+    (16, 2, "fuzzy"): (0, 16, 0, 5),
+    (16, 2, "grand"): (0, 4, 0, 0),
+    (16, 3, "noncoop"): (9, 1110, 1, 17),
+    (16, 3, "fuzzy"): (0, 16, 0, 5),
+    (16, 3, "grand"): (0, 5, 0, 0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CONGESTED_PINS), ids=lambda key: "{2}-{0}-seed{1}".format(*key))
+def test_congested_layouts_get_no_worse_in_any_mode(simulate, dense, key, capsys):
+    """Each `perfbench/dense.py` layout of 8, 12 and 16 vehicles, seeds 1-3,
+    run to 30 s in every mode, leaves no more vehicles uncleared, fallback
+    rows, breach steps or body overlaps than `_CONGESTED_PINS` allows.  A
+    change that lowers a count lowers its pin with it.  The pins hold the
+    liveness that unwatched runs lost before this test (ROADMAP item 22):
+    fuzzy with 12 vehicles, seed 1, once cleared in 253 steps with 6
+    fallback rows."""
+    n, seed, mode = key
+    res = simulate(_congested(dense, n // 4, seed), mode)
+    counts = _congested_counts(res)
+    with capsys.disabled():
+        print(f"\n{mode} {n} vehicles seed {seed}: {len(res.steps)} steps, counts {counts}")
+    assert all(c <= pin for c, pin in zip(counts, _CONGESTED_PINS[key], strict=True)), (counts, _CONGESTED_PINS[key])
 
 
 def _rotated(text):
