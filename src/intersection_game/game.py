@@ -371,10 +371,10 @@ class _StepSolver:
     follower's route, around its leader's (`_lead_near[j]`), `_step_reach`
     wide: `Route.project` visits only its elements, or every element for a
     prediction that lands outside its reach, and returns what the full
-    search would.  The same loop builds each player's search grid
-    (`_grid[i]`): its jerk-limited acceleration box and the seed (a, d)
-    pairs a fresh `_best_response` ranks first, the `_speed_cap` seed
-    bisected once.  The crossing points, in order, and their backoffs come
+    search would.  The `__init__` loop that finds the windows also builds
+    each player's search grid (`_grid[i]`): its jerk-limited acceleration
+    box and the seed (a, d) pairs a fresh `_best_response` ranks first,
+    the `_speed_cap` seed bisected once.  The crossing points, in order, and their backoffs come
     from `runner.crossing_index`, built once per run.
 
     A ranking of vehicle i reads, besides i's own candidate, only what
