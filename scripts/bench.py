@@ -21,8 +21,11 @@ on the hash seed:
   checks (`game.constraint_evals`, calls of
   `_StepSolver._constraint_residual`), its crossing standoffs
   (`game.standoffs`, calls of `brake_reach`) and its leader headways
-  (`game.headways`, calls of `follow_reach`); and the
-  `network.Route.project.calls` of loading the workload and of its runs;
+  (`game.headways`, calls of `follow_reach`); the
+  `network.Route.project.calls` of loading the workload and of its runs,
+  and `network.leader_projections`, those made from
+  `lead_distance_on_route`: the leader searches its bounding boxes do not
+  rule out;
 - `python_calls`, the Python function calls of `runner.run` over every
   scenario, and `element_projections`, the calls of
   `geometry.Segment.project` and `geometry.Arc.project` among them: the
@@ -93,7 +96,7 @@ def profiled_counts(workload: str, seed: int) -> dict:
     load.disable()
     from intersection_game import dynamics, game
     from intersection_game.geometry import Arc, Segment
-    from intersection_game.network import Route
+    from intersection_game.network import Route, lead_distance_on_route
 
     results = []
     prof.enable()
@@ -121,6 +124,10 @@ def profiled_counts(workload: str, seed: int) -> dict:
         counters[f"game.{name}"] = sum(e.callcount for e in stats if e.code is code)
     counters["network.Route.project.calls"] = sum(
         e.callcount for e in (*load.getstats(), *stats) if e.code is Route.project.__code__
+    )
+    lead, project = lead_distance_on_route.__code__, Route.project.__code__
+    counters["network.leader_projections"] = sum(
+        sub.callcount for e in stats if e.code is lead for sub in e.calls or () if sub.code is project
     )
     projections = {Segment.project.__code__, Arc.project.__code__}
     return {

@@ -15,6 +15,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 from .geometry import (
@@ -129,6 +130,11 @@ class Route:
         result is bit for bit that of the full search.  The heading is the
         tangent of the element `_locate` picks at s: at a joint between
         two elements, the later one.
+
+        A window of one element is answered from that element alone.  Its
+        s = cum_s[i] + offset lies at or past cum_s[i], so `_locate` picks
+        element i unless s reaches the next element's cum_s, at the joint;
+        only then is the element looked up by bisection.
         """
         elements = self.elements
         cum_s = self.cum_s
@@ -137,6 +143,13 @@ class Route:
             dx, dy = x - near.x, y - near.y
             if dx * dx + dy * dy <= near.reach_sq:
                 search = near.elements
+                if len(search) == 1:
+                    k = search[0]
+                    s_loc, dist = elements[k].project(x, y)
+                    s = cum_s[k] + s_loc
+                    if k + 1 < len(cum_s) and s >= cum_s[k + 1]:
+                        k = bisect_right(cum_s, s) - 1
+                    return s, dist, elements[k].tangent_at(s - cum_s[k])
         best: tuple[float, float] | None = None
         for i in range(len(elements)) if search is None else search:
             s_loc, dist = elements[i].project(x, y)
@@ -147,6 +160,32 @@ class Route:
         dist, s = best
         k = bisect_right(cum_s, s) - 1
         return s, dist, elements[k].tangent_at(s - cum_s[k])
+
+    @cached_property
+    def lead_boxes(self) -> tuple[tuple[float, float, float, float], ...]:
+        """Each element's axis-aligned bounding box (x_lo, y_lo, x_hi, y_hi),
+        widened on every side by `_LEAD_LATERAL_TOL` plus a rounding margin:
+        `_WINDOW_SLACK` times a bound on the coordinates and distances
+        involved, as in `near`.  Computed on first use and kept in the
+        instance dict, like `Segment`'s direction."""
+        boxes = [_element_box(el) for el in self.elements]
+        scale = 2.0 * max(abs(v) for box in boxes for v in box) + self.total_length + 2.0 * _LEAD_LATERAL_TOL
+        w = _LEAD_LATERAL_TOL + _WINDOW_SLACK * scale
+        return tuple((x_lo - w, y_lo - w, x_hi + w, y_hi + w) for x_lo, y_lo, x_hi, y_hi in boxes)
+
+
+def _element_box(el: Element) -> tuple[float, float, float, float]:
+    """(x_lo, y_lo, x_hi, y_hi) of an element: a segment's end points, or
+    an arc's end points and those of its circle's four axis extremes that
+    lie on its span."""
+    points = [el.point_at(0.0), el.point_at(el.length)]
+    if isinstance(el, Arc):
+        r = el.radius
+        for px, py in ((el.cx + r, el.cy), (el.cx, el.cy + r), (el.cx - r, el.cy), (el.cx, el.cy - r)):
+            if el.angle_offset(px, py) <= abs(el.sweep):
+                points.append((px, py))
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 @dataclass(frozen=True)
@@ -323,11 +362,22 @@ def classify_zone_role(route: Route, s: float) -> ZoneRole:
 
 def lead_distance_on_route(route: Route, host_s: float, x: float, y: float, heading: float) -> float | None:
     """Arc length of a vehicle at (x, y) along `route` when it drives the same
-    lane ahead of host_s; None when it is off the lane, behind, or opposing."""
+    lane ahead of host_s; None when it is off the lane, behind, or opposing.
+
+    A point outside every box of `Route.lead_boxes` is returned None without
+    a projection, and that is exact: such a point is more than the box's
+    widening from each element's every point, so the computed distance to
+    each element, rounding included, exceeds `_LEAD_LATERAL_TOL`, and the
+    projection's distance is one of those.
+    """
+    for x_lo, y_lo, x_hi, y_hi in route.lead_boxes:
+        if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
+            break
+    else:
+        return None
     s, dist, lane_heading = route.project(x, y)
     if dist > _LEAD_LATERAL_TOL or s <= host_s + 1e-9:
         return None
     if abs(wrap_angle(heading - lane_heading)) > _LEAD_HEADING_TOL:
         return None
     return s
-

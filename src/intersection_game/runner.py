@@ -74,13 +74,28 @@ class SimResult:
     wall_time: float
 
 
+def _route_classes(routes: list) -> list[int]:
+    """Each route's index of the first route equal to it, so that vehicles
+    on equal routes share one key."""
+    first: dict = {}
+    return [first.setdefault(r, i) for i, r in enumerate(routes)]
+
+
 def pair_conflicts(scenario: Scenario) -> dict[tuple[int, int], list[Conflict]]:
-    """Typed conflicts for every route pair that has any."""
+    """Typed conflicts for every route pair that has any.  Vehicles on equal
+    routes share them: `conflict_points` runs once per distinct pair of
+    routes."""
     out: dict[tuple[int, int], list[Conflict]] = {}
-    n = len(scenario.routes)
+    routes = scenario.routes
+    cls = _route_classes(routes)
+    found: dict[tuple[int, int], list[Conflict]] = {}
+    n = len(routes)
     for i in range(n):
         for j in range(i + 1, n):
-            cps = conflict_points(scenario.routes[i], scenario.routes[j])
+            key = (cls[i], cls[j])
+            cps = found.get(key)
+            if cps is None:
+                cps = found[key] = conflict_points(routes[i], routes[j])
             if cps:
                 out[(i, j)] = cps
     return out
@@ -112,16 +127,27 @@ def crossing_index(
 ) -> list[list[CpRef]]:
     """Every point conflict of each vehicle, as seen from that vehicle,
     sorted by (s_self, partner, s_other).  The holds are the per-side
-    standstill backoffs of `_hold_margin`.  Built once per run; the views
-    of every step hold these same records."""
+    standstill backoffs of `_hold_margin`, computed once per distinct
+    (route pair, point) and shared by vehicles on equal routes.  Built once
+    per run; the views of every step hold these same records."""
     routes = scenario.routes
+    cls = _route_classes(routes)
+    holds: dict[tuple[int, int, float, float], float] = {}
+
+    def hold(a: int, b: int, s_a: float, s_b: float) -> float:
+        key = (cls[a], cls[b], s_a, s_b)
+        m = holds.get(key)
+        if m is None:
+            m = holds[key] = _hold_margin(routes[a], routes[b], s_a, s_b)
+        return m
+
     index: list[list[CpRef]] = [[] for _ in routes]
     for (ia, ib), cps in conflicts.items():
         for c in cps:
             if c.kind == "following":
                 continue
-            ha = _hold_margin(routes[ia], routes[ib], c.s_a, c.s_b)
-            hb = _hold_margin(routes[ib], routes[ia], c.s_b, c.s_a)
+            ha = hold(ia, ib, c.s_a, c.s_b)
+            hb = hold(ib, ia, c.s_b, c.s_a)
             index[ia].append(CpRef(c.s_a, ib, c.s_b, c.x, c.y, ha, hb))
             index[ib].append(CpRef(c.s_b, ia, c.s_a, c.x, c.y, hb, ha))
     for points in index:
@@ -448,16 +474,6 @@ def timing(result: SimResult) -> dict:
 # -- emission --------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return f"{x:.9g}"
-    return str(x)
-
-
 def _round_floats(obj):
     if isinstance(obj, float):
         if math.isinf(obj) or math.isnan(obj):
@@ -481,7 +497,15 @@ STEP_COLUMNS = (
 
 
 def _row(values) -> str:
-    return ",".join([_fmt(v) for v in values])
+    """One CSV line: floats to 9 significant digits, None empty, bools as
+    1 or 0, anything else by `str`."""
+    return ",".join([
+        f"{v:.9g}" if isinstance(v, float)
+        else "" if v is None
+        else ("1" if v else "0") if isinstance(v, bool)
+        else str(v)
+        for v in values
+    ])
 
 
 def _write(out: Path, name: str, lines: list[str]) -> Path:

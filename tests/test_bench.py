@@ -55,10 +55,29 @@ def test_counts_constraint_checks_and_crossing_standoffs(counters):
     assert counters["game.standoffs"] > 0
 
 
-def test_counts_leader_headways_where_a_vehicle_follows(counters):
+@pytest.fixture(scope="module")
+def case3():
+    """The counters of one profiled pass over case3, and the number of
+    leader searches (`lead_distance_on_route` calls) it makes."""
+    searches = []
+    real = runner.lead_distance_on_route
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(runner, "lead_distance_on_route", lambda *args: searches.append(args) or real(*args))
+        return _counters("case3"), len(searches)
+
+
+def test_counts_leader_headways_where_a_vehicle_follows(counters, case3):
     """case3 has leaders, so its constraint checks ask `follow_reach` for
     headways; case1_A has none and asks for none."""
-    assert counters["game.headways"] == 0 < _counters("case3")["game.headways"]
+    assert counters["game.headways"] == 0 < case3[0]["game.headways"]
+
+
+def test_counts_the_leader_projections_the_boxes_let_through(case3):
+    """case3 has leaders, so some leader searches project; a vehicle on
+    another arm is ruled out by the route's boxes, so fewer searches
+    project than are made."""
+    counters, searches = case3
+    assert 0 < counters["network.leader_projections"] < searches
 
 
 def test_refuses_a_solver_prediction_count_of_zero(case1_a_only, monkeypatch):

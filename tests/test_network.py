@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from intersection_game import geometry
+from intersection_game import geometry, network
 from intersection_game.game import LIMITS, _step_reach
 from intersection_game.geometry import Arc
 from intersection_game.network import (
@@ -16,6 +16,7 @@ from intersection_game.network import (
     LANE_OFFSET_OUTER,
     OV_EXIT_MARGIN,
     RIGHT_TURN_RADIUS,
+    Window,
     ZoneRole,
     classify_zone_role,
     conflict_points,
@@ -256,6 +257,45 @@ def test_projection_beyond_reach_falls_back_to_every_element(monkeypatch):
     assert s == pytest.approx(r.cum_s[1] + 5.0) and dist == pytest.approx(0.0, abs=1e-9)
 
 
+def _searched(route, x, y, elements):
+    """`Route.project`'s search over `elements`, written out: the least
+    (distance, s) over them, then the tangent of the element `_locate`
+    picks at s."""
+    best = None
+    for i in elements:
+        s_loc, dist = route.elements[i].project(x, y)
+        cand = (dist, route.cum_s[i] + s_loc)
+        if best is None or cand < best:
+            best = cand
+    dist, s = best
+    k = route._locate(s)[0]
+    return s, dist, route.elements[k].tangent_at(s - route.cum_s[k])
+
+
+def test_one_element_window_past_the_element_end_equals_the_search_bit_for_bit():
+    """A one-element window answers a point that projects onto its
+    element's end, or one ulp short of it, as the search over that element
+    does, bit for bit: at a joint, s reaches the next element's `cum_s`
+    and the heading is the next element's tangent, which on some routes
+    differs from the window element's own in the last bits."""
+    joints = differing = 0
+    for r in WINDOW_ROUTES:
+        for i, el in enumerate(r.elements):
+            ends = [el.point_at(el.length), el.point_at(math.nextafter(el.length, 0.0))]
+            h = el.tangent_at(el.length)
+            ends += [
+                (ex + d * math.cos(h) - lateral * math.sin(h), ey + d * math.sin(h) + lateral * math.cos(h))
+                for ex, ey in ends[:1] for d in (1e-9, 0.5, 3.0) for lateral in (-2.0, -0.5, 0.0, 0.5, 2.0)
+            ]
+            for x, y in ends:
+                got = r.project(x, y, Window(x, y, 0.0, (i,)))
+                assert _bits(got) == _bits(_searched(r, x, y, (i,))), (r.name, i, x, y)
+                if i + 1 < len(r.elements) and got[0] >= r.cum_s[i + 1]:
+                    joints += 1
+                    differing += got[2] != el.tangent_at(got[0] - r.cum_s[i])
+    assert joints > 500 and differing > 0
+
+
 @pytest.mark.parametrize("reach", [-0.1, math.nan])
 def test_near_rejects_a_reach_that_is_not_a_nonnegative_number(reach):
     with pytest.raises(ValueError, match="reach"):
@@ -413,6 +453,102 @@ def test_lead_vehicle_detection():
     assert lead_distance_on_route(r, host_s, x + 3.0, y, heading_at(r, 28.0)) is None
     # opposing traffic on the same line
     assert lead_distance_on_route(r, host_s, x, y, heading_at(r, 28.0) + math.pi) is None
+
+
+def _lead_reference(route, host_s, x, y, heading):
+    """`lead_distance_on_route` without its bounding boxes: a full
+    projection, then the 1.5 m lane, ahead-of-host and 60 degree heading
+    tests."""
+    s, dist, lane_heading = route.project(x, y)
+    if dist > 1.5 or s <= host_s + 1e-9:
+        return None
+    if abs(geometry.wrap_angle(heading - lane_heading)) > math.pi / 3.0:
+        return None
+    return s
+
+
+def _nudged(v, ulps):
+    """v moved by `ulps` units in the last place, up for a positive count."""
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+ROUTE_LIST = list(ROUTES.values())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    k=st.integers(0, len(ROUTE_LIST) - 1),
+    at=st.one_of(st.floats(-0.05, 1.05), st.integers(0, 5)),
+    lateral=st.one_of(
+        st.sampled_from([0.0, 1.45, -1.45, 1.5, -1.5, 1.5 - 1e-9, -1.5 + 1e-9, 1.5 + 1e-9, -1.5 - 1e-9]),
+        st.floats(-4.0, 4.0),
+    ),
+    ulps_x=st.integers(-3, 3),
+    ulps_y=st.integers(-3, 3),
+    host_at=st.floats(-0.1, 1.1),
+    turn=st.sampled_from([0.0, 0.5, 1.0, math.pi]),
+)
+@example(k=0, at=0.2, lateral=1.5, ulps_x=0, ulps_y=1, host_at=0.0, turn=0.0)
+@example(k=0, at=0.2, lateral=-1.5, ulps_x=0, ulps_y=-1, host_at=0.0, turn=0.0)
+def test_lead_distance_equals_the_box_free_reference(k, at, lateral, ulps_x, ulps_y, host_at, turn):
+    """Around all 16 routes, on and beside the lane, at the 1.5 m tolerance
+    give or take 1e-9 m or a few ulps of each coordinate, past the ends and
+    at element joints (as either element places them), the box test
+    changes no answer."""
+    r = ROUTE_LIST[k]
+    x, y = _anchor(r, at)
+    heading = r.project(x, y)[2]
+    px = _nudged(x - lateral * math.sin(heading), ulps_x)
+    py = _nudged(y + lateral * math.cos(heading), ulps_y)
+    host_s = host_at * r.total_length
+    assert lead_distance_on_route(r, host_s, px, py, heading + turn) == _lead_reference(
+        r, host_s, px, py, heading + turn
+    )
+
+
+def test_lead_boxes_reject_only_points_off_the_lane_at_every_face():
+    """Points at the lane tolerance from every element end and every 2 m
+    along each route, each coordinate moved up to 2 ulps either way, get
+    the reference's answer, and some of them lie just outside a box that
+    the tolerance alone would draw: the rounding margin is needed."""
+    outside_bare = 0
+    for r in ROUTES.values():
+        bare = [network._element_box(el) for el in r.elements]
+        arc_lengths = [2.0 * n for n in range(int(r.total_length / 2.0) + 1)] + list(r.cum_s) + [r.total_length]
+        for s in arc_lengths:
+            x, y = r.point_at(s)
+            heading = r.project(x, y)[2]
+            for lateral in (1.5, -1.5):
+                bx, by = x - lateral * math.sin(heading), y + lateral * math.cos(heading)
+                for ux in range(-2, 3):
+                    for uy in range(-2, 3):
+                        px, py = _nudged(bx, ux), _nudged(by, uy)
+                        want = _lead_reference(r, -1.0, px, py, heading)
+                        assert lead_distance_on_route(r, -1.0, px, py, heading) == want, (r.name, s, px, py)
+                        outside_bare += want is not None and not any(
+                            x0 - 1.5 <= px <= x1 + 1.5 and y0 - 1.5 <= py <= y1 + 1.5 for x0, y0, x1, y1 in bare
+                        )
+    assert outside_bare > 0
+
+
+def test_a_vehicle_on_another_arm_costs_no_projection(monkeypatch):
+    """A vehicle queued on the opposite approach is ruled out by the boxes
+    alone, before any `Route.project`."""
+    host = ROUTES["M1-outer-straight"]
+    other = ROUTES["M3-outer-straight"]
+    x, y = other.point_at(10.0)
+    heading = other.project(x, y)[2]
+    calls = []
+    real = network.Route.project
+    monkeypatch.setattr(network.Route, "project", lambda self, *args: calls.append(args) or real(self, *args))
+    assert lead_distance_on_route(host, 0.0, x, y, heading) is None
+    assert calls == []
+    # on its own lane ahead of the host it is projected, once
+    x, y = host.point_at(20.0)
+    assert lead_distance_on_route(host, 0.0, x, y, 0.0) == pytest.approx(20.0)
+    assert len(calls) == 1
 
 
 def test_route_for_deterministic():

@@ -14,7 +14,7 @@ from intersection_game import runner
 from intersection_game.dynamics import DT, WHEELBASE, WIDTH, ControlInput, VehicleState
 from intersection_game.dynamics import step as integrate
 from intersection_game.game import CpRef
-from intersection_game.network import OV_EXIT_MARGIN, ZoneRole, classify_zone_role, route_for
+from intersection_game.network import OV_EXIT_MARGIN, ZoneRole, classify_zone_role, conflict_points, route_for
 from intersection_game.risk import GaussianField, build_field
 from intersection_game.runner import (
     _PASS_MARGIN,
@@ -343,6 +343,64 @@ def test_crossing_records_are_built_once_per_run(monkeypatch):
     points = sum(c.kind != "following" for cps in pair_conflicts(sc).values() for c in cps)
     assert points > 0 and len(res.steps) > 1
     assert len(built) == 2 * points
+
+
+def _pair_by_pair(sc):
+    """`pair_conflicts` and `crossing_index` built as they were before
+    vehicles on equal routes shared them: `conflict_points` for every
+    vehicle pair, two `_hold_margin` calls for every point."""
+    routes = sc.routes
+    conflicts = {}
+    for i in range(len(routes)):
+        for j in range(i + 1, len(routes)):
+            cps = conflict_points(routes[i], routes[j])
+            if cps:
+                conflicts[(i, j)] = cps
+    index = [[] for _ in routes]
+    for (ia, ib), cps in conflicts.items():
+        for c in cps:
+            if c.kind == "following":
+                continue
+            ha = runner._hold_margin(routes[ia], routes[ib], c.s_a, c.s_b)
+            hb = runner._hold_margin(routes[ib], routes[ia], c.s_b, c.s_a)
+            index[ia].append(CpRef(c.s_a, ib, c.s_b, c.x, c.y, ha, hb))
+            index[ib].append(CpRef(c.s_b, ia, c.s_a, c.x, c.y, hb, ha))
+    for points in index:
+        points.sort(key=lambda c: (c.s_self, c.partner, c.s_other))
+    return conflicts, index
+
+
+@pytest.mark.parametrize("layout", ["case3", "dense_n16"])
+def test_conflicts_shared_by_equal_routes_equal_a_pair_by_pair_build(layout, dense, tmp_path, monkeypatch):
+    """On case3 and on the 16-vehicle `perfbench/dense.py` layout of seed 1,
+    whose queues put several vehicles on one route, the shared conflicts
+    and crossing records repr-equal a build pair by pair, and on the
+    layout the shared build calls `conflict_points` and `_hold_margin`
+    fewer times."""
+    path = SCENARIOS / "case3.cfg"
+    if layout == "dense_n16":
+        path = tmp_path / "dense.cfg"
+        path.write_text(dense.layout(4, 1), encoding="utf-8")
+    sc = load_scenario(path)
+    want_conflicts, want_index = _pair_by_pair(sc)
+    calls = {"conflict_points": 0, "_hold_margin": 0}
+    for name in calls:
+        real = getattr(runner, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(runner, name, counted)
+    conflicts = pair_conflicts(sc)
+    index = crossing_index(sc, conflicts)
+    assert repr(conflicts) == repr(want_conflicts)
+    assert repr(index) == repr(want_index)
+    n = len(sc.routes)
+    points = sum(len(points) for points in want_index)
+    assert 0 < calls["conflict_points"] <= n * (n - 1) // 2 and 0 < calls["_hold_margin"] <= points
+    if layout == "dense_n16":
+        assert calls["conflict_points"] < n * (n - 1) // 2 and calls["_hold_margin"] < points
 
 
 def _assert_order_free(simulate, text):
