@@ -366,20 +366,16 @@ class _StepSolver:
     `_refresh_pred(j)` computes, once per change of j's control, what
     other vehicles read off j: its committed stop distance and its arc
     length on each follower's route, read from `_leader_arc`, where the
-    coupling term of the leader's rankings reads it too.  `__init__` calls
-    it for the vehicles some player reads: the players, their leaders and
-    their crossing partners; a cleared vehicle none of them reads is not
-    predicted.  A window is a `Route.near` around the player's start point
-    (`_near[i]`) or, on a follower's route, around its leader's
-    (`_lead_near[j]`), `_step_reach` wide: `Route.project` visits only its
-    elements, or every element for a prediction that lands outside its
-    reach, and returns what the full search would.  Most windows hold one
-    element, which `Route.project` answers with no search at all.  The
-    `__init__` loop that finds the windows also builds each player's
-    search grid (`_grid[i]`): its jerk-limited acceleration box and the
-    seed (a, d) pairs a fresh `_best_response` ranks first, the
-    `_speed_cap` seed bisected once.  The crossing points, in order, and
-    their backoffs come from `runner.crossing_index`, built once per run.
+    coupling term of the leader's rankings reads it too.  A window is a
+    `Route.near` around the player's start point (`_near[i]`) or, on a
+    follower's route, around its leader's (`_lead_near[j]`), `_step_reach`
+    wide: `Route.project` visits only its elements, or every element for a
+    prediction that lands outside its reach, and returns what the full
+    search would.  The `__init__` loop that finds the windows also builds
+    each player's search grid (`_grid[i]`): its jerk-limited acceleration
+    box and the seed (a, d) pairs a fresh `_best_response` ranks first,
+    the `_speed_cap` seed bisected once.  The crossing points, in order, and their backoffs come
+    from `runner.crossing_index`, built once per run.
 
     A ranking of vehicle i reads, besides i's own candidate, only what
     `_refresh_pred` sets from the controls of i's leader, of the partner
@@ -466,12 +462,8 @@ class _StepSolver:
         self._near: list[Window | None] = [None] * self.n
         self._lead_near: list[Window | None] = [None] * self.n
         self._grid: list[tuple[float, float, list[tuple[float, float]]] | None] = [None] * self.n  # (a_lo, a_hi, seeds)
-        # the vehicles whose prediction some player reads: the players,
-        # their leaders and their crossing partners
-        read = set(self.players)
         for j in self.players:
             vj = views[j]
-            read.update(cp.partner for cp in vj.cps)
             st = vj.state
             self._near[j] = vj.route.near(st.x, st.y, _step_reach(st.v_x))
             a_lo, a_hi = max(-LIMITS.a_max, vj.a_prev - SLEW), min(LIMITS.a_max, vj.a_prev + SLEW)
@@ -482,7 +474,6 @@ class _StepSolver:
             seeds_d = sorted({min(max(d, -STEER_BOX), STEER_BOX) for d in (0.0, vj.delta_prev, vj.coast[1])})
             self._grid[j] = (a_lo, a_hi, [(a, d) for a in seeds_a for d in seeds_d])
             if vj.lv is not None:
-                read.add(vj.lv)
                 self.dependents[vj.lv].append(j)
                 self.followers[vj.lv].append(j)
                 st = views[vj.lv].state
@@ -505,7 +496,7 @@ class _StepSolver:
         self.pred_s: list[float] = [0.0] * self.n
         self.hold_dist: list[float] = [0.0] * self.n  # committed stop distance
         self.lead_s: list[float] = [0.0] * self.n  # leader's arc length on own route
-        for i in sorted(read):
+        for i in range(self.n):
             self._refresh_pred(i)
 
     # -- prediction bookkeeping ------------------------------------------

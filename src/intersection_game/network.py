@@ -130,11 +130,6 @@ class Route:
         result is bit for bit that of the full search.  The heading is the
         tangent of the element `_locate` picks at s: at a joint between
         two elements, the later one.
-
-        A window of one element is answered from that element alone.  Its
-        s = cum_s[i] + offset lies at or past cum_s[i], so `_locate` picks
-        element i unless s reaches the next element's cum_s, at the joint;
-        only then is the element looked up by bisection.
         """
         elements = self.elements
         cum_s = self.cum_s
@@ -143,13 +138,6 @@ class Route:
             dx, dy = x - near.x, y - near.y
             if dx * dx + dy * dy <= near.reach_sq:
                 search = near.elements
-                if len(search) == 1:
-                    k = search[0]
-                    s_loc, dist = elements[k].project(x, y)
-                    s = cum_s[k] + s_loc
-                    if k + 1 < len(cum_s) and s >= cum_s[k + 1]:
-                        k = bisect_right(cum_s, s) - 1
-                    return s, dist, elements[k].tangent_at(s - cum_s[k])
         best: tuple[float, float] | None = None
         for i in range(len(elements)) if search is None else search:
             s_loc, dist = elements[i].project(x, y)

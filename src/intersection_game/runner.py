@@ -474,6 +474,16 @@ def timing(result: SimResult) -> dict:
 # -- emission --------------------------------------------------------------
 
 
+def _fmt(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, float):
+        return f"{x:.9g}"
+    return str(x)
+
+
 def _round_floats(obj):
     if isinstance(obj, float):
         if math.isinf(obj) or math.isnan(obj):
@@ -497,15 +507,7 @@ STEP_COLUMNS = (
 
 
 def _row(values) -> str:
-    """One CSV line: floats to 9 significant digits, None empty, bools as
-    1 or 0, anything else by `str`."""
-    return ",".join([
-        f"{v:.9g}" if isinstance(v, float)
-        else "" if v is None
-        else ("1" if v else "0") if isinstance(v, bool)
-        else str(v)
-        for v in values
-    ])
+    return ",".join([_fmt(v) for v in values])
 
 
 def _write(out: Path, name: str, lines: list[str]) -> Path:
