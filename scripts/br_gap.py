@@ -26,10 +26,10 @@ beats the final one.  A final control that breaks a constraint has no
 gap; the probe counts those for which the reference finds a feasible
 control (`rescued`).  Each run prints the player-steps probed, the largest
 and the 99th-percentile gap and that count, then the work that bought
-them: the fresh best-response searches (the steps' `_responses` entries)
-and the rankings per search (the steps' `evals` over those searches).  A
-line `shipped` then pools the shipped runs and a line `dense` the dense
-ones.  The exit code is 1 when a set's largest gap exceeds GAP_TOL or a
+them: the fresh best-response searches (the `_best_response` calls that
+rank a candidate, not replay an answer) and the rankings per search (the
+steps' `evals` over those searches).  A line `shipped` then pools the
+shipped runs and a line `dense` the dense ones.  The exit code is 1 when a set's largest gap exceeds GAP_TOL or a
 player-step is rescued, else 0.
 
 The probe ranks through the solver's own `_rank`, after the solution is
@@ -114,7 +114,7 @@ class Probe:
     """What the solved steps of a probed block add up to."""
 
     records: list[tuple[float | None, bool]] = field(default_factory=list)  # (gap, rescued) per player-step
-    searches: int = 0  # fresh best-response searches, the steps' `_responses` entries
+    searches: int = 0  # fresh best-response searches, the `_best_response` calls that rank
     rankings: int = 0  # the steps' `evals`
 
 
@@ -124,22 +124,27 @@ def probed():
     player off the fallback path to the yielded probe's `records` and adds
     its searches and rankings to the probe's totals."""
     probe = Probe()
-    real_solve = _StepSolver.solve
+    real_solve, real_search = _StepSolver.solve, _StepSolver._best_response
+
+    def search(self, *args):
+        evals = self.evals
+        found = real_search(self, *args)
+        probe.searches += self.evals > evals
+        return found
 
     def solve(self):
         sol = real_solve(self)
         evals, lateral = self.evals, self.lateral_evals
-        probe.searches += len(self._responses)
         probe.rankings += evals
         probe.records.extend(player_gap(self, i) for i in self.players if not sol.emergency[i])
         self.evals, self.lateral_evals = evals, lateral
         return sol
 
-    _StepSolver.solve = solve
+    _StepSolver.solve, _StepSolver._best_response = solve, search
     try:
         yield probe
     finally:
-        _StepSolver.solve = real_solve
+        _StepSolver.solve, _StepSolver._best_response = real_solve, real_search
 
 
 def summary(records: list[tuple[float | None, bool]]) -> dict:

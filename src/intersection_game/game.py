@@ -142,6 +142,7 @@ class PlayerView:
     lv_gated: bool = False
     cps: tuple[CpRef, ...] = ()  # live crossing points; constraints see all
     cost_cp: CpRef | None = None  # the one of them the cost prices
+    name: str = ""  # the vehicle's name: the solver visits players in name order
 
 
 @dataclass
@@ -361,7 +362,8 @@ class _StepSolver:
     - `_reach_lon[i]`, per (a, leader speed, time floor): a `follow_reach`;
     - `_near[i]`, `_lead_near[j]`, per step: visits of far route elements;
     - `_scored[i]`, per context (below) and (a, d): a `_score`;
-    - `_responses`, per (i, ranked p_i, context, dependents): a search.
+    - `_responses`, per (i, ranked p_i, context, dependents): the last
+      search, replayed to a search that would repeat its answer (below).
 
     `_refresh_pred(j)` computes, once per change of j's control, what
     other vehicles read off j: its committed stop distance and its arc
@@ -373,9 +375,16 @@ class _StepSolver:
     prediction that lands outside its reach, and returns what the full
     search would.  The `__init__` loop that finds the windows also builds
     each player's search grid (`_grid[i]`): its jerk-limited acceleration
-    box and the seed (a, d) pairs a fresh `_best_response` ranks first,
-    the `_speed_cap` seed bisected once.  The crossing points, in order, and their backoffs come
-    from `runner.crossing_index`, built once per run.
+    box and the seed (a, d) pairs a fresh `_best_response` ranks after the
+    control the player holds, the `_speed_cap` seed bisected once.  The
+    crossing points, in order, and their backoffs come from
+    `runner.crossing_index`, built once per run.
+
+    Players are visited in name order (`PlayerView.name`) by the sweeps,
+    the rationality check and the bookkeeping.  A search starts from the
+    control its player holds, so each response reads those swept before
+    it; swept in index order, listing the vehicles differently would
+    change the result in its last digits.
 
     A ranking of vehicle i reads, besides i's own candidate, only what
     `_refresh_pred` sets from the controls of i's leader, of the partner
@@ -398,7 +407,15 @@ class _StepSolver:
     `_responses` adds p_i and, at p_i != 0, the dependents' controls and
     p to that context, so asking again (a converged sweep, a re-sweep, the
     second rationality check, the lone move of a player ranked at p_i = 0)
-    returns the search's result without searching.
+    returns the search's result without searching.  It keeps, per such
+    question, the last search's start, its response R and whether it ended
+    on its certificate, and replays R only to a search starting from that
+    start or from R.  From its own start a search repeats itself.  From R,
+    which lies in the box, a search ranks R first, then the seeds, which
+    the stored search ranked too and found no better than R; then it polls
+    R's four neighbours at the finest steps, which the stored search's last
+    round found no better, and ends on R.  A search that stopped on the
+    200-move cap certified nothing, so only its own start replays it.
 
     Each shared value comes from the same call with the same arguments
     that would otherwise be repeated, so results are bit-for-bit those of
@@ -413,24 +430,25 @@ class _StepSolver:
     adds to neither.
 
     The hot loop is the pair of candidate loops in `_best_response`: a
-    fresh search ranks its seeds, at most 4 accelerations x 3 steers (0,
-    the previous steer and the tracking steer), then polls the incumbent's
+    fresh search ranks the control its player holds, when that lies in the
+    box, and then its seeds, at most 4 accelerations x 3 steers (0, the
+    previous steer and the tracking steer); it then polls the incumbent's
     four axis neighbours, from the finest steps up: a move grows the moved
     axis's step by 4, a round without one quarters both, and such a round
-    at the finest steps ends the search.  It ranks about 24 candidates on
-    the shipped scenarios (counted in fuzzy mode), 7 when it ends on its
-    best seed.  Each `_rank` that misses `_scored` costs one `_candidate`,
-    one `_constraint_residual` and one own loss.  Every feasible key sorts
-    before every infeasible one, so once a search holds a feasible control
-    (`held`) an infeasible candidate cannot win, and `_score` stops at the
-    cheapest evidence: an acceleration that alone breaks a bound
-    (`_accel_slack`) rules the candidate out before its prediction, and a
-    bound slack over FEAS_SLACK before `_constraint_residual`.  Such a
-    candidate is stored as `_UNSCORED`, infeasible with its residual not
-    computed; a search without a feasible control, or a direct `_rank`
-    call, that reads it computes the exact residual in its place.  So
-    searches with no feasible candidate, as on the emergency path, rank by
-    exact residuals.
+    at the finest steps ends the search.  It ranks about 19 candidates on
+    the shipped scenarios (counted in fuzzy mode), about 8 in the 37% of
+    searches that keep the held control.  Each `_rank` that misses
+    `_scored` costs one `_candidate`, one `_constraint_residual` and one
+    own loss.  Every feasible key sorts before every infeasible one, so
+    once a search holds a feasible control (`held`) an infeasible
+    candidate cannot win, and `_score` stops at the cheapest evidence: an
+    acceleration that alone breaks a bound (`_accel_slack`) rules the
+    candidate out before its prediction, and a bound slack over FEAS_SLACK
+    before `_constraint_residual`.  Such a candidate is stored as
+    `_UNSCORED`, infeasible with its residual not computed; a search
+    without a feasible control, or a direct `_rank` call, that reads it
+    computes the exact residual in its place.  So searches with no
+    feasible candidate, as on the emergency path, rank by exact residuals.
     `_rank` takes the own loss from `blended_loss` over the `_own_terms`
     fields without building a CostTerms, skips `_coupling` where it is
     zero, and the search, its pattern step and the constraint loops keep
@@ -447,7 +465,9 @@ class _StepSolver:
         self.views = views
         self.allow_reset = allow_reset
         self.n = len(views)
-        self.players = [i for i in range(self.n) if views[i].player]
+        # name order, so no result depends on the order vehicles are listed
+        # in; the sort is stable, so views with equal names keep index order
+        self.players = sorted((i for i in range(self.n) if views[i].player), key=lambda i: views[i].name)
         self.p = [v.p for v in views]
         self.balance = [balance_weights(v.kappa) for v in views]
         self.evals = 0
@@ -488,6 +508,7 @@ class _StepSolver:
         # follower j -> its leader's candidate (a, d) -> that candidate's arc length on j's route
         self._leader_arc: list[dict[tuple[float, float], float]] = [{} for _ in range(self.n)]
         self._scored: list[dict[tuple, tuple[dict, list]]] = [{} for _ in range(self.n)]
+        # asked -> (start, the response if certified else None, (a, d, key))
         self._responses: dict[tuple, tuple] = {}
         self.controls: list[tuple[float, float]] = []
         for v in views:
@@ -740,17 +761,21 @@ class _StepSolver:
     def _best_response(self, i: int, p_i: float) -> tuple[float, float, tuple]:
         """Vehicle i's best control against the current partner controls
         when it pools the share p_i of its loss; p_i = 0 is its lone move.
-        It ranks at `_ranked_p`."""
+        It ranks at `_ranked_p`, and its key is never worse than that of
+        the control i holds when that lies in the box."""
         p_i = self._ranked_p(i, p_i)
         context, scored, table = self._scored_for(i)
         asked = (i, p_i, context)
         if p_i != 0.0:
             asked += (tuple((self.controls[j], self.p[j]) for j in self.dependents[i]),)
+        start = self.controls[i]
         seen = self._responses.get(asked)
-        if seen is not None:
-            return seen
+        if seen is not None and start in seen[:2]:
+            return seen[2]
         a_lo, a_hi, seeds = self._grid[i]
         d_lim = STEER_BOX
+        if a_lo <= start[0] <= a_hi and -d_lim <= start[1] <= d_lim:
+            seeds = [start, *seeds]
         memo: dict[tuple[float, float], tuple] = {}  # (a, d) -> rank key, this search only
 
         bkey, held = None, False
@@ -764,6 +789,7 @@ class _StepSolver:
 
         da, dd = _FINE_A, _FINE_D
         moves = 0
+        certified = False  # ended on a failed round at the finest steps
         while moves < 200:
             held = bkey[0] == 0.0
             nkey = None
@@ -794,11 +820,12 @@ class _StepSolver:
                 bkey, ba, bd = nkey, na_best, nd_best
                 moves += 1
             elif da == _FINE_A and dd == _FINE_D:
+                certified = True
                 break
             else:
                 da = max(0.25 * da, _FINE_A)
                 dd = max(0.25 * dd, _FINE_D)
-        self._responses[asked] = (ba, bd, bkey)
+        self._responses[asked] = (start, (ba, bd) if certified else None, (ba, bd, bkey))
         return ba, bd, bkey
 
     # -- game rounds ------------------------------------------------------

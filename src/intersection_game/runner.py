@@ -161,6 +161,20 @@ def _coast_accel(a_prev: float) -> float:
     return min(0.0, a_prev + SLEW)
 
 
+class _Fields(dict):
+    """Vehicle index -> its risk field at the step start, built when a
+    gate first reads it: a field no gate reads costs nothing, and without
+    `risk_gating` none is built.  A field is a function of the vehicle's
+    state, steer and style alone, so when it is built changes no view."""
+
+    def __init__(self, scenario: Scenario, states: list[VehicleState], controls: list[tuple[float, float]]):
+        self.scenario, self.states, self.controls = scenario, states, controls
+
+    def __missing__(self, i: int):
+        field = self[i] = build_field(self.states[i], self.controls[i][1], self.scenario.vehicles[i].kappa)
+        return field
+
+
 def build_views(
     scenario: Scenario,
     states: list[VehicleState],
@@ -186,7 +200,7 @@ def build_views(
     """
     routes = scenario.routes
     n = len(scenario.vehicles)
-    fields = [build_field(states[i], controls[i][1], scenario.vehicles[i].kappa) for i in range(n)]
+    fields = _Fields(scenario, states, controls)
 
     views: list[PlayerView] = []
     for i in range(n):
@@ -196,6 +210,7 @@ def build_views(
             tracking_delta(routes[i], s_now[i], states[i].v_x),
         )
         common = dict(
+            name=scenario.vehicles[i].name,
             route=routes[i],
             state=states[i],
             kappa=scenario.vehicles[i].kappa,

@@ -24,39 +24,39 @@ JOBS = matrix.jobs()
 # `digest` of each identity-matrix directory; after an intended behaviour
 # change, paste the lines scripts/identity_matrix.py prints in place of these
 SHA256 = {
-    "case1_A_fuzzy": "dda6541a956d70da6f5f746a9eec9baa3e8e2abcf52e7fa064a1bbe67b6b2181",
-    "case1_A_noncoop": "add0c1b5a6031583e935ca7077641ce4ac2b7f0c7cb03b7d06e1ad9d754fedb7",
-    "case1_A_grand": "4c4ebf2e26789ba711ce3dd479f99552d3662f611ebfd2a89aa56f164639bba6",
-    "case1_B_fuzzy": "5892542d09d4e6e252d6e6e0a2e5955fe18dab335eaf5d19e66c75cf911be5af",
-    "case1_B_noncoop": "fca576a6f9ecc8ca959e3c35d713cafa5a28ff3d3b6176cc205e688c65080578",
-    "case1_B_grand": "d6426f1382ed65df77f4ef01e921eb6262bf2cb6f54fc9ee7a51537a6053d154",
-    "case1_C_fuzzy": "3f4738374e4e2907b3a17be68c293fd687e6e2869595b45ddb98a4ddf9d2ab39",
-    "case1_C_noncoop": "e8a4bc04049175ff7217fd099e049680532ffbb0675adb72f217fa1449fbb18f",
-    "case1_C_grand": "bd093e9c6f4bfaf06a03bb4d7c3d2044f7fce9ee9f02fc1f364131bc1d2991a2",
-    "case1_D_fuzzy": "91c9d0f84f71bbee08df3897ab82c8adf0be1887ea2332184efafcaa76cf7c3d",
-    "case1_D_noncoop": "1d427399ddd7dbf94fc0ba66f9bc5066de43c483430d38020d8a0bccfd8d1a26",
-    "case1_D_grand": "8c7c457e659fceb0b0319d9446aa3e1e2b19a5442503511b1625038be2cee935",
-    "case1_E_fuzzy": "805c02d341e016f4fba683dc92da08aed8db9c44137a0be3f1fa56541c372dc3",
-    "case1_E_noncoop": "ac14c34511b16fe625862c6aeb8237b33ee3465389093bb517f8425067ccf573",
-    "case1_E_grand": "6bd349377b39c2377ef4c2b36f0c53b52b1cb7ac23d200eaf06159020bfbc85d",
-    "case1_F_fuzzy": "54613b7916ae67d21432e7f1d1cc7f3319dc4abf6193c79be30955fbb73295fa",
-    "case1_F_noncoop": "44b51fe77ea5016fc3b7e10c2f27b547916051690c5ffc985c981736bea0b2ae",
-    "case1_F_grand": "c8ff1f1c664e6f20789967b6a396458ed1522e76db7c5a9e2a101f388bf88e90",
-    "case2_fuzzy": "26ea5e88e0b744f08c9708fefa96b6e497cf5685657cb2384eac41ded6e307bc",
-    "case2_noncoop": "b3a8615b2f5bde651b2a79f7b03cfde31846d6763a50ae0b631ec274ca1aed93",
-    "case2_grand": "c2c4c5e79aac24d55d02ffe80148961e822683dcf64fd68f478c674414701e42",
-    "case3_fuzzy": "356bfb7837db3f1a4b172efaa822c81b91b5bf526505dc2341adff079edd784c",
-    "case3_noncoop": "7ea7212484a8c280d913870dfc7961bf73abdebed22e469d58b57e9fed7a6ff3",
-    "case3_grand": "d32c6f1cced5b1540df82fa7a9d79bafde4e29e18e99bd8f1183292082ac1f3a",
-    "case1_A_ungated": "49ab850574912bbf37f2f79de759522acdb73c53d1c08a13010a4c7c306d1f87",
-    "case3_ungated": "8332e24915aa5e22c06c42f1d14275c83adbc403d9f541d48320ef83b4fecc4e",
-    "dense_n8_seed1": "7643541c87c1b960f62391550b88ac56d47184ed1a430fef79df5b84e2916359",
-    "dense_n12_seed1": "80c95e809da48a3a101b55f11321eb377c7b599fdb6b535cc03a1eaaf9f2cbf5",
-    "dense_n12_seed1_grand": "4e80d097efdd0650b58df2c8c625224e691fd00cf9cf27acc4007a16f4e5bb14",
-    "dense_n16_seed1": "a8071153f2e7a7a2729d12f3e4874327fa94b64412c281bfa978c118caf70e2b",
-    "dense_n8_seed3": "450d425a207227e5a2d11fd94b819eb610404e683bd214a15992c12c04410235",
-    "dense_n12_seed3": "36d4f81261cf3e7a040f7e8f3c07c8388353a1f88e29850c66bbfd44e09cc86d",
-    "dense_n16_seed3": "cfd2c98c356ce69fc21e9dd0955090f9a3559ff6dba171bedf791cb83f5adcc6",
+    "case1_A_fuzzy": "65112518ed8edcdc8fd18ee19d7c59e704492650ea32a37e312c801cff6dac25",
+    "case1_A_noncoop": "0e0bfb5531cd53601038d2ad1b1cb8626fa86e0acf82614ce0cefbffd2c83043",
+    "case1_A_grand": "dbab995cfc39418729ea88a49ec42519cd0a2717ebc5092cdeea28958b7f165e",
+    "case1_B_fuzzy": "4bbfa42589d8c44d7b04d887e0bbd649b8acc05cffd27750f6e1a4ff889bd2dc",
+    "case1_B_noncoop": "24fd9c87343b35e12d14003e09db8ca5161225a1eb8cecf175290e15dbc16ac4",
+    "case1_B_grand": "6962bb8a0d263a01cb8bc6862bab6e5f4d701c1268bcc9ef823dd52f2834b001",
+    "case1_C_fuzzy": "c353278039c04d588a798a3871cb371e70d2e1159b7c698d77ee65fa0458fa36",
+    "case1_C_noncoop": "bd189e97d561219c1134bf918eb2934c518e0db2553caa9f0832c5ace5420d18",
+    "case1_C_grand": "2d61fbbf1007e3b3443e2609bd18410a8179899153ed29eeb0af619eb5e9bcba",
+    "case1_D_fuzzy": "14d0a5962b60018d2ed8256837ae31bb85e0340ca1f214d98a4ecb7452c323b7",
+    "case1_D_noncoop": "c6e6546f05114a65f18ac086443358939f47580a5f26a4d24bf113746da6c7fe",
+    "case1_D_grand": "d246f537aa0186892578083e3c45a238a5b00b95656ddc6052f02db005a62d98",
+    "case1_E_fuzzy": "6aab7bbad80c03bef78f6b20c3b735bcea4a1d1042217f863e8c980f0c3324eb",
+    "case1_E_noncoop": "723f86323360463cf5aadbbf5261995c7b36c6f8f2bd202adb00378855417b72",
+    "case1_E_grand": "b3f64f8c27fee42bb65c837ac7ac3459e4ad10957fa2811e47f5515cb2e3741d",
+    "case1_F_fuzzy": "6f554712d5ea2f2910f8c293202419e680fa3444a262d73e7ef8740ede0c8ca7",
+    "case1_F_noncoop": "b495339fcd2427c2dd8ad11cb77e1af86512c6a1368b62f619eb97891e422d6a",
+    "case1_F_grand": "da95b3d0cb4f43f5130b374fc750a1d461af09c40e122a397e91d4ce1b1466a2",
+    "case2_fuzzy": "40d174226f00d585cc7f7ff513d2cc9f2b5fc1be7b09b4a57534cb981ed48188",
+    "case2_noncoop": "38dea3597735639ac4f0201bd6bc054fa531dcba0ddafffeca5fe9528d0d6cb4",
+    "case2_grand": "d3d9c2d90ac125faf191afcb8d72520741cbe181c58e06f7d85283480c97502c",
+    "case3_fuzzy": "35f871887a8dbc9fa5aeda3827295eb4a45b5eee50a1a04ccba12f7701bb6021",
+    "case3_noncoop": "d8e2a70bf083f9b9ef0a35ac86d68be983764037c3af541c594f8c856901ebf3",
+    "case3_grand": "90344101ac7d8579ab5ed48e43833cc0c7e18a92d4d5bc790555f2267ba26fa8",
+    "case1_A_ungated": "d905487187f5b1c01656ff331fbcf60029e072d8b8465cca62550a800e12f945",
+    "case3_ungated": "b3b764539cc4e8fbd522fe4a6455ca02ce56cd831d6a644e297f34444d93db60",
+    "dense_n8_seed1": "4653666aa18dc3a3b6e7fb0327f3c2adf9ed860510f2018680a787d41e832d27",
+    "dense_n12_seed1": "977b787ff0e899e4ebdda790814602ad9ecad45f873d4788ab74243e282c79bd",
+    "dense_n12_seed1_grand": "f2b721f3b31b52c26249fddf2f5fe4bfa405ff0b307c3f89203000886a306d53",
+    "dense_n16_seed1": "4470ba5f6a7fbfeeba2469b782a68afc32a7e1c92474b326dcab499c8929bf57",
+    "dense_n8_seed3": "10da2601c8942d198130579931bf42764e9f677a353a05c967e79ced96ad8858",
+    "dense_n12_seed3": "b9fb824917762ebf2112e156b7ef4481ef9d14ab33b05afbdb5c3616d7ced40f",
+    "dense_n16_seed3": "c2008d63bad9d39308acf796822f0a1879c0d1a0cea8843179b954ea8812fcaf",
 }
 
 

@@ -403,12 +403,65 @@ def test_conflicts_shared_by_equal_routes_equal_a_pair_by_pair_build(layout, den
         assert calls["conflict_points"] < n * (n - 1) // 2 and calls["_hold_margin"] < points
 
 
+@pytest.mark.parametrize("layout, gating", [("case3", True), ("dense_n16", True), ("case3", False)])
+def test_views_build_exactly_the_risk_fields_their_gates_read(layout, gating, dense, tmp_path, monkeypatch):
+    """`build_views` builds a vehicle's risk field when a gate first reads
+    it: over a run, every field built is read and none is built twice in a
+    pass, and each pass's views equal those of a pass that builds every
+    field first.  On case3 and the 16-vehicle `perfbench/dense.py` layout
+    of seed 1 a gated run builds fewer fields than vehicles times passes;
+    without risk gating it builds none."""
+    path = SCENARIOS / "case3.cfg"
+    if layout == "dense_n16":
+        path = tmp_path / "dense.cfg"
+        path.write_text(dense.layout(4, 1), encoding="utf-8")
+    reads: dict = {}  # (pass, vehicle state) -> reads of the field built for it
+    passes = []  # vehicles per pass
+
+    class Eager(runner._Fields):
+        def __init__(self, *args):
+            super().__init__(*args)
+            for i in range(len(self.states)):
+                self[i]
+
+    def counted_build(state, delta_f, kappa):
+        field, key = build_field(state, delta_f, kappa), (len(passes), repr(state))
+        assert key not in reads
+        reads[key] = 0
+
+        class Counted:
+            def value(self, x, y):
+                reads[key] += 1
+                return field.value(x, y)
+
+        return Counted()
+
+    real_views = runner.build_views
+
+    def checked_views(*args):
+        views = real_views(*args)
+        with monkeypatch.context() as m:
+            m.setattr(runner, "build_field", build_field)
+            m.setattr(runner, "_Fields", Eager)
+            assert real_views(*args) == views
+        passes.append(len(views))
+        return views
+
+    monkeypatch.setattr(runner, "build_field", counted_build)
+    monkeypatch.setattr(runner, "build_views", checked_views)
+    run(load_scenario(path), risk_gating=gating)
+    assert len(passes) > 10
+    if gating:
+        assert 0 < len(reads) < sum(passes) and 0 not in reads.values()
+    else:
+        assert reads == {}
+
+
 def _assert_order_free(simulate, text):
     """Listing the vehicles of `text` in reverse, which reverses every
-    index and the sweep order, leaves each vehicle's rows bit-identical by
-    name.  Pooled values are summed in index order, so they agree to 1e-12
-    relative; the group residual, a difference of two pools, to 1e-12 of
-    the pool."""
+    index but not the solver's name-ordered sweeps, leaves each vehicle's
+    rows bit-identical by name.  Pooled values agree to 1e-12 relative;
+    the group residual, a difference of two pools, to 1e-12 of the pool."""
     head, *vehicles = text.split("\n[vehicle.")
     flipped = simulate(head + "".join(f"\n[vehicle.{v}" for v in reversed(vehicles)))
     res = simulate(text)
@@ -442,18 +495,22 @@ def test_reversing_the_vehicle_sections_changes_no_vehicle_outcome(simulate):
 
 def test_reversing_a_dense_layout_changes_no_vehicle_outcome(simulate, dense):
     """The 16-vehicle `perfbench/dense.py` layouts of seed 1, at its 3.5 s
-    horizon, and of seed 2, at 4.1 s, in reverse order.  They have in-lane
-    queues, resets and fallbacks, and their solvers replay `_responses`
-    entries keyed by the controls of other vehicles, whose indices the
-    reversal changes.  In seed 2, two stopped partners queued in one lane
-    cross a vehicle's route at the same point, so their points tie on
-    partner arrival and own arc length, and the priced one must not be
-    picked by the partner's index."""
-    for seed, t_end, steps in ((1, 3.5, 35), (2, 4.1, 41)):
-        text = dense.layout(4, seed).replace(f"t_end = {dense.HORIZON_S:g}", f"t_end = {t_end:g}")
+    horizon, and of seed 2, at 4.1 s, and the 8- and 12-vehicle layouts of
+    seed 1 at 3.5 s, in reverse order.  They have in-lane queues, resets
+    and fallbacks, and their solvers replay `_responses` entries keyed by
+    the controls of other vehicles, whose indices the reversal changes.  A
+    search starts from the control its player holds, so each response
+    reads those swept before it: swept in index order, every one of them
+    but the 12-vehicle layout comes out differently reversed.
+    In seed 2, two stopped partners queued in one lane cross a vehicle's
+    route at the same point, so their points tie on partner arrival and
+    own arc length, and the priced one must not be picked by the partner's
+    index."""
+    for per_arm, seed, t_end, steps in ((4, 1, 3.5, 35), (4, 2, 4.1, 41), (2, 1, 3.5, 35), (3, 1, 3.5, 35)):
+        text = dense.layout(per_arm, seed).replace(f"t_end = {dense.HORIZON_S:g}", f"t_end = {t_end:g}")
         res = _assert_order_free(simulate, text)
         rows = [r for step_rows in res.rows for r in step_rows]
-        assert len(res.names) == 16 and len(res.steps) == steps
+        assert len(res.names) == 4 * per_arm and len(res.steps) == steps
         assert any(r.lv is not None for r in rows) and any(r.reset for r in rows) and any(r.fallback for r in rows)
 
 
