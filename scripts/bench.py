@@ -9,23 +9,25 @@ then gives its counts of work, which depend neither on the machine nor
 on the hash seed:
 
 - `counters`: the solver's `game.evals` (its rankings, calls of
-  `_StepSolver._rank`), `game.lateral_evals` (its crossing-risk terms,
+  `_Vehicle._rank`), `game.lateral_evals` (its crossing-risk terms,
   calls of `crossing_risk`), `game.sweeps` and `game.resets`, summed
   from the runs' rows; its state predictions
   (`dynamics.step.solver.calls`: `dynamics.step` called from
-  `_StepSolver._candidate`; the script exits non-zero if that reads 0
+  `_Vehicle._candidate`; the script exits non-zero if that reads 0
   while the solver evaluated candidates, since the count would then miss
   predictions made elsewhere); its scored
-  candidates (`game.scored`, calls of `_StepSolver._score`: the rankings
+  candidates (`game.scored`, calls of `_Vehicle._score`: the rankings
   that the `_scored` memo does not answer), its constraint
   checks (`game.constraint_evals`, calls of
-  `_StepSolver._constraint_residual`), its crossing standoffs
+  `_Vehicle._constraint_residual`), its crossing standoffs
   (`game.standoffs`, calls of `brake_reach`) and its leader headways
   (`game.headways`, calls of `follow_reach`); the
   `network.Route.project.calls` of loading the workload and of its runs,
   and `network.leader_projections`, those made from
   `lead_distance_on_route`: the leader searches its bounding boxes do not
-  rule out;
+  rule out; and `gc.cyclic_garbage`, the objects `gc.collect()` finds
+  after the runs, made with the collector disabled: what the runs leave
+  in reference cycles, read exactly, unlike `peak_rss_mb`;
 - `python_calls`, the Python function calls of `runner.run` over every
   scenario, and `element_projections`, the calls of
   `geometry.Segment.project` and `geometry.Arc.project` among them: the
@@ -50,6 +52,7 @@ some other tracked file differs from the recorded commit.
 
 import argparse
 import cProfile
+import gc
 import importlib.util
 import json
 import subprocess
@@ -99,25 +102,31 @@ def profiled_counts(workload: str, seed: int) -> dict:
     from intersection_game.network import Route, lead_distance_on_route
 
     results = []
-    prof.enable()
-    for sc, mode in loaded:
-        results += [runner.run(sc, mode=mode)]  # unlike a comprehension or append, no call of its own
-    prof.disable()
+    gc.collect()
+    gc.disable()
+    try:
+        prof.enable()
+        for sc, mode in loaded:
+            results += [runner.run(sc, mode=mode)]  # unlike a comprehension or append, no call of its own
+        prof.disable()
+        cyclic = gc.collect()
+    finally:
+        gc.enable()
     stats = prof.getstats()
     rows = [bench_pass.outcome_counters(result) for result in results]
     counters = {f"game.{key}": sum(r[key] for r in rows) for key in ROW_COUNTERS}
-    candidate, predict = game._StepSolver._candidate.__code__, dynamics.step.__code__
+    candidate, predict = game._Vehicle._candidate.__code__, dynamics.step.__code__
     counters["dynamics.step.solver.calls"] = sum(
         sub.callcount for e in stats if e.code is candidate for sub in e.calls if sub.code is predict
     )
     if counters["game.evals"] and not counters["dynamics.step.solver.calls"]:
         raise SystemExit(
             f"{workload}: dynamics.step.solver.calls reads 0 while game.evals is {counters['game.evals']}: "
-            "the solver's predictions no longer run from _StepSolver._candidate"
+            "the solver's predictions no longer run from _Vehicle._candidate"
         )
     for name, code in (
-        ("scored", game._StepSolver._score.__code__),
-        ("constraint_evals", game._StepSolver._constraint_residual.__code__),
+        ("scored", game._Vehicle._score.__code__),
+        ("constraint_evals", game._Vehicle._constraint_residual.__code__),
         ("standoffs", game.brake_reach.__code__),
         ("headways", game.follow_reach.__code__),
     ):
@@ -129,6 +138,7 @@ def profiled_counts(workload: str, seed: int) -> dict:
     counters["network.leader_projections"] = sum(
         sub.callcount for e in stats if e.code is lead for sub in e.calls or () if sub.code is project
     )
+    counters["gc.cyclic_garbage"] = cyclic
     projections = {Segment.project.__code__, Arc.project.__code__}
     return {
         "counters": counters,

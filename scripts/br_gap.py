@@ -6,15 +6,15 @@ The probe runs the shipped scenarios (scenarios/*.cfg) and the 3.5 s
 layouts of perfbench/dense.py at seed 1, all in fuzzy mode.  Each step's
 controls are the cyclic best response's answer.  The probe asks, for
 every player not braking on the fallback path, how much lower a finer
-search could push the objective that `_StepSolver._best_response`
+search could push the objective that `_Vehicle._best_response`
 ranks (its loss pooled at p_i, or at 0 for a member none of whose
 dependents pools) while every other vehicle keeps its final control.
 
 `probed()` wraps `_StepSolver.solve`.  After a step's solution is built,
-it ranks the player's final control and runs a reference search against
+it ranks each player's final control and runs a reference search against
 the others' final controls:
 
-- it ranks the solver's seed grid, the final control and a 17 x 33 grid
+- it ranks the player's seed grid, the final control and a 17 x 33 grid
   over the jerk-limited acceleration box and the steering box;
 - from the best of those, and from the final control, it runs the
   8-direction pattern search, halving its steps from 0.05 m/s^2 and 1 deg
@@ -32,9 +32,9 @@ steps' `evals` over those searches).  A line `shipped` then pools the
 shipped runs and a line `dense` the dense ones.  The exit code is 1 when a set's largest gap exceeds GAP_TOL or a
 player-step is rescued, else 0.
 
-The probe ranks through the solver's own `_rank`, after the solution is
-built, and restores the step's `evals` and `lateral_evals`: a probed run
-emits the same bytes as an unprobed one.
+The probe ranks through each player's own `_Vehicle._rank`, after the
+solution is built, and restores the step's `evals` and `lateral_evals`:
+a probed run emits the same bytes as an unprobed one.
 """
 
 import contextlib
@@ -44,7 +44,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from intersection_game.game import STEER_BOX, _StepSolver
+from intersection_game.game import STEER_BOX, _StepSolver, _Vehicle
 from intersection_game.runner import run
 from intersection_game.scenario import load_scenario
 
@@ -58,13 +58,13 @@ GAP_TOL = 3e-5
 _POLLS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def player_gap(solver: _StepSolver, i: int) -> tuple[float | None, bool]:
-    """(gap, rescued) of player i against the solver's current controls:
-    the gap is None where i's control is infeasible, and rescued says the
+def player_gap(player: _Vehicle) -> tuple[float | None, bool]:
+    """(gap, rescued) of a player against the others' current controls:
+    the gap is None where its control is infeasible, and rescued says the
     reference then found a feasible one."""
-    p_i = solver._ranked_p(i, solver.p[i])
-    _, scored, table = solver._scored_for(i)
-    a_lo, a_hi, seeds = solver._grid[i]
+    p_i = player._ranked_p(player.p)
+    _, scored, table = player._scored_for()
+    a_lo, a_hi, seeds = player._grid
     memo: dict[tuple[float, float], tuple] = {}
     held = False  # a feasible control is known, as in `_best_response`
 
@@ -72,7 +72,7 @@ def player_gap(solver: _StepSolver, i: int) -> tuple[float | None, bool]:
         nonlocal held
         key = memo.get(control)
         if key is None:
-            key = memo[control] = solver._rank(i, *control, p_i, scored, table, held)
+            key = memo[control] = player._rank(*control, p_i, scored, table, held)
             held = held or key[0] == 0.0
         return key
 
@@ -95,7 +95,7 @@ def player_gap(solver: _StepSolver, i: int) -> tuple[float | None, bool]:
                 dd *= 0.5
         return bkey
 
-    final = solver.controls[i]
+    final = player.control
     final_key = rank(final)
     grid = [
         (a_lo + ka * (a_hi - a_lo) / (GRID_A - 1), -STEER_BOX + kd * 2.0 * STEER_BOX / (GRID_D - 1))
@@ -124,27 +124,27 @@ def probed():
     player off the fallback path to the yielded probe's `records` and adds
     its searches and rankings to the probe's totals."""
     probe = Probe()
-    real_solve, real_search = _StepSolver.solve, _StepSolver._best_response
+    real_solve, real_search = _StepSolver.solve, _Vehicle._best_response
 
     def search(self, *args):
-        evals = self.evals
+        evals = self.solver.evals
         found = real_search(self, *args)
-        probe.searches += self.evals > evals
+        probe.searches += self.solver.evals > evals
         return found
 
     def solve(self):
         sol = real_solve(self)
         evals, lateral = self.evals, self.lateral_evals
         probe.rankings += evals
-        probe.records.extend(player_gap(self, i) for i in self.players if not sol.emergency[i])
+        probe.records.extend(player_gap(v) for v in self.players if not v.emergency)
         self.evals, self.lateral_evals = evals, lateral
         return sol
 
-    _StepSolver.solve, _StepSolver._best_response = solve, search
+    _StepSolver.solve, _Vehicle._best_response = solve, search
     try:
         yield probe
     finally:
-        _StepSolver.solve, _StepSolver._best_response = real_solve, real_search
+        _StepSolver.solve, _Vehicle._best_response = real_solve, real_search
 
 
 def summary(records: list[tuple[float | None, bool]]) -> dict:

@@ -347,328 +347,288 @@ class _AccelSlack(dict):
         return slack
 
 
-class _StepSolver:
-    """Cyclic best response for one control step.
+class _Vehicle:
+    """One vehicle in one control step: its view, its state in the game
+    and, for a player, its own problem, ranked and searched here.
 
-    Within a step every vehicle's start state is fixed, so work that
-    depends only on one vehicle's own control is memoized for the step.
-    Each memo keys on what sets its value and saves one call per hit;
-    ROADMAP item 20 keeps only those whose removal measurably costs:
+    Within a step every start state is fixed, so work that depends only
+    on the vehicle's own control is memoized for the step.  Each memo
+    keys on what sets its value and saves one call per hit; ROADMAP item
+    20 keeps only those whose removal measurably costs:
 
-    - `_cand[i]`, per (a, d): a `step` prediction and a route projection;
-    - `_accel_slack[i]`, per a: an `accel_residuals`, which a alone sets;
-    - `_leader_arc[j]`, per leader candidate (a, d): a projection on j's route;
-    - `_reach_rows[i]`, per (a, guard) and crossing point: a `brake_reach`;
-    - `_reach_lon[i]`, per (a, leader speed, time floor): a `follow_reach`;
-    - `_near[i]`, `_lead_near[j]`, per step: visits of far route elements;
-    - `_scored[i]`, per context (below) and (a, d): a `_score`;
-    - `_responses`, per (i, ranked p_i, context, dependents): the last
-      search, replayed to a search that would repeat its answer (below).
+    - `_cand`, per (a, d): a `step` prediction and a route projection;
+    - `_accel_slack`, per a: an `accel_residuals`, which a alone sets;
+    - `_leader_arc`, per leader candidate (a, d): a projection on own route;
+    - `_reach_rows`, per (a, guard) and crossing point: a `brake_reach`;
+    - `_reach_lon`, per (a, leader speed, time floor): a `follow_reach`;
+    - `_near`, `_lead_near`, per step: visits of far route elements;
+    - `_scored`, per context (below) and (a, d): a `_score`;
+    - `_responses`, per (ranked p, context, dependents): the last search,
+      replayed to a search that would repeat its answer (`_StepSolver`).
 
-    `_refresh_pred(j)` computes, once per change of j's control, what
-    other vehicles read off j: its committed stop distance and its arc
-    length on each follower's route, read from `_leader_arc`, where the
-    coupling term of the leader's rankings reads it too.  A window is a
-    `Route.near` around the player's start point (`_near[i]`) or, on a
-    follower's route, around its leader's (`_lead_near[j]`), `_step_reach`
-    wide: `Route.project` visits only its elements, or every element for a
-    prediction that lands outside its reach, and returns what the full
-    search would.  The `__init__` loop that finds the windows also builds
-    each player's search grid (`_grid[i]`): its jerk-limited acceleration
-    box and the seed (a, d) pairs a fresh `_best_response` ranks after the
-    control the player holds, the `_speed_cap` seed bisected once.  The
-    crossing points, in order, and their backoffs come from
-    `runner.crossing_index`, built once per run.
+    `_refresh_pred` sets, once per change of the control, what others
+    read off the vehicle: its committed stop distance and, through each
+    follower's `_leader_arc`, which the coupling term reads too, its arc
+    length on that follower's route.  A window (`_near`, `_lead_near`) is
+    a `Route.near`, `_step_reach` wide, around the player's start point or
+    its leader's: `Route.project` visits only its elements, or all for a
+    prediction landing outside its reach, and returns what the full
+    search would.  `_link` finds them, the vehicles a player reads and its
+    search grid (`_grid`): its jerk-limited acceleration box and the seeds
+    a fresh `_best_response` ranks after the held control, with the
+    `_speed_cap` seed bisected once.  Crossing points, in order, and their
+    backoffs come from `runner.crossing_index`, built once per run.
 
-    Players are visited in name order (`PlayerView.name`) by the sweeps,
-    the rationality check and the bookkeeping.  A search starts from the
-    control its player holds, so each response reads those swept before
-    it; swept in index order, listing the vehicles differently would
-    change the result in its last digits.
-
-    A ranking of vehicle i reads, besides i's own candidate, only what
-    `_refresh_pred` sets from the controls of i's leader, of the partner
-    its cost prices and of each crossing partner whose row
-    `_crossing_table` keeps, and the share p_i of its loss that i pools.
-    At p_i = 0 the ranking is i's own loss: the move of a player outside
-    the coalition and the lone move the rationality check compares
-    against are one and the same search.  So are those of a member none
-    of whose `dependents` pools: its pooled objective is
-    (1 - p_i + p_i^2) * own plus constants, whose argmin is the lone
-    move's, and `_best_response` ranks it at p_i = 0.  Otherwise the
-    ranking also reads the controls and p of `dependents[i]`.  So the
-    context of `_scored[i]` is (leader's control, priced partner's
-    control, `_crossing_table`'s tokens).  It holds i's crossing rows, the
-    part of each kept check that only the partner's control moves, and
-    maps (a, d) to (constraint residual, own cost or None if infeasible)
-    or `_UNSCORED` (below), shared by every p_i.  A candidate's residual
-    then computes just its own distance and arrival time to each point;
-    only the coupling term is computed per ranking, and only at p_i != 0.
-    `_responses` adds p_i and, at p_i != 0, the dependents' controls and
-    p to that context, so asking again (a converged sweep, a re-sweep, the
-    second rationality check, the lone move of a player ranked at p_i = 0)
-    returns the search's result without searching.  It keeps, per such
-    question, the last search's start, its response R and whether it ended
-    on its certificate, and replays R only to a search starting from that
-    start or from R.  From its own start a search repeats itself.  From R,
-    which lies in the box, a search ranks R first, then the seeds, which
-    the stored search ranked too and found no better than R; then it polls
-    R's four neighbours at the finest steps, which the stored search's last
-    round found no better, and ends on R.  A search that stopped on the
-    200-move cap certified nothing, so only its own start replays it.
+    A ranking reads, besides the own candidate, only what `_refresh_pred`
+    sets from the controls of the `leader`, of the priced `partner` and of
+    each crossing partner whose row `_crossing_table` keeps, and the
+    share p of the loss the vehicle pools.  At p = 0 the ranking is its
+    own loss: a non-member's move and the lone move the rationality check
+    compares against are one search.  So are those of a member none of
+    whose `dependents` pools: its pooled objective is (1 - p + p^2) * own
+    plus constants, whose argmin is the lone move's, and `_best_response`
+    ranks it at p = 0.  Otherwise the ranking also reads the dependents'
+    controls and p.  So `_scored` is keyed by the context (leader's
+    control, priced partner's control, `_crossing_table`'s tokens).  It
+    holds the crossing rows, the part of each kept check only the
+    partner's control moves, and maps (a, d) to (constraint residual, own
+    cost or None if infeasible) or `_UNSCORED` (below), shared by every p:
+    a candidate's residual computes just its own distance and arrival time
+    to each point, and only the coupling term, at p != 0, is computed per
+    ranking.  `_responses` adds p and, at p != 0, the dependents' controls
+    and p to that context.
 
     Each shared value comes from the same call with the same arguments
     that would otherwise be repeated, so results are bit-for-bit those of
     recomputing it.  Memo keys compare as floats, so a control of -0.0
-    reuses the entry of 0.0; nothing read from an entry depends on the
-    sign of that zero.  So a steer of -0.0 may take the prediction of a
-    steer of 0.0: predicted yaw, y and course error then differ at most in
-    the sign of a zero, which enters only through sums, abs and squares.
-    The memos live only as long as this solver, one step.  The step's
-    counters count work done: `evals` the calls of `_rank` and
-    `lateral_evals` those of `crossing_risk`, so an answer a memo gives
-    adds to neither.
+    reuses the entry of 0.0, and nothing read from an entry depends on the
+    sign of that zero: a steer of -0.0 may take the prediction of 0.0,
+    whose yaw, y and course error differ at most in the sign of a zero,
+    which enters only through sums, abs and squares.  The memos live as
+    long as the vehicle, one step.
 
     The hot loop is the pair of candidate loops in `_best_response`: a
-    fresh search ranks the control its player holds, when that lies in the
-    box, and then its seeds, at most 4 accelerations x 3 steers (0, the
-    previous steer and the tracking steer); it then polls the incumbent's
-    four axis neighbours, from the finest steps up: a move grows the moved
-    axis's step by 4, a round without one quarters both, and such a round
-    at the finest steps ends the search.  It ranks about 19 candidates on
-    the shipped scenarios (counted in fuzzy mode), about 8 in the 37% of
-    searches that keep the held control.  Each `_rank` that misses
-    `_scored` costs one `_candidate`, one `_constraint_residual` and one
-    own loss.  Every feasible key sorts before every infeasible one, so
-    once a search holds a feasible control (`held`) an infeasible
-    candidate cannot win, and `_score` stops at the cheapest evidence: an
-    acceleration that alone breaks a bound (`_accel_slack`) rules the
-    candidate out before its prediction, and a bound slack over FEAS_SLACK
-    before `_constraint_residual`.  Such a candidate is stored as
-    `_UNSCORED`, infeasible with its residual not computed; a search
-    without a feasible control, or a direct `_rank` call, that reads it
-    computes the exact residual in its place.  So searches with no
-    feasible candidate, as on the emergency path, rank by exact residuals.
-    `_rank` takes the own loss from `blended_loss` over the `_own_terms`
-    fields without building a CostTerms, skips `_coupling` where it is
-    zero, and the search, its pattern step and the constraint loops keep
-    the best in a running comparison rather than call min/max.  Some call
-    sites stay as they are because `perfbench/tracing.py` wraps them by
-    name: the prediction goes through the module global `integrate(state,
-    ControlInput(a, d), beta)`, projections through `Route.project`, and
-    `crossing_risk`, `efficiency`, `lane_keeping`, `following_risk`,
-    `stop_distance`, `brake_reach` and `follow_reach` are looked up as
-    module globals at each call, never bound to locals or inlined.
+    fresh search ranks the held control, when in the box, then at most 4
+    accelerations x 3 steers (0, the previous steer and the tracking
+    steer) of seeds; then it polls the incumbent's four axis neighbours
+    from the finest steps up: a move grows the moved axis's step by 4, a
+    round without one quarters both, and such a round at the finest steps
+    ends the search.  It ranks about 19 candidates on the shipped
+    scenarios (fuzzy mode), about 8 in the 37% of searches that keep the
+    held control.  Each `_rank` that misses `_scored` costs one
+    `_candidate`, one `_constraint_residual` and one own loss.  Every
+    feasible key sorts before every infeasible one, so once a search
+    holds a feasible control (`held`) an infeasible candidate cannot win,
+    and `_score` stops at the cheapest evidence: an acceleration that
+    alone breaks a bound (`_accel_slack`) rules the candidate out before
+    its prediction, a bound slack over FEAS_SLACK before
+    `_constraint_residual`.  It is then stored as `_UNSCORED`, its residual
+    not computed; a search without a feasible control, or a direct
+    `_rank`, that reads it computes the exact residual, so searches with
+    no feasible candidate, as on the emergency path, rank by exact
+    residuals.  `_rank` takes the own loss from `blended_loss` over the
+    `_own_terms` fields without building a CostTerms and skips `_coupling`
+    where it is zero; the search, its pattern step and the constraint
+    loops keep the best in a running comparison rather than call min/max.
     """
 
-    def __init__(self, views: list[PlayerView], allow_reset: bool):
-        self.views = views
-        self.allow_reset = allow_reset
-        self.n = len(views)
-        # name order, so no result depends on the order vehicles are listed
-        # in; the sort is stable, so views with equal names keep index order
-        self.players = sorted((i for i in range(self.n) if views[i].player), key=lambda i: views[i].name)
-        self.p = [v.p for v in views]
-        self.balance = [balance_weights(v.kappa) for v in views]
-        self.evals = 0
-        self.lateral_evals = 0
-        self.sweeps = 0
-        # who else's loss moves when vehicle i moves, and the players whose
-        # leader is vehicle i
-        self.dependents: list[list[int]] = [[] for _ in range(self.n)]
-        self.followers: list[list[int]] = [[] for _ in range(self.n)]
-        # the route elements a player's candidates, and a follower's
-        # leader's candidates, can project onto this step
-        self._near: list[Window | None] = [None] * self.n
-        self._lead_near: list[Window | None] = [None] * self.n
-        self._grid: list[tuple[float, float, list[tuple[float, float]]] | None] = [None] * self.n  # (a_lo, a_hi, seeds)
-        for j in self.players:
-            vj = views[j]
-            st = vj.state
-            self._near[j] = vj.route.near(st.x, st.y, _step_reach(st.v_x))
-            a_lo, a_hi = max(-LIMITS.a_max, vj.a_prev - SLEW), min(LIMITS.a_max, vj.a_prev + SLEW)
-            seeds_a = [a_lo, 0.5 * (a_lo + a_hi), a_hi]
-            cap = _speed_cap(st.v_x, a_lo, a_hi)
-            if cap is not None:
-                seeds_a.append(cap)
-            seeds_d = sorted({min(max(d, -STEER_BOX), STEER_BOX) for d in (0.0, vj.delta_prev, vj.coast[1])})
-            self._grid[j] = (a_lo, a_hi, [(a, d) for a in seeds_a for d in seeds_d])
-            if vj.lv is not None:
-                self.dependents[vj.lv].append(j)
-                self.followers[vj.lv].append(j)
-                st = views[vj.lv].state
-                self._lead_near[j] = vj.route.near(st.x, st.y, _step_reach(st.v_x))
-            cj = vj.cost_cp
-            if cj is not None and cj.partner != vj.lv:
-                self.dependents[cj.partner].append(j)
-        self._cand: list[dict[tuple[float, float], tuple]] = [{} for _ in range(self.n)]
-        self._accel_slack = [_AccelSlack(v) for v in views]
-        self._reach_rows: list[dict[tuple[float, float], list[float | None]]] = [{} for _ in range(self.n)]
-        self._reach_lon: list[dict[tuple[float, float, float], float]] = [{} for _ in range(self.n)]
-        # follower j -> its leader's candidate (a, d) -> that candidate's arc length on j's route
-        self._leader_arc: list[dict[tuple[float, float], float]] = [{} for _ in range(self.n)]
-        self._scored: list[dict[tuple, tuple[dict, list]]] = [{} for _ in range(self.n)]
+    def __init__(self, solver: _StepSolver, view: PlayerView):
+        self.solver, self.view = solver, view  # the solver counts this vehicle's work
+        self.p = view.p
+        self.balance = balance_weights(view.kappa)
+        self.control = (view.a_prev, view.delta_prev) if view.player else view.coast
+        # the vehicles a player reads (`_link`), and the players whose loss
+        # moves with this vehicle: those it leads or whose priced partner it is
+        self.leader: _Vehicle | None = None
+        self.partner: _Vehicle | None = None  # of the crossing point its cost prices
+        self.crossings: list[tuple[CpRef, _Vehicle]] = []  # each live crossing point and its partner
+        self.dependents: list[_Vehicle] = []
+        # the route elements a player's candidates, and its leader's
+        # candidates, can project onto this step
+        self._near: Window | None = None
+        self._lead_near: Window | None = None
+        self._grid: tuple[float, float, list[tuple[float, float]]] | None = None  # (a_lo, a_hi, seeds)
+        self._cand: dict[tuple[float, float], tuple] = {}
+        self._accel_slack = _AccelSlack(view)
+        self._reach_rows: dict[tuple[float, float], list[float | None]] = {}
+        self._reach_lon: dict[tuple[float, float, float], float] = {}
+        # the leader's candidate (a, d) -> that candidate's arc length on own route
+        self._leader_arc: dict[tuple[float, float], float] = {}
+        self._scored: dict[tuple, tuple[dict, list]] = {}
         # asked -> (start, the response if certified else None, (a, d, key))
         self._responses: dict[tuple, tuple] = {}
-        self.controls: list[tuple[float, float]] = []
-        for v in views:
-            self.controls.append((v.a_prev, v.delta_prev) if v.player else v.coast)
-        self.pred: list[VehicleState] = [None] * self.n  # type: ignore[list-item]
-        self.pred_s: list[float] = [0.0] * self.n
-        self.hold_dist: list[float] = [0.0] * self.n  # committed stop distance
-        self.lead_s: list[float] = [0.0] * self.n  # leader's arc length on own route
-        for i in range(self.n):
-            self._refresh_pred(i)
+        self.lead_s = 0.0  # the leader's arc length on own route
+        # the step's outcome, `reset` aside: a reset changes only `p`.  `solo`
+        # is the lone move's loss, 0.0 where none was compared
+        self.rational, self.emergency = True, False
+        self.solo, self.terms, self.j_value, self.h_alloc = 0.0, None, None, 0.0
+
+    def _link(self, vehicles: list[_Vehicle]) -> None:
+        """Find a player's windows, its search grid and the vehicles it reads."""
+        view = self.view
+        st = view.state
+        self._near = view.route.near(st.x, st.y, _step_reach(st.v_x))
+        a_lo, a_hi = max(-LIMITS.a_max, view.a_prev - SLEW), min(LIMITS.a_max, view.a_prev + SLEW)
+        seeds_a = [a_lo, 0.5 * (a_lo + a_hi), a_hi]
+        cap = _speed_cap(st.v_x, a_lo, a_hi)
+        if cap is not None:
+            seeds_a.append(cap)
+        seeds_d = sorted({min(max(d, -STEER_BOX), STEER_BOX) for d in (0.0, view.delta_prev, view.coast[1])})
+        self._grid = (a_lo, a_hi, [(a, d) for a in seeds_a for d in seeds_d])
+        if view.lv is not None:
+            self.leader = vehicles[view.lv]
+            self.leader.dependents.append(self)
+            st = self.leader.view.state
+            self._lead_near = view.route.near(st.x, st.y, _step_reach(st.v_x))
+        cp = view.cost_cp
+        if cp is not None:
+            self.partner = vehicles[cp.partner]
+            if cp.partner != view.lv:
+                self.partner.dependents.append(self)
+        self.crossings = [(cp, vehicles[cp.partner]) for cp in view.cps]
 
     # -- prediction bookkeeping ------------------------------------------
 
-    def _candidate(self, i: int, a: float, d: float) -> tuple[VehicleState, float, float, float, float]:
-        """(predicted state, s, dy, course error, worst bound slack) of
-        vehicle i under control (a, d)."""
-        memo = self._cand[i]
-        c = memo.get((a, d))
+    def _candidate(self, a: float, d: float) -> tuple[VehicleState, float, float, float, float]:
+        """(predicted state, s, dy, course error, worst bound slack) under
+        control (a, d)."""
+        c = self._cand.get((a, d))
         if c is None:
-            view = self.views[i]
+            view = self.view
             beta = sideslip(d)
             pred = integrate(view.state, ControlInput(a, d), beta)
-            s_pred, dy, dphi = lane_errors(view.route, pred, beta, self._near[i])
+            s_pred, dy, dphi = lane_errors(view.route, pred, beta, self._near)
             slack = max(pose_residuals(d, dy, dphi))
-            a_slack = self._accel_slack[i][a]
+            a_slack = self._accel_slack[a]
             if a_slack > slack:
                 slack = a_slack
-            c = memo[(a, d)] = (pred, s_pred, dy, dphi, slack)
+            c = self._cand[(a, d)] = (pred, s_pred, dy, dphi, slack)
         return c
 
-    def _refresh_pred(self, i: int) -> None:
-        a, d = self.controls[i]
-        st, s_pred = self._candidate(i, a, d)[:2]
-        self.pred[i] = st
-        self.pred_s[i] = s_pred
-        self.hold_dist[i] = stop_distance(st.v_x, a)
-        for f in self.followers[i]:
-            self.lead_s[f] = self._leader_on(f, a, d, st)
+    def _refresh_pred(self) -> None:
+        a, d = self.control
+        st, self.pred_s = self._candidate(a, d)[:2]
+        self.pred = st
+        self.hold_dist = stop_distance(st.v_x, a)  # committed stop distance
+        for f in self.dependents:
+            if f.leader is self:
+                f.lead_s = f._leader_on(a, d, st)
 
-    def _leader_on(self, j: int, a: float, d: float, pred: VehicleState) -> float:
-        """Arc length on follower j's route of its leader's candidate (a, d),
-        whose predicted state is `pred`."""
-        memo = self._leader_arc[j]
-        s = memo.get((a, d))
+    def _leader_on(self, a: float, d: float, pred: VehicleState) -> float:
+        """Arc length on own route of the leader's candidate (a, d), whose
+        predicted state is `pred`."""
+        s = self._leader_arc.get((a, d))
         if s is None:
-            s = memo[(a, d)] = self.views[j].route.project(pred.x, pred.y, self._lead_near[j])[0]
+            s = self._leader_arc[(a, d)] = self.view.route.project(pred.x, pred.y, self._lead_near)[0]
         return s
 
     # -- cost pieces ------------------------------------------------------
 
     def _own_terms(
-        self, i: int, pred: VehicleState, s_pred: float, dy: float, dphi: float
+        self, pred: VehicleState, s_pred: float, dy: float, dphi: float
     ) -> tuple[float, float, float, float, float, float, float, float]:
-        """Vehicle i's CostTerms fields, in order, for a candidate."""
-        view = self.views[i]
-        k_s, k_e = self.balance[i]
+        """The vehicle's CostTerms fields, in order, for a candidate."""
+        view, leader = self.view, self.leader
+        k_s, k_e = self.balance
         cp = view.cost_cp
-        omega_log = OMEGA0 if (view.lv is not None and view.lv_gated) else 0.0
+        omega_log = OMEGA0 if (leader is not None and view.lv_gated) else 0.0
         omega_lat = OMEGA0 if cp is not None else 0.0
-        if view.lv is not None:
-            lv_state = self.pred[view.lv]
-            gap = max(self.lead_s[i] - s_pred, GAP_FLOOR)
-            v_log = following_risk(pred.v_x, lv_state.v_x, gap) if omega_log > 0.0 else 0.0
+        if leader is not None:
+            gap = max(self.lead_s - s_pred, GAP_FLOOR)
+            v_log = following_risk(pred.v_x, leader.pred.v_x, gap) if omega_log > 0.0 else 0.0
         else:
             gap = max(min(view.route.total_length - s_pred, FREE_GAP), 0.0)
             v_log = 0.0
         v_lat = 0.0
         if cp is not None:
             d_self = cp.s_self - s_pred
-            d_other = cp.s_other - self.pred_s[cp.partner]
+            d_other = cp.s_other - self.partner.pred_s
             if d_self > 0.0 and d_other > 0.0:
-                v_lat = crossing_risk(d_self, pred.v_x, d_other, self.pred[cp.partner].v_x)
-                self.lateral_evals += 1
+                v_lat = crossing_risk(d_self, pred.v_x, d_other, self.partner.pred.v_x)
+                self.solver.lateral_evals += 1
         return v_log, v_lat, lane_keeping(dy, dphi), efficiency(gap, pred.v_x), omega_log, omega_lat, k_s, k_e
 
-    def _coupling(self, i: int, a: float, d: float) -> float:
-        """Terms of other players' losses that move with vehicle i's
-        candidate (a, d), weighted by p_i * p_j.  Constant terms are
-        dropped; only differences matter.  Zero when p_i is zero or no
-        dependent pools; `_best_response` ranks such a member at p_i = 0,
-        and `_rank` skips the call at p_i = 0.  It reads the prediction
+    def _coupling(self, a: float, d: float) -> float:
+        """Terms of other players' losses that move with candidate (a, d),
+        weighted by p * p_j, constant terms dropped.  Zero when p is zero
+        or no dependent pools: `_best_response` ranks such a member at
+        p = 0, and `_rank` skips the call at p = 0.  It reads the prediction
         `_score` memoized, as `_rank` calls it only on a feasible entry."""
-        pred, s_pred = self._cand[i][(a, d)][:2]
-        p_i = self.p[i]
+        pred, s_pred = self._cand[(a, d)][:2]
         total = 0.0
-        for j in self.dependents[i]:
-            w = p_i * self.p[j]
+        for dep in self.dependents:
+            w = self.p * dep.p
             if w == 0.0:
                 continue
-            vj = self.views[j]
-            k_s, k_e = self.balance[j]
+            k_s, k_e = dep.balance
             contrib = 0.0
-            if vj.lv == i:
-                gap = max(self._leader_on(j, a, d, pred) - self.pred_s[j], GAP_FLOOR)
-                if vj.lv_gated:
-                    contrib += k_s * OMEGA0 * following_risk(self.pred[j].v_x, pred.v_x, gap)
-                contrib += k_e * efficiency(gap, self.pred[j].v_x)
-            cj = vj.cost_cp
-            if cj is not None and cj.partner == i:
-                d_j = cj.s_self - self.pred_s[j]
+            if dep.leader is self:
+                gap = max(dep._leader_on(a, d, pred) - dep.pred_s, GAP_FLOOR)
+                if dep.view.lv_gated:
+                    contrib += k_s * OMEGA0 * following_risk(dep.pred.v_x, pred.v_x, gap)
+                contrib += k_e * efficiency(gap, dep.pred.v_x)
+            if dep.partner is self:
+                cj = dep.view.cost_cp
+                d_j = cj.s_self - dep.pred_s
                 d_i = cj.s_other - s_pred
                 if d_j > 0.0 and d_i > 0.0:
-                    contrib += k_s * OMEGA0 * crossing_risk(d_j, self.pred[j].v_x, d_i, pred.v_x)
-                    self.lateral_evals += 1
+                    contrib += k_s * OMEGA0 * crossing_risk(d_j, dep.pred.v_x, d_i, pred.v_x)
+                    self.solver.lateral_evals += 1
             total += w * contrib
         return total
 
     # -- constraints ------------------------------------------------------
 
-    def _crossing_table(self, i: int) -> tuple[list[tuple[int, float, float, float]], tuple]:
-        """(rows, tokens) of vehicle i's live crossing points under the
+    def _crossing_table(self) -> tuple[list[tuple[int, float, float, float]], tuple]:
+        """(rows, tokens) of the vehicle's live crossing points under the
         partners' current controls.  A row (k, s_self, t_other,
         partner_hold) holds the part of point k's check that no candidate
-        of i moves.  A point's check is min(self_hold, partner_hold, sep),
-        and a residual starts at the bound slack, never below
-        `_SLACK_FLOOR`; so a point whose partner_hold is at most that
-        floor never sets a residual and has no row.  Its token is None,
-        that of a point with a row its partner's control.  So the drop
-        also narrows the `_scored` key: that partner can move without
-        opening a new context, which saves rankings and crossing-risk
-        terms that `steps.csv` records, so it is no pure memo."""
+        moves.  A point's check is min(self_hold, partner_hold, sep), and
+        a residual starts at the bound slack, never below `_SLACK_FLOOR`;
+        so a point whose partner_hold is at most that floor never sets a
+        residual and has no row.  Its token is None, that of a point with
+        a row its partner's control.  So the drop also narrows the
+        `_scored` key: that partner can move without opening a new
+        context, which saves rankings and crossing-risk terms that
+        `steps.csv` records, so it is no pure memo."""
         rows, tokens = [], []
-        for k, cp in enumerate(self.views[i].cps):
-            j = cp.partner
-            d_other = cp.s_other - self.pred_s[j]
-            partner_hold = cp.hold_other + self.hold_dist[j] - d_other
+        for k, (cp, other) in enumerate(self.crossings):
+            d_other = cp.s_other - other.pred_s
+            partner_hold = cp.hold_other + other.hold_dist - d_other
             if partner_hold <= _SLACK_FLOOR:
                 tokens.append(None)
                 continue
-            v_other = self.pred[j].v_x
+            v_other = other.pred.v_x
             t_other = d_other / v_other if v_other > STOPPED else math.inf  # arrival_time, inline
             rows.append((k, cp.s_self, t_other, partner_hold))
-            tokens.append(self.controls[j])
+            tokens.append(other.control)
         return rows, tuple(tokens)
 
     def _constraint_residual(
-        self, i: int, a: float, pred: VehicleState, s_pred: float, bound_slack: float, guard: float,
+        self, a: float, pred: VehicleState, s_pred: float, bound_slack: float, guard: float,
         table: list[tuple[int, float, float, float]],
     ) -> float:
-        """Worst slack of vehicle i's candidate over its bounds, its leader
-        headway and its crossing points; `table` holds the rows of
-        `_crossing_table(i)` under the partners' current controls."""
-        view = self.views[i]
+        """Worst slack of a candidate over its bounds, its leader headway
+        and its crossing points; `table` holds the rows of
+        `_crossing_table` under the partners' current controls."""
+        view = self.view
         res = bound_slack
         ttc_floor = LIMITS.ttc_min + guard
         v = pred.v_x
-        if view.lv is not None:
-            v_lead = self.pred[view.lv].v_x
+        if self.leader is not None:
+            v_lead = self.leader.pred.v_x
             key = (a, v_lead, ttc_floor)
-            need = self._reach_lon[i].get(key)
+            need = self._reach_lon.get(key)
             if need is None:
-                need = self._reach_lon[i][key] = follow_reach(v, a, v_lead, ttc_floor, LIMITS.stop_margin + guard)
-            lead_slack = need - (self.lead_s[i] - s_pred)
+                need = self._reach_lon[key] = follow_reach(v, a, v_lead, ttc_floor, LIMITS.stop_margin + guard)
+            lead_slack = need - (self.lead_s - s_pred)
             if lead_slack > res:
                 res = lead_slack
         if not table:
             return res
-        row = self._reach_rows[i].get((a, guard))
+        row = self._reach_rows.get((a, guard))
         if row is None:
-            row = self._reach_rows[i][(a, guard)] = [None] * len(view.cps)
+            row = self._reach_rows[(a, guard)] = [None] * len(view.cps)
         moving = v > STOPPED
         for k, s_self, t_other, partner_hold in table:
             d_self = s_self - s_pred
@@ -705,74 +665,71 @@ class _StepSolver:
 
     # -- candidate evaluation --------------------------------------------
 
-    def _scored_for(self, i: int) -> tuple[tuple, dict[tuple[float, float], tuple], list]:
-        """The `_scored` key of vehicle i under the current controls, its
-        scored candidates and its crossing rows under that key."""
-        view = self.views[i]
-        rows, tokens = self._crossing_table(i)
+    def _scored_for(self) -> tuple[tuple, dict[tuple[float, float], tuple], list]:
+        """The `_scored` key under the current controls, its scored
+        candidates and the crossing rows under that key."""
+        rows, tokens = self._crossing_table()
         key = (
-            None if view.lv is None else self.controls[view.lv],
-            None if view.cost_cp is None else self.controls[view.cost_cp.partner],
+            None if self.leader is None else self.leader.control,
+            None if self.partner is None else self.partner.control,
             tokens,
         )
-        context = self._scored[i].get(key)
+        context = self._scored.get(key)
         if context is None:
-            context = self._scored[i][key] = ({}, rows)
+            context = self._scored[key] = ({}, rows)
         return key, *context
 
-    def _score(self, i: int, a: float, d: float, table: list, held: bool) -> tuple:
-        """`_scored` entry of vehicle i's candidate (a, d): (constraint
-        residual, own cost or None if infeasible).
-        With `held`, a candidate its acceleration or its bounds already rule
-        out is `_UNSCORED`, before its prediction or before the interaction
-        residual."""
-        if held and self._accel_slack[i][a] > FEAS_SLACK:
+    def _score(self, a: float, d: float, table: list, held: bool) -> tuple:
+        """`_scored` entry of candidate (a, d): (constraint residual, own
+        cost or None if infeasible); with `held`, `_UNSCORED` when its
+        acceleration or its bounds already rule it out."""
+        if held and self._accel_slack[a] > FEAS_SLACK:
             return _UNSCORED
-        pred, s_pred, dy, dphi, slack = self._candidate(i, a, d)
+        pred, s_pred, dy, dphi, slack = self._candidate(a, d)
         if held and slack > FEAS_SLACK:
             return _UNSCORED
-        residual = self._constraint_residual(i, a, pred, s_pred, slack, TTC_GUARD, table)
+        residual = self._constraint_residual(a, pred, s_pred, slack, TTC_GUARD, table)
         if residual > FEAS_SLACK:
             return (residual, None)
-        return (residual, blended_loss(*self._own_terms(i, pred, s_pred, dy, dphi)))
+        return (residual, blended_loss(*self._own_terms(pred, s_pred, dy, dphi)))
 
-    def _rank(self, i: int, a: float, d: float, p_i: float, scored: dict, table: list, held: bool = False):
-        """Rank key of vehicle i's candidate (a, d); `held` says the asking
-        search already holds a feasible control."""
-        self.evals += 1
+    def _rank(self, a: float, d: float, p_i: float, scored: dict, table: list, held: bool = False):
+        """Rank key of candidate (a, d) at the pooled share p_i; `held`
+        says the asking search already holds a feasible control."""
+        self.solver.evals += 1
         entry = scored.get((a, d))
         if entry is None or (entry is _UNSCORED and not held):
-            entry = scored[(a, d)] = self._score(i, a, d, table, held)
+            entry = scored[(a, d)] = self._score(a, d, table, held)
         residual, own = entry
         if own is None:
             return (1.0, residual, abs(a), abs(d), a, d)
         value = (1.0 - p_i + p_i * p_i) * own
         if p_i != 0.0:
-            value += self._coupling(i, a, d)
+            value += self._coupling(a, d)
         return (0.0, value, abs(a), abs(d), a, d)
 
-    def _ranked_p(self, i: int, p_i: float) -> float:
-        """The share `_best_response` ranks vehicle i at when it pools p_i:
+    def _ranked_p(self, p_i: float) -> float:
+        """The share `_best_response` ranks at when the vehicle pools p_i:
         0 for a member none of whose dependents pools."""
-        if p_i != 0.0 and all(self.p[j] == 0.0 for j in self.dependents[i]):
+        if p_i != 0.0 and all(dep.p == 0.0 for dep in self.dependents):
             return 0.0
         return p_i
 
-    def _best_response(self, i: int, p_i: float) -> tuple[float, float, tuple]:
-        """Vehicle i's best control against the current partner controls
-        when it pools the share p_i of its loss; p_i = 0 is its lone move.
+    def _best_response(self, p_i: float) -> tuple[float, float, tuple]:
+        """The best control against the current partner controls when the
+        vehicle pools the share p_i of its loss; p_i = 0 is its lone move.
         It ranks at `_ranked_p`, and its key is never worse than that of
-        the control i holds when that lies in the box."""
-        p_i = self._ranked_p(i, p_i)
-        context, scored, table = self._scored_for(i)
-        asked = (i, p_i, context)
+        the control held when that lies in the box."""
+        p_i = self._ranked_p(p_i)
+        context, scored, table = self._scored_for()
+        asked = (p_i, context)
         if p_i != 0.0:
-            asked += (tuple((self.controls[j], self.p[j]) for j in self.dependents[i]),)
-        start = self.controls[i]
+            asked += (tuple((dep.control, dep.p) for dep in self.dependents),)
+        start = self.control
         seen = self._responses.get(asked)
         if seen is not None and start in seen[:2]:
             return seen[2]
-        a_lo, a_hi, seeds = self._grid[i]
+        a_lo, a_hi, seeds = self._grid
         d_lim = STEER_BOX
         if a_lo <= start[0] <= a_hi and -d_lim <= start[1] <= d_lim:
             seeds = [start, *seeds]
@@ -782,7 +739,7 @@ class _StepSolver:
         for a, d in seeds:
             key = memo.get((a, d))
             if key is None:
-                key = memo[(a, d)] = self._rank(i, a, d, p_i, scored, table, held)
+                key = memo[(a, d)] = self._rank(a, d, p_i, scored, table, held)
             if bkey is None or key < bkey:
                 bkey, ba, bd = key, a, d
                 held = key[0] == 0.0
@@ -807,7 +764,7 @@ class _StepSolver:
                     continue
                 key = memo.get((na, nd))
                 if key is None:
-                    key = memo[(na, nd)] = self._rank(i, na, nd, p_i, scored, table, held)
+                    key = memo[(na, nd)] = self._rank(na, nd, p_i, scored, table, held)
                 # the first least key wins, as under min; keys end in (a, d)
                 if nkey is None or key < nkey:
                     nkey, na_best, nd_best = key, na, nd
@@ -828,120 +785,158 @@ class _StepSolver:
         self._responses[asked] = (start, (ba, bd) if certified else None, (ba, bd, bkey))
         return ba, bd, bkey
 
+    def _final_terms(self) -> CostTerms:
+        pred, s_pred, dy, dphi, _ = self._candidate(*self.control)
+        return CostTerms(*self._own_terms(pred, s_pred, dy, dphi))
+
+
+class _StepSolver:
+    """Cyclic best response for one control step: the game's rounds over
+    one `_Vehicle` per view, and the step's counters.
+
+    Players are visited in name order (`PlayerView.name`) by the sweeps,
+    the rationality check and the bookkeeping.  A search starts from the
+    held control, so each response reads those swept before it; swept in
+    index order, listing the vehicles differently would change the result
+    in its last digits.
+
+    A round that asks a player again (a converged sweep, a re-sweep, the
+    second rationality check, the lone move of a player ranked at p = 0)
+    gets its `_responses` answer without a search.  Per question it keeps
+    the last search's start, its response R and whether it ended on its
+    certificate, and replays R only to a search from that start or from
+    R.  From its own start a search repeats itself.  From R, which lies in
+    the box, a search ranks R, then the seeds, which the stored search
+    ranked and found no better than R; then it polls R's four neighbours
+    at the finest steps, which the stored search's last round found no
+    better, and ends on R.  A search stopped by the 200-move cap certified
+    nothing, so only its own start replays it.
+
+    The counters count work done: `evals` the calls of `_rank` and
+    `lateral_evals` those of `crossing_risk`, so a memo's answer adds to
+    neither.  The vehicles link to this solver and to each other, so
+    `solve_step` unlinks them before it returns and leaves no cycle.
+    Some call sites stay as they are because `perfbench/tracing.py` wraps
+    them by name: the prediction goes through the module global
+    `integrate(state, ControlInput(a, d), beta)`, projections through
+    `Route.project`, and `crossing_risk`, `efficiency`, `lane_keeping`,
+    `following_risk`, `stop_distance`, `brake_reach` and `follow_reach`
+    are looked up as module globals at each call, never bound to locals
+    or inlined.
+    """
+
+    def __init__(self, views: list[PlayerView], allow_reset: bool):
+        self.allow_reset = allow_reset
+        self.evals = 0
+        self.lateral_evals = 0
+        self.sweeps = 0
+        self.vehicles = [_Vehicle(self, v) for v in views]
+        # name order, so no result depends on the order vehicles are listed
+        # in; the sort is stable, so views with equal names keep index order
+        self.players = sorted((v for v in self.vehicles if v.view.player), key=lambda v: v.view.name)
+        for v in self.players:
+            v._link(self.vehicles)
+        for v in self.vehicles:
+            v._refresh_pred()
+
     # -- game rounds ------------------------------------------------------
 
-    def _sweep_loop(self) -> list[bool]:
-        feasible = [True] * self.n
+    def _sweep_loop(self) -> list[_Vehicle]:
+        """Sweep to convergence; returns the players last answered infeasibly."""
         for _ in range(MAX_SWEEPS):
             self.sweeps += 1
             worst = 0.0
-            for i in self.players:
-                a, d, key = self._best_response(i, self.p[i])
-                feasible[i] = key[0] == 0.0
-                worst = max(worst, abs(a - self.controls[i][0]), abs(d - self.controls[i][1]))
-                self.controls[i] = (a, d)
-                self._refresh_pred(i)
+            infeasible = []
+            for v in self.players:
+                a, d, key = v._best_response(v.p)
+                if key[0] != 0.0:
+                    infeasible.append(v)
+                worst = max(worst, abs(a - v.control[0]), abs(d - v.control[1]))
+                v.control = (a, d)
+                v._refresh_pred()
             if worst < CONV_TOL:
                 break
-        return feasible
+        return infeasible
 
     def solve(self) -> StepSolution:
         """A player still infeasible after the sweeps is reset in every
         mode; `allow_reset` gates only the reset of irrational members."""
-        reset = [False] * self.n
-        emergency = [False] * self.n
-        feasible = self._sweep_loop()
-
-        bad = [i for i in self.players if not feasible[i]]
+        bad = self._sweep_loop()
         if bad:
-            self._resweep(bad, reset, emergency)
+            self._resweep(bad)
 
-        rational, solo = self._rationality()
-        if self.allow_reset and not all(rational):
-            self._resweep([i for i in self.players if not rational[i]], reset, emergency)
-            rational, solo = self._rationality()
+        self._rationality()
+        if self.allow_reset and not all(v.rational for v in self.players):
+            self._resweep([v for v in self.players if not v.rational])
+            self._rationality()
 
-        return self._bookkeeping(emergency, reset, rational, solo)
+        return self._bookkeeping()
 
-    def _resweep(self, leaving: list[int], reset: list[bool], emergency: list[bool]) -> None:
-        """Take `leaving` out of the coalition (p = 0 and `reset`, in any
-        mode) and sweep again; a player still infeasible afterwards falls
-        back to full braking on its tracking steer.  The sweep moves every
-        player, so one braked by an earlier fallback and feasible now
-        drives its swept control."""
-        for i in leaving:
-            if self.p[i] != 0.0:
-                self.p[i] = 0.0
-                reset[i] = True
-        feasible = self._sweep_loop()
-        for i in self.players:
-            emergency[i] = not feasible[i]
-            if emergency[i]:
-                self.controls[i] = (-LIMITS.a_max, self.views[i].coast[1])
-                self._refresh_pred(i)
+    def _resweep(self, leaving: list[_Vehicle]) -> None:
+        """Reset `leaving` to p = 0, in any mode, and sweep again; a player
+        still infeasible brakes fully on its tracking steer (`emergency`),
+        one braked earlier and feasible now drives its swept control."""
+        for v in leaving:
+            v.p = 0.0
+        infeasible = self._sweep_loop()
+        for v in self.players:
+            v.emergency = v in infeasible
+            if v.emergency:
+                v.control = (-LIMITS.a_max, v.view.coast[1])
+                v._refresh_pred()
 
-    def _rationality(self) -> tuple[list[bool], list[float]]:
-        """Member i is rational when p_i * (v_i - v_lone) <= RATIONALITY_TOL:
-        v_i is its own loss at the step's controls, v_lone that of its lone
-        move, the best response at p_i = 0 against the same partner
-        controls.  A member at p_i = 0 is rational by definition, and one
-        with no feasible lone move has nothing to compare against.  Returns
-        the flags and each player's v_lone, 0.0 where none was compared."""
-        rational = [True] * self.n
-        solo_v = [0.0] * self.n
-        for i in self.players:
-            if self.p[i] == 0.0:
+    def _rationality(self) -> None:
+        """Member i is `rational` when p_i * (v_i - v_lone) <= RATIONALITY_TOL,
+        v_i being its own loss at the step's controls and v_lone (`solo`)
+        that of its lone move, the best response at p_i = 0 against the
+        same partner controls.  A member at p_i = 0 is rational, and one with
+        no feasible lone move has nothing to compare against (`solo` 0.0)."""
+        for v in self.players:
+            v.rational, v.solo = True, 0.0
+            if v.p == 0.0:
                 continue
-            key = self._best_response(i, 0.0)[2]
+            key = v._best_response(0.0)[2]
             if key[0] != 0.0:
                 continue  # no feasible lone move; nothing to compare against
-            solo_v[i] = key[1]
-            v_here = self._final_terms(i).total
-            rational[i] = self.p[i] * (v_here - solo_v[i]) <= RATIONALITY_TOL
-        return rational, solo_v
+            v.solo = key[1]
+            v.rational = v.p * (v._final_terms().total - v.solo) <= RATIONALITY_TOL
 
-    def _final_terms(self, i: int) -> CostTerms:
-        pred, s_pred, dy, dphi, _ = self._candidate(i, *self.controls[i])
-        return CostTerms(*self._own_terms(i, pred, s_pred, dy, dphi))
-
-    def _bookkeeping(self, emergency, reset, rational, solo) -> StepSolution:
-        n = self.n
-        terms: list[CostTerms | None] = [None] * n
-        j_value: list[float | None] = [None] * n
-        h_alloc = [0.0] * n
+    def _bookkeeping(self) -> StepSolution:
         max_res = 0.0
-        for i in self.players:
-            terms[i] = self._final_terms(i)
-            if not emergency[i]:
-                a, d = self.controls[i]
-                pred, s_pred, _, _, slack = self._candidate(i, a, d)
-                table = self._crossing_table(i)[0]
-                max_res = max(max_res, self._constraint_residual(i, a, pred, s_pred, slack, 0.0, table))
-        p = [self.p[i] for i in self.players]
-        values = [terms[i].total for i in self.players]
-        v_sg, shares, kept = coalition_costs(values, p)
-        for i, p_i, share, own in zip(self.players, p, shares, kept):
-            h_alloc[i] = share
-            j_value[i] = p_i * v_sg + own
-        group = v_sg - coalition_costs([solo[i] for i in self.players], p)[0]
+        for v in self.players:
+            v.terms = v._final_terms()
+            if not v.emergency:
+                a, d = v.control
+                pred, s_pred, _, _, slack = v._candidate(a, d)
+                table = v._crossing_table()[0]
+                max_res = max(max_res, v._constraint_residual(a, pred, s_pred, slack, 0.0, table))
+        p = [v.p for v in self.players]
+        v_sg, shares, kept = coalition_costs([v.terms.total for v in self.players], p)
+        for v, share, own in zip(self.players, shares, kept):
+            v.h_alloc, v.j_value = share, v.p * v_sg + own
+        group = v_sg - coalition_costs([v.solo for v in self.players], p)[0]
+        vs = self.vehicles
         return StepSolution(
-            controls=list(self.controls),
-            terms=terms,
-            j_value=j_value,
-            h_alloc=h_alloc,
+            controls=[v.control for v in vs],
+            terms=[v.terms for v in vs],
+            j_value=[v.j_value for v in vs],
+            h_alloc=[v.h_alloc for v in vs],
             v_coalition=v_sg,
-            p_used=list(self.p),
-            rational=rational,
+            p_used=[v.p for v in vs],
+            rational=[v.rational for v in vs],
             group_residual=group,
             sweeps=self.sweeps,
             evals=self.evals,
             lateral_evals=self.lateral_evals,
-            emergency=emergency,
-            reset=reset,
+            emergency=[v.emergency for v in vs],
+            reset=[v.p != v.view.p for v in vs],
             max_constraint_residual=max_res,
         )
 
 
 def solve_step(views: list[PlayerView], allow_reset: bool = True) -> StepSolution:
     solver = _StepSolver(views, allow_reset)
-    return solver.solve()
+    sol = solver.solve()
+    for v in solver.vehicles:
+        v.__dict__.clear()  # the links between vehicles and to the solver form cycles
+    return sol

@@ -345,16 +345,17 @@ def test_criterion_7_property_suite(capsys):
         sol = solver.solve()
         for i in (0, 1):
             a_star, d_star = sol.controls[i]
-            _, scored, table = solver._scored_for(i)
-            base = solver._rank(i, a_star, d_star, solver.p[i], scored, table)
+            v = solver.vehicles[i]
+            _, scored, table = v._scored_for()
+            base = v._rank(a_star, d_star, v.p, scored, table)
             assert base[0] == 0.0
-            lo, hi = solver._grid[i][:2]
+            lo, hi = v._grid[:2]
             for da, dd in ((0.1, 0.0), (-0.1, 0.0), (0.0, 0.02), (0.0, -0.02)):
                 a = min(max(a_star + da, lo), hi)
                 d = min(max(d_star + dd, -STEER_BOX), STEER_BOX)
                 if (a, d) == (a_star, d_star):
                     continue
-                key = solver._rank(i, a, d, solver.p[i], scored, table)
+                key = v._rank(a, d, v.p, scored, table)
                 if key[0] == 0.0:
                     assert key[1] >= base[1] - CONV_TOL
 

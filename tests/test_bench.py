@@ -40,7 +40,7 @@ def counters():
 
 def test_counts_the_predictions_the_solver_makes(counters):
     """The solver's state predictions, `dynamics.step` called from
-    `_StepSolver._candidate`, are counted."""
+    `_Vehicle._candidate`, are counted."""
     assert counters["game.evals"] > 0
     assert counters["dynamics.step.solver.calls"] > 0
 
@@ -53,6 +53,12 @@ def test_counts_rankings_and_scored_candidates(counters):
 def test_counts_constraint_checks_and_crossing_standoffs(counters):
     assert counters["game.constraint_evals"] > 0
     assert counters["game.standoffs"] > 0
+
+
+def test_the_runs_leave_no_cyclic_garbage(counters):
+    """Nothing a run made is left for the cyclic collector: the solver
+    unlinks each step's vehicles."""
+    assert counters["gc.cyclic_garbage"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +87,7 @@ def test_counts_the_leader_projections_the_boxes_let_through(case3):
 
 
 def test_refuses_a_solver_prediction_count_of_zero(case1_a_only, monkeypatch):
-    """A prediction moved out of `_StepSolver._candidate` would read as 0
+    """A prediction moved out of `_Vehicle._candidate` would read as 0
     solver predictions; the script exits naming the counter instead."""
     monkeypatch.setattr(game, "integrate", lambda *args: dynamics.step(*args))
     with pytest.raises(SystemExit) as exit_info:

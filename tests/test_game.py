@@ -32,6 +32,7 @@ from intersection_game.game import (
     CpRef,
     PlayerView,
     _StepSolver,
+    _Vehicle,
     accel_residuals,
     brake_reach,
     closing_ttc,
@@ -323,22 +324,22 @@ def test_search_ranks_a_small_seed_grid_then_polls_axis_neighbours(monkeypatch):
         route=route, state=VehicleState(3.0, 0.0, x, y), kappa=0.0, p=participation(0.0),
         a_prev=0.0, delta_prev=0.0, player=False, coast=(0.0, 0.0),
     )
-    solver = _StepSolver([follower, leader], True)
+    player = _StepSolver([follower, leader], True).vehicles[0]
     seeded, polled = [], []
-    real_rank = solver._rank
+    real_rank = player._rank
 
-    def recording_rank(i, a, d, *args):
+    def recording_rank(a, d, *args):
         search = sys._getframe(1).f_locals  # `_best_response`'s frame
         if "da" in search:  # the pattern step has begun
             polled.append(((a, d), (search["ba"], search["bd"], search["da"], search["dd"], search["moves"])))
         else:
             seeded.append((a, d))
-        return real_rank(i, a, d, *args)
+        return real_rank(a, d, *args)
 
-    monkeypatch.setattr(solver, "_rank", recording_rank)
-    held = solver.controls[0]
-    found = solver._best_response(0, solver.p[0])[:2]
-    a_lo, a_hi, seeds = solver._grid[0]
+    monkeypatch.setattr(player, "_rank", recording_rank)
+    held = player.control
+    found = player._best_response(player.p)[:2]
+    a_lo, a_hi, seeds = player._grid
     assert held == (-1.0, 0.01) and held in seeds
     assert seeded == [held] + [seed for seed in seeds if seed != held]
     assert len(set(seeded)) == len(seeded) <= 12
@@ -405,10 +406,11 @@ def test_solved_controls_are_best_responses():
     sol = solver.solve()
     for i in (0, 1):
         a_star, d_star = sol.controls[i]
-        _, scored, table = solver._scored_for(i)
-        base = solver._rank(i, a_star, d_star, solver.p[i], scored, table)
+        v = solver.vehicles[i]
+        _, scored, table = v._scored_for()
+        base = v._rank(a_star, d_star, v.p, scored, table)
         assert base[0] == 0.0
-        lo, hi = solver._grid[i][:2]
+        lo, hi = v._grid[:2]
         for da, dd in (
             (0.1, 0.0), (-0.1, 0.0), (0.0, math.radians(1.0)), (0.0, -math.radians(1.0)),
         ):
@@ -416,7 +418,7 @@ def test_solved_controls_are_best_responses():
             d = min(max(d_star + dd, -STEER_BOX), STEER_BOX)
             if (a, d) == (a_star, d_star):
                 continue
-            key = solver._rank(i, a, d, solver.p[i], scored, table)
+            key = v._rank(a, d, v.p, scored, table)
             if key[0] == 0.0:
                 assert key[1] >= base[1] - CONV_TOL
 
@@ -427,33 +429,35 @@ def test_best_response_is_reused_until_a_partner_moves(monkeypatch):
     eval per ranking and agrees with a fresh solver at those controls."""
     solver = _StepSolver(_crossing_views(), True)
     solver.solve()
-    ranked = _count_ranks(monkeypatch, solver)
+    ranked = [0]
+    for v in solver.vehicles:
+        _count_ranks(monkeypatch, v, ranked)
 
     def ask(s, i, p_i):
         evals, lateral, n = s.evals, s.lateral_evals, ranked[0]
-        answer = s._best_response(i, p_i)
+        answer = s.vehicles[i]._best_response(p_i)
         return answer, s.evals - evals, s.lateral_evals - lateral, ranked[0] - n
 
     for i in (0, 1):
-        for p_i in (solver.p[i], 0.0):
+        for p_i in (solver.vehicles[i].p, 0.0):
             first = ask(solver, i, p_i)
             assert first[1] == first[3]
             assert ask(solver, i, p_i) == (first[0], 0, 0, 0)
 
     for i, k in ((0, 1), (1, 0)):
-        a_k, d_k = solver.controls[k]
-        solver.controls[k] = (a_k - 0.1, d_k)
-        solver._refresh_pred(k)
+        a_k, d_k = solver.vehicles[k].control
+        solver.vehicles[k].control = (a_k - 0.1, d_k)
+        solver.vehicles[k]._refresh_pred()
         fresh = _StepSolver(_crossing_views(), True)
-        fresh.p = list(solver.p)
-        fresh.controls = list(solver.controls)
-        for j in range(fresh.n):
-            fresh._refresh_pred(j)
-        for p_i in (solver.p[i], 0.0):
+        for fv, v in zip(fresh.vehicles, solver.vehicles):
+            fv.p, fv.control = v.p, v.control
+        for fv in fresh.vehicles:
+            fv._refresh_pred()
+        for p_i in (solver.vehicles[i].p, 0.0):
             moved = ask(solver, i, p_i)
             assert moved[3] > 0 and moved[1] == moved[3]
             evals, lateral = fresh.evals, fresh.lateral_evals
-            assert moved[0] == fresh._best_response(i, p_i)
+            assert moved[0] == fresh.vehicles[i]._best_response(p_i)
             assert moved[1:3] == (fresh.evals - evals, fresh.lateral_evals - lateral)
 
 
@@ -485,35 +489,37 @@ def test_a_far_partner_moving_replays_and_a_near_one_opens_a_context(monkeypatch
     eval.  The near partner's control is in the key, so its move opens a
     context."""
     solver = _StepSolver(_near_and_far_views(), True)
-    first = solver._best_response(0, solver.p[0])
-    key, scored, _ = solver._scored_for(0)
-    assert key == (None, None, (solver.controls[1], None))
-    ranked = _count_ranks(monkeypatch, solver)
+    host = solver.vehicles[0]
+    first = host._best_response(host.p)
+    key, scored, _ = host._scored_for()
+    assert key == (None, None, (solver.vehicles[1].control, None))
+    ranked = _count_ranks(monkeypatch, host)
 
     def move(k):
-        a, d = solver.controls[k]
-        solver.controls[k] = (a - 0.5, d)
-        solver._refresh_pred(k)
-        return solver._best_response(0, solver.p[0])
+        a, d = solver.vehicles[k].control
+        solver.vehicles[k].control = (a - 0.5, d)
+        solver.vehicles[k]._refresh_pred()
+        return host._best_response(host.p)
 
     evals = solver.evals
     assert move(2) == first
     assert ranked[0] == 0 and solver.evals == evals
-    assert solver._scored_for(0)[1] is scored and len(solver._scored[0]) == 1
+    assert host._scored_for()[1] is scored and len(host._scored) == 1
     move(1)
-    assert ranked[0] > 0 and len(solver._scored[0]) == 2
+    assert ranked[0] > 0 and len(host._scored) == 2
 
 
-def _count_ranks(monkeypatch, solver):
-    """A one-element list counting `solver._rank` calls from now on."""
-    ranked = [0]
-    real_rank = solver._rank
+def _count_ranks(monkeypatch, vehicle, ranked=None):
+    """A one-element list counting `vehicle._rank` calls from now on,
+    `ranked` if given."""
+    ranked = [0] if ranked is None else ranked
+    real_rank = vehicle._rank
 
     def counting_rank(*args):
         ranked[0] += 1
         return real_rank(*args)
 
-    monkeypatch.setattr(solver, "_rank", counting_rank)
+    monkeypatch.setattr(vehicle, "_rank", counting_rank)
     return ranked
 
 
@@ -534,14 +540,15 @@ def test_uncoupled_member_reads_its_lone_move_off_the_coalition_search(case, mon
     and returns what a fresh solver's lone search returns."""
     views = _uncoupled_views(case)
     solver = _StepSolver(views, True)
-    assert solver.p[0] == 0.6 and len(solver.dependents[0]) == (case == "dependent_at_p0")
-    solver._best_response(0, solver.p[0])
-    ranked = _count_ranks(monkeypatch, solver)
+    member = solver.vehicles[0]
+    assert member.p == 0.6 and len(member.dependents) == (case == "dependent_at_p0")
+    member._best_response(member.p)
+    ranked = _count_ranks(monkeypatch, member)
     evals, lateral = solver.evals, solver.lateral_evals
-    lone = solver._best_response(0, 0.0)
+    lone = member._best_response(0.0)
     assert ranked[0] == 0 and (solver.evals, solver.lateral_evals) == (evals, lateral)
     fresh = _StepSolver(views, True)
-    want = fresh._best_response(0, 0.0)
+    want = fresh.vehicles[0]._best_response(0.0)
     assert want[2][0] == 0.0 and fresh.evals > 0
     assert lone == want
     if case == "dependent_at_p0":
@@ -553,12 +560,13 @@ def test_member_with_a_pooling_dependent_searches_its_lone_move(monkeypatch):
     leaves out, so the lone move is a search of its own."""
     views = [dataclasses.replace(v, p=0.6) for v in _crossing_views()]
     solver = _StepSolver(views, True)
-    assert solver.dependents[0] == [1]
-    solver._best_response(0, solver.p[0])
-    ranked = _count_ranks(monkeypatch, solver)
-    lone = solver._best_response(0, 0.0)
+    member = solver.vehicles[0]
+    assert member.dependents == [solver.vehicles[1]]
+    member._best_response(member.p)
+    ranked = _count_ranks(monkeypatch, member)
+    lone = member._best_response(0.0)
     assert ranked[0] > 0
-    assert lone == _StepSolver(views, True)._best_response(0, 0.0)
+    assert lone == _StepSolver(views, True).vehicles[0]._best_response(0.0)
 
 
 def test_uncoupled_member_makes_one_search(monkeypatch):
@@ -582,13 +590,14 @@ def test_uncoupled_member_makes_one_search(monkeypatch):
     monkeypatch.setattr(game, "blended_loss", first_loss_lower)
     views = [dataclasses.replace(_single_view(), kappa=0.2, p=p)]
     solver = _StepSolver(views, True)
+    member = solver.vehicles[0]
     solver._sweep_loop()
-    assert list(solver._responses) == [(0, 0.0, solver._scored_for(0)[0])]
-    ranked = _count_ranks(monkeypatch, solver)
+    assert list(member._responses) == [(0.0, member._scored_for()[0])]
+    ranked = _count_ranks(monkeypatch, member)
     solver._rationality()
     assert ranked[0] == 0
     calls[0] = 0
-    assert solver.controls[0] == _StepSolver(views, True)._best_response(0, 0.0)[:2]
+    assert member.control == _StepSolver(views, True).vehicles[0]._best_response(0.0)[:2]
 
 
 def test_speed_cap_is_bisected_once_per_vehicle_per_step(monkeypatch):
@@ -617,7 +626,7 @@ def test_speed_cap_is_the_largest_in_box_acceleration_the_ramp_allows(v0, a_prev
     """None exactly when the box's top keeps the speed ramp legal or its
     bottom does not; otherwise an in-box acceleration that keeps the ramp
     legal while one 2**-47 of the box above it breaks the ramp."""
-    a_lo, a_hi = _StepSolver([dataclasses.replace(_single_view(v=v0), a_prev=a_prev)], True)._grid[0][:2]
+    a_lo, a_hi = _StepSolver([dataclasses.replace(_single_view(v=v0), a_prev=a_prev)], True).vehicles[0]._grid[:2]
 
     def over(a):
         return game._ramp_peak_speed(v0 + a * game.DT, a) > L.v_max
@@ -674,7 +683,7 @@ def test_feasible_incumbent_skips_the_prediction_of_speed_breaking_candidates(mo
     """At the speed limit every positive acceleration breaks the speed
     ramp.  Once the search holds a feasible control, those candidates are
     ranked as losers from `a` alone and never reach the step prediction."""
-    solver = _StepSolver([_single_view(v=L.v_max)], True)
+    player = _StepSolver([_single_view(v=L.v_max)], True).vehicles[0]
     integrated = []
     real_integrate = game.integrate
 
@@ -683,9 +692,9 @@ def test_feasible_incumbent_skips_the_prediction_of_speed_breaking_candidates(mo
         return real_integrate(state, u, *args, **kwargs)
 
     monkeypatch.setattr(game, "integrate", counting_integrate)
-    a, d, key = solver._best_response(0, solver.p[0])
+    a, d, key = player._best_response(player.p)
     assert key[0] == 0.0 and not _breaks_speed(L.v_max, a)
-    scored = solver._scored_for(0)[1]
+    scored = player._scored_for()[1]
     skipped = [ad for ad in scored if _breaks_speed(L.v_max, ad[0])]
     assert skipped
     assert all(scored[ad] is game._UNSCORED for ad in skipped)
@@ -704,10 +713,10 @@ def test_score_skips_the_prediction_exactly_when_the_acceleration_alone_breaks_a
     its step prediction (it stores none for it) exactly when its acceleration
     alone breaks a bound: accel, jerk or the speed ramp."""
     a = a_prev + step_a
-    solver = _StepSolver([dataclasses.replace(_single_view(v=v0), a_prev=a_prev)], True)
-    assume((a, d) not in solver._cand[0])
-    entry = solver._score(0, a, d, solver._scored_for(0)[2], True)
-    skipped = entry is game._UNSCORED and (a, d) not in solver._cand[0]
+    player = _StepSolver([dataclasses.replace(_single_view(v=v0), a_prev=a_prev)], True).vehicles[0]
+    assume((a, d) not in player._cand)
+    entry = player._score(a, d, player._scored_for()[2], True)
+    skipped = entry is game._UNSCORED and (a, d) not in player._cand
     assert skipped == (max(accel_residuals(a, a_prev, step_speed(v0, a))) > FEAS_SLACK)
 
 
@@ -716,42 +725,44 @@ def test_lazily_stored_candidate_ranks_by_its_exact_residual():
     residual computes that residual, and the key equals the one a fresh
     solver ranks."""
     views = [_single_view(v=L.v_max)]
-    solver = _StepSolver(views, True)
-    solver._best_response(0, solver.p[0])
-    _, scored, table = solver._scored_for(0)
+    player = _StepSolver(views, True).vehicles[0]
+    player._best_response(player.p)
+    _, scored, table = player._scored_for()
     lazy = [ad for ad, entry in scored.items() if entry is game._UNSCORED]
     assert lazy
-    fresh = _StepSolver(views, True)
-    _, fresh_scored, fresh_table = fresh._scored_for(0)
+    fresh = _StepSolver(views, True).vehicles[0]
+    _, fresh_scored, fresh_table = fresh._scored_for()
     for a, d in lazy:
-        key = solver._rank(0, a, d, solver.p[0], scored, table)
-        pred, s_pred, _, _, slack = solver._candidate(0, a, d)
-        residual = solver._constraint_residual(0, a, pred, s_pred, slack, TTC_GUARD, table)
+        key = player._rank(a, d, player.p, scored, table)
+        pred, s_pred, _, _, slack = player._candidate(a, d)
+        residual = player._constraint_residual(a, pred, s_pred, slack, TTC_GUARD, table)
         assert math.isfinite(residual) and residual > FEAS_SLACK
         assert key == (1.0, residual, abs(a), abs(d), a, d)
-        assert key == fresh._rank(0, a, d, fresh.p[0], fresh_scored, fresh_table)
+        assert key == fresh._rank(a, d, fresh.p, fresh_scored, fresh_table)
         assert scored[(a, d)] is not game._UNSCORED
 
 
 def test_infeasible_search_ranks_by_exact_residuals():
     """A search that never holds a feasible control stores no candidate
     lazily, and its key carries the exact residual of its control."""
-    solver = _StepSolver(_blocked_views(), True)
-    a, d, key = solver._best_response(0, solver.p[0])
+    host = _StepSolver(_blocked_views(), True).vehicles[0]
+    a, d, key = host._best_response(host.p)
     assert key[0] == 1.0
-    _, scored, table = solver._scored_for(0)
+    _, scored, table = host._scored_for()
     assert game._UNSCORED not in scored.values()
-    pred, s_pred, _, _, slack = solver._candidate(0, a, d)
-    assert key[1] == solver._constraint_residual(0, a, pred, s_pred, slack, TTC_GUARD, table)
+    pred, s_pred, _, _, slack = host._candidate(a, d)
+    assert key[1] == host._constraint_residual(a, pred, s_pred, slack, TTC_GUARD, table)
 
 
 def test_rationality_without_a_feasible_lone_move_compares_nothing():
     """The blocked host pools at p = 1, but its lone search finds no
     feasible control: it counts as rational, with no lone loss recorded."""
     solver = _StepSolver(_blocked_views(), True)
-    assert solver.p[0] == 1.0
-    assert solver._best_response(0, 0.0)[2][0] == 1.0
-    assert solver._rationality() == ([True, True], [0.0, 0.0])
+    host = solver.vehicles[0]
+    assert host.p == 1.0
+    assert host._best_response(0.0)[2][0] == 1.0
+    solver._rationality()
+    assert ([v.rational for v in solver.vehicles], [v.solo for v in solver.vehicles]) == ([True, True], [0.0, 0.0])
 
 
 def test_solve_step_deterministic():
@@ -815,23 +826,23 @@ def test_no_search_returns_worse_than_the_control_it_holds(dense, tmp_path, monk
         paths.append(tmp_path / f"dense_{per_arm}.cfg")
         paths[-1].write_text(dense.layout(per_arm, 1), encoding="utf-8")
     checked, worse = [0], []
-    real_search = _StepSolver._best_response
+    real_search = _Vehicle._best_response
 
-    def checked_search(self, i, p_i):
-        held = self.controls[i]
-        found = real_search(self, i, p_i)
-        a_lo, a_hi, _ = self._grid[i]
+    def checked_search(self, p_i):
+        held = self.control
+        found = real_search(self, p_i)
+        a_lo, a_hi, _ = self._grid
         if a_lo <= held[0] <= a_hi and abs(held[1]) <= STEER_BOX:
-            counters = self.evals, self.lateral_evals
-            _, scored, table = self._scored_for(i)
-            key = self._rank(i, *held, self._ranked_p(i, p_i), dict(scored), table)
-            self.evals, self.lateral_evals = counters
+            counters = self.solver.evals, self.solver.lateral_evals
+            _, scored, table = self._scored_for()
+            key = self._rank(*held, self._ranked_p(p_i), dict(scored), table)
+            self.solver.evals, self.solver.lateral_evals = counters
             checked[0] += 1
             if found[2] > key:
-                worse.append((i, held, found))
+                worse.append((self.view.name, held, found))
         return found
 
-    monkeypatch.setattr(_StepSolver, "_best_response", checked_search)
+    monkeypatch.setattr(_Vehicle, "_best_response", checked_search)
     for path in paths:
         runner.run(load_scenario(path), mode="fuzzy")
     assert checked[0] > 12_000
@@ -848,16 +859,16 @@ def test_no_search_crawls_to_its_move_cap(name, monkeypatch):
     runs ranks 153."""
     root = Path(__file__).resolve().parents[1]
     rankings = []
-    real_search = _StepSolver._best_response
+    real_search = _Vehicle._best_response
 
     def counting_search(self, *args):
-        evals = self.evals
+        evals = self.solver.evals
         found = real_search(self, *args)
-        if self.evals > evals:
-            rankings.append(self.evals - evals)
+        if self.solver.evals > evals:
+            rankings.append(self.solver.evals - evals)
         return found
 
-    monkeypatch.setattr(_StepSolver, "_best_response", counting_search)
+    monkeypatch.setattr(_Vehicle, "_best_response", counting_search)
     runner.run(load_scenario(root / "scenarios" / f"{name}.cfg"), mode="fuzzy")
     assert len(rankings) > 100
     assert max(rankings) <= 200
@@ -871,7 +882,7 @@ def test_step_counters_count_rankings_and_crossing_risk_terms(name, monkeypatch)
     root = Path(__file__).resolve().parents[1]
     calls = {"rank": 0, "risk": 0}
     per_step = []
-    real_rank, real_risk, real_solve = _StepSolver._rank, game.crossing_risk, runner.solve_step
+    real_rank, real_risk, real_solve = _Vehicle._rank, game.crossing_risk, runner.solve_step
 
     def counting_rank(self, *args, **kwargs):
         calls["rank"] += 1
@@ -887,7 +898,7 @@ def test_step_counters_count_rankings_and_crossing_risk_terms(name, monkeypatch)
         per_step.append((calls["rank"], calls["risk"]))
         return sol
 
-    monkeypatch.setattr(_StepSolver, "_rank", counting_rank)
+    monkeypatch.setattr(_Vehicle, "_rank", counting_rank)
     monkeypatch.setattr(game, "crossing_risk", counting_risk)
     monkeypatch.setattr(runner, "solve_step", solve_one_step)
     res = runner.run(load_scenario(root / "scenarios" / f"{name}.cfg"))
@@ -1005,31 +1016,31 @@ def test_game_rank_key_is_the_pooled_objective_bit_for_bit(case, monkeypatch):
     pooled objective: (1 - p + p^2) times the own loss plus the coupling
     term."""
     views, i = _rank_cases()[case]
-    solver = _StepSolver(views, True)
-    assert (solver.p[i] == 0.0) == (case == "p0")
-    assert bool(solver.dependents[i]) == (case != "no_dependents")
-    rank, ranked_at = solver._rank, set()
+    player = _StepSolver(views, True).vehicles[i]
+    assert (player.p == 0.0) == (case == "p0")
+    assert bool(player.dependents) == (case != "no_dependents")
+    rank, ranked_at = player._rank, set()
 
-    def recording_rank(i, a, d, p_i, *rest):
+    def recording_rank(a, d, p_i, *rest):
         ranked_at.add(p_i)
-        return rank(i, a, d, p_i, *rest)
+        return rank(a, d, p_i, *rest)
 
-    monkeypatch.setattr(solver, "_rank", recording_rank)
-    solver._best_response(i, solver.p[i])
+    monkeypatch.setattr(player, "_rank", recording_rank)
+    player._best_response(player.p)
     (p_i,) = ranked_at
-    assert p_i == (solver.p[i] if case.startswith("dependents") else 0.0)
-    _, scored, table = solver._scored_for(i)
-    lo, hi = solver._grid[i][:2]
+    assert p_i == (player.p if case.startswith("dependents") else 0.0)
+    _, scored, table = player._scored_for()
+    lo, hi = player._grid[:2]
     feasible = 0
     for a in (lo, 0.5 * (lo + hi), hi):
         for d in (-0.02, 0.0, 0.01):
-            key = rank(i, a, d, p_i, scored, table)
+            key = rank(a, d, p_i, scored, table)
             if key[0] != 0.0:
                 continue
             feasible += 1
-            pred, s_pred, dy, dphi, _ = solver._candidate(i, a, d)
-            own = blended_loss(*solver._own_terms(i, pred, s_pred, dy, dphi))
-            want = (1.0 - p_i + p_i * p_i) * own + solver._coupling(i, a, d)
+            pred, s_pred, dy, dphi, _ = player._candidate(a, d)
+            own = blended_loss(*player._own_terms(pred, s_pred, dy, dphi))
+            want = (1.0 - p_i + p_i * p_i) * own + player._coupling(a, d)
             assert key == (0.0, want, abs(a), abs(d), a, d)
     assert feasible > 0
 
@@ -1037,26 +1048,27 @@ def test_game_rank_key_is_the_pooled_objective_bit_for_bit(case, monkeypatch):
 def _old_constraint_residual(solver, i, a, pred, s_pred, bound_slack, guard):
     """The per-point loop the crossing table and reach rows replaced,
     with the standoffs taken straight from brake_reach."""
-    view = solver.views[i]
+    vehicles = solver.vehicles
+    view = vehicles[i].view
     res = bound_slack
     ttc_floor = L.ttc_min + guard
     margin = L.stop_margin + guard
     if view.lv is not None:
-        gap = solver.lead_s[i] - s_pred
-        need = follow_reach(pred.v_x, a, solver.pred[view.lv].v_x, ttc_floor, margin)
+        gap = vehicles[i].lead_s - s_pred
+        need = follow_reach(pred.v_x, a, vehicles[view.lv].pred.v_x, ttc_floor, margin)
         res = max(res, need - gap)
     for cp in view.cps:
         d_self = cp.s_self - s_pred
         if d_self <= 0.0:
             continue
-        d_other = cp.s_other - solver.pred_s[cp.partner]
+        d_other = cp.s_other - vehicles[cp.partner].pred_s
         t_self = arrival_time(d_self, pred.v_x)
-        t_other = arrival_time(d_other, solver.pred[cp.partner].v_x)
+        t_other = arrival_time(d_other, vehicles[cp.partner].pred.v_x)
         if math.isinf(t_self) or math.isinf(t_other):
             sep = math.inf
         else:
             sep = ttc_floor - abs(t_other - t_self)
-        partner_hold = cp.hold_other + solver.hold_dist[cp.partner] - d_other
+        partner_hold = cp.hold_other + vehicles[cp.partner].hold_dist - d_other
         self_hold = brake_reach(pred.v_x, a, cp.hold_self + guard) - d_self
         res = max(res, min(self_hold, partner_hold, sep))
     return res
@@ -1082,9 +1094,9 @@ def test_no_candidate_bound_slack_is_below_the_slack_floor(v0, a_prev, s, road, 
         route=route, state=VehicleState(v0, route.project(x, y)[2], x, y), kappa=0.0, p=1.0,
         a_prev=a_prev, delta_prev=0.0, player=True, coast=(0.0, 0.0),
     )
-    solver = _StepSolver([view], True)
-    lo, hi = solver._grid[0][:2]
-    assert solver._candidate(0, lo + a_at * (hi - lo), d)[4] >= _SLACK_FLOOR
+    player = _StepSolver([view], True).vehicles[0]
+    lo, hi = player._grid[:2]
+    assert player._candidate(lo + a_at * (hi - lo), d)[4] >= _SLACK_FLOOR
 
 
 _PARTNER_ROUTES = (("M2", "straight", "outer"), ("M4", "left", "inner"), ("M3", "straight", "inner"))
@@ -1172,22 +1184,23 @@ def test_table_residual_equals_the_per_point_loop_bit_for_bit(
     )
     views = [host, *partner_views] + ([lead_view] if leader is not None else [])
     solver = _StepSolver(views, True)
-    table, tokens = solver._crossing_table(0)
+    vehicles = solver.vehicles
+    table, tokens = vehicles[0]._crossing_table()
     kept = []
     for k, cp in enumerate(cps):
-        d_other = cp.s_other - solver.pred_s[cp.partner]
-        if cp.hold_other + solver.hold_dist[cp.partner] - d_other > _SLACK_FLOOR:
+        d_other = cp.s_other - vehicles[cp.partner].pred_s
+        if cp.hold_other + vehicles[cp.partner].hold_dist - d_other > _SLACK_FLOOR:
             kept.append(k)
-            assert tokens[k] == solver.controls[cp.partner]
+            assert tokens[k] == vehicles[cp.partner].control
         else:
             assert tokens[k] is None
     assert [row[0] for row in table] == kept
     assert any(math.isinf(t_other) for _, _, t_other, _ in table) == any(
-        solver.pred[cps[k].partner].v_x <= STOPPED for k in kept
+        vehicles[cps[k].partner].pred.v_x <= STOPPED for k in kept
     )
     for a, d in candidates:
-        pred, s_pred, _, _, slack = solver._candidate(0, a, d)
+        pred, s_pred, _, _, slack = vehicles[0]._candidate(a, d)
         for guard in guards:
-            got = solver._constraint_residual(0, a, pred, s_pred, slack, guard, table)
+            got = vehicles[0]._constraint_residual(a, pred, s_pred, slack, guard, table)
             want = _old_constraint_residual(solver, 0, a, pred, s_pred, slack, guard)
             assert got.hex() == want.hex(), (a, d, guard)

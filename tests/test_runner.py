@@ -1,5 +1,6 @@
 """Closed-loop simulation: roles, termination, metrics, and emitted files."""
 
+import gc
 import json
 import math
 import os
@@ -619,6 +620,24 @@ def test_congested_layouts_get_no_worse_in_any_mode(simulate, dense, key, capsys
     with capsys.disabled():
         print(f"\n{mode} {n} vehicles seed {seed}: {len(res.steps)} steps, counts {counts}")
     assert all(c <= pin for c, pin in zip(counts, _CONGESTED_PINS[key], strict=True)), (counts, _CONGESTED_PINS[key])
+
+
+def test_a_run_leaves_nothing_for_the_cyclic_collector(dense, tmp_path):
+    """With the collector disabled, a run of case3 and one of the 8-vehicle
+    `perfbench/dense.py` layout of seed 1 leave no object in a reference
+    cycle: each step's solver unlinks its vehicles, which link to it and
+    to each other, before it returns."""
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(dense.layout(2, 1), encoding="utf-8")
+    scenarios = [load_scenario(SCENARIOS / "case3.cfg"), load_scenario(cfg)]
+    gc.collect()
+    gc.disable()
+    try:
+        for sc in scenarios:
+            run(sc)
+            assert gc.collect() == 0, sc.name
+    finally:
+        gc.enable()
 
 
 def _rotated(text):
