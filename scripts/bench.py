@@ -13,15 +13,17 @@ on the hash seed:
   calls of `crossing_risk`), `game.sweeps` and `game.resets`, summed
   from the runs' rows; its state predictions
   (`dynamics.step.solver.calls`: `dynamics.step` called from
-  `_Vehicle._candidate`; the script exits non-zero if that reads 0
-  while the solver evaluated candidates, since the count would then miss
-  predictions made elsewhere); its scored
-  candidates (`game.scored`, calls of `_Vehicle._score`: the rankings
-  that the `_scored` memo does not answer), its constraint
-  checks (`game.constraint_evals`, calls of
-  `_Vehicle._constraint_residual`), its crossing standoffs
-  (`game.standoffs`, calls of `brake_reach`) and its leader headways
-  (`game.headways`, calls of `follow_reach`); the
+  `_candidate`; the script exits non-zero if that reads 0 while the
+  solver evaluated candidates, since the count would then miss
+  predictions made elsewhere); its scored candidates (`game.scored`,
+  calls of `_score`: the rankings that the `_scored` memo does not
+  answer), its constraint checks (`game.constraint_evals`, calls of
+  `_constraint_residual`), its crossing standoffs (`game.standoffs`,
+  calls of `brake_reach`) and its leader headways (`game.headways`,
+  calls of `follow_reach`); these five are found by name among the
+  functions defined in `game.py`, whatever class holds them, so the
+  count reads the same on a tree where `_StepSolver` held the methods
+  that `_Vehicle` holds now; the
   `network.Route.project.calls` of loading the workload and of its runs,
   and `network.leader_projections`, those made from
   `lead_distance_on_route`: the leader searches its bounding boxes do not
@@ -45,9 +47,11 @@ each measured by running this script in its own checkout:
     (cd ../parent && python3 scripts/bench.py --out $PWD/BENCH_<n>.json --label parent)
     python3 scripts/bench.py --out BENCH_<n>.json --label change
 
-A parent older than this script gets it copied in, so the record's
-`uncommitted_changes` flag leaves this script out: it is true only when
-some other tracked file differs from the recorded commit.
+A parent older than this script gets it copied in unedited, so the
+script loads `perfbench/` itself and imports nothing else from
+`scripts/`, and the record's `uncommitted_changes` flag leaves this
+script out: it is true only when some other tracked file differs from
+the recorded commit.
 """
 
 import argparse
@@ -115,22 +119,28 @@ def profiled_counts(workload: str, seed: int) -> dict:
     stats = prof.getstats()
     rows = [bench_pass.outcome_counters(result) for result in results]
     counters = {f"game.{key}": sum(r[key] for r in rows) for key in ROW_COUNTERS}
-    candidate, predict = game._Vehicle._candidate.__code__, dynamics.step.__code__
+
+    def in_game(name: str) -> list:
+        """The entries of the functions `name` defined in `game.py`, whatever
+        class holds them (a built-in's entry has no code object)."""
+        return [e for e in stats if getattr(e.code, "co_filename", None) == game.__file__ and e.code.co_name == name]
+
+    predict = dynamics.step.__code__
     counters["dynamics.step.solver.calls"] = sum(
-        sub.callcount for e in stats if e.code is candidate for sub in e.calls if sub.code is predict
+        sub.callcount for e in in_game("_candidate") for sub in e.calls or () if sub.code is predict
     )
     if counters["game.evals"] and not counters["dynamics.step.solver.calls"]:
         raise SystemExit(
             f"{workload}: dynamics.step.solver.calls reads 0 while game.evals is {counters['game.evals']}: "
-            "the solver's predictions no longer run from _Vehicle._candidate"
+            "the solver's predictions no longer run from a _candidate method of game.py"
         )
-    for name, code in (
-        ("scored", game._Vehicle._score.__code__),
-        ("constraint_evals", game._Vehicle._constraint_residual.__code__),
-        ("standoffs", game.brake_reach.__code__),
-        ("headways", game.follow_reach.__code__),
+    for key, name in (
+        ("scored", "_score"),
+        ("constraint_evals", "_constraint_residual"),
+        ("standoffs", "brake_reach"),
+        ("headways", "follow_reach"),
     ):
-        counters[f"game.{name}"] = sum(e.callcount for e in stats if e.code is code)
+        counters[f"game.{key}"] = sum(e.callcount for e in in_game(name))
     counters["network.Route.project.calls"] = sum(
         e.callcount for e in (*load.getstats(), *stats) if e.code is Route.project.__code__
     )

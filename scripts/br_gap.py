@@ -38,17 +38,16 @@ a probed run emits the same bytes as an unprobed one.
 """
 
 import contextlib
-import importlib.util
 import math
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import identity_matrix
 from intersection_game.game import STEER_BOX, _StepSolver, _Vehicle
 from intersection_game.runner import run
 from intersection_game.scenario import load_scenario
 
-ROOT = Path(__file__).resolve().parents[1]
 GRID_A, GRID_D = 17, 33  # reference grid over the acceleration box x the steering box
 FINE_A, FINE_D = 1e-5, 2e-6  # the reference pattern's last step sizes
 DENSE_SEED = 1  # the seed of the dense layouts probed
@@ -161,14 +160,9 @@ def summary(records: list[tuple[float | None, bool]]) -> dict:
 
 def _jobs() -> list[tuple[str, list[tuple[str, str]]]]:
     """(set name, [(run name, scenario text)]) for the shipped scenarios and
-    the dense layouts of DENSE_SEED."""
-    spec = importlib.util.spec_from_file_location("identity_matrix", Path(__file__).with_name("identity_matrix.py"))
-    matrix = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(matrix)
-    dense = matrix.dense_module()
-    shipped = [(path.stem, path.read_text(encoding="utf-8")) for path in sorted((ROOT / "scenarios").glob("*.cfg"))]
-    layouts = [(f"dense_n{4 * k}_seed{DENSE_SEED}", dense.layout(k, DENSE_SEED)) for k in dense.PER_ARM]
-    return [("shipped", shipped), ("dense", layouts)]
+    the dense layouts of DENSE_SEED, as `scripts/identity_matrix.py` names
+    them."""
+    return [("shipped", identity_matrix.shipped()), ("dense", identity_matrix.layouts(DENSE_SEED))]
 
 
 def main() -> int:

@@ -24,9 +24,14 @@ would change the printed digests.  Any other `--out` is refused with
 exit code 2 before any run.
 
 The dense layouts are generated by this checkout's `perfbench/dense.py`.
+This module is the one place that names the tools' inputs: `shipped()`
+(the shipped scenario texts) and `layouts(seed)` (the dense layouts of a
+seed), read by `jobs()`, `scripts/br_gap.py` and the tests, and
+`dense_module()` is the one loader of `perfbench/dense.py` among them.
 """
 
 import argparse
+import functools
 import hashlib
 import importlib.util
 import tempfile
@@ -39,35 +44,41 @@ ROOT = Path(__file__).resolve().parents[1]
 UNTIMED = "timing.json"  # wall times: the one emitted file left out
 UNGATED = ("case1_A", "case3")
 DENSE_SEEDS = (1, 3)
-DENSE_GRAND = ("dense_n12", 1)
+DENSE_GRAND = "dense_n12_seed1"
 
 
+@functools.cache
 def dense_module():
-    """`perfbench/dense.py`, which is no package, loaded from its file."""
+    """`perfbench/dense.py`, which is no package, loaded once from its file."""
     spec = importlib.util.spec_from_file_location("dense", ROOT / "perfbench" / "dense.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def shipped() -> list[tuple[str, str]]:
+    """(stem, text) of each shipped scenario, in name order."""
+    return [(path.stem, path.read_text(encoding="utf-8")) for path in sorted((ROOT / "scenarios").glob("*.cfg"))]
+
+
+def layouts(seed: int) -> list[tuple[str, str]]:
+    """(dense_n<vehicles>_seed<seed>, text) of each `perfbench/dense.py`
+    layout of `seed`, smallest first."""
+    dense = dense_module()
+    return [(f"dense_n{4 * per_arm}_seed{seed}", dense.layout(per_arm, seed)) for per_arm in dense.PER_ARM]
+
+
 def jobs():
     """The matrix: (directory name, scenario text, run keywords, write the
     field raster) per run directory."""
-    out = []
-    for path in sorted((ROOT / "scenarios").glob("*.cfg")):
-        text = path.read_text(encoding="utf-8")
-        for mode in MODES:
-            out.append((f"{path.stem}_{mode}", text, {"mode": mode}, mode == "fuzzy"))
-    for name in UNGATED:
-        text = (ROOT / "scenarios" / f"{name}.cfg").read_text(encoding="utf-8")
-        out.append((f"{name}_ungated", text, {"risk_gating": False}, False))
-    dense = dense_module()
+    texts = dict(shipped())
+    out = [(f"{stem}_{mode}", text, {"mode": mode}, mode == "fuzzy") for stem, text in texts.items() for mode in MODES]
+    out += [(f"{name}_ungated", texts[name], {"risk_gating": False}, False) for name in UNGATED]
     for seed in DENSE_SEEDS:
-        for per_arm in dense.PER_ARM:
-            stem, text = f"dense_n{4 * per_arm}", dense.layout(per_arm, seed)
-            out.append((f"{stem}_seed{seed}", text, {}, False))
-            if (stem, seed) == DENSE_GRAND:
-                out.append((f"{stem}_seed{seed}_grand", text, {"mode": "grand"}, False))
+        for name, text in layouts(seed):
+            out.append((name, text, {}, False))
+            if name == DENSE_GRAND:
+                out.append((f"{name}_grand", text, {"mode": "grand"}, False))
     return out
 
 

@@ -22,15 +22,11 @@ timing.json.
 
 import argparse
 import csv
-import importlib.util
 import json
 from pathlib import Path
 
+import identity_matrix as matrix
 from intersection_game.dynamics import DT
-
-_spec = importlib.util.spec_from_file_location("identity_matrix", Path(__file__).with_name("identity_matrix.py"))
-matrix = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(matrix)
 
 
 def _least(values) -> float | None:

@@ -19,6 +19,7 @@ from .costs import (
     OMEGA0,
     STOPPED,
     CostTerms,
+    arrival_time,
     balance_weights,
     blended_loss,
     crossing_risk,
@@ -598,9 +599,7 @@ class _Vehicle:
             if partner_hold <= _SLACK_FLOOR:
                 tokens.append(None)
                 continue
-            v_other = other.pred.v_x
-            t_other = d_other / v_other if v_other > STOPPED else math.inf  # arrival_time, inline
-            rows.append((k, cp.s_self, t_other, partner_hold))
+            rows.append((k, cp.s_self, arrival_time(d_other, other.pred.v_x), partner_hold))
             tokens.append(other.control)
         return rows, tuple(tokens)
 

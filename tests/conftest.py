@@ -1,6 +1,11 @@
 """One run cache for the whole session, the `dense` layout generator, and
 a derandomized hypothesis profile.
 
+pytest puts `src/` and `scripts/` on the path (`pyproject.toml`), so the
+tests import the package and the scripts by name; `perfbench/dense.py`
+is no package, and the `dense` fixture takes the copy that
+`scripts/identity_matrix.py`, the tools' one list of inputs, loads.
+
 A simulation is deterministic in its scenario text, mode and gating, so
 each distinct run is made once and every test that asks for it reads the
 same result; the golden digests and the acceptance criteria share the
@@ -13,12 +18,10 @@ seeds hypothesis from each test's own source, so a pass or a failure is
 reproducible.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 from hypothesis import settings
 
+import identity_matrix
 from intersection_game.runner import run
 from intersection_game.scenario import load_scenario
 
@@ -48,9 +51,5 @@ def simulate(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def dense():
-    """`perfbench/dense.py`, which is no package, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "dense.py"
-    spec = importlib.util.spec_from_file_location("dense", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    """`perfbench/dense.py`, as `scripts/identity_matrix.py` loads it."""
+    return identity_matrix.dense_module()

@@ -1,17 +1,15 @@
 """`scripts/bench.py`'s counts of the solver's work, on one small scenario."""
 
-import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+import bench
 from intersection_game import dynamics, game, runner
 from intersection_game.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
-bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench)
 
 
 def _only(monkeypatch, name="case1_A"):
@@ -93,3 +91,13 @@ def test_refuses_a_solver_prediction_count_of_zero(case1_a_only, monkeypatch):
     with pytest.raises(SystemExit) as exit_info:
         bench.profiled_counts("shipped", 1)
     assert "dynamics.step.solver.calls reads 0" in str(exit_info.value.code)
+
+
+def test_main_keeps_the_labels_already_in_the_file(monkeypatch, tmp_path):
+    """A `change` record written into the file holding a `parent` record
+    leaves that record in place."""
+    out = tmp_path / "BENCH.json"
+    for label in ("parent", "change"):
+        monkeypatch.setattr(bench, "measure", lambda label=label: {"commit": label})
+        assert bench.main(["--out", str(out), "--label", label]) == 0
+    assert json.loads(out.read_text(encoding="utf-8")) == {"parent": {"commit": "parent"}, "change": {"commit": "change"}}

@@ -4,18 +4,15 @@ rankings are the run's `evals`, and probing a run changes none of its
 rows."""
 
 import dataclasses
-import importlib.util
 from pathlib import Path
 
 import pytest
 
+import br_gap
 from intersection_game.runner import run
 from intersection_game.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("br_gap", ROOT / "scripts" / "br_gap.py")
-br_gap = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(br_gap)
 
 
 def _texts(dense):

@@ -6,19 +6,16 @@ files byte for byte.
 timing.json holds wall times and is the one emitted file left out.
 """
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
+import identity_matrix as matrix
 from intersection_game.runner import emit
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "scenarios").glob("*.cfg"))
 
-_spec = importlib.util.spec_from_file_location("identity_matrix", ROOT / "scripts" / "identity_matrix.py")
-matrix = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(matrix)
 JOBS = matrix.jobs()
 
 # `digest` of each identity-matrix directory; after an intended behaviour

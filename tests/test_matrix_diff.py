@@ -1,17 +1,14 @@
 """`scripts/matrix_diff.py`: the old -> new report over two identity-matrix trees."""
 
-import importlib.util
 import shutil
 from pathlib import Path
 
 import pytest
 
+import matrix_diff
 from intersection_game.runner import emit
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("matrix_diff", ROOT / "scripts" / "matrix_diff.py")
-matrix_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(matrix_diff)
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@
 
 import configparser
 import dataclasses
-import importlib.util
 import re
 import tempfile
 from collections import defaultdict
@@ -11,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import identity_matrix
 from intersection_game.dynamics import DT
 from intersection_game.game import LIMITS
 from intersection_game.network import route_for
@@ -359,12 +359,8 @@ def test_every_settable_key_is_set_by_some_input():
     key that admits more than one value takes at least two across the
     inputs, an input that leaves the key unset using its default.  A key
     no input varies belongs in the model as a constant."""
-    spec = importlib.util.spec_from_file_location("identity_matrix", ROOT / "scripts" / "identity_matrix.py")
-    matrix = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(matrix)
-    dense = matrix.dense_module()
-    texts = [path.read_text(encoding="utf-8") for path in sorted(SCENARIOS.glob("*.cfg"))]
-    texts += [dense.layout(per_arm, seed) for per_arm in dense.PER_ARM for seed in matrix.DENSE_SEEDS]
+    texts = [text for _, text in identity_matrix.shipped()]
+    texts += [text for seed in identity_matrix.DENSE_SEEDS for _, text in identity_matrix.layouts(seed)]
     tables = {**_PARAMS, "vehicle": _VEHICLE}
     in_use = defaultdict(set)  # (table, key) -> values in use; None stands for the default
     for text in texts:

@@ -1,9 +1,15 @@
 """The package surface: every name the package defines is used by the package,
-every name a module imports is used by it, and every dataclass field it
-declares is read."""
+every name a module of the package, the scripts or the tests imports is
+used by it, every dataclass field it declares is read, and every script
+starts as a file."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import intersection_game
 
@@ -90,9 +96,10 @@ def test_every_dataclass_field_is_read():
 
 def test_every_import_is_used():
     """A name a module imports is loaded in that module, or, in __init__.py,
-    exported through __all__; a deletion leaves no import behind."""
+    exported through __all__; a deletion leaves no import behind.  The
+    scripts and the tests are held to the same rule."""
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("scripts/*.py")), *sorted(ROOT.glob("tests/*.py"))]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = []
         used = set()
@@ -105,8 +112,23 @@ def test_every_import_is_used():
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 used.update(ast.literal_eval(node.value))
-        unused.extend(f"{path.stem}.{name}" for name in imported if name not in used)
+        unused.extend(f"{path.relative_to(ROOT)}: {name}" for name in imported if name not in used)
     assert unused == []
+
+
+@pytest.mark.parametrize("cwd", ["root", "elsewhere"])
+@pytest.mark.parametrize("script", ["identity_matrix.py", "matrix_diff.py", "bench.py"])
+def test_every_script_starts_as_a_file(script, cwd, tmp_path):
+    """pytest puts `scripts/` on the path, which would hide an import that
+    works only under pytest; run as a file with only `src/` on the path,
+    from the repository or from elsewhere, each script prints its help."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--help"],
+        cwd=ROOT if cwd == "root" else tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")
 
 
 def test_package_root_exports_the_entry_points():
